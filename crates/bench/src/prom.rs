@@ -45,6 +45,11 @@ const PEER_COUNTERS: &[PeerCounter] = &[
         "Verification failures dropped.",
         |p| p.verify_failures,
     ),
+    (
+        "signature_checks_total",
+        "Signature checks run on decoded content/metadata Data.",
+        |p| p.signature_checks,
+    ),
     ("bitmaps_sent_total", "Bitmaps transmitted.", |p| {
         p.bitmaps_sent
     }),
@@ -179,6 +184,7 @@ pub fn sum_peers<'a, I: IntoIterator<Item = &'a PeerStats>>(peers: I) -> PeerSta
         total.data_received += p.data_received;
         total.packets_verified += p.packets_verified;
         total.verify_failures += p.verify_failures;
+        total.signature_checks += p.signature_checks;
         total.bitmaps_sent += p.bitmaps_sent;
         total.bitmaps_heard += p.bitmaps_heard;
         total.bitmaps_cancelled += p.bitmaps_cancelled;

@@ -371,7 +371,7 @@ mod tests {
             offers: vec![],
         };
         let sealed = auth::seal(&info.to_wire(), 1, &rogue.keypair("peer-0"));
-        assert!(auth::open(&sealed, "peer-0", &shared).is_err());
+        assert!(auth::open(&sealed, shared.key_id_for("peer-0"), &shared).is_err());
     }
 
     #[test]

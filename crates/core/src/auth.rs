@@ -23,7 +23,7 @@
 //! code path produces, which is what keeps benign golden traces
 //! bit-identical when the axis is toggled off.
 
-use dapes_crypto::signing::{KeyId, Signature, Signer, TrustAnchor};
+use dapes_crypto::signing::{KeyId, Signature, Signer, TrustAnchor, Verifier};
 use dapes_netsim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -100,16 +100,18 @@ pub fn strip(sealed: &[u8]) -> Option<&[u8]> {
 }
 
 /// Verifies a sealed payload against the trust anchor: the signature must
-/// cover `base || timestamp` and its key id must be the one
-/// `claimed_producer` derives to. Returns the base payload and timestamp.
+/// cover `base || timestamp` and carry `claimed` — the key id the claimed
+/// producer's name derives to ([`TrustAnchor::key_id_for`]), which the
+/// caller usually needs again for the replay guard. Returns the base
+/// payload and timestamp.
 pub fn open<'a>(
     sealed: &'a [u8],
-    claimed_producer: &str,
+    claimed: KeyId,
     anchor: &TrustAnchor,
 ) -> Result<(&'a [u8], u64), OpenError> {
     let (base, ts, sig) = split(sealed).ok_or(OpenError::BadSignature)?;
     let signed_len = base.len() + 8;
-    if !anchor.verify(claimed_producer, &sealed[..signed_len], &sig) {
+    if sig.key_id != claimed || !anchor.verify_signature(&sealed[..signed_len], &sig) {
         return Err(OpenError::BadSignature);
     }
     Ok((base, ts))
@@ -235,7 +237,7 @@ mod tests {
         let key = anchor.keypair("peer-7");
         let sealed = seal(b"advert-bits", 1_234, &key);
         assert_eq!(sealed.len(), b"advert-bits".len() + ENVELOPE_SIZE);
-        let (base, ts) = open(&sealed, "peer-7", &anchor).expect("opens");
+        let (base, ts) = open(&sealed, anchor.key_id_for("peer-7"), &anchor).expect("opens");
         assert_eq!(base, b"advert-bits");
         assert_eq!(ts, 1_234);
         assert_eq!(strip(&sealed), Some(&b"advert-bits"[..]));
@@ -246,7 +248,7 @@ mod tests {
         let anchor = anchor();
         let sealed = seal(b"x", 1, &anchor.keypair("peer-1"));
         assert_eq!(
-            open(&sealed, "peer-2", &anchor),
+            open(&sealed, anchor.key_id_for("peer-2"), &anchor),
             Err(OpenError::BadSignature)
         );
     }
@@ -256,7 +258,7 @@ mod tests {
         let rogue = TrustAnchor::from_seed(b"rogue");
         let sealed = seal(b"x", 1, &rogue.keypair("peer-1"));
         assert_eq!(
-            open(&sealed, "peer-1", &anchor()),
+            open(&sealed, anchor().key_id_for("peer-1"), &anchor()),
             Err(OpenError::BadSignature)
         );
     }
@@ -267,7 +269,7 @@ mod tests {
         let mut sealed = seal(b"hello", 1, &anchor.keypair("peer-1"));
         sealed[0] ^= 0x01;
         assert_eq!(
-            open(&sealed, "peer-1", &anchor),
+            open(&sealed, anchor.key_id_for("peer-1"), &anchor),
             Err(OpenError::BadSignature)
         );
     }
@@ -279,7 +281,7 @@ mod tests {
         let ts_at = sealed.len() - ENVELOPE_SIZE;
         sealed[ts_at + 7] ^= 0x01;
         assert_eq!(
-            open(&sealed, "peer-1", &anchor),
+            open(&sealed, anchor.key_id_for("peer-1"), &anchor),
             Err(OpenError::BadSignature)
         );
     }
@@ -290,7 +292,7 @@ mod tests {
         let sealed = seal(b"hello", 1, &anchor.keypair("peer-1"));
         for len in [0, 1, ENVELOPE_SIZE - 1] {
             assert_eq!(
-                open(&sealed[..len], "peer-1", &anchor),
+                open(&sealed[..len], anchor.key_id_for("peer-1"), &anchor),
                 Err(OpenError::BadSignature),
                 "len {len}"
             );

@@ -216,8 +216,8 @@ pub fn regenerate_packet(
     idx: usize,
     anchor: &TrustAnchor,
 ) -> Option<Data> {
-    let index = metadata.index();
-    let name = index.packet_name(collection, idx)?;
+    let (file_pos, seq) = metadata.locate(idx)?;
+    let name = crate::namespace::packet_name(collection, &metadata.files[file_pos].name, seq);
     let size = metadata.packet_payload_size(idx)?;
     let content = generate_content(&name, size);
     let key = anchor.keypair(&metadata.producer);

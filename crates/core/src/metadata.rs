@@ -96,10 +96,25 @@ impl Metadata {
         )
     }
 
+    /// Locates global packet `idx` as `(file position, seq within file)` by
+    /// walking the file table — what [`PacketIndex::locate`] answers, for
+    /// per-packet callers that should not build an index (which clones
+    /// every file name) to ask once.
+    pub fn locate(&self, idx: usize) -> Option<(usize, u64)> {
+        let mut first = 0usize;
+        for (file_pos, f) in self.files.iter().enumerate() {
+            let count = f.packet_count as usize;
+            if idx < first + count {
+                return Some((file_pos, (idx - first) as u64));
+            }
+            first += count;
+        }
+        None
+    }
+
     /// Verifies the content of global packet `idx`.
     pub fn verify_packet(&self, idx: usize, content: &[u8]) -> PacketVerification {
-        let index = self.index();
-        let Some((file_pos, seq)) = index.locate(idx) else {
+        let Some((file_pos, seq)) = self.locate(idx) else {
             return PacketVerification::Failed;
         };
         let entry = &self.files[file_pos];
@@ -148,7 +163,7 @@ impl Metadata {
     /// Payload size of global packet `idx`, derived from the file size and
     /// the producer's packet size.
     pub fn packet_payload_size(&self, idx: usize) -> Option<usize> {
-        let (file_pos, seq) = self.index().locate(idx)?;
+        let (file_pos, seq) = self.locate(idx)?;
         let f = &self.files[file_pos];
         let ps = self.packet_size as usize;
         let full = f.size_bytes as usize / ps;
@@ -659,6 +674,8 @@ mod tests {
             let (fp, seq) = idx.locate(i).expect("in range");
             let (fname, _) = idx.file(fp).expect("file");
             assert_eq!(idx.global_index(fname, seq), Some(i));
+            assert_eq!(meta.locate(i), Some((fp, seq)), "index-free walk agrees");
         }
+        assert_eq!(meta.locate(meta.total_packets()), None);
     }
 }

@@ -121,6 +121,10 @@ struct Download {
     /// Outstanding metadata segment requests: seg -> (sent, retx count).
     meta_outstanding: BTreeMap<u32, (SimTime, u32)>,
     metadata: Option<Arc<Metadata>>,
+    /// The catalog's signed segments, built once when the download
+    /// activates and served to metadata Interests from then on (like a
+    /// [`Seed`]'s, not counted in [`Download::state_bytes`]).
+    metadata_segments: Vec<Data>,
     index: Option<PacketIndex>,
     have: Bitmap,
     /// Per-packet content leaf hashes retained until the file verifies
@@ -470,7 +474,12 @@ impl DapesPeer {
                     face: FaceId::APP,
                     data,
                 } => {
-                    self.handle_app_data(ctx, &data);
+                    // A Content Store hit is a different packet from
+                    // whatever frame is being processed: it gets a
+                    // classification and a signature check of its own.
+                    let class = namespace::classify(data.name());
+                    let authentic = self.check_signature(&data, class.as_ref());
+                    self.handle_app_data(ctx, &data, class.as_ref(), authentic);
                     handled = true;
                 }
                 _ => {}
@@ -757,6 +766,7 @@ impl DapesPeer {
             assembler: MetadataAssembler::new(),
             meta_outstanding: BTreeMap::new(),
             metadata: None,
+            metadata_segments: Vec::new(),
             index: None,
             have: Bitmap::new(0),
             leaf_hashes: Vec::new(),
@@ -789,8 +799,14 @@ impl DapesPeer {
         self.express_interest(ctx, interest, kinds::METADATA_INTEREST);
     }
 
-    fn handle_metadata_segment(&mut self, ctx: &mut NodeCtx<'_>, collection: &Name, data: &Data) {
-        if !data.verify(&self.anchor) {
+    fn handle_metadata_segment(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        collection: &Name,
+        data: &Data,
+        authentic: bool,
+    ) {
+        if !authentic {
             self.stats.verify_failures += 1;
             return;
         }
@@ -848,6 +864,7 @@ impl DapesPeer {
         let Some(d) = self.downloads.get_mut(collection) else {
             return;
         };
+        d.metadata_segments = meta.to_segments(collection, &self.anchor.keypair(&meta.producer));
         d.metadata = Some(Arc::new(meta));
         d.index = Some(index);
         d.have = Bitmap::new(total);
@@ -1177,7 +1194,15 @@ impl DapesPeer {
         }
     }
 
-    fn handle_content_data(&mut self, ctx: &mut NodeCtx<'_>, collection: &Name, data: &Data) {
+    /// Consumes an authenticated content Data packet for global packet
+    /// `idx` (from [`DapesPeer::content_index`]) of `collection`.
+    fn handle_content_data(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        collection: &Name,
+        idx: usize,
+        data: &Data,
+    ) {
         let Some(d) = self.downloads.get_mut(collection) else {
             return;
         };
@@ -1187,12 +1212,9 @@ impl DapesPeer {
         let (Some(meta), Some(index)) = (d.metadata.clone(), d.index.as_ref()) else {
             return;
         };
-        let Some(DapesName::Content { file, seq, .. }) = namespace::classify(data.name()) else {
+        if idx >= d.have.len() {
             return;
-        };
-        let Some(idx) = index.global_index(&file, seq) else {
-            return;
-        };
+        }
         if d.have.get(idx) {
             d.outstanding.remove(&idx);
             return;
@@ -1381,9 +1403,7 @@ impl DapesPeer {
             return seed.segments.get(seg as usize).cloned();
         }
         let d = self.downloads.get(collection)?;
-        let meta = d.metadata.as_ref()?;
-        let segments = meta.to_segments(collection, &self.anchor.keypair(&meta.producer));
-        segments.get(seg as usize).cloned()
+        d.metadata_segments.get(seg as usize).cloned()
     }
 
     fn content_packet_for(&self, collection: &Name, file: &str, seq: u64) -> Option<Data> {
@@ -1588,30 +1608,22 @@ impl NetStack for DapesPeer {
         if self.cfg.signed_adverts && self.screen_frame(ctx, frame) {
             return;
         }
-        if self.cfg.exec.lazy_peek && self.on_frame_peeked(ctx, frame) {
-            return;
+        let mut class = None;
+        if self.cfg.exec.lazy_peek {
+            match self.on_frame_peeked(ctx, frame) {
+                Peeked::Resolved => return,
+                Peeked::NeedsDecode(peeked) => class = peeked,
+            }
         }
         let Ok(packet) = Packet::decode_payload(&frame.payload) else {
             return;
         };
-        if self.cfg.signed_adverts {
-            let hostile = match &packet {
-                Packet::Interest(interest) => self.screen_interest(ctx, interest),
-                Packet::Data(data) => self.screen_data(ctx, data),
-            };
-            if hostile {
-                return;
-            }
-        }
-        if self.role == NodeRole::Dapes {
-            self.discovery.note_peer_heard(ctx.now);
-            self.shared
-                .lock()
-                .expect("multihop state")
-                .note_peer(frame.src.0, ctx.now);
-        }
         match packet {
             Packet::Interest(interest) => {
+                if self.cfg.signed_adverts && self.screen_interest(ctx, &interest) {
+                    return;
+                }
+                self.note_sender(ctx, frame);
                 // Someone else re-broadcast an Interest we were also about
                 // to forward: ours is now redundant.
                 let key = (interest.name().clone(), interest.nonce());
@@ -1623,6 +1635,17 @@ impl NetStack for DapesPeer {
                 self.apply_interest_actions(ctx, frame.kind, actions);
             }
             Packet::Data(data) => {
+                // The name is classified and the signature checked once,
+                // here; the screen and every handler below consume the
+                // class and the verdict as values.
+                let class = class.or_else(|| namespace::classify(data.name()));
+                let authentic = self.check_signature(&data, class.as_ref());
+                if self.cfg.signed_adverts
+                    && self.screen_data(ctx, &data, class.as_ref(), authentic)
+                {
+                    return;
+                }
+                self.note_sender(ctx, frame);
                 // Any data transmission cancels our duplicate pending
                 // responses/forwards and settles multi-hop bookkeeping.
                 let dname = data.name().clone();
@@ -1633,8 +1656,9 @@ impl NetStack for DapesPeer {
                     .note_data_seen(&dname);
 
                 // DAPES-level overhearing before the forwarder pipeline.
+                let mut content_idx = None;
                 if self.role == NodeRole::Dapes {
-                    match namespace::classify(&dname) {
+                    match &class {
                         Some(DapesName::Bitmap {
                             collection,
                             replier,
@@ -1646,7 +1670,7 @@ impl NetStack for DapesPeer {
                                 decode_bitmap_params_maybe_sealed(data.content())
                             {
                                 let peer = replier.unwrap_or(peer);
-                                self.handle_bitmap_seen(ctx, &collection, peer, &bm);
+                                self.handle_bitmap_seen(ctx, collection, peer, &bm);
                             }
                         }
                         Some(DapesName::Discovery { .. }) => {
@@ -1662,17 +1686,12 @@ impl NetStack for DapesPeer {
                             seq,
                         }) => {
                             // Note the sender has this packet.
-                            let idx = {
-                                let sh = self.shared.lock().expect("multihop state");
-                                sh.indices
-                                    .get(&collection)
-                                    .and_then(|ix| ix.global_index(&file, seq))
-                            };
-                            if let Some(idx) = idx {
+                            content_idx = self.content_index(collection, file, *seq);
+                            if let Some(idx) = content_idx {
                                 self.shared
                                     .lock()
                                     .expect("multihop state")
-                                    .note_neighbor_has(frame.src.0, &collection, idx, ctx.now);
+                                    .note_neighbor_has(frame.src.0, collection, idx, ctx.now);
                             }
                         }
                         _ => {}
@@ -1688,7 +1707,9 @@ impl NetStack for DapesPeer {
                             face: FaceId::APP,
                             data,
                         } => {
-                            self.handle_app_data(ctx, &data);
+                            // The forwarder hands back the frame's own
+                            // packet, so its class and verdict carry over.
+                            self.handle_app_data(ctx, &data, class.as_ref(), authentic);
                         }
                         Action::SendData {
                             face: FaceId::WIRELESS,
@@ -1714,14 +1735,14 @@ impl NetStack for DapesPeer {
                 // Opportunistic use of overheard content/metadata even when
                 // our PIT did not ask for it.
                 if self.role == NodeRole::Dapes {
-                    match namespace::classify(&dname) {
-                        Some(DapesName::Content { collection, .. })
-                            if data.verify(&self.anchor) =>
-                        {
-                            self.handle_content_data(ctx, &collection, &data);
+                    match &class {
+                        Some(DapesName::Content { collection, .. }) if authentic => {
+                            if let Some(idx) = content_idx {
+                                self.handle_content_data(ctx, collection, idx, &data);
+                            }
                         }
                         Some(DapesName::Metadata { collection, .. }) => {
-                            self.handle_metadata_segment(ctx, &collection, &data);
+                            self.handle_metadata_segment(ctx, collection, &data, authentic);
                         }
                         _ => {}
                     }
@@ -1806,6 +1827,17 @@ impl NetStack for DapesPeer {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// What the header fast path made of a frame.
+enum Peeked {
+    /// Fully handled from the header alone.
+    Resolved,
+    /// Needs the full decode. Carries the Data name's classification when
+    /// the peek already worked it out, so the decode path does not repeat
+    /// it (`None` also when the name is not a DAPES name or was not
+    /// classified — the decode path then classifies).
+    NeedsDecode(Option<DapesName>),
 }
 
 impl DapesPeer {
@@ -1905,11 +1937,11 @@ impl DapesPeer {
     /// cannot take, PIT-matching or cacheable or DAPES-signalling Data)
     /// fall through untouched, with no state or statistics recorded, and
     /// take the full-decode path.
-    fn on_frame_peeked(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) -> bool {
+    fn on_frame_peeked(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) -> Peeked {
         let Ok(header) = Packet::peek_header(&frame.payload) else {
             // A malformed prefix fails the full decode at the same byte, so
             // dropping here is exactly what the eager path would do.
-            return true;
+            return Peeked::Resolved;
         };
         match header {
             PacketHeader::Interest(h) => {
@@ -1919,15 +1951,9 @@ impl DapesPeer {
                     &frame.payload,
                     FaceId::WIRELESS,
                 ) else {
-                    return false;
+                    return Peeked::NeedsDecode(None);
                 };
-                if self.role == NodeRole::Dapes {
-                    self.discovery.note_peer_heard(ctx.now);
-                    self.shared
-                        .lock()
-                        .expect("multihop state")
-                        .note_peer(frame.src.0, ctx.now);
-                }
+                self.note_sender(ctx, frame);
                 // Cancel our own redundant pending forward, comparing the
                 // stored name against the frame's borrowed bytes — the
                 // Interest fast path builds no `Name` except for the PIT
@@ -1948,7 +1974,7 @@ impl DapesPeer {
                     PeekOutcome::Relayed => self.stats.peek_relayed += 1,
                     PeekOutcome::RelaySuppressed => self.stats.peek_relay_suppressed += 1,
                 }
-                true
+                Peeked::Resolved
             }
             PacketHeader::Data(h) => {
                 // Classification and the knowledge-building side effects
@@ -1957,76 +1983,66 @@ impl DapesPeer {
                 let Ok(dname) = h.to_name(&frame.payload) else {
                     // Malformed name region: the full decode fails at the
                     // same byte, so dropping matches the eager path.
-                    return true;
+                    return Peeked::Resolved;
                 };
-                if !self.data_resolvable_by_name(&dname) {
-                    return false;
-                }
-                if !self.forwarder.process_data_header(h.name_wire) {
-                    return false;
+                // Non-DAPES roles take no overhearing action beyond the
+                // forwarder pipeline, so they never need the class here.
+                let class = if self.role == NodeRole::Dapes {
+                    namespace::classify(&dname)
+                } else {
+                    None
+                };
+                if !self.data_resolvable_by_name(class.as_ref())
+                    || !self.forwarder.process_data_header(h.name_wire)
+                {
+                    return Peeked::NeedsDecode(class);
                 }
                 // Committed: mirror the eager pipeline's name-derived side
                 // effects (the payload-derived ones cannot apply, because
                 // `data_resolvable_by_name` ruled them out).
-                if self.role == NodeRole::Dapes {
-                    self.discovery.note_peer_heard(ctx.now);
-                    self.shared
-                        .lock()
-                        .expect("multihop state")
-                        .note_peer(frame.src.0, ctx.now);
-                }
+                self.note_sender(ctx, frame);
                 self.cancel_pending_where(ctx, |p| p.cancel_on_data.as_ref() == Some(&dname));
                 self.shared
                     .lock()
                     .expect("multihop state")
                     .note_data_seen(&dname);
-                if self.role == NodeRole::Dapes {
-                    if let Some(DapesName::Content {
-                        collection,
-                        file,
-                        seq,
-                    }) = namespace::classify(&dname)
-                    {
-                        let idx = {
-                            let sh = self.shared.lock().expect("multihop state");
-                            sh.indices
-                                .get(&collection)
-                                .and_then(|ix| ix.global_index(&file, seq))
-                        };
-                        if let Some(idx) = idx {
-                            self.shared
-                                .lock()
-                                .expect("multihop state")
-                                .note_neighbor_has(frame.src.0, &collection, idx, ctx.now);
-                        }
+                if let Some(DapesName::Content {
+                    collection,
+                    file,
+                    seq,
+                }) = &class
+                {
+                    if let Some(idx) = self.content_index(collection, file, *seq) {
+                        self.shared
+                            .lock()
+                            .expect("multihop state")
+                            .note_neighbor_has(frame.src.0, collection, idx, ctx.now);
                     }
                 }
                 self.stats.frames_peek_resolved += 1;
                 self.stats.peek_unsolicited_data += 1;
-                true
+                Peeked::Resolved
             }
         }
     }
 
-    /// Whether an overheard Data packet with this name could be fully
-    /// handled without its payload, assuming it also matches no PIT entry.
-    /// Conservative: any name whose eager handling reads the content
-    /// (bitmaps, discovery replies, metadata, content for an active
+    /// Whether an overheard Data packet whose name classifies as `class`
+    /// could be fully handled without its payload, assuming it also matches
+    /// no PIT entry. Conservative: any name whose eager handling reads the
+    /// content (bitmaps, discovery replies, metadata, content for an active
     /// download) forces the full decode.
-    fn data_resolvable_by_name(&self, name: &Name) -> bool {
+    fn data_resolvable_by_name(&self, class: Option<&DapesName>) -> bool {
         if self.role != NodeRole::Dapes {
             // Non-DAPES roles take no overhearing action beyond the
             // forwarder pipeline (and a caching pure forwarder is already
             // rejected by `process_data_header`).
             return true;
         }
-        match namespace::classify(name) {
+        match class {
             // `handle_content_data` is a no-op without an active download
             // for the collection; the knowledge-building side effect
             // (`note_neighbor_has`) needs only the name.
-            Some(DapesName::Content { ref collection, .. }) => {
-                !self.downloads.contains_key(collection)
-            }
+            Some(DapesName::Content { collection, .. }) => !self.downloads.contains_key(collection),
             // Bitmap/discovery/metadata handling reads the payload.
             Some(_) => false,
             // Non-DAPES names have no overhearing semantics.
@@ -2107,21 +2123,66 @@ impl DapesPeer {
     /// Screens an overheard Data packet before any protocol state —
     /// including the Content Store — can absorb it: announcements must
     /// open under the trust anchor and pass the replay guard;
-    /// content/metadata segments must carry a valid signature.
-    fn screen_data(&mut self, ctx: &mut NodeCtx<'_>, data: &Data) -> bool {
-        match namespace::classify(data.name()) {
+    /// content/metadata segments must carry a valid signature
+    /// (`authentic`, the frame's [`DapesPeer::check_signature`] verdict).
+    fn screen_data(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        data: &Data,
+        class: Option<&DapesName>,
+        authentic: bool,
+    ) -> bool {
+        match class {
             Some(DapesName::Bitmap { .. }) | Some(DapesName::Discovery { .. }) => {
                 self.screen_announcement(ctx, data.content())
             }
             Some(DapesName::Content { .. }) | Some(DapesName::Metadata { .. }) => {
-                if data.verify(&self.anchor) {
-                    false
-                } else {
+                if !authentic {
                     self.stats.segments_rejected_tamper += 1;
-                    true
                 }
+                !authentic
             }
             None => false,
+        }
+    }
+
+    /// The signature check of one decoded Data packet: content and metadata
+    /// segments verify against the trust anchor (announcements are sealed
+    /// inside their content instead and go through
+    /// [`DapesPeer::screen_announcement`]). Called once per decoded packet;
+    /// the verdict then travels by value, because the packet a Content
+    /// Store hit hands to [`DapesPeer::handle_app_data`] is not the frame
+    /// being processed and must not inherit its verdict.
+    fn check_signature(&mut self, data: &Data, class: Option<&DapesName>) -> bool {
+        if !matches!(
+            class,
+            Some(DapesName::Content { .. }) | Some(DapesName::Metadata { .. })
+        ) {
+            return false;
+        }
+        self.stats.signature_checks += 1;
+        data.verify(&self.anchor)
+    }
+
+    /// Global packet index of content name `/<collection>/<file>/<seq>`
+    /// under the collection's catalog, once we hold it.
+    fn content_index(&self, collection: &Name, file: &str, seq: u64) -> Option<usize> {
+        self.shared
+            .lock()
+            .expect("multihop state")
+            .indices
+            .get(collection)
+            .and_then(|ix| ix.global_index(file, seq))
+    }
+
+    /// Records that `frame`'s sender is alive and in range.
+    fn note_sender(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) {
+        if self.role == NodeRole::Dapes {
+            self.discovery.note_peer_heard(ctx.now);
+            self.shared
+                .lock()
+                .expect("multihop state")
+                .note_peer(frame.src.0, ctx.now);
         }
     }
 
@@ -2139,18 +2200,17 @@ impl DapesPeer {
             self.stats.adverts_rejected_bad_sig += 1;
             return true;
         };
-        let producer = format!("peer-{claimed}");
-        match auth::open(sealed, &producer, &self.anchor) {
-            Ok((_base, ts)) => {
-                let key_id = self.anchor.key_id_for(&producer);
-                match self.replay.check(key_id, ts, ctx.now) {
-                    ReplayVerdict::Fresh | ReplayVerdict::Duplicate => false,
-                    ReplayVerdict::Replayed => {
-                        self.stats.adverts_rejected_replay += 1;
-                        true
-                    }
+        // One derivation serves both the envelope check and the replay
+        // guard's table key.
+        let key_id = self.anchor.key_id_for(&format!("peer-{claimed}"));
+        match auth::open(sealed, key_id, &self.anchor) {
+            Ok((_base, ts)) => match self.replay.check(key_id, ts, ctx.now) {
+                ReplayVerdict::Fresh | ReplayVerdict::Duplicate => false,
+                ReplayVerdict::Replayed => {
+                    self.stats.adverts_rejected_replay += 1;
+                    true
                 }
-            }
+            },
             Err(OpenError::BadSignature) | Err(OpenError::Replay) => {
                 self.stats.adverts_rejected_bad_sig += 1;
                 true
@@ -2158,16 +2218,29 @@ impl DapesPeer {
         }
     }
 
-    fn handle_app_data(&mut self, ctx: &mut NodeCtx<'_>, data: &Data) {
-        match namespace::classify(data.name()) {
+    /// Consumes Data the forwarder delivered to the application face.
+    /// `class` and `authentic` are `data`'s own classification and
+    /// [`DapesPeer::check_signature`] verdict.
+    fn handle_app_data(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        data: &Data,
+        class: Option<&DapesName>,
+        authentic: bool,
+    ) {
+        match class {
             Some(DapesName::Metadata { collection, .. }) => {
-                self.handle_metadata_segment(ctx, &collection, data);
+                self.handle_metadata_segment(ctx, collection, data, authentic);
             }
-            Some(DapesName::Content { collection, .. }) => {
-                if data.verify(&self.anchor) {
-                    self.handle_content_data(ctx, &collection, data);
-                } else {
+            Some(DapesName::Content {
+                collection,
+                file,
+                seq,
+            }) => {
+                if !authentic {
                     self.stats.verify_failures += 1;
+                } else if let Some(idx) = self.content_index(collection, file, *seq) {
+                    self.handle_content_data(ctx, collection, idx, data);
                 }
             }
             // Bitmap and discovery data were already handled during

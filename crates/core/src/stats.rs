@@ -56,6 +56,10 @@ pub struct PeerStats {
     pub packets_verified: u64,
     /// Verification failures (corrupt or forged packets dropped).
     pub verify_failures: u64,
+    /// Signature checks run on decoded content/metadata Data: one per
+    /// decoded frame however many handlers consume its verdict, plus one
+    /// per packet a Content Store hit served to our own Interest.
+    pub signature_checks: u64,
     /// Bitmaps we transmitted (Interests carrying ours plus replies).
     pub bitmaps_sent: u64,
     /// Bitmaps received/overheard from others.

@@ -2,8 +2,94 @@
 
 use crate::digest::Digest;
 use crate::sha256::{sha256, Sha256};
+use std::fmt;
 
 const BLOCK: usize = 64;
+
+/// An HMAC-SHA256 key reduced to its two pad midstates: the SHA-256
+/// chaining values after `key ^ ipad` and `key ^ opad`.
+///
+/// Deriving them costs two compressions (plus the key hash, for long
+/// keys); every MAC started from an `HmacKey` skips that work, and at 64
+/// bytes the key is cheap to cache.
+///
+/// # Examples
+///
+/// ```
+/// use dapes_crypto::hmac::{hmac_sha256, HmacKey};
+///
+/// let key = HmacKey::new(b"Jefe");
+/// let mut mac = key.begin();
+/// mac.update(b"what do ya want ");
+/// mac.update(b"for nothing?");
+/// assert_eq!(
+///     mac.finalize(),
+///     hmac_sha256(b"Jefe", b"what do ya want for nothing?")
+/// );
+/// ```
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: [u32; 8],
+    outer: [u32; 8],
+}
+
+impl HmacKey {
+    /// Keys the MAC. Keys longer than the 64-byte block are first hashed,
+    /// per RFC 2104.
+    pub fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; BLOCK];
+        if key.len() > BLOCK {
+            key_block[..32].copy_from_slice(sha256(key).as_bytes());
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let pad_midstate = |pad: u8| {
+            let mut h = Sha256::new();
+            h.update(&key_block.map(|b| b ^ pad));
+            h.midstate()
+        };
+        HmacKey {
+            inner: pad_midstate(0x36),
+            outer: pad_midstate(0x5c),
+        }
+    }
+
+    /// Starts a MAC over a new message.
+    pub fn begin(&self) -> HmacSha256 {
+        HmacSha256 {
+            inner: Sha256::resume(self.inner, BLOCK as u64),
+            outer: self.outer,
+        }
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // The midstates are key material: never print them.
+        write!(f, "HmacKey(..)")
+    }
+}
+
+/// An HMAC-SHA256 computation in progress, started by [`HmacKey::begin`]:
+/// the message is absorbed part by part, in order.
+pub struct HmacSha256 {
+    inner: Sha256,
+    outer: [u32; 8],
+}
+
+impl HmacSha256 {
+    /// Absorbs the next part of the message.
+    pub fn update(&mut self, data: &[u8]) {
+        self.inner.update(data);
+    }
+
+    /// Finishes the MAC and returns the tag.
+    pub fn finalize(self) -> Digest {
+        let mut outer = Sha256::resume(self.outer, BLOCK as u64);
+        outer.update(self.inner.finalize().as_bytes());
+        outer.finalize()
+    }
+}
 
 /// Computes `HMAC-SHA256(key, message)`.
 ///
@@ -21,29 +107,9 @@ const BLOCK: usize = 64;
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        key_block[..32].copy_from_slice(sha256(key).as_bytes());
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
-    }
-
-    let mut inner = Sha256::new();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-
-    let mut outer = Sha256::new();
-    outer.update(&opad);
-    outer.update(inner_digest.as_bytes());
-    outer.finalize()
+    let mut mac = HmacKey::new(key).begin();
+    mac.update(message);
+    mac.finalize()
 }
 
 /// Constant-time equality of two digests.
@@ -92,6 +158,53 @@ mod tests {
             tag.to_string(),
             "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"
         );
+    }
+
+    #[test]
+    fn rfc4231_case_4() {
+        let key: Vec<u8> = (1u8..=25).collect();
+        let tag = hmac_sha256(&key, &[0xcdu8; 50]);
+        assert_eq!(
+            tag.to_string(),
+            "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"
+        );
+    }
+
+    #[test]
+    fn rfc4231_case_5_truncated_to_128_bits() {
+        let tag = hmac_sha256(&[0x0cu8; 20], b"Test With Truncation");
+        assert_eq!(&tag.to_string()[..32], "a3b6167473100ee06e0c796c2955552b");
+    }
+
+    #[test]
+    fn rfc4231_case_7_long_key_and_long_data() {
+        let tag = hmac_sha256(
+            &[0xaau8; 131],
+            b"This is a test using a larger than block-size key and a larger \
+              than block-size data. The key needs to be hashed before being \
+              used by the HMAC algorithm.",
+        );
+        assert_eq!(
+            tag.to_string(),
+            "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"
+        );
+    }
+
+    #[test]
+    fn key_is_reusable_and_incremental_matches_oneshot() {
+        let key = HmacKey::new(b"key");
+        let message: Vec<u8> = (0u32..300).map(|i| (i * 7 % 256) as u8).collect();
+        for split in [0, 1, 55, 56, 63, 64, 65, 128, 299, 300] {
+            let mut mac = key.begin();
+            mac.update(&message[..split]);
+            mac.update(&message[split..]);
+            assert_eq!(
+                mac.finalize(),
+                hmac_sha256(b"key", &message),
+                "split at {split}"
+            );
+        }
+        assert_eq!(format!("{key:?}"), "HmacKey(..)", "midstates hidden");
     }
 
     #[test]

@@ -62,6 +62,29 @@ impl Sha256 {
         }
     }
 
+    /// The chaining value after the whole blocks absorbed so far — with
+    /// [`Sha256::resume`], how HMAC keeps its pad blocks pre-compressed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a partial block is buffered.
+    pub(crate) fn midstate(&self) -> [u32; 8] {
+        assert_eq!(self.buf_len, 0, "midstate taken mid-block");
+        self.state
+    }
+
+    /// A hasher that has already absorbed `absorbed` bytes (a whole number
+    /// of blocks) ending in chaining value `state`.
+    pub(crate) fn resume(state: [u32; 8], absorbed: u64) -> Self {
+        debug_assert_eq!(absorbed % 64, 0);
+        Sha256 {
+            state,
+            len: absorbed,
+            buf: [0u8; 64],
+            buf_len: 0,
+        }
+    }
+
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
@@ -71,69 +94,78 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut arr = [0u8; 64];
-            arr.copy_from_slice(block);
-            self.compress(&arr);
-            rest = tail;
+        // Full blocks are compressed where they lie; only the tail is copied.
+        let mut blocks = rest.chunks_exact(64);
+        for block in &mut blocks {
+            compress(
+                &mut self.state,
+                block.try_into().expect("chunk is 64 bytes"),
+            );
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let tail = blocks.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
+        // Padding: 0x80, zeros to 56 mod 64, 8-byte big-endian bit length —
+        // written straight into the block buffer, spilling into a second
+        // block when fewer than 9 bytes are free.
         let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // `update` mutated self.len; only the pre-pad length matters and it
-        // was captured above, so the extra bookkeeping is harmless.
-        while self.buf_len != 56 {
-            self.update(&[0x00]);
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&mut self.state, &self.buf);
+            self.buf.fill(0);
         }
-        self.update(&bit_len.to_be_bytes());
-        debug_assert_eq!(self.buf_len, 0);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("chunk is 4 bytes"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
+/// The FIPS 180-4 compression function over one block, with the message
+/// schedule kept as a rolling 16-word window: four passes of sixteen
+/// rounds, each pass after the first advancing the window in place.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes(bytes.try_into().expect("chunk is 4 bytes"));
+    }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for (pass, ks) in K.chunks_exact(16).enumerate() {
+        for j in 0..16 {
+            if pass > 0 {
+                let w15 = w[(j + 1) & 15];
+                let w2 = w[(j + 14) & 15];
+                let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+                let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+                w[j] = w[j]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[(j + 9) & 15])
+                    .wrapping_add(s1);
+            }
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
+            let ch = g ^ (e & (f ^ g));
             let temp1 = h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
+                .wrapping_add(ks[j])
+                .wrapping_add(w[j]);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let maj = (a & b) | (c & (a | b));
             let temp2 = s0.wrapping_add(maj);
             h = g;
             g = f;
@@ -144,15 +176,10 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
+    }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -265,6 +292,42 @@ mod tests {
         for len in 50..70 {
             let data = vec![0x5a; len];
             assert!(seen.insert(sha256(&data)), "collision at length {len}");
+        }
+    }
+
+    #[test]
+    fn padding_boundary_vectors() {
+        // Reference digests of `'a' × len` on both sides of the one-block
+        // (55/56) and two-block (119/120) padding spill and at the exact
+        // block edges, where `finalize` either fits the length suffix into
+        // the current block or needs one more.
+        for (len, expect) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(sha256(&vec![b'a'; len])), expect, "length {len}");
         }
     }
 

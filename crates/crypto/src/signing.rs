@@ -42,10 +42,11 @@
 //! [`Verifier`]; nothing in the protocol code would change.
 
 use crate::digest::Digest;
-use crate::hmac::{hmac_sha256, verify_tag};
+use crate::hmac::{verify_tag, HmacKey};
 use crate::sha256::sha256;
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// A detached signature: the signing key's identifier plus the tag bytes.
 #[derive(Clone, PartialEq, Eq, Hash)]
@@ -101,10 +102,20 @@ impl fmt::Debug for KeyId {
     }
 }
 
+/// A message handed to a [`Signer`] or [`Verifier`] as a stream of parts:
+/// a callback that pushes the message's bytes, in order, into the sink it
+/// is given. Lets a packet feed its name, headers and payload view into
+/// the MAC without first concatenating them.
+pub type MessageParts<'a> = &'a mut dyn FnMut(&mut dyn FnMut(&[u8]));
+
 /// Anything that can produce signatures over byte strings.
 pub trait Signer {
     /// Signs `message`, returning a detached signature.
-    fn sign(&self, message: &[u8]) -> Signature;
+    fn sign(&self, message: &[u8]) -> Signature {
+        self.sign_parts(&mut |sink| sink(message))
+    }
+    /// Signs the concatenation of the parts `message` emits.
+    fn sign_parts(&self, message: MessageParts<'_>) -> Signature;
     /// The key identifier that will appear in produced signatures.
     fn key_id(&self) -> KeyId;
 }
@@ -112,10 +123,53 @@ pub trait Signer {
 /// Anything that can check signatures over byte strings.
 pub trait Verifier {
     /// Returns `true` when `signature` is a valid signature of `message`.
-    fn verify_signature(&self, message: &[u8], signature: &Signature) -> bool;
+    fn verify_signature(&self, message: &[u8], signature: &Signature) -> bool {
+        self.verify_parts(&mut |sink| sink(message), signature)
+    }
+    /// Returns `true` when `signature` is a valid signature of the
+    /// concatenation of the parts `message` emits.
+    fn verify_parts(&self, message: MessageParts<'_>, signature: &Signature) -> bool;
+}
+
+/// Streams `message` into a MAC under `key` and returns the tag.
+fn mac_parts(key: &HmacKey, message: MessageParts<'_>) -> Digest {
+    let mut mac = key.begin();
+    message(&mut |part| mac.update(part));
+    mac.finalize()
+}
+
+/// Entries each [`KeyCache`] map may hold. A deployment has one key per
+/// peer and per collection producer, so an honest swarm of a few dozen
+/// nodes fits; names and key ids minted by an attacker cannot grow it.
+const KEY_CACHE_CAPACITY: usize = 64;
+
+/// Memoized key derivations of one [`TrustAnchor`].
+///
+/// Both maps are pure functions of the anchor secret, so the cache can
+/// never change a verdict — only skip the derivation HMACs. A full map is
+/// cleared before the next insert: deterministic, and an attacker spraying
+/// fresh names or key ids costs at most the derivation each of those
+/// lookups needed anyway plus one re-derivation per honest key per
+/// `KEY_CACHE_CAPACITY` misses.
+#[derive(Clone, Default)]
+struct KeyCache {
+    key_ids: BTreeMap<String, KeyId>,
+    signing: BTreeMap<KeyId, HmacKey>,
+}
+
+/// Inserts into a bounded cache map, clearing it first when full.
+fn insert_bounded<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, value: V) {
+    if map.len() >= KEY_CACHE_CAPACITY {
+        map.clear();
+    }
+    map.insert(key, value);
 }
 
 /// A shared local trust anchor from which per-producer keys derive.
+///
+/// Derived keys are cached per anchor value (see [`TrustAnchor::key_id_for`]);
+/// the cache sits behind a `RefCell`, so an anchor is `Send` but not `Sync`
+/// — every peer owns its clone.
 ///
 /// # Examples
 ///
@@ -131,7 +185,9 @@ pub trait Verifier {
 /// ```
 #[derive(Clone)]
 pub struct TrustAnchor {
-    secret: Arc<[u8; 32]>,
+    /// The anchor secret as an HMAC key: the root of both derivations.
+    root: HmacKey,
+    cache: RefCell<KeyCache>,
 }
 
 impl fmt::Debug for TrustAnchor {
@@ -145,22 +201,42 @@ impl TrustAnchor {
     /// Derives an anchor from an arbitrary seed.
     pub fn from_seed(seed: &[u8]) -> Self {
         TrustAnchor {
-            secret: Arc::new(sha256(seed).into_bytes()),
+            root: HmacKey::new(sha256(seed).as_bytes()),
+            cache: RefCell::default(),
         }
     }
 
     /// The key id a given producer name maps to.
+    ///
+    /// Derived once per name and then served from the anchor's bounded
+    /// key cache.
     pub fn key_id_for(&self, producer_name: &str) -> KeyId {
-        let name_key = hmac_sha256(&self.secret[..], producer_name.as_bytes());
+        if let Some(&key_id) = self.cache.borrow().key_ids.get(producer_name) {
+            return key_id;
+        }
+        let name_key = mac_parts(&self.root, &mut |sink| sink(producer_name.as_bytes()));
         let d = sha256(name_key.as_bytes());
-        KeyId(u64::from_be_bytes(
+        let key_id = KeyId(u64::from_be_bytes(
             d.as_bytes()[..8].try_into().expect("8 bytes"),
-        ))
+        ));
+        insert_bounded(
+            &mut self.cache.borrow_mut().key_ids,
+            producer_name.to_owned(),
+            key_id,
+        );
+        key_id
     }
 
-    /// Derives the signing key bound to a key id.
-    fn signing_key(&self, key_id: KeyId) -> [u8; 32] {
-        hmac_sha256(&self.secret[..], &key_id.0.to_be_bytes()).into_bytes()
+    /// The signing key bound to a key id — derived once per key id and then
+    /// copied out of the anchor's bounded key cache.
+    fn signing_key(&self, key_id: KeyId) -> HmacKey {
+        if let Some(key) = self.cache.borrow().signing.get(&key_id) {
+            return key.clone();
+        }
+        let secret = mac_parts(&self.root, &mut |sink| sink(&key_id.0.to_be_bytes()));
+        let key = HmacKey::new(secret.as_bytes());
+        insert_bounded(&mut self.cache.borrow_mut().signing, key_id, key.clone());
+        key
     }
 
     /// Creates the signing half for a named producer.
@@ -186,16 +262,16 @@ impl TrustAnchor {
 
 impl Verifier for TrustAnchor {
     /// Verifies a signature using only the key id it carries.
-    fn verify_signature(&self, message: &[u8], signature: &Signature) -> bool {
-        let key = self.signing_key(signature.key_id);
-        verify_tag(&hmac_sha256(&key, message), &signature.tag)
+    fn verify_parts(&self, message: MessageParts<'_>, signature: &Signature) -> bool {
+        let tag = mac_parts(&self.signing_key(signature.key_id), message);
+        verify_tag(&tag, &signature.tag)
     }
 }
 
 /// The signing half handed to a collection producer.
 #[derive(Clone)]
 pub struct ProducerKey {
-    key: [u8; 32],
+    key: HmacKey,
     key_id: KeyId,
     name: String,
 }
@@ -214,10 +290,10 @@ impl ProducerKey {
 }
 
 impl Signer for ProducerKey {
-    fn sign(&self, message: &[u8]) -> Signature {
+    fn sign_parts(&self, message: MessageParts<'_>) -> Signature {
         Signature {
             key_id: self.key_id,
-            tag: hmac_sha256(&self.key, message),
+            tag: mac_parts(&self.key, message),
         }
     }
 
@@ -299,6 +375,53 @@ mod tests {
         assert_eq!(Signature::from_bytes(&bytes), Some(sig));
         assert!(Signature::from_bytes(&bytes[..39]).is_none());
         assert!(Signature::from_bytes(&[]).is_none());
+    }
+
+    #[test]
+    fn streamed_parts_sign_and_verify_like_the_concatenation() {
+        let anchor = TrustAnchor::from_seed(b"seed");
+        let key = anchor.keypair("alice");
+        let parts: [&[u8]; 4] = [b"name", b"", b"meta-info", b"content"];
+        let whole = parts.concat();
+        let sig = key.sign_parts(&mut |sink| parts.iter().for_each(|p| sink(p)));
+        assert_eq!(sig, key.sign(&whole));
+        assert!(anchor.verify_parts(&mut |sink| parts.iter().for_each(|p| sink(p)), &sig));
+        assert!(anchor.verify_signature(&whole, &sig));
+        assert!(!anchor.verify_parts(&mut |sink| sink(b"namemeta-info"), &sig));
+    }
+
+    #[test]
+    fn key_cache_is_bounded_and_never_changes_a_verdict() {
+        let cached = TrustAnchor::from_seed(b"seed");
+        // Far more producers than the cache holds, visited twice so both
+        // cold and warm (and post-clear) lookups are exercised.
+        for round in 0..2 {
+            for i in 0..3 * KEY_CACHE_CAPACITY {
+                let name = format!("peer-{i}");
+                let cold = TrustAnchor::from_seed(b"seed");
+                assert_eq!(cached.key_id_for(&name), cold.key_id_for(&name));
+                let sig = cold.keypair(&name).sign(b"advert");
+                assert_eq!(cached.keypair(&name).sign(b"advert"), sig);
+                assert!(cached.verify(&name, b"advert", &sig), "round {round}");
+                assert!(!cached.verify(&name, b"tampered", &sig));
+                let cache = cached.cache.borrow();
+                assert!(cache.key_ids.len() <= KEY_CACHE_CAPACITY);
+                assert!(cache.signing.len() <= KEY_CACHE_CAPACITY);
+            }
+        }
+        // Forged key ids are derived (and rejected) like any other.
+        let forged = Signature {
+            key_id: KeyId(0xdead_beef),
+            tag: Digest::ZERO,
+        };
+        assert!(!cached.verify_signature(b"advert", &forged));
+    }
+
+    #[test]
+    fn anchor_stays_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<TrustAnchor>();
+        assert_send::<ProducerKey>();
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! copy-on-write transform the decode-free relay path applies to raw frames.
 
 use crate::name::{Component, Name};
-use crate::tlv::{self, types, TlvError, TlvReader};
+use crate::tlv::{self, types, Scratch, TlvError, TlvReader};
 use dapes_crypto::signing::{KeyId, Signature, Signer, Verifier};
 use dapes_crypto::{sha256::sha256, Digest};
 use dapes_netsim::payload::Payload;
@@ -605,21 +605,22 @@ impl Data {
     /// Signs the packet, consuming and returning it.
     #[must_use]
     pub fn signed(mut self, signer: &dyn Signer) -> Self {
-        let portion = self.signed_portion(signer.key_id());
-        self.signature = Some(signer.sign(&portion));
+        let key_id = signer.key_id();
+        self.signature = Some(signer.sign_parts(&mut |mac| self.write_signed_portion(key_id, mac)));
         self.wire = OnceLock::new();
         self
     }
 
     /// Verifies the signature against a verifier (e.g. the trust anchor).
     ///
+    /// The signed portion is streamed into the verifier field by field —
+    /// the content goes in as the view it already is, never copied.
     /// Unsigned packets never verify.
     pub fn verify(&self, verifier: &dyn Verifier) -> bool {
         match &self.signature {
             None => false,
             Some(sig) => {
-                let portion = self.signed_portion(sig.key_id);
-                verifier.verify_signature(&portion, sig)
+                verifier.verify_parts(&mut |mac| self.write_signed_portion(sig.key_id, mac), sig)
             }
         }
     }
@@ -636,33 +637,33 @@ impl Data {
         sha256(&self.content)
     }
 
-    /// The signed portion: Name, MetaInfo, Content, SignatureInfo.
-    fn signed_portion(&self, key_id: KeyId) -> Vec<u8> {
-        let mut body = Vec::with_capacity(self.content.len() + 64);
-        encode_name(&mut body, &self.name);
-        self.encode_meta_info(&mut body);
-        tlv::write_tlv(&mut body, types::CONTENT, &self.content);
-        self.encode_signature_info(&mut body, key_id);
-        body
-    }
+    /// Emits the signed portion — Name, MetaInfo, Content, SignatureInfo,
+    /// in their canonical encoding — into `out` piece by piece: headers
+    /// and the small nested fields from the stack, component and content
+    /// bytes from where they lie. The one definition of what a signature
+    /// covers, shared by signing, verification and [`Data::encode`].
+    fn write_signed_portion(&self, key_id: KeyId, out: &mut dyn FnMut(&[u8])) {
+        write_name(&self.name, out);
 
-    fn encode_meta_info(&self, out: &mut Vec<u8>) {
-        let mut meta = Vec::new();
+        let mut meta = Scratch::default();
         if self.content_type != ContentType::Blob {
             tlv::write_nonneg_tlv(&mut meta, types::CONTENT_TYPE, self.content_type.to_num());
         }
         if self.freshness_ms > 0 {
             tlv::write_nonneg_tlv(&mut meta, types::FRESHNESS_PERIOD, self.freshness_ms);
         }
-        tlv::write_tlv(out, types::META_INFO, &meta);
-    }
+        out(&tlv::tl_header(types::META_INFO, meta.len()));
+        out(&meta);
 
-    fn encode_signature_info(&self, out: &mut Vec<u8>, key_id: KeyId) {
-        let mut info = Vec::new();
+        out(&tlv::tl_header(types::CONTENT, self.content.len()));
+        out(&self.content);
+
+        let mut info = Scratch::default();
         // SignatureType 4 = "HMAC with SHA-256" in the NDN registry.
         tlv::write_nonneg_tlv(&mut info, types::SIGNATURE_TYPE, 4);
         tlv::write_tlv(&mut info, types::KEY_LOCATOR, &key_id.0.to_be_bytes());
-        tlv::write_tlv(out, types::SIGNATURE_INFO, &info);
+        out(&tlv::tl_header(types::SIGNATURE_INFO, info.len()));
+        out(&info);
     }
 
     /// The wire encoding as a shared buffer, encoded at most once: repeated
@@ -678,7 +679,8 @@ impl Data {
     /// prefer [`Data::wire`].
     pub fn encode(&self) -> Vec<u8> {
         let key_id = self.signature.as_ref().map_or(KeyId(0), |s| s.key_id);
-        let mut body = self.signed_portion(key_id);
+        let mut body = Vec::with_capacity(self.content.len() + 64);
+        self.write_signed_portion(key_id, &mut |bytes| body.extend_from_slice(bytes));
         let sig_bytes = self
             .signature
             .as_ref()
@@ -927,12 +929,24 @@ impl Packet {
     }
 }
 
-pub(crate) fn encode_name(out: &mut Vec<u8>, name: &Name) {
-    let mut body = Vec::new();
-    for c in name.components() {
-        tlv::write_tlv(&mut body, types::NAME_COMPONENT, c.as_bytes());
+/// Emits a Name TLV into `out` piece by piece — headers from the stack,
+/// component bytes from where they lie. The one definition of a name's
+/// canonical encoding inside a packet.
+fn write_name(name: &Name, out: &mut dyn FnMut(&[u8])) {
+    let components = name.components();
+    let value_len: usize = components
+        .iter()
+        .map(|c| tlv::tl_header(types::NAME_COMPONENT, c.len()).len() + c.len())
+        .sum();
+    out(&tlv::tl_header(types::NAME, value_len));
+    for c in components {
+        out(&tlv::tl_header(types::NAME_COMPONENT, c.len()));
+        out(c.as_bytes());
     }
-    tlv::write_tlv(out, types::NAME, &body);
+}
+
+pub(crate) fn encode_name(out: &mut Vec<u8>, name: &Name) {
+    write_name(name, &mut |bytes| out.extend_from_slice(bytes));
 }
 
 /// Decodes a Name; with a `backing` payload, each component is a zero-copy
@@ -1062,6 +1076,62 @@ mod tests {
         let back = Data::decode(&wire).expect("well-formed");
         assert_eq!(back.name().to_string(), "/kol/file/0");
         assert!(!back.verify(&anchor));
+    }
+
+    /// Byte offset of `needle`'s first occurrence in `wire`.
+    fn find(wire: &[u8], needle: &[u8]) -> usize {
+        wire.windows(needle.len())
+            .position(|w| w == needle)
+            .expect("field present on the wire")
+    }
+
+    #[test]
+    fn verify_agrees_across_decode_payload_and_rejects_a_flip_in_every_field() {
+        let anchor = TrustAnchor::from_seed(b"a");
+        let key = anchor.keypair("p");
+        let content: Vec<u8> = (0u32..1024).map(|i| (i % 251) as u8).collect();
+        let built = Data::new(Name::from_uri("/col/file/7"), content.clone())
+            .with_freshness_ms(0x1234)
+            .signed(&key);
+        assert!(built.verify(&anchor));
+        let wire = built.wire();
+        let back = Data::decode_payload(&wire).expect("round trip");
+        assert_eq!(back, built);
+        assert!(back.verify(&anchor), "zero-copy views verify like owned");
+
+        // One bit flipped in each signed field, and in the tag itself. The
+        // key id is what SignatureInfo encodes (the decoder reads it from
+        // the SignatureValue and re-derives SignatureInfo), so flipping it
+        // changes both the signed bytes and the key looked up.
+        let sig_value = find(&wire, &built.signature().expect("signed").to_bytes());
+        for (field, pos) in [
+            ("name", find(&wire, b"file")),
+            ("MetaInfo", find(&wire, &[0x12, 0x34])),
+            ("content", find(&wire, &content[..16]) + 500),
+            ("SignatureInfo key id", sig_value + 3),
+            ("tag", sig_value + 8 + 31),
+        ] {
+            let mut bad = wire.to_vec();
+            bad[pos] ^= 0x04;
+            let verdict = Data::decode_payload(&Payload::from(bad)).map(|d| d.verify(&anchor));
+            assert_ne!(verdict, Ok(true), "flip in {field} accepted");
+        }
+    }
+
+    #[test]
+    fn mac_covers_the_canonical_re_encoding_of_a_non_canonical_frame() {
+        // A frame whose name component carries a non-generic type decodes to
+        // the same `Data` as its canonical twin, and the signature covers
+        // the canonical re-encoding — so both verify. Streaming the signed
+        // portion must not change that verdict.
+        let anchor = TrustAnchor::from_seed(b"a");
+        let d = Data::new(Name::from_uri("/col/f/0"), b"x".to_vec()).signed(&anchor.keypair("p"));
+        let mut wire = d.encode();
+        let pos = find(&wire, &[0x08, 0x03, b'c', b'o', b'l']);
+        wire[pos] = 0x20;
+        let odd = Data::decode_payload(&Payload::from(wire)).expect("well-formed");
+        assert_eq!(odd, d);
+        assert!(odd.verify(&anchor));
     }
 
     #[test]

@@ -76,45 +76,101 @@ impl fmt::Display for TlvError {
 
 impl std::error::Error for TlvError {}
 
-/// Appends a TLV variable-size number.
-pub fn write_varnum(out: &mut Vec<u8>, n: u64) {
-    if n < 253 {
-        out.push(n as u8);
-    } else if n <= u16::MAX as u64 {
-        out.push(253);
-        out.extend_from_slice(&(n as u16).to_be_bytes());
-    } else if n <= u32::MAX as u64 {
-        out.push(254);
-        out.extend_from_slice(&(n as u32).to_be_bytes());
-    } else {
-        out.push(255);
-        out.extend_from_slice(&n.to_be_bytes());
+/// Where the TLV writers append: a `Vec<u8>` when building a wire buffer,
+/// a [`Scratch`] when composing a small field on the stack.
+pub trait Sink {
+    /// Appends `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
     }
 }
 
+/// A fixed-capacity stack buffer for TLV headers and the few small nested
+/// fields (MetaInfo, SignatureInfo) that streaming encoders emit whole.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Scratch {
+    buf: [u8; Scratch::CAPACITY],
+    len: usize,
+}
+
+impl Scratch {
+    /// Bytes a scratch holds: the largest nested field written through one
+    /// is MetaInfo — two 10-byte integer TLVs inside a 2-byte header.
+    pub const CAPACITY: usize = 32;
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = [u8];
+
+    /// The bytes written so far.
+    fn deref(&self) -> &[u8] {
+        &self.buf[..self.len]
+    }
+}
+
+impl Sink for Scratch {
+    /// # Panics
+    ///
+    /// Panics when the field outgrows [`Scratch::CAPACITY`] — an encoder
+    /// bug, never input-dependent.
+    fn put(&mut self, bytes: &[u8]) {
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+}
+
+/// Appends a TLV variable-size number.
+pub fn write_varnum(out: &mut impl Sink, n: u64) {
+    if n < 253 {
+        out.put(&[n as u8]);
+    } else if n <= u16::MAX as u64 {
+        out.put(&[253]);
+        out.put(&(n as u16).to_be_bytes());
+    } else if n <= u32::MAX as u64 {
+        out.put(&[254]);
+        out.put(&(n as u32).to_be_bytes());
+    } else {
+        out.put(&[255]);
+        out.put(&n.to_be_bytes());
+    }
+}
+
+/// The type-and-length header of a TLV whose value is `len` bytes, for
+/// encoders that stream the value from where it already lies.
+pub fn tl_header(typ: u64, len: usize) -> Scratch {
+    let mut header = Scratch::default();
+    write_varnum(&mut header, typ);
+    write_varnum(&mut header, len as u64);
+    header
+}
+
 /// Appends a full TLV (type, length, value).
-pub fn write_tlv(out: &mut Vec<u8>, typ: u64, value: &[u8]) {
+pub fn write_tlv(out: &mut impl Sink, typ: u64, value: &[u8]) {
     write_varnum(out, typ);
     write_varnum(out, value.len() as u64);
-    out.extend_from_slice(value);
+    out.put(value);
 }
 
 /// Appends a TLV whose value is a non-negative integer in the shortest of
 /// 1/2/4/8 bytes, as the NDN spec requires.
-pub fn write_nonneg_tlv(out: &mut Vec<u8>, typ: u64, n: u64) {
+pub fn write_nonneg_tlv(out: &mut impl Sink, typ: u64, n: u64) {
     write_varnum(out, typ);
     if n <= u8::MAX as u64 {
         write_varnum(out, 1);
-        out.push(n as u8);
+        out.put(&[n as u8]);
     } else if n <= u16::MAX as u64 {
         write_varnum(out, 2);
-        out.extend_from_slice(&(n as u16).to_be_bytes());
+        out.put(&(n as u16).to_be_bytes());
     } else if n <= u32::MAX as u64 {
         write_varnum(out, 4);
-        out.extend_from_slice(&(n as u32).to_be_bytes());
+        out.put(&(n as u32).to_be_bytes());
     } else {
         write_varnum(out, 8);
-        out.extend_from_slice(&n.to_be_bytes());
+        out.put(&n.to_be_bytes());
     }
 }
 

@@ -308,6 +308,32 @@ proptest! {
     }
 
     #[test]
+    fn hmac_over_parts_equals_the_one_shot_at_any_split_points(
+        key in proptest::collection::vec(any::<u8>(), 0..100),
+        message in proptest::collection::vec(any::<u8>(), 0..400),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+    ) {
+        use dapes_crypto::hmac::{hmac_sha256, HmacKey};
+        use dapes_crypto::signing::{Signer, Verifier};
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (message.len() + 1)).collect();
+        cuts.sort_unstable();
+        let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([message.len()]).collect();
+        let parts: Vec<&[u8]> = bounds.windows(2).map(|w| &message[w[0]..w[1]]).collect();
+
+        let mut mac = HmacKey::new(&key).begin();
+        parts.iter().for_each(|p| mac.update(p));
+        prop_assert_eq!(mac.finalize(), hmac_sha256(&key, &message));
+
+        // The same holds one layer up, where packets stream their signed
+        // portion through the Signer/Verifier parts API.
+        let anchor = TrustAnchor::from_seed(b"prop-auth");
+        let producer = anchor.keypair("peer-0");
+        let sig = producer.sign_parts(&mut |sink| parts.iter().for_each(|p| sink(p)));
+        prop_assert_eq!(&sig, &producer.sign(&message));
+        prop_assert!(anchor.verify_parts(&mut |sink| parts.iter().for_each(|p| sink(p)), &sig));
+    }
+
+    #[test]
     fn sealed_envelope_round_trips_and_rejects_any_tamper(
         base in proptest::collection::vec(any::<u8>(), 4..96),
         ts in any::<u64>(),
@@ -321,13 +347,13 @@ proptest! {
         let (opened, got_ts, _) = auth::split(&sealed).unwrap();
         prop_assert_eq!(opened, &base[..]);
         prop_assert_eq!(got_ts, ts);
-        prop_assert!(auth::open(&sealed, "peer-0", &anchor).is_ok());
+        prop_assert!(auth::open(&sealed, anchor.key_id_for("peer-0"), &anchor).is_ok());
         // Any single-bit corruption anywhere in the envelope must fail to
         // open (or fail to parse) — base, timestamp and tag are all bound.
         let mut bad = sealed.clone();
         let idx = flip % bad.len();
         bad[idx] ^= 1;
-        prop_assert!(auth::open(&bad, "peer-0", &anchor).is_err());
+        prop_assert!(auth::open(&bad, anchor.key_id_for("peer-0"), &anchor).is_err());
     }
 
     #[test]
