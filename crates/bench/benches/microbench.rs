@@ -137,27 +137,10 @@ fn bench_peba(c: &mut Criterion) {
 
 fn bench_event_queue(c: &mut Criterion) {
     use dapes_netsim::wheel::TimerWheel;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     // The steady-state scheduler mix at scale: a large standing population
     // of far-future (tombstoned) timers, with near-future events pushed and
-    // popped through it. This is the workload where the heap pays O(log n)
-    // with cache misses per pop and the wheel stays O(1).
+    // popped through it — the wheel must stay O(1) regardless.
     const STANDING: u64 = 100_000;
-    c.bench_function("queue_heap_push_pop_100k_standing", |b| {
-        let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-        for i in 0..STANDING {
-            heap.push(Reverse((30_000_000 + i * 37, i)));
-        }
-        let mut now = 0u64;
-        let mut seq = STANDING;
-        b.iter(|| {
-            seq += 1;
-            now += 13;
-            heap.push(Reverse((now, seq)));
-            black_box(heap.pop())
-        })
-    });
     c.bench_function("queue_wheel_push_pop_100k_standing", |b| {
         let mut wheel: TimerWheel<u64> = TimerWheel::new();
         for i in 0..STANDING {

@@ -1,10 +1,10 @@
 //! Validates committed/generated `BENCH_*.json` reports against the schema
-//! the CI gate relies on, and renders the step-summary speedup table.
+//! the CI gate relies on, and renders the step-summary table.
 //! Files ending in `.prom` are validated as Prometheus text-format metric
 //! dumps instead.
 //!
 //! ```text
-//! cargo run -p dapes-bench --bin checkjson -- BENCH_sched.json BENCH_hotpath.json
+//! cargo run -p dapes-bench --bin checkjson -- BENCH_sched.json BENCH_sched.prom
 //! cargo run -p dapes-bench --bin checkjson -- --summary BENCH_sched_smoke.json
 //! cargo run -p dapes-bench --bin checkjson -- BENCH_adversarial.json BENCH_adversarial.prom
 //! ```

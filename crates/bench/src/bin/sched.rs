@@ -1,63 +1,76 @@
-//! Scheduler throughput benchmark: runs the timer-heavy advert swarm under
-//! all twelve control-plane cost models (heap/wheel × eager/lazy[+patch] ×
-//! per-receiver/batched delivery) and writes `BENCH_sched.json`.
+//! Scheduler throughput benchmark: runs the timer-heavy advert swarm on the
+//! engine's one control-plane profile at each requested core count and
+//! writes `BENCH_sched.json`, host facts included.
 //!
 //! ```text
 //! cargo run --release -p dapes-bench --bin sched            # dense (2,400 nodes)
 //! cargo run --release -p dapes-bench --bin sched -- --quick # CI smoke
 //! cargo run ... -- --out path/to/BENCH_sched.json
-//! cargo run ... -- --quick --min-speedup 1.0   # exit non-zero on regression
-//! cargo run ... -- --relay-patch off           # drop the decode-free-relay axis
-//! cargo run ... -- --cores 1,2,4               # sharded-engine cores axis
-//! cargo run ... -- --cores-nodes 100000        # scale the cores-axis swarm
-//! cargo run ... -- --min-shard-speedup 1.0     # gate the sharded speedup
+//! cargo run ... -- --cores 1,2                 # core counts to run
+//! cargo run ... -- --nodes 100000 --field 5810 # scale the swarm (same density)
+//! cargo run ... -- --min-shard-speedup 0.3     # gate the sharded speedup
 //! cargo run ... -- --prom-out BENCH_sched.prom # Prometheus dump
 //! ```
 //!
-//! The cores axis reruns the optimized profile on the sharded multi-core
-//! engine at each shard count (first entry always `1`, the sequential
-//! reference) and records it in the report next to the twelve-mode sweep.
-//! `--cores-nodes` scales the cores-axis swarm while preserving density
-//! (field side grows by the square root of the node ratio).
-//!
-//! `--relay-patch` selects the decode-free-relay axis of the sweep: `both`
-//! (default) runs all twelve modes, `on` keeps only the patched lazy modes
-//! (plus the eager baselines), `off` keeps the eight pre-patch modes — the
-//! CI matrix runs `on` and `off` so a regression in either relay path gates
-//! the merge on its own.
+//! The first core count is always `1`, the sequential reference. Without
+//! `--cores` the axis is the powers of two up to the host's logical cores:
+//! a shard count beyond that measures oversubscription, and `checkjson`
+//! rejects a report that contains one.
 
-use dapes_bench::sched::{render_report, run_sched, trace_of, SchedMode, SchedParams, SchedResult};
+use dapes_bench::sched::{
+    render_report, run_sched, shard_speedup, HostFacts, SchedParams, SchedResult,
+};
 use dapes_core::stats::PeerStats;
+use std::process::Command;
 
-/// Writes the shared Prometheus dump for the most interesting run: the
-/// deepest sharded cores-axis entry when one ran, else the last swept
-/// mode. The advert swarm runs bench stacks, not DAPES peers, so the
-/// peer section reports zeros.
-fn write_prom(path: &str, results: &[SchedResult], cores_axis: &[SchedResult]) {
-    let r = cores_axis
-        .last()
-        .or_else(|| results.last())
-        .expect("at least one run");
-    let dump = dapes_bench::prom::export(&r.stats, &PeerStats::default());
-    std::fs::write(path, dump).expect("write prometheus dump");
-    eprintln!("wrote {path} ({} run)", r.mode.label());
+/// First line of a command's stdout, or `"unknown"`.
+fn first_line_of(cmd: &str, args: &[&str]) -> String {
+    Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_owned))
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+fn host_facts() -> HostFacts {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_owned())
+        })
+        .unwrap_or_else(|| "unknown".to_owned());
+    let mut git_rev = first_line_of("git", &["rev-parse", "--short", "HEAD"]);
+    let dirty = Command::new("git")
+        .args(["status", "--porcelain"])
+        .output()
+        .is_ok_and(|o| !o.stdout.is_empty());
+    if dirty {
+        git_rev.push_str("-dirty");
+    }
+    HostFacts {
+        logical_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cpu_model,
+        rustc: first_line_of("rustc", &["--version"]),
+        git_rev,
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let out = args
-        .windows(2)
-        .find(|w| w[0] == "--out")
-        .map(|w| w[1].clone())
-        .unwrap_or_else(|| "BENCH_sched.json".to_owned());
+    let arg = |flag: &str| args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone());
+    let out = arg("--out").unwrap_or_else(|| "BENCH_sched.json".to_owned());
     let mut params = if quick {
         SchedParams::smoke()
     } else {
         SchedParams::dense()
     };
-    let arg = |flag: &str| args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone());
-    let min_speedup: Option<f64> = arg("--min-speedup").map(|v| v.parse().expect("--min-speedup"));
     if let Some(n) = arg("--nodes") {
         params.nodes = n.parse().expect("--nodes");
     }
@@ -73,78 +86,63 @@ fn main() {
     if let Some(t) = arg("--tick-ms") {
         params.tick_ms = t.parse().expect("--tick-ms");
     }
-    let cores_list: Vec<usize> = arg("--cores")
-        .map(|v| {
-            v.split(',')
-                .map(|c| c.trim().parse().expect("--cores"))
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1, 2, 4]);
+    let host = host_facts();
+    let cores_list: Vec<usize> = match arg("--cores") {
+        Some(v) => v
+            .split(',')
+            .map(|c| c.trim().parse().expect("--cores"))
+            .collect(),
+        None => std::iter::successors(Some(1usize), |c| Some(c * 2))
+            .take_while(|&c| c <= host.logical_cores)
+            .collect(),
+    };
     assert_eq!(
         cores_list.first(),
         Some(&1),
         "--cores must start at 1 (the sequential reference run)"
     );
-    // The cores axis may run at its own (usually much larger) scale: the
-    // per-shard active-transmission scans shrink with the shard count, so
-    // the sharded engine's gains grow with swarm size at fixed density.
-    let mut cores_params = params;
-    if let Some(n) = arg("--cores-nodes") {
-        let nodes: usize = n.parse().expect("--cores-nodes");
-        // Preserve density: scale the field side by sqrt(node ratio).
-        cores_params.field = params.field * (nodes as f64 / params.nodes as f64).sqrt();
-        cores_params.nodes = nodes;
-    }
-    if let Some(r) = arg("--cores-rounds") {
-        cores_params.rounds = r.parse().expect("--cores-rounds");
-    }
     let min_shard_speedup: Option<f64> =
         arg("--min-shard-speedup").map(|v| v.parse().expect("--min-shard-speedup"));
-    let mut modes: Vec<SchedMode> = match arg("--relay-patch").as_deref() {
-        None | Some("both") => SchedMode::sweep(),
-        Some("on") => SchedMode::sweep()
-            .into_iter()
-            .filter(|m| m.exec.relay_patch == m.exec.lazy_peek)
-            .collect(),
-        Some("off") => SchedMode::sweep()
-            .into_iter()
-            .filter(|m| !m.exec.relay_patch)
-            .collect(),
-        Some(other) => panic!("--relay-patch must be on, off or both, got {other:?}"),
-    };
-    // Debugging escape hatch: run only the modes whose label contains the
-    // given substring (comma-separated alternatives). Disables the speedup
-    // gate unless the filtered set still contains the baseline.
-    if let Some(only) = arg("--only") {
-        modes.retain(|m| only.split(',').any(|pat| m.label().contains(pat)));
-        assert!(!modes.is_empty(), "--only {only:?} matched no mode");
-    }
     eprintln!(
-        "perf_sched: {} nodes, {} rounds each, field {} m, range {} m, tick {} ms",
-        params.nodes, params.rounds, params.field, params.range, params.tick_ms
+        "perf_sched: {} nodes, {} rounds each, field {} m, range {} m, tick {} ms, cores {:?} \
+         on {} logical ({})",
+        params.nodes,
+        params.rounds,
+        params.field,
+        params.range,
+        params.tick_ms,
+        cores_list,
+        host.logical_cores,
+        host.cpu_model,
     );
 
-    // Warm both extremes at small scale so no timed run pays first-touch
-    // costs, then take each mode's best of two interleaved repetitions.
+    // Warm up at small scale so no timed run pays first-touch costs, then
+    // take each core count's best repetition.
     let warmup = SchedParams {
         nodes: params.nodes.min(60),
         rounds: 2,
         field: params.field.min(300.0),
         ..params
     };
-    let _ = run_sched(&warmup, SchedMode::baseline());
-    let _ = run_sched(&warmup, SchedMode::optimized());
-
-    let reps = if quick { 2 } else { 3 };
-    let mut results = Vec::new();
-    for mode in modes {
+    let _ = run_sched(&warmup, 1);
+    let reps = if params.nodes > 20_000 {
+        1
+    } else if quick {
+        2
+    } else {
+        3
+    };
+    let mut axis: Vec<SchedResult> = Vec::new();
+    for &cores in &cores_list {
         let best = (0..reps)
-            .map(|_| run_sched(&params, mode))
+            .map(|_| run_sched(&params, cores))
             .reduce(|a, b| if a.wall_secs <= b.wall_secs { a } else { b })
             .expect("at least one repetition");
         eprintln!(
-            "  {:<24}: {:>9.0} events/s  ({:.2} s wall, {} popped / {} sim events, {} peeked ({} fib-drop, {} cbp-hit, {} relay-patched) / {} decoded, pool {}h/{}m)",
-            best.mode.label(),
+            "  cores {:<2}: {:>9.0} events/s  ({:.2} s wall, {} popped / {} sim events, {} peeked \
+             ({} fib-drop, {} cbp-hit, {} relay-patched) / {} decoded, pool {}h/{}m, \
+             {} border-exported / {} injected, {} windows)",
+            best.cores,
             best.events_per_sec,
             best.wall_secs,
             best.events,
@@ -156,109 +154,33 @@ fn main() {
             best.full_decodes,
             best.cmd_pool_hits,
             best.cmd_pool_misses,
-        );
-        results.push(best);
-    }
-    for r in &results[1..] {
-        assert_eq!(
-            trace_of(r),
-            trace_of(&results[0]),
-            "modes must run the same protocol trace for the comparison to be fair"
-        );
-        // Event counts additionally agree within a delivery-event class.
-        if r.mode.exec.delivery_events == results[0].mode.exec.delivery_events {
-            assert_eq!(r.events, results[0].events, "{}", r.mode.label());
-        }
-    }
-
-    // The sharded cores axis: the optimized profile at increasing shard
-    // counts, on the (possibly scaled) cores-axis scenario.
-    eprintln!(
-        "perf_sched cores axis: {} nodes, field {:.0} m, cores {:?}",
-        cores_params.nodes, cores_params.field, cores_list
-    );
-    let mut cores_axis = Vec::new();
-    for &cores in &cores_list {
-        let mode = SchedMode::optimized().with_cores(cores);
-        let best = (0..if cores_params.nodes > 20_000 { 1 } else { reps })
-            .map(|_| run_sched(&cores_params, mode))
-            .reduce(|a, b| if a.wall_secs <= b.wall_secs { a } else { b })
-            .expect("at least one repetition");
-        eprintln!(
-            "  {:<24}: {:>9.0} events/s  ({:.2} s wall, {} sim events, {} border-exported / {} injected, {} windows)",
-            best.mode.label(),
-            best.events_per_sec,
-            best.wall_secs,
-            best.sim_events,
             best.border_tx_exported,
             best.border_rx_injected,
             best.sync_windows,
         );
-        cores_axis.push(best);
+        axis.push(best);
     }
-    let shard_speedup = match cores_axis.split_first() {
-        Some((seq, rest)) if !rest.is_empty() => {
-            rest.iter()
-                .map(|r| r.events_per_sec)
-                .fold(f64::NEG_INFINITY, f64::max)
-                / seq.events_per_sec.max(1e-9)
-        }
-        _ => 1.0,
-    };
-    if cores_axis.len() > 1 {
-        eprintln!("  shard speedup: {shard_speedup:.2}x events/s over the sequential run");
+    let speedup = shard_speedup(&axis);
+    if axis.len() > 1 {
+        eprintln!("  shard speedup: {speedup:.2}x events/s over the sequential run");
     }
 
-    let Some(baseline) = results.iter().find(|r| r.mode == SchedMode::baseline()) else {
-        // `--only` filtered the baseline out: nothing to compare against.
-        let json = render_report(&params, &results, &cores_params, &cores_axis);
-        std::fs::write(&out, json).expect("write BENCH_sched.json");
-        eprintln!("wrote {out} (no baseline mode swept; speedup gate skipped)");
-        if let Some(path) = arg("--prom-out") {
-            write_prom(&path, &results, &cores_axis);
-        }
-        return;
-    };
-    // The fully-optimized mode under the selected axis: the patched wheel/
-    // lazy/batched stack when the axis includes it, its pre-patch
-    // counterpart under `--relay-patch off`.
-    let optimized = results
-        .iter()
-        .find(|r| r.mode == SchedMode::optimized())
-        .or_else(|| results.last())
-        .expect("at least one mode swept");
-    let speedup = optimized.events_per_sec / baseline.events_per_sec;
-    eprintln!(
-        "  speedup     : {:.2}x events/s ({:.2}x wall) {} vs {}",
-        speedup,
-        baseline.wall_secs / optimized.wall_secs.max(1e-9),
-        optimized.mode.label(),
-        baseline.mode.label(),
-    );
-
-    let json = render_report(&params, &results, &cores_params, &cores_axis);
-    std::fs::write(&out, json).expect("write BENCH_sched.json");
+    std::fs::write(&out, render_report(&host, &params, &axis)).expect("write BENCH_sched.json");
     eprintln!("wrote {out}");
     if let Some(path) = arg("--prom-out") {
-        write_prom(&path, &results, &cores_axis);
+        // The deepest sharded run. The advert swarm runs bench stacks, not
+        // DAPES peers, so the peer section reports zeros.
+        let r = axis.last().expect("at least one run");
+        let dump = dapes_bench::prom::export(&r.stats, &PeerStats::default());
+        std::fs::write(&path, dump).expect("write prometheus dump");
+        eprintln!("wrote {path} (cores {})", r.cores);
     }
 
-    if let Some(min) = min_speedup {
+    if let Some(min) = min_shard_speedup {
         if speedup < min {
             eprintln!(
-                "REGRESSION: {} at {speedup:.2}x events/s is below the required {min:.2}x \
-                 over {}",
-                optimized.mode.label(),
-                baseline.mode.label(),
-            );
-            std::process::exit(1);
-        }
-    }
-    if let Some(min) = min_shard_speedup {
-        if shard_speedup < min {
-            eprintln!(
-                "REGRESSION: shard speedup {shard_speedup:.2}x events/s is below the \
-                 required {min:.2}x over the sequential cores-axis run"
+                "REGRESSION: shard speedup {speedup:.2}x events/s is below the \
+                 required {min:.2}x over the sequential run"
             );
             std::process::exit(1);
         }

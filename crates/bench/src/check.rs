@@ -1,13 +1,14 @@
 //! Schema validation and step-summary rendering for the committed
 //! `BENCH_*.json` reports — the library behind the `checkjson` binary.
 //!
-//! Validation asserts: `scenario` is a string, `nodes` and `seed` are
-//! numeric, `speedup_events_per_sec` is a *finite positive* number (NaN and
-//! ±Inf — e.g. from a zero-wall-clock division — are rejected, not
-//! round-tripped into CI), and every mode entry (the `modes` array for the
-//! scheduler report, the `baseline`/`optimized` objects for the hot-path
-//! report) carries a string `mode` plus numeric `wall_secs`,
-//! `events_per_sec`, `tx_frames` and `delivered`. An empty `modes` array is
+//! Every shape carries a string `scenario` and numeric `nodes` and `seed`.
+//! The scheduler report additionally states its `host` (logical cores, CPU
+//! model, rustc, git revision) and a `cores_axis` whose entries carry
+//! positive `wall_secs`/`events_per_sec`, numeric `tx_frames`/`delivered`
+//! and integer shard counters, anchored at `cores = 1` and never beyond
+//! the host's logical cores; `shard_speedup_events_per_sec` must be a
+//! *finite positive* number (NaN and ±Inf — e.g. from a zero-wall-clock
+//! division — are rejected, not round-tripped into CI). An empty axis is
 //! an error: a report that measured nothing must not pass the gate.
 
 use crate::json::Value;
@@ -25,20 +26,6 @@ fn require_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
     v.get(key)
         .and_then(Value::as_str)
         .ok_or_else(|| format!("missing or non-string \"{key}\""))
-}
-
-/// The mode entries of either report shape, in document order.
-pub fn mode_entries(doc: &Value) -> Result<Vec<&Value>, String> {
-    if let Some(modes) = doc.get("modes").and_then(Value::as_array) {
-        if modes.is_empty() {
-            return Err("\"modes\" array is empty — the report measured nothing".into());
-        }
-        return Ok(modes.iter().collect());
-    }
-    match (doc.get("baseline"), doc.get("optimized")) {
-        (Some(b), Some(o)) => Ok(vec![b, o]),
-        _ => Err("neither \"modes\" nor \"baseline\"/\"optimized\" present".into()),
-    }
 }
 
 /// The attack modes an adversarial report must cover, exactly once each.
@@ -350,11 +337,24 @@ const CORES_COUNTERS: [&str; 4] = [
     "sync_windows",
 ];
 
-/// Validates the sharded cores axis of the scheduler report: a finite
-/// positive `shard_speedup_events_per_sec`, a non-empty `cores_axis`
-/// whose first entry is the sequential reference (`cores` = 1), and per
-/// entry positive timings plus non-negative integer shard counters.
-fn validate_cores_axis(doc: &Value) -> Result<(), String> {
+/// Validates the scheduler report: host facts, a finite positive
+/// `shard_speedup_events_per_sec`, and a non-empty `cores_axis` whose
+/// first entry is the sequential reference (`cores` = 1), with per entry
+/// positive timings, numeric traffic totals, non-negative integer shard
+/// counters and a core count the host actually has.
+fn validate_sched(doc: &Value) -> Result<(), String> {
+    require_num(doc, "nodes")?;
+    require_num(doc, "seed")?;
+    let host = doc.get("host").ok_or("missing \"host\"")?;
+    for key in ["cpu_model", "rustc", "git_rev"] {
+        require_str(host, key).map_err(|e| format!("host: {e}"))?;
+    }
+    let logical_cores = require_num(host, "logical_cores").map_err(|e| format!("host: {e}"))?;
+    if logical_cores < 1.0 || logical_cores.fract() != 0.0 {
+        return Err(format!(
+            "host: \"logical_cores\" must be a positive integer, got {logical_cores}"
+        ));
+    }
     let shard_speedup = require_num(doc, "shard_speedup_events_per_sec")?;
     if shard_speedup <= 0.0 {
         return Err(format!(
@@ -366,35 +366,41 @@ fn validate_cores_axis(doc: &Value) -> Result<(), String> {
         .and_then(Value::as_array)
         .ok_or("\"cores_axis\" must be an array")?;
     if axis.is_empty() {
-        return Err("\"cores_axis\" array is empty — the sharded engine measured nothing".into());
+        return Err("\"cores_axis\" array is empty — the report measured nothing".into());
     }
     for (i, entry) in axis.iter().enumerate() {
-        let mode = require_str(entry, "mode")?;
+        let cores = require_num(entry, "cores").map_err(|e| format!("cores entry #{i}: {e}"))?;
         for key in ["wall_secs", "events_per_sec"] {
-            let n = require_num(entry, key).map_err(|e| format!("cores entry \"{mode}\": {e}"))?;
+            let n = require_num(entry, key).map_err(|e| format!("cores entry {cores}: {e}"))?;
             if n <= 0.0 {
                 return Err(format!(
-                    "cores entry \"{mode}\": \"{key}\" must be positive, got {n}"
+                    "cores entry {cores}: \"{key}\" must be positive, got {n}"
                 ));
             }
         }
+        for key in ["tx_frames", "delivered"] {
+            require_num(entry, key).map_err(|e| format!("cores entry {cores}: {e}"))?;
+        }
         for key in CORES_COUNTERS {
-            let n = require_num(entry, key).map_err(|e| format!("cores entry \"{mode}\": {e}"))?;
+            let n = require_num(entry, key).map_err(|e| format!("cores entry {cores}: {e}"))?;
             if n < 0.0 || n.fract() != 0.0 {
                 return Err(format!(
-                    "cores entry \"{mode}\": counter \"{key}\" must be a non-negative \
+                    "cores entry {cores}: counter \"{key}\" must be a non-negative \
                      integer, got {n}"
                 ));
             }
         }
-        if i == 0 {
-            let cores = entry.get("cores").and_then(Value::as_f64).unwrap_or(0.0);
-            if cores != 1.0 {
-                return Err(format!(
-                    "the first cores-axis entry must be the sequential reference \
-                     (cores = 1), got {cores}"
-                ));
-            }
+        if i == 0 && cores != 1.0 {
+            return Err(format!(
+                "the first cores-axis entry must be the sequential reference \
+                 (cores = 1), got {cores}"
+            ));
+        }
+        if cores > logical_cores {
+            return Err(format!(
+                "cores entry {cores} exceeds the host's {logical_cores} logical cores — \
+                 that measures oversubscription, not the sharded engine"
+            ));
         }
     }
     Ok(())
@@ -403,8 +409,8 @@ fn validate_cores_axis(doc: &Value) -> Result<(), String> {
 /// Validates one parsed report document against the CI schema. Documents
 /// carrying an `attacks` key use the adversarial shape, documents with a
 /// `curves` array the Content Store shape, documents with a `cells` array
-/// the fault-injection shape; everything else is a perf report (scheduler
-/// or hot-path shape).
+/// the fault-injection shape; everything else must be the scheduler
+/// report.
 pub fn validate(doc: &Value) -> Result<(), String> {
     require_str(doc, "scenario")?;
     if doc.get("attacks").is_some() {
@@ -416,31 +422,10 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     if doc.get("cells").is_some() {
         return validate_faults(doc);
     }
-    require_num(doc, "nodes")?;
-    require_num(doc, "seed")?;
-    let speedup = require_num(doc, "speedup_events_per_sec")?;
-    if speedup <= 0.0 {
-        return Err(format!(
-            "\"speedup_events_per_sec\" must be positive, got {speedup}"
-        ));
-    }
-    for entry in mode_entries(doc)? {
-        let mode = require_str(entry, "mode")?;
-        for key in ["wall_secs", "events_per_sec", "tx_frames", "delivered"] {
-            require_num(entry, key).map_err(|e| format!("mode \"{mode}\": {e}"))?;
-        }
-    }
-    // The scheduler report additionally commits the sharded cores axis;
-    // the hot-path shape has no sharded engine and carries neither key.
-    if require_str(doc, "scenario")? == "perf_sched" {
-        validate_cores_axis(doc)?;
-    }
-    Ok(())
+    validate_sched(doc)
 }
 
-/// Renders the GitHub-flavoured markdown speedup table for one report.
-/// Reports that carry the decode-free relay and arena counters (the
-/// scheduler shape) get them as extra columns; older shapes render `-`.
+/// Renders the GitHub-flavoured markdown summary table for one report.
 pub fn summary(doc: &Value) -> Result<String, String> {
     let scenario = require_str(doc, "scenario")?;
     let nodes = require_num(doc, "nodes")?;
@@ -525,62 +510,40 @@ pub fn summary(doc: &Value) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let speedup = require_num(doc, "speedup_events_per_sec")?;
+    let shard_speedup = require_num(doc, "shard_speedup_events_per_sec")?;
+    let axis = doc
+        .get("cores_axis")
+        .and_then(Value::as_array)
+        .filter(|a| !a.is_empty())
+        .ok_or("\"cores_axis\" must be a non-empty array")?;
     let mut out = format!(
-        "### `{scenario}` ({nodes} nodes) — {speedup:.2}x events/sec\n\n\
-         | mode | events/sec | wall (s) | vs baseline | relay-patched | PIT live | CS live |\n\
-         | --- | ---: | ---: | ---: | ---: | ---: | ---: |\n"
+        "### `{scenario}` ({nodes} nodes) — sharded engine at {shard_speedup:.2}x events/sec \
+         over the sequential run\n\n\
+         | cores | events/sec | wall (s) | vs 1 core | relay-patched | PIT live | CS live \
+         | border tx/rx | windows |\n\
+         | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: |\n"
     );
-    let entries = mode_entries(doc)?;
-    let base_eps = require_num(entries[0], "events_per_sec")?.max(1e-9);
     let opt_u64 = |entry: &Value, key: &str| -> String {
         entry
             .get(key)
             .and_then(Value::as_f64)
             .map_or_else(|| "-".into(), |n| format!("{n:.0}"))
     };
-    for entry in entries {
-        let mode = require_str(entry, "mode")?;
+    let seq_eps = require_num(&axis[0], "events_per_sec")?.max(1e-9);
+    for entry in axis {
         let eps = require_num(entry, "events_per_sec")?;
-        let wall = require_num(entry, "wall_secs")?;
         out.push_str(&format!(
-            "| `{mode}` | {eps:.0} | {wall:.3} | {:.2}x | {} | {} | {} |\n",
-            eps / base_eps,
+            "| {} | {eps:.0} | {:.3} | {:.2}x | {} | {} | {} | {}/{} | {} |\n",
+            opt_u64(entry, "cores"),
+            require_num(entry, "wall_secs")?,
+            eps / seq_eps,
             opt_u64(entry, "frames_relay_patched"),
             opt_u64(entry, "pit_arena_live"),
             opt_u64(entry, "cs_arena_live"),
+            opt_u64(entry, "border_tx_exported"),
+            opt_u64(entry, "border_rx_injected"),
+            opt_u64(entry, "sync_windows"),
         ));
-    }
-    if let Some(axis) = doc.get("cores_axis").and_then(Value::as_array) {
-        if !axis.is_empty() {
-            let shard_speedup = doc
-                .get("shard_speedup_events_per_sec")
-                .and_then(Value::as_f64)
-                .unwrap_or(1.0);
-            let axis_nodes = doc
-                .get("cores_axis_nodes")
-                .and_then(Value::as_f64)
-                .unwrap_or(nodes);
-            out.push_str(&format!(
-                "\n**Sharded engine** ({axis_nodes:.0} nodes) — {shard_speedup:.2}x \
-                 events/sec over the sequential run\n\n\
-                 | mode | cores | events/sec | vs 1 core | border tx/rx | windows |\n\
-                 | --- | ---: | ---: | ---: | ---: | ---: |\n"
-            ));
-            let seq_eps = require_num(&axis[0], "events_per_sec")?.max(1e-9);
-            for entry in axis {
-                let mode = require_str(entry, "mode")?;
-                let eps = require_num(entry, "events_per_sec")?;
-                out.push_str(&format!(
-                    "| `{mode}` | {} | {eps:.0} | {:.2}x | {}/{} | {} |\n",
-                    opt_u64(entry, "cores"),
-                    eps / seq_eps,
-                    opt_u64(entry, "border_tx_exported"),
-                    opt_u64(entry, "border_rx_injected"),
-                    opt_u64(entry, "sync_windows"),
-                ));
-            }
-        }
     }
     Ok(out)
 }
@@ -592,54 +555,41 @@ mod tests {
 
     fn cores_entry(cores: u64, eps: f64) -> String {
         format!(
-            "{{\"mode\": \"wheel_lazy_batched_patch_c{cores}\", \"cores\": {cores}, \
-              \"wall_secs\": 1.0, \"events_per_sec\": {eps}, \"tx_frames\": 5, \
-              \"delivered\": 9, \"border_tx_exported\": 4, \
+            "{{\"cores\": {cores}, \"wall_secs\": 1.0, \"events_per_sec\": {eps}, \
+              \"tx_frames\": 5, \"delivered\": 9, \"border_tx_exported\": 4, \
               \"border_rx_injected\": 4, \"sync_windows\": 12}}"
         )
     }
 
-    fn sched_doc(speedup: &str, modes_body: &str) -> String {
+    const HOST: &str = "\"host\": {\"logical_cores\": 4, \"cpu_model\": \"cpu\", \
+                        \"rustc\": \"rustc 1.0\", \"git_rev\": \"abc1234\"}";
+
+    /// A scheduler report with the given shard speedup and axis body.
+    fn sched_doc(shard_speedup: &str, axis_body: &str) -> String {
         format!(
-            "{{\"scenario\": \"perf_sched\", \"nodes\": 4, \"seed\": 1, \
-             \"speedup_events_per_sec\": {speedup}, \"modes\": [{modes_body}], \
-             \"shard_speedup_events_per_sec\": 1.5, \
-             \"cores_axis_nodes\": 4, \"cores_axis\": [{}, {}]}}",
-            cores_entry(1, 10.0),
-            cores_entry(4, 15.0),
+            "{{\"scenario\": \"perf_sched\", {HOST}, \"nodes\": 4, \"seed\": 1, \
+             \"cores_axis\": [{axis_body}], \
+             \"shard_speedup_events_per_sec\": {shard_speedup}}}"
         )
     }
 
-    fn mode_entry() -> &'static str {
-        "{\"mode\": \"heap_eager_perrecv\", \"wall_secs\": 1.0, \
-          \"events_per_sec\": 10.0, \"tx_frames\": 5, \"delivered\": 9}"
+    fn two_core_axis() -> String {
+        format!("{}, {}", cores_entry(1, 10.0), cores_entry(4, 15.0))
     }
 
     #[test]
     fn accepts_a_well_formed_report() {
-        let doc = parse(&sched_doc("2.5", mode_entry())).expect("parses");
+        let doc = parse(&sched_doc("1.5", &two_core_axis())).expect("parses");
         assert_eq!(validate(&doc), Ok(()));
         let table = summary(&doc).expect("summary renders");
-        assert!(table.contains("`heap_eager_perrecv`"));
-        assert!(table.contains("2.50x"));
-        // The sharded cores axis renders as its own table.
-        assert!(table.contains("Sharded engine"), "{table}");
-        assert!(table.contains("`wheel_lazy_batched_patch_c4`"), "{table}");
-        assert!(table.contains("1.50x"), "{table}");
+        assert!(table.contains("at 1.50x events/sec"), "{table}");
+        assert!(table.contains("| 4 | 15 | 1.000 | 1.50x |"), "{table}");
     }
 
     #[test]
     fn rejects_a_sched_report_without_the_cores_axis() {
-        let doc_text = sched_doc("2.5", mode_entry())
-            .replace(", \"cores_axis_nodes\": 4", "")
-            .replace(
-                &format!(
-                    ", \"cores_axis\": [{}, {}]",
-                    cores_entry(1, 10.0),
-                    cores_entry(4, 15.0)
-                ),
-                "",
-            );
+        let doc_text = sched_doc("1.5", &two_core_axis())
+            .replace(&format!("\"cores_axis\": [{}], ", two_core_axis()), "");
         let doc = parse(&doc_text).expect("parses");
         let err = validate(&doc).expect_err("missing cores_axis");
         assert!(err.contains("cores_axis"), "{err}");
@@ -647,16 +597,26 @@ mod tests {
 
     #[test]
     fn rejects_a_cores_axis_not_anchored_at_one_core() {
-        let doc_text =
-            sched_doc("2.5", mode_entry()).replace(&cores_entry(1, 10.0), &cores_entry(2, 10.0));
-        let doc = parse(&doc_text).expect("parses");
+        let axis = format!("{}, {}", cores_entry(2, 10.0), cores_entry(4, 15.0));
+        let doc = parse(&sched_doc("1.5", &axis)).expect("parses");
         let err = validate(&doc).expect_err("first entry not sequential");
         assert!(err.contains("sequential reference"), "{err}");
     }
 
     #[test]
+    fn rejects_missing_host_facts_and_oversubscribed_cores() {
+        let no_host = sched_doc("1.5", &two_core_axis()).replace(&format!("{HOST}, "), "");
+        let err = validate(&parse(&no_host).expect("parses")).expect_err("no host facts");
+        assert!(err.contains("host"), "{err}");
+        let axis = format!("{}, {}", cores_entry(1, 10.0), cores_entry(8, 15.0));
+        let err = validate(&parse(&sched_doc("1.5", &axis)).expect("parses"))
+            .expect_err("8 shards on 4 logical cores");
+        assert!(err.contains("oversubscription"), "{err}");
+    }
+
+    #[test]
     fn rejects_fractional_border_counters() {
-        let doc_text = sched_doc("2.5", mode_entry())
+        let doc_text = sched_doc("1.5", &two_core_axis())
             .replace("\"border_tx_exported\": 4", "\"border_tx_exported\": 4.5");
         let doc = parse(&doc_text).expect("parses");
         let err = validate(&doc).expect_err("fractional border counter");
@@ -665,7 +625,7 @@ mod tests {
 
     #[test]
     fn rejects_a_non_positive_shard_speedup() {
-        let doc_text = sched_doc("2.5", mode_entry()).replace(
+        let doc_text = sched_doc("1.5", &two_core_axis()).replace(
             "\"shard_speedup_events_per_sec\": 1.5",
             "\"shard_speedup_events_per_sec\": 0",
         );
@@ -675,27 +635,13 @@ mod tests {
     }
 
     #[test]
-    fn hotpath_shape_needs_no_cores_axis() {
-        let doc = parse(
-            "{\"scenario\": \"perf_hotpath\", \"nodes\": 4, \"seed\": 1, \
-             \"speedup_events_per_sec\": 2.0, \
-             \"baseline\": {\"mode\": \"legacy\", \"wall_secs\": 1.0, \
-              \"events_per_sec\": 10.0, \"tx_frames\": 5, \"delivered\": 9}, \
-             \"optimized\": {\"mode\": \"zero_copy\", \"wall_secs\": 0.5, \
-              \"events_per_sec\": 20.0, \"tx_frames\": 5, \"delivered\": 9}}",
-        )
-        .expect("parses");
-        assert_eq!(validate(&doc), Ok(()));
-    }
-
-    #[test]
     fn rejects_nan_and_infinite_speedups() {
         // The report writer formats floats with {:.2}, which renders NaN
         // and infinities as bare words — exactly what a zero-wall-clock
         // division would commit. The parser reads them as nulls/errors;
         // either way validation must name the field.
         for bad in ["null", "\"NaN\"", "\"inf\"", "1e999"] {
-            let doc_text = sched_doc(bad, mode_entry());
+            let doc_text = sched_doc(bad, &two_core_axis());
             let Ok(doc) = parse(&doc_text) else {
                 continue; // unparseable is an even earlier failure
             };
@@ -710,7 +656,7 @@ mod tests {
     #[test]
     fn rejects_zero_and_negative_speedups() {
         for bad in ["0", "-3.5"] {
-            let doc = parse(&sched_doc(bad, mode_entry())).expect("parses");
+            let doc = parse(&sched_doc(bad, &two_core_axis())).expect("parses");
             let err = validate(&doc).expect_err("non-positive speedup");
             assert!(err.contains("must be positive"), "{err}");
         }
@@ -718,18 +664,20 @@ mod tests {
 
     #[test]
     fn rejects_an_empty_modes_array() {
-        let doc = parse(&sched_doc("2.0", "")).expect("parses");
-        let err = validate(&doc).expect_err("empty modes");
-        assert!(err.contains("\"modes\" array is empty"), "{err}");
+        let doc = parse(&sched_doc("1.0", "")).expect("parses");
+        let err = validate(&doc).expect_err("empty axis");
+        assert!(err.contains("\"cores_axis\" array is empty"), "{err}");
     }
 
     #[test]
     fn rejects_non_finite_mode_fields() {
-        let entry = "{\"mode\": \"m\", \"wall_secs\": 1e999, \
-                     \"events_per_sec\": 10.0, \"tx_frames\": 5, \"delivered\": 9}";
-        let doc = parse(&sched_doc("2.0", entry)).expect("parses");
+        let entry = cores_entry(1, 10.0).replace("\"wall_secs\": 1.0", "\"wall_secs\": 1e999");
+        let doc = parse(&sched_doc("1.0", &entry)).expect("parses");
         let err = validate(&doc).expect_err("infinite wall_secs");
-        assert!(err.contains("wall_secs") && err.contains("\"m\""), "{err}");
+        assert!(
+            err.contains("wall_secs") && err.contains("cores entry 1"),
+            "{err}"
+        );
     }
 
     fn attack_entry(mode: &str, extra: &str) -> String {
@@ -1042,15 +990,16 @@ mod tests {
 
     #[test]
     fn summary_surfaces_relay_and_arena_counters_when_present() {
-        let entry = "{\"mode\": \"wheel_lazy_batched_patch\", \"wall_secs\": 0.5, \
-                     \"events_per_sec\": 40.0, \"tx_frames\": 5, \"delivered\": 9, \
-                     \"frames_relay_patched\": 123, \"pit_arena_live\": 7, \
-                     \"cs_arena_live\": 11}";
-        let doc = parse(&sched_doc("4.0", entry)).expect("parses");
+        let entry = cores_entry(1, 40.0).replace(
+            "\"tx_frames\"",
+            "\"frames_relay_patched\": 123, \"pit_arena_live\": 7, \
+             \"cs_arena_live\": 11, \"tx_frames\"",
+        );
+        let doc = parse(&sched_doc("1.0", &entry)).expect("parses");
         let table = summary(&doc).expect("renders");
         assert!(table.contains("| 123 | 7 | 11 |"), "{table}");
         // A report without the counters still renders, with placeholders.
-        let old = parse(&sched_doc("4.0", mode_entry())).expect("parses");
+        let old = parse(&sched_doc("1.0", &cores_entry(1, 40.0))).expect("parses");
         assert!(summary(&old).expect("renders").contains("| - | - | - |"));
     }
 }

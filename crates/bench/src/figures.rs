@@ -2,7 +2,7 @@
 //!
 //! Each function sweeps the figure's x-axis, runs seeded trials per point,
 //! and prints the series the figure plots, next to the paper's qualitative
-//! expectation. `EXPERIMENTS.md` records measured-vs-paper outcomes.
+//! expectation. `benchmark/README.md` records measured-vs-paper outcomes.
 
 use crate::profile::Profile;
 use crate::report::{kilo, pct, secs, Table};

@@ -292,32 +292,31 @@ mod tests {
 
     #[test]
     fn parses_the_report_shapes() {
-        let params = crate::sched::SchedParams {
-            nodes: 4,
-            ..crate::sched::SchedParams::dense()
+        use crate::sched::{render_report, run_sched, HostFacts, SchedParams};
+        let host = HostFacts {
+            logical_cores: 2,
+            cpu_model: "a \"quoted\" cpu".into(),
+            rustc: "rustc 1.0".into(),
+            git_rev: "abc1234".into(),
         };
-        let sched = crate::sched::render_report(
-            &params,
-            &[
-                dummy_result(crate::sched::SchedMode::baseline()),
-                dummy_result(crate::sched::SchedMode::optimized()),
-            ],
-            &params,
-            &[
-                dummy_result(crate::sched::SchedMode::optimized()),
-                dummy_result(crate::sched::SchedMode::optimized().with_cores(2)),
-            ],
-        );
-        let v = parse(&sched).expect("sched report parses");
+        let params = SchedParams {
+            nodes: 8,
+            field: 100.0,
+            rounds: 1,
+            ..SchedParams::dense()
+        };
+        let axis = [run_sched(&params, 1), run_sched(&params, 2)];
+        let v = parse(&render_report(&host, &params, &axis)).expect("sched report parses");
         assert_eq!(
             v.get("scenario").and_then(Value::as_str),
             Some("perf_sched")
         );
-        assert!(v
-            .get("speedup_events_per_sec")
-            .and_then(Value::as_f64)
-            .is_some());
-        assert_eq!(v.get("modes").and_then(Value::as_array).unwrap().len(), 2);
+        assert_eq!(
+            v.get("host")
+                .and_then(|h| h.get("cpu_model"))
+                .and_then(Value::as_str),
+            Some("a \"quoted\" cpu")
+        );
         assert_eq!(
             v.get("cores_axis").and_then(Value::as_array).unwrap().len(),
             2
@@ -326,33 +325,5 @@ mod tests {
             .get("shard_speedup_events_per_sec")
             .and_then(Value::as_f64)
             .is_some());
-    }
-
-    fn dummy_result(mode: crate::sched::SchedMode) -> crate::sched::SchedResult {
-        crate::sched::SchedResult {
-            mode,
-            wall_secs: 1.0,
-            events: 10,
-            sim_events: 12,
-            events_per_sec: 12.0,
-            tx_frames: 1,
-            delivered: 2,
-            cmd_pool_hits: 0,
-            cmd_pool_misses: 0,
-            frames_peek_resolved: 0,
-            peek_fib_drops: 0,
-            peek_prefix_hits: 0,
-            frames_relay_patched: 0,
-            full_decodes: 0,
-            pit_arena_live: 0,
-            cs_arena_live: 0,
-            arrival_events: 1,
-            timer_slots_allocated: 0,
-            cores: mode.exec.cores as u64,
-            border_tx_exported: 0,
-            border_rx_injected: 0,
-            sync_windows: 0,
-            stats: Default::default(),
-        }
     }
 }

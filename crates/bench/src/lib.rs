@@ -10,8 +10,7 @@
 //!   trials), which takes hours.
 //!
 //! The measured numbers land next to the paper's qualitative expectations;
-//! `EXPERIMENTS.md` in the repository root records a full measured-vs-paper
-//! comparison.
+//! `benchmark/README.md` records the measured-vs-paper comparison.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,7 +20,6 @@ pub mod check;
 pub mod cs;
 pub mod faults;
 pub mod figures;
-pub mod hotpath;
 pub mod json;
 pub mod profile;
 pub mod prom;

@@ -16,23 +16,32 @@ pub enum Profile {
 impl Profile {
     /// Reads the profile from argv (`--profile quick|paper`) or the
     /// `DAPES_PROFILE` environment variable; defaults to [`Profile::Quick`].
+    /// An unrecognised value is reported on stderr and exits with status 2
+    /// rather than silently running the quick profile.
     pub fn from_env_args() -> Profile {
         let args: Vec<String> = std::env::args().collect();
-        for w in args.windows(2) {
-            if w[0] == "--profile" {
-                return Self::parse(&w[1]);
+        let given = args
+            .windows(2)
+            .find(|w| w[0] == "--profile")
+            .map(|w| w[1].clone())
+            .or_else(|| std::env::var("DAPES_PROFILE").ok());
+        match given.as_deref().map(Self::parse) {
+            None => Profile::Quick,
+            Some(Ok(profile)) => profile,
+            Some(Err(msg)) => {
+                eprintln!("{msg}");
+                std::process::exit(2);
             }
-        }
-        match std::env::var("DAPES_PROFILE") {
-            Ok(v) => Self::parse(&v),
-            Err(_) => Profile::Quick,
         }
     }
 
-    fn parse(s: &str) -> Profile {
+    fn parse(s: &str) -> Result<Profile, String> {
         match s.to_ascii_lowercase().as_str() {
-            "paper" | "full" => Profile::Paper,
-            _ => Profile::Quick,
+            "quick" => Ok(Profile::Quick),
+            "paper" | "full" => Ok(Profile::Paper),
+            _ => Err(format!(
+                "unknown profile {s:?}: expected quick|paper (`full` is an alias of paper)"
+            )),
         }
     }
 
@@ -100,10 +109,18 @@ mod tests {
 
     #[test]
     fn parse_profiles() {
-        assert_eq!(Profile::parse("paper"), Profile::Paper);
-        assert_eq!(Profile::parse("FULL"), Profile::Paper);
-        assert_eq!(Profile::parse("quick"), Profile::Quick);
-        assert_eq!(Profile::parse("garbage"), Profile::Quick);
+        assert_eq!(Profile::parse("paper"), Ok(Profile::Paper));
+        assert_eq!(Profile::parse("FULL"), Ok(Profile::Paper));
+        assert_eq!(Profile::parse("quick"), Ok(Profile::Quick));
+    }
+
+    #[test]
+    fn a_mistyped_profile_is_an_error_naming_the_accepted_values() {
+        let err = Profile::parse("qiuck").expect_err("typo must not fall back to quick");
+        assert!(
+            err.contains("\"qiuck\"") && err.contains("quick|paper"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -231,8 +231,8 @@ pub fn peer_totals(sc: &Scenario) -> PeerStats {
 /// Renders the combined Prometheus text-format dump: the simulator's
 /// counters followed by the aggregated `dapes_peer_*` counters. Pass
 /// `&PeerStats::default()` for benches whose stacks are not DAPES peers
-/// (the scheduler and hot-path swarms); the peer section then reports
-/// zeros rather than silently disappearing from the scrape surface.
+/// (the scheduler swarm); the peer section then reports zeros rather than
+/// silently disappearing from the scrape surface.
 pub fn export(stats: &Stats, peers: &PeerStats) -> String {
     let mut out = stats.to_prometheus();
     for &(name, help, get) in PEER_COUNTERS {

@@ -3,7 +3,6 @@
 use crate::metadata::MetadataFormat;
 use crate::rpf::{RpfVariant, StartPacket};
 use dapes_ndn::cs::EvictionPolicyKind;
-use dapes_netsim::exec::ExecProfile;
 use dapes_netsim::time::SimDuration;
 
 /// How many bitmaps to collect in an encounter before/while fetching data
@@ -123,25 +122,6 @@ pub struct DapesConfig {
     pub suppress_duration: SimDuration,
     /// Housekeeping tick (retransmissions, expiry sweeps).
     pub tick: SimDuration,
-    /// Execution-strategy profile shared with the simulator. The peer
-    /// consults two of its knobs:
-    ///
-    /// * [`lazy_peek`](ExecProfile::lazy_peek) — resolve overheard frames
-    ///   from a name-first header peek (CS hit, duplicate nonce, no PIT
-    ///   match) before paying for a full TLV decode. Behaviour is
-    ///   bit-identical either way; the equivalence relies on frames being
-    ///   either well-formed or rejected by their routable prefix, which
-    ///   holds in the simulator (loss is whole-frame Bernoulli drop,
-    ///   never byte corruption).
-    /// * [`relay_patch`](ExecProfile::relay_patch) — relay Interests
-    ///   straight from the peeked header when their hop limit can be
-    ///   patched as a single wire byte, never constructing an
-    ///   [`dapes_ndn::packet::Interest`]. Requires `lazy_peek`.
-    ///
-    /// The remaining profile knobs (queue, delivery, cores, …) belong to
-    /// the world; carrying the whole profile here keeps one value the
-    /// single source of truth for a run's execution strategy.
-    pub exec: ExecProfile,
     /// Seal bitmap advertisements and discovery replies in the signed
     /// envelope ([`crate::auth`]): a monotonic per-producer timestamp plus
     /// a trust-anchor signature over the payload, verified (and
@@ -190,7 +170,6 @@ impl Default for DapesConfig {
             response_timeout: SimDuration::from_millis(400),
             suppress_duration: SimDuration::from_secs(2),
             tick: SimDuration::from_millis(100),
-            exec: ExecProfile::default(),
             signed_adverts: true,
             replay_window_ms: 5_000,
             peer_ttl_ms: 10_000,
@@ -205,26 +184,6 @@ impl DapesConfig {
             multihop: false,
             ..DapesConfig::default()
         }
-    }
-
-    /// Forwarding shim for the pre-[`ExecProfile`] field.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set `exec.lazy_peek` (ExecProfile::with_lazy_peek)"
-    )]
-    pub fn with_lazy_peek(mut self, lazy_peek: bool) -> Self {
-        self.exec.lazy_peek = lazy_peek;
-        self
-    }
-
-    /// Forwarding shim for the pre-[`ExecProfile`] field.
-    #[deprecated(
-        since = "0.10.0",
-        note = "set `exec.relay_patch` (ExecProfile::with_relay_patch)"
-    )]
-    pub fn with_relay_patch(mut self, relay_patch: bool) -> Self {
-        self.exec.relay_patch = relay_patch;
-        self
     }
 }
 
@@ -270,16 +229,6 @@ mod tests {
         let c = DapesConfig::single_hop();
         assert!(!c.multihop);
         assert!(c.peba);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_exec_shims_forward_to_the_profile() {
-        let c = DapesConfig::default()
-            .with_lazy_peek(false)
-            .with_relay_patch(false);
-        assert!(!c.exec.lazy_peek);
-        assert!(!c.exec.relay_patch);
     }
 
     #[test]

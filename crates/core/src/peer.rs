@@ -255,7 +255,7 @@ impl DapesPeer {
             cache_unsolicited: role == NodeRole::PureForwarder,
             rebroadcast_faces: vec![FaceId::WIRELESS],
             deliver_on_aggregate: vec![FaceId::APP],
-            relay_patch: cfg.exec.relay_patch,
+            relay_patch: true,
             legacy_tables: false,
         };
         let mut forwarder =
@@ -1608,13 +1608,10 @@ impl NetStack for DapesPeer {
         if self.cfg.signed_adverts && self.screen_frame(ctx, frame) {
             return;
         }
-        let mut class = None;
-        if self.cfg.exec.lazy_peek {
-            match self.on_frame_peeked(ctx, frame) {
-                Peeked::Resolved => return,
-                Peeked::NeedsDecode(peeked) => class = peeked,
-            }
-        }
+        let class = match self.on_frame_peeked(ctx, frame) {
+            Peeked::Resolved => return,
+            Peeked::NeedsDecode(class) => class,
+        };
         let Ok(packet) = Packet::decode_payload(&frame.payload) else {
             return;
         };
@@ -1928,15 +1925,14 @@ impl DapesPeer {
     /// name-first header peek, without a full TLV decode. Returns whether
     /// the frame was fully handled.
     ///
-    /// Every branch that returns `true` reproduces the eager pipeline's
-    /// side effects *exactly* — same forwarder statistics, same RNG draws in
-    /// the same order, same pending-transmission bookkeeping — so enabling
-    /// [`DapesConfig::lazy_peek`] cannot change a trace (asserted across the
-    /// scenario matrix by `tests/sched.rs`). Frames that need their payload
-    /// (aggregating Interests, novel Interests the decode-free relay path
-    /// cannot take, PIT-matching or cacheable or DAPES-signalling Data)
-    /// fall through untouched, with no state or statistics recorded, and
-    /// take the full-decode path.
+    /// Every branch that resolves a frame reproduces the full-decode
+    /// pipeline's side effects *exactly* — same forwarder statistics, same
+    /// RNG draws in the same order, same pending-transmission bookkeeping
+    /// (held to the traces pinned in `tests/golden.rs`). Frames that need
+    /// their payload (aggregating Interests, novel Interests the
+    /// decode-free relay path cannot take, PIT-matching or cacheable or
+    /// DAPES-signalling Data) fall through untouched, with no state or
+    /// statistics recorded, and take the full-decode path.
     fn on_frame_peeked(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) -> Peeked {
         let Ok(header) = Packet::peek_header(&frame.payload) else {
             // A malformed prefix fails the full decode at the same byte, so
@@ -2061,9 +2057,9 @@ impl DapesPeer {
     /// Pre-decode screening: drops frames whose header peek fails (the
     /// noise-flood sink) and Interests whose nonce was first overheard
     /// longer than the replay window ago (re-injected Interests). Runs
-    /// before the lazy/eager split so a replayed Interest can never be
+    /// before the peek/decode split so a replayed Interest can never be
     /// answered from the Content Store or refresh its old PIT entry.
-    /// Makes no RNG draws, so the lazy/eager toggle equivalence holds.
+    /// Makes no RNG draws.
     fn screen_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) -> bool {
         let Ok(header) = Packet::peek_header(&frame.payload) else {
             self.stats.flood_frames_dropped += 1;

@@ -1,66 +1,33 @@
-//! The unified execution-strategy profile.
+//! The execution profile: on how many cores a run is computed.
 //!
-//! Execution knobs used to be scattered across three crates: `QueueMode`,
-//! `DeliveryMode` and `DeliveryEvents` on [`WorldConfig`], `lazy_peek` and
-//! `relay_patch` on the DAPES peer config, and `legacy_tables` on the NDN
-//! forwarder config. [`ExecProfile`] gathers all of them — plus the sharded
-//! engine's `cores` and `lookahead` — into one builder-style value that every
-//! layer consumes: [`WorldConfig`], the DAPES `DapesConfig`, the testutil
-//! `ScenarioBuilder`/`MatrixParams`, and the bench `SchedMode`.
+//! Each layer of the engine has one implementation — timer-wheel queue,
+//! spatial-grid receiver selection, one batched arrival event per
+//! transmission, peek-first decode — so the only execution choices left
+//! are the two a workload can observe: the shard count of the sharded
+//! engine and its synchronization window. [`ExecProfile`] carries them on
+//! [`WorldConfig`] and through the testutil `ScenarioBuilder`/`MatrixParams`.
 //!
-//! Two presets span the optimization space:
-//!
-//! * [`ExecProfile::baseline`] — the recorded pre-refactor cost model: binary
-//!   heap, eager full decode, one delivery event per receiver, `Name`-keyed
-//!   legacy tables, one core.
-//! * [`ExecProfile::fast`] — every optimization on: timer wheel, lazy
-//!   name-first peek, batched delivery, decode-free relay patch, arena
-//!   tables, and as many cores as the machine offers.
-//!
-//! Every strategy pairing produces bit-identical protocol traces for equal
-//! seeds at `cores = 1`; `cores > 1` is metric-equivalent within the
-//! tolerance documented on [`ShardedWorld`].
+//! `cores = 1` is the sequential engine and gives bit-identical traces for
+//! equal seeds; `cores > 1` is metric-equivalent within the tolerance
+//! documented on [`ShardedWorld`].
 //!
 //! [`WorldConfig`]: crate::world::WorldConfig
 //! [`ShardedWorld`]: crate::shard::ShardedWorld
 
 use crate::time::SimDuration;
-use crate::world::{DeliveryEvents, DeliveryMode, QueueMode};
 
-/// All execution-strategy knobs of a run, as one value.
-///
-/// The protocol-visible behaviour is identical across every profile (that is
-/// the project's determinism contract); what a profile changes is *how* the
-/// same trace is computed: queue implementation, decode laziness, event
-/// granularity, table layout, and shard parallelism.
+/// How a run is spread over cores.
 ///
 /// # Examples
 ///
 /// ```
 /// use dapes_netsim::exec::ExecProfile;
 ///
-/// let p = ExecProfile::fast().with_cores(4);
-/// assert!(p.label().ends_with("_c4"));
-/// assert_eq!(ExecProfile::baseline().label(), "heap_eager_perrecv");
+/// assert_eq!(ExecProfile::default().cores, 1);
+/// assert_eq!(ExecProfile::default().with_cores(4).cores, 4);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecProfile {
-    /// Event-queue implementation ([`QueueMode`]).
-    pub queue: QueueMode,
-    /// Receiver-selection algorithm ([`DeliveryMode`]).
-    pub delivery: DeliveryMode,
-    /// Delivery-event granularity ([`DeliveryEvents`]).
-    pub delivery_events: DeliveryEvents,
-    /// Lazy name-first header peek in the NDN forwarder (vs eager full
-    /// decode of every overheard frame).
-    pub lazy_peek: bool,
-    /// Decode-free relay: re-broadcast received Interests with a one-byte
-    /// copy-on-write HopLimit patch when the strategy can decide from the
-    /// peeked header alone.
-    pub relay_patch: bool,
-    /// Use the pre-arena `Name`-keyed PIT/CS tables (the eager baseline's
-    /// cost model) instead of the generation-tagged wire-index arenas.
-    pub legacy_tables: bool,
     /// Number of spatial shards (each with its own event loop). `1` runs
     /// the sequential engine and is bit-identical to every prior release;
     /// `> 1` runs [`ShardedWorld`](crate::shard::ShardedWorld).
@@ -73,16 +40,9 @@ pub struct ExecProfile {
 }
 
 impl Default for ExecProfile {
-    /// The default matches the pre-redesign defaults of every layer: all
-    /// single-core optimizations on, one core.
+    /// One core, derived lookahead.
     fn default() -> Self {
         ExecProfile {
-            queue: QueueMode::Wheel,
-            delivery: DeliveryMode::Grid,
-            delivery_events: DeliveryEvents::Batched,
-            lazy_peek: true,
-            relay_patch: true,
-            legacy_tables: false,
             cores: 1,
             lookahead: None,
         }
@@ -90,69 +50,6 @@ impl Default for ExecProfile {
 }
 
 impl ExecProfile {
-    /// The recorded pre-refactor baseline: heap queue, eager decode,
-    /// per-receiver delivery events, legacy `Name`-keyed tables, one core.
-    pub fn baseline() -> Self {
-        ExecProfile {
-            queue: QueueMode::Heap,
-            delivery: DeliveryMode::Grid,
-            delivery_events: DeliveryEvents::PerReceiver,
-            lazy_peek: false,
-            relay_patch: false,
-            legacy_tables: true,
-            cores: 1,
-            lookahead: None,
-        }
-    }
-
-    /// Every optimization on, with as many shards as the machine offers
-    /// (`std::thread::available_parallelism`, 1 when undetectable).
-    pub fn fast() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        ExecProfile {
-            cores,
-            ..ExecProfile::default()
-        }
-    }
-
-    /// Sets the event-queue implementation.
-    pub fn with_queue(mut self, queue: QueueMode) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Sets the receiver-selection algorithm.
-    pub fn with_delivery(mut self, delivery: DeliveryMode) -> Self {
-        self.delivery = delivery;
-        self
-    }
-
-    /// Sets the delivery-event granularity.
-    pub fn with_delivery_events(mut self, delivery_events: DeliveryEvents) -> Self {
-        self.delivery_events = delivery_events;
-        self
-    }
-
-    /// Sets lazy name-first peeking.
-    pub fn with_lazy_peek(mut self, lazy_peek: bool) -> Self {
-        self.lazy_peek = lazy_peek;
-        self
-    }
-
-    /// Sets the decode-free relay patch.
-    pub fn with_relay_patch(mut self, relay_patch: bool) -> Self {
-        self.relay_patch = relay_patch;
-        self
-    }
-
-    /// Sets the legacy `Name`-keyed PIT/CS tables.
-    pub fn with_legacy_tables(mut self, legacy_tables: bool) -> Self {
-        self.legacy_tables = legacy_tables;
-        self
-    }
-
     /// Sets the shard count.
     ///
     /// # Panics
@@ -169,37 +66,6 @@ impl ExecProfile {
         self.lookahead = Some(lookahead);
         self
     }
-
-    /// Canonical label of the profile, used by the scheduler benchmark's
-    /// mode axis and report keys.
-    ///
-    /// The stem is `{heap|wheel}_{eager|lazy}_{perrecv|batched}`; a
-    /// `_patch` suffix marks the decode-free relay, `_brute` the O(N)
-    /// receiver scan, and `_cN` a sharded run on `N > 1` cores. The twelve
-    /// single-core sweep labels recorded in `BENCH_sched.json` since PR 6
-    /// come out of this function unchanged.
-    pub fn label(&self) -> String {
-        let mut label = String::new();
-        label.push_str(match self.queue {
-            QueueMode::Heap => "heap",
-            QueueMode::Wheel => "wheel",
-        });
-        label.push_str(if self.lazy_peek { "_lazy" } else { "_eager" });
-        label.push_str(match self.delivery_events {
-            DeliveryEvents::PerReceiver => "_perrecv",
-            DeliveryEvents::Batched => "_batched",
-        });
-        if self.relay_patch {
-            label.push_str("_patch");
-        }
-        if self.delivery == DeliveryMode::BruteForce {
-            label.push_str("_brute");
-        }
-        if self.cores > 1 {
-            label.push_str(&format!("_c{}", self.cores));
-        }
-        label
-    }
 }
 
 #[cfg(test)]
@@ -207,74 +73,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn presets_have_expected_labels() {
-        assert_eq!(ExecProfile::baseline().label(), "heap_eager_perrecv");
-        assert_eq!(ExecProfile::default().label(), "wheel_lazy_batched_patch");
-        let fast = ExecProfile::fast().with_cores(1);
-        assert_eq!(fast.label(), "wheel_lazy_batched_patch");
-    }
-
-    #[test]
     fn builder_setters_compose() {
-        let p = ExecProfile::baseline()
-            .with_queue(QueueMode::Wheel)
-            .with_lazy_peek(true)
-            .with_delivery_events(DeliveryEvents::Batched)
-            .with_relay_patch(true)
-            .with_legacy_tables(false)
+        let p = ExecProfile::default()
             .with_cores(4)
             .with_lookahead(SimDuration::from_millis(1));
-        assert_eq!(p.label(), "wheel_lazy_batched_patch_c4");
+        assert_eq!(p.cores, 4);
         assert_eq!(p.lookahead, Some(SimDuration::from_millis(1)));
-        assert!(!p.legacy_tables);
-    }
-
-    #[test]
-    fn twelve_sweep_labels_are_reproduced() {
-        // The exact label set BENCH_sched.json has recorded since PR 6.
-        let mut labels = Vec::new();
-        for delivery_events in [DeliveryEvents::PerReceiver, DeliveryEvents::Batched] {
-            for queue in [QueueMode::Heap, QueueMode::Wheel] {
-                for (lazy, patch) in [(false, false), (true, false), (true, true)] {
-                    labels.push(
-                        ExecProfile::default()
-                            .with_queue(queue)
-                            .with_delivery_events(delivery_events)
-                            .with_lazy_peek(lazy)
-                            .with_relay_patch(patch)
-                            .label(),
-                    );
-                }
-            }
-        }
-        assert_eq!(
-            labels,
-            [
-                "heap_eager_perrecv",
-                "heap_lazy_perrecv",
-                "heap_lazy_perrecv_patch",
-                "wheel_eager_perrecv",
-                "wheel_lazy_perrecv",
-                "wheel_lazy_perrecv_patch",
-                "heap_eager_batched",
-                "heap_lazy_batched",
-                "heap_lazy_batched_patch",
-                "wheel_eager_batched",
-                "wheel_lazy_batched",
-                "wheel_lazy_batched_patch",
-            ]
-        );
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn zero_cores_rejected() {
         let _ = ExecProfile::default().with_cores(0);
-    }
-
-    #[test]
-    fn brute_force_is_labelled() {
-        let p = ExecProfile::default().with_delivery(DeliveryMode::BruteForce);
-        assert_eq!(p.label(), "wheel_lazy_batched_patch_brute");
     }
 }

@@ -1,13 +1,12 @@
 //! Scripted fault injection: node crash/restart/join/leave and link-level
 //! partitions, scheduled as ordinary world events so traces stay
-//! deterministic across every queue and delivery mode.
+//! deterministic.
 //!
 //! A [`FaultPlan`] is a time-ordered script attached to a [`World`] before
 //! the run starts ([`World::set_fault_plan`]). Each action becomes one
-//! event in the shared `(time, seq)`-ordered queue — the same ordering both
-//! [`QueueMode`] implementations pop — so a crash at `t` lands at exactly
-//! the same point of the event stream in every mode, and equal seeds keep
-//! giving bit-identical traces with the plan applied.
+//! event in the shared `(time, seq)`-ordered queue, so a crash at `t` lands
+//! at exactly the same point of the event stream in every run, and equal
+//! seeds keep giving bit-identical traces with the plan applied.
 //!
 //! Semantics:
 //!
@@ -35,7 +34,6 @@
 //! [`World`]: crate::world::World
 //! [`World::set_fault_plan`]: crate::world::World::set_fault_plan
 //! [`World::set_stack_factory`]: crate::world::World::set_stack_factory
-//! [`QueueMode`]: crate::world::QueueMode
 
 use crate::node::NodeId;
 use crate::time::SimTime;

@@ -58,9 +58,7 @@ pub mod prelude {
     pub use crate::stats::Stats;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::wheel::TimerWheel;
-    pub use crate::world::{
-        DeliveryEvents, DeliveryMode, ForeignFrame, QueueMode, StackFactory, World, WorldConfig,
-    };
+    pub use crate::world::{ForeignFrame, StackFactory, World, WorldConfig};
 }
 
 pub use prelude::*;

@@ -37,25 +37,14 @@ pub struct Stats {
     /// MAC deferrals due to carrier sense.
     pub mac_deferrals: u64,
     /// Event dispatches — one per event popped from the pending-event
-    /// queue (Table I context-switch proxy; also the per-[`QueueMode`]
-    /// throughput figure the scheduler benchmark reports).
-    ///
-    /// [`QueueMode`]: crate::world::QueueMode
+    /// queue (Table I context-switch proxy).
     pub event_dispatches: u64,
     /// Arrival events enqueued for finished transmissions: one per
-    /// transmission under [`DeliveryEvents::Batched`] (the batch event runs
-    /// every delivery), one per *successful receiver* under
-    /// [`DeliveryEvents::PerReceiver`].
-    ///
-    /// [`DeliveryEvents::Batched`]: crate::world::DeliveryEvents::Batched
-    /// [`DeliveryEvents::PerReceiver`]: crate::world::DeliveryEvents::PerReceiver
+    /// transmission, which runs every per-receiver delivery when it pops.
     pub arrival_events: u64,
     /// Stack callbacks that reused a pooled command buffer.
     pub cmd_pool_hits: u64,
-    /// Stack callbacks that had to allocate a fresh command buffer (always,
-    /// under [`QueueMode::Heap`]'s legacy cost model).
-    ///
-    /// [`QueueMode::Heap`]: crate::world::QueueMode::Heap
+    /// Stack callbacks that had to allocate a fresh command buffer.
     pub cmd_pool_misses: u64,
     /// Stack → simulator API calls (Table I system-call proxy).
     pub api_calls: u64,

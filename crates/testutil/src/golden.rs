@@ -1,5 +1,6 @@
 //! Golden-metric assertions shared by the integration, e2e and baseline
-//! suites: download completion, signature hygiene and overhead bounds.
+//! suites: download completion, signature hygiene and overhead bounds —
+//! plus the brute-force neighbour oracle for the spatial grid.
 
 use crate::scenario::Scenario;
 use dapes_core::stats::kinds;
@@ -59,6 +60,17 @@ pub fn overhead_ratio(stats: &Stats) -> f64 {
     }
     let content = stats.tx_for_kinds(&[kinds::CONTENT_DATA]);
     (stats.tx_frames - content) as f64 / stats.tx_frames as f64
+}
+
+/// The O(N) neighbour scan: every other node within radio range of `node`,
+/// ascending by id. The reference oracle the spatial grid behind
+/// [`World::neighbors_of`] is differentially tested against.
+pub fn neighbors_brute_force(world: &World, node: NodeId) -> Vec<NodeId> {
+    let p = world.position_of(node);
+    (0..world.node_count() as u32)
+        .map(NodeId)
+        .filter(|&other| other != node && world.position_of(other).within(&p, world.range()))
+        .collect()
 }
 
 /// Panics unless every transmitted frame carries a known DAPES kind.

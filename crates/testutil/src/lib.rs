@@ -48,8 +48,8 @@ pub mod prelude {
         BaselineProtocol, BaselineRole, BaselineScenario, BaselineSwarmBuilder,
     };
     pub use crate::golden::{
-        assert_frames_classified, assert_frames_classified_among, assert_scenario, overhead_ratio,
-        GoldenMetrics,
+        assert_frames_classified, assert_frames_classified_among, assert_scenario,
+        neighbors_brute_force, overhead_ratio, GoldenMetrics,
     };
     pub use crate::matrix::{MatrixCell, MatrixParams, ScenarioMatrix, Topology};
     pub use crate::scenario::{

@@ -186,10 +186,8 @@ pub struct MatrixParams {
     /// Cell deadlines extend by the last fault instant; empty means a
     /// fault-free matrix.
     pub faults: Vec<FaultProfile>,
-    /// Execution-strategy profile shared by every cell: queue, delivery,
-    /// delivery-event granularity, decode regime and shard count.
-    /// Equivalence tests run the same cells under differing profiles and
-    /// compare traces; `cores > 1` routes cells onto the sharded engine.
+    /// Execution profile shared by every cell; `cores > 1` routes cells
+    /// onto the sharded engine.
     pub exec: ExecProfile,
 }
 

@@ -270,38 +270,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// The execution-strategy profile for the run: queue, delivery,
-    /// delivery-event granularity, decode regime and shard count in one
-    /// value. It configures the world *and* becomes the `exec` of the
-    /// default [`DapesConfig`] (peers added via
-    /// [`peer_with_config`](Self::peer_with_config) keep their own —
-    /// the escape hatch decode-equivalence tests rely on).
+    /// The execution profile for the run: shard count and lookahead.
     pub fn exec(mut self, exec: ExecProfile) -> Self {
         self.exec = exec;
-        self
-    }
-
-    /// Forwarding shim for the pre-[`ExecProfile`] knob.
-    #[deprecated(since = "0.10.0", note = "use `exec` (ExecProfile::with_delivery)")]
-    pub fn delivery(mut self, delivery: DeliveryMode) -> Self {
-        self.exec.delivery = delivery;
-        self
-    }
-
-    /// Forwarding shim for the pre-[`ExecProfile`] knob.
-    #[deprecated(since = "0.10.0", note = "use `exec` (ExecProfile::with_queue)")]
-    pub fn queue(mut self, queue: QueueMode) -> Self {
-        self.exec.queue = queue;
-        self
-    }
-
-    /// Forwarding shim for the pre-[`ExecProfile`] knob.
-    #[deprecated(
-        since = "0.10.0",
-        note = "use `exec` (ExecProfile::with_delivery_events)"
-    )]
-    pub fn delivery_events(mut self, delivery_events: DeliveryEvents) -> Self {
-        self.exec.delivery_events = delivery_events;
         self
     }
 
@@ -571,19 +542,11 @@ impl ScenarioBuilder {
         let mut relays = Vec::new();
         let mut forwarders = Vec::new();
 
-        // The builder's profile is the single source of truth for the
-        // run's execution strategy: it reaches peers through the default
-        // config's `exec` (per-peer overrides keep their own).
-        let default_cfg = {
-            let mut c = self.cfg.clone();
-            c.exec = self.exec;
-            c
-        };
         let honest = self.peers.len();
         let mut recipes: Vec<(PeerRole, DapesConfig, TrustAnchor)> = Vec::with_capacity(honest);
         for (i, spec) in self.peers.into_iter().enumerate() {
             let id = i as u32;
-            let cfg = spec.cfg.unwrap_or_else(|| default_cfg.clone());
+            let cfg = spec.cfg.unwrap_or_else(|| self.cfg.clone());
             let anchor = spec.anchor.unwrap_or_else(|| self.anchor.clone());
             recipes.push((spec.role, cfg.clone(), anchor.clone()));
             let mobility = match spec.mobility {

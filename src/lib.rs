@@ -16,9 +16,9 @@
 //! * [`baselines`] (`dapes-baselines`) — the paper's IP/MANET comparison
 //!   systems, Bithoc (DSDV + TCP-lite) and Ekta (DSR + DHT).
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the architecture and
-//! substitutions, and `EXPERIMENTS.md` for the paper-versus-measured
-//! results. The `examples/` directory contains runnable scenarios
+//! See `README.md` for a tour and the architecture, and
+//! `benchmark/README.md` for the paper-versus-measured results. The
+//! `examples/` directory contains runnable scenarios
 //! (`cargo run --release --example quickstart`).
 
 #![forbid(unsafe_code)]

@@ -1,217 +1,72 @@
-//! Scheduler-refactor equivalence suite.
+//! Scheduler and decode-path regression suite.
 //!
-//! The timer wheel, the generation-tagged timer slab, the pooled command
-//! buffers, and the name-first lazy decode path must all be *invisible* to
-//! protocol behaviour: full DAPES scenario runs give bit-identical traces
-//! (and independently satisfy the golden metrics) under every combination
-//! of event-queue implementation and decode regime.
+//! The `golden_traces_*` and `legacy_corner_*` tests used to run each cell
+//! under two engine modes (heap vs wheel queue, eager vs peek-first decode,
+//! per-receiver vs batched delivery events, re-encoding vs byte-patching
+//! relay) and compare the traces. The second implementations are gone; the
+//! tests keep their names and hold the surviving path to the fingerprints
+//! both modes produced at `ff140d1`, pinned in `tests/golden.rs`. The rest
+//! of the file checks properties of the one path that no constant can
+//! capture: one arrival event per transmission, a leak-free timer slab,
+//! and a header fast path that actually resolves frames.
 
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
 
-fn matrix_axes() -> (Vec<Topology>, Vec<u64>) {
-    (
-        vec![
-            Topology::AdjacentPair,
-            Topology::Chain { relays: 1 },
-            Topology::Star { downloaders: 3 },
-        ],
-        vec![1, 3],
-    )
-}
+#[path = "golden.rs"]
+mod golden;
 
-fn trace_fingerprint(sc: &Scenario) -> (u64, u64, u64, u64, u64, Vec<Option<SimTime>>) {
-    let s = sc.world.stats();
-    (
-        s.tx_frames,
-        s.delivered,
-        s.channel_losses,
-        s.collision_drops,
-        s.delivered_payload_bytes,
-        sc.completion_times(),
-    )
-}
-
-fn run_cell(
-    topology: Topology,
-    seed: u64,
-    queue: QueueMode,
-    lazy_peek: bool,
-) -> (u64, u64, u64, u64, u64, Vec<Option<SimTime>>) {
-    run_cell_with(topology, seed, queue, DeliveryEvents::default(), lazy_peek)
-}
-
-fn run_cell_with(
-    topology: Topology,
-    seed: u64,
-    queue: QueueMode,
-    delivery_events: DeliveryEvents,
-    lazy_peek: bool,
-) -> (u64, u64, u64, u64, u64, Vec<Option<SimTime>>) {
-    run_cell_full(topology, seed, queue, delivery_events, lazy_peek, true)
-}
-
-fn run_cell_full(
-    topology: Topology,
-    seed: u64,
-    queue: QueueMode,
-    delivery_events: DeliveryEvents,
-    lazy_peek: bool,
-    relay_patch: bool,
-) -> (u64, u64, u64, u64, u64, Vec<Option<SimTime>>) {
-    let params = MatrixParams {
-        exec: ExecProfile::default()
-            .with_queue(queue)
-            .with_delivery_events(delivery_events)
-            .with_lazy_peek(lazy_peek)
-            .with_relay_patch(relay_patch),
-        ..MatrixParams::default()
-    };
-    let mut sc = topology.build(seed, &params);
-    sc.run_until_complete(topology.deadline());
-    assert_scenario(
-        &format!(
-            "{}/seed-{seed}/{queue:?}/{delivery_events:?}/lazy-{lazy_peek}/patch-{relay_patch}",
-            topology.label()
-        ),
-        &sc,
-        &GoldenMetrics::default(),
-    );
-    trace_fingerprint(&sc)
+/// The matrix the cross-mode comparisons swept: three topologies × seeds
+/// 1 and 3, fault-free.
+fn assert_matrix_pinned() {
+    let topologies = [
+        Topology::AdjacentPair,
+        Topology::Chain { relays: 1 },
+        Topology::Star { downloaders: 3 },
+    ];
+    golden::assert_cells(|c| {
+        c.faults.is_empty() && topologies.contains(&c.topology) && [1, 3].contains(&c.seed)
+    });
 }
 
 #[test]
 fn golden_traces_bit_identical_across_relay_patch_modes() {
-    // The decode-free relay path (copy-on-write hop-limit patch, no
-    // `Interest` ever constructed) must be invisible to the protocol.
-    let (topologies, seeds) = matrix_axes();
-    for &topology in &topologies {
-        for &seed in &seeds {
-            assert_eq!(
-                run_cell_full(
-                    topology,
-                    seed,
-                    QueueMode::Wheel,
-                    DeliveryEvents::Batched,
-                    true,
-                    true
-                ),
-                run_cell_full(
-                    topology,
-                    seed,
-                    QueueMode::Wheel,
-                    DeliveryEvents::Batched,
-                    true,
-                    false
-                ),
-                "[{}/seed-{seed}] relay patch changed the trace",
-                topology.label()
-            );
-        }
-    }
+    assert_matrix_pinned();
 }
 
 #[test]
 fn golden_traces_bit_identical_across_queue_modes() {
-    let (topologies, seeds) = matrix_axes();
-    for &topology in &topologies {
-        for &seed in &seeds {
-            assert_eq!(
-                run_cell(topology, seed, QueueMode::Wheel, true),
-                run_cell(topology, seed, QueueMode::Heap, true),
-                "[{}/seed-{seed}] queue modes diverged",
-                topology.label()
-            );
-        }
-    }
+    assert_matrix_pinned();
 }
 
 #[test]
 fn golden_traces_bit_identical_across_decode_regimes() {
-    let (topologies, seeds) = matrix_axes();
-    for &topology in &topologies {
-        for &seed in &seeds {
-            assert_eq!(
-                run_cell(topology, seed, QueueMode::Wheel, true),
-                run_cell(topology, seed, QueueMode::Wheel, false),
-                "[{}/seed-{seed}] lazy peek changed the trace",
-                topology.label()
-            );
-        }
-    }
+    assert_matrix_pinned();
 }
 
 #[test]
 fn golden_traces_bit_identical_across_delivery_event_modes() {
-    let (topologies, seeds) = matrix_axes();
-    for &topology in &topologies {
-        for &seed in &seeds {
-            assert_eq!(
-                run_cell_with(
-                    topology,
-                    seed,
-                    QueueMode::Wheel,
-                    DeliveryEvents::Batched,
-                    true
-                ),
-                run_cell_with(
-                    topology,
-                    seed,
-                    QueueMode::Wheel,
-                    DeliveryEvents::PerReceiver,
-                    true
-                ),
-                "[{}/seed-{seed}] delivery-event modes diverged",
-                topology.label()
-            );
-        }
-    }
+    assert_matrix_pinned();
 }
 
 #[test]
 fn legacy_corner_heap_and_eager_matches_the_optimized_stack() {
-    // The fully-legacy corner (heap queue + eager decode + one event per
-    // receiver) against the fully optimized one, over a mobility-rich cell
-    // that exercises timers, cancellations, retransmissions and overhearing
-    // together.
-    let topology = Topology::PartitionedFerry;
-    assert_eq!(
-        run_cell_with(topology, 1, QueueMode::Wheel, DeliveryEvents::Batched, true),
-        run_cell_with(
-            topology,
-            1,
-            QueueMode::Heap,
-            DeliveryEvents::PerReceiver,
-            false
-        ),
-        "optimized and legacy control planes diverged"
-    );
+    // A mobility-rich cell that exercises timers, cancellations,
+    // retransmissions and overhearing together.
+    golden::assert_cells(|c| c.topology == Topology::PartitionedFerry);
 }
 
-/// The tentpole regression: in batched mode one transmission enqueues
-/// exactly one arrival event, across a full DAPES scenario; the
-/// per-receiver baseline enqueues one per successful delivery.
+/// One transmission enqueues exactly one arrival event, however many
+/// receivers it reaches, across a full DAPES scenario.
 #[test]
 fn one_transmission_enqueues_one_arrival_event_in_batched_mode() {
     let topology = Topology::Star { downloaders: 3 };
-    let run = |delivery_events: DeliveryEvents| {
-        let params = MatrixParams {
-            exec: ExecProfile::default().with_delivery_events(delivery_events),
-            ..MatrixParams::default()
-        };
-        let mut sc = topology.build(1, &params);
-        sc.run_until_complete(topology.deadline());
-        let s = sc.world.stats();
-        (s.tx_frames, s.delivered, s.arrival_events)
-    };
-    let (tx, _, arrivals) = run(DeliveryEvents::Batched);
-    assert!(tx > 0);
-    assert_eq!(arrivals, tx, "batched: one arrival event per transmission");
-    let (_, delivered, arrivals) = run(DeliveryEvents::PerReceiver);
-    assert_eq!(
-        arrivals, delivered,
-        "per-receiver: one arrival event per delivery"
-    );
+    let mut sc = topology.build(1, &MatrixParams::default());
+    sc.run_until_complete(topology.deadline());
+    let s = sc.world.stats();
+    assert!(s.tx_frames > 0);
+    assert!(s.delivered > s.tx_frames, "a star fans out");
+    assert_eq!(s.arrival_events, s.tx_frames);
 }
 
 #[test]
@@ -301,8 +156,8 @@ fn lazy_peek_actually_resolves_frames_without_decode() {
 #[test]
 fn chain_relays_take_the_decode_free_relay_path() {
     // A chain's pure forwarders see every downloader Interest as novel and
-    // routable, so with `relay_patch` on (the default) they must resolve by
-    // the decode-free relay path and actually transmit patched frames.
+    // routable, so they must resolve by the decode-free relay path and
+    // actually transmit patched frames.
     let params = MatrixParams::default();
     let topology = Topology::Chain { relays: 1 };
     let mut sc = topology.build(1, &params);
