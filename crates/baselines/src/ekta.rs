@@ -49,7 +49,9 @@ fn file_key(file: usize) -> u32 {
 /// (Pastry replicates records across the leaf set).
 fn responsible_k(members: &[u32], key: u32, k: usize) -> Vec<u32> {
     let mut sorted: Vec<u32> = members.to_vec();
-    sorted.sort_by_key(|&m| node_key(m).abs_diff(key));
+    // Cached: a ring position is a SHA-256, hashed once per member rather
+    // than once per comparison (same stable order).
+    sorted.sort_by_cached_key(|&m| node_key(m).abs_diff(key));
     sorted.truncate(k);
     sorted
 }

@@ -28,6 +28,7 @@
 //! recognized and dropped, and nothing else was. Completion must hold in
 //! every cell, within a bounded slowdown over benign.
 
+use crate::host::HostFacts;
 use dapes_core::adversary::attack_kinds;
 use dapes_core::prelude::*;
 use dapes_netsim::prelude::*;
@@ -329,8 +330,14 @@ pub fn gate(outcomes: &[AttackOutcome]) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders the `BENCH_adversarial.json` document.
-pub fn render_report(params: &AdversarialParams, outcomes: &[AttackOutcome]) -> String {
+/// Renders the `BENCH_adversarial.json` document. Every cell authenticates
+/// each advert and segment it hears, so the host block (hash kernel
+/// included) says what the sweep's wall-clock cost was paid on.
+pub fn render_report(
+    host: &HostFacts,
+    params: &AdversarialParams,
+    outcomes: &[AttackOutcome],
+) -> String {
     fn entry(o: &AttackOutcome) -> String {
         format!(
             concat!(
@@ -372,6 +379,7 @@ pub fn render_report(params: &AdversarialParams, outcomes: &[AttackOutcome]) -> 
         concat!(
             "{{\n",
             "  \"scenario\": \"adversarial\",\n",
+            "{}",
             "  \"nodes\": 3,\n",
             "  \"seed\": {},\n",
             "  \"files\": {},\n",
@@ -380,6 +388,7 @@ pub fn render_report(params: &AdversarialParams, outcomes: &[AttackOutcome]) -> 
             "  \"attacks\": [{}]\n",
             "}}\n"
         ),
+        host.render_json(),
         params.seed,
         params.files,
         params.file_size,
@@ -414,7 +423,7 @@ mod tests {
     fn full_sweep_passes_the_gate_and_renders_valid_json() {
         let outcomes = run_all(&AdversarialParams::smoke());
         gate(&outcomes).expect("gate");
-        let json = render_report(&AdversarialParams::smoke(), &outcomes);
+        let json = render_report(&HostFacts::probe(), &AdversarialParams::smoke(), &outcomes);
         let doc = crate::json::parse(&json).expect("report parses");
         crate::check::validate(&doc).expect("report validates");
         assert_eq!(

@@ -18,6 +18,7 @@
 //! [`MAX_SLOWDOWN`]: dapes_bench::adversarial::MAX_SLOWDOWN
 
 use dapes_bench::adversarial::{render_report, run_all, AdversarialParams, AttackMode};
+use dapes_bench::host::HostFacts;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -61,7 +62,7 @@ fn main() {
         );
     }
 
-    let json = render_report(&params, &outcomes);
+    let json = render_report(&HostFacts::probe(), &params, &outcomes);
     std::fs::write(&out, &json).expect("write BENCH_adversarial.json");
     eprintln!("wrote {out}");
     if let Some(prom) = prom_out {

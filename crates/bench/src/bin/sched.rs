@@ -17,49 +17,9 @@
 //! a shard count beyond that measures oversubscription, and `checkjson`
 //! rejects a report that contains one.
 
-use dapes_bench::sched::{
-    render_report, run_sched, shard_speedup, HostFacts, SchedParams, SchedResult,
-};
+use dapes_bench::host::HostFacts;
+use dapes_bench::sched::{render_report, run_sched, shard_speedup, SchedParams, SchedResult};
 use dapes_core::stats::PeerStats;
-use std::process::Command;
-
-/// First line of a command's stdout, or `"unknown"`.
-fn first_line_of(cmd: &str, args: &[&str]) -> String {
-    Command::new(cmd)
-        .args(args)
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .and_then(|s| s.lines().next().map(str::to_owned))
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
-fn host_facts() -> HostFacts {
-    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, v)| v.trim().to_owned())
-        })
-        .unwrap_or_else(|| "unknown".to_owned());
-    let mut git_rev = first_line_of("git", &["rev-parse", "--short", "HEAD"]);
-    let dirty = Command::new("git")
-        .args(["status", "--porcelain"])
-        .output()
-        .is_ok_and(|o| !o.stdout.is_empty());
-    if dirty {
-        git_rev.push_str("-dirty");
-    }
-    HostFacts {
-        logical_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        cpu_model,
-        rustc: first_line_of("rustc", &["--version"]),
-        git_rev,
-    }
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -86,7 +46,7 @@ fn main() {
     if let Some(t) = arg("--tick-ms") {
         params.tick_ms = t.parse().expect("--tick-ms");
     }
-    let host = host_facts();
+    let host = HostFacts::probe();
     let cores_list: Vec<usize> = match arg("--cores") {
         Some(v) => v
             .split(',')

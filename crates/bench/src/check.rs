@@ -2,8 +2,9 @@
 //! `BENCH_*.json` reports — the library behind the `checkjson` binary.
 //!
 //! Every shape carries a string `scenario` and numeric `nodes` and `seed`.
-//! The scheduler report additionally states its `host` (logical cores, CPU
-//! model, rustc, git revision) and a `cores_axis` whose entries carry
+//! The scheduler and adversarial reports additionally state their `host`
+//! (logical cores, CPU model, rustc, git revision, SHA-256 kernel); the
+//! scheduler report carries a `cores_axis` whose entries carry
 //! positive `wall_secs`/`events_per_sec`, numeric `tx_frames`/`delivered`
 //! and integer shard counters, anchored at `cores = 1` and never beyond
 //! the host's logical cores; `shard_speedup_events_per_sec` must be a
@@ -28,6 +29,27 @@ fn require_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing or non-string \"{key}\""))
 }
 
+/// Validates a report's `host` block and returns its logical core count.
+fn validate_host(doc: &Value) -> Result<f64, String> {
+    let host = doc.get("host").ok_or("missing \"host\"")?;
+    for key in ["cpu_model", "rustc", "git_rev"] {
+        require_str(host, key).map_err(|e| format!("host: {e}"))?;
+    }
+    let kernel = require_str(host, "sha256_kernel").map_err(|e| format!("host: {e}"))?;
+    if !["sha-ni", "portable"].contains(&kernel) {
+        return Err(format!(
+            "host: \"sha256_kernel\" must be \"sha-ni\" or \"portable\", got \"{kernel}\""
+        ));
+    }
+    let logical_cores = require_num(host, "logical_cores").map_err(|e| format!("host: {e}"))?;
+    if logical_cores < 1.0 || logical_cores.fract() != 0.0 {
+        return Err(format!(
+            "host: \"logical_cores\" must be a positive integer, got {logical_cores}"
+        ));
+    }
+    Ok(logical_cores)
+}
+
 /// The attack modes an adversarial report must cover, exactly once each.
 pub const REQUIRED_ATTACK_MODES: [&str; 5] = ["benign", "spoof", "tamper", "replay", "flood"];
 
@@ -43,10 +65,11 @@ const ATTACK_COUNTERS: [&str; 8] = [
     "hostile_sent",
 ];
 
-/// Validates the adversarial report shape: header fields, one entry per
+/// Validates the adversarial report shape: host facts, header fields, one entry per
 /// required attack mode, non-negative counters, boolean `completed` and
 /// `exact_accounting` flags that are both `true`.
 fn validate_adversarial(doc: &Value) -> Result<(), String> {
+    validate_host(doc)?;
     require_num(doc, "nodes")?;
     require_num(doc, "seed")?;
     let window = require_num(doc, "replay_window_ms")?;
@@ -345,16 +368,7 @@ const CORES_COUNTERS: [&str; 4] = [
 fn validate_sched(doc: &Value) -> Result<(), String> {
     require_num(doc, "nodes")?;
     require_num(doc, "seed")?;
-    let host = doc.get("host").ok_or("missing \"host\"")?;
-    for key in ["cpu_model", "rustc", "git_rev"] {
-        require_str(host, key).map_err(|e| format!("host: {e}"))?;
-    }
-    let logical_cores = require_num(host, "logical_cores").map_err(|e| format!("host: {e}"))?;
-    if logical_cores < 1.0 || logical_cores.fract() != 0.0 {
-        return Err(format!(
-            "host: \"logical_cores\" must be a positive integer, got {logical_cores}"
-        ));
-    }
+    let logical_cores = validate_host(doc)?;
     let shard_speedup = require_num(doc, "shard_speedup_events_per_sec")?;
     if shard_speedup <= 0.0 {
         return Err(format!(
@@ -562,7 +576,8 @@ mod tests {
     }
 
     const HOST: &str = "\"host\": {\"logical_cores\": 4, \"cpu_model\": \"cpu\", \
-                        \"rustc\": \"rustc 1.0\", \"git_rev\": \"abc1234\"}";
+                        \"rustc\": \"rustc 1.0\", \"git_rev\": \"abc1234\", \
+                        \"sha256_kernel\": \"sha-ni\"}";
 
     /// A scheduler report with the given shard speedup and axis body.
     fn sched_doc(shard_speedup: &str, axis_body: &str) -> String {
@@ -612,6 +627,22 @@ mod tests {
         let err = validate(&parse(&sched_doc("1.5", &axis)).expect("parses"))
             .expect_err("8 shards on 4 logical cores");
         assert!(err.contains("oversubscription"), "{err}");
+    }
+
+    #[test]
+    fn rejects_host_facts_without_a_known_sha256_kernel() {
+        let docs = [sched_doc("1.5", &two_core_axis()), full_adversarial_doc()];
+        for doc in docs {
+            let missing = doc.replace(", \"sha256_kernel\": \"sha-ni\"", "");
+            let err = validate(&parse(&missing).expect("parses")).expect_err("no kernel");
+            assert!(err.contains("sha256_kernel"), "{err}");
+            let unknown = doc.replace("\"sha-ni\"", "\"avx512\"");
+            let err = validate(&parse(&unknown).expect("parses")).expect_err("unknown kernel");
+            assert!(err.contains("sha256_kernel"), "{err}");
+            let no_host = doc.replace(&format!("{HOST}, "), "");
+            let err = validate(&parse(&no_host).expect("parses")).expect_err("no host");
+            assert!(err.contains("host"), "{err}");
+        }
     }
 
     #[test]
@@ -694,7 +725,7 @@ mod tests {
 
     fn adversarial_doc(entries: &[String]) -> String {
         format!(
-            "{{\"scenario\": \"adversarial\", \"nodes\": 3, \"seed\": 7, \
+            "{{\"scenario\": \"adversarial\", {HOST}, \"nodes\": 3, \"seed\": 7, \
              \"replay_window_ms\": 5000, \"attacks\": [{}]}}",
             entries.join(", ")
         )

@@ -1,0 +1,82 @@
+//! Where and on what a report was measured.
+
+use std::process::Command;
+
+/// Host facts a report states next to its numbers. A throughput figure
+/// means nothing without these: a cores axis beyond `logical_cores`
+/// measures oversubscription, not parallelism, and anything that
+/// authenticates packets costs several times less under the `sha-ni`
+/// hash kernel than under the `portable` one.
+#[derive(Clone, Debug)]
+pub struct HostFacts {
+    /// Logical cores available to the process.
+    pub logical_cores: usize,
+    /// CPU model string.
+    pub cpu_model: String,
+    /// `rustc --version` of the toolchain on the path.
+    pub rustc: String,
+    /// Short git revision of the tree (`-dirty` when it has local changes).
+    pub git_rev: String,
+    /// The SHA-256 kernel the CPU selected
+    /// ([`dapes_crypto::sha256::kernel`]).
+    pub sha256_kernel: String,
+}
+
+/// First line of a command's stdout, or `"unknown"`.
+fn first_line_of(cmd: &str, args: &[&str]) -> String {
+    Command::new(cmd)
+        .args(args)
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_owned))
+        .unwrap_or_else(|| "unknown".to_owned())
+}
+
+impl HostFacts {
+    /// Reads the facts off the running host.
+    pub fn probe() -> Self {
+        let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+            .ok()
+            .and_then(|s| {
+                s.lines()
+                    .find(|l| l.starts_with("model name"))
+                    .and_then(|l| l.split_once(':'))
+                    .map(|(_, v)| v.trim().to_owned())
+            })
+            .unwrap_or_else(|| "unknown".to_owned());
+        let mut git_rev = first_line_of("git", &["rev-parse", "--short", "HEAD"]);
+        let dirty = Command::new("git")
+            .args(["status", "--porcelain"])
+            .output()
+            .is_ok_and(|o| !o.stdout.is_empty());
+        if dirty {
+            git_rev.push_str("-dirty");
+        }
+        HostFacts {
+            logical_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            cpu_model,
+            rustc: first_line_of("rustc", &["--version"]),
+            git_rev,
+            sha256_kernel: dapes_crypto::sha256::kernel().to_owned(),
+        }
+    }
+
+    /// The report's `"host": {…},` line group, as the `BENCH_*.json`
+    /// writers embed it after `"scenario"`.
+    pub fn render_json(&self) -> String {
+        format!(
+            concat!(
+                "  \"host\": {{\n",
+                "    \"logical_cores\": {},\n",
+                "    \"cpu_model\": {:?},\n",
+                "    \"rustc\": {:?},\n",
+                "    \"git_rev\": {:?},\n",
+                "    \"sha256_kernel\": {:?}\n",
+                "  }},\n",
+            ),
+            self.logical_cores, self.cpu_model, self.rustc, self.git_rev, self.sha256_kernel,
+        )
+    }
+}

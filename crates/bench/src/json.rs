@@ -292,12 +292,14 @@ mod tests {
 
     #[test]
     fn parses_the_report_shapes() {
-        use crate::sched::{render_report, run_sched, HostFacts, SchedParams};
+        use crate::host::HostFacts;
+        use crate::sched::{render_report, run_sched, SchedParams};
         let host = HostFacts {
             logical_cores: 2,
             cpu_model: "a \"quoted\" cpu".into(),
             rustc: "rustc 1.0".into(),
             git_rev: "abc1234".into(),
+            sha256_kernel: "portable".into(),
         };
         let params = SchedParams {
             nodes: 8,

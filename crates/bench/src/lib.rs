@@ -20,6 +20,7 @@ pub mod check;
 pub mod cs;
 pub mod faults;
 pub mod figures;
+pub mod host;
 pub mod json;
 pub mod profile;
 pub mod prom;

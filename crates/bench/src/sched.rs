@@ -18,6 +18,7 @@
 //! wire index) and a *noise* Interest in a namespace no FIB covers (the
 //! not-for-me frame every receiver drops via the FIB wire index).
 
+use crate::host::HostFacts;
 use dapes_ndn::face::FaceId;
 use dapes_ndn::forwarder::{Action, Forwarder, ForwarderConfig, PeekOutcome};
 use dapes_ndn::name::Name;
@@ -578,21 +579,6 @@ pub fn run_sched(params: &SchedParams, cores: usize) -> SchedResult {
     }
 }
 
-/// Where and on what a report was measured. A throughput figure means
-/// nothing without these, and a cores axis beyond `logical_cores` measures
-/// oversubscription, not parallelism.
-#[derive(Clone, Debug)]
-pub struct HostFacts {
-    /// Logical cores available to the process.
-    pub logical_cores: usize,
-    /// CPU model string.
-    pub cpu_model: String,
-    /// `rustc --version` of the toolchain on the path.
-    pub rustc: String,
-    /// Short git revision of the tree (`-dirty` when it has local changes).
-    pub git_rev: String,
-}
-
 /// Speedup of the best multi-shard run over the axis' sequential run (1.0
 /// when the axis holds fewer than two entries).
 pub fn shard_speedup(axis: &[SchedResult]) -> f64 {
@@ -666,12 +652,7 @@ pub fn render_report(host: &HostFacts, params: &SchedParams, axis: &[SchedResult
         concat!(
             "{{\n",
             "  \"scenario\": \"perf_sched\",\n",
-            "  \"host\": {{\n",
-            "    \"logical_cores\": {},\n",
-            "    \"cpu_model\": {:?},\n",
-            "    \"rustc\": {:?},\n",
-            "    \"git_rev\": {:?}\n",
-            "  }},\n",
+            "{}",
             "  \"nodes\": {},\n",
             "  \"field_m\": {},\n",
             "  \"range_m\": {},\n",
@@ -684,10 +665,7 @@ pub fn render_report(host: &HostFacts, params: &SchedParams, axis: &[SchedResult
             "  \"shard_speedup_events_per_sec\": {:.2}\n",
             "}}\n"
         ),
-        host.logical_cores,
-        host.cpu_model,
-        host.rustc,
-        host.git_rev,
+        host.render_json(),
         params.nodes,
         params.field,
         params.range,
@@ -762,6 +740,7 @@ mod tests {
             cpu_model: "test \"cpu\"".into(),
             rustc: "rustc 1.0".into(),
             git_rev: "abc1234".into(),
+            sha256_kernel: "portable".into(),
         };
         let json = render_report(&host, &params, &axis);
         let doc = crate::json::parse(&json).expect("report parses");

@@ -16,7 +16,7 @@
 
 use crate::metadata::{FileEntry, Metadata, MetadataFormat, PacketIndex, PACKET_DIGEST_LEN};
 use dapes_crypto::merkle::MerkleTree;
-use dapes_crypto::sha256::sha256;
+use dapes_crypto::sha256::{sha256, sha256_pair};
 use dapes_crypto::signing::TrustAnchor;
 use dapes_ndn::name::Name;
 use dapes_ndn::packet::Data;
@@ -78,7 +78,7 @@ pub fn generate_content(packet_name: &Name, size: usize) -> Vec<u8> {
     let seed = sha256(packet_name.to_string().as_bytes());
     let mut counter = 0u64;
     while out.len() < size {
-        let block = sha256(&[seed.as_bytes().as_slice(), &counter.to_be_bytes()].concat());
+        let block = sha256_pair(seed.as_bytes(), &counter.to_be_bytes());
         let take = (size - out.len()).min(32);
         out.extend_from_slice(&block.as_bytes()[..take]);
         counter += 1;
@@ -279,6 +279,10 @@ mod tests {
         // Prefix property: longer generations extend shorter ones.
         let long = generate_content(&n1, 200);
         assert_eq!(&long[..100], &generate_content(&n1, 100)[..]);
+        // The stream itself: block i is SHA-256(seed || i as 8 BE bytes).
+        let seed = sha256(b"/c/f/0");
+        let block1 = sha256(&[seed.as_bytes().as_slice(), &1u64.to_be_bytes()].concat());
+        assert_eq!(&long[32..64], block1.as_bytes());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! per-packet digests or Merkle trees (paper §IV-C). This crate provides the
 //! equivalents from scratch:
 //!
-//! * [`sha256`] — a FIPS 180-4 SHA-256 implementation,
+//! * [`sha256`] — a FIPS 180-4 SHA-256 implementation, with a SHA-NI
+//!   kernel the CPU selects at run time,
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104),
 //! * [`merkle`] — Merkle trees with inclusion proofs (paper's Merkle-tree
 //!   metadata format),
@@ -14,6 +15,16 @@
 //!   is an HMAC under a shared *local trust anchor* key, matching the paper's
 //!   assumption (§III) that peers share common local trust anchors. See
 //!   `DESIGN.md` for why this substitution preserves protocol behaviour.
+//!
+//! # Lint level
+//!
+//! This is the one crate of the workspace that denies `unsafe_code` rather
+//! than forbidding it: [`sha256`] calls a hardware compression kernel when
+//! the CPU has one, and calling a `#[target_feature]` function is only
+//! sound under the run-time detection that guards it. That guarded call
+//! carries the crate's single `#[allow(unsafe_code)]` and a `SAFETY`
+//! comment; nothing else in the crate — the kernel's body included — may
+//! need one. `DESIGN.md` records the rule and CI's `lint` job enforces it.
 //!
 //! # Examples
 //!
@@ -29,7 +40,7 @@
 //! assert!(anchor.verify("resident-a", b"metadata bytes", &sig));
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod digest;

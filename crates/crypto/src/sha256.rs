@@ -2,9 +2,18 @@
 //!
 //! DAPES uses digests pervasively: per-packet digests in the packet-digest
 //! metadata format, Merkle node hashes in the tree format, and the implicit
-//! digest in NDN Data packets. The implementation below is the standard
-//! 64-round compression function; it is validated against the FIPS/NIST test
-//! vectors in the unit tests.
+//! digest in NDN Data packets. Padding and buffering live in [`Sha256`];
+//! the 64-round compression function underneath has two kernels, and the
+//! CPU — nothing else — decides which one runs (see [`kernel`]):
+//!
+//! * [`compress_blocks_portable`], plain FIPS 180-4 code for every target;
+//! * on `x86_64`, a kernel built from the SHA extensions' `sha256rnds2` /
+//!   `sha256msg1` / `sha256msg2` instructions, used whenever the running
+//!   CPU reports them ([`compress_blocks_hardware`]).
+//!
+//! Both produce the same digests bit for bit; the portable kernel is the
+//! oracle the hardware kernel is tested against, and both are validated
+//! against the FIPS/NIST test vectors in the unit tests.
 
 use crate::digest::Digest;
 
@@ -97,18 +106,13 @@ impl Sha256 {
             if self.buf_len < 64 {
                 return;
             }
-            compress(&mut self.state, &self.buf);
+            compress_blocks(&mut self.state, &self.buf);
             self.buf_len = 0;
         }
-        // Full blocks are compressed where they lie; only the tail is copied.
-        let mut blocks = rest.chunks_exact(64);
-        for block in &mut blocks {
-            compress(
-                &mut self.state,
-                block.try_into().expect("chunk is 64 bytes"),
-            );
-        }
-        let tail = blocks.remainder();
+        // Full blocks are compressed where they lie, as one run; only the
+        // tail is copied.
+        let (blocks, tail) = rest.split_at(rest.len() & !63);
+        compress_blocks(&mut self.state, blocks);
         self.buf[..tail.len()].copy_from_slice(tail);
         self.buf_len = tail.len();
     }
@@ -122,16 +126,196 @@ impl Sha256 {
         self.buf[self.buf_len] = 0x80;
         self.buf[self.buf_len + 1..].fill(0);
         if self.buf_len >= 56 {
-            compress(&mut self.state, &self.buf);
+            compress_blocks(&mut self.state, &self.buf);
             self.buf.fill(0);
         }
         self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.buf);
+        compress_blocks(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (bytes, word) in out.chunks_exact_mut(4).zip(self.state) {
             bytes.copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
+    }
+}
+
+/// Which compression kernel this process hashes with: `"sha-ni"` when the
+/// CPU has the x86 SHA extensions, `"portable"` everywhere else. The CPU
+/// alone decides — there is no option to set — and the digests are the
+/// same either way, so this exists for reports and logs.
+pub fn kernel() -> &'static str {
+    if sha_ni::detected() {
+        "sha-ni"
+    } else {
+        "portable"
+    }
+}
+
+/// Folds a run of whole 64-byte blocks into `state`, picking the kernel
+/// once for the run.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    if !blocks.is_empty() && !compress_blocks_hardware(state, blocks) {
+        compress_blocks_portable(state, blocks);
+    }
+}
+
+/// The hardware kernel, if the running CPU has one: folds `blocks` into
+/// `state` and returns `true`, or returns `false` with `state` untouched.
+///
+/// [`Sha256`] goes through this on every call; it is public so tests can
+/// hold the hardware kernel to [`compress_blocks_portable`] directly.
+///
+/// # Panics
+///
+/// Panics if `blocks` is not a whole number of 64-byte blocks.
+pub fn compress_blocks_hardware(state: &mut [u32; 8], blocks: &[u8]) -> bool {
+    assert_eq!(blocks.len() % 64, 0, "partial block");
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni::detected() {
+        // SAFETY: `detected()` just confirmed at run time that this CPU has
+        // every feature `sha_ni::compress_blocks` is compiled for (sha,
+        // sse2, ssse3, sse4.1), which is the call's only requirement; the
+        // function itself is safe code over the two borrows it is handed.
+        #[allow(unsafe_code)]
+        unsafe {
+            sha_ni::compress_blocks(state, blocks)
+        };
+        return true;
+    }
+    let _ = state; // written by the hardware kernel only
+    false
+}
+
+/// The x86 SHA-extensions kernel.
+#[cfg(target_arch = "x86_64")]
+mod sha_ni {
+    use super::K;
+    use std::arch::x86_64::*;
+
+    /// Whether the running CPU has every feature [`compress_blocks`] uses
+    /// (std caches the CPUID probe; this is a load and a mask).
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("sse2")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Sixteen bytes as one little-endian vector.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn load(bytes: &[u8]) -> __m128i {
+        let half = |i: usize| i64::from_le_bytes(bytes[i..i + 8].try_into().expect("8 bytes"));
+        _mm_set_epi64x(half(8), half(0))
+    }
+
+    /// Four state or round-constant words as one vector, first word lowest.
+    #[inline]
+    #[target_feature(enable = "sse2")]
+    fn words(w: &[u32]) -> __m128i {
+        _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32)
+    }
+
+    /// Four rounds: `sha256rnds2` does two on the state split as ABEF /
+    /// CDGH, taking its two `W + K` words from the low half of its third
+    /// operand — so add the constants, two rounds, bring the high half
+    /// down, two more.
+    #[inline]
+    #[target_feature(enable = "sha,sse2")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, w: __m128i, k: &[u32]) {
+        let wk = _mm_add_epi32(w, words(k));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, wk);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+
+    /// The next four schedule words from the last sixteen (`w0` oldest):
+    /// `W[t] = s0(W[t-15]) + W[t-16] + W[t-7] + s1(W[t-2])` for four `t` at
+    /// once — `sha256msg1` adds s0, `alignr` picks `W[t-7]`, `sha256msg2`
+    /// adds s1.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3")]
+    fn schedule(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let partial = _mm_add_epi32(_mm_sha256msg1_epu32(w0, w1), _mm_alignr_epi8(w3, w2, 4));
+        _mm_sha256msg2_epu32(partial, w3)
+    }
+
+    /// Folds a run of whole blocks into `state`, which stays in two
+    /// registers for the length of the run.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+        // Byte order within each 32-bit lane reversed: the block is
+        // big-endian words.
+        let be_words = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+
+        let abcd = words(&state[..4]);
+        let efgh = words(&state[4..]);
+        let cdab = _mm_shuffle_epi32(abcd, 0xB1);
+        let efgh = _mm_shuffle_epi32(efgh, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = _mm_shuffle_epi8(load(&block[..16]), be_words);
+            let mut w1 = _mm_shuffle_epi8(load(&block[16..32]), be_words);
+            let mut w2 = _mm_shuffle_epi8(load(&block[32..48]), be_words);
+            let mut w3 = _mm_shuffle_epi8(load(&block[48..]), be_words);
+            rounds4(&mut abef, &mut cdgh, w0, &K[..4]);
+            rounds4(&mut abef, &mut cdgh, w1, &K[4..8]);
+            rounds4(&mut abef, &mut cdgh, w2, &K[8..12]);
+            rounds4(&mut abef, &mut cdgh, w3, &K[12..16]);
+            // Three more passes of sixteen rounds, the four-vector window
+            // rolling forward in place like the portable kernel's.
+            for k in K[16..].chunks_exact(16) {
+                w0 = schedule(w0, w1, w2, w3);
+                rounds4(&mut abef, &mut cdgh, w0, &k[..4]);
+                w1 = schedule(w1, w2, w3, w0);
+                rounds4(&mut abef, &mut cdgh, w1, &k[4..8]);
+                w2 = schedule(w2, w3, w0, w1);
+                rounds4(&mut abef, &mut cdgh, w2, &k[8..12]);
+                w3 = schedule(w3, w0, w1, w2);
+                rounds4(&mut abef, &mut cdgh, w3, &k[12..]);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        *state = [
+            _mm_extract_epi32(dcba, 0) as u32,
+            _mm_extract_epi32(dcba, 1) as u32,
+            _mm_extract_epi32(dcba, 2) as u32,
+            _mm_extract_epi32(dcba, 3) as u32,
+            _mm_extract_epi32(hgfe, 0) as u32,
+            _mm_extract_epi32(hgfe, 1) as u32,
+            _mm_extract_epi32(hgfe, 2) as u32,
+            _mm_extract_epi32(hgfe, 3) as u32,
+        ];
+    }
+}
+
+/// No hardware kernel exists for this target.
+#[cfg(not(target_arch = "x86_64"))]
+mod sha_ni {
+    pub(super) fn detected() -> bool {
+        false
+    }
+}
+
+/// The portable kernel: folds a run of whole 64-byte blocks into `state`
+/// with plain FIPS 180-4 code. It is what runs on hosts without a hardware
+/// kernel, and the oracle the hardware kernel is tested against.
+///
+/// # Panics
+///
+/// Panics if `blocks` is not a whole number of 64-byte blocks.
+pub fn compress_blocks_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    assert_eq!(blocks.len() % 64, 0, "partial block");
+    for block in blocks.chunks_exact(64) {
+        compress(state, block.try_into().expect("chunk is 64 bytes"));
     }
 }
 
@@ -329,6 +513,33 @@ mod tests {
         ] {
             assert_eq!(hex(sha256(&vec![b'a'; len])), expect, "length {len}");
         }
+    }
+
+    #[test]
+    fn a_run_through_the_dispatcher_equals_single_block_calls() {
+        let data: Vec<u8> = (0u32..64 * 7).map(|i| (i * 13 % 256) as u8).collect();
+        for blocks in 0..=7 {
+            let run = &data[..64 * blocks];
+            let mut whole = H0;
+            compress_blocks(&mut whole, run);
+            let mut single = H0;
+            for block in run.chunks_exact(64) {
+                compress_blocks(&mut single, block);
+            }
+            assert_eq!(whole, single, "run of {blocks}");
+            let mut oracle = H0;
+            compress_blocks_portable(&mut oracle, run);
+            assert_eq!(whole, oracle, "run of {blocks} vs the portable kernel");
+        }
+    }
+
+    #[test]
+    fn kernel_name_says_whether_the_hardware_kernel_runs() {
+        let mut state = H0;
+        let ran = compress_blocks_hardware(&mut state, &[0u8; 64]);
+        assert_eq!(kernel(), if ran { "sha-ni" } else { "portable" });
+        assert_eq!(ran, state != H0, "state moves only if the kernel ran");
+        println!("sha256 kernel: {}", kernel());
     }
 
     #[test]

@@ -10,6 +10,10 @@ use dapes_crypto::merkle::MerkleTree;
 use dapes_netsim::time::SimTime;
 use proptest::prelude::*;
 
+/// The SHA-256 kernel oracle shared with `dapes-crypto`'s own kernel tests.
+#[path = "../crates/crypto/tests/oracle/mod.rs"]
+mod sha_oracle;
+
 fn arb_component() -> impl Strategy<Value = Vec<u8>> {
     // Empty components are not representable in URI form (matching NDN's
     // URI conventions), so names are built from non-empty components.
@@ -331,6 +335,37 @@ proptest! {
         let sig = producer.sign_parts(&mut |sink| parts.iter().for_each(|p| sink(p)));
         prop_assert_eq!(&sig, &producer.sign(&message));
         prop_assert!(anchor.verify_parts(&mut |sink| parts.iter().for_each(|p| sink(p)), &sig));
+    }
+
+    #[test]
+    fn both_sha256_kernels_agree_with_the_streaming_hasher_at_any_split_points(
+        key in proptest::collection::vec(any::<u8>(), 0..100),
+        message in proptest::collection::vec(any::<u8>(), 0..4097),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+    ) {
+        // Nothing selects a kernel at run time, so each is called directly
+        // and the hash and the MAC are built on it from their definitions;
+        // the streaming hasher, fed the message in arbitrary parts, must
+        // land on the same bytes.
+        use dapes_crypto::hmac::HmacKey;
+        use dapes_crypto::sha256::Sha256;
+        use sha_oracle::{digest_via, hmac_via, kernels};
+
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (message.len() + 1)).collect();
+        cuts.sort_unstable();
+        let bounds: Vec<usize> = [0].into_iter().chain(cuts).chain([message.len()]).collect();
+        let mut hasher = Sha256::new();
+        let mut mac = HmacKey::new(&key).begin();
+        for w in bounds.windows(2) {
+            hasher.update(&message[w[0]..w[1]]);
+            mac.update(&message[w[0]..w[1]]);
+        }
+        let (digest, tag) = (hasher.finalize(), mac.finalize());
+
+        for (name, k) in kernels() {
+            prop_assert_eq!(digest, digest_via(k, &message), "{}", name);
+            prop_assert_eq!(tag, hmac_via(k, &key, &message), "{}", name);
+        }
     }
 
     #[test]
