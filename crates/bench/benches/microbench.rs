@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the hot paths of the DAPES stack:
 //! bitmap algebra, rarity computation, wire codecs, forwarder pipeline,
-//! Merkle verification, and SHA-256.
+//! Merkle verification, SHA-256, and the per-frame / per-tick bookkeeping
+//! (`classify_content_name`, `pit_expire_idle_1k`, `nonce_journal_sweep_4k`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use dapes_core::prelude::*;
@@ -185,6 +186,52 @@ fn bench_peek_vs_decode(c: &mut Criterion) {
     });
 }
 
+/// The per-frame and per-tick bookkeeping unit costs: classifying a
+/// content name, an idle PIT sweep over 1k pending entries, and one tick
+/// of nonce-journal retention at the 4k capacity with one entry due.
+fn bench_bookkeeping(c: &mut Criterion) {
+    use dapes_core::auth::NonceJournal;
+    use dapes_core::namespace;
+    use dapes_netsim::time::SimDuration;
+
+    let name = Name::from_uri("/damaged-bridge-1533783192/file-0/42");
+    c.bench_function("classify_content_name", |b| {
+        b.iter(|| namespace::classify(black_box(&name)))
+    });
+
+    let mut pit = Pit::new();
+    for i in 0..1_000u32 {
+        let n = Name::from_uri(&format!("/damaged-bridge-1533783192/file-0/{i}"));
+        pit.insert(&n, i, false, FaceId::WIRELESS, SimTime::from_secs(4));
+    }
+    // Nothing is due before t = 4 s: what a tick pays while the table is
+    // merely full.
+    c.bench_function("pit_expire_idle_1k", |b| {
+        b.iter(|| black_box(&mut pit).expire(black_box(SimTime::from_secs(1))))
+    });
+    assert_eq!(pit.len(), 1_000);
+
+    // A full journal in steady state: each iteration is one tick that
+    // finds one expired head, then one fresh sighting takes its place.
+    let keep = SimDuration::from_micros(4_096);
+    let mut journal = NonceJournal::new(4_096);
+    let mut clock = 0u64;
+    for _ in 0..4_096 {
+        clock += 1;
+        journal.record(clock as u32, SimTime::from_micros(clock));
+    }
+    c.bench_function("nonce_journal_sweep_4k", |b| {
+        b.iter(|| {
+            clock += 1;
+            let now = SimTime::from_micros(clock);
+            let forgotten = journal.forget_older_than(now, keep);
+            journal.record(clock as u32, now);
+            black_box(forgotten)
+        })
+    });
+    assert!(journal.len() <= 4_096);
+}
+
 criterion_group!(
     benches,
     bench_sha256,
@@ -195,6 +242,7 @@ criterion_group!(
     bench_merkle,
     bench_peba,
     bench_event_queue,
-    bench_peek_vs_decode
+    bench_peek_vs_decode,
+    bench_bookkeeping
 );
 criterion_main!(benches);

@@ -50,6 +50,12 @@ const PEER_COUNTERS: &[PeerCounter] = &[
         "Signature checks run on decoded content/metadata Data.",
         |p| p.signature_checks,
     ),
+    ("ticks_total", "Housekeeping ticks run.", |p| p.ticks),
+    (
+        "tick_scans_total",
+        "Full table scans the periodic tick ran (watermarked sweeps).",
+        |p| p.tick_scans,
+    ),
     ("bitmaps_sent_total", "Bitmaps transmitted.", |p| {
         p.bitmaps_sent
     }),
@@ -185,6 +191,8 @@ pub fn sum_peers<'a, I: IntoIterator<Item = &'a PeerStats>>(peers: I) -> PeerSta
         total.packets_verified += p.packets_verified;
         total.verify_failures += p.verify_failures;
         total.signature_checks += p.signature_checks;
+        total.ticks += p.ticks;
+        total.tick_scans += p.tick_scans;
         total.bitmaps_sent += p.bitmaps_sent;
         total.bitmaps_heard += p.bitmaps_heard;
         total.bitmaps_cancelled += p.bitmaps_cancelled;

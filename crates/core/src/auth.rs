@@ -23,9 +23,10 @@
 //! code path produces, which is what keeps benign golden traces
 //! bit-identical when the axis is toggled off.
 
+use crate::due_after;
 use dapes_crypto::signing::{KeyId, Signature, Signer, TrustAnchor, Verifier};
 use dapes_netsim::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// Bytes the envelope appends to the base payload: an 8-byte big-endian
 /// timestamp (microseconds), then [`Signature::WIRE_SIZE`] signature bytes.
@@ -139,6 +140,11 @@ impl MonotonicStamp {
 /// window; acceptance advances the mark. Entries unheard for the peer TTL
 /// are swept, and when the table is full the stalest entry is evicted —
 /// the table is bounded regardless of how many key ids an attacker mints.
+///
+/// The sweep is watermarked: `next_due` is a *lower bound* on the earliest
+/// instant [`ReplayGuard::sweep`] could drop a mark. Recording a mark
+/// lowers it with `min`, evictions leave it, and only a full scan raises
+/// it — to the exact minimum over the survivors.
 #[derive(Clone, Debug)]
 pub struct ReplayGuard {
     /// `key id → (high-water mark, last time we heard this producer)`.
@@ -146,6 +152,7 @@ pub struct ReplayGuard {
     capacity: usize,
     window: SimDuration,
     ttl: SimDuration,
+    next_due: SimTime,
 }
 
 impl ReplayGuard {
@@ -156,6 +163,7 @@ impl ReplayGuard {
             capacity: capacity.max(1),
             window,
             ttl,
+            next_due: SimTime::FAR_FUTURE,
         }
     }
 
@@ -189,17 +197,36 @@ impl ReplayGuard {
                 self.marks.remove(&stalest);
             }
         }
+        self.next_due = self.next_due.min(due_after(now, self.ttl));
         self.marks.insert(key_id, (timestamp_us, now));
         ReplayVerdict::Fresh
     }
 
+    /// Whether [`ReplayGuard::sweep`] at `now` would scan the table —
+    /// `false` while `now` is below the watermark, when it is known to
+    /// drop nothing.
+    pub fn sweep_due(&self, now: SimTime) -> bool {
+        now >= self.next_due
+    }
+
     /// Drops marks for producers unheard longer than the peer TTL,
-    /// returning how many expired.
+    /// returning how many expired. Returns without looking at the table
+    /// while nothing can be due.
     pub fn sweep(&mut self, now: SimTime) -> usize {
+        if !self.sweep_due(now) {
+            return 0;
+        }
         let before = self.marks.len();
         let ttl = self.ttl;
-        self.marks
-            .retain(|_, &mut (_, heard)| now.since(heard) <= ttl);
+        let mut next_due = SimTime::FAR_FUTURE;
+        self.marks.retain(|_, &mut (_, heard)| {
+            let keep = now.since(heard) <= ttl;
+            if keep {
+                next_due = next_due.min(due_after(heard, ttl));
+            }
+            keep
+        });
+        self.next_due = next_due;
         before - self.marks.len()
     }
 
@@ -216,6 +243,92 @@ impl ReplayGuard {
     /// Whether no producer is tracked.
     pub fn is_empty(&self) -> bool {
         self.marks.is_empty()
+    }
+}
+
+/// First-seen times of Interest nonces, bounded, forgotten in age order.
+///
+/// A nonce re-heard within the replay window is an honest wireless echo;
+/// one re-injected after it is a replayed Interest — so the journal must
+/// remember first sightings for a while, then let them age out.
+/// `oldest_first` holds the journaled nonces ordered by `(first seen,
+/// nonce)`: retention pops expired heads and the capacity eviction takes
+/// the front — the oldest entry, ties on equal timestamps breaking on the
+/// smaller nonce — so neither ever walks the whole journal. It stores bare
+/// nonces (their times live in `first_seen`), four bytes an entry.
+#[derive(Clone, Debug)]
+pub struct NonceJournal {
+    first_seen: BTreeMap<u32, SimTime>,
+    oldest_first: VecDeque<u32>,
+    capacity: usize,
+}
+
+impl NonceJournal {
+    /// Creates a journal holding at most `capacity` nonces.
+    pub fn new(capacity: usize) -> Self {
+        NonceJournal {
+            first_seen: BTreeMap::new(),
+            oldest_first: VecDeque::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// When `nonce` was first recorded, if it still is.
+    pub fn first_seen(&self, nonce: u32) -> Option<SimTime> {
+        self.first_seen.get(&nonce).copied()
+    }
+
+    /// Records `nonce` as first seen at `now` — unless it is already
+    /// journaled, in which case nothing changes and that earlier sighting
+    /// is returned. At capacity the oldest entry is evicted first
+    /// (deterministic: ties break on the smaller nonce).
+    pub fn record(&mut self, nonce: u32, now: SimTime) -> Option<SimTime> {
+        if let Some(&earlier) = self.first_seen.get(&nonce) {
+            return Some(earlier);
+        }
+        if self.first_seen.len() >= self.capacity {
+            if let Some(oldest) = self.oldest_first.pop_front() {
+                self.first_seen.remove(&oldest);
+            }
+        }
+        // The simulation clock only moves forward, so the new entry almost
+        // always belongs at the back; the search handles a tie on the
+        // timestamp with a larger nonce (or a caller whose clock does not).
+        let order = |n: u32| (self.first_seen[&n], n);
+        let at = match self.oldest_first.back() {
+            Some(&last) if order(last) > (now, nonce) => self
+                .oldest_first
+                .partition_point(|&n| order(n) < (now, nonce)),
+            _ => self.oldest_first.len(),
+        };
+        self.oldest_first.insert(at, nonce);
+        self.first_seen.insert(nonce, now);
+        None
+    }
+
+    /// Forgets nonces first seen more than `keep` before `now`, returning
+    /// how many.
+    pub fn forget_older_than(&mut self, now: SimTime, keep: SimDuration) -> usize {
+        let mut forgotten = 0;
+        while let Some(&oldest) = self.oldest_first.front() {
+            if now.since(self.first_seen[&oldest]) <= keep {
+                break;
+            }
+            self.oldest_first.pop_front();
+            self.first_seen.remove(&oldest);
+            forgotten += 1;
+        }
+        forgotten
+    }
+
+    /// Number of nonces journaled.
+    pub fn len(&self) -> usize {
+        self.first_seen.len()
+    }
+
+    /// Whether the journal is empty.
+    pub fn is_empty(&self) -> bool {
+        self.first_seen.is_empty()
     }
 }
 
@@ -368,6 +481,65 @@ mod tests {
         assert_eq!(g.sweep(SimTime::from_secs(5)), 0, "within ttl");
         assert_eq!(g.sweep(SimTime::from_secs(20)), 1, "expired");
         assert!(g.is_empty());
+    }
+
+    #[test]
+    fn replay_guard_sweep_waits_for_the_stalest_producer() {
+        let mut g = guard(); // ttl 10 s
+        assert!(!g.sweep_due(SimTime::from_secs(3600)), "nothing tracked");
+        g.check(KeyId(1), 100, SimTime::from_micros(200));
+        g.check(KeyId(2), 3_000_000, SimTime::from_secs(3));
+        assert!(!g.sweep_due(SimTime::from_micros(10_000_200)));
+        assert!(g.sweep_due(SimTime::from_micros(10_000_201)));
+        // Hearing producer 1 again does not move the watermark: the next
+        // sweep scans, drops nothing, and moves on to producer 2's deadline.
+        g.check(KeyId(1), 9_000_000, SimTime::from_secs(9));
+        assert_eq!(g.sweep(SimTime::from_micros(10_000_201)), 0);
+        assert!(!g.sweep_due(SimTime::from_secs(13)));
+        assert_eq!(g.sweep(SimTime::from_micros(13_000_001)), 1);
+        assert_eq!(g.mark(KeyId(2)), None);
+        assert_eq!(g.mark(KeyId(1)), Some(9_000_000));
+    }
+
+    #[test]
+    fn nonce_journal_keeps_first_sightings_and_forgets_in_age_order() {
+        let mut j = NonceJournal::new(64);
+        assert_eq!(j.record(7, SimTime::from_secs(1)), None);
+        assert_eq!(
+            j.record(7, SimTime::from_secs(2)),
+            Some(SimTime::from_secs(1))
+        );
+        assert_eq!(j.first_seen(7), Some(SimTime::from_secs(1)), "first wins");
+        j.record(8, SimTime::from_secs(3));
+        let keep = SimDuration::from_secs(2);
+        assert_eq!(j.forget_older_than(SimTime::from_secs(3), keep), 0);
+        assert_eq!(
+            j.forget_older_than(SimTime::from_micros(3_000_001), keep),
+            1
+        );
+        assert_eq!(j.first_seen(7), None);
+        assert_eq!(j.len(), 1);
+        assert_eq!(j.forget_older_than(SimTime::from_secs(60), keep), 1);
+        assert!(j.is_empty());
+    }
+
+    #[test]
+    fn nonce_journal_at_capacity_evicts_the_oldest_ties_on_the_smaller_nonce() {
+        let mut j = NonceJournal::new(3);
+        // Three sightings in one instant, recorded largest nonce first.
+        let t = SimTime::from_secs(1);
+        for nonce in [30, 10, 20] {
+            j.record(nonce, t);
+        }
+        j.record(5, SimTime::from_secs(2));
+        assert_eq!(j.first_seen(10), None, "oldest instant, smallest nonce");
+        j.record(6, SimTime::from_secs(2));
+        assert_eq!(j.first_seen(20), None);
+        assert_eq!(j.first_seen(30), Some(t));
+        assert_eq!(j.len(), 3);
+        // A full journal still refuses to re-date what it already holds.
+        j.record(30, SimTime::from_secs(9));
+        assert_eq!(j.first_seen(30), Some(t));
     }
 
     #[test]

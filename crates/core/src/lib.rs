@@ -86,3 +86,11 @@ pub mod prelude {
 }
 
 pub use prelude::*;
+
+use dapes_netsim::time::{SimDuration, SimTime};
+
+/// The first instant at which `now.since(at) > timeout` holds — the
+/// deadline an entry stamped `at` contributes to a sweep watermark.
+pub(crate) fn due_after(at: SimTime, timeout: SimDuration) -> SimTime {
+    at + timeout + SimDuration::from_micros(1)
+}

@@ -15,6 +15,7 @@
 //!   back to the probabilistic scheme when ignorant.
 
 use crate::bitmap::Bitmap;
+use crate::due_after;
 use crate::metadata::PacketIndex;
 use crate::namespace::{self, DapesName};
 use dapes_ndn::face::FaceId;
@@ -62,6 +63,13 @@ impl NeighborInfo {
 /// Shared multi-hop state: knowledge store, suppression timers, and the
 /// forwarding-accuracy bookkeeping behind the paper's "83 % of forwarded
 /// Interests brought data back" claim.
+///
+/// The three expiring maps (neighbors, suppressions, pending forwards) and
+/// their timeouts are private because [`MultihopState::sweep`] is
+/// watermarked: `next_due` is a *lower bound* on the earliest instant a
+/// sweep could remove anything. Every insert lowers it with `min`,
+/// refreshes and removals leave it, and only a full scan raises it — to
+/// the exact minimum over the survivors. Below it `sweep` returns at once.
 #[derive(Debug)]
 pub struct MultihopState {
     /// This node's role.
@@ -73,7 +81,7 @@ pub struct MultihopState {
     /// 20 %).
     pub forward_prob: f64,
     /// Per-neighbor knowledge.
-    pub neighbors: BTreeMap<u32, NeighborInfo>,
+    neighbors: BTreeMap<u32, NeighborInfo>,
     /// Packet indices for collections whose metadata we hold, needed to
     /// interpret bitmap bits.
     pub indices: BTreeMap<Name, PacketIndex>,
@@ -81,19 +89,21 @@ pub struct MultihopState {
     /// re-broadcast Interests the application can answer).
     pub have: BTreeMap<Name, Bitmap>,
     /// Suppressed names and when the suppression lapses.
-    pub suppressed: BTreeMap<Name, SimTime>,
+    suppressed: BTreeMap<Name, SimTime>,
     /// Interests we forwarded and when, awaiting a data response.
-    pub pending_response: BTreeMap<Name, SimTime>,
+    pending_response: BTreeMap<Name, SimTime>,
     /// Forwarded Interests that brought data back.
     pub forward_successes: u64,
     /// Forwarded Interests that timed out.
     pub forward_failures: u64,
     /// How long to wait for a response before suppressing.
-    pub response_timeout: SimDuration,
+    response_timeout: SimDuration,
     /// How long a suppression lasts.
-    pub suppress_duration: SimDuration,
+    suppress_duration: SimDuration,
     /// Neighbor expiry: entries older than this are dropped.
-    pub neighbor_timeout: SimDuration,
+    neighbor_timeout: SimDuration,
+    /// The sweep watermark (see the type docs).
+    next_due: SimTime,
     rng: SmallRng,
 }
 
@@ -114,12 +124,52 @@ impl MultihopState {
             response_timeout: SimDuration::from_millis(400),
             suppress_duration: SimDuration::from_secs(2),
             neighbor_timeout: SimDuration::from_secs(5),
+            next_due: SimTime::FAR_FUTURE,
             rng: SmallRng::seed_from_u64(seed),
         }
     }
 
+    /// Replaces the default timeouts: how long a forwarded Interest waits
+    /// for Data before its name is suppressed, how long a suppression
+    /// lasts, and how long an unheard neighbor is kept. A builder, so the
+    /// timeouts cannot change under entries the watermark already covers.
+    #[must_use]
+    pub fn with_timeouts(
+        mut self,
+        response: SimDuration,
+        suppress: SimDuration,
+        neighbor: SimDuration,
+    ) -> Self {
+        self.response_timeout = response;
+        self.suppress_duration = suppress;
+        self.neighbor_timeout = neighbor;
+        self
+    }
+
+    /// Per-neighbor knowledge, keyed by peer id.
+    pub fn neighbors(&self) -> &BTreeMap<u32, NeighborInfo> {
+        &self.neighbors
+    }
+
+    /// Suppressed names and when each suppression lapses.
+    pub fn suppressed(&self) -> &BTreeMap<Name, SimTime> {
+        &self.suppressed
+    }
+
+    /// Interests we forwarded and when, awaiting a data response.
+    pub fn pending_response(&self) -> &BTreeMap<Name, SimTime> {
+        &self.pending_response
+    }
+
     /// Notes that `peer` was heard at `now`.
-    pub fn note_peer(&mut self, peer: u32, now: SimTime) -> &mut NeighborInfo {
+    pub fn note_peer(&mut self, peer: u32, now: SimTime) {
+        self.touch_peer(peer, now);
+    }
+
+    fn touch_peer(&mut self, peer: u32, now: SimTime) -> &mut NeighborInfo {
+        // A refresh only moves the entry's own deadline later, so `min`
+        // changes the watermark for a new neighbor alone.
+        self.next_due = self.next_due.min(due_after(now, self.neighbor_timeout));
         let info = self.neighbors.entry(peer).or_default();
         info.last_heard = now;
         info
@@ -127,7 +177,7 @@ impl MultihopState {
 
     /// Records a neighbor's bitmap for a collection.
     pub fn record_bitmap(&mut self, peer: u32, collection: &Name, bitmap: Bitmap, now: SimTime) {
-        let info = self.note_peer(peer, now);
+        let info = self.touch_peer(peer, now);
         info.bitmaps.insert(collection.clone(), bitmap);
         if !info.wants.contains(collection) {
             info.wants.push(collection.clone());
@@ -143,7 +193,7 @@ impl MultihopState {
         global_idx: usize,
         now: SimTime,
     ) {
-        let info = self.note_peer(peer, now);
+        let info = self.touch_peer(peer, now);
         if let Some(bm) = info.bitmaps.get_mut(collection) {
             if global_idx < bm.len() {
                 bm.set(global_idx);
@@ -153,7 +203,7 @@ impl MultihopState {
 
     /// Records that a neighbor is interested in a collection.
     pub fn note_neighbor_wants(&mut self, peer: u32, collection: &Name, now: SimTime) {
-        let info = self.note_peer(peer, now);
+        let info = self.touch_peer(peer, now);
         if !info.wants.contains(collection) {
             info.wants.push(collection.clone());
         }
@@ -195,14 +245,26 @@ impl MultihopState {
 
     /// Called when we actually put a forwarded Interest on the air.
     pub fn note_forwarded(&mut self, name: &Name, now: SimTime) {
+        self.next_due = self.next_due.min(due_after(now, self.response_timeout));
         self.pending_response.entry(name.clone()).or_insert(now);
+    }
+
+    /// Whether [`MultihopState::sweep`] at `now` would scan the maps —
+    /// `false` while `now` is below the watermark, when it is known to
+    /// remove nothing.
+    pub fn sweep_due(&self, now: SimTime) -> bool {
+        now >= self.next_due
     }
 
     /// Periodic sweep: expire pending forwards into suppressions and drop
     /// stale neighbors and lapsed suppressions. Returns the number of
     /// neighbors expired (crashed or departed peers leaving the strategy's
-    /// view).
+    /// view). Returns without looking at the maps while nothing can be due.
     pub fn sweep(&mut self, now: SimTime) -> usize {
+        if !self.sweep_due(now) {
+            return 0;
+        }
+        let mut next_due = SimTime::FAR_FUTURE;
         let timeout = self.response_timeout;
         let mut to_suppress = Vec::new();
         self.pending_response.retain(|name, &mut at| {
@@ -210,6 +272,7 @@ impl MultihopState {
                 to_suppress.push(name.clone());
                 false
             } else {
+                next_due = next_due.min(due_after(at, timeout));
                 true
             }
         });
@@ -217,11 +280,23 @@ impl MultihopState {
             self.forward_failures += 1;
             self.suppressed.insert(name, now + self.suppress_duration);
         }
-        self.suppressed.retain(|_, &mut until| until > now);
+        self.suppressed.retain(|_, &mut until| {
+            let keep = until > now;
+            if keep {
+                next_due = next_due.min(until);
+            }
+            keep
+        });
         let nt = self.neighbor_timeout;
         let before = self.neighbors.len();
-        self.neighbors
-            .retain(|_, info| now.since(info.last_heard) <= nt);
+        self.neighbors.retain(|_, info| {
+            let keep = now.since(info.last_heard) <= nt;
+            if keep {
+                next_due = next_due.min(due_after(info.last_heard, nt));
+            }
+            keep
+        });
+        self.next_due = next_due;
         before - self.neighbors.len()
     }
 
@@ -588,6 +663,50 @@ mod tests {
         ms.note_peer(2, SimTime::from_secs(8));
         ms.sweep(SimTime::from_secs(10));
         assert_eq!(ms.neighbor_count(), 1, "peer 1 expired");
+    }
+
+    #[test]
+    fn sweep_waits_for_the_earliest_deadline_and_refreshes_never_hide_one() {
+        let ms_at = SimTime::from_micros;
+        let mut ms = state(NodeRole::Dapes, 0.2).with_timeouts(
+            SimDuration::from_millis(400),
+            SimDuration::from_secs(2),
+            SimDuration::from_secs(5),
+        );
+        assert!(!ms.sweep_due(SimTime::from_secs(3600)), "nothing held");
+        ms.note_peer(1, SimTime::ZERO);
+        ms.note_peer(2, SimTime::from_secs(1));
+        // A neighbor is dropped once it has gone unheard for *more* than
+        // the timeout: due one microsecond past it, not before.
+        assert!(!ms.sweep_due(SimTime::from_secs(5)));
+        assert!(ms.sweep_due(ms_at(5_000_001)));
+        // Refreshing peer 1 leaves the watermark alone: the next sweep
+        // scans, finds nothing, and moves on to peer 2's deadline.
+        ms.note_peer(1, SimTime::from_secs(4));
+        assert_eq!(ms.sweep(ms_at(5_000_001)), 0);
+        assert_eq!(ms.neighbor_count(), 2);
+        assert!(!ms.sweep_due(SimTime::from_secs(6)));
+        assert_eq!(ms.sweep(ms_at(6_000_001)), 1, "peer 2 expired");
+        // A forwarded Interest is due sooner than any neighbor and lowers
+        // the watermark; the suppression it turns into is due later still.
+        let name = Name::from_uri("/col/f/0");
+        ms.note_forwarded(&name, SimTime::from_secs(7));
+        assert!(!ms.sweep_due(ms_at(7_400_000)));
+        assert!(ms.sweep_due(ms_at(7_400_001)));
+        ms.sweep(ms_at(7_400_001));
+        assert_eq!(ms.forward_failures, 1);
+        assert_eq!(ms.suppressed().get(&name), Some(&ms_at(9_400_001)));
+        assert!(ms.pending_response().is_empty());
+        assert!(!ms.sweep_due(ms_at(8_999_999)), "peer 1 is due at 9.000001");
+        assert_eq!(ms.sweep(ms_at(9_000_001)), 1);
+        assert!(ms.neighbors().is_empty());
+        assert!(ms.sweep_due(ms_at(9_400_001)), "the suppression lapses");
+        ms.sweep(ms_at(9_400_001));
+        assert!(ms.suppressed().is_empty());
+        assert!(
+            !ms.sweep_due(SimTime::from_secs(3600)),
+            "nothing held again"
+        );
     }
 
     #[test]

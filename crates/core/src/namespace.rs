@@ -16,6 +16,8 @@ use dapes_ndn::name::{Component, Name};
 
 /// The reserved application prefix.
 pub const APP_PREFIX: &str = "/dapes";
+/// [`APP_PREFIX`]'s single component, for in-place prefix tests.
+const APP_COMPONENT: &str = "dapes";
 /// The discovery namespace component.
 pub const DISCOVERY: &str = "discovery";
 /// The bitmap (advertisement) namespace component.
@@ -54,11 +56,23 @@ pub fn bitmap_reply_name(interest_name: &Name, replier: u32) -> Name {
     interest_name.child(replier as u64)
 }
 
+/// Whether `name` starts with `/dapes/<second>` — what
+/// `Name::from_uri("/dapes").child(second).is_prefix_of(name)` answers,
+/// compared in place: this runs on every classified frame, and building
+/// the constant prefix costs a handful of allocations each time.
+fn under_app_prefix(name: &Name, second: &str) -> bool {
+    matches!(
+        name.components(),
+        [app, kind, ..]
+            if app.as_bytes() == APP_COMPONENT.as_bytes() && kind.as_bytes() == second.as_bytes()
+    )
+}
+
 /// Parses `/dapes/bitmap/<collection>/<origin>/<round>[/<replier>]`.
 ///
 /// Returns `(collection, origin, round, Option<replier>)`.
 pub fn parse_bitmap_name(name: &Name) -> Option<(Name, u32, u64, Option<u32>)> {
-    if !bitmap_prefix().is_prefix_of(name) || name.len() < 5 {
+    if !under_app_prefix(name, BITMAP) || name.len() < 5 {
         return None;
     }
     let collection = Name::from_uri(std::str::from_utf8(name.component(2)?.as_bytes()).ok()?);
@@ -138,7 +152,7 @@ pub enum DapesName {
 /// (3 components with a numeric tail) once the `/dapes` and metadata forms
 /// are excluded.
 pub fn classify(name: &Name) -> Option<DapesName> {
-    if discovery_prefix().is_prefix_of(name) {
+    if under_app_prefix(name, DISCOVERY) {
         let replier = name.component(2).and_then(|c| c.to_seq()).map(|s| s as u32);
         return Some(DapesName::Discovery { replier });
     }
@@ -182,6 +196,34 @@ pub fn classify(name: &Name) -> Option<DapesName> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn in_place_prefix_test_agrees_with_the_built_prefixes() {
+        assert_eq!(
+            Name::from_uri(APP_PREFIX),
+            Name::root().child(APP_COMPONENT)
+        );
+        for (second, prefix) in [(DISCOVERY, discovery_prefix()), (BITMAP, bitmap_prefix())] {
+            for uri in [
+                "/",
+                "/dapes",
+                "/dapes/discovery",
+                "/dapes/bitmap",
+                "/dapes/bitmap/c/1/2",
+                "/dapes/discovery/7",
+                "/dapesx/bitmap/c",
+                "/x/dapes/bitmap",
+                "/col/f/0",
+            ] {
+                let name = Name::from_uri(uri);
+                assert_eq!(
+                    under_app_prefix(&name, second),
+                    prefix.is_prefix_of(&name),
+                    "{uri} under {prefix}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn discovery_names() {

@@ -15,7 +15,7 @@
 
 use crate::advert::AdvertScheduler;
 use crate::advert_payload::{decode_bitmap_params_maybe_sealed, encode_bitmap_params};
-use crate::auth::{self, MonotonicStamp, OpenError, ReplayGuard, ReplayVerdict};
+use crate::auth::{self, MonotonicStamp, NonceJournal, OpenError, ReplayGuard, ReplayVerdict};
 use crate::bitmap::Bitmap;
 use crate::collection::{regenerate_packet, Collection};
 use crate::config::DapesConfig;
@@ -192,7 +192,7 @@ pub struct DapesPeer {
     replay: ReplayGuard,
     /// First-seen times of overheard Interest nonces: a nonce re-injected
     /// after the replay window is a replayed Interest, not a wireless echo.
-    nonce_journal: BTreeMap<u32, SimTime>,
+    nonce_journal: NonceJournal,
     /// Download state restored from a crashed incarnation, pending until
     /// the catalog is re-fetched and the download re-activates.
     salvaged: BTreeMap<Name, SalvagedDownload>,
@@ -243,10 +243,12 @@ impl DapesPeer {
         wanted: WantPolicy,
         role: NodeRole,
     ) -> Self {
-        let mut shared = MultihopState::new(role, cfg.multihop, cfg.forward_prob, id as u64 + 17);
-        shared.response_timeout = cfg.response_timeout;
-        shared.suppress_duration = cfg.suppress_duration;
-        shared.neighbor_timeout = cfg.neighbor_timeout;
+        let shared = MultihopState::new(role, cfg.multihop, cfg.forward_prob, id as u64 + 17)
+            .with_timeouts(
+                cfg.response_timeout,
+                cfg.suppress_duration,
+                cfg.neighbor_timeout,
+            );
         let shared = Arc::new(Mutex::new(shared));
         let fwd_cfg = ForwarderConfig {
             cs_capacity: cfg.cs_capacity,
@@ -292,7 +294,7 @@ impl DapesPeer {
             stats: PeerStats::default(),
             stamp: MonotonicStamp::default(),
             replay,
-            nonce_journal: BTreeMap::new(),
+            nonce_journal: NonceJournal::new(NONCE_JOURNAL_CAP),
             salvaged: BTreeMap::new(),
         }
     }
@@ -453,7 +455,7 @@ impl DapesPeer {
             // Journal our own nonce: we never hear our own transmission, so
             // without this a replayed copy of our own Interest would pass
             // the replay screen unrecognized.
-            self.journal_nonce(ctx.now, interest.nonce());
+            self.nonce_journal.record(interest.nonce(), ctx.now);
         }
         let actions = self
             .forwarder
@@ -540,6 +542,11 @@ impl DapesPeer {
     }
 
     fn cancel_pending_where<F: Fn(&Pending) -> bool>(&mut self, ctx: &mut NodeCtx<'_>, pred: F) {
+        // Almost every frame matches nothing: probe before collecting, so
+        // the common case allocates nothing.
+        if !self.pending.values().any(&pred) {
+            return;
+        }
         let ids: Vec<u64> = self
             .pending
             .iter()
@@ -646,7 +653,7 @@ impl DapesPeer {
                     .with_lifetime_ms(2_000)
                     .with_app_parameters(params);
                 if self.cfg.signed_adverts {
-                    self.journal_nonce(ctx.now, interest.nonce());
+                    self.nonce_journal.record(interest.nonce(), ctx.now);
                 }
                 self.stats.bitmaps_sent += 1;
                 self.next_pending += 1;
@@ -739,8 +746,7 @@ impl DapesPeer {
         }
         {
             let mut sh = self.shared.lock().expect("multihop state");
-            let entry = sh.note_peer(info.peer, ctx.now);
-            let _ = entry;
+            sh.note_peer(info.peer, ctx.now);
             for offer in &info.offers {
                 sh.note_neighbor_wants(info.peer, &offer.collection, ctx.now);
             }
@@ -1105,7 +1111,7 @@ impl DapesPeer {
         let rarity = match self.cfg.rpf {
             RpfVariant::LocalNeighborhood => {
                 let bitmaps: Vec<&Bitmap> = sh
-                    .neighbors
+                    .neighbors()
                     .values()
                     .filter_map(|info| info.bitmaps.get(collection))
                     .collect();
@@ -1137,19 +1143,19 @@ impl DapesPeer {
     }
 
     fn refill_fetches(&mut self, ctx: &mut NodeCtx<'_>, collection: &Name) {
-        let interested = {
-            let sh = self.shared.lock().expect("multihop state");
-            sh.neighbors
-                .values()
-                .filter(|i| i.wants.contains(collection) || i.bitmaps.contains_key(collection))
-                .count()
-        };
         let Some(d) = self.downloads.get(collection) else {
             return;
         };
         if d.phase != Phase::Active {
             return;
         }
+        let interested = {
+            let sh = self.shared.lock().expect("multihop state");
+            sh.neighbors()
+                .values()
+                .filter(|i| i.wants.contains(collection) || i.bitmaps.contains_key(collection))
+                .count()
+        };
         if interested == 0 {
             return; // nobody around: pause fetching
         }
@@ -1425,21 +1431,29 @@ impl DapesPeer {
     // ------------------------------------------------------------------
 
     fn tick(&mut self, ctx: &mut NodeCtx<'_>) {
-        self.stats.neighbors_expired +=
-            self.shared.lock().expect("multihop state").sweep(ctx.now) as u64;
-        self.forwarder.expire(ctx.now);
+        // Each sweep is watermarked: it scans only when something it holds
+        // can be due, which `tick_scans` counts.
+        let now = ctx.now;
+        self.stats.ticks += 1;
+        let neighbors = {
+            let mut sh = self.shared.lock().expect("multihop state");
+            self.stats.tick_scans += sh.sweep_due(now) as u64;
+            self.stats.neighbors_expired += sh.sweep(now) as u64;
+            sh.neighbor_count()
+        };
+        self.stats.tick_scans += self.forwarder.pit().expire_due(now) as u64;
+        self.forwarder.expire(now);
         if self.cfg.signed_adverts {
-            self.stats.peers_expired += self.replay.sweep(ctx.now) as u64;
+            self.stats.tick_scans += self.replay.sweep_due(now) as u64;
+            self.stats.peers_expired += self.replay.sweep(now) as u64;
             // Nonce journal retention outlives the replay window by a wide
             // margin so a re-injection is still recognized, then entries
             // age out.
             let keep = SimDuration::from_micros(self.replay_window().as_micros() * 4);
-            let now = ctx.now;
-            self.nonce_journal.retain(|_, &mut t| now.since(t) <= keep);
+            self.nonce_journal.forget_older_than(now, keep);
         }
 
         // Encounter transitions.
-        let neighbors = self.shared.lock().expect("multihop state").neighbor_count();
         if neighbors == 0 && self.encounter_active {
             self.encounter_active = false;
             for d in self.downloads.values_mut() {
@@ -1453,8 +1467,15 @@ impl DapesPeer {
             self.encounter_active = true;
         }
 
-        let collections: Vec<Name> = self.downloads.keys().cloned().collect();
-        for collection in collections {
+        // A finished download's sweep does nothing, so only unfinished
+        // ones are visited — no list is built once every download is done.
+        let unfinished: Vec<Name> = self
+            .downloads
+            .iter()
+            .filter(|(_, d)| d.phase != Phase::Complete)
+            .map(|(collection, _)| collection.clone())
+            .collect();
+        for collection in unfinished {
             self.sweep_download(ctx, &collection);
         }
         ctx.set_timer(self.cfg.tick, TOKEN_TICK);
@@ -1544,7 +1565,7 @@ impl DapesPeer {
                         // neighbors treat it as new.
                         let interest = Interest::new(name).with_nonce(ctx.rng().gen());
                         if self.cfg.signed_adverts {
-                            self.journal_nonce(ctx.now, interest.nonce());
+                            self.nonce_journal.record(interest.nonce(), ctx.now);
                         }
                         let delay_us = ctx
                             .rng()
@@ -2066,37 +2087,16 @@ impl DapesPeer {
             return true;
         };
         if let PacketHeader::Interest(h) = header {
-            match self.nonce_journal.get(&h.nonce) {
-                Some(&first_seen) if ctx.now.since(first_seen) > self.replay_window() => {
+            // A first sighting is journaled; a recent re-hearing is an
+            // honest wireless echo or relay.
+            if let Some(first_seen) = self.nonce_journal.record(h.nonce, ctx.now) {
+                if ctx.now.since(first_seen) > self.replay_window() {
                     self.stats.interests_rejected_replay += 1;
                     return true;
                 }
-                // A recent re-hearing: an honest wireless echo or relay.
-                Some(_) => {}
-                None => self.journal_nonce(ctx.now, h.nonce),
             }
         }
         false
-    }
-
-    /// Records the first-seen time of an Interest nonce (overheard or our
-    /// own transmission), evicting the oldest entry at capacity
-    /// (deterministic: ties break on the smaller nonce).
-    fn journal_nonce(&mut self, now: SimTime, nonce: u32) {
-        if self.nonce_journal.contains_key(&nonce) {
-            return;
-        }
-        if self.nonce_journal.len() >= NONCE_JOURNAL_CAP {
-            if let Some(oldest) = self
-                .nonce_journal
-                .iter()
-                .min_by_key(|(nonce, &t)| (t, **nonce))
-                .map(|(nonce, _)| *nonce)
-            {
-                self.nonce_journal.remove(&oldest);
-            }
-        }
-        self.nonce_journal.insert(nonce, now);
     }
 
     /// Authenticates a bitmap Interest's sealed advertisement before the
@@ -2104,10 +2104,9 @@ impl DapesPeer {
     /// discovery probes carry only the bare prober id and content/metadata
     /// Interests carry no announcement at all.
     fn screen_interest(&mut self, ctx: &mut NodeCtx<'_>, interest: &Interest) -> bool {
-        if !matches!(
-            namespace::classify(interest.name()),
-            Some(DapesName::Bitmap { .. })
-        ) {
+        // Exactly the names `classify` calls `Bitmap`, without building the
+        // classification of the content Interests that are most frames.
+        if namespace::parse_bitmap_name(interest.name()).is_none() {
             return false;
         }
         match interest.app_parameters() {

@@ -60,6 +60,15 @@ pub struct PeerStats {
     /// decoded frame however many handlers consume its verdict, plus one
     /// per packet a Content Store hit served to our own Interest.
     pub signature_checks: u64,
+    /// Housekeeping ticks run (one per `DapesConfig::tick`, whatever the
+    /// node is doing) — the denominator for [`PeerStats::tick_scans`].
+    pub ticks: u64,
+    /// Full scans those ticks actually ran over the expiring tables
+    /// (multi-hop neighbor/suppression/pending maps, PIT, replay guard).
+    /// Each is watermarked and scans only when an entry can be due, so
+    /// this stays far below three per tick; the nonce journal adds none —
+    /// its retention pops expired heads off a time-ordered index.
+    pub tick_scans: u64,
     /// Bitmaps we transmitted (Interests carrying ours plus replies).
     pub bitmaps_sent: u64,
     /// Bitmaps received/overheard from others.

@@ -781,11 +781,6 @@ impl Forwarder {
     pub fn expire(&mut self, now: SimTime) -> Vec<Name> {
         self.pit.expire(now)
     }
-
-    /// The soonest PIT expiry, to drive a cleanup timer.
-    pub fn next_pit_expiry(&self) -> Option<SimTime> {
-        self.pit.next_expiry()
-    }
 }
 
 #[cfg(test)]
@@ -999,7 +994,10 @@ mod tests {
             &interest("/a", 1).with_lifetime_ms(1000),
             FaceId::APP,
         );
-        assert_eq!(f.next_pit_expiry(), Some(now() + SimDuration::from_secs(1)));
+        let lifetime = SimDuration::from_secs(1);
+        let just_before = now() + lifetime.saturating_sub(SimDuration::from_micros(1));
+        assert!(f.expire(just_before).is_empty(), "not due yet");
+        assert!(f.pit().contains(&Name::from_uri("/a")));
         let expired = f.expire(now() + SimDuration::from_secs(2));
         assert_eq!(expired, vec![Name::from_uri("/a")]);
         // Late data is now unsolicited.
@@ -1121,7 +1119,6 @@ mod tests {
             lazy.pit().contains(&Name::from_uri("/nowhere/x")),
             "PIT entry recorded: data flowing past later is still delivered"
         );
-        assert_eq!(lazy.next_pit_expiry(), eager.next_pit_expiry());
         // A nexthop that is only the non-rebroadcast ingress face counts as
         // no usable route too, matching the full pipeline's filter.
         let j = interest("/app/y", 6);
@@ -1131,6 +1128,14 @@ mod tests {
             .expect("ingress-only route suppresses");
         assert!(acts.is_empty());
         assert_eq!(outcome, PeekOutcome::FibNoRoute);
+        // Same expiry on both pipelines: the 1 234 ms entry survives up to
+        // the microsecond before its lifetime ends and goes exactly then.
+        let due = now() + SimDuration::from_millis(1_234);
+        let just_before = now() + SimDuration::from_micros(1_233_999);
+        for f in [&mut lazy, &mut eager] {
+            assert!(f.expire(just_before).is_empty());
+            assert!(f.expire(due).contains(&Name::from_uri("/nowhere/x")));
+        }
     }
 
     #[test]

@@ -25,8 +25,9 @@ pub struct PitEntry {
     pub downstreams: Vec<FaceId>,
     /// Nonces seen for this name (duplicate suppression).
     pub nonces: Vec<u32>,
-    /// When the entry expires.
-    pub expiry: SimTime,
+    /// When the entry expires. Crate-private because [`Pit::expire`]'s
+    /// watermark must see every write: aggregation only ever raises it.
+    pub(crate) expiry: SimTime,
     /// When the Interest was last forwarded upstream (consumer
     /// retransmissions may re-forward after a suppression interval).
     pub last_forward: Option<SimTime>,
@@ -36,6 +37,11 @@ pub struct PitEntry {
 }
 
 impl PitEntry {
+    /// When the entry expires.
+    pub fn expiry(&self) -> SimTime {
+        self.expiry
+    }
+
     /// Approximate bytes of state (Table I memory proxy).
     pub fn state_bytes(&self) -> usize {
         self.name.state_bytes() + self.downstreams.len() * 4 + self.nonces.len() * 4 + 32
@@ -124,12 +130,34 @@ impl Default for Tables {
 /// behaviour-identical but with the old cost model; the scheduler
 /// benchmark's eager modes use it so the baseline keeps pricing the
 /// control plane this generation replaced.
-#[derive(Clone, Debug, Default)]
+///
+/// Expiry is watermarked: `next_due` is a *lower bound* on the earliest
+/// instant [`Pit::expire`] could remove anything. New entries lower it
+/// with `min`, aggregation (which only raises an entry's expiry) and
+/// removals leave it, and only a full scan raises it — to the exact
+/// minimum over the survivors. Below the watermark `expire` returns at
+/// once, so a periodic caller pays for entries that are due, not for
+/// entries that are held.
+#[derive(Clone, Debug)]
 pub struct Pit {
     tables: Tables,
+    next_due: SimTime,
+}
+
+impl Default for Pit {
+    fn default() -> Self {
+        Pit::on(Tables::default())
+    }
 }
 
 impl Pit {
+    fn on(tables: Tables) -> Self {
+        Pit {
+            tables,
+            next_due: SimTime::FAR_FUTURE,
+        }
+    }
+
     /// Creates an empty PIT on the wire-arena tables.
     pub fn new() -> Self {
         Pit::default()
@@ -137,12 +165,10 @@ impl Pit {
 
     /// Creates an empty PIT on the legacy (pre-arena) table generation.
     pub fn legacy() -> Self {
-        Pit {
-            tables: Tables::Legacy {
-                entries: BTreeMap::new(),
-                mirror: HashMap::default(),
-            },
-        }
+        Pit::on(Tables::Legacy {
+            entries: BTreeMap::new(),
+            mirror: HashMap::default(),
+        })
     }
 
     /// Number of pending entries.
@@ -214,6 +240,7 @@ impl Pit {
             ),
             Tables::Legacy { entries, mirror } => match entries.get_mut(name) {
                 None => {
+                    self.next_due = self.next_due.min(expiry);
                     // Encode the name once; entry and mirror share the key.
                     let wire_key: Arc<[u8]> = name.to_wire_value().into();
                     entries.insert(
@@ -327,6 +354,7 @@ impl Pit {
     ) -> &mut PitEntry {
         debug_assert!(!self.contains_wire(name_wire), "caller proved absence");
         debug_assert_eq!(&*name.to_wire_value(), name_wire);
+        self.next_due = self.next_due.min(expiry);
         let wire_key: Arc<[u8]> = name_wire.into();
         match &mut self.tables {
             Tables::Wire { arena, index } => {
@@ -533,55 +561,57 @@ impl Pit {
         }
     }
 
+    /// Whether [`Pit::expire`] at `now` would scan the table — `false`
+    /// while `now` is below the watermark, when it is known to remove
+    /// nothing.
+    pub fn expire_due(&self, now: SimTime) -> bool {
+        now >= self.next_due
+    }
+
     /// Removes entries that expired at or before `now`, returning their
     /// names in canonical order (DAPES pure forwarders start suppression
     /// timers off these, and callers may arm per-name timers — the sort
     /// keeps that order independent of hash-map iteration, and identical
     /// to the legacy tables' ordered-map walk). Each expired entry leaves
     /// the arena *and* the wire index, so a stale dup-nonce/PIT-match can
-    /// never be reported for an expired Interest.
+    /// never be reported for an expired Interest. Returns without looking
+    /// at the table (and without allocating) while nothing can be due.
     pub fn expire(&mut self, now: SimTime) -> Vec<Name> {
+        if !self.expire_due(now) {
+            return Vec::new();
+        }
+        let mut expired = Vec::new();
+        let mut next_due = SimTime::FAR_FUTURE;
         match &mut self.tables {
             Tables::Wire { arena, index } => {
-                let mut expired = Vec::new();
                 index.retain(|_, &mut handle| {
-                    if arena.get(handle).expect("indexed handles are live").expiry <= now {
+                    let expiry = arena.get(handle).expect("indexed handles are live").expiry;
+                    if expiry <= now {
                         let mut e = arena.remove(handle).expect("just read");
                         expired.push(std::mem::take(&mut e.name));
                         false
                     } else {
+                        next_due = next_due.min(expiry);
                         true
                     }
                 });
                 expired.sort_unstable();
-                expired
             }
             Tables::Legacy { entries, mirror } => {
-                let mut expired = Vec::new();
-                let mut expired_keys = Vec::new();
                 entries.retain(|_, e| {
                     if e.expiry <= now {
                         expired.push(std::mem::take(&mut e.name));
-                        expired_keys.push(e.wire_key.clone());
+                        mirror.remove(&*e.wire_key);
                         false
                     } else {
+                        next_due = next_due.min(e.expiry);
                         true
                     }
                 });
-                for key in expired_keys {
-                    mirror.remove(&*key);
-                }
-                expired
             }
         }
-    }
-
-    /// The soonest expiry among pending entries, to drive a cleanup timer.
-    pub fn next_expiry(&self) -> Option<SimTime> {
-        match &self.tables {
-            Tables::Wire { arena, .. } => arena.values().map(|e| e.expiry).min(),
-            Tables::Legacy { entries, .. } => entries.values().map(|e| e.expiry).min(),
-        }
+        self.next_due = next_due;
+        expired
     }
 }
 
@@ -724,11 +754,44 @@ mod tests {
         let mut pit = Pit::new();
         pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
         pit.insert(&name("/b"), 2, false, FaceId::APP, t(8));
-        assert_eq!(pit.next_expiry(), Some(t(4)));
+        assert!(!pit.expire_due(t(3)), "first expiry is t=4");
+        assert_eq!(pit.expire(t(3)), Vec::<Name>::new());
+        assert_eq!(pit.len(), 2);
         let expired = pit.expire(t(5));
         assert_eq!(expired, vec![name("/a")]);
         assert_eq!(pit.len(), 1);
         assert_eq!(pit.expire(t(5)), Vec::<Name>::new());
+        assert!(
+            !pit.expire_due(t(7)),
+            "the scan raised the watermark to t=8"
+        );
+        assert_eq!(pit.expire(t(8)), vec![name("/b")]);
+        assert!(pit.is_empty());
+    }
+
+    #[test]
+    fn aggregation_cannot_hide_an_entry_and_an_earlier_insert_lowers_the_watermark() {
+        for mut pit in [Pit::new(), Pit::legacy()] {
+            assert!(!pit.expire_due(t(3600)), "nothing pending");
+            pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
+            // Aggregating a shorter lifetime keeps the later expiry.
+            pit.insert(&name("/a"), 2, false, FaceId::WIRELESS, t(2));
+            assert_eq!(pit.expire(t(3)), Vec::<Name>::new());
+            assert!(pit.contains(&name("/a")));
+            pit.insert(&name("/b"), 3, false, FaceId::APP, t(9));
+            assert_eq!(pit.expire(t(4)), vec![name("/a")]);
+            assert!(!pit.expire_due(t(8)), "the scan found /b due at t=9");
+            // An entry due before the watermark pulls it back down.
+            pit.insert(&name("/c"), 4, false, FaceId::APP, t(6));
+            assert!(pit.expire_due(t(6)));
+            assert_eq!(pit.expire(t(6)), vec![name("/c")]);
+            // Entries consumed by Data leave the watermark where it was:
+            // the next sweep scans an empty table once and then rests.
+            assert_eq!(pit.take_matching(&name("/b")).len(), 1);
+            assert!(pit.expire_due(t(9)));
+            assert_eq!(pit.expire(t(9)), Vec::<Name>::new());
+            assert!(!pit.expire_due(t(3600)));
+        }
     }
 
     #[test]

@@ -1077,3 +1077,571 @@ mod fault_properties {
         }
     }
 }
+
+mod watermark_properties {
+    //! Differential tests for the deadline-watermarked sweeps and the
+    //! in-place name classification: each structure is driven through a
+    //! random operation sequence beside a *full-scan model* — the sweep
+    //! body it had before the watermark, over plain maps — and must agree
+    //! with it on every return value and on the surviving state at every
+    //! step. The models are the oracles; no production code scans like
+    //! this any more.
+
+    use dapes_core::auth::{NonceJournal, ReplayGuard, ReplayVerdict};
+    use dapes_core::multihop::{MultihopState, NodeRole};
+    use dapes_core::namespace::{self, DapesName};
+    use dapes_crypto::signing::KeyId;
+    use dapes_ndn::face::FaceId;
+    use dapes_ndn::name::{Component, Name};
+    use dapes_ndn::pit::{Pit, PitInsert};
+    use dapes_netsim::time::{SimDuration, SimTime};
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Names that exercise exact, prefix and root matches against each other.
+    fn name_pool() -> Vec<Name> {
+        ["/", "/a", "/a/b", "/a/b/c", "/a/x", "/b", "/b/c/d", "/c"]
+            .iter()
+            .map(|uri| Name::from_uri(uri))
+            .collect()
+    }
+
+    /// What the model remembers of one PIT entry.
+    #[derive(Clone, Debug, PartialEq)]
+    struct ModelEntry {
+        can_be_prefix: bool,
+        downstreams: Vec<FaceId>,
+        nonces: Vec<u32>,
+        expiry: SimTime,
+    }
+
+    /// The PIT as an ordered map with a full-scan `expire`.
+    #[derive(Default)]
+    struct PitModel(BTreeMap<Name, ModelEntry>);
+
+    impl PitModel {
+        fn insert(
+            &mut self,
+            name: &Name,
+            nonce: u32,
+            cbp: bool,
+            face: FaceId,
+            expiry: SimTime,
+        ) -> PitInsert {
+            match self.0.get_mut(name) {
+                None => {
+                    self.0.insert(
+                        name.clone(),
+                        ModelEntry {
+                            can_be_prefix: cbp,
+                            downstreams: vec![face],
+                            nonces: vec![nonce],
+                            expiry,
+                        },
+                    );
+                    PitInsert::New
+                }
+                Some(e) if e.nonces.contains(&nonce) => PitInsert::DuplicateNonce,
+                Some(e) => {
+                    e.nonces.push(nonce);
+                    e.can_be_prefix |= cbp;
+                    e.expiry = e.expiry.max(expiry);
+                    if !e.downstreams.contains(&face) {
+                        e.downstreams.push(face);
+                    }
+                    PitInsert::Aggregated
+                }
+            }
+        }
+
+        /// Exact entry first, then CanBePrefix prefixes shortest-first.
+        fn take_matching(&mut self, data_name: &Name) -> Vec<(Name, ModelEntry)> {
+            let mut matched = Vec::new();
+            if let Some(e) = self.0.remove(data_name) {
+                matched.push((data_name.clone(), e));
+            }
+            for k in 0..data_name.len() {
+                let prefix = data_name.prefix(k);
+                if self.0.get(&prefix).is_some_and(|e| e.can_be_prefix) {
+                    let e = self.0.remove(&prefix).expect("just checked");
+                    matched.push((prefix, e));
+                }
+            }
+            matched
+        }
+
+        fn expire(&mut self, now: SimTime) -> Vec<Name> {
+            let mut expired = Vec::new();
+            self.0.retain(|name, e| {
+                if e.expiry <= now {
+                    expired.push(name.clone());
+                    false
+                } else {
+                    true
+                }
+            });
+            expired
+        }
+    }
+
+    /// The multi-hop expiring maps with the pre-watermark sweep body.
+    struct MultihopModel {
+        neighbors: BTreeMap<u32, SimTime>,
+        suppressed: BTreeMap<Name, SimTime>,
+        pending: BTreeMap<Name, SimTime>,
+        successes: u64,
+        failures: u64,
+        response: SimDuration,
+        suppress: SimDuration,
+        neighbor: SimDuration,
+    }
+
+    impl MultihopModel {
+        fn sweep(&mut self, now: SimTime) -> usize {
+            let timeout = self.response;
+            let mut to_suppress = Vec::new();
+            self.pending.retain(|name, &mut at| {
+                if now.since(at) > timeout {
+                    to_suppress.push(name.clone());
+                    false
+                } else {
+                    true
+                }
+            });
+            for name in to_suppress {
+                self.failures += 1;
+                self.suppressed.insert(name, now + self.suppress);
+            }
+            self.suppressed.retain(|_, &mut until| until > now);
+            let nt = self.neighbor;
+            let before = self.neighbors.len();
+            self.neighbors
+                .retain(|_, &mut heard| now.since(heard) <= nt);
+            before - self.neighbors.len()
+        }
+    }
+
+    /// The replay table with the pre-watermark eviction and sweep.
+    struct ReplayModel {
+        marks: BTreeMap<u64, (u64, SimTime)>,
+        capacity: usize,
+        window: SimDuration,
+        ttl: SimDuration,
+    }
+
+    impl ReplayModel {
+        fn check(&mut self, key: u64, ts: u64, now: SimTime) -> ReplayVerdict {
+            if now.as_micros().saturating_sub(ts) > self.window.as_micros() {
+                return ReplayVerdict::Replayed;
+            }
+            if let Some(&(mark, _)) = self.marks.get(&key) {
+                if ts == mark {
+                    return ReplayVerdict::Duplicate;
+                }
+                if ts < mark {
+                    return ReplayVerdict::Replayed;
+                }
+            }
+            if !self.marks.contains_key(&key) && self.marks.len() >= self.capacity {
+                let stalest = self
+                    .marks
+                    .iter()
+                    .min_by_key(|(id, &(_, heard))| (heard, **id))
+                    .map(|(id, _)| *id)
+                    .expect("non-empty at capacity");
+                self.marks.remove(&stalest);
+            }
+            self.marks.insert(key, (ts, now));
+            ReplayVerdict::Fresh
+        }
+
+        fn sweep(&mut self, now: SimTime) -> usize {
+            let before = self.marks.len();
+            let ttl = self.ttl;
+            self.marks
+                .retain(|_, &mut (_, heard)| now.since(heard) <= ttl);
+            before - self.marks.len()
+        }
+    }
+
+    /// The nonce journal as one map: `min_by_key((time, nonce))` eviction
+    /// and a `retain` over everything, as `DapesPeer` used to do.
+    #[derive(Default)]
+    struct JournalModel(BTreeMap<u32, SimTime>);
+
+    impl JournalModel {
+        fn record(&mut self, nonce: u32, now: SimTime, capacity: usize) {
+            if self.0.contains_key(&nonce) {
+                return;
+            }
+            if self.0.len() >= capacity {
+                let oldest = self
+                    .0
+                    .iter()
+                    .min_by_key(|(nonce, &t)| (t, **nonce))
+                    .map(|(nonce, _)| *nonce)
+                    .expect("non-empty at capacity");
+                self.0.remove(&oldest);
+            }
+            self.0.insert(nonce, now);
+        }
+
+        fn forget_older_than(&mut self, now: SimTime, keep: SimDuration) -> usize {
+            let before = self.0.len();
+            self.0.retain(|_, &mut t| now.since(t) <= keep);
+            before - self.0.len()
+        }
+    }
+
+    /// `namespace::classify` as it was when it built `/dapes/discovery`
+    /// and `/dapes/bitmap` through `Name::from_uri` on every call.
+    fn classify_oracle(name: &Name) -> Option<DapesName> {
+        if namespace::discovery_prefix().is_prefix_of(name) {
+            let replier = name.component(2).and_then(|c| c.to_seq()).map(|s| s as u32);
+            return Some(DapesName::Discovery { replier });
+        }
+        if let Some((collection, origin, round, replier)) = parse_bitmap_oracle(name) {
+            return Some(DapesName::Bitmap {
+                collection,
+                origin,
+                round,
+                replier,
+            });
+        }
+        if name.len() >= 3 {
+            let c1 = name.component(1)?;
+            if c1.as_bytes() == namespace::METADATA_FILE.as_bytes() {
+                return Some(DapesName::Metadata {
+                    collection: name.prefix(1),
+                    metadata: name.prefix(3),
+                    segment: name.component(3).and_then(|c| c.to_seq()),
+                });
+            }
+        }
+        if name.len() == 3 {
+            let seq = name.component(2)?.to_seq()?;
+            let file = std::str::from_utf8(name.component(1)?.as_bytes())
+                .ok()?
+                .to_owned();
+            return Some(DapesName::Content {
+                collection: name.prefix(1),
+                file,
+                seq,
+            });
+        }
+        None
+    }
+
+    fn parse_bitmap_oracle(name: &Name) -> Option<(Name, u32, u64, Option<u32>)> {
+        if !namespace::bitmap_prefix().is_prefix_of(name) || name.len() < 5 {
+            return None;
+        }
+        let collection = Name::from_uri(std::str::from_utf8(name.component(2)?.as_bytes()).ok()?);
+        let origin = name.component(3)?.to_seq()? as u32;
+        let round = name.component(4)?.to_seq()?;
+        let replier = name.component(5).and_then(|c| c.to_seq()).map(|s| s as u32);
+        Some((collection, origin, round, replier))
+    }
+
+    /// Components chosen so every arm of `classify` — and every way of
+    /// almost reaching one — comes up often.
+    fn component_pool() -> Vec<Vec<u8>> {
+        let mut pool: Vec<Vec<u8>> = [
+            "dapes",
+            "discovery",
+            "bitmap",
+            "metadata-file",
+            "A23D1F9B",
+            "catalog",
+            "col-1533783192",
+            "/area/col-1",
+            "pic",
+            "0",
+            "7",
+            "4294967296",
+            "18446744073709551616",
+            "-1",
+            "seven",
+            "dapesx",
+        ]
+        .iter()
+        .map(|s| s.as_bytes().to_vec())
+        .collect();
+        pool.push(vec![0xff, 0xfe, b'f']);
+        pool.push(vec![0xc3, 0x28]);
+        pool
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn pit_expiry_matches_a_full_scan_model_on_both_table_generations(
+            ops in proptest::collection::vec((0u8..6, 0usize..8, 0u32..5, 0u64..1_500), 1..160),
+        ) {
+            let pool = name_pool();
+            for mut pit in [Pit::new(), Pit::legacy()] {
+                let mut model = PitModel::default();
+                let mut now = SimTime::from_secs(1);
+                for &(op, which, nonce, ms) in &ops {
+                    let name = &pool[which];
+                    match op {
+                        0..=2 => {
+                            let cbp = nonce % 2 == 1;
+                            let face = if ms % 2 == 0 { FaceId::APP } else { FaceId::WIRELESS };
+                            let expiry = now + SimDuration::from_millis(1 + ms);
+                            prop_assert_eq!(
+                                pit.insert(name, nonce, cbp, face, expiry),
+                                model.insert(name, nonce, cbp, face, expiry)
+                            );
+                        }
+                        3 => {
+                            let got = pit.take_matching(name);
+                            let want = model.take_matching(name);
+                            prop_assert_eq!(got.len(), want.len());
+                            for (g, (wname, w)) in got.iter().zip(&want) {
+                                prop_assert_eq!(&g.name, wname);
+                                prop_assert_eq!(g.can_be_prefix, w.can_be_prefix);
+                                prop_assert_eq!(&g.downstreams, &w.downstreams);
+                                prop_assert_eq!(&g.nonces, &w.nonces);
+                                prop_assert_eq!(g.expiry(), w.expiry);
+                            }
+                        }
+                        _ => {
+                            // Half the sweeps find the clock where they left it.
+                            if op == 4 {
+                                now += SimDuration::from_millis(ms);
+                            }
+                            let would_scan = pit.expire_due(now);
+                            let want = model.expire(now);
+                            prop_assert!(would_scan || want.is_empty(), "skipped a due entry");
+                            prop_assert_eq!(pit.expire(now), want);
+                        }
+                    }
+                    prop_assert_eq!(pit.len(), model.0.len());
+                    for probe in &pool {
+                        prop_assert_eq!(pit.contains(probe), model.0.contains_key(probe));
+                        let wire = probe.to_wire_value();
+                        for nonce in 0..5 {
+                            prop_assert_eq!(
+                                pit.has_nonce_wire(&wire, nonce),
+                                model.0.get(probe).is_some_and(|e| e.nonces.contains(&nonce))
+                            );
+                        }
+                    }
+                }
+                // Everything left expires, in canonical order, at the end of time.
+                prop_assert_eq!(pit.expire(SimTime::FAR_FUTURE), model.expire(SimTime::FAR_FUTURE));
+                prop_assert!(pit.is_empty());
+            }
+        }
+
+        #[test]
+        fn multihop_sweep_matches_a_full_scan_model(
+            ops in proptest::collection::vec((0u8..8, 0usize..8, 0u64..900), 1..200),
+        ) {
+            let pool = name_pool();
+            let (response, suppress, neighbor) = (
+                SimDuration::from_millis(400),
+                SimDuration::from_millis(1_100),
+                SimDuration::from_millis(2_000),
+            );
+            let mut ms = MultihopState::new(NodeRole::Dapes, true, 0.2, 3)
+                .with_timeouts(response, suppress, neighbor);
+            let mut model = MultihopModel {
+                neighbors: BTreeMap::new(),
+                suppressed: BTreeMap::new(),
+                pending: BTreeMap::new(),
+                successes: 0,
+                failures: 0,
+                response,
+                suppress,
+                neighbor,
+            };
+            let mut now = SimTime::from_secs(1);
+            let collection = Name::from_uri("/col");
+            for &(op, which, step) in &ops {
+                let name = &pool[which];
+                let peer = which as u32 % 4;
+                match op {
+                    0 => {
+                        ms.note_peer(peer, now);
+                        model.neighbors.insert(peer, now);
+                    }
+                    1 => {
+                        ms.note_neighbor_wants(peer, &collection, now);
+                        model.neighbors.insert(peer, now);
+                    }
+                    2 => {
+                        ms.note_neighbor_has(peer, &collection, which, now);
+                        model.neighbors.insert(peer, now);
+                    }
+                    3 => {
+                        ms.note_forwarded(name, now);
+                        model.pending.entry(name.clone()).or_insert(now);
+                    }
+                    4 => {
+                        ms.note_data_seen(name);
+                        if model.pending.remove(name).is_some() {
+                            model.successes += 1;
+                        }
+                        model.suppressed.remove(name);
+                    }
+                    _ => {
+                        // One sweep in three finds the clock where it left it.
+                        if op != 5 {
+                            now += SimDuration::from_millis(step);
+                        }
+                        let would_scan = ms.sweep_due(now);
+                        let (before_p, before_s) = (model.pending.len(), model.suppressed.len());
+                        let want = model.sweep(now);
+                        let removed_any = want > 0
+                            || model.pending.len() != before_p
+                            || model.suppressed.len() != before_s;
+                        prop_assert!(would_scan || !removed_any, "skipped a due entry");
+                        prop_assert_eq!(ms.sweep(now), want);
+                    }
+                }
+                let heard: BTreeMap<u32, SimTime> = ms
+                    .neighbors()
+                    .iter()
+                    .map(|(&p, info)| (p, info.last_heard))
+                    .collect();
+                prop_assert_eq!(&heard, &model.neighbors);
+                prop_assert_eq!(ms.neighbor_count(), model.neighbors.len());
+                prop_assert_eq!(ms.suppressed(), &model.suppressed);
+                prop_assert_eq!(ms.pending_response(), &model.pending);
+                prop_assert_eq!(ms.forward_successes, model.successes);
+                prop_assert_eq!(ms.forward_failures, model.failures);
+            }
+        }
+
+        #[test]
+        fn replay_guard_sweep_matches_a_full_scan_model(
+            ops in proptest::collection::vec((0u8..4, 0u64..7, 0u64..4_000), 1..200),
+        ) {
+            let (window, ttl) = (SimDuration::from_secs(2), SimDuration::from_secs(5));
+            let mut guard = ReplayGuard::new(4, window, ttl);
+            let mut model = ReplayModel { marks: BTreeMap::new(), capacity: 4, window, ttl };
+            let mut now = SimTime::from_secs(10);
+            for &(op, key, step) in &ops {
+                match op {
+                    0 | 1 => {
+                        // Stamps near `now`, some stale enough to be refused.
+                        let ts = now.as_micros().saturating_sub(step * 1_000);
+                        prop_assert_eq!(
+                            guard.check(KeyId(key), ts, now),
+                            model.check(key, ts, now)
+                        );
+                    }
+                    _ => {
+                        if op == 2 {
+                            now += SimDuration::from_millis(step);
+                        }
+                        let would_scan = guard.sweep_due(now);
+                        let want = model.sweep(now);
+                        prop_assert!(would_scan || want == 0, "skipped a due mark");
+                        prop_assert_eq!(guard.sweep(now), want);
+                    }
+                }
+                prop_assert_eq!(guard.len(), model.marks.len());
+                for key in 0..7 {
+                    prop_assert_eq!(
+                        guard.mark(KeyId(key)),
+                        model.marks.get(&key).map(|&(mark, _)| mark)
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn nonce_journal_matches_a_full_scan_model_through_ties_and_eviction(
+            ops in proptest::collection::vec((0u8..5, 0u32..40, 0u64..3), 1..300),
+        ) {
+            const CAPACITY: usize = 8;
+            let keep = SimDuration::from_millis(6);
+            let mut journal = NonceJournal::new(CAPACITY);
+            let mut model = JournalModel::default();
+            let mut now = SimTime::from_secs(1);
+            for &(op, nonce, step) in &ops {
+                // Steps of 0–2 ms over a 6 ms horizon: plenty of equal
+                // timestamps, and the cap of 8 is hit long before age is.
+                now += SimDuration::from_millis(step);
+                if op == 0 {
+                    prop_assert_eq!(
+                        journal.forget_older_than(now, keep),
+                        model.forget_older_than(now, keep)
+                    );
+                } else {
+                    let earlier = model.0.get(&nonce).copied();
+                    prop_assert_eq!(journal.record(nonce, now), earlier);
+                    model.record(nonce, now, CAPACITY);
+                }
+                prop_assert_eq!(journal.len(), model.0.len());
+                prop_assert!(journal.len() <= CAPACITY);
+                for probe in 0..40 {
+                    prop_assert_eq!(journal.first_seen(probe), model.0.get(&probe).copied());
+                }
+            }
+        }
+
+        #[test]
+        fn classify_matches_the_prefix_building_oracle(
+            picks in proptest::collection::vec(any::<usize>(), 0..7),
+        ) {
+            let pool = component_pool();
+            let name = Name::from_components(
+                picks
+                    .iter()
+                    .map(|&i| Component::from_bytes(pool[i % pool.len()].clone()))
+                    .collect(),
+            );
+            prop_assert_eq!(namespace::classify(&name), classify_oracle(&name));
+            prop_assert_eq!(namespace::parse_bitmap_name(&name), parse_bitmap_oracle(&name));
+        }
+    }
+
+    /// The generated names above reach each arm by chance; these reach
+    /// each one, and each near miss, on purpose.
+    #[test]
+    fn classify_matches_the_oracle_on_every_arm_and_near_miss() {
+        let uris = [
+            "/",
+            "/dapes",
+            "/dapes/discovery",
+            "/dapes/discovery/7",
+            "/dapes/discovery/seven",
+            "/dapes/discovery/7/8/9",
+            "/dapes/bitmap",
+            "/dapes/bitmap/5",
+            "/dapes/bitmap/%2Fcol/3",
+            "/dapes/bitmap/%2Fcol/3/12",
+            "/dapes/bitmap/%2Fcol/3/12/9",
+            "/dapes/bitmap/%2Farea%2Fcol/3/12/nine",
+            "/dapes/bitmap/%2Fcol/three/12",
+            "/dapes/bitmap/%2Fcol/3/twelve",
+            "/dapes/bitmap/%FF%FE/3/12",
+            "/dapes/bitmap/metadata-file/3/12",
+            "/dapes/metadata-file/A23D1F9B/2",
+            "/dapesx/bitmap/%2Fcol/3/12",
+            "/col/metadata-file/A23D1F9B",
+            "/col/metadata-file/A23D1F9B/2",
+            "/col/metadata-file/A23D1F9B/two",
+            "/col/pic/0",
+            "/col/pic/catalog",
+            "/col/%FF%FE/0",
+            "/col/pic/18446744073709551616",
+            "/col/pic",
+            "/col/a/b/c/d",
+        ];
+        for uri in uris {
+            let name = Name::from_uri(uri);
+            assert_eq!(namespace::classify(&name), classify_oracle(&name), "{uri}");
+            assert_eq!(
+                namespace::parse_bitmap_name(&name),
+                parse_bitmap_oracle(&name),
+                "{uri}"
+            );
+        }
+    }
+}
