@@ -2,9 +2,10 @@
 //!
 //! Every node keeps *short-lived knowledge* about the data available around
 //! it, fed by overheard discovery replies, bitmap exchanges and Data
-//! transmissions. The [`DapesStrategy`] plugs into the NDN forwarder and
-//! decides, per received Interest, whether re-broadcasting it is likely to
-//! bring data back:
+//! transmissions. That knowledge, [`MultihopState`], *is* the NDN
+//! forwarder's [`Strategy`]: the peer's forwarder owns it by value, the peer
+//! reaches it through `Forwarder::strategy_mut`, and per received Interest
+//! it decides whether re-broadcasting is likely to bring data back:
 //!
 //! * **Pure forwarders** (§V-A) know nothing of DAPES semantics: they
 //!   forward probabilistically after a random delay, cache overheard Data,
@@ -13,6 +14,10 @@
 //!   content Interest is forwarded when some neighbor advertises the packet
 //!   and suppressed when the local knowledge says nobody has it, falling
 //!   back to the probabilistic scheme when ignorant.
+//!
+//! The state also keeps the node's own *holdings* — per collection, the
+//! catalog's packet index and the bitmap of packets held — once, for the
+//! strategy and for the peer's fetch and serve paths alike.
 
 use crate::bitmap::Bitmap;
 use crate::due_after;
@@ -27,7 +32,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
 
 /// What a node understands about DAPES.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -60,9 +65,9 @@ impl NeighborInfo {
     }
 }
 
-/// Shared multi-hop state: knowledge store, suppression timers, and the
-/// forwarding-accuracy bookkeeping behind the paper's "83 % of forwarded
-/// Interests brought data back" claim.
+/// A node's multi-hop state: knowledge store, own holdings, suppression
+/// timers, and the forwarding-accuracy bookkeeping behind the paper's "83 %
+/// of forwarded Interests brought data back" claim.
 ///
 /// The three expiring maps (neighbors, suppressions, pending forwards) and
 /// their timeouts are private because [`MultihopState::sweep`] is
@@ -82,12 +87,11 @@ pub struct MultihopState {
     pub forward_prob: f64,
     /// Per-neighbor knowledge.
     neighbors: BTreeMap<u32, NeighborInfo>,
-    /// Packet indices for collections whose metadata we hold, needed to
-    /// interpret bitmap bits.
-    pub indices: BTreeMap<Name, PacketIndex>,
-    /// Bits we ourselves hold per collection (so the strategy does not
-    /// re-broadcast Interests the application can answer).
-    pub have: BTreeMap<Name, Bitmap>,
+    /// Per collection whose catalog we hold: its packet index and the bits
+    /// we ourselves hold (so the strategy does not re-broadcast Interests
+    /// the application can answer). The bitmap is as long as the index has
+    /// packets; only the holdings methods change the pair.
+    holdings: BTreeMap<Name, (PacketIndex, Bitmap)>,
     /// Suppressed names and when the suppression lapses.
     suppressed: BTreeMap<Name, SimTime>,
     /// Interests we forwarded and when, awaiting a data response.
@@ -115,8 +119,7 @@ impl MultihopState {
             enabled,
             forward_prob,
             neighbors: BTreeMap::new(),
-            indices: BTreeMap::new(),
-            have: BTreeMap::new(),
+            holdings: BTreeMap::new(),
             suppressed: BTreeMap::new(),
             pending_response: BTreeMap::new(),
             forward_successes: 0,
@@ -159,6 +162,52 @@ impl MultihopState {
     /// Interests we forwarded and when, awaiting a data response.
     pub fn pending_response(&self) -> &BTreeMap<Name, SimTime> {
         &self.pending_response
+    }
+
+    /// Installs a collection's catalog index together with the packets
+    /// already held, replacing any earlier holdings for it. Panics if
+    /// `have` does not cover exactly the index's packets.
+    pub fn install_holdings(&mut self, collection: Name, index: PacketIndex, have: Bitmap) {
+        assert_eq!(have.len(), index.total_packets(), "bitmap/index mismatch");
+        self.holdings.insert(collection, (index, have));
+    }
+
+    /// Marks packet `idx` of `collection` held (a verified segment).
+    pub fn set_held(&mut self, collection: &Name, idx: usize) {
+        if let Some((_, have)) = self.holdings.get_mut(collection) {
+            have.set(idx);
+        }
+    }
+
+    /// Drops `range` of `collection` (a file that failed verification).
+    pub fn clear_held(&mut self, collection: &Name, range: Range<usize>) {
+        if let Some((_, have)) = self.holdings.get_mut(collection) {
+            range.for_each(|i| have.clear(i));
+        }
+    }
+
+    /// Adds every packet of `other` to `collection`'s holdings (segments
+    /// salvaged from a crashed incarnation).
+    pub fn union_held(&mut self, collection: &Name, other: &Bitmap) {
+        if let Some((_, have)) = self.holdings.get_mut(collection) {
+            have.union_with(other);
+        }
+    }
+
+    /// The packets of `collection` this node holds.
+    pub fn held(&self, collection: &Name) -> Option<&Bitmap> {
+        self.holdings.get(collection).map(|(_, have)| have)
+    }
+
+    /// The packet index of `collection`'s catalog, once installed.
+    pub fn index(&self, collection: &Name) -> Option<&PacketIndex> {
+        self.holdings.get(collection).map(|(index, _)| index)
+    }
+
+    /// Global packet index of content name `/<collection>/<file>/<seq>`
+    /// under the collection's catalog, once we hold it.
+    pub fn content_index(&self, collection: &Name, file: &str, seq: u64) -> Option<usize> {
+        self.index(collection)?.global_index(file, seq)
     }
 
     /// Notes that `peer` was heard at `now`.
@@ -405,11 +454,9 @@ impl MultihopState {
             }) => {
                 // If we can answer ourselves, the application will; no
                 // re-broadcast needed.
-                if let (Some(idx), Some(have)) =
-                    (self.indices.get(&collection), self.have.get(&collection))
-                {
-                    if let Some(g) = idx.global_index(&file, seq) {
-                        if g < have.len() && have.get(g) {
+                if let Some((index, have)) = self.holdings.get(&collection) {
+                    if let Some(g) = index.global_index(&file, seq) {
+                        if have.get(g) {
                             return Some(false);
                         }
                         return Some(match self.neighbor_has_packet(&collection, g) {
@@ -442,98 +489,22 @@ impl MultihopState {
             Some(DapesName::Discovery { .. }) | None => Some(self.probabilistic()),
         }
     }
-}
 
-/// The forwarder strategy wired to the shared [`MultihopState`].
-///
-/// Interests from the local application are always sent to the wireless
-/// face; Interests heard from the air are delivered to the application (if
-/// the FIB says so) and re-broadcast only when [`MultihopState`] approves.
-pub struct DapesStrategy {
-    shared: Arc<Mutex<MultihopState>>,
-}
-
-impl DapesStrategy {
-    /// Creates the strategy around shared state.
-    pub fn new(shared: Arc<Mutex<MultihopState>>) -> Self {
-        DapesStrategy { shared }
-    }
-}
-
-impl Strategy for DapesStrategy {
-    fn decide(
+    /// The face loop of both strategy entry points: every next hop is kept
+    /// except the wireless one for an Interest heard from the air, which
+    /// `approve` gates (`None` defers the whole decision) — at most once,
+    /// as the FIB hands over each face at most once.
+    fn gate(
         &mut self,
-        interest: &Interest,
         ingress: FaceId,
         nexthops: &[FaceId],
-        now: SimTime,
-    ) -> Decision {
-        let mut faces = Vec::new();
-        for &face in nexthops {
-            match face {
-                FaceId::APP => faces.push(FaceId::APP),
-                FaceId::WIRELESS => {
-                    if ingress == FaceId::APP {
-                        // Our own Interest: always goes to the air.
-                        faces.push(FaceId::WIRELESS);
-                    } else if self
-                        .shared
-                        .lock()
-                        .expect("multihop state")
-                        .should_forward(interest, now)
-                    {
-                        faces.push(FaceId::WIRELESS);
-                    }
-                }
-                other => faces.push(other),
-            }
-        }
-        if faces.is_empty() {
-            Decision::Suppress
-        } else {
-            Decision::Forward(faces)
-        }
-    }
-
-    /// With no next hops the loop above never consults the shared state (or
-    /// its RNG), so the empty-FIB decision is statically `Suppress` — which
-    /// lets the forwarder's header-only fast path drop not-for-me Interests
-    /// without a full decode.
-    fn decide_no_nexthops(&mut self, _ingress: FaceId, _now: SimTime) -> Option<Decision> {
-        Some(Decision::Suppress)
-    }
-
-    /// Name-only mirror of [`DapesStrategy::decide`], enabling the
-    /// forwarder's decode-free relay path. The FIB hands over each face at
-    /// most once, so at most one `should_forward_named` call happens per
-    /// decision; when it defers (`None`, bitmap Interests) no state was
-    /// touched and the full pipeline re-runs `decide` against an untouched
-    /// strategy.
-    fn decide_header(
-        &mut self,
-        name: &Name,
-        ingress: FaceId,
-        nexthops: &[FaceId],
-        now: SimTime,
+        mut approve: impl FnMut(&mut Self) -> Option<bool>,
     ) -> Option<Decision> {
         let mut faces = Vec::new();
         for &face in nexthops {
-            match face {
-                FaceId::APP => faces.push(FaceId::APP),
-                FaceId::WIRELESS => {
-                    if ingress == FaceId::APP {
-                        // Our own Interest: always goes to the air.
-                        faces.push(FaceId::WIRELESS);
-                    } else if self
-                        .shared
-                        .lock()
-                        .expect("multihop state")
-                        .should_forward_named(name, now)?
-                    {
-                        faces.push(FaceId::WIRELESS);
-                    }
-                }
-                other => faces.push(other),
+            // Our own Interest always goes to the air.
+            if face != FaceId::WIRELESS || ingress == FaceId::APP || approve(self)? {
+                faces.push(face);
             }
         }
         Some(if faces.is_empty() {
@@ -541,6 +512,46 @@ impl Strategy for DapesStrategy {
         } else {
             Decision::Forward(faces)
         })
+    }
+}
+
+/// Interests from the local application are always sent to the wireless
+/// face; Interests heard from the air are delivered to the application (if
+/// the FIB says so) and re-broadcast only when the knowledge approves.
+impl Strategy for MultihopState {
+    fn decide(
+        &mut self,
+        interest: &Interest,
+        ingress: FaceId,
+        nexthops: &[FaceId],
+        now: SimTime,
+    ) -> Decision {
+        self.gate(ingress, nexthops, |ms| {
+            Some(ms.should_forward(interest, now))
+        })
+        .expect("the full decision never defers")
+    }
+
+    /// With no next hops the face loop never consults the knowledge (or its
+    /// RNG), so the empty-FIB decision is statically `Suppress` — which
+    /// lets the forwarder's header-only fast path drop not-for-me Interests
+    /// without a full decode.
+    fn decide_no_nexthops(&mut self, _ingress: FaceId, _now: SimTime) -> Option<Decision> {
+        Some(Decision::Suppress)
+    }
+
+    /// Name-only mirror of `decide`, enabling the forwarder's decode-free
+    /// relay path. When `should_forward_named` defers (`None`, bitmap
+    /// Interests) no state was touched and the full pipeline re-runs
+    /// `decide` against an untouched strategy.
+    fn decide_header(
+        &mut self,
+        name: &Name,
+        ingress: FaceId,
+        nexthops: &[FaceId],
+        now: SimTime,
+    ) -> Option<Decision> {
+        self.gate(ingress, nexthops, |ms| ms.should_forward_named(name, now))
     }
 }
 
@@ -562,12 +573,10 @@ mod tests {
 
     fn setup_indexed(ms: &mut MultihopState, have_bits: &[usize], total: usize) {
         let idx = PacketIndex::new(vec![("f".into(), total as u32)]);
-        ms.indices.insert(col(), idx);
-        let mut have = Bitmap::new(total);
+        ms.install_holdings(col(), idx, Bitmap::new(total));
         for &b in have_bits {
-            have.set(b);
+            ms.set_held(&col(), b);
         }
-        ms.have.insert(col(), have);
     }
 
     #[test]
@@ -721,13 +730,7 @@ mod tests {
 
     #[test]
     fn strategy_always_airs_local_interests() {
-        let shared = Arc::new(Mutex::new(MultihopState::new(
-            NodeRole::Dapes,
-            true,
-            0.0,
-            1,
-        )));
-        let mut strat = DapesStrategy::new(shared);
+        let mut strat = MultihopState::new(NodeRole::Dapes, true, 0.0, 1);
         let i = content_interest("/col/f/0");
         let d = strat.decide(&i, FaceId::APP, &[FaceId::WIRELESS], SimTime::ZERO);
         assert_eq!(d, Decision::Forward(vec![FaceId::WIRELESS]));
@@ -735,13 +738,7 @@ mod tests {
 
     #[test]
     fn strategy_gates_relayed_interests() {
-        let shared = Arc::new(Mutex::new(MultihopState::new(
-            NodeRole::PureForwarder,
-            true,
-            0.0,
-            1,
-        )));
-        let mut strat = DapesStrategy::new(shared.clone());
+        let mut strat = MultihopState::new(NodeRole::PureForwarder, true, 0.0, 1);
         let i = content_interest("/col/f/0");
         let d = strat.decide(
             &i,
@@ -751,7 +748,7 @@ mod tests {
         );
         // p=0: only the app face survives.
         assert_eq!(d, Decision::Forward(vec![FaceId::APP]));
-        shared.lock().expect("multihop state").forward_prob = 1.0;
+        strat.forward_prob = 1.0;
         let d = strat.decide(
             &i,
             FaceId::WIRELESS,
@@ -766,20 +763,8 @@ mod tests {
         // Two states seeded identically: one driven through the name-only
         // path, one through the payload path. Every decision (and therefore
         // every RNG draw) must line up.
-        let a = Arc::new(Mutex::new(MultihopState::new(
-            NodeRole::Dapes,
-            true,
-            0.5,
-            7,
-        )));
-        let b = Arc::new(Mutex::new(MultihopState::new(
-            NodeRole::Dapes,
-            true,
-            0.5,
-            7,
-        )));
-        let mut header = DapesStrategy::new(a);
-        let mut full = DapesStrategy::new(b);
+        let mut header = MultihopState::new(NodeRole::Dapes, true, 0.5, 7);
+        let mut full = MultihopState::new(NodeRole::Dapes, true, 0.5, 7);
         let hops = [FaceId::APP, FaceId::WIRELESS];
         for i in 0..200 {
             let interest = content_interest(&format!("/col/f/{i}"));
@@ -793,13 +778,7 @@ mod tests {
 
     #[test]
     fn header_decision_defers_on_bitmap_interests_without_touching_state() {
-        let shared = Arc::new(Mutex::new(MultihopState::new(
-            NodeRole::Dapes,
-            true,
-            0.5,
-            11,
-        )));
-        let mut strat = DapesStrategy::new(shared.clone());
+        let mut strat = MultihopState::new(NodeRole::Dapes, true, 0.5, 11);
         let bitmap_name = crate::namespace::bitmap_interest_name(&col(), 4, 1);
         assert_eq!(
             strat.decide_header(
@@ -813,23 +792,12 @@ mod tests {
         );
         // The deferral must not have consumed an RNG draw: a fresh
         // same-seed state stays in lockstep afterwards.
-        let fresh = Arc::new(Mutex::new(MultihopState::new(
-            NodeRole::Dapes,
-            true,
-            0.5,
-            11,
-        )));
+        let mut fresh = MultihopState::new(NodeRole::Dapes, true, 0.5, 11);
         for i in 0..50 {
             let name = Name::from_uri(&format!("/col/f/{i}"));
             assert_eq!(
-                shared
-                    .lock()
-                    .expect("multihop state")
-                    .should_forward_named(&name, SimTime::ZERO),
-                fresh
-                    .lock()
-                    .expect("multihop state")
-                    .should_forward_named(&name, SimTime::ZERO),
+                strat.should_forward_named(&name, SimTime::ZERO),
+                fresh.should_forward_named(&name, SimTime::ZERO),
                 "RNG streams diverged at draw {i}"
             );
         }

@@ -263,17 +263,18 @@ pub struct ForwarderStats {
     pub unsolicited_data: u64,
 }
 
-/// The NDN forwarding daemon for one node.
-pub struct Forwarder {
+/// The NDN forwarding daemon for one node, owning its [`Strategy`] — and
+/// whatever knowledge that keeps ([`Forwarder::strategy_mut`]) — by value.
+pub struct Forwarder<S: Strategy = BroadcastStrategy> {
     cs: ContentStore,
     pit: Pit,
     fib: Fib,
     cfg: ForwarderConfig,
-    strategy: Box<dyn Strategy>,
+    strategy: S,
     stats: ForwarderStats,
 }
 
-impl std::fmt::Debug for Forwarder {
+impl<S: Strategy> std::fmt::Debug for Forwarder<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Forwarder")
             .field("cs_len", &self.cs.len())
@@ -286,11 +287,13 @@ impl std::fmt::Debug for Forwarder {
 impl Forwarder {
     /// Creates a forwarder with the default broadcast strategy.
     pub fn new(cfg: ForwarderConfig) -> Self {
-        Self::with_strategy(cfg, Box::new(BroadcastStrategy))
+        Self::with_strategy(cfg, BroadcastStrategy)
     }
+}
 
+impl<S: Strategy> Forwarder<S> {
     /// Creates a forwarder with a custom strategy (DAPES multi-hop logic).
-    pub fn with_strategy(cfg: ForwarderConfig, strategy: Box<dyn Strategy>) -> Self {
+    pub fn with_strategy(cfg: ForwarderConfig, strategy: S) -> Self {
         let (cs, pit) = if cfg.legacy_tables {
             (ContentStore::legacy(cfg.cs_capacity), Pit::legacy())
         } else {
@@ -308,6 +311,16 @@ impl Forwarder {
             strategy,
             stats: ForwarderStats::default(),
         }
+    }
+
+    /// The strategy (read access).
+    pub fn strategy(&self) -> &S {
+        &self.strategy
+    }
+
+    /// The strategy and whatever state it keeps.
+    pub fn strategy_mut(&mut self) -> &mut S {
+        &mut self.strategy
     }
 
     /// The FIB, for prefix registration.
@@ -934,7 +947,7 @@ mod tests {
                 Decision::Suppress
             }
         }
-        let mut f = Forwarder::with_strategy(ForwarderConfig::default(), Box::new(Never));
+        let mut f = Forwarder::with_strategy(ForwarderConfig::default(), Never);
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
         assert!(f
             .process_interest(now(), &interest("/a", 1), FaceId::APP)
@@ -958,7 +971,7 @@ mod tests {
                 Decision::Forward(vec![ingress])
             }
         }
-        let mut f = Forwarder::with_strategy(ForwarderConfig::default(), Box::new(Echo));
+        let mut f = Forwarder::with_strategy(ForwarderConfig::default(), Echo);
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
         assert!(f
             .process_interest(now(), &interest("/a", 1), FaceId::WIRELESS)
@@ -1330,7 +1343,7 @@ mod tests {
                 rebroadcast_faces: vec![FaceId::WIRELESS],
                 ..ForwarderConfig::default()
             },
-            Box::new(NeverHeader),
+            NeverHeader,
         );
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
         let i = interest("/a", 1);
@@ -1362,7 +1375,7 @@ mod tests {
                 rebroadcast_faces: vec![FaceId::WIRELESS],
                 ..ForwarderConfig::default()
             },
-            Box::new(PayloadBound),
+            PayloadBound,
         );
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
         let i = interest("/a", 1).with_hop_limit(5);

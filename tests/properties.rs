@@ -1088,6 +1088,8 @@ mod watermark_properties {
     //! this any more.
 
     use dapes_core::auth::{NonceJournal, ReplayGuard, ReplayVerdict};
+    use dapes_core::bitmap::Bitmap;
+    use dapes_core::metadata::PacketIndex;
     use dapes_core::multihop::{MultihopState, NodeRole};
     use dapes_core::namespace::{self, DapesName};
     use dapes_crypto::signing::KeyId;
@@ -1096,7 +1098,7 @@ mod watermark_properties {
     use dapes_ndn::pit::{Pit, PitInsert};
     use dapes_netsim::time::{SimDuration, SimTime};
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, BTreeSet};
 
     /// Names that exercise exact, prefix and root matches against each other.
     fn name_pool() -> Vec<Name> {
@@ -1513,6 +1515,85 @@ mod watermark_properties {
                 prop_assert_eq!(ms.pending_response(), &model.pending);
                 prop_assert_eq!(ms.forward_successes, model.successes);
                 prop_assert_eq!(ms.forward_failures, model.failures);
+            }
+        }
+
+        #[test]
+        fn holdings_gate_the_forwarding_decision_like_a_set_model(
+            ops in proptest::collection::vec((0u8..4, 0usize..3, 0usize..24, 0usize..24), 1..120),
+            n_cols in 1usize..4,
+        ) {
+            // The node's own holdings against a `BTreeSet` of held indices
+            // per collection. A neighbour advertises every packet, so the
+            // name-only decision is fully determined: held => `Some(false)`
+            // (the application answers), not held => `Some(true)` — and
+            // neither may draw from the RNG, which a same-seed twin checks.
+            let mut ms = MultihopState::new(NodeRole::Dapes, true, 0.5, 3);
+            let mut twin = MultihopState::new(NodeRole::Dapes, true, 0.5, 3);
+            let now = SimTime::from_secs(1);
+            let cols: Vec<Name> =
+                (0..n_cols).map(|c| Name::from_uri(&format!("/c{c}"))).collect();
+            let mut model: Vec<Option<(usize, BTreeSet<usize>)>> = vec![None; n_cols];
+            for &(op, c, a, b) in &ops {
+                let (c, col) = (c % n_cols, &cols[c % n_cols]);
+                match (op, &mut model[c]) {
+                    (0, slot) => {
+                        let total = 8 + a;
+                        let index = PacketIndex::new(vec![("f".into(), total as u32)]);
+                        ms.install_holdings(col.clone(), index, Bitmap::new(total));
+                        ms.record_bitmap(9, col, Bitmap::full(total), now);
+                        *slot = Some((total, BTreeSet::new()));
+                    }
+                    (1, Some((total, held))) => {
+                        ms.set_held(col, a % *total);
+                        held.insert(a % *total);
+                    }
+                    (2, Some((total, held))) => {
+                        let (lo, hi) = (a.min(b) % *total, a.max(b) % (*total + 1));
+                        ms.clear_held(col, lo..hi);
+                        held.retain(|i| !(lo..hi).contains(i));
+                    }
+                    (3, Some((total, held))) => {
+                        let mut other = Bitmap::new(*total);
+                        for i in [a % *total, b % *total] {
+                            other.set(i);
+                            held.insert(i);
+                        }
+                        ms.union_held(col, &other);
+                    }
+                    // Nothing installed yet: every mutation is a no-op.
+                    (1, None) => ms.set_held(col, a),
+                    (2, None) => ms.clear_held(col, a.min(b)..a.max(b)),
+                    (_, None) => ms.union_held(col, &Bitmap::new(a)),
+                    _ => unreachable!("op < 4"),
+                }
+                for (col, entry) in cols.iter().zip(&model) {
+                    let Some((total, held)) = entry else {
+                        prop_assert!(ms.held(col).is_none() && ms.index(col).is_none());
+                        continue;
+                    };
+                    let bits = ms.held(col).expect("installed");
+                    prop_assert_eq!(bits.len(), *total);
+                    prop_assert_eq!(&bits.iter_set().collect::<BTreeSet<_>>(), held);
+                    for idx in 0..*total {
+                        prop_assert_eq!(ms.content_index(col, "f", idx as u64), Some(idx));
+                        let name = namespace::packet_name(col, "f", idx as u64);
+                        prop_assert_eq!(
+                            ms.should_forward_named(&name, now),
+                            Some(!held.contains(&idx))
+                        );
+                    }
+                    prop_assert_eq!(ms.content_index(col, "f", *total as u64), None);
+                }
+            }
+            // Not one draw was consumed: the twin, which decided nothing,
+            // is still in lockstep on names only the RNG can decide.
+            for i in 0..64 {
+                let name = Name::from_uri(&format!("/elsewhere/f/{i}"));
+                prop_assert_eq!(
+                    ms.should_forward_named(&name, now),
+                    twin.should_forward_named(&name, now)
+                );
             }
         }
 
