@@ -18,20 +18,18 @@
 //! [`MAX_SLOWDOWN`]: dapes_bench::adversarial::MAX_SLOWDOWN
 
 use dapes_bench::adversarial::{render_report, run_all, AdversarialParams, AttackMode};
+use dapes_bench::cli::Args;
 use dapes_bench::host::HostFacts;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let arg = |flag: &str| args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone());
-    let out = arg("--out").unwrap_or_else(|| "BENCH_adversarial.json".to_owned());
-    let prom_out = arg("--prom-out");
-    let mut params = if quick {
+    let args = Args::from_env(&["--out", "--prom-out", "--seed"], &["--quick"]);
+    let out = args.value("--out").unwrap_or("BENCH_adversarial.json");
+    let mut params = if args.has("--quick") {
         AdversarialParams::smoke()
     } else {
         AdversarialParams::dense()
     };
-    if let Some(s) = arg("--seed") {
+    if let Some(s) = args.value("--seed") {
         params.seed = s.parse().expect("--seed");
     }
     eprintln!(
@@ -63,14 +61,14 @@ fn main() {
     }
 
     let json = render_report(&HostFacts::probe(), &params, &outcomes);
-    std::fs::write(&out, &json).expect("write BENCH_adversarial.json");
+    std::fs::write(out, &json).expect("write BENCH_adversarial.json");
     eprintln!("wrote {out}");
-    if let Some(prom) = prom_out {
+    if let Some(prom) = args.value("--prom-out") {
         let benign = outcomes
             .iter()
             .find(|o| o.mode == AttackMode::Benign)
             .expect("benign cell always runs");
-        std::fs::write(&prom, &benign.prometheus).expect("write prometheus dump");
+        std::fs::write(prom, &benign.prometheus).expect("write prometheus dump");
         eprintln!("wrote {prom}");
     }
 

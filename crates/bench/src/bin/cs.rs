@@ -15,19 +15,18 @@
 //! and miss counters decompose lookups, and a full-size budget serves
 //! every Interest from cache.
 
+use dapes_bench::cli::Args;
 use dapes_bench::cs::{gate, render_report, run_all, CsParams};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let arg = |flag: &str| args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone());
-    let out = arg("--out").unwrap_or_else(|| "BENCH_cs.json".to_owned());
-    let mut params = if quick {
+    let args = Args::from_env(&["--out", "--prom-out", "--seed"], &["--quick"]);
+    let out = args.value("--out").unwrap_or("BENCH_cs.json");
+    let mut params = if args.has("--quick") {
         CsParams::smoke()
     } else {
         CsParams::dense()
     };
-    if let Some(s) = arg("--seed") {
+    if let Some(s) = args.value("--seed") {
         params.seed = s.parse().expect("--seed");
     }
     eprintln!(
@@ -72,9 +71,9 @@ fn main() {
     }
 
     let json = render_report(&params, &run);
-    std::fs::write(&out, &json).expect("write BENCH_cs.json");
+    std::fs::write(out, &json).expect("write BENCH_cs.json");
     eprintln!("wrote {out}");
-    if let Some(path) = arg("--prom-out") {
+    if let Some(path) = args.value("--prom-out") {
         // The store microbench has no simulated world or DAPES peers, so
         // the shared sections report zeros; the labeled `dapes_cs_*`
         // samples carry the sweep.
@@ -86,7 +85,7 @@ fn main() {
             ),
             dapes_bench::prom::cs_section(&run)
         );
-        std::fs::write(&path, dump).expect("write prometheus dump");
+        std::fs::write(path, dump).expect("write prometheus dump");
         eprintln!("wrote {path}");
     }
 

@@ -15,19 +15,19 @@
 //! is bit-identical, and the sweep exercises each recovery mechanism
 //! (salvage resume, partition drops, backoff give-ups) at least once.
 
+use dapes_bench::cli::Args;
 use dapes_bench::faults::{gate, render_report, run_all, FaultParams};
+use dapes_bench::host::HostFacts;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let arg = |flag: &str| args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone());
-    let out = arg("--out").unwrap_or_else(|| "BENCH_faults.json".to_owned());
-    let mut params = if quick {
+    let args = Args::from_env(&["--out", "--prom-out", "--seed"], &["--quick"]);
+    let out = args.value("--out").unwrap_or("BENCH_faults.json");
+    let mut params = if args.has("--quick") {
         FaultParams::smoke()
     } else {
         FaultParams::dense()
     };
-    if let Some(s) = arg("--seed") {
+    if let Some(s) = args.value("--seed") {
         params.seed = s.parse().expect("--seed");
     }
     eprintln!(
@@ -61,14 +61,14 @@ fn main() {
         );
     }
 
-    let json = render_report(&params, &outcomes);
-    std::fs::write(&out, &json).expect("write BENCH_faults.json");
+    let json = render_report(&HostFacts::probe(), &params, &outcomes);
+    std::fs::write(out, &json).expect("write BENCH_faults.json");
     eprintln!("wrote {out}");
-    if let Some(path) = arg("--prom-out") {
+    if let Some(path) = args.value("--prom-out") {
         // The last cell sweeps the most faults (max crashes + longest
         // partition), so its counters are the richest dump.
         let cell = outcomes.last().expect("the sweep ran at least one cell");
-        std::fs::write(&path, &cell.prometheus).expect("write prometheus dump");
+        std::fs::write(path, &cell.prometheus).expect("write prometheus dump");
         eprintln!("wrote {path} ({} cell)", cell.label);
     }
 

@@ -13,11 +13,11 @@
 //! The dump is `checkjson`-compatible (`checkjson file.prom`).
 
 use dapes_bench::adversarial::{run_mode, AdversarialParams, AttackMode};
+use dapes_bench::cli::Args;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let arg = |flag: &str| args.windows(2).find(|w| w[0] == flag).map(|w| w[1].clone());
-    let mode = match arg("--attack").as_deref() {
+    let args = Args::from_env(&["--attack", "--seed", "--secs", "--out"], &[]);
+    let mode = match args.value("--attack") {
         None | Some("benign") => AttackMode::Benign,
         Some("spoof") => AttackMode::Spoof,
         Some("tamper") => AttackMode::Tamper,
@@ -28,10 +28,10 @@ fn main() {
         }
     };
     let mut params = AdversarialParams::smoke();
-    if let Some(s) = arg("--seed") {
+    if let Some(s) = args.value("--seed") {
         params.seed = s.parse().expect("--seed");
     }
-    if let Some(s) = arg("--secs") {
+    if let Some(s) = args.value("--secs") {
         params.run_secs = s.parse().expect("--secs");
     }
     let outcome = run_mode(&params, mode);
@@ -41,9 +41,9 @@ fn main() {
         outcome.completed,
         outcome.tx_frames
     );
-    match arg("--out") {
+    match args.value("--out") {
         Some(path) => {
-            std::fs::write(&path, &outcome.prometheus).expect("write metrics dump");
+            std::fs::write(path, &outcome.prometheus).expect("write metrics dump");
             eprintln!("wrote {path}");
         }
         None => print!("{}", outcome.prometheus),

@@ -2,15 +2,13 @@
 //! `BENCH_*.json` reports — the library behind the `checkjson` binary.
 //!
 //! Every shape carries a string `scenario` and numeric `nodes` and `seed`.
-//! The scheduler and adversarial reports additionally state their `host`
-//! (logical cores, CPU model, rustc, git revision, SHA-256 kernel); the
-//! scheduler report carries a `cores_axis` whose entries carry
-//! positive `wall_secs`/`events_per_sec`, numeric `tx_frames`/`delivered`
-//! and integer shard counters, anchored at `cores = 1` and never beyond
-//! the host's logical cores; `shard_speedup_events_per_sec` must be a
-//! *finite positive* number (NaN and ±Inf — e.g. from a zero-wall-clock
-//! division — are rejected, not round-tripped into CI). An empty axis is
-//! an error: a report that measured nothing must not pass the gate.
+//! The scheduler, adversarial and fault-injection reports additionally
+//! state their `host` (logical cores, CPU model, rustc, git revision,
+//! SHA-256 kernel); the scheduler report carries one `run` entry with
+//! *finite positive* `wall_secs`/`events_per_sec` (NaN and ±Inf — e.g. from
+//! a zero-wall-clock division — are rejected, not round-tripped into CI)
+//! and non-negative integer counters, and no key outside its shape: a
+//! report in an older shape must be regenerated, not half-read.
 
 use crate::json::Value;
 
@@ -29,8 +27,8 @@ fn require_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
         .ok_or_else(|| format!("missing or non-string \"{key}\""))
 }
 
-/// Validates a report's `host` block and returns its logical core count.
-fn validate_host(doc: &Value) -> Result<f64, String> {
+/// Validates a report's `host` block.
+fn validate_host(doc: &Value) -> Result<(), String> {
     let host = doc.get("host").ok_or("missing \"host\"")?;
     for key in ["cpu_model", "rustc", "git_rev"] {
         require_str(host, key).map_err(|e| format!("host: {e}"))?;
@@ -47,7 +45,7 @@ fn validate_host(doc: &Value) -> Result<f64, String> {
             "host: \"logical_cores\" must be a positive integer, got {logical_cores}"
         ));
     }
-    Ok(logical_cores)
+    Ok(())
 }
 
 /// The attack modes an adversarial report must cover, exactly once each.
@@ -139,12 +137,14 @@ const FAULT_COUNTERS: [&str; 11] = [
     "resumed_segments_skipped",
 ];
 
-/// Validates the fault-injection report shape: header fields, per-cell
-/// entries with true `completed`/`deterministic` gate flags, non-negative
-/// integer counters, a `resumed_refetch` that is exactly zero (any resumed
-/// re-fetch is a recovery bug), and sweep-level coverage: at least one
-/// cell each with resume skips, partition drops and backoff give-ups.
+/// Validates the fault-injection report shape: host facts, header fields,
+/// per-cell entries with true `completed`/`deterministic` gate flags,
+/// non-negative integer counters, a `resumed_refetch` that is exactly zero
+/// (any resumed re-fetch is a recovery bug), and sweep-level coverage: at
+/// least one cell each with resume skips, partition drops and backoff
+/// give-ups.
 fn validate_faults(doc: &Value) -> Result<(), String> {
+    validate_host(doc)?;
     require_num(doc, "nodes")?;
     require_num(doc, "seed")?;
     let cells = doc
@@ -351,69 +351,68 @@ fn validate_cs(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-cores-axis-entry counters of the scheduler report; all must be
-/// present, non-negative integers.
-const CORES_COUNTERS: [&str; 4] = [
-    "cores",
-    "border_tx_exported",
-    "border_rx_injected",
-    "sync_windows",
+/// The scheduler report's top-level keys; any other key is an error.
+const SCHED_KEYS: [&str; 11] = [
+    "scenario",
+    "host",
+    "nodes",
+    "field_m",
+    "range_m",
+    "rounds_per_node",
+    "advert_period_ms",
+    "tick_ms",
+    "reply_bytes",
+    "seed",
+    "run",
 ];
 
-/// Validates the scheduler report: host facts, a finite positive
-/// `shard_speedup_events_per_sec`, and a non-empty `cores_axis` whose
-/// first entry is the sequential reference (`cores` = 1), with per entry
-/// positive timings, numeric traffic totals, non-negative integer shard
-/// counters and a core count the host actually has.
+/// Counters of the scheduler report's `run` entry; all must be present,
+/// non-negative integers.
+const RUN_COUNTERS: [&str; 15] = [
+    "events_popped",
+    "sim_events",
+    "tx_frames",
+    "delivered",
+    "arrival_events",
+    "cmd_pool_hits",
+    "cmd_pool_misses",
+    "frames_peek_resolved",
+    "peek_fib_drops",
+    "peek_prefix_hits",
+    "frames_relay_patched",
+    "full_decodes",
+    "pit_arena_live",
+    "cs_arena_live",
+    "timer_slots_allocated",
+];
+
+/// Validates the scheduler report: host facts, no key outside the shape,
+/// and one `run` entry with positive timings and non-negative integer
+/// counters.
 fn validate_sched(doc: &Value) -> Result<(), String> {
     require_num(doc, "nodes")?;
     require_num(doc, "seed")?;
-    let logical_cores = validate_host(doc)?;
-    let shard_speedup = require_num(doc, "shard_speedup_events_per_sec")?;
-    if shard_speedup <= 0.0 {
-        return Err(format!(
-            "\"shard_speedup_events_per_sec\" must be positive, got {shard_speedup}"
-        ));
-    }
-    let axis = doc
-        .get("cores_axis")
-        .and_then(Value::as_array)
-        .ok_or("\"cores_axis\" must be an array")?;
-    if axis.is_empty() {
-        return Err("\"cores_axis\" array is empty — the report measured nothing".into());
-    }
-    for (i, entry) in axis.iter().enumerate() {
-        let cores = require_num(entry, "cores").map_err(|e| format!("cores entry #{i}: {e}"))?;
-        for key in ["wall_secs", "events_per_sec"] {
-            let n = require_num(entry, key).map_err(|e| format!("cores entry {cores}: {e}"))?;
-            if n <= 0.0 {
-                return Err(format!(
-                    "cores entry {cores}: \"{key}\" must be positive, got {n}"
-                ));
-            }
-        }
-        for key in ["tx_frames", "delivered"] {
-            require_num(entry, key).map_err(|e| format!("cores entry {cores}: {e}"))?;
-        }
-        for key in CORES_COUNTERS {
-            let n = require_num(entry, key).map_err(|e| format!("cores entry {cores}: {e}"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "cores entry {cores}: counter \"{key}\" must be a non-negative \
-                     integer, got {n}"
-                ));
-            }
-        }
-        if i == 0 && cores != 1.0 {
+    validate_host(doc)?;
+    if let Value::Object(map) = doc {
+        if let Some(stale) = map.keys().find(|k| !SCHED_KEYS.contains(&k.as_str())) {
             return Err(format!(
-                "the first cores-axis entry must be the sequential reference \
-                 (cores = 1), got {cores}"
+                "unknown key \"{stale}\" — not part of the scheduler report; \
+                 regenerate the file with the `sched` binary"
             ));
         }
-        if cores > logical_cores {
+    }
+    let run = doc.get("run").ok_or("missing \"run\"")?;
+    for key in ["wall_secs", "events_per_sec"] {
+        let n = require_num(run, key).map_err(|e| format!("run: {e}"))?;
+        if n <= 0.0 {
+            return Err(format!("run: \"{key}\" must be positive, got {n}"));
+        }
+    }
+    for key in RUN_COUNTERS {
+        let n = require_num(run, key).map_err(|e| format!("run: {e}"))?;
+        if n < 0.0 || n.fract() != 0.0 {
             return Err(format!(
-                "cores entry {cores} exceeds the host's {logical_cores} logical cores — \
-                 that measures oversubscription, not the sharded engine"
+                "run: counter \"{key}\" must be a non-negative integer, got {n}"
             ));
         }
     }
@@ -524,42 +523,25 @@ pub fn summary(doc: &Value) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let shard_speedup = require_num(doc, "shard_speedup_events_per_sec")?;
-    let axis = doc
-        .get("cores_axis")
-        .and_then(Value::as_array)
-        .filter(|a| !a.is_empty())
-        .ok_or("\"cores_axis\" must be a non-empty array")?;
-    let mut out = format!(
-        "### `{scenario}` ({nodes} nodes) — sharded engine at {shard_speedup:.2}x events/sec \
-         over the sequential run\n\n\
-         | cores | events/sec | wall (s) | vs 1 core | relay-patched | PIT live | CS live \
-         | border tx/rx | windows |\n\
-         | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: | ---: |\n"
-    );
-    let opt_u64 = |entry: &Value, key: &str| -> String {
-        entry
-            .get(key)
+    let run = doc.get("run").ok_or("missing \"run\"")?;
+    let opt_u64 = |key: &str| -> String {
+        run.get(key)
             .and_then(Value::as_f64)
             .map_or_else(|| "-".into(), |n| format!("{n:.0}"))
     };
-    let seq_eps = require_num(&axis[0], "events_per_sec")?.max(1e-9);
-    for entry in axis {
-        let eps = require_num(entry, "events_per_sec")?;
-        out.push_str(&format!(
-            "| {} | {eps:.0} | {:.3} | {:.2}x | {} | {} | {} | {}/{} | {} |\n",
-            opt_u64(entry, "cores"),
-            require_num(entry, "wall_secs")?,
-            eps / seq_eps,
-            opt_u64(entry, "frames_relay_patched"),
-            opt_u64(entry, "pit_arena_live"),
-            opt_u64(entry, "cs_arena_live"),
-            opt_u64(entry, "border_tx_exported"),
-            opt_u64(entry, "border_rx_injected"),
-            opt_u64(entry, "sync_windows"),
-        ));
-    }
-    Ok(out)
+    Ok(format!(
+        "### `{scenario}` ({nodes} nodes) — scheduler throughput\n\n\
+         | events/sec | wall (s) | tx frames | delivered | relay-patched | PIT live | CS live |\n\
+         | ---: | ---: | ---: | ---: | ---: | ---: | ---: |\n\
+         | {:.0} | {:.3} | {} | {} | {} | {} | {} |\n",
+        require_num(run, "events_per_sec")?,
+        require_num(run, "wall_secs")?,
+        opt_u64("tx_frames"),
+        opt_u64("delivered"),
+        opt_u64("frames_relay_patched"),
+        opt_u64("pit_arena_live"),
+        opt_u64("cs_arena_live"),
+    ))
 }
 
 #[cfg(test)]
@@ -567,71 +549,64 @@ mod tests {
     use super::*;
     use crate::json::parse;
 
-    fn cores_entry(cores: u64, eps: f64) -> String {
-        format!(
-            "{{\"cores\": {cores}, \"wall_secs\": 1.0, \"events_per_sec\": {eps}, \
-              \"tx_frames\": 5, \"delivered\": 9, \"border_tx_exported\": 4, \
-              \"border_rx_injected\": 4, \"sync_windows\": 12}}"
-        )
-    }
-
     const HOST: &str = "\"host\": {\"logical_cores\": 4, \"cpu_model\": \"cpu\", \
                         \"rustc\": \"rustc 1.0\", \"git_rev\": \"abc1234\", \
                         \"sha256_kernel\": \"sha-ni\"}";
 
-    /// A scheduler report with the given shard speedup and axis body.
-    fn sched_doc(shard_speedup: &str, axis_body: &str) -> String {
+    /// A scheduler report's `run` entry with the given throughput.
+    fn run_entry(eps: &str) -> String {
         format!(
-            "{{\"scenario\": \"perf_sched\", {HOST}, \"nodes\": 4, \"seed\": 1, \
-             \"cores_axis\": [{axis_body}], \
-             \"shard_speedup_events_per_sec\": {shard_speedup}}}"
+            "{{\"wall_secs\": 1.0, \"events_per_sec\": {eps}, \"events_popped\": 6, \
+              \"sim_events\": 15, \"tx_frames\": 5, \"delivered\": 9, \
+              \"arrival_events\": 5, \"cmd_pool_hits\": 8, \"cmd_pool_misses\": 1, \
+              \"frames_peek_resolved\": 7, \"peek_fib_drops\": 2, \"peek_prefix_hits\": 1, \
+              \"frames_relay_patched\": 123, \"full_decodes\": 2, \"pit_arena_live\": 7, \
+              \"cs_arena_live\": 11, \"timer_slots_allocated\": 3}}"
         )
     }
 
-    fn two_core_axis() -> String {
-        format!("{}, {}", cores_entry(1, 10.0), cores_entry(4, 15.0))
+    /// A scheduler report around the given `run` entry.
+    fn sched_doc(run: &str) -> String {
+        format!(
+            "{{\"scenario\": \"perf_sched\", {HOST}, \"nodes\": 4, \"seed\": 1, \
+             \"run\": {run}}}"
+        )
     }
 
     #[test]
     fn accepts_a_well_formed_report() {
-        let doc = parse(&sched_doc("1.5", &two_core_axis())).expect("parses");
+        let doc = parse(&sched_doc(&run_entry("15"))).expect("parses");
         assert_eq!(validate(&doc), Ok(()));
         let table = summary(&doc).expect("summary renders");
-        assert!(table.contains("at 1.50x events/sec"), "{table}");
-        assert!(table.contains("| 4 | 15 | 1.000 | 1.50x |"), "{table}");
+        assert!(table.contains("| 15 | 1.000 | 5 | 9 |"), "{table}");
     }
 
     #[test]
-    fn rejects_a_sched_report_without_the_cores_axis() {
-        let doc_text = sched_doc("1.5", &two_core_axis())
-            .replace(&format!("\"cores_axis\": [{}], ", two_core_axis()), "");
-        let doc = parse(&doc_text).expect("parses");
-        let err = validate(&doc).expect_err("missing cores_axis");
-        assert!(err.contains("cores_axis"), "{err}");
+    fn rejects_a_key_outside_the_sched_shape() {
+        // What a report written before the shape changed carries: checkjson
+        // must fail it until it is regenerated, naming the leftover key.
+        let text = sched_doc(&run_entry("15")).replace("\"run\":", "\"left_over\": [], \"run\":");
+        let err = validate(&parse(&text).expect("parses")).expect_err("leftover key");
+        assert!(err.contains("unknown key \"left_over\""), "{err}");
+        let no_run = sched_doc(&run_entry("15")).replace("\"run\":", "\"tick_ms\":");
+        let err = validate(&parse(&no_run).expect("parses")).expect_err("no run entry");
+        assert!(err.contains("missing \"run\""), "{err}");
     }
 
     #[test]
-    fn rejects_a_cores_axis_not_anchored_at_one_core() {
-        let axis = format!("{}, {}", cores_entry(2, 10.0), cores_entry(4, 15.0));
-        let doc = parse(&sched_doc("1.5", &axis)).expect("parses");
-        let err = validate(&doc).expect_err("first entry not sequential");
-        assert!(err.contains("sequential reference"), "{err}");
-    }
-
-    #[test]
-    fn rejects_missing_host_facts_and_oversubscribed_cores() {
-        let no_host = sched_doc("1.5", &two_core_axis()).replace(&format!("{HOST}, "), "");
+    fn rejects_missing_host_facts() {
+        let no_host = sched_doc(&run_entry("15")).replace(&format!("{HOST}, "), "");
         let err = validate(&parse(&no_host).expect("parses")).expect_err("no host facts");
         assert!(err.contains("host"), "{err}");
-        let axis = format!("{}, {}", cores_entry(1, 10.0), cores_entry(8, 15.0));
-        let err = validate(&parse(&sched_doc("1.5", &axis)).expect("parses"))
-            .expect_err("8 shards on 4 logical cores");
-        assert!(err.contains("oversubscription"), "{err}");
     }
 
     #[test]
     fn rejects_host_facts_without_a_known_sha256_kernel() {
-        let docs = [sched_doc("1.5", &two_core_axis()), full_adversarial_doc()];
+        let docs = [
+            sched_doc(&run_entry("15")),
+            full_adversarial_doc(),
+            full_faults_doc(),
+        ];
         for doc in docs {
             let missing = doc.replace(", \"sha256_kernel\": \"sha-ni\"", "");
             let err = validate(&parse(&missing).expect("parses")).expect_err("no kernel");
@@ -645,40 +620,33 @@ mod tests {
         }
     }
 
+    /// Keeps the name it had when the only integer counters were the
+    /// sharded engine's; it now holds every `run` counter to an integer.
     #[test]
     fn rejects_fractional_border_counters() {
-        let doc_text = sched_doc("1.5", &two_core_axis())
-            .replace("\"border_tx_exported\": 4", "\"border_tx_exported\": 4.5");
-        let doc = parse(&doc_text).expect("parses");
-        let err = validate(&doc).expect_err("fractional border counter");
-        assert!(err.contains("border_tx_exported"), "{err}");
+        for bad in ["4.5", "-5"] {
+            let text = sched_doc(&run_entry("15"))
+                .replace("\"tx_frames\": 5", &format!("\"tx_frames\": {bad}"));
+            let err = validate(&parse(&text).expect("parses")).expect_err("bad counter");
+            assert!(err.contains("tx_frames"), "{err}");
+        }
     }
 
-    #[test]
-    fn rejects_a_non_positive_shard_speedup() {
-        let doc_text = sched_doc("1.5", &two_core_axis()).replace(
-            "\"shard_speedup_events_per_sec\": 1.5",
-            "\"shard_speedup_events_per_sec\": 0",
-        );
-        let doc = parse(&doc_text).expect("parses");
-        let err = validate(&doc).expect_err("zero shard speedup");
-        assert!(err.contains("shard_speedup_events_per_sec"), "{err}");
-    }
-
+    /// The one ratio left in the report is `events_per_sec` (the name dates
+    /// from the speedup ratios the report used to carry).
     #[test]
     fn rejects_nan_and_infinite_speedups() {
-        // The report writer formats floats with {:.2}, which renders NaN
+        // The report writer formats floats with {:.0}, which renders NaN
         // and infinities as bare words — exactly what a zero-wall-clock
         // division would commit. The parser reads them as nulls/errors;
         // either way validation must name the field.
         for bad in ["null", "\"NaN\"", "\"inf\"", "1e999"] {
-            let doc_text = sched_doc(bad, &two_core_axis());
-            let Ok(doc) = parse(&doc_text) else {
+            let Ok(doc) = parse(&sched_doc(&run_entry(bad))) else {
                 continue; // unparseable is an even earlier failure
             };
-            let err = validate(&doc).expect_err(&format!("speedup {bad} must fail"));
+            let err = validate(&doc).expect_err(&format!("throughput {bad} must fail"));
             assert!(
-                err.contains("speedup_events_per_sec"),
+                err.contains("events_per_sec"),
                 "error must name the field: {err}"
             );
         }
@@ -687,28 +655,26 @@ mod tests {
     #[test]
     fn rejects_zero_and_negative_speedups() {
         for bad in ["0", "-3.5"] {
-            let doc = parse(&sched_doc(bad, &two_core_axis())).expect("parses");
-            let err = validate(&doc).expect_err("non-positive speedup");
+            let doc = parse(&sched_doc(&run_entry(bad))).expect("parses");
+            let err = validate(&doc).expect_err("non-positive throughput");
             assert!(err.contains("must be positive"), "{err}");
         }
     }
 
+    /// A report that measured nothing must not pass the gate.
     #[test]
     fn rejects_an_empty_modes_array() {
-        let doc = parse(&sched_doc("1.0", "")).expect("parses");
-        let err = validate(&doc).expect_err("empty axis");
-        assert!(err.contains("\"cores_axis\" array is empty"), "{err}");
+        let doc = parse(&sched_doc("{}")).expect("parses");
+        let err = validate(&doc).expect_err("empty run entry");
+        assert!(err.contains("run: missing \"wall_secs\""), "{err}");
     }
 
     #[test]
     fn rejects_non_finite_mode_fields() {
-        let entry = cores_entry(1, 10.0).replace("\"wall_secs\": 1.0", "\"wall_secs\": 1e999");
-        let doc = parse(&sched_doc("1.0", &entry)).expect("parses");
+        let entry = run_entry("15").replace("\"wall_secs\": 1.0", "\"wall_secs\": 1e999");
+        let doc = parse(&sched_doc(&entry)).expect("parses");
         let err = validate(&doc).expect_err("infinite wall_secs");
-        assert!(
-            err.contains("wall_secs") && err.contains("cores entry 1"),
-            "{err}"
-        );
+        assert!(err.contains("run: \"wall_secs\""), "{err}");
     }
 
     fn attack_entry(mode: &str, extra: &str) -> String {
@@ -914,7 +880,7 @@ mod tests {
 
     fn faults_doc(cells: &[String]) -> String {
         format!(
-            "{{\"scenario\": \"faults\", \"nodes\": 3, \"seed\": 9, \
+            "{{\"scenario\": \"faults\", {HOST}, \"nodes\": 3, \"seed\": 9, \
              \"files\": 2, \"file_size\": 16384, \"cells\": [{}]}}",
             cells.join(", ")
         )
@@ -1021,16 +987,12 @@ mod tests {
 
     #[test]
     fn summary_surfaces_relay_and_arena_counters_when_present() {
-        let entry = cores_entry(1, 40.0).replace(
-            "\"tx_frames\"",
-            "\"frames_relay_patched\": 123, \"pit_arena_live\": 7, \
-             \"cs_arena_live\": 11, \"tx_frames\"",
-        );
-        let doc = parse(&sched_doc("1.0", &entry)).expect("parses");
+        let doc = parse(&sched_doc(&run_entry("40"))).expect("parses");
         let table = summary(&doc).expect("renders");
         assert!(table.contains("| 123 | 7 | 11 |"), "{table}");
-        // A report without the counters still renders, with placeholders.
-        let old = parse(&sched_doc("1.0", &cores_entry(1, 40.0))).expect("parses");
-        assert!(summary(&old).expect("renders").contains("| - | - | - |"));
+        // A run entry without the counters still renders, with placeholders.
+        let bare = parse(&sched_doc("{\"wall_secs\": 1.0, \"events_per_sec\": 40}"));
+        let table = summary(&bare.expect("parses")).expect("renders");
+        assert!(table.contains("| - | - | - |"), "{table}");
     }
 }

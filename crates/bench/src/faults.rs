@@ -22,6 +22,7 @@
 //! least one cell must exercise each recovery mechanism (resume skips,
 //! partition drops, backoff give-ups).
 
+use crate::host::HostFacts;
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
 
@@ -283,7 +284,7 @@ pub fn gate(outcomes: &[FaultOutcome]) -> Result<(), String> {
 }
 
 /// Renders the `BENCH_faults.json` document.
-pub fn render_report(params: &FaultParams, outcomes: &[FaultOutcome]) -> String {
+pub fn render_report(host: &HostFacts, params: &FaultParams, outcomes: &[FaultOutcome]) -> String {
     fn entry(o: &FaultOutcome) -> String {
         format!(
             concat!(
@@ -331,6 +332,7 @@ pub fn render_report(params: &FaultParams, outcomes: &[FaultOutcome]) -> String 
         concat!(
             "{{\n",
             "  \"scenario\": \"faults\",\n",
+            "{}",
             "  \"nodes\": 3,\n",
             "  \"seed\": {},\n",
             "  \"files\": {},\n",
@@ -338,6 +340,7 @@ pub fn render_report(params: &FaultParams, outcomes: &[FaultOutcome]) -> String 
             "  \"cells\": [{}]\n",
             "}}\n"
         ),
+        host.render_json(),
         params.seed,
         params.files,
         params.file_size,
@@ -382,7 +385,7 @@ mod tests {
     fn full_sweep_passes_the_gate_and_renders_valid_json() {
         let outcomes = run_all(&FaultParams::smoke());
         gate(&outcomes).expect("gate");
-        let json = render_report(&FaultParams::smoke(), &outcomes);
+        let json = render_report(&HostFacts::probe(), &FaultParams::smoke(), &outcomes);
         let doc = crate::json::parse(&json).expect("report parses");
         crate::check::validate(&doc).expect("report validates");
         assert_eq!(

@@ -3,10 +3,9 @@
 use std::process::Command;
 
 /// Host facts a report states next to its numbers. A throughput figure
-/// means nothing without these: a cores axis beyond `logical_cores`
-/// measures oversubscription, not parallelism, and anything that
-/// authenticates packets costs several times less under the `sha-ni`
-/// hash kernel than under the `portable` one.
+/// means nothing without these: anything that authenticates packets costs
+/// several times less under the `sha-ni` hash kernel than under the
+/// `portable` one.
 #[derive(Clone, Debug)]
 pub struct HostFacts {
     /// Logical cores available to the process.

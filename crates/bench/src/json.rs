@@ -307,8 +307,8 @@ mod tests {
             rounds: 1,
             ..SchedParams::dense()
         };
-        let axis = [run_sched(&params, 1), run_sched(&params, 2)];
-        let v = parse(&render_report(&host, &params, &axis)).expect("sched report parses");
+        let run = run_sched(&params);
+        let v = parse(&render_report(&host, &params, &run)).expect("sched report parses");
         assert_eq!(
             v.get("scenario").and_then(Value::as_str),
             Some("perf_sched")
@@ -320,12 +320,10 @@ mod tests {
             Some("a \"quoted\" cpu")
         );
         assert_eq!(
-            v.get("cores_axis").and_then(Value::as_array).unwrap().len(),
-            2
+            v.get("run")
+                .and_then(|r| r.get("delivered"))
+                .and_then(Value::as_f64),
+            Some(run.delivered as f64)
         );
-        assert!(v
-            .get("shard_speedup_events_per_sec")
-            .and_then(Value::as_f64)
-            .is_some());
     }
 }

@@ -17,6 +17,7 @@
 
 pub mod adversarial;
 pub mod check;
+pub mod cli;
 pub mod cs;
 pub mod faults;
 pub mod figures;

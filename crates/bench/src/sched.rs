@@ -2,9 +2,8 @@
 //! engine's control plane — timer-wheel queue with pooled command buffers,
 //! one batched arrival event per transmission, name-first
 //! [`Packet::peek_header`] resolution of overheard frames with the full
-//! decode as its fall-through, decode-free relays — at each core count of
-//! the sharded engine, and records throughput and the per-layer counters
-//! in `BENCH_sched.json`.
+//! decode as its fall-through, decode-free relays — and records throughput
+//! and the per-layer counters in `BENCH_sched.json`.
 //!
 //! The scenario: a dense swarm where every node periodically floods a
 //! 3-hop advert Interest for its own namespace, answers Interests for that
@@ -498,28 +497,17 @@ pub struct SchedResult {
     pub arrival_events: u64,
     /// Timer slots ever allocated (peak concurrent timers, not volume).
     pub timer_slots_allocated: usize,
-    /// Shards the run executed on (1 = the sequential engine).
-    pub cores: u64,
-    /// Frames whose radio disc crossed a shard border and were exported.
-    pub border_tx_exported: u64,
-    /// Foreign-frame injections received across shard borders.
-    pub border_rx_injected: u64,
-    /// Conservative synchronization windows the sharded run stepped.
-    pub sync_windows: u64,
-    /// The full simulator counters of the run (merged over shards), for
-    /// the shared Prometheus export.
+    /// The full simulator counters of the run, for the shared Prometheus
+    /// export.
     pub stats: Stats,
 }
 
-/// Runs the scheduler scenario on `cores` shards: more than one runs the
-/// sharded engine; one runs the (bit-identical) sequential world through
-/// the same wrapper.
-pub fn run_sched(params: &SchedParams, cores: usize) -> SchedResult {
-    let mut world = ShardedWorld::new(WorldConfig {
+/// Runs the scheduler scenario.
+pub fn run_sched(params: &SchedParams) -> SchedResult {
+    let mut world = World::new(WorldConfig {
         field: (params.field, params.field),
         range: params.range,
         seed: params.seed,
-        exec: ExecProfile::default().with_cores(cores),
         ..WorldConfig::default()
     });
     let mut place = SmallRng::seed_from_u64(params.seed ^ 0x5DEECE66D);
@@ -571,37 +559,17 @@ pub fn run_sched(params: &SchedParams, cores: usize) -> SchedResult {
         cs_arena_live: cs_live,
         arrival_events: s.arrival_events,
         timer_slots_allocated: world.timer_slots_allocated(),
-        cores: s.shards.max(1),
-        border_tx_exported: s.border_tx_exported,
-        border_rx_injected: s.border_rx_injected,
-        sync_windows: s.sync_windows,
-        stats: s,
-    }
-}
-
-/// Speedup of the best multi-shard run over the axis' sequential run (1.0
-/// when the axis holds fewer than two entries).
-pub fn shard_speedup(axis: &[SchedResult]) -> f64 {
-    match axis.split_first() {
-        Some((seq, rest)) if !rest.is_empty() => {
-            rest.iter()
-                .map(|r| r.events_per_sec)
-                .fold(f64::NEG_INFINITY, f64::max)
-                / seq.events_per_sec.max(1e-9)
-        }
-        _ => 1.0,
+        stats: s.clone(),
     }
 }
 
 /// Renders the `BENCH_sched.json` document: host facts, scenario
-/// parameters, and one entry per core count (first entry `cores = 1`, the
-/// sequential engine).
-pub fn render_report(host: &HostFacts, params: &SchedParams, axis: &[SchedResult]) -> String {
+/// parameters, and the run's entry.
+pub fn render_report(host: &HostFacts, params: &SchedParams, run: &SchedResult) -> String {
     fn entry(r: &SchedResult) -> String {
         format!(
             concat!(
                 "{{\n",
-                "    \"cores\": {},\n",
                 "    \"wall_secs\": {:.4},\n",
                 "    \"events_popped\": {},\n",
                 "    \"sim_events\": {},\n",
@@ -618,13 +586,9 @@ pub fn render_report(host: &HostFacts, params: &SchedParams, axis: &[SchedResult
                 "    \"full_decodes\": {},\n",
                 "    \"pit_arena_live\": {},\n",
                 "    \"cs_arena_live\": {},\n",
-                "    \"timer_slots_allocated\": {},\n",
-                "    \"border_tx_exported\": {},\n",
-                "    \"border_rx_injected\": {},\n",
-                "    \"sync_windows\": {}\n",
+                "    \"timer_slots_allocated\": {}\n",
                 "  }}"
             ),
-            r.cores,
             r.wall_secs,
             r.events,
             r.sim_events,
@@ -642,12 +606,8 @@ pub fn render_report(host: &HostFacts, params: &SchedParams, axis: &[SchedResult
             r.pit_arena_live,
             r.cs_arena_live,
             r.timer_slots_allocated,
-            r.border_tx_exported,
-            r.border_rx_injected,
-            r.sync_windows,
         )
     }
-    let entries: Vec<String> = axis.iter().map(entry).collect();
     format!(
         concat!(
             "{{\n",
@@ -661,8 +621,7 @@ pub fn render_report(host: &HostFacts, params: &SchedParams, axis: &[SchedResult
             "  \"tick_ms\": {},\n",
             "  \"reply_bytes\": {},\n",
             "  \"seed\": {},\n",
-            "  \"cores_axis\": [{}],\n",
-            "  \"shard_speedup_events_per_sec\": {:.2}\n",
+            "  \"run\": {}\n",
             "}}\n"
         ),
         host.render_json(),
@@ -674,8 +633,7 @@ pub fn render_report(host: &HostFacts, params: &SchedParams, axis: &[SchedResult
         params.tick_ms,
         params.reply_bytes,
         params.seed,
-        entries.join(", "),
-        shard_speedup(axis),
+        entry(run),
     )
 }
 
@@ -698,7 +656,7 @@ mod tests {
     /// remaining combination to that trace.
     #[test]
     fn all_twelve_mode_combinations_produce_identical_traces() {
-        let r = run_sched(&tiny(), 1);
+        let r = run_sched(&tiny());
         assert_eq!(
             (
                 r.sim_events,
@@ -734,7 +692,7 @@ mod tests {
     #[test]
     fn report_is_well_formed_json_shape() {
         let params = tiny();
-        let axis = vec![run_sched(&params, 1), run_sched(&params, 2)];
+        let run = run_sched(&params);
         let host = HostFacts {
             logical_cores: 2,
             cpu_model: "test \"cpu\"".into(),
@@ -742,34 +700,15 @@ mod tests {
             git_rev: "abc1234".into(),
             sha256_kernel: "portable".into(),
         };
-        let json = render_report(&host, &params, &axis);
+        let json = render_report(&host, &params, &run);
         let doc = crate::json::parse(&json).expect("report parses");
         assert_eq!(crate::check::validate(&doc), Ok(()));
         assert!(json.contains("\"scenario\": \"perf_sched\""));
         assert!(json.contains("\"peek_fib_drops\""));
-        assert!(json.contains("\"border_tx_exported\""));
-    }
-
-    #[test]
-    fn sharded_run_exchanges_border_traffic_and_stays_metric_close() {
-        let params = tiny();
-        let seq = run_sched(&params, 1);
-        let sharded = run_sched(&params, 2);
-        assert_eq!(seq.cores, 1);
-        assert_eq!(sharded.cores, 2);
-        assert!(sharded.border_tx_exported > 0, "bands must exchange frames");
-        assert!(sharded.border_rx_injected >= sharded.border_tx_exported);
-        assert!(sharded.sync_windows > 0);
-        // The sharded trace is metric-equivalent, not bit-identical: the
-        // same protocol runs, so aggregate traffic lands within a loose
-        // envelope of the sequential run (tolerance documented in
-        // `ShardedWorld`; the proptest suite tightens this per-metric).
-        let ratio = sharded.tx_frames as f64 / seq.tx_frames.max(1) as f64;
-        assert!(
-            (0.5..=2.0).contains(&ratio),
-            "tx_frames diverged: sharded {} vs sequential {}",
-            sharded.tx_frames,
-            seq.tx_frames
+        let entry = doc.get("run").expect("one run entry");
+        assert_eq!(
+            entry.get("tx_frames").and_then(crate::json::Value::as_f64),
+            Some(run.tx_frames as f64)
         );
     }
 }

@@ -759,8 +759,8 @@ mod tests {
         cs.audit().expect("exact accounting");
     }
 
-    /// The sharded engine moves stacks across threads between barriers, so
-    /// they must be `Send` — which they are field by field. The lock that
+    /// A whole world (stacks included) may move to a worker thread, so
+    /// stacks must be `Send` — which they are field by field. The lock that
     /// once wrapped the multi-hop state was never what provided it (CI
     /// greps these crates for lock types, hence no type name here).
     #[test]

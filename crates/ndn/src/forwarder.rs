@@ -74,8 +74,8 @@ pub enum Decision {
 
 /// Chooses egress faces for Interests that need forwarding.
 ///
-/// `Send` so forwarders can live inside stacks driven by the sharded
-/// multi-core engine; strategies hold only per-node state.
+/// `Send` so forwarders can live inside stacks of a `World` that moves to
+/// a worker thread; strategies hold only per-node state.
 pub trait Strategy: Send {
     /// Decides forwarding for `interest` arriving on `ingress`, given the
     /// FIB's `nexthops` (already excluding `ingress`).

@@ -45,50 +45,6 @@ impl fmt::Debug for Point {
     }
 }
 
-/// An axis-aligned rectangle, used by the sharded engine to describe the
-/// region of the field another shard's receivers can occupy.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct Rect {
-    /// Corner with the smallest coordinates.
-    pub min: Point,
-    /// Corner with the largest coordinates.
-    pub max: Point,
-}
-
-impl Rect {
-    /// The smallest rectangle containing both corners.
-    pub fn new(a: Point, b: Point) -> Self {
-        Rect {
-            min: Point::new(a.x.min(b.x), a.y.min(b.y)),
-            max: Point::new(a.x.max(b.x), a.y.max(b.y)),
-        }
-    }
-
-    /// Grows the rectangle by `margin` metres on every side.
-    pub fn expanded(&self, margin: f64) -> Rect {
-        Rect {
-            min: Point::new(self.min.x - margin, self.min.y - margin),
-            max: Point::new(self.max.x + margin, self.max.y + margin),
-        }
-    }
-
-    /// Extends the rectangle to contain `p`.
-    pub fn include(&mut self, p: Point) {
-        self.min = Point::new(self.min.x.min(p.x), self.min.y.min(p.y));
-        self.max = Point::new(self.max.x.max(p.x), self.max.y.max(p.y));
-    }
-
-    /// Whether the disc of radius `r` around `center` overlaps the
-    /// rectangle (boundary contact counts).
-    pub fn intersects_disc(&self, center: Point, r: f64) -> bool {
-        let nearest = Point::new(
-            center.x.clamp(self.min.x, self.max.x),
-            center.y.clamp(self.min.y, self.max.y),
-        );
-        nearest.within(&center, r)
-    }
-}
-
 /// A velocity vector in metres per second.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub struct Velocity {
@@ -205,28 +161,6 @@ mod tests {
         )
         .expect("moving");
         assert_eq!(t, 0.0);
-    }
-
-    #[test]
-    fn rect_disc_intersection() {
-        let r = Rect::new(Point::new(100.0, 0.0), Point::new(200.0, 300.0));
-        // Disc fully inside.
-        assert!(r.intersects_disc(Point::new(150.0, 150.0), 10.0));
-        // Disc outside, reaching the left edge exactly.
-        assert!(r.intersects_disc(Point::new(40.0, 150.0), 60.0));
-        // Disc outside, just short of the edge.
-        assert!(!r.intersects_disc(Point::new(39.0, 150.0), 60.0));
-        // Corner case: diagonal distance governs.
-        assert!(!r.intersects_disc(Point::new(50.0, -50.0), 60.0));
-        assert!(r.intersects_disc(Point::new(60.0, -30.0), 60.0));
-        // expanded() grows every side.
-        let e = r.expanded(10.0);
-        assert_eq!(e.min, Point::new(90.0, -10.0));
-        assert_eq!(e.max, Point::new(210.0, 310.0));
-        let mut g = Rect::new(Point::new(0.0, 0.0), Point::new(1.0, 1.0));
-        g.include(Point::new(-2.0, 5.0));
-        assert_eq!(g.min, Point::new(-2.0, 0.0));
-        assert_eq!(g.max, Point::new(1.0, 5.0));
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub struct SpatialGrid {
     cols: u32,
     rows: u32,
     cells: Vec<Vec<NodeId>>,
-    spans: Vec<Option<CellSpan>>,
+    spans: Vec<CellSpan>,
 }
 
 impl SpatialGrid {
@@ -102,34 +102,19 @@ impl SpatialGrid {
             "grid nodes must be inserted in id order"
         );
         let span = self.span_for(a, b);
-        self.spans.push(Some(span));
+        self.spans.push(span);
         self.add_to_cells(node, span);
-    }
-
-    /// Registers `node` as absent: it holds its id slot (preserving the
-    /// id-order invariant) but occupies no cells and never appears in
-    /// candidate scans. The sharded engine uses this for shadow slots of
-    /// nodes owned by another shard.
-    pub fn insert_absent(&mut self, node: NodeId) {
-        assert_eq!(
-            node.0 as usize,
-            self.spans.len(),
-            "grid nodes must be inserted in id order"
-        );
-        self.spans.push(None);
     }
 
     /// Re-registers `node` for a new movement segment from `a` to `b`.
     pub fn update(&mut self, node: NodeId, a: Point, b: Point) {
         let span = self.span_for(a, b);
         let old = self.spans[node.0 as usize];
-        if old == Some(span) {
+        if old == span {
             return;
         }
-        if let Some(old) = old {
-            self.remove_from_cells(node, old);
-        }
-        self.spans[node.0 as usize] = Some(span);
+        self.remove_from_cells(node, old);
+        self.spans[node.0 as usize] = span;
         self.add_to_cells(node, span);
     }
 

@@ -38,7 +38,6 @@ pub mod mobility;
 pub mod node;
 pub mod payload;
 pub mod radio;
-pub mod shard;
 pub mod stats;
 pub mod time;
 pub mod wheel;
@@ -48,17 +47,16 @@ pub mod world;
 pub mod prelude {
     pub use crate::exec::ExecProfile;
     pub use crate::fault::{FaultAction, FaultPlan};
-    pub use crate::geometry::{Point, Rect};
+    pub use crate::geometry::Point;
     pub use crate::grid::SpatialGrid;
     pub use crate::mobility::{Mobility, RandomDirection, ScriptedMobility, Stationary};
     pub use crate::node::{NetStack, NodeCtx, NodeId, TimerHandle, TxOutcome};
     pub use crate::payload::Payload;
     pub use crate::radio::{Frame, FrameKind, PhyConfig};
-    pub use crate::shard::ShardedWorld;
     pub use crate::stats::Stats;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::wheel::TimerWheel;
-    pub use crate::world::{ForeignFrame, StackFactory, World, WorldConfig};
+    pub use crate::world::{StackFactory, World, WorldConfig};
 }
 
 pub use prelude::*;

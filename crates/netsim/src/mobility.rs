@@ -13,9 +13,8 @@ use rand::Rng;
 use std::fmt::Debug;
 
 /// How a node moves. Positions are queried analytically between *segment
-/// changes*, so the simulator never ticks idle nodes. `Send` because the
-/// sharded engine moves each shard's world onto its own thread between
-/// synchronization barriers.
+/// changes*, so the simulator never ticks idle nodes. `Send` so a whole
+/// `World` can move to a worker thread (independent trials in parallel).
 pub trait Mobility: Debug + Send {
     /// Position at time `now`. Must be piecewise-deterministic: two queries
     /// at the same instant return the same point.

@@ -145,9 +145,9 @@ pub struct TxOutcome {
 ///
 /// All methods take `&mut self` plus a command-buffering [`NodeCtx`];
 /// callbacks never nest, and each stack is only ever driven by one event
-/// loop at a time. The `Send` bound exists for the sharded engine, which
-/// moves each shard's world (stacks included) onto its own thread between
-/// synchronization barriers — stacks need no internal locking.
+/// loop at a time. The `Send` bound lets a whole `World` (stacks included)
+/// move to a worker thread, so independent trials can run in parallel —
+/// stacks need no internal locking.
 pub trait NetStack: Send {
     /// Invoked once at simulation start.
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>);

@@ -71,20 +71,6 @@ pub struct Stats {
     /// incarnation died (crash/leave/restart) and were suppressed instead of
     /// firing into the fresh stack. Their slab slots are still freed.
     pub stale_events_suppressed: u64,
-    /// Number of spatial shards the run executed on (1 for the sequential
-    /// engine; set by the shard coordinator on merged stats).
-    pub shards: u64,
-    /// Conservative lookahead window of the sharded engine, in
-    /// microseconds (0 for the sequential engine).
-    pub lookahead_micros: u64,
-    /// Synchronization windows (barrier rounds) the sharded engine ran.
-    pub sync_windows: u64,
-    /// Transmissions whose radio disc crossed a shard border and were
-    /// exported as inter-shard messages.
-    pub border_tx_exported: u64,
-    /// Border-crossing transmissions injected into this world at window
-    /// boundaries (each fans out to local receivers like a delivery).
-    pub border_rx_injected: u64,
 }
 
 impl Stats {
@@ -113,15 +99,9 @@ impl Stats {
         *self.delivered_by_kind.entry(kind).or_insert(0) += 1;
     }
 
-    /// Folds another run's counters into this one — the shard coordinator
-    /// merges per-shard stats into one run-wide view with it.
-    ///
-    /// Additive counters sum; `tx_per_node` merges element-wise (node ids
-    /// are globally aligned across shards, so each index is owned by
-    /// exactly one shard); `partitions_cut`/`partitions_healed` take the
-    /// max because `Cut`/`Heal` actions are broadcast to every shard and
-    /// would otherwise multiply; `shards`/`lookahead_micros`/`sync_windows`
-    /// take the max because the coordinator stamps them run-wide.
+    /// Folds another, independent run's counters into this one: a plain
+    /// element-wise sum of every field (`tx_per_node` by index, the longer
+    /// vector setting the length).
     pub fn merge(&mut self, other: &Stats) {
         self.tx_frames += other.tx_frames;
         self.tx_payload_bytes += other.tx_payload_bytes;
@@ -153,15 +133,10 @@ impl Stats {
         self.node_restarts += other.node_restarts;
         self.node_joins += other.node_joins;
         self.node_leaves += other.node_leaves;
-        self.partitions_cut = self.partitions_cut.max(other.partitions_cut);
-        self.partitions_healed = self.partitions_healed.max(other.partitions_healed);
+        self.partitions_cut += other.partitions_cut;
+        self.partitions_healed += other.partitions_healed;
         self.partition_drops += other.partition_drops;
         self.stale_events_suppressed += other.stale_events_suppressed;
-        self.shards = self.shards.max(other.shards);
-        self.lookahead_micros = self.lookahead_micros.max(other.lookahead_micros);
-        self.sync_windows = self.sync_windows.max(other.sync_windows);
-        self.border_tx_exported += other.border_tx_exported;
-        self.border_rx_injected += other.border_rx_injected;
     }
 
     /// Total deliveries for a set of kinds (the adversarial benches'
@@ -271,32 +246,6 @@ impl Stats {
             "Events suppressed after their node incarnation died.",
             self.stale_events_suppressed,
         );
-        counter(
-            "border_tx_exported_total",
-            "Transmissions exported across a shard border.",
-            self.border_tx_exported,
-        );
-        counter(
-            "border_rx_injected_total",
-            "Border-crossing transmissions injected at window boundaries.",
-            self.border_rx_injected,
-        );
-        let mut gauge = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP dapes_{name} {help}\n# TYPE dapes_{name} gauge\ndapes_{name} {value}\n"
-            ));
-        };
-        gauge("shards", "Spatial shards the run executed on.", self.shards);
-        gauge(
-            "lookahead_micros",
-            "Conservative lookahead window of the sharded engine.",
-            self.lookahead_micros,
-        );
-        gauge(
-            "sync_windows",
-            "Synchronization windows the sharded engine ran.",
-            self.sync_windows,
-        );
         out.push_str(concat!(
             "# HELP dapes_tx_by_kind_total Frames transmitted, by protocol kind.\n",
             "# TYPE dapes_tx_by_kind_total counter\n"
@@ -389,19 +338,18 @@ mod tests {
     }
 
     #[test]
-    fn merge_sums_counters_and_maxes_broadcast_actions() {
+    fn merge_sums_every_counter_of_independent_runs() {
         let mut a = Stats::new(2);
         a.record_tx(0, FrameKind(5), 10);
         a.record_delivery(FrameKind(5), 10);
         a.partitions_cut = 3;
         a.event_dispatches = 7;
-        a.border_tx_exported = 2;
+        a.partitions_healed = 1;
         let mut b = Stats::new(4);
         b.record_tx(3, FrameKind(5), 20);
         b.record_tx(3, FrameKind(6), 5);
-        b.partitions_cut = 3; // same Cut actions, broadcast to every shard
+        b.partitions_cut = 2;
         b.event_dispatches = 11;
-        b.border_rx_injected = 4;
         a.merge(&b);
         assert_eq!(a.tx_frames, 3);
         assert_eq!(a.tx_payload_bytes, 35);
@@ -409,26 +357,9 @@ mod tests {
         assert_eq!(a.tx_by_kind[&FrameKind(6)], 1);
         assert_eq!(a.delivered, 1);
         assert_eq!(a.tx_per_node, vec![1, 0, 0, 2]);
-        assert_eq!(a.partitions_cut, 3);
+        assert_eq!(a.partitions_cut, 5);
+        assert_eq!(a.partitions_healed, 1);
         assert_eq!(a.event_dispatches, 18);
-        assert_eq!(a.border_tx_exported, 2);
-        assert_eq!(a.border_rx_injected, 4);
-    }
-
-    #[test]
-    fn prometheus_dump_includes_shard_metrics() {
-        let mut s = Stats::new(1);
-        s.shards = 4;
-        s.lookahead_micros = 217;
-        s.sync_windows = 9;
-        s.border_tx_exported = 5;
-        let text = s.to_prometheus();
-        assert!(text.contains("# TYPE dapes_shards gauge"));
-        assert!(text.contains("dapes_shards 4\n"));
-        assert!(text.contains("dapes_lookahead_micros 217\n"));
-        assert!(text.contains("dapes_sync_windows 9\n"));
-        assert!(text.contains("dapes_border_tx_exported_total 5\n"));
-        assert!(text.contains("dapes_border_rx_injected_total 0\n"));
     }
 
     #[test]

@@ -19,9 +19,9 @@
 
 use crate::exec::ExecProfile;
 use crate::fault::{FaultAction, FaultPlan};
-use crate::geometry::{Point, Rect};
+use crate::geometry::Point;
 use crate::grid::SpatialGrid;
-use crate::mobility::{Mobility, Stationary};
+use crate::mobility::Mobility;
 use crate::node::{Command, NetStack, NodeCtx, NodeId, TimerHandle, TxOutcome};
 use crate::payload::Payload;
 use crate::radio::{Frame, FrameKind, PhyConfig};
@@ -35,8 +35,8 @@ use std::collections::{BTreeSet, VecDeque};
 /// Builds the replacement stack for a node being restarted by a
 /// [`FaultAction::Restart`]. The second argument is the crashed incarnation
 /// (the "wreck"), available for downcast-and-salvage; `None` when the crash
-/// predates any factory or the node left permanently. `Send` so the sharded
-/// engine can hand a shared factory to per-thread shards.
+/// predates any factory or the node left permanently. `Send` so a whole
+/// [`World`] can move to a worker thread (independent trials in parallel).
 pub type StackFactory = Box<dyn FnMut(NodeId, Option<&dyn NetStack>) -> Box<dyn NetStack> + Send>;
 
 /// Static configuration of a simulation run.
@@ -50,8 +50,8 @@ pub struct WorldConfig {
     pub phy: PhyConfig,
     /// RNG seed; equal seeds give bit-identical runs.
     pub seed: u64,
-    /// The sharded engine's `cores` and `lookahead`; the sequential
-    /// [`World`] ignores it.
+    /// Source-compatibility placeholder with no content (see
+    /// [`ExecProfile`]); ROADMAP item 0 removes it.
     pub exec: ExecProfile,
 }
 
@@ -62,7 +62,7 @@ impl Default for WorldConfig {
             range: 60.0,
             phy: PhyConfig::default(),
             seed: 1,
-            exec: ExecProfile::default(),
+            exec: ExecProfile,
         }
     }
 }
@@ -89,10 +89,6 @@ struct MacState {
 struct NodeSlot {
     mobility: Box<dyn Mobility>,
     stack: Option<Box<dyn NetStack>>,
-    /// True for a placeholder slot representing a node owned by another
-    /// shard: never in the grid, never dispatched, exists only so node ids
-    /// (and per-node stats arrays) stay globally aligned across shards.
-    shadow: bool,
     mac: MacState,
     /// Incarnation counter, bumped on crash/leave. Timer and delayed-send
     /// events carry the epoch they were armed under; a mismatch at dispatch
@@ -117,24 +113,6 @@ struct ActiveTx {
     payload: Payload,
     token: u64,
     seq: u64,
-}
-
-/// A transmission whose radio disc crossed a shard border, exported by the
-/// owning shard at the end of a synchronization window and injected into
-/// every shard whose receivers it could reach. Carries everything a remote
-/// shard needs to run its own range/partition/loss checks.
-#[derive(Clone, Debug)]
-pub struct ForeignFrame {
-    /// Transmitting node (a shadow slot in the receiving shard).
-    pub src: NodeId,
-    /// Sender position at transmission end, for the remote range check.
-    pub src_pos: Point,
-    /// Protocol tag for accounting.
-    pub kind: FrameKind,
-    /// The shared wire bytes (cheap `Arc` clone).
-    pub payload: Payload,
-    /// The owning shard's transmission sequence number.
-    pub seq: u64,
 }
 
 /// One transmission's precomputed deliveries, carried by its single
@@ -182,11 +160,6 @@ enum EventKind {
     Fault {
         idx: u32,
     },
-    /// A border-crossing transmission from another shard, injected at a
-    /// window boundary; delivered with local range/partition/loss checks
-    /// but without carrier-sense or collision coupling (the sharded
-    /// engine's documented tolerance).
-    Foreign(Box<ForeignFrame>),
 }
 
 // Million-entry queues only stay cache-resident if entries stay small: the
@@ -242,14 +215,6 @@ pub struct World {
     links_cut: BTreeSet<(u32, u32)>,
     /// Builds replacement stacks for `FaultAction::Restart`.
     stack_factory: Option<StackFactory>,
-    /// Regions of the field occupied by *other* shards' receivers
-    /// (expanded by radio range). A finished transmission whose disc
-    /// touches one is exported through `border_outbox`. Empty outside the
-    /// sharded engine — the sequential fast path pays one `is_empty` check.
-    export_regions: Vec<Rect>,
-    /// Border-crossing transmissions awaiting pickup by the shard
-    /// coordinator at the next window boundary.
-    border_outbox: Vec<ForeignFrame>,
 }
 
 /// Canonical (unordered) key for a link between two nodes, so `links_cut`
@@ -288,8 +253,6 @@ impl World {
             fault_actions: Vec::new(),
             links_cut: BTreeSet::new(),
             stack_factory: None,
-            export_regions: Vec::new(),
-            border_outbox: Vec::new(),
             cfg,
         }
     }
@@ -311,35 +274,6 @@ impl World {
         self.nodes.push(NodeSlot {
             mobility,
             stack: Some(stack),
-            shadow: false,
-            mac: MacState {
-                queue: VecDeque::new(),
-                transmitting: false,
-                cw: self.cfg.phy.cw_min,
-                retry_at: None,
-            },
-            epoch: 0,
-            dormant: None,
-        });
-        id
-    }
-
-    /// Adds a placeholder slot for a node owned by another shard: it holds
-    /// the id (keeping node ids globally aligned across shard worlds and
-    /// per-node stats arrays element-wise mergeable) but never enters the
-    /// spatial grid, never transmits, and never receives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation already started.
-    pub fn add_shadow_node(&mut self, pos: Point) -> NodeId {
-        assert!(!self.started, "nodes must be added before the run starts");
-        let id = NodeId(self.nodes.len() as u32);
-        self.grid.insert_absent(id);
-        self.nodes.push(NodeSlot {
-            mobility: Box::new(Stationary::new(pos)),
-            stack: None,
-            shadow: true,
             mac: MacState {
                 queue: VecDeque::new(),
                 transmitting: false,
@@ -578,48 +512,6 @@ impl World {
         self.timers.allocated()
     }
 
-    /// Installs the regions of the field occupied by other shards'
-    /// receivers (already expanded by radio range plus mobility slack).
-    /// A finished transmission whose disc touches one of them is exported
-    /// through [`World::take_border_outbox`]. The shard coordinator
-    /// refreshes these each synchronization window.
-    pub fn set_export_regions(&mut self, regions: Vec<Rect>) {
-        self.export_regions = regions;
-    }
-
-    /// Drains the border-crossing transmissions recorded since the last
-    /// call, in transmission order.
-    pub fn take_border_outbox(&mut self) -> Vec<ForeignFrame> {
-        std::mem::take(&mut self.border_outbox)
-    }
-
-    /// Schedules a border-crossing transmission from another shard for
-    /// delivery at `at` (the next window boundary). Receivers get the same
-    /// range/partition/loss checks as local deliveries; carrier sense and
-    /// collision interference do not couple across shards.
-    pub fn inject_foreign(&mut self, at: SimTime, frame: ForeignFrame) {
-        self.push_event(at.max(self.now), EventKind::Foreign(Box::new(frame)));
-    }
-
-    /// Bounding box of this shard's own (non-shadow) nodes at the current
-    /// time, or `None` when the shard owns no nodes. The coordinator
-    /// expands these by radio range plus a mobility slack to build the
-    /// export regions other shards filter against.
-    pub fn local_node_bounds(&self) -> Option<Rect> {
-        let mut bounds: Option<Rect> = None;
-        for slot in &self.nodes {
-            if slot.shadow {
-                continue;
-            }
-            let p = slot.mobility.position(self.now);
-            match &mut bounds {
-                Some(r) => r.include(p),
-                None => bounds = Some(Rect::new(p, p)),
-            }
-        }
-        bounds
-    }
-
     fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::Timer {
@@ -655,7 +547,6 @@ impl World {
             EventKind::TxEnd { tx_id } => self.finish_tx(tx_id),
             EventKind::DeliverBatch(batch) => self.dispatch_batch(*batch),
             EventKind::Fault { idx } => self.apply_fault(idx as usize),
-            EventKind::Foreign(frame) => self.deliver_foreign(*frame),
             EventKind::MobilityChange { node } => {
                 let field = self.cfg.field;
                 let slot = &mut self.nodes[node.0 as usize];
@@ -835,51 +726,6 @@ impl World {
         self.cmd_pool.push(commands);
         receivers.clear();
         self.recv_pool.push(receivers);
-    }
-
-    /// Delivers a border-crossing transmission from another shard: the same
-    /// range / partition / Bernoulli-loss checks as a local delivery (in
-    /// ascending node order, against this shard's own RNG stream), then one
-    /// `on_frame` per surviving receiver. No carrier-sense or collision
-    /// coupling — the documented cross-shard tolerance.
-    fn deliver_foreign(&mut self, f: ForeignFrame) {
-        self.stats.border_rx_injected += 1;
-        let mut candidates = std::mem::take(&mut self.candidate_buf);
-        self.grid
-            .candidates_into(f.src_pos, self.cfg.range, &mut candidates);
-        let mut deliveries: Vec<NodeId> = self.recv_pool.pop().unwrap_or_default();
-        for &receiver in &candidates {
-            let j = receiver.0 as usize;
-            if receiver == f.src || self.nodes[j].stack.is_none() {
-                continue;
-            }
-            let rpos = self.nodes[j].mobility.position(self.now);
-            if !f.src_pos.within(&rpos, self.cfg.range) {
-                continue;
-            }
-            if !self.links_cut.is_empty() && self.links_cut.contains(&link_key(f.src, receiver)) {
-                self.stats.partition_drops += 1;
-                continue;
-            }
-            if self.cfg.phy.loss_rate > 0.0 && self.rng.gen::<f64>() < self.cfg.phy.loss_rate {
-                self.stats.channel_losses += 1;
-                continue;
-            }
-            self.stats.record_delivery(f.kind, f.payload.len());
-            deliveries.push(receiver);
-        }
-        self.candidate_buf = candidates;
-        let frame = Frame {
-            src: f.src,
-            kind: f.kind,
-            payload: f.payload,
-            seq: f.seq,
-        };
-        for &receiver in &deliveries {
-            self.with_stack(receiver, |stack, ctx| stack.on_frame(ctx, &frame));
-        }
-        deliveries.clear();
-        self.recv_pool.push(deliveries);
     }
 
     fn apply_commands(&mut self, node: NodeId, commands: &mut Vec<Command>) {
@@ -1086,26 +932,6 @@ impl World {
             collided: sender_collided,
         };
 
-        // A transmission whose radio disc reaches into another shard's
-        // receiver region is exported for window-boundary injection there.
-        // The local delivery below is unaffected, so a single-shard run
-        // (empty regions) is bit-identical to the pre-sharding engine.
-        if !self.export_regions.is_empty()
-            && self
-                .export_regions
-                .iter()
-                .any(|r| r.intersects_disc(sender_pos, self.cfg.range))
-        {
-            self.stats.border_tx_exported += 1;
-            self.border_outbox.push(ForeignFrame {
-                src: sender,
-                src_pos: sender_pos,
-                kind,
-                payload: frame.payload.clone(),
-                seq: frame.seq,
-            });
-        }
-
         // Outcomes (and therefore the loss draws) are already settled above;
         // what remains is handing the frame to each receiver's stack, which
         // the one arrival event does when it pops.
@@ -1203,6 +1029,15 @@ mod tests {
         fn as_any_mut(&mut self) -> &mut dyn Any {
             self
         }
+    }
+
+    /// Multi-core means independent trials in parallel, so a whole world
+    /// (stacks, mobility and restart factory included) must be movable to a
+    /// worker thread. Checked when this module compiles.
+    #[test]
+    fn world_is_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<World>();
     }
 
     fn lossless() -> WorldConfig {

@@ -54,7 +54,7 @@ pub mod prelude {
     pub use crate::matrix::{MatrixCell, MatrixParams, ScenarioMatrix, Topology};
     pub use crate::scenario::{
         rogue_anchor, shared_anchor, CollectionParams, FaultProfile, MobilityPreset, PeerRole,
-        Scenario, ScenarioBuilder, ShardedScenario,
+        Scenario, ScenarioBuilder,
     };
     pub use crate::zipf::ZipfSampler;
 }

@@ -9,7 +9,6 @@
 use crate::golden::{assert_scenario, GoldenMetrics};
 use crate::scenario::{
     CollectionParams, FaultProfile, MobilityPreset, PeerRole, Scenario, ScenarioBuilder,
-    ShardedScenario,
 };
 use dapes_core::prelude::*;
 use dapes_netsim::prelude::*;
@@ -84,27 +83,11 @@ impl Topology {
     }
 
     /// Builds the scenario for one `(topology, seed)` cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `params.exec.cores > 1`; multi-core cells go through
-    /// [`build_sharded`](Self::build_sharded).
     pub fn build(&self, seed: u64, params: &MatrixParams) -> Scenario {
-        self.builder(seed, params).build()
-    }
-
-    /// Builds the same cell on the sharded multi-core engine.
-    pub fn build_sharded(&self, seed: u64, params: &MatrixParams) -> ShardedScenario {
-        self.builder(seed, params).build_sharded()
-    }
-
-    /// The fully configured builder for one `(topology, seed)` cell.
-    fn builder(&self, seed: u64, params: &MatrixParams) -> ScenarioBuilder {
         let r = params.range;
         let mut base = ScenarioBuilder::new(seed)
             .range(r)
             .loss(params.loss)
-            .exec(params.exec)
             .collection_params(params.collection.clone())
             .config(params.config.clone());
         // Attackers sit near the topology's hub, in radio range of the
@@ -118,7 +101,7 @@ impl Topology {
             base = base.adversary_at(kind, hub.0 + r / 4.0, hub.1 + r / 6.0);
         }
         base = base.faults(params.faults.iter().cloned());
-        match *self {
+        let builder = match *self {
             Topology::AdjacentPair => base.producer_at(0.0, 0.0).downloader_at(r / 3.0, 0.0),
             Topology::Chain { relays } => {
                 let spacing = 0.85 * r;
@@ -162,7 +145,8 @@ impl Topology {
                 .producer_at(150.0, 150.0)
                 .mobile_downloaders(downloaders)
                 .mobile_pure_forwarders(forwarders),
-        }
+        };
+        builder.build()
     }
 }
 
@@ -186,9 +170,6 @@ pub struct MatrixParams {
     /// Cell deadlines extend by the last fault instant; empty means a
     /// fault-free matrix.
     pub faults: Vec<FaultProfile>,
-    /// Execution profile shared by every cell; `cores > 1` routes cells
-    /// onto the sharded engine.
-    pub exec: ExecProfile,
 }
 
 impl Default for MatrixParams {
@@ -200,7 +181,6 @@ impl Default for MatrixParams {
             config: DapesConfig::default(),
             adversaries: Vec::new(),
             faults: Vec::new(),
-            exec: ExecProfile::default(),
         }
     }
 }
@@ -288,15 +268,8 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Runs one cell to its deadline and checks invariants. Cells whose
-    /// profile asks for more than one core run on the sharded engine
-    /// instead (with the determinism re-run but without the golden
-    /// asserts, whose expectations are calibrated on event-exact
-    /// sequential observability).
+    /// Runs one cell to its deadline and checks invariants.
     pub fn run_cell(&self, topology: Topology, seed: u64) -> MatrixCell {
-        if self.params.exec.cores > 1 {
-            return self.run_cell_sharded(topology, seed);
-        }
         let label = format!("{}/seed-{seed}", topology.label());
         let deadline = topology.deadline_with_faults(&self.params.faults);
         let run = || {
@@ -332,49 +305,6 @@ impl ScenarioMatrix {
                 .and_then(|v| v.into_iter().max()),
             tx_frames: sc.world.stats().tx_frames,
             overhead_ratio: crate::golden::overhead_ratio(sc.world.stats()),
-        }
-    }
-
-    /// The sharded-engine variant of [`run_cell`](Self::run_cell).
-    fn run_cell_sharded(&self, topology: Topology, seed: u64) -> MatrixCell {
-        let label = format!(
-            "{}/seed-{seed}/cores-{}",
-            topology.label(),
-            self.params.exec.cores
-        );
-        let deadline = topology.deadline_with_faults(&self.params.faults);
-        let run = || {
-            let mut sc = topology.build_sharded(seed, &self.params);
-            sc.run_until_complete(deadline);
-            sc
-        };
-        let sc = run();
-        if self.check_determinism {
-            let sc2 = run();
-            assert_eq!(
-                sc.world.stats().tx_frames,
-                sc2.world.stats().tx_frames,
-                "[{label}] same seed and cores, different frame count"
-            );
-            assert_eq!(
-                sc.completion_times(),
-                sc2.completion_times(),
-                "[{label}] same seed and cores, different completion times"
-            );
-        }
-        let times = sc.completion_times();
-        MatrixCell {
-            topology,
-            seed,
-            completed: times.iter().filter(|t| t.is_some()).count(),
-            downloaders: sc.downloaders.len(),
-            finished_at: times
-                .iter()
-                .copied()
-                .collect::<Option<Vec<_>>>()
-                .and_then(|v| v.into_iter().max()),
-            tx_frames: sc.world.stats().tx_frames,
-            overhead_ratio: crate::golden::overhead_ratio(&sc.world.stats()),
         }
     }
 

@@ -221,7 +221,6 @@ pub struct ScenarioBuilder {
     anchor: TrustAnchor,
     peers: Vec<PeerSpec>,
     adversaries: Vec<AdversarySpec>,
-    exec: ExecProfile,
     fault_plan: FaultPlan,
     fault_profiles: Vec<FaultProfile>,
 }
@@ -242,7 +241,6 @@ impl ScenarioBuilder {
             anchor: shared_anchor(),
             peers: Vec::new(),
             adversaries: Vec::new(),
-            exec: ExecProfile::default(),
             fault_plan: FaultPlan::new(),
             fault_profiles: Vec::new(),
         }
@@ -267,12 +265,6 @@ impl ScenarioBuilder {
     /// Radio range in metres.
     pub fn range(mut self, range: f64) -> Self {
         self.range = range;
-        self
-    }
-
-    /// The execution profile for the run: shard count and lookahead.
-    pub fn exec(mut self, exec: ExecProfile) -> Self {
-        self.exec = exec;
         self
     }
 
@@ -465,10 +457,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// The [`WorldConfig`] this builder produces (also used by
-    /// [`build_sharded`](Self::build_sharded)).
-    fn world_config(&self) -> WorldConfig {
-        WorldConfig {
+    /// Instantiates the world, collection and peers. Node ids are assigned
+    /// in insertion order; random-walk start positions come from a SplitMix
+    /// of the scenario seed, so equal builders give bit-identical runs.
+    pub fn build(self) -> Scenario {
+        let mut world = World::new(WorldConfig {
             seed: self.seed,
             range: self.range,
             field: self.field,
@@ -476,64 +469,8 @@ impl ScenarioBuilder {
                 loss_rate: self.loss,
                 ..PhyConfig::default()
             },
-            exec: self.exec,
-        }
-    }
-
-    /// Instantiates the world, collection and peers. Node ids are assigned
-    /// in insertion order; random-walk start positions come from a SplitMix
-    /// of the scenario seed, so equal builders give bit-identical runs.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the profile asks for more than one core — multi-core
-    /// runs go through [`build_sharded`](Self::build_sharded), which has
-    /// different (window-boundary) observability semantics.
-    pub fn build(self) -> Scenario {
-        assert_eq!(
-            self.exec.cores, 1,
-            "exec.cores > 1: use ScenarioBuilder::build_sharded()"
-        );
-        let mut world = World::new(self.world_config());
-        let parts = self.populate(&mut world);
-        Scenario {
-            world,
-            producers: parts.producers,
-            downloaders: parts.downloaders,
-            relays: parts.relays,
-            forwarders: parts.forwarders,
-            adversaries: parts.adversaries,
-            collection: parts.collection,
-            anchor: parts.anchor,
-            loss_schedule: parts.loss_schedule,
-            schedule_applied: 0,
-        }
-    }
-
-    /// Instantiates the scenario on the sharded multi-core engine. With
-    /// `exec.cores == 1` the run is bit-identical to [`build`](Self::build)
-    /// (the sharded world delegates to a single sequential world); with
-    /// more cores it is metric-equivalent within the tolerance documented
-    /// on [`dapes_netsim::shard`].
-    pub fn build_sharded(self) -> ShardedScenario {
-        let mut world = ShardedWorld::new(self.world_config());
-        let parts = self.populate(&mut world);
-        ShardedScenario {
-            world,
-            producers: parts.producers,
-            downloaders: parts.downloaders,
-            relays: parts.relays,
-            forwarders: parts.forwarders,
-            adversaries: parts.adversaries,
-            collection: parts.collection,
-            anchor: parts.anchor,
-            loss_schedule: parts.loss_schedule,
-            schedule_applied: 0,
-        }
-    }
-
-    /// Adds every peer, adversary, fault and restart recipe to `world`.
-    fn populate<W: SimWorld>(self, world: &mut W) -> ScenarioParts {
+            ..WorldConfig::default()
+        });
         let collection = self.collection.build();
         let mut placement_rng = SmallRng::seed_from_u64(self.seed ^ 0x9e37_79b9_7f4a_7c15);
 
@@ -662,7 +599,8 @@ impl ScenarioBuilder {
             world.set_fault_plan(plan);
         }
 
-        ScenarioParts {
+        Scenario {
+            world,
             producers,
             downloaders,
             relays,
@@ -671,59 +609,8 @@ impl ScenarioBuilder {
             collection,
             anchor: self.anchor,
             loss_schedule: self.loss_schedule,
+            schedule_applied: 0,
         }
-    }
-}
-
-/// Everything [`ScenarioBuilder::populate`] adds around the world,
-/// engine-agnostic.
-struct ScenarioParts {
-    producers: Vec<NodeId>,
-    downloaders: Vec<NodeId>,
-    relays: Vec<NodeId>,
-    forwarders: Vec<NodeId>,
-    adversaries: Vec<NodeId>,
-    collection: Arc<Collection>,
-    anchor: TrustAnchor,
-    loss_schedule: Vec<(SimTime, f64)>,
-}
-
-/// The world operations scenario population needs, implemented by both
-/// the sequential [`World`] and the sharded engine.
-trait SimWorld {
-    fn add_node(&mut self, mobility: Box<dyn Mobility>, stack: Box<dyn NetStack>) -> NodeId;
-    fn node_count(&self) -> usize;
-    fn set_stack_factory(&mut self, factory: StackFactory);
-    fn set_fault_plan(&mut self, plan: FaultPlan);
-}
-
-impl SimWorld for World {
-    fn add_node(&mut self, mobility: Box<dyn Mobility>, stack: Box<dyn NetStack>) -> NodeId {
-        World::add_node(self, mobility, stack)
-    }
-    fn node_count(&self) -> usize {
-        World::node_count(self)
-    }
-    fn set_stack_factory(&mut self, factory: StackFactory) {
-        World::set_stack_factory(self, factory)
-    }
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        World::set_fault_plan(self, plan)
-    }
-}
-
-impl SimWorld for ShardedWorld {
-    fn add_node(&mut self, mobility: Box<dyn Mobility>, stack: Box<dyn NetStack>) -> NodeId {
-        ShardedWorld::add_node(self, mobility, stack)
-    }
-    fn node_count(&self) -> usize {
-        ShardedWorld::node_count(self)
-    }
-    fn set_stack_factory(&mut self, factory: StackFactory) {
-        ShardedWorld::set_stack_factory(self, factory)
-    }
-    fn set_fault_plan(&mut self, plan: FaultPlan) {
-        ShardedWorld::set_fault_plan(self, plan)
     }
 }
 
@@ -835,109 +722,6 @@ impl Scenario {
         self.run_until_cond(deadline, |w| {
             w.stack::<DapesPeer>(node)
                 .is_some_and(|p| p.downloads_complete())
-        })
-    }
-}
-
-/// A scenario running on the sharded multi-core engine. Mirrors
-/// [`Scenario`], with one semantic difference: predicates (and loss
-/// switches) are observed at synchronization-window boundaries, so
-/// completion times quantize to the lookahead (~hundreds of
-/// microseconds) instead of event instants.
-pub struct ShardedScenario {
-    /// The sharded simulator.
-    pub world: ShardedWorld,
-    /// Producer node ids, in insertion order.
-    pub producers: Vec<NodeId>,
-    /// Downloader node ids, in insertion order.
-    pub downloaders: Vec<NodeId>,
-    /// DAPES relay node ids.
-    pub relays: Vec<NodeId>,
-    /// Pure-forwarder node ids.
-    pub forwarders: Vec<NodeId>,
-    /// Adversary node ids (always after every honest peer).
-    pub adversaries: Vec<NodeId>,
-    /// The shared collection.
-    pub collection: Arc<Collection>,
-    /// The default trust anchor.
-    pub anchor: TrustAnchor,
-    loss_schedule: Vec<(SimTime, f64)>,
-    schedule_applied: usize,
-}
-
-impl ShardedScenario {
-    /// The DAPES peer at `node`, if it is one.
-    pub fn peer(&self, node: NodeId) -> Option<&DapesPeer> {
-        self.world.stack::<DapesPeer>(node)
-    }
-
-    /// Sums one honest-side defense counter over every DAPES peer.
-    pub fn defense_total<F: Fn(&PeerStats) -> u64>(&self, pick: F) -> u64 {
-        (0..self.world.node_count())
-            .filter_map(|i| self.peer(NodeId(i as u32)))
-            .map(|p| pick(p.stats()))
-            .sum()
-    }
-
-    /// Whether `node` completed all wanted downloads.
-    pub fn completed(&self, node: NodeId) -> bool {
-        self.peer(node).is_some_and(|p| p.downloads_complete())
-    }
-
-    /// Whether every downloader completed.
-    pub fn all_complete(&self) -> bool {
-        self.downloaders.iter().all(|&d| self.completed(d))
-    }
-
-    /// Completion times of the downloaders, in insertion order.
-    pub fn completion_times(&self) -> Vec<Option<SimTime>> {
-        self.downloaders
-            .iter()
-            .map(|&d| self.peer(d).and_then(|p| p.completed_at()))
-            .collect()
-    }
-
-    /// Runs until `deadline`, applying any loss schedule along the way.
-    pub fn run_until(&mut self, deadline: SimTime) {
-        self.run_until_cond(deadline, |_| false);
-    }
-
-    /// Runs until the predicate fires or `deadline`, applying the loss
-    /// schedule at its switch points (quantized to window boundaries).
-    /// Returns whether the predicate fired.
-    pub fn run_until_cond<F: FnMut(&ShardedWorld) -> bool>(
-        &mut self,
-        deadline: SimTime,
-        mut pred: F,
-    ) -> bool {
-        loop {
-            let next_switch = self
-                .loss_schedule
-                .get(self.schedule_applied)
-                .map(|&(t, _)| t);
-            match next_switch {
-                Some(t) if t <= deadline => {
-                    if self.world.run_until_cond(t, &mut pred) {
-                        return true;
-                    }
-                    let (_, rate) = self.loss_schedule[self.schedule_applied];
-                    self.world.set_loss_rate(rate);
-                    self.schedule_applied += 1;
-                }
-                _ => return self.world.run_until_cond(deadline, &mut pred),
-            }
-        }
-    }
-
-    /// Runs until every downloader finished or `deadline`. Returns whether
-    /// all finished.
-    pub fn run_until_complete(&mut self, deadline: SimTime) -> bool {
-        let downloaders = self.downloaders.clone();
-        self.run_until_cond(deadline, |w| {
-            downloaders.iter().all(|&d| {
-                w.stack::<DapesPeer>(d)
-                    .is_some_and(|p| p.downloads_complete())
-            })
         })
     }
 }
