@@ -258,99 +258,6 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Per-curve-entry counters of the Content Store report; all must be
-/// present, non-negative integers.
-const CURVE_COUNTERS: [&str; 10] = [
-    "budget_bytes",
-    "lookups",
-    "hits",
-    "misses",
-    "insertions",
-    "refreshes",
-    "evictions",
-    "rejected_oversize",
-    "resident_entries",
-    "resident_bytes",
-];
-
-/// Validates the Content Store report shape: header fields, a true
-/// `fifo_trace_match` gate flag, and per-curve entries with at least
-/// three distinct eviction policies, probability-range hit rates,
-/// non-negative integer counters that decompose lookups exactly, and
-/// true `deterministic`/`audit_clean` flags.
-fn validate_cs(doc: &Value) -> Result<(), String> {
-    require_num(doc, "nodes")?;
-    require_num(doc, "seed")?;
-    let objects = require_num(doc, "objects")?;
-    if objects < 1.0 {
-        return Err(format!("\"objects\" must be positive, got {objects}"));
-    }
-    match doc.get("fifo_trace_match") {
-        Some(Value::Bool(true)) => {}
-        Some(Value::Bool(false)) => {
-            return Err("\"fifo_trace_match\" is false — gate violated".into())
-        }
-        _ => return Err("missing or non-bool \"fifo_trace_match\"".into()),
-    }
-    let curves = doc
-        .get("curves")
-        .and_then(Value::as_array)
-        .ok_or("\"curves\" must be an array")?;
-    if curves.is_empty() {
-        return Err("\"curves\" array is empty — the sweep measured nothing".into());
-    }
-    let mut policies: Vec<String> = Vec::new();
-    for entry in curves {
-        let policy = require_str(entry, "policy")?;
-        if !policies.iter().any(|p| p == policy) {
-            policies.push(policy.to_string());
-        }
-        for key in ["deterministic", "audit_clean"] {
-            match entry.get(key) {
-                Some(Value::Bool(true)) => {}
-                Some(Value::Bool(false)) => {
-                    return Err(format!(
-                        "policy \"{policy}\": \"{key}\" is false — gate violated"
-                    ))
-                }
-                _ => {
-                    return Err(format!(
-                        "policy \"{policy}\": missing or non-bool \"{key}\""
-                    ))
-                }
-            }
-        }
-        let hit_rate =
-            require_num(entry, "hit_rate").map_err(|e| format!("policy \"{policy}\": {e}"))?;
-        if !(0.0..=1.0).contains(&hit_rate) {
-            return Err(format!(
-                "policy \"{policy}\": \"hit_rate\" must be in [0, 1], got {hit_rate}"
-            ));
-        }
-        for key in CURVE_COUNTERS {
-            let n = require_num(entry, key).map_err(|e| format!("policy \"{policy}\": {e}"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "policy \"{policy}\": counter \"{key}\" must be a non-negative integer, got {n}"
-                ));
-            }
-        }
-        let get = |key: &str| entry.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-        if get("hits") + get("misses") != get("lookups") {
-            return Err(format!(
-                "policy \"{policy}\": hits + misses must equal lookups"
-            ));
-        }
-    }
-    if policies.len() < 3 {
-        return Err(format!(
-            "\"curves\" must cover at least 3 distinct policies, got {}",
-            policies.len()
-        ));
-    }
-    Ok(())
-}
-
 /// The scheduler report's top-level keys; any other key is an error.
 const SCHED_KEYS: [&str; 11] = [
     "scenario",
@@ -421,16 +328,12 @@ fn validate_sched(doc: &Value) -> Result<(), String> {
 
 /// Validates one parsed report document against the CI schema. Documents
 /// carrying an `attacks` key use the adversarial shape, documents with a
-/// `curves` array the Content Store shape, documents with a `cells` array
-/// the fault-injection shape; everything else must be the scheduler
-/// report.
+/// `cells` array the fault-injection shape; everything else must be the
+/// scheduler report.
 pub fn validate(doc: &Value) -> Result<(), String> {
     require_str(doc, "scenario")?;
     if doc.get("attacks").is_some() {
         return validate_adversarial(doc);
-    }
-    if doc.get("curves").is_some() {
-        return validate_cs(doc);
     }
     if doc.get("cells").is_some() {
         return validate_faults(doc);
@@ -466,30 +369,6 @@ pub fn summary(doc: &Value) -> Result<String, String> {
                 require_num(entry, "overhead_ratio")? * 100.0,
                 require_num(entry, "hostile_delivered")?,
                 if matches!(entry.get("exact_accounting"), Some(Value::Bool(true))) {
-                    "yes"
-                } else {
-                    "NO"
-                },
-            ));
-        }
-        return Ok(out);
-    }
-    if let Some(curves) = doc.get("curves").and_then(Value::as_array) {
-        let objects = require_num(doc, "objects")?;
-        let mut out = format!(
-            "### `{scenario}` ({objects:.0} cached objects) — hit rate vs memory budget\n\n\
-             | policy | budget (MiB) | hit rate | evictions | resident | deterministic |\n\
-             | --- | ---: | ---: | ---: | ---: | --- |\n"
-        );
-        for entry in curves {
-            let policy = require_str(entry, "policy")?;
-            out.push_str(&format!(
-                "| `{policy}` | {:.1} | {:.4} | {:.0} | {:.0} | {} |\n",
-                require_num(entry, "budget_bytes")? / (1024.0 * 1024.0),
-                require_num(entry, "hit_rate")?,
-                require_num(entry, "evictions")?,
-                require_num(entry, "resident_entries")?,
-                if matches!(entry.get("deterministic"), Some(Value::Bool(true))) {
                     "yes"
                 } else {
                     "NO"
@@ -774,94 +653,6 @@ mod tests {
         let doc = parse(&adversarial_doc(&entries)).expect("parses");
         let err = validate(&doc).expect_err("duplicate spoof");
         assert!(err.contains("duplicate"), "{err}");
-    }
-
-    fn curve_entry(policy: &str) -> String {
-        format!(
-            "{{\"policy\": \"{policy}\", \"budget_bytes\": 1048576, \
-              \"budget_frac\": 0.25, \"hit_rate\": 0.8125, \
-              \"lookups\": 16, \"hits\": 13, \"misses\": 3, \
-              \"insertions\": 20, \"refreshes\": 1, \"evictions\": 4, \
-              \"rejected_oversize\": 0, \"resident_entries\": 16, \
-              \"resident_bytes\": 900000, \"trace_fnv\": \"0x00ff\", \
-              \"deterministic\": true, \"audit_clean\": true}}"
-        )
-    }
-
-    fn cs_doc(curves: &[String]) -> String {
-        format!(
-            "{{\"scenario\": \"cs\", \"nodes\": 1, \"seed\": 42, \
-             \"objects\": 1000, \"fifo_trace_match\": true, \
-             \"curves\": [{}]}}",
-            curves.join(", ")
-        )
-    }
-
-    fn full_cs_doc() -> String {
-        let curves: Vec<String> = ["fifo", "lru", "lfu", "cost"]
-            .iter()
-            .map(|p| curve_entry(p))
-            .collect();
-        cs_doc(&curves)
-    }
-
-    #[test]
-    fn accepts_a_well_formed_cs_report() {
-        let doc = parse(&full_cs_doc()).expect("parses");
-        assert_eq!(validate(&doc), Ok(()));
-        let table = summary(&doc).expect("summary renders");
-        assert!(
-            table.contains("`lfu`") && table.contains("0.8125"),
-            "{table}"
-        );
-    }
-
-    #[test]
-    fn rejects_cs_report_with_fewer_than_three_policies() {
-        let curves: Vec<String> = ["fifo", "lru"].iter().map(|p| curve_entry(p)).collect();
-        let doc = parse(&cs_doc(&curves)).expect("parses");
-        let err = validate(&doc).expect_err("two policies");
-        assert!(err.contains("3 distinct policies"), "{err}");
-    }
-
-    #[test]
-    fn rejects_cs_gate_flag_violations() {
-        for (from, to, want) in [
-            (
-                "\"fifo_trace_match\": true",
-                "\"fifo_trace_match\": false",
-                "fifo_trace_match",
-            ),
-            (
-                "\"deterministic\": true",
-                "\"deterministic\": false",
-                "gate violated",
-            ),
-            (
-                "\"audit_clean\": true",
-                "\"audit_clean\": false",
-                "gate violated",
-            ),
-        ] {
-            let text = full_cs_doc().replacen(from, to, 1);
-            let doc = parse(&text).expect("parses");
-            let err = validate(&doc).expect_err("false gate flag");
-            assert!(err.contains(want), "{err}");
-        }
-    }
-
-    #[test]
-    fn rejects_cs_out_of_range_and_non_decomposing_counters() {
-        for (from, to, want) in [
-            ("\"hit_rate\": 0.8125", "\"hit_rate\": 1.5", "[0, 1]"),
-            ("\"evictions\": 4", "\"evictions\": -4", "non-negative"),
-            ("\"hits\": 13", "\"hits\": 12", "must equal lookups"),
-        ] {
-            let text = full_cs_doc().replacen(from, to, 1);
-            let doc = parse(&text).expect("parses");
-            let err = validate(&doc).expect_err("bad curve entry");
-            assert!(err.contains(want), "{err}");
-        }
     }
 
     fn fault_cell(label: &str, extra_counters: (u64, u64, u64)) -> String {

@@ -18,7 +18,6 @@
 pub mod adversarial;
 pub mod check;
 pub mod cli;
-pub mod cs;
 pub mod faults;
 pub mod figures;
 pub mod host;

@@ -262,58 +262,6 @@ pub fn export(stats: &Stats, peers: &PeerStats) -> String {
     out
 }
 
-/// Renders the Content Store sweep as labeled `dapes_cs_*` metrics — the
-/// CS bench has no simulated world, so its `--prom-out` dump is
-/// [`export`] over empty simulator/peer counters plus this section.
-pub fn cs_section(run: &crate::cs::CsRun) -> String {
-    let mut out = String::new();
-    let mut metric =
-        |name: &str, kind: &str, help: &str, value: &dyn Fn(&crate::cs::CsCell) -> f64| {
-            out.push_str(&format!(
-                "# HELP dapes_cs_{name} {help}\n# TYPE dapes_cs_{name} {kind}\n"
-            ));
-            for c in &run.cells {
-                out.push_str(&format!(
-                    "dapes_cs_{name}{{policy=\"{}\",budget_frac=\"{}\"}} {}\n",
-                    c.policy.label(),
-                    c.budget_frac,
-                    value(c)
-                ));
-            }
-        };
-    metric(
-        "lookups_total",
-        "counter",
-        "Interests replayed against the cell.",
-        &|c| c.stats.lookups as f64,
-    );
-    metric(
-        "hits_total",
-        "counter",
-        "Lookups served from cache.",
-        &|c| c.stats.hits as f64,
-    );
-    metric(
-        "misses_total",
-        "counter",
-        "Lookups that re-fetched.",
-        &|c| c.stats.misses as f64,
-    );
-    metric(
-        "evictions_total",
-        "counter",
-        "Entries evicted under budget pressure.",
-        &|c| c.stats.evictions as f64,
-    );
-    metric(
-        "hit_rate",
-        "gauge",
-        "hits / lookups over the Interest trace.",
-        &|c| c.hit_rate,
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,26 +306,5 @@ mod tests {
             assert!(dump.contains(&format!("dapes_peer_{name} ")), "{name}");
         }
         assert!(dump.contains("dapes_peer_completed_at_seconds 0"));
-    }
-
-    #[test]
-    fn cs_section_validates_with_labeled_samples() {
-        let run = crate::cs::run_all(&crate::cs::CsParams {
-            seed: 7,
-            files: 1,
-            chunks_per_file: 20,
-            chunk_size: 32,
-            interests: 200,
-            zipf_s: 0.9,
-            refresh_every: 16,
-            budget_fracs: vec![1.0],
-        });
-        let dump = format!(
-            "{}{}",
-            export(&Stats::new(0), &PeerStats::default()),
-            cs_section(&run)
-        );
-        crate::check::validate_prometheus(&dump).expect("dump validates");
-        assert!(dump.contains("dapes_cs_hits_total{policy=\"fifo\",budget_frac=\"1\"}"));
     }
 }

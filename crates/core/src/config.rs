@@ -2,7 +2,6 @@
 
 use crate::metadata::MetadataFormat;
 use crate::rpf::{RpfVariant, StartPacket};
-use dapes_ndn::cs::EvictionPolicyKind;
 use dapes_netsim::time::SimDuration;
 
 /// How many bitmaps to collect in an encounter before/while fetching data
@@ -110,12 +109,9 @@ pub struct DapesConfig {
     /// is unset).
     pub cs_capacity: usize,
     /// Content Store memory budget in bytes (wire-size accounted). When
-    /// set, it replaces the packet-count cap; `None` keeps the historical
-    /// count-capped store bit-identical.
+    /// set, it replaces the packet-count cap; `None` keeps the
+    /// count-capped store. Either way the store evicts FIFO.
     pub cs_budget_bytes: Option<usize>,
-    /// Content Store eviction policy (FIFO is the trace-equivalence
-    /// baseline).
-    pub cs_policy: EvictionPolicyKind,
     /// How long a forwarded Interest may wait for data before suppression.
     pub response_timeout: SimDuration,
     /// How long a suppression lasts.
@@ -166,7 +162,6 @@ impl Default for DapesConfig {
             encounter_history: 16,
             cs_capacity: 4096,
             cs_budget_bytes: None,
-            cs_policy: EvictionPolicyKind::Fifo,
             response_timeout: SimDuration::from_millis(400),
             suppress_duration: SimDuration::from_secs(2),
             tick: SimDuration::from_millis(100),

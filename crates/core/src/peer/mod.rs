@@ -142,7 +142,6 @@ impl DapesPeer {
         let fwd_cfg = ForwarderConfig {
             cs_capacity: cfg.cs_capacity,
             cs_budget_bytes: cfg.cs_budget_bytes,
-            cs_policy: cfg.cs_policy,
             cache_unsolicited: role == NodeRole::PureForwarder,
             rebroadcast_faces: vec![FaceId::WIRELESS],
             deliver_on_aggregate: vec![FaceId::APP],
@@ -724,14 +723,12 @@ mod tests {
     use crate::collection::{Collection, CollectionSpec};
     use crate::discovery::OfferedCollection;
     use crate::pipeline::ChunkedFile;
-    use dapes_ndn::cs::EvictionPolicyKind;
 
     #[test]
     fn seeding_a_chunked_file_populates_a_budgeted_store() {
         let budget = 64 * 1024;
         let cfg = DapesConfig {
             cs_budget_bytes: Some(budget),
-            cs_policy: EvictionPolicyKind::Lru,
             ..DapesConfig::default()
         };
         let anchor = TrustAnchor::from_seed(b"seed-test");
@@ -742,7 +739,6 @@ mod tests {
         assert_eq!(inserted, file.chunk_count() + 1);
         let cs = peer.content_store();
         assert_eq!(cs.len(), inserted);
-        assert_eq!(cs.policy_kind(), EvictionPolicyKind::Lru);
         assert!(
             cs.lookup_exact(&namespace::catalog_name(&col, "pic"))
                 .is_some(),

@@ -393,9 +393,9 @@ mod tests {
 
     #[test]
     fn seed_into_populates_catalog_and_segments() {
-        use dapes_ndn::cs::{ContentStore, CsBudget, EvictionPolicyKind};
+        use dapes_ndn::cs::{ContentStore, CsBudget};
         let f = ChunkedFile::synthetic(&col(), "pic", 5000, 1024);
-        let mut cs = ContentStore::with_budget(CsBudget::Bytes(1 << 20), EvictionPolicyKind::Lru);
+        let mut cs = ContentStore::with_budget(CsBudget::Bytes(1 << 20));
         let inserted = f.seed_into(&mut cs, SimTime::ZERO);
         assert_eq!(inserted, f.chunk_count() + 1);
         assert_eq!(cs.len(), inserted);

@@ -184,18 +184,23 @@ pub enum PeekOutcome {
 }
 
 /// Forwarder configuration.
+///
+/// Five fields are settings. `cs_policy`, `relay_patch` and
+/// `legacy_tables` each admit one value and are kept only because
+/// `benchmark/` (which engine changes may not edit) spells all eight
+/// fields in one literal; ROADMAP item 0(a) deletes the three with that
+/// line. [`Forwarder::with_strategy`] panics if either boolean holds its
+/// other value, so neither is ignored silently.
 #[derive(Clone, Debug)]
 pub struct ForwarderConfig {
-    /// Content Store capacity in packets, used when no byte budget is
-    /// set (and always on the legacy tables, which predate byte budgets).
+    /// Content Store capacity in packets, used when no byte budget is set.
     pub cs_capacity: usize,
     /// Content Store memory budget in bytes (wire-size accounted). When
-    /// set, it replaces the packet-count cap on the wire-arena tables;
-    /// `None` keeps the historical count-capped store bit-identical.
+    /// set, it replaces the packet-count cap; `None` keeps the
+    /// count-capped store every workload runs.
     pub cs_budget_bytes: Option<usize>,
-    /// Content Store eviction policy. The default, FIFO, is the
-    /// trace-equivalence baseline; the legacy tables are always FIFO
-    /// regardless of this knob.
+    /// Placeholder: the Content Store evicts FIFO, and this field's type
+    /// has one value.
     pub cs_policy: EvictionPolicyKind,
     /// Cache Data that matched no PIT entry (pure-forwarder overhearing).
     pub cache_unsolicited: bool,
@@ -212,20 +217,11 @@ pub struct ForwarderConfig {
     /// this, a peer's own pending `/dapes/discovery` beacon would swallow
     /// all neighbor probes for the shared discovery name.
     pub deliver_on_aggregate: Vec<FaceId>,
-    /// Resolve the *forward* outcome on the peek path too: when a peeked
-    /// would-be-new Interest has a usable wireless route and the strategy
-    /// can decide from the name alone, record the PIT entry and relay the
-    /// received frame with its hop-limit byte patched copy-on-write
-    /// ([`Action::RelayInterest`]) — never constructing an [`Interest`].
-    /// Behaviour is bit-identical either way; off forces the full-decode
-    /// forward path.
+    /// Placeholder that must be `true`: the peek path always attempts the
+    /// decode-free relay ([`Action::RelayInterest`]).
     pub relay_patch: bool,
-    /// Run the PIT and Content Store on their legacy (pre-arena,
-    /// `Name`-keyed) table generation instead of the wire-indexed slab
-    /// arenas. Observable behaviour is identical; only the cost model
-    /// changes. The scheduler benchmark's eager baseline modes enable
-    /// this so the speedup they anchor keeps pricing the control plane
-    /// the wire-arena tables replaced.
+    /// Placeholder that must be `false`: the PIT and Content Store run on
+    /// the wire-indexed slab arenas only.
     pub legacy_tables: bool,
 }
 
@@ -234,7 +230,7 @@ impl Default for ForwarderConfig {
         ForwarderConfig {
             cs_capacity: 4096,
             cs_budget_bytes: None,
-            cs_policy: EvictionPolicyKind::Fifo,
+            cs_policy: EvictionPolicyKind,
             cache_unsolicited: false,
             rebroadcast_faces: Vec::new(),
             deliver_on_aggregate: Vec::new(),
@@ -293,19 +289,24 @@ impl Forwarder {
 
 impl<S: Strategy> Forwarder<S> {
     /// Creates a forwarder with a custom strategy (DAPES multi-hop logic).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.relay_patch` is `false` or `cfg.legacy_tables` is
+    /// `true`: the paths those values selected are gone.
     pub fn with_strategy(cfg: ForwarderConfig, strategy: S) -> Self {
-        let (cs, pit) = if cfg.legacy_tables {
-            (ContentStore::legacy(cfg.cs_capacity), Pit::legacy())
-        } else {
-            let budget = match cfg.cs_budget_bytes {
-                Some(bytes) => CsBudget::Bytes(bytes),
-                None => CsBudget::Count(cfg.cs_capacity),
-            };
-            (ContentStore::with_budget(budget, cfg.cs_policy), Pit::new())
+        assert!(
+            cfg.relay_patch && !cfg.legacy_tables,
+            "ForwarderConfig::relay_patch must be true and legacy_tables false: \
+             each has one path left (the fields go with ROADMAP item 0(a))"
+        );
+        let budget = match cfg.cs_budget_bytes {
+            Some(bytes) => CsBudget::Bytes(bytes),
+            None => CsBudget::Count(cfg.cs_capacity),
         };
         Forwarder {
-            cs,
-            pit,
+            cs: ContentStore::with_budget(budget),
+            pit: Pit::new(),
             fib: Fib::new(),
             cfg,
             strategy,
@@ -372,8 +373,7 @@ impl<S: Strategy> Forwarder<S> {
     ///    from the peeked lifetime — bumps the suppression counter, and
     ///    returns no actions: the not-for-me drop, byte-identical to the
     ///    full pipeline's outcome;
-    /// 4. **decode-free relay** (with [`ForwarderConfig::relay_patch`] on) —
-    ///    a would-be-new Interest with a usable wireless route whose
+    /// 4. **decode-free relay** — a would-be-new Interest with a usable wireless route whose
     ///    strategy can decide from the name alone records its PIT entry and,
     ///    on Forward, relays the received frame with its hop-limit byte
     ///    patched copy-on-write ([`Action::RelayInterest`]) — no `Interest`
@@ -430,7 +430,7 @@ impl<S: Strategy> Forwarder<S> {
         // One hash probe answers both the duplicate-nonce and the
         // would-be-new question.
         match self.pit.probe_wire(header.name_wire) {
-            Some(probe) if probe.nonces.contains(&header.nonce) => {
+            Some(entry) if entry.nonces.contains(&header.nonce) => {
                 self.stats.duplicate_interests += 1;
                 return Some((Vec::new(), PeekOutcome::DuplicateNonce));
             }
@@ -476,10 +476,7 @@ impl<S: Strategy> Forwarder<S> {
             self.stats.suppressed_interests += 1;
             return Some((Vec::new(), PeekOutcome::FibNoRoute));
         }
-        if self.cfg.relay_patch {
-            return self.relay_from_header(now, header, backing, ingress, usable);
-        }
-        None
+        self.relay_from_header(now, header, backing, ingress, usable)
     }
 
     /// The decode-free relay: resolves the *forward* outcome of a peeked
@@ -612,26 +609,16 @@ impl<S: Strategy> Forwarder<S> {
         ingress: FaceId,
     ) -> Vec<Action> {
         // Encode the name once; the CS probe and the PIT insert both key on
-        // the canonical wire value. The legacy table generation keys on the
-        // `Name` itself, so it skips the encode and pays its own tree-walk
-        // costs instead — exactly the pre-refactor pipeline.
-        let name_wire = (!self.cfg.legacy_tables).then(|| interest.name().to_wire_value());
+        // the canonical wire value.
+        let name_wire = interest.name().to_wire_value();
 
         // 1. Content Store.
-        let cs_hit = match &name_wire {
-            Some(wire) if interest.can_be_prefix() => {
-                self.cs
-                    .lookup_wire_prefix(wire, interest.must_be_fresh(), now)
-            }
-            Some(wire) => self
-                .cs
-                .lookup_wire_exact(wire, interest.must_be_fresh(), now),
-            None => self.cs.lookup(
-                interest.name(),
-                interest.can_be_prefix(),
-                interest.must_be_fresh(),
-                now,
-            ),
+        let cs_hit = if interest.can_be_prefix() {
+            self.cs
+                .lookup_wire_prefix(&name_wire, interest.must_be_fresh(), now)
+        } else {
+            self.cs
+                .lookup_wire_exact(&name_wire, interest.must_be_fresh(), now)
         };
         if let Some(data) = cs_hit {
             self.stats.cs_hits += 1;
@@ -643,23 +630,14 @@ impl<S: Strategy> Forwarder<S> {
 
         // 2. PIT.
         let expiry = now + SimDuration::from_millis(interest.lifetime_ms());
-        let inserted = match &name_wire {
-            Some(wire) => self.pit.insert_wired(
-                interest.name(),
-                wire,
-                interest.nonce(),
-                interest.can_be_prefix(),
-                ingress,
-                expiry,
-            ),
-            None => self.pit.insert(
-                interest.name(),
-                interest.nonce(),
-                interest.can_be_prefix(),
-                ingress,
-                expiry,
-            ),
-        };
+        let inserted = self.pit.insert_wired(
+            interest.name(),
+            &name_wire,
+            interest.nonce(),
+            interest.can_be_prefix(),
+            ingress,
+            expiry,
+        );
         match inserted {
             PitInsert::DuplicateNonce => {
                 self.stats.duplicate_interests += 1;
@@ -1075,8 +1053,7 @@ mod tests {
         assert_eq!(lazy.stats().cs_hits, eager.stats().cs_hits);
         assert!(lazy.pit().is_empty(), "no PIT entry on a header CS hit");
 
-        // A CanBePrefix *miss* with a usable route resolves as a relay
-        // (and falls through to the full pipeline with the patch off).
+        // A CanBePrefix *miss* with a usable route resolves as a relay.
         let miss = interest("/other", 2).with_can_be_prefix(true);
         let wire = wire_of(&miss);
         let (_, outcome) = lazy
@@ -1153,56 +1130,74 @@ mod tests {
 
     #[test]
     fn header_pipeline_defers_aggregation_and_routable_new_entries() {
-        // With the relay patch off, a new entry with a usable route must
-        // take the full pipeline (the forwarded Interest carries payload
-        // fields the header does not have).
-        let mut f = Forwarder::new(ForwarderConfig {
-            relay_patch: false,
-            ..ForwarderConfig::default()
-        });
-        f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
-        f.fib_mut().register(Name::from_uri("/app"), FaceId::APP);
-        let i = interest("/a", 1);
+        // A new entry whose usable next hop is the application must take
+        // the full pipeline: the app needs the decoded Interest.
+        let mut f = fwd();
+        let i = interest("/app/x", 1);
         let wire = wire_of(&i);
         assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::APP)
+            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
             .is_none());
         assert_eq!(
             f.stats().cs_hits + f.stats().duplicate_interests + f.stats().suppressed_interests,
             0,
             "fall-through must count nothing"
         );
-        f.process_interest(now(), &i, FaceId::APP);
+        assert!(f.pit().is_empty(), "fall-through must not touch the PIT");
+        f.process_interest(now(), &i, FaceId::WIRELESS);
         // Same name, fresh nonce: aggregation also defers.
-        let wire = wire_of(&interest("/a", 2));
+        let wire = wire_of(&interest("/app/x", 2));
         assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::APP)
+            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
             .is_none());
         // ...even when CanBePrefix is set and nothing is cached.
-        let wire = wire_of(&interest("/a", 3).with_can_be_prefix(true));
+        let wire = wire_of(&interest("/app/x", 3).with_can_be_prefix(true));
         assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::APP)
+            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
             .is_none());
+        assert_eq!(f.stats().aggregated_interests, 0, "nothing committed");
     }
 
     #[test]
     fn header_pipeline_with_rebroadcast_ingress_defers_instead_of_dropping() {
         // DAPES-style forwarders re-broadcast out the ingress radio: the
         // same overheard Interest that a point-to-point FIB would drop is a
-        // usable-route case here and (with the relay patch off) must fall
-        // through to the full pipeline.
+        // usable-route case here. With a second next hop and a patchable
+        // hop limit, one byte patch cannot serve both faces, so it must
+        // fall through to the full pipeline rather than resolve as a drop.
         let mut f = Forwarder::new(ForwarderConfig {
             rebroadcast_faces: vec![FaceId::WIRELESS],
-            relay_patch: false,
             ..ForwarderConfig::default()
         });
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
-        let i = interest("/a", 1);
+        f.fib_mut().register(Name::from_uri("/"), FaceId(9));
+        let i = interest("/a", 1).with_hop_limit(5);
         let wire = wire_of(&i);
         assert!(f
             .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
             .is_none());
         assert!(f.pit().is_empty(), "fall-through must not touch the PIT");
+        // The full pipeline forwards out both faces.
+        let actions = f.process_interest(now(), &i, FaceId::WIRELESS);
+        assert_eq!(actions.len(), 2, "{actions:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "relay_patch must be true")]
+    fn relay_patch_off_is_refused() {
+        Forwarder::new(ForwarderConfig {
+            relay_patch: false,
+            ..ForwarderConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "legacy_tables false")]
+    fn legacy_tables_on_is_refused() {
+        Forwarder::new(ForwarderConfig {
+            legacy_tables: true,
+            ..ForwarderConfig::default()
+        });
     }
 
     fn relay_fwd() -> Forwarder {

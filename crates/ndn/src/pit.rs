@@ -11,7 +11,7 @@ use crate::hash::FxBuildHasher;
 use crate::name::Name;
 use crate::tlv::TlvReader;
 use dapes_netsim::time::SimTime;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One pending Interest.
@@ -31,9 +31,6 @@ pub struct PitEntry {
     /// When the Interest was last forwarded upstream (consumer
     /// retransmissions may re-forward after a suppression interval).
     pub last_forward: Option<SimTime>,
-    /// The name's canonical wire-value key, shared with the wire index so
-    /// aggregation and removal never re-encode the name.
-    pub(crate) wire_key: Arc<[u8]>,
 }
 
 impl PitEntry {
@@ -59,58 +56,6 @@ pub enum PitInsert {
     DuplicateNonce,
 }
 
-/// What the peek resolution ladder learns from its single PIT probe:
-/// enough to answer both the duplicate-nonce and the would-be-new
-/// questions, regardless of which table generation backs the PIT.
-#[derive(Clone, Copy, Debug)]
-pub struct PitProbe<'a> {
-    /// Whether any aggregated Interest had CanBePrefix set.
-    pub can_be_prefix: bool,
-    /// Nonces recorded for the name.
-    pub nonces: &'a [u32],
-}
-
-/// The wire-index mirror of one legacy-generation entry: just what the
-/// overhearing fast path probes (duplicate nonces and CanBePrefix
-/// matching).
-#[derive(Clone, Debug)]
-struct WireEntry {
-    can_be_prefix: bool,
-    nonces: Vec<u32>,
-}
-
-/// The two table generations a PIT can run on. Behaviour is identical;
-/// only the cost model differs, which is exactly what the scheduler
-/// benchmark's eager-vs-lazy axis prices.
-#[derive(Clone, Debug)]
-enum Tables {
-    /// Current generation: entries live in a generation-tagged [`Arena`];
-    /// the single *wire index* — a hash map keyed by
-    /// [`Name::to_wire_value`] — holds only `Copy` handles into it.
-    Wire {
-        arena: Arena<PitEntry>,
-        index: HashMap<Arc<[u8]>, ArenaRef, FxBuildHasher>,
-    },
-    /// Pre-arena generation, kept as a benchmarkable cost model of the
-    /// old control plane: a `Name`-keyed ordered map owning the entries,
-    /// plus a wire mirror that duplicates per-name nonce state. Every
-    /// insert pays a tree search over component `Arc`s and keeps two
-    /// structures coherent.
-    Legacy {
-        entries: BTreeMap<Name, PitEntry>,
-        mirror: HashMap<Arc<[u8]>, WireEntry, FxBuildHasher>,
-    },
-}
-
-impl Default for Tables {
-    fn default() -> Self {
-        Tables::Wire {
-            arena: Arena::new(),
-            index: HashMap::default(),
-        }
-    }
-}
-
 /// The Pending Interest Table.
 ///
 /// Entries live in a generation-tagged [`Arena`]; the single *wire index* —
@@ -125,12 +70,6 @@ impl Default for Tables {
 /// encodings of valid names, so a frame with a non-canonical or malformed
 /// name region simply misses and falls through to the full decode path.
 ///
-/// [`Pit::legacy`] instead runs on the previous table generation (a
-/// `Name`-keyed ordered map plus a duplicating wire mirror), observable-
-/// behaviour-identical but with the old cost model; the scheduler
-/// benchmark's eager modes use it so the baseline keeps pricing the
-/// control plane this generation replaced.
-///
 /// Expiry is watermarked: `next_due` is a *lower bound* on the earliest
 /// instant [`Pit::expire`] could remove anything. New entries lower it
 /// with `min`, aggregation (which only raises an entry's expiry) and
@@ -140,43 +79,30 @@ impl Default for Tables {
 /// entries that are held.
 #[derive(Clone, Debug)]
 pub struct Pit {
-    tables: Tables,
+    arena: Arena<PitEntry>,
+    index: HashMap<Arc<[u8]>, ArenaRef, FxBuildHasher>,
     next_due: SimTime,
 }
 
 impl Default for Pit {
     fn default() -> Self {
-        Pit::on(Tables::default())
+        Pit {
+            arena: Arena::new(),
+            index: HashMap::default(),
+            next_due: SimTime::FAR_FUTURE,
+        }
     }
 }
 
 impl Pit {
-    fn on(tables: Tables) -> Self {
-        Pit {
-            tables,
-            next_due: SimTime::FAR_FUTURE,
-        }
-    }
-
-    /// Creates an empty PIT on the wire-arena tables.
+    /// Creates an empty PIT.
     pub fn new() -> Self {
         Pit::default()
     }
 
-    /// Creates an empty PIT on the legacy (pre-arena) table generation.
-    pub fn legacy() -> Self {
-        Pit::on(Tables::Legacy {
-            entries: BTreeMap::new(),
-            mirror: HashMap::default(),
-        })
-    }
-
     /// Number of pending entries.
     pub fn len(&self) -> usize {
-        match &self.tables {
-            Tables::Wire { index, .. } => index.len(),
-            Tables::Legacy { entries, .. } => entries.len(),
-        }
+        self.index.len()
     }
 
     /// Whether the PIT is empty.
@@ -186,41 +112,27 @@ impl Pit {
 
     /// Approximate bytes of state (entries plus the wire index).
     pub fn state_bytes(&self) -> usize {
-        match &self.tables {
-            Tables::Wire { arena, index } => {
-                arena.values().map(PitEntry::state_bytes).sum::<usize>()
-                    + index.keys().map(|k| k.len() + 16).sum::<usize>()
-            }
-            Tables::Legacy { entries, mirror } => {
-                entries.values().map(PitEntry::state_bytes).sum::<usize>()
-                    + mirror
-                        .iter()
-                        .map(|(k, w)| k.len() + w.nonces.len() * 4 + 16)
-                        .sum::<usize>()
-            }
-        }
+        self.arena
+            .values()
+            .map(PitEntry::state_bytes)
+            .sum::<usize>()
+            + self.index.keys().map(|k| k.len() + 16).sum::<usize>()
     }
 
     /// Live entries in the slab arena (mirrors [`Pit::len`]; exported as
-    /// the `pit_arena_live` stat). Zero on the legacy tables, which never
-    /// touch the arena.
+    /// the `pit_arena_live` stat).
     pub fn arena_live(&self) -> usize {
-        match &self.tables {
-            Tables::Wire { arena, .. } => arena.live(),
-            Tables::Legacy { .. } => 0,
-        }
+        self.arena.live()
     }
 
     /// Arena slots ever allocated — bounded by peak concurrency, not by
-    /// insert volume. Zero on the legacy tables.
+    /// insert volume.
     pub fn arena_allocated(&self) -> usize {
-        match &self.tables {
-            Tables::Wire { arena, .. } => arena.allocated(),
-            Tables::Legacy { .. } => 0,
-        }
+        self.arena.allocated()
     }
 
-    /// Records an incoming Interest.
+    /// Records an incoming Interest: encodes the name once, then
+    /// [`Pit::insert_wired`].
     pub fn insert(
         &mut self,
         name: &Name,
@@ -229,67 +141,13 @@ impl Pit {
         ingress: FaceId,
         expiry: SimTime,
     ) -> PitInsert {
-        match &mut self.tables {
-            Tables::Wire { .. } => self.insert_wired(
-                name,
-                &name.to_wire_value(),
-                nonce,
-                can_be_prefix,
-                ingress,
-                expiry,
-            ),
-            Tables::Legacy { entries, mirror } => match entries.get_mut(name) {
-                None => {
-                    self.next_due = self.next_due.min(expiry);
-                    // Encode the name once; entry and mirror share the key.
-                    let wire_key: Arc<[u8]> = name.to_wire_value().into();
-                    entries.insert(
-                        name.clone(),
-                        PitEntry {
-                            name: name.clone(),
-                            can_be_prefix,
-                            downstreams: vec![ingress],
-                            nonces: vec![nonce],
-                            expiry,
-                            last_forward: None,
-                            wire_key: wire_key.clone(),
-                        },
-                    );
-                    mirror.insert(
-                        wire_key,
-                        WireEntry {
-                            can_be_prefix,
-                            nonces: vec![nonce],
-                        },
-                    );
-                    PitInsert::New
-                }
-                Some(entry) => {
-                    if entry.nonces.contains(&nonce) {
-                        return PitInsert::DuplicateNonce;
-                    }
-                    entry.nonces.push(nonce);
-                    entry.can_be_prefix |= can_be_prefix;
-                    entry.expiry = entry.expiry.max(expiry);
-                    if !entry.downstreams.contains(&ingress) {
-                        entry.downstreams.push(ingress);
-                    }
-                    let wire = mirror
-                        .get_mut(&*entry.wire_key)
-                        .expect("wire mirror tracks entries");
-                    wire.nonces.push(nonce);
-                    wire.can_be_prefix |= can_be_prefix;
-                    PitInsert::Aggregated
-                }
-            },
-        }
+        let wire = name.to_wire_value();
+        self.insert_wired(name, &wire, nonce, can_be_prefix, ingress, expiry)
     }
 
     /// [`Pit::insert`] with the name's canonical wire value supplied by the
     /// caller, so a pipeline that already encoded it (for the Content Store
-    /// probe, say) does not pay for a second encoding. On the legacy
-    /// tables this is just [`Pit::insert`] — that generation keys on the
-    /// `Name` and cannot use the hint.
+    /// probe, say) does not pay for a second encoding.
     pub fn insert_wired(
         &mut self,
         name: &Name,
@@ -300,41 +158,31 @@ impl Pit {
         expiry: SimTime,
     ) -> PitInsert {
         debug_assert_eq!(&*name.to_wire_value(), name_wire);
-        let handle = match &self.tables {
-            Tables::Wire { index, .. } => index.get(name_wire).copied(),
-            Tables::Legacy { .. } => {
-                return self.insert(name, nonce, can_be_prefix, ingress, expiry)
-            }
+        let Some(&handle) = self.index.get(name_wire) else {
+            self.insert_new_peeked(
+                name.clone(),
+                name_wire,
+                nonce,
+                can_be_prefix,
+                ingress,
+                expiry,
+            );
+            return PitInsert::New;
         };
-        match handle {
-            None => {
-                self.insert_new_peeked(
-                    name.clone(),
-                    name_wire,
-                    nonce,
-                    can_be_prefix,
-                    ingress,
-                    expiry,
-                );
-                PitInsert::New
-            }
-            Some(handle) => {
-                let Tables::Wire { arena, .. } = &mut self.tables else {
-                    unreachable!("handle only exists on the wire tables");
-                };
-                let entry = arena.get_mut(handle).expect("indexed handles are live");
-                if entry.nonces.contains(&nonce) {
-                    return PitInsert::DuplicateNonce;
-                }
-                entry.nonces.push(nonce);
-                entry.can_be_prefix |= can_be_prefix;
-                entry.expiry = entry.expiry.max(expiry);
-                if !entry.downstreams.contains(&ingress) {
-                    entry.downstreams.push(ingress);
-                }
-                PitInsert::Aggregated
-            }
+        let entry = self
+            .arena
+            .get_mut(handle)
+            .expect("indexed handles are live");
+        if entry.nonces.contains(&nonce) {
+            return PitInsert::DuplicateNonce;
         }
+        entry.nonces.push(nonce);
+        entry.can_be_prefix |= can_be_prefix;
+        entry.expiry = entry.expiry.max(expiry);
+        if !entry.downstreams.contains(&ingress) {
+            entry.downstreams.push(ingress);
+        }
+        PitInsert::Aggregated
     }
 
     /// [`Pit::insert`] specialized for a frame the resolution ladder has
@@ -355,80 +203,36 @@ impl Pit {
         debug_assert!(!self.contains_wire(name_wire), "caller proved absence");
         debug_assert_eq!(&*name.to_wire_value(), name_wire);
         self.next_due = self.next_due.min(expiry);
-        let wire_key: Arc<[u8]> = name_wire.into();
-        match &mut self.tables {
-            Tables::Wire { arena, index } => {
-                let entry = PitEntry {
-                    name,
-                    can_be_prefix,
-                    downstreams: vec![ingress],
-                    nonces: vec![nonce],
-                    expiry,
-                    last_forward: None,
-                    wire_key: wire_key.clone(),
-                };
-                let handle = arena.insert(entry);
-                index.insert(wire_key, handle);
-                arena.get_mut(handle).expect("just inserted")
-            }
-            Tables::Legacy { entries, mirror } => {
-                mirror.insert(
-                    wire_key.clone(),
-                    WireEntry {
-                        can_be_prefix,
-                        nonces: vec![nonce],
-                    },
-                );
-                let entry = PitEntry {
-                    name: name.clone(),
-                    can_be_prefix,
-                    downstreams: vec![ingress],
-                    nonces: vec![nonce],
-                    expiry,
-                    last_forward: None,
-                    wire_key,
-                };
-                entries.entry(name).or_insert(entry)
-            }
-        }
+        let handle = self.arena.insert(PitEntry {
+            name,
+            can_be_prefix,
+            downstreams: vec![ingress],
+            nonces: vec![nonce],
+            expiry,
+            last_forward: None,
+        });
+        self.index.insert(name_wire.into(), handle);
+        self.arena.get_mut(handle).expect("just inserted")
     }
 
     /// Whether a pending entry exists for `name` (exact).
     pub fn contains(&self, name: &Name) -> bool {
-        match &self.tables {
-            Tables::Wire { .. } => self.contains_wire(&name.to_wire_value()),
-            Tables::Legacy { entries, .. } => entries.contains_key(name),
-        }
+        self.contains_wire(&name.to_wire_value())
     }
 
     /// [`Pit::contains`] against a peeked frame's borrowed name bytes — one
     /// hash probe, no `Name` construction. Exactly the condition under
     /// which [`Pit::insert`] would *not* return [`PitInsert::New`].
     pub fn contains_wire(&self, name_wire: &[u8]) -> bool {
-        match &self.tables {
-            Tables::Wire { index, .. } => index.contains_key(name_wire),
-            Tables::Legacy { mirror, .. } => mirror.contains_key(name_wire),
-        }
+        self.index.contains_key(name_wire)
     }
 
-    /// The nonce/CanBePrefix state recorded for a peeked frame's borrowed
-    /// name bytes, if any — the one probe behind both the duplicate-nonce
-    /// and the would-be-new checks, so the peek resolution ladder hashes
-    /// the name bytes once.
-    pub fn probe_wire(&self, name_wire: &[u8]) -> Option<PitProbe<'_>> {
-        match &self.tables {
-            Tables::Wire { arena, index } => index.get(name_wire).map(|&h| {
-                let e = arena.get(h).expect("indexed handles are live");
-                PitProbe {
-                    can_be_prefix: e.can_be_prefix,
-                    nonces: &e.nonces,
-                }
-            }),
-            Tables::Legacy { mirror, .. } => mirror.get(name_wire).map(|w| PitProbe {
-                can_be_prefix: w.can_be_prefix,
-                nonces: &w.nonces,
-            }),
-        }
+    /// The entry recorded for a peeked frame's borrowed name bytes, if any
+    /// — the one probe behind both the duplicate-nonce and the would-be-new
+    /// checks, so the peek resolution ladder hashes the name bytes once.
+    pub fn probe_wire(&self, name_wire: &[u8]) -> Option<&PitEntry> {
+        let &h = self.index.get(name_wire)?;
+        Some(self.arena.get(h).expect("indexed handles are live"))
     }
 
     /// Read-only duplicate check: whether `nonce` was already recorded for
@@ -442,7 +246,7 @@ impl Pit {
     /// one hash probe, no `Name` construction.
     pub fn has_nonce_wire(&self, name_wire: &[u8], nonce: u32) -> bool {
         self.probe_wire(name_wire)
-            .is_some_and(|p| p.nonces.contains(&nonce))
+            .is_some_and(|e| e.nonces.contains(&nonce))
     }
 
     /// Read-only mirror of [`Pit::take_matching`]: whether a Data packet
@@ -467,7 +271,7 @@ impl Pit {
             // `boundary` ends a strict prefix of the name (k components).
             if self
                 .probe_wire(&name_wire[..boundary])
-                .is_some_and(|p| p.can_be_prefix)
+                .is_some_and(|e| e.can_be_prefix)
             {
                 return true;
             }
@@ -485,80 +289,47 @@ impl Pit {
 
     /// Mutable access to an entry (forwarders update `last_forward`).
     pub fn entry_mut(&mut self, name: &Name) -> Option<&mut PitEntry> {
-        match &mut self.tables {
-            Tables::Wire { arena, index } => {
-                let &handle = index.get(name.to_wire_value().as_slice())?;
-                arena.get_mut(handle)
-            }
-            Tables::Legacy { entries, .. } => entries.get_mut(name),
-        }
+        let &handle = self.index.get(name.to_wire_value().as_slice())?;
+        self.arena.get_mut(handle)
+    }
+
+    /// Removes the entry indexed under `key`, if any.
+    fn evict(&mut self, key: &[u8]) -> Option<PitEntry> {
+        let handle = self.index.remove(key)?;
+        Some(self.arena.remove(handle).expect("indexed handles are live"))
     }
 
     /// Removes and returns all entries a Data packet with `data_name`
-    /// satisfies: the exact-name entry, plus any prefix entries that were
-    /// inserted with CanBePrefix — root first, then longer prefixes, as the
-    /// boundary walk ascends. Both table generations report matches in the
-    /// same order (exact entry first, then prefixes shortest-first).
+    /// satisfies: the exact-name entry first, then any prefix entries that
+    /// were inserted with CanBePrefix — root first, then longer prefixes,
+    /// as the boundary walk ascends.
     pub fn take_matching(&mut self, data_name: &Name) -> Vec<PitEntry> {
-        match &mut self.tables {
-            Tables::Wire { arena, index } => {
-                fn evict(
-                    arena: &mut Arena<PitEntry>,
-                    index: &mut HashMap<Arc<[u8]>, ArenaRef, FxBuildHasher>,
-                    key: &[u8],
-                ) -> Option<PitEntry> {
-                    let handle = index.remove(key)?;
-                    Some(arena.remove(handle).expect("indexed handles are live"))
-                }
-                let wire = data_name.to_wire_value();
-                let mut matched = Vec::new();
-                if let Some(e) = evict(arena, index, &wire) {
-                    matched.push(e);
-                }
-                // Check strict prefixes for CanBePrefix entries: every
-                // prefix ends at a component boundary of the wire value.
-                // Names are short (typically <= 4 components), so this
-                // loop is cheap.
-                let mut r = TlvReader::new(&wire);
-                let mut boundary = 0usize;
-                loop {
-                    let is_cbp = index
-                        .get(&wire[..boundary])
-                        .and_then(|&h| arena.get(h))
-                        .is_some_and(|e| e.can_be_prefix);
-                    if is_cbp {
-                        matched.push(evict(arena, index, &wire[..boundary]).expect("just checked"));
-                    }
-                    if r.is_at_end() || r.read_tlv().is_err() {
-                        break;
-                    }
-                    boundary = wire.len() - r.remaining();
-                    if boundary >= wire.len() {
-                        // The full name is not a strict prefix; the exact
-                        // probe already ran.
-                        break;
-                    }
-                }
-                matched
+        let wire = data_name.to_wire_value();
+        let mut matched = Vec::new();
+        if let Some(e) = self.evict(&wire) {
+            matched.push(e);
+        }
+        // Check strict prefixes for CanBePrefix entries: every prefix ends
+        // at a component boundary of the wire value. Names are short
+        // (typically <= 4 components), so this loop is cheap.
+        let mut r = TlvReader::new(&wire);
+        let mut boundary = 0usize;
+        loop {
+            let prefix = &wire[..boundary];
+            if self.probe_wire(prefix).is_some_and(|e| e.can_be_prefix) {
+                matched.push(self.evict(prefix).expect("just checked"));
             }
-            Tables::Legacy { entries, mirror } => {
-                let mut matched = Vec::new();
-                if let Some(e) = entries.remove(data_name) {
-                    mirror.remove(&*e.wire_key);
-                    matched.push(e);
-                }
-                for k in 0..data_name.len() {
-                    let prefix = data_name.prefix(k);
-                    let is_cbp = entries.get(&prefix).is_some_and(|e| e.can_be_prefix);
-                    if is_cbp {
-                        let e = entries.remove(&prefix).expect("just checked");
-                        mirror.remove(&*e.wire_key);
-                        matched.push(e);
-                    }
-                }
-                matched
+            if r.is_at_end() || r.read_tlv().is_err() {
+                break;
+            }
+            boundary = wire.len() - r.remaining();
+            if boundary >= wire.len() {
+                // The full name is not a strict prefix; the exact probe
+                // already ran.
+                break;
             }
         }
+        matched
     }
 
     /// Whether [`Pit::expire`] at `now` would scan the table — `false`
@@ -571,45 +342,30 @@ impl Pit {
     /// Removes entries that expired at or before `now`, returning their
     /// names in canonical order (DAPES pure forwarders start suppression
     /// timers off these, and callers may arm per-name timers — the sort
-    /// keeps that order independent of hash-map iteration, and identical
-    /// to the legacy tables' ordered-map walk). Each expired entry leaves
-    /// the arena *and* the wire index, so a stale dup-nonce/PIT-match can
-    /// never be reported for an expired Interest. Returns without looking
-    /// at the table (and without allocating) while nothing can be due.
+    /// keeps that order independent of hash-map iteration). Each expired
+    /// entry leaves the arena *and* the wire index, so a stale
+    /// dup-nonce/PIT-match can never be reported for an expired Interest.
+    /// Returns without looking at the table (and without allocating) while
+    /// nothing can be due.
     pub fn expire(&mut self, now: SimTime) -> Vec<Name> {
         if !self.expire_due(now) {
             return Vec::new();
         }
         let mut expired = Vec::new();
         let mut next_due = SimTime::FAR_FUTURE;
-        match &mut self.tables {
-            Tables::Wire { arena, index } => {
-                index.retain(|_, &mut handle| {
-                    let expiry = arena.get(handle).expect("indexed handles are live").expiry;
-                    if expiry <= now {
-                        let mut e = arena.remove(handle).expect("just read");
-                        expired.push(std::mem::take(&mut e.name));
-                        false
-                    } else {
-                        next_due = next_due.min(expiry);
-                        true
-                    }
-                });
-                expired.sort_unstable();
+        let arena = &mut self.arena;
+        self.index.retain(|_, &mut handle| {
+            let expiry = arena.get(handle).expect("indexed handles are live").expiry;
+            if expiry <= now {
+                let mut e = arena.remove(handle).expect("just read");
+                expired.push(std::mem::take(&mut e.name));
+                false
+            } else {
+                next_due = next_due.min(expiry);
+                true
             }
-            Tables::Legacy { entries, mirror } => {
-                entries.retain(|_, e| {
-                    if e.expiry <= now {
-                        expired.push(std::mem::take(&mut e.name));
-                        mirror.remove(&*e.wire_key);
-                        false
-                    } else {
-                        next_due = next_due.min(e.expiry);
-                        true
-                    }
-                });
-            }
-        }
+        });
+        expired.sort_unstable();
         self.next_due = next_due;
         expired
     }
@@ -676,7 +432,7 @@ mod tests {
         pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
         let key = name("/a").to_wire_value();
         let probe = pit.probe_wire(&key).expect("present");
-        assert_eq!(probe.nonces, &[1]);
+        assert_eq!(probe.nonces, [1]);
         assert!(!probe.can_be_prefix);
         assert!(pit.probe_wire(&name("/b").to_wire_value()).is_none());
     }
@@ -771,42 +527,40 @@ mod tests {
 
     #[test]
     fn aggregation_cannot_hide_an_entry_and_an_earlier_insert_lowers_the_watermark() {
-        for mut pit in [Pit::new(), Pit::legacy()] {
-            assert!(!pit.expire_due(t(3600)), "nothing pending");
-            pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
-            // Aggregating a shorter lifetime keeps the later expiry.
-            pit.insert(&name("/a"), 2, false, FaceId::WIRELESS, t(2));
-            assert_eq!(pit.expire(t(3)), Vec::<Name>::new());
-            assert!(pit.contains(&name("/a")));
-            pit.insert(&name("/b"), 3, false, FaceId::APP, t(9));
-            assert_eq!(pit.expire(t(4)), vec![name("/a")]);
-            assert!(!pit.expire_due(t(8)), "the scan found /b due at t=9");
-            // An entry due before the watermark pulls it back down.
-            pit.insert(&name("/c"), 4, false, FaceId::APP, t(6));
-            assert!(pit.expire_due(t(6)));
-            assert_eq!(pit.expire(t(6)), vec![name("/c")]);
-            // Entries consumed by Data leave the watermark where it was:
-            // the next sweep scans an empty table once and then rests.
-            assert_eq!(pit.take_matching(&name("/b")).len(), 1);
-            assert!(pit.expire_due(t(9)));
-            assert_eq!(pit.expire(t(9)), Vec::<Name>::new());
-            assert!(!pit.expire_due(t(3600)));
-        }
+        let mut pit = Pit::new();
+        assert!(!pit.expire_due(t(3600)), "nothing pending");
+        pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
+        // Aggregating a shorter lifetime keeps the later expiry.
+        pit.insert(&name("/a"), 2, false, FaceId::WIRELESS, t(2));
+        assert_eq!(pit.expire(t(3)), Vec::<Name>::new());
+        assert!(pit.contains(&name("/a")));
+        pit.insert(&name("/b"), 3, false, FaceId::APP, t(9));
+        assert_eq!(pit.expire(t(4)), vec![name("/a")]);
+        assert!(!pit.expire_due(t(8)), "the scan found /b due at t=9");
+        // An entry due before the watermark pulls it back down.
+        pit.insert(&name("/c"), 4, false, FaceId::APP, t(6));
+        assert!(pit.expire_due(t(6)));
+        assert_eq!(pit.expire(t(6)), vec![name("/c")]);
+        // Entries consumed by Data leave the watermark where it was:
+        // the next sweep scans an empty table once and then rests.
+        assert_eq!(pit.take_matching(&name("/b")).len(), 1);
+        assert!(pit.expire_due(t(9)));
+        assert_eq!(pit.expire(t(9)), Vec::<Name>::new());
+        assert!(!pit.expire_due(t(3600)));
     }
 
     #[test]
     fn expire_reports_names_in_canonical_order() {
-        for mut pit in [Pit::new(), Pit::legacy()] {
-            for uri in ["/z/9", "/a/1", "/m", "/b/2/3"] {
-                pit.insert(&name(uri), 1, false, FaceId::APP, t(4));
-            }
-            let expired = pit.expire(t(4));
-            assert_eq!(
-                expired,
-                vec![name("/a/1"), name("/b/2/3"), name("/m"), name("/z/9")],
-                "order must not depend on hash-map iteration"
-            );
+        let mut pit = Pit::new();
+        for uri in ["/z/9", "/a/1", "/m", "/b/2/3"] {
+            pit.insert(&name(uri), 1, false, FaceId::APP, t(4));
         }
+        let expired = pit.expire(t(4));
+        assert_eq!(
+            expired,
+            vec![name("/a/1"), name("/b/2/3"), name("/m"), name("/z/9")],
+            "order must not depend on hash-map iteration"
+        );
     }
 
     #[test]
@@ -814,19 +568,18 @@ mod tests {
         // Regression: a desynced wire index would keep reporting stale
         // dup-nonce / PIT-match outcomes to the peek fast path after the
         // entry itself expired.
-        for mut pit in [Pit::new(), Pit::legacy()] {
-            pit.insert(&name("/col/f/0"), 7, true, FaceId::APP, t(4));
-            let key = name("/col/f/0").to_wire_value();
-            assert!(pit.contains_wire(&key));
-            assert!(pit.has_nonce_wire(&key, 7));
-            assert!(pit.matches_wire(&name("/col/f/0/seg").to_wire_value()));
-            let expired = pit.expire(t(4));
-            assert_eq!(expired, vec![name("/col/f/0")]);
-            assert!(!pit.contains_wire(&key), "wire entry must expire with it");
-            assert!(!pit.has_nonce_wire(&key, 7));
-            assert!(!pit.matches_wire(&name("/col/f/0/seg").to_wire_value()));
-            assert_eq!(pit.arena_live(), 0, "arena slot must be freed");
-        }
+        let mut pit = Pit::new();
+        pit.insert(&name("/col/f/0"), 7, true, FaceId::APP, t(4));
+        let key = name("/col/f/0").to_wire_value();
+        assert!(pit.contains_wire(&key));
+        assert!(pit.has_nonce_wire(&key, 7));
+        assert!(pit.matches_wire(&name("/col/f/0/seg").to_wire_value()));
+        let expired = pit.expire(t(4));
+        assert_eq!(expired, vec![name("/col/f/0")]);
+        assert!(!pit.contains_wire(&key), "wire entry must expire with it");
+        assert!(!pit.has_nonce_wire(&key, 7));
+        assert!(!pit.matches_wire(&name("/col/f/0/seg").to_wire_value()));
+        assert_eq!(pit.arena_live(), 0, "arena slot must be freed");
     }
 
     #[test]
@@ -845,46 +598,6 @@ mod tests {
             2,
             "allocation must track peak concurrency, not volume"
         );
-    }
-
-    #[test]
-    fn legacy_tables_behave_identically() {
-        // The benchmark compares the two table generations on cost alone,
-        // which is only fair if every observable outcome agrees.
-        let mut wire = Pit::new();
-        let mut legacy = Pit::legacy();
-        let script: &[(&str, u32, bool)] = &[
-            ("/col/f/0", 1, false),
-            ("/col/f/0", 1, false), // duplicate nonce
-            ("/col/f/0", 2, false), // aggregation
-            ("/col", 3, true),
-            ("/adv/n/7", 4, false),
-            ("/adv/n/8", 5, false),
-        ];
-        for &(uri, nonce, cbp) in script {
-            assert_eq!(
-                wire.insert(&name(uri), nonce, cbp, FaceId::WIRELESS, t(4)),
-                legacy.insert(&name(uri), nonce, cbp, FaceId::WIRELESS, t(4)),
-                "insert {uri} nonce {nonce}"
-            );
-        }
-        assert_eq!(wire.len(), legacy.len());
-        for probe in ["/col/f/0", "/col/f/9", "/adv/n/7", "/none"] {
-            assert_eq!(wire.matches(&name(probe)), legacy.matches(&name(probe)));
-            let key = name(probe).to_wire_value();
-            assert_eq!(wire.contains_wire(&key), legacy.contains_wire(&key));
-            assert_eq!(wire.has_nonce_wire(&key, 1), legacy.has_nonce_wire(&key, 1));
-        }
-        let w = wire.take_matching(&name("/col/f/0"));
-        let l = legacy.take_matching(&name("/col/f/0"));
-        assert_eq!(w.len(), l.len());
-        for (a, b) in w.iter().zip(&l) {
-            assert_eq!(a.name, b.name, "match order must agree");
-            assert_eq!(a.nonces, b.nonces);
-            assert_eq!(a.downstreams, b.downstreams);
-        }
-        assert_eq!(wire.expire(t(4)), legacy.expire(t(4)));
-        assert!(wire.is_empty() && legacy.is_empty());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   hygiene, frame classification, overhead bounds) shared by the
 //!   integration, e2e and baseline suites;
 //! * [`zipf`] — [`ZipfSampler`]: deterministic heavy-tailed popularity
-//!   for cache workloads (the CS bench's Interest generator).
+//!   for cache workloads.
 //!
 //! # Example
 //!

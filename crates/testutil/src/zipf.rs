@@ -6,7 +6,7 @@
 //! `P(k) ∝ 1 / (k+1)^s` over `n` items with a precomputed cumulative
 //! table and binary search, so sampling is O(log n), allocation-free per
 //! draw, and — seeded through the offline `rand` shim — bit-identical
-//! across processes, which is what the CS bench's determinism gates pin.
+//! across processes.
 
 use rand::rngs::SmallRng;
 use rand::Rng;

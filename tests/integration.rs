@@ -21,15 +21,13 @@ fn dapes_swarm_with_mobility_loss_and_forwarders_completes() {
 }
 
 #[test]
-fn swarm_on_a_byte_budgeted_lru_store_still_completes() {
+fn swarm_on_a_byte_budgeted_store_still_completes() {
     // The memory-budgeted Content Store is a drop-in for the count-capped
-    // one: a swarm whose caches are byte-budgeted and LRU-managed must
-    // still complete, stay within budget, and keep exact accounting.
-    use dapes_ndn::cs::EvictionPolicyKind;
+    // one: a swarm whose caches are byte-budgeted must still complete,
+    // stay within budget, and keep exact accounting.
     let budget = 16 * 1024;
     let cfg = DapesConfig {
         cs_budget_bytes: Some(budget),
-        cs_policy: EvictionPolicyKind::Lru,
         ..DapesConfig::default()
     };
     let mut sc = ScenarioBuilder::new(7)
@@ -43,14 +41,11 @@ fn swarm_on_a_byte_budgeted_lru_store_still_completes() {
     assert!(done, "budgeted swarm should complete");
     for &node in sc.downloaders.iter().chain(sc.producers.iter()) {
         let cs = sc.peer(node).expect("peer").content_store();
-        assert_eq!(cs.policy_kind(), EvictionPolicyKind::Lru);
         assert!(
             cs.resident_bytes() <= budget,
             "node {node:?} exceeded its byte budget"
         );
         cs.audit().expect("exact accounting after the run");
-        let s = cs.stats();
-        assert_eq!(s.hits + s.misses, s.lookups, "counters decompose");
     }
 }
 

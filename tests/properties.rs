@@ -604,85 +604,252 @@ proptest! {
 }
 
 mod cs_properties {
-    //! Budgeted-Content-Store properties: every eviction policy must keep
-    //! exact byte accounting and audit-clean indexes under arbitrary
-    //! insert/lookup/reshape churn, serve everything that fits, and the
-    //! chunked-file pipeline must round-trip through its catalog for any
-    //! geometry.
+    //! Content Store properties: the FIFO store must keep exact byte
+    //! accounting and audit-clean indexes under arbitrary churn, behave
+    //! exactly like a `Name`-keyed FIFO model, serve everything that fits,
+    //! and the chunked-file pipeline must round-trip through its catalog
+    //! for any geometry.
 
     use dapes_core::pipeline::{Catalog, ChunkedFile};
-    use dapes_ndn::cs::{ContentStore, CsBudget, EvictionPolicyKind};
+    use dapes_ndn::cs::{ContentStore, CsBudget, CsStats, ENTRY_OVERHEAD};
     use dapes_ndn::name::Name;
     use dapes_ndn::packet::Data;
-    use dapes_netsim::time::SimTime;
+    use dapes_netsim::time::{SimDuration, SimTime};
     use proptest::prelude::*;
+    use std::collections::{BTreeMap, VecDeque};
+
+    /// What `budget` charges one packet, from the formula's definition.
+    fn charge(budget: CsBudget, d: &Data) -> usize {
+        match budget {
+            CsBudget::Count(_) => d.content().len() + d.name().state_bytes() + 64,
+            CsBudget::Bytes(_) => d.wire_size() + ENTRY_OVERHEAD,
+        }
+    }
+
+    /// A budget from a proptest draw: counts 0..6 or bytes {0} ∪ 200..2000,
+    /// so zero budgets and packets larger than the whole budget both occur.
+    fn budget_of(bytes: bool, n: usize) -> CsBudget {
+        match (bytes, n % 8) {
+            (false, _) => CsBudget::Count(n % 6),
+            (true, 0) => CsBudget::Bytes(0),
+            (true, _) => CsBudget::Bytes(200 + n % 1800),
+        }
+    }
+
+    /// The store as it was specified before the wire indexes: entries in a
+    /// `Name`-ordered map, eviction from a queue of names in arrival order.
+    struct FifoModel {
+        budget: CsBudget,
+        entries: BTreeMap<Name, (Data, SimTime)>,
+        fifo: VecDeque<Name>,
+        stats: CsStats,
+    }
+
+    impl FifoModel {
+        fn new(budget: CsBudget) -> Self {
+            FifoModel {
+                budget,
+                entries: BTreeMap::new(),
+                fifo: VecDeque::new(),
+                stats: CsStats::default(),
+            }
+        }
+
+        fn bytes(&self) -> usize {
+            self.entries
+                .values()
+                .map(|(d, _)| charge(self.budget, d))
+                .sum()
+        }
+
+        fn over_budget(&self) -> bool {
+            match self.budget {
+                CsBudget::Count(n) => self.entries.len() > n,
+                CsBudget::Bytes(b) => self.bytes() > b,
+            }
+        }
+
+        fn insert(&mut self, data: Data, now: SimTime) {
+            if self.budget.is_zero() {
+                return;
+            }
+            if let CsBudget::Bytes(b) = self.budget {
+                if charge(self.budget, &data) > b {
+                    self.stats.rejected_oversize += 1;
+                    return;
+                }
+            }
+            let name = data.name().clone();
+            if self.entries.insert(name.clone(), (data, now)).is_some() {
+                self.stats.refreshes += 1;
+            } else {
+                self.stats.insertions += 1;
+                self.fifo.push_back(name);
+            }
+            while self.over_budget() {
+                let victim = self.fifo.pop_front().expect("over budget");
+                self.entries.remove(&victim);
+                self.stats.evictions += 1;
+            }
+        }
+
+        fn lookup(&self, name: &Name, cbp: bool, mbf: bool, now: SimTime) -> Option<&Data> {
+            let fresh = |(d, at): &(Data, SimTime)| {
+                !mbf || (d.freshness_ms() > 0
+                    && now.since(*at) <= SimDuration::from_millis(d.freshness_ms()))
+            };
+            if cbp {
+                self.entries
+                    .range(name.clone()..)
+                    .take_while(|(n, _)| name.is_prefix_of(n))
+                    .find(|(_, e)| fresh(e))
+                    .map(|(_, (d, _))| d)
+            } else {
+                self.entries.get(name).filter(|e| fresh(e)).map(|(d, _)| d)
+            }
+        }
+    }
+
+    /// Hierarchical names with siblings that share byte prefixes but not
+    /// name prefixes (`/p` vs `/pe`), and components of different lengths,
+    /// so canonical order and prefix matching both get exercised.
+    fn name_pool() -> Vec<Name> {
+        let mut pool = vec![Name::from_uri("/p"), Name::from_uri("/pe/x")];
+        for a in ["a", "bb", "c"] {
+            pool.push(Name::from_uri(&format!("/p/{a}")));
+            for b in ["0", "1", "10", "zz"] {
+                pool.push(Name::from_uri(&format!("/p/{a}/{b}")));
+            }
+        }
+        pool
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn every_policy_keeps_exact_accounting_under_churn(
-            ops in proptest::collection::vec((0u8..8, 0u64..24, 0usize..96), 1..64),
-            budget in 256usize..4096,
+        fn fifo_store_keeps_exact_accounting_under_churn(
+            ops in proptest::collection::vec((0u8..6, 0u64..24, 0usize..96), 1..64),
+            bytes in any::<bool>(),
+            n in 0usize..4096,
         ) {
-            // Random inserts, lookups and budget reshapes (shrink, grow,
-            // switch to a count cap, zero out) against every policy. After
-            // every single op the audit must hold: tracked bytes equal the
-            // sum of live entry sizes, no index key dangles, the policy
-            // tracks exactly the live handles, and counters decompose.
-            for policy in EvictionPolicyKind::ALL {
-                let mut cs = ContentStore::with_budget(CsBudget::Bytes(budget), policy);
-                let t = SimTime::from_secs(1);
-                for &(op, key, size) in &ops {
-                    let name = Name::from_uri(&format!("/p/{key}"));
-                    match op {
-                        0..=3 => cs.insert(Data::new(name, vec![0xAB; size]), t),
-                        4 => {
-                            if let Some(d) = cs.lookup(&name, false, false, t) {
-                                prop_assert_eq!(d.name(), &name);
-                            }
+            // Random inserts and lookups under a count or a byte budget.
+            // After every op the audit must hold, and the tracked bytes
+            // must equal the budget's own formula summed over what is
+            // resident — not merely the sizes the store recorded.
+            let budget = budget_of(bytes, n);
+            let mut cs = ContentStore::with_budget(budget);
+            let mut resident: BTreeMap<Name, Data> = BTreeMap::new();
+            let t = SimTime::from_secs(1);
+            for &(op, key, size) in &ops {
+                let name = Name::from_uri(&format!("/p/{key}"));
+                match op {
+                    0..=3 => {
+                        let d = Data::new(name.clone(), vec![0xAB; size]);
+                        cs.insert(d.clone(), t);
+                        if cs.lookup_exact(&name) == Some(&d) {
+                            resident.insert(name, d);
                         }
-                        5 => {
-                            if let Some(d) = cs.lookup(&name.prefix(1), true, false, t) {
-                                prop_assert!(name.prefix(1).is_prefix_of(d.name()));
-                            }
-                        }
-                        6 => cs.set_budget(CsBudget::Bytes(size * 8)),
-                        _ => cs.set_budget(CsBudget::Count(key as usize / 4)),
                     }
-                    prop_assert_eq!(cs.audit(), Ok(()));
+                    4 => {
+                        if let Some(d) = cs.lookup(&name, false, false, t) {
+                            prop_assert_eq!(d.name(), &name);
+                        }
+                    }
+                    _ => {
+                        if let Some(d) = cs.lookup(&name.prefix(1), true, false, t) {
+                            prop_assert!(name.prefix(1).is_prefix_of(d.name()));
+                        }
+                    }
                 }
-                let s = cs.stats();
-                prop_assert_eq!(s.hits + s.misses, s.lookups, "{policy:?}");
+                resident.retain(|n, _| cs.lookup_exact(n).is_some());
+                prop_assert_eq!(cs.audit(), Ok(()));
+                let want: usize = resident.values().map(|d| charge(budget, d)).sum();
+                prop_assert_eq!(cs.resident_bytes(), want, "{:?}", budget);
             }
         }
 
         #[test]
-        fn every_policy_serves_everything_that_fits(
-            keys in proptest::collection::vec(0u64..64, 1..32),
+        fn content_store_matches_a_name_keyed_fifo_model(
+            ops in proptest::collection::vec(
+                (0u8..7, 0usize..32, 0usize..320, 0u64..3_000),
+                1..64,
+            ),
+            bytes in any::<bool>(),
+            n in 0usize..4096,
         ) {
-            // With a budget the whole working set fits under, eviction
-            // policy must be unobservable: every inserted name hits.
-            for policy in EvictionPolicyKind::ALL {
-                let mut cs = ContentStore::with_budget(CsBudget::Bytes(1 << 20), policy);
-                let t = SimTime::from_secs(1);
-                for &key in &keys {
-                    cs.insert(
-                        Data::new(Name::from_uri(&format!("/p/{key}")), vec![1; 16]),
-                        t,
-                    );
+            // Insert / refresh / exact / CanBePrefix / MustBeFresh lookups
+            // and clock advances, against a model keyed by `Name`. Identical
+            // answers here mean the wire-keyed ordered index returns the
+            // same first CanBePrefix match as canonical `Name` order.
+            let budget = budget_of(bytes, n);
+            let pool = name_pool();
+            let mut cs = ContentStore::with_budget(budget);
+            let mut model = FifoModel::new(budget);
+            let mut now = SimTime::from_secs(1);
+            for &(op, which, size, ms) in &ops {
+                let name = &pool[which % pool.len()];
+                let mbf = size % 2 == 1;
+                match op {
+                    0..=2 => {
+                        // A third of the inserts are immutable (never fresh).
+                        let fresh_ms = if op == 0 { 0 } else { 1 + ms };
+                        let d = Data::new(name.clone(), vec![op; size]).with_freshness_ms(fresh_ms);
+                        cs.insert(d.clone(), now);
+                        model.insert(d, now);
+                    }
+                    3 | 4 => {
+                        let cbp = op == 4;
+                        prop_assert_eq!(
+                            cs.lookup(name, cbp, mbf, now),
+                            model.lookup(name, cbp, mbf, now),
+                            "lookup {} cbp={} mbf={}", name, cbp, mbf
+                        );
+                    }
+                    5 => {
+                        let prefix = name.prefix(size % (name.len() + 1));
+                        prop_assert_eq!(
+                            cs.lookup(&prefix, true, mbf, now),
+                            model.lookup(&prefix, true, mbf, now),
+                            "prefix lookup {} mbf={}", prefix, mbf
+                        );
+                    }
+                    _ => now += SimDuration::from_millis(ms),
                 }
-                for &key in &keys {
-                    let name = Name::from_uri(&format!("/p/{key}"));
-                    let d = cs.lookup(&name, false, false, t);
-                    prop_assert!(d.is_some(), "{policy:?} lost /p/{key}");
-                    prop_assert_eq!(d.unwrap().name(), &name);
+                prop_assert_eq!(cs.stats(), model.stats);
+                prop_assert_eq!(cs.len(), model.entries.len());
+                prop_assert_eq!(cs.resident_bytes(), model.bytes());
+                for probe in &pool {
+                    prop_assert_eq!(cs.lookup_exact(probe), model.lookup(probe, false, false, now));
                 }
-                let s = cs.stats();
-                prop_assert_eq!(s.misses, 0, "{policy:?}");
-                prop_assert_eq!(s.hits, keys.len() as u64, "{policy:?}");
                 prop_assert_eq!(cs.audit(), Ok(()));
             }
+        }
+
+        #[test]
+        fn fifo_store_serves_everything_that_fits(
+            keys in proptest::collection::vec(0u64..64, 1..32),
+        ) {
+            // With a budget the whole working set fits under, eviction must
+            // be unobservable: every inserted name hits.
+            let mut cs = ContentStore::with_budget(CsBudget::Bytes(1 << 20));
+            let t = SimTime::from_secs(1);
+            for &key in &keys {
+                cs.insert(
+                    Data::new(Name::from_uri(&format!("/p/{key}")), vec![1; 16]),
+                    t,
+                );
+            }
+            for &key in &keys {
+                let name = Name::from_uri(&format!("/p/{key}"));
+                let d = cs.lookup(&name, false, false, t);
+                prop_assert!(d.is_some(), "lost /p/{}", key);
+                prop_assert_eq!(d.unwrap().name(), &name);
+            }
+            let s = cs.stats();
+            prop_assert_eq!(s.evictions, 0);
+            prop_assert_eq!(s.insertions + s.refreshes, keys.len() as u64);
+            prop_assert_eq!(cs.audit(), Ok(()));
         }
 
         #[test]
@@ -1378,64 +1545,63 @@ mod watermark_properties {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
-        fn pit_expiry_matches_a_full_scan_model_on_both_table_generations(
+        fn pit_expiry_matches_a_full_scan_model(
             ops in proptest::collection::vec((0u8..6, 0usize..8, 0u32..5, 0u64..1_500), 1..160),
         ) {
             let pool = name_pool();
-            for mut pit in [Pit::new(), Pit::legacy()] {
-                let mut model = PitModel::default();
-                let mut now = SimTime::from_secs(1);
-                for &(op, which, nonce, ms) in &ops {
-                    let name = &pool[which];
-                    match op {
-                        0..=2 => {
-                            let cbp = nonce % 2 == 1;
-                            let face = if ms % 2 == 0 { FaceId::APP } else { FaceId::WIRELESS };
-                            let expiry = now + SimDuration::from_millis(1 + ms);
-                            prop_assert_eq!(
-                                pit.insert(name, nonce, cbp, face, expiry),
-                                model.insert(name, nonce, cbp, face, expiry)
-                            );
-                        }
-                        3 => {
-                            let got = pit.take_matching(name);
-                            let want = model.take_matching(name);
-                            prop_assert_eq!(got.len(), want.len());
-                            for (g, (wname, w)) in got.iter().zip(&want) {
-                                prop_assert_eq!(&g.name, wname);
-                                prop_assert_eq!(g.can_be_prefix, w.can_be_prefix);
-                                prop_assert_eq!(&g.downstreams, &w.downstreams);
-                                prop_assert_eq!(&g.nonces, &w.nonces);
-                                prop_assert_eq!(g.expiry(), w.expiry);
-                            }
-                        }
-                        _ => {
-                            // Half the sweeps find the clock where they left it.
-                            if op == 4 {
-                                now += SimDuration::from_millis(ms);
-                            }
-                            let would_scan = pit.expire_due(now);
-                            let want = model.expire(now);
-                            prop_assert!(would_scan || want.is_empty(), "skipped a due entry");
-                            prop_assert_eq!(pit.expire(now), want);
+            let mut pit = Pit::new();
+            let mut model = PitModel::default();
+            let mut now = SimTime::from_secs(1);
+            for &(op, which, nonce, ms) in &ops {
+                let name = &pool[which];
+                match op {
+                    0..=2 => {
+                        let cbp = nonce % 2 == 1;
+                        let face = if ms % 2 == 0 { FaceId::APP } else { FaceId::WIRELESS };
+                        let expiry = now + SimDuration::from_millis(1 + ms);
+                        prop_assert_eq!(
+                            pit.insert(name, nonce, cbp, face, expiry),
+                            model.insert(name, nonce, cbp, face, expiry)
+                        );
+                    }
+                    3 => {
+                        let got = pit.take_matching(name);
+                        let want = model.take_matching(name);
+                        prop_assert_eq!(got.len(), want.len());
+                        for (g, (wname, w)) in got.iter().zip(&want) {
+                            prop_assert_eq!(&g.name, wname);
+                            prop_assert_eq!(g.can_be_prefix, w.can_be_prefix);
+                            prop_assert_eq!(&g.downstreams, &w.downstreams);
+                            prop_assert_eq!(&g.nonces, &w.nonces);
+                            prop_assert_eq!(g.expiry(), w.expiry);
                         }
                     }
-                    prop_assert_eq!(pit.len(), model.0.len());
-                    for probe in &pool {
-                        prop_assert_eq!(pit.contains(probe), model.0.contains_key(probe));
-                        let wire = probe.to_wire_value();
-                        for nonce in 0..5 {
-                            prop_assert_eq!(
-                                pit.has_nonce_wire(&wire, nonce),
-                                model.0.get(probe).is_some_and(|e| e.nonces.contains(&nonce))
-                            );
+                    _ => {
+                        // Half the sweeps find the clock where they left it.
+                        if op == 4 {
+                            now += SimDuration::from_millis(ms);
                         }
+                        let would_scan = pit.expire_due(now);
+                        let want = model.expire(now);
+                        prop_assert!(would_scan || want.is_empty(), "skipped a due entry");
+                        prop_assert_eq!(pit.expire(now), want);
                     }
                 }
-                // Everything left expires, in canonical order, at the end of time.
-                prop_assert_eq!(pit.expire(SimTime::FAR_FUTURE), model.expire(SimTime::FAR_FUTURE));
-                prop_assert!(pit.is_empty());
+                prop_assert_eq!(pit.len(), model.0.len());
+                for probe in &pool {
+                    prop_assert_eq!(pit.contains(probe), model.0.contains_key(probe));
+                    let wire = probe.to_wire_value();
+                    for nonce in 0..5 {
+                        prop_assert_eq!(
+                            pit.has_nonce_wire(&wire, nonce),
+                            model.0.get(probe).is_some_and(|e| e.nonces.contains(&nonce))
+                        );
+                    }
+                }
             }
+            // Everything left expires, in canonical order, at the end of time.
+            prop_assert_eq!(pit.expire(SimTime::FAR_FUTURE), model.expire(SimTime::FAR_FUTURE));
+            prop_assert!(pit.is_empty());
         }
 
         #[test]
