@@ -489,7 +489,8 @@ pub struct SchedResult {
     pub frames_relay_patched: u64,
     /// Frames that paid for a full TLV decode, summed over nodes.
     pub full_decodes: u64,
-    /// Live PIT arena entries at the deadline, summed over nodes.
+    /// Live PIT entries at the deadline, summed over nodes (named for the
+    /// report key the committed reports use).
     pub pit_arena_live: usize,
     /// Live Content Store arena entries at the deadline, summed over nodes.
     pub cs_arena_live: usize,
@@ -535,7 +536,7 @@ pub fn run_sched(params: &SchedParams) -> SchedResult {
             prefix_hits += s.peek_prefix_hits;
             relay_patched += s.frames_relay_patched;
             decodes += s.full_decodes;
-            pit_live += s.forwarder.pit().arena_live();
+            pit_live += s.forwarder.pit().len();
             cs_live += s.forwarder.cs().arena_live();
         }
     }

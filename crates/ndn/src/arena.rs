@@ -1,12 +1,12 @@
 //! A generation-tagged slab arena for forwarder table entries.
 //!
-//! The PIT and Content Store keep every entry in one of these arenas and
-//! store only small `Copy` [`ArenaRef`] handles in their name- and
-//! wire-keyed indexes. Entry insertion reuses freed slots instead of
-//! allocating, and a stale handle (one whose slot was freed and reused)
-//! can never resolve to the wrong entry: each slot carries a generation
-//! counter, bumped on free, that the handle must match — the same scheme
-//! the simulator's timer slab uses for cancel-safe timer ids.
+//! The Content Store keeps every entry in one of these arenas and stores
+//! only small `Copy` [`ArenaRef`] handles in its wire-keyed indexes. Entry
+//! insertion reuses freed slots instead of allocating, and a stale handle
+//! (one whose slot was freed and reused) can never resolve to the wrong
+//! entry: each slot carries a generation counter, bumped on free, that the
+//! handle must match — the same scheme the simulator's timer slab uses for
+//! cancel-safe timer ids.
 
 /// A handle into an [`Arena`]: slot index plus the generation the slot had
 /// when the entry was inserted.
@@ -118,11 +118,6 @@ impl<T> Arena<T> {
         self.free.push(handle.index);
         self.live -= 1;
         Some(value)
-    }
-
-    /// Iterates over live entries in slot order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.slots.iter().filter_map(|s| s.value.as_ref())
     }
 
     /// Number of live entries.

@@ -221,7 +221,7 @@ pub struct ForwarderConfig {
     /// decode-free relay ([`Action::RelayInterest`]).
     pub relay_patch: bool,
     /// Placeholder that must be `false`: the PIT and Content Store run on
-    /// the wire-indexed slab arenas only.
+    /// their wire-keyed tables only.
     pub legacy_tables: bool,
 }
 
@@ -368,9 +368,9 @@ impl<S: Strategy> Forwarder<S> {
     /// 3. **FIB no-route** — a would-be-new Interest whose wire-level
     ///    longest-prefix match yields no usable next hop (and whose
     ///    strategy suppresses on empty next hops, see
-    ///    [`Strategy::decide_no_nexthops`]) records its PIT entry — the
-    ///    name materialized as zero-copy views of `backing`, the expiry
-    ///    from the peeked lifetime — bumps the suppression counter, and
+    ///    [`Strategy::decide_no_nexthops`]) records its PIT entry — keyed
+    ///    by the peeked name bytes, the expiry from the peeked lifetime,
+    ///    no `Name` built — bumps the suppression counter, and
     ///    returns no actions: the not-for-me drop, byte-identical to the
     ///    full pipeline's outcome;
     /// 4. **decode-free relay** — a would-be-new Interest with a usable wireless route whose
@@ -430,7 +430,7 @@ impl<S: Strategy> Forwarder<S> {
         // One hash probe answers both the duplicate-nonce and the
         // would-be-new question.
         match self.pit.probe_wire(header.name_wire) {
-            Some(entry) if entry.nonces.contains(&header.nonce) => {
+            Some(entry) if entry.has_nonce(header.nonce) => {
                 self.stats.duplicate_interests += 1;
                 return Some((Vec::new(), PeekOutcome::DuplicateNonce));
             }
@@ -460,13 +460,15 @@ impl<S: Strategy> Forwarder<S> {
             if self.strategy.decide_no_nexthops(ingress, now) != Some(Decision::Suppress) {
                 return None;
             }
-            // Committed: reproduce the full pipeline's PIT insert. The
-            // name is materialized only here, as zero-copy views into
-            // the frame — the *decision* needed no `Name` at all.
-            let name = header.to_name(backing).ok()?;
+            // Committed: reproduce the full pipeline's PIT insert, keyed
+            // by the frame's own name bytes — no `Name` is built. A
+            // malformed name region falls through exactly where `to_name`
+            // would fail; the full decode then fails at the same byte.
+            if !wire_value_is_well_formed(header.name_wire) {
+                return None;
+            }
             let expiry = now + SimDuration::from_millis(header.lifetime_ms);
             self.pit.insert_new_peeked(
-                name,
                 header.name_wire,
                 header.nonce,
                 header.can_be_prefix,
@@ -520,12 +522,11 @@ impl<S: Strategy> Forwarder<S> {
         let decision = self.strategy.decide_header(&name, ingress, usable, now)?;
 
         // Committed: reproduce the full pipeline's PIT insert and stats.
-        // `insert_new_peeked` reuses the frame's own name bytes for the
-        // wire index and hands the entry back, so the forward arm stamps
-        // `last_forward` without re-probing.
+        // `insert_new_peeked` keys the entry by the frame's own name bytes
+        // and hands it back, so the forward arm stamps `last_forward`
+        // without re-probing.
         let expiry = now + SimDuration::from_millis(header.lifetime_ms);
         let entry = self.pit.insert_new_peeked(
-            name,
             header.name_wire,
             header.nonce,
             header.can_be_prefix,
@@ -559,10 +560,10 @@ impl<S: Strategy> Forwarder<S> {
                     }
                     PeekedHopLimit::Opaque => unreachable!("checked before committing"),
                 };
-                // The entry owns the materialized name; each action needs
-                // its own copy, and the last one takes the working clone —
-                // the common single-face relay clones exactly once.
-                let mut relay_name = Some(entry.name.clone());
+                // Each action needs its own copy of the name, and the last
+                // one takes the materialized name itself — the common
+                // single-face relay clones nothing.
+                let mut relay_name = Some(name);
                 let mut egress = faces
                     .into_iter()
                     .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f))
@@ -608,8 +609,8 @@ impl<S: Strategy> Forwarder<S> {
         interest: &Interest,
         ingress: FaceId,
     ) -> Vec<Action> {
-        // Encode the name once; the CS probe and the PIT insert both key on
-        // the canonical wire value.
+        // Encode the name once; the CS probe and every PIT probe key on the
+        // canonical wire value.
         let name_wire = interest.name().to_wire_value();
 
         // 1. Content Store.
@@ -631,7 +632,6 @@ impl<S: Strategy> Forwarder<S> {
         // 2. PIT.
         let expiry = now + SimDuration::from_millis(interest.lifetime_ms());
         let inserted = self.pit.insert_wired(
-            interest.name(),
             &name_wire,
             interest.nonce(),
             interest.can_be_prefix(),
@@ -663,7 +663,7 @@ impl<S: Strategy> Forwarder<S> {
                 // transfer for the whole Interest lifetime.
                 let retx_ok =
                     self.pit
-                        .entry_mut(interest.name())
+                        .probe_wire(&name_wire)
                         .is_some_and(|e| match e.last_forward {
                             None => true,
                             Some(t) => now.since(t) >= SimDuration::from_millis(200),
@@ -692,7 +692,7 @@ impl<S: Strategy> Forwarder<S> {
                             }
                         }
                         if forwarded {
-                            if let Some(e) = self.pit.entry_mut(interest.name()) {
+                            if let Some(e) = self.pit.entry_mut_wire(&name_wire) {
                                 e.last_forward = Some(now);
                             }
                         }
@@ -718,7 +718,7 @@ impl<S: Strategy> Forwarder<S> {
                     }
                     Decision::Forward(faces) => {
                         self.stats.forwarded_interests += 1;
-                        if let Some(e) = self.pit.entry_mut(interest.name()) {
+                        if let Some(e) = self.pit.entry_mut_wire(&name_wire) {
                             e.last_forward = Some(now);
                         }
                         faces
@@ -754,8 +754,8 @@ impl<S: Strategy> Forwarder<S> {
         self.stats.satisfied_data += 1;
         self.cs.insert(data.clone(), now);
         let mut actions = Vec::new();
-        for entry in matched {
-            for face in entry.downstreams {
+        for (_, entry) in matched {
+            for face in entry.downstreams() {
                 if face != ingress || self.cfg.rebroadcast_faces.contains(&face) {
                     actions.push(Action::SendData {
                         face,

@@ -972,11 +972,12 @@ fn decode_name_value(value: &[u8], backing: Option<&Payload>) -> Result<Name, Tl
     Ok(Name::from_components(components))
 }
 
-/// [`decode_name_value`] for the peek ladder's commit points: a first TLV
-/// walk counts the components so the vector is allocated exactly once —
-/// the decode-free pipeline materializes a `Name` on every relay/suppress
-/// commit, so the incremental-growth reallocations are measurable there.
-fn decode_name_value_counted(value: &[u8], backing: &Payload) -> Result<Name, TlvError> {
+/// [`decode_name_value`] for the peek ladder's relay commit and the PIT's
+/// expired keys: a first TLV walk counts the components so the vector is
+/// allocated exactly once — the decode-free pipeline materializes a `Name`
+/// on every relay commit, so the incremental-growth reallocations are
+/// measurable there.
+pub(crate) fn decode_name_value_counted(value: &[u8], backing: &Payload) -> Result<Name, TlvError> {
     let mut nr = TlvReader::new(value);
     let mut count = 0usize;
     while !nr.is_at_end() {

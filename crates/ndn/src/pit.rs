@@ -5,32 +5,44 @@
 //! stops broadcast re-flooding loops), and routes returning Data back to the
 //! downstream faces that asked for it.
 
-use crate::arena::{Arena, ArenaRef};
 use crate::face::FaceId;
 use crate::hash::FxBuildHasher;
-use crate::name::Name;
+use crate::name::{wire_value_is_well_formed, Name};
+use crate::packet::decode_name_value_counted;
 use crate::tlv::TlvReader;
+use dapes_netsim::payload::Payload;
 use dapes_netsim::time::SimTime;
 use std::collections::HashMap;
-use std::sync::Arc;
 
-/// One pending Interest.
+/// One pending Interest. Its name is the wire key the [`Pit`] stores it
+/// under; the entry itself is a few words.
 #[derive(Clone, Debug)]
 pub struct PitEntry {
-    /// The Interest name.
-    pub name: Name,
-    /// Whether any aggregated Interest had CanBePrefix set.
-    pub can_be_prefix: bool,
-    /// Faces that asked for this data.
-    pub downstreams: Vec<FaceId>,
-    /// Nonces seen for this name (duplicate suppression).
-    pub nonces: Vec<u32>,
     /// When the entry expires. Crate-private because [`Pit::expire`]'s
     /// watermark must see every write: aggregation only ever raises it.
     pub(crate) expiry: SimTime,
     /// When the Interest was last forwarded upstream (consumer
     /// retransmissions may re-forward after a suppression interval).
     pub last_forward: Option<SimTime>,
+    /// Nonces and downstreams after the first, once an Interest aggregates.
+    more: Option<Box<Aggregated>>,
+    /// The first Interest's nonce.
+    nonce: u32,
+    /// The first Interest's ingress face.
+    downstream: FaceId,
+    /// Whether any aggregated Interest had CanBePrefix set.
+    pub can_be_prefix: bool,
+}
+
+// Relay swarms hold hundreds of thousands of entries per run: the common
+// entry (one nonce, one face) must stay a few words, with no heap of its own.
+const _: () = assert!(std::mem::size_of::<PitEntry>() <= 48);
+
+/// What aggregation adds to a [`PitEntry`] beyond its first Interest.
+#[derive(Clone, Debug, Default)]
+struct Aggregated {
+    nonces: Vec<u32>,
+    downstreams: Vec<FaceId>,
 }
 
 impl PitEntry {
@@ -39,9 +51,35 @@ impl PitEntry {
         self.expiry
     }
 
-    /// Approximate bytes of state (Table I memory proxy).
-    pub fn state_bytes(&self) -> usize {
-        self.name.state_bytes() + self.downstreams.len() * 4 + self.nonces.len() * 4 + 32
+    /// Faces that asked for this data, in arrival order, without repeats.
+    pub fn downstreams(&self) -> impl Iterator<Item = FaceId> + '_ {
+        let more = self.more.iter().flat_map(|m| m.downstreams.iter().copied());
+        std::iter::once(self.downstream).chain(more)
+    }
+
+    /// Nonces seen for this name (duplicate suppression), in arrival order.
+    pub fn nonces(&self) -> impl Iterator<Item = u32> + '_ {
+        let more = self.more.iter().flat_map(|m| m.nonces.iter().copied());
+        std::iter::once(self.nonce).chain(more)
+    }
+
+    /// Whether `nonce` was already recorded for this name.
+    pub fn has_nonce(&self, nonce: u32) -> bool {
+        self.nonces().any(|n| n == nonce)
+    }
+
+    /// Approximate bytes of state (Table I memory proxy) of this entry
+    /// stored under `key`: the name as a [`Name`] would hold it, four per
+    /// downstream and nonce, 32 of fixed fields, then the key plus 16 of
+    /// index overhead.
+    fn state_bytes(&self, key: &[u8]) -> usize {
+        let mut r = TlvReader::new(key);
+        let mut name = 24;
+        while let Ok((_, component)) = r.read_tlv() {
+            name += component.len() + 8;
+        }
+        let per_interest = 4 * (self.downstreams().count() + self.nonces().count());
+        name + per_interest + 32 + key.len() + 16
     }
 }
 
@@ -58,17 +96,20 @@ pub enum PitInsert {
 
 /// The Pending Interest Table.
 ///
-/// Entries live in a generation-tagged [`Arena`]; the single *wire index* —
-/// a hash map keyed by [`Name::to_wire_value`] — holds only `Copy` handles
-/// into it. One index serves both pipelines: the full-decode path encodes
-/// the Interest name once per probe, and peeked frames carry their name as
-/// a borrowed byte slice the index answers duplicate-nonce and PIT-match
-/// probes against directly — no `Name` is built, no component `Arc`s are
-/// touched. Data-to-entry prefix matching probes component boundaries of
-/// the wire key, which works because a name's canonical wire value
-/// byte-extends all of its prefixes'. The index only ever holds canonical
-/// encodings of valid names, so a frame with a non-canonical or malformed
-/// name region simply misses and falls through to the full decode path.
+/// One hash map keyed by the name's canonical wire value
+/// ([`Name::to_wire_value`]) owns every entry; no entry holds a [`Name`],
+/// so none pins the frame its Interest arrived in. The map serves both
+/// pipelines: the full-decode path encodes the Interest name once per
+/// Interest, and peeked frames carry their name as a borrowed byte slice
+/// the map answers duplicate-nonce and PIT-match probes against directly.
+/// Data-to-entry prefix matching probes component boundaries of the wire
+/// key, which works because a name's canonical wire value byte-extends all
+/// of its prefixes'. The map only ever holds encodings of well-formed
+/// names, so a frame with a malformed name region simply misses and falls
+/// through to the full decode path.
+///
+/// [`Pit::state_bytes`] is a running total, kept at insert, aggregation
+/// and removal, so reading it costs nothing.
 ///
 /// Expiry is watermarked: `next_due` is a *lower bound* on the earliest
 /// instant [`Pit::expire`] could remove anything. New entries lower it
@@ -79,16 +120,16 @@ pub enum PitInsert {
 /// entries that are held.
 #[derive(Clone, Debug)]
 pub struct Pit {
-    arena: Arena<PitEntry>,
-    index: HashMap<Arc<[u8]>, ArenaRef, FxBuildHasher>,
+    entries: HashMap<Box<[u8]>, PitEntry, FxBuildHasher>,
+    state_bytes: usize,
     next_due: SimTime,
 }
 
 impl Default for Pit {
     fn default() -> Self {
         Pit {
-            arena: Arena::new(),
-            index: HashMap::default(),
+            entries: HashMap::default(),
+            state_bytes: 0,
             next_due: SimTime::FAR_FUTURE,
         }
     }
@@ -100,9 +141,9 @@ impl Pit {
         Pit::default()
     }
 
-    /// Number of pending entries.
+    /// Number of pending entries (exported as the `pit_arena_live` stat).
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.entries.len()
     }
 
     /// Whether the PIT is empty.
@@ -110,25 +151,10 @@ impl Pit {
         self.len() == 0
     }
 
-    /// Approximate bytes of state (entries plus the wire index).
+    /// Approximate bytes of state: [`PitEntry`]'s Table I formula summed
+    /// over the entries.
     pub fn state_bytes(&self) -> usize {
-        self.arena
-            .values()
-            .map(PitEntry::state_bytes)
-            .sum::<usize>()
-            + self.index.keys().map(|k| k.len() + 16).sum::<usize>()
-    }
-
-    /// Live entries in the slab arena (mirrors [`Pit::len`]; exported as
-    /// the `pit_arena_live` stat).
-    pub fn arena_live(&self) -> usize {
-        self.arena.live()
-    }
-
-    /// Arena slots ever allocated — bounded by peak concurrency, not by
-    /// insert volume.
-    pub fn arena_allocated(&self) -> usize {
-        self.arena.allocated()
+        self.state_bytes
     }
 
     /// Records an incoming Interest: encodes the name once, then
@@ -142,58 +168,47 @@ impl Pit {
         expiry: SimTime,
     ) -> PitInsert {
         let wire = name.to_wire_value();
-        self.insert_wired(name, &wire, nonce, can_be_prefix, ingress, expiry)
+        self.insert_wired(&wire, nonce, can_be_prefix, ingress, expiry)
     }
 
-    /// [`Pit::insert`] with the name's canonical wire value supplied by the
-    /// caller, so a pipeline that already encoded it (for the Content Store
-    /// probe, say) does not pay for a second encoding.
+    /// [`Pit::insert`] for a name already encoded to its canonical wire
+    /// value, so a pipeline that encoded it (for the Content Store probe,
+    /// say) does not pay for a second encoding.
     pub fn insert_wired(
         &mut self,
-        name: &Name,
         name_wire: &[u8],
         nonce: u32,
         can_be_prefix: bool,
         ingress: FaceId,
         expiry: SimTime,
     ) -> PitInsert {
-        debug_assert_eq!(&*name.to_wire_value(), name_wire);
-        let Some(&handle) = self.index.get(name_wire) else {
-            self.insert_new_peeked(
-                name.clone(),
-                name_wire,
-                nonce,
-                can_be_prefix,
-                ingress,
-                expiry,
-            );
+        let Some(entry) = self.entries.get_mut(name_wire) else {
+            self.insert_new_peeked(name_wire, nonce, can_be_prefix, ingress, expiry);
             return PitInsert::New;
         };
-        let entry = self
-            .arena
-            .get_mut(handle)
-            .expect("indexed handles are live");
-        if entry.nonces.contains(&nonce) {
+        if entry.has_nonce(nonce) {
             return PitInsert::DuplicateNonce;
         }
-        entry.nonces.push(nonce);
+        let new_face = !entry.downstreams().any(|f| f == ingress);
         entry.can_be_prefix |= can_be_prefix;
         entry.expiry = entry.expiry.max(expiry);
-        if !entry.downstreams.contains(&ingress) {
-            entry.downstreams.push(ingress);
+        let more = entry.more.get_or_insert_with(Box::default);
+        more.nonces.push(nonce);
+        self.state_bytes += 4;
+        if new_face {
+            more.downstreams.push(ingress);
+            self.state_bytes += 4;
         }
         PitInsert::Aggregated
     }
 
-    /// [`Pit::insert`] specialized for a frame the resolution ladder has
-    /// already proven absent (the decode-free commit): the caller passes
-    /// the name's wire bytes, skipping the re-encode that [`Pit::insert`]
-    /// would do, hands the `Name` over by value (the commit point is its
-    /// only consumer — no clone), and gets the fresh entry back so
-    /// `last_forward` can be stamped without a second probe.
+    /// [`Pit::insert`] specialized for a name the caller has already proven
+    /// absent (the decode-free commit): the entry is keyed by the frame's
+    /// own name bytes — no `Name` is needed — and handed back so
+    /// `last_forward` can be stamped without a second probe. `name_wire`
+    /// must be well-formed.
     pub fn insert_new_peeked(
         &mut self,
-        name: Name,
         name_wire: &[u8],
         nonce: u32,
         can_be_prefix: bool,
@@ -201,18 +216,18 @@ impl Pit {
         expiry: SimTime,
     ) -> &mut PitEntry {
         debug_assert!(!self.contains_wire(name_wire), "caller proved absence");
-        debug_assert_eq!(&*name.to_wire_value(), name_wire);
+        debug_assert!(wire_value_is_well_formed(name_wire));
         self.next_due = self.next_due.min(expiry);
-        let handle = self.arena.insert(PitEntry {
-            name,
-            can_be_prefix,
-            downstreams: vec![ingress],
-            nonces: vec![nonce],
+        let entry = PitEntry {
             expiry,
             last_forward: None,
-        });
-        self.index.insert(name_wire.into(), handle);
-        self.arena.get_mut(handle).expect("just inserted")
+            more: None,
+            nonce,
+            downstream: ingress,
+            can_be_prefix,
+        };
+        self.state_bytes += entry.state_bytes(name_wire);
+        self.entries.entry(name_wire.into()).or_insert(entry)
     }
 
     /// Whether a pending entry exists for `name` (exact).
@@ -224,15 +239,14 @@ impl Pit {
     /// hash probe, no `Name` construction. Exactly the condition under
     /// which [`Pit::insert`] would *not* return [`PitInsert::New`].
     pub fn contains_wire(&self, name_wire: &[u8]) -> bool {
-        self.index.contains_key(name_wire)
+        self.entries.contains_key(name_wire)
     }
 
     /// The entry recorded for a peeked frame's borrowed name bytes, if any
     /// — the one probe behind both the duplicate-nonce and the would-be-new
     /// checks, so the peek resolution ladder hashes the name bytes once.
     pub fn probe_wire(&self, name_wire: &[u8]) -> Option<&PitEntry> {
-        let &h = self.index.get(name_wire)?;
-        Some(self.arena.get(h).expect("indexed handles are live"))
+        self.entries.get(name_wire)
     }
 
     /// Read-only duplicate check: whether `nonce` was already recorded for
@@ -246,7 +260,7 @@ impl Pit {
     /// one hash probe, no `Name` construction.
     pub fn has_nonce_wire(&self, name_wire: &[u8], nonce: u32) -> bool {
         self.probe_wire(name_wire)
-            .is_some_and(|e| e.nonces.contains(&nonce))
+            .is_some_and(|e| e.has_nonce(nonce))
     }
 
     /// Read-only mirror of [`Pit::take_matching`]: whether a Data packet
@@ -256,77 +270,41 @@ impl Pit {
         self.matches_wire(&data_name.to_wire_value())
     }
 
-    /// [`Pit::matches`] against a peeked frame's borrowed name bytes: the
-    /// exact probe is one hash lookup, and prefix probes reuse the fact
-    /// that a name's wire value extends all of its prefixes' wire values,
-    /// so component boundaries found by a cheap TLV walk are the only
-    /// candidate cut points.
+    /// [`Pit::matches`] against a peeked frame's borrowed name bytes: one
+    /// hash probe for the exact name, then one per strict prefix.
     pub fn matches_wire(&self, name_wire: &[u8]) -> bool {
-        if self.contains_wire(name_wire) {
-            return true;
-        }
-        let mut r = TlvReader::new(name_wire);
-        let mut boundary = 0usize;
-        loop {
-            // `boundary` ends a strict prefix of the name (k components).
-            if self
-                .probe_wire(&name_wire[..boundary])
-                .is_some_and(|e| e.can_be_prefix)
-            {
-                return true;
-            }
-            if r.is_at_end() || r.read_tlv().is_err() {
-                return false;
-            }
-            boundary = name_wire.len() - r.remaining();
-            if boundary >= name_wire.len() {
-                // The full name is not a strict prefix; the exact probe
-                // already ran.
-                return false;
-            }
-        }
+        self.contains_wire(name_wire)
+            || strict_prefix_ends(name_wire).any(|end| self.is_prefix_entry(&name_wire[..end]))
     }
 
-    /// Mutable access to an entry (forwarders update `last_forward`).
-    pub fn entry_mut(&mut self, name: &Name) -> Option<&mut PitEntry> {
-        let &handle = self.index.get(name.to_wire_value().as_slice())?;
-        self.arena.get_mut(handle)
+    /// Whether a CanBePrefix entry is stored under `key`.
+    fn is_prefix_entry(&self, key: &[u8]) -> bool {
+        self.probe_wire(key).is_some_and(|e| e.can_be_prefix)
     }
 
-    /// Removes the entry indexed under `key`, if any.
-    fn evict(&mut self, key: &[u8]) -> Option<PitEntry> {
-        let handle = self.index.remove(key)?;
-        Some(self.arena.remove(handle).expect("indexed handles are live"))
+    /// Mutable access to the entry for a canonical name wire value
+    /// (forwarders update `last_forward`).
+    pub fn entry_mut_wire(&mut self, name_wire: &[u8]) -> Option<&mut PitEntry> {
+        self.entries.get_mut(name_wire)
     }
 
-    /// Removes and returns all entries a Data packet with `data_name`
-    /// satisfies: the exact-name entry first, then any prefix entries that
-    /// were inserted with CanBePrefix — root first, then longer prefixes,
-    /// as the boundary walk ascends.
-    pub fn take_matching(&mut self, data_name: &Name) -> Vec<PitEntry> {
+    /// Removes the entry stored under `key`, if any, with its key.
+    fn evict(&mut self, key: &[u8]) -> Option<(Box<[u8]>, PitEntry)> {
+        let (key, entry) = self.entries.remove_entry(key)?;
+        self.state_bytes -= entry.state_bytes(&key);
+        Some((key, entry))
+    }
+
+    /// Removes and returns, each with its name's wire value, all entries a
+    /// Data packet with `data_name` satisfies: the exact-name entry first,
+    /// then any prefix entries that were inserted with CanBePrefix — root
+    /// first, then longer prefixes, as the boundary walk ascends.
+    pub fn take_matching(&mut self, data_name: &Name) -> Vec<(Box<[u8]>, PitEntry)> {
         let wire = data_name.to_wire_value();
-        let mut matched = Vec::new();
-        if let Some(e) = self.evict(&wire) {
-            matched.push(e);
-        }
-        // Check strict prefixes for CanBePrefix entries: every prefix ends
-        // at a component boundary of the wire value. Names are short
-        // (typically <= 4 components), so this loop is cheap.
-        let mut r = TlvReader::new(&wire);
-        let mut boundary = 0usize;
-        loop {
-            let prefix = &wire[..boundary];
-            if self.probe_wire(prefix).is_some_and(|e| e.can_be_prefix) {
-                matched.push(self.evict(prefix).expect("just checked"));
-            }
-            if r.is_at_end() || r.read_tlv().is_err() {
-                break;
-            }
-            boundary = wire.len() - r.remaining();
-            if boundary >= wire.len() {
-                // The full name is not a strict prefix; the exact probe
-                // already ran.
-                break;
+        let mut matched: Vec<_> = self.evict(&wire).into_iter().collect();
+        for end in strict_prefix_ends(&wire) {
+            if self.is_prefix_entry(&wire[..end]) {
+                matched.push(self.evict(&wire[..end]).expect("just checked"));
             }
         }
         matched
@@ -342,33 +320,47 @@ impl Pit {
     /// Removes entries that expired at or before `now`, returning their
     /// names in canonical order (DAPES pure forwarders start suppression
     /// timers off these, and callers may arm per-name timers — the sort
-    /// keeps that order independent of hash-map iteration). Each expired
-    /// entry leaves the arena *and* the wire index, so a stale
-    /// dup-nonce/PIT-match can never be reported for an expired Interest.
-    /// Returns without looking at the table (and without allocating) while
-    /// nothing can be due.
+    /// keeps that order independent of hash-map iteration). The sort is
+    /// bytewise over the wire keys, which is canonical `Name` order, and a
+    /// `Name` is built only for each entry returned. Returns without
+    /// looking at the table (and without allocating) while nothing can be
+    /// due.
     pub fn expire(&mut self, now: SimTime) -> Vec<Name> {
         if !self.expire_due(now) {
             return Vec::new();
         }
-        let mut expired = Vec::new();
+        let mut due = Vec::new();
         let mut next_due = SimTime::FAR_FUTURE;
-        let arena = &mut self.arena;
-        self.index.retain(|_, &mut handle| {
-            let expiry = arena.get(handle).expect("indexed handles are live").expiry;
-            if expiry <= now {
-                let mut e = arena.remove(handle).expect("just read");
-                expired.push(std::mem::take(&mut e.name));
+        let state_bytes = &mut self.state_bytes;
+        self.entries.retain(|key, e| {
+            if e.expiry <= now {
+                *state_bytes -= e.state_bytes(key);
+                due.push(Payload::copy_from_slice(key));
                 false
             } else {
-                next_due = next_due.min(expiry);
+                next_due = next_due.min(e.expiry);
                 true
             }
         });
-        expired.sort_unstable();
         self.next_due = next_due;
-        expired
+        due.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
+        due.iter()
+            .map(|w| decode_name_value_counted(w, w).expect("keys are well-formed names"))
+            .collect()
     }
+}
+
+/// Where the wire value of each strict prefix of the name `wire` ends: the
+/// root (0), then every component boundary short of the full name — the
+/// only cut points, since a name's wire value byte-extends its prefixes'.
+/// A malformed region ends the walk early.
+fn strict_prefix_ends(wire: &[u8]) -> impl Iterator<Item = usize> + '_ {
+    let mut r = TlvReader::new(wire);
+    let boundaries = std::iter::from_fn(move || {
+        r.read_tlv().ok()?;
+        Some(wire.len() - r.remaining())
+    });
+    std::iter::once(0).chain(boundaries.take_while(move |&end| end < wire.len()))
 }
 
 #[cfg(test)]
@@ -403,8 +395,13 @@ mod tests {
         );
         let entries = pit.take_matching(&name("/a"));
         assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].downstreams, vec![FaceId::APP, FaceId::WIRELESS]);
-        assert_eq!(entries[0].expiry, t(5), "expiry extended");
+        let (_, entry) = &entries[0];
+        assert_eq!(
+            entry.downstreams().collect::<Vec<_>>(),
+            [FaceId::APP, FaceId::WIRELESS]
+        );
+        assert_eq!(entry.nonces().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(entry.expiry, t(5), "expiry extended");
     }
 
     #[test]
@@ -414,6 +411,12 @@ mod tests {
         assert_eq!(
             pit.insert(&name("/a"), 1, false, FaceId::WIRELESS, t(4)),
             PitInsert::DuplicateNonce
+        );
+        pit.insert(&name("/a"), 2, false, FaceId::WIRELESS, t(4));
+        assert_eq!(
+            pit.insert(&name("/a"), 2, false, FaceId::APP, t(4)),
+            PitInsert::DuplicateNonce,
+            "an aggregated nonce is remembered too"
         );
     }
 
@@ -432,7 +435,7 @@ mod tests {
         pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
         let key = name("/a").to_wire_value();
         let probe = pit.probe_wire(&key).expect("present");
-        assert_eq!(probe.nonces, [1]);
+        assert_eq!(probe.nonces().collect::<Vec<_>>(), [1]);
         assert!(!probe.can_be_prefix);
         assert!(pit.probe_wire(&name("/b").to_wire_value()).is_none());
     }
@@ -459,7 +462,10 @@ mod tests {
         pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
         pit.insert(&name("/a"), 2, false, FaceId::APP, t(4));
         let entries = pit.take_matching(&name("/a"));
-        assert_eq!(entries[0].downstreams, vec![FaceId::APP]);
+        assert_eq!(
+            entries[0].1.downstreams().collect::<Vec<_>>(),
+            [FaceId::APP]
+        );
     }
 
     #[test]
@@ -476,7 +482,7 @@ mod tests {
         pit.insert(&name("/col"), 1, true, FaceId::APP, t(4));
         let matched = pit.take_matching(&name("/col/f/0"));
         assert_eq!(matched.len(), 1);
-        assert_eq!(matched[0].name, name("/col"));
+        assert_eq!(*matched[0].0, *name("/col").to_wire_value());
     }
 
     #[test]
@@ -552,22 +558,23 @@ mod tests {
     #[test]
     fn expire_reports_names_in_canonical_order() {
         let mut pit = Pit::new();
-        for uri in ["/z/9", "/a/1", "/m", "/b/2/3"] {
+        for uri in ["/z/9", "/a/1", "/m", "/b/2/3", "/aa", "/a"] {
             pit.insert(&name(uri), 1, false, FaceId::APP, t(4));
         }
         let expired = pit.expire(t(4));
         assert_eq!(
             expired,
-            vec![name("/a/1"), name("/b/2/3"), name("/m"), name("/z/9")],
+            ["/a", "/a/1", "/b/2/3", "/m", "/z/9", "/aa"].map(name),
             "order must not depend on hash-map iteration"
         );
+        assert!(expired.windows(2).all(|w| w[0] < w[1]), "canonical order");
     }
 
     #[test]
     fn expire_evicts_the_wire_index_too() {
-        // Regression: a desynced wire index would keep reporting stale
-        // dup-nonce / PIT-match outcomes to the peek fast path after the
-        // entry itself expired.
+        // Regression: a stale key would keep reporting dup-nonce /
+        // PIT-match outcomes to the peek fast path after the entry itself
+        // expired.
         let mut pit = Pit::new();
         pit.insert(&name("/col/f/0"), 7, true, FaceId::APP, t(4));
         let key = name("/col/f/0").to_wire_value();
@@ -579,25 +586,24 @@ mod tests {
         assert!(!pit.contains_wire(&key), "wire entry must expire with it");
         assert!(!pit.has_nonce_wire(&key, 7));
         assert!(!pit.matches_wire(&name("/col/f/0/seg").to_wire_value()));
-        assert_eq!(pit.arena_live(), 0, "arena slot must be freed");
+        assert_eq!(pit.len(), 0);
+        assert_eq!(pit.state_bytes(), 0, "its bytes leave the total");
     }
 
     #[test]
     fn take_matching_frees_arena_slots_for_reuse() {
+        // A satisfied entry's key and bytes leave the table with it, round
+        // after round.
         let mut pit = Pit::new();
         for round in 0..50u32 {
             pit.insert(&name("/a"), round, false, FaceId::APP, t(4));
             pit.insert(&name("/b"), round, false, FaceId::APP, t(4));
-            assert_eq!(pit.arena_live(), 2);
+            assert_eq!(pit.len(), 2);
             assert_eq!(pit.take_matching(&name("/a")).len(), 1);
             assert_eq!(pit.take_matching(&name("/b")).len(), 1);
+            assert_eq!(pit.state_bytes(), 0);
         }
-        assert_eq!(pit.arena_live(), 0);
-        assert_eq!(
-            pit.arena_allocated(),
-            2,
-            "allocation must track peak concurrency, not volume"
-        );
+        assert!(pit.is_empty());
     }
 
     #[test]
@@ -605,6 +611,14 @@ mod tests {
         let mut pit = Pit::new();
         assert_eq!(pit.state_bytes(), 0);
         pit.insert(&name("/a/b/c"), 1, false, FaceId::APP, t(4));
-        assert!(pit.state_bytes() > 0);
+        // Name 24 + 3 x (1 + 8), one face and one nonce 4 + 4, fixed 32,
+        // key 3 x 3 + 16.
+        assert_eq!(pit.state_bytes(), 51 + 8 + 32 + 25);
+        pit.insert(&name("/a/b/c"), 2, false, FaceId::APP, t(4));
+        assert_eq!(pit.state_bytes(), 116 + 4, "a nonce, no new face");
+        pit.insert(&name("/a/b/c"), 3, false, FaceId::WIRELESS, t(4));
+        assert_eq!(pit.state_bytes(), 120 + 8, "a nonce and a face");
+        pit.take_matching(&name("/a/b/c"));
+        assert_eq!(pit.state_bytes(), 0);
     }
 }

@@ -26,6 +26,21 @@ fn arb_name() -> impl Strategy<Value = Name> {
     })
 }
 
+/// Names whose encodings reach every case of a wire comparison: empty
+/// components, one-byte TLV lengths against three-byte ones (253 bytes and
+/// up, where 255 and 256 differ in both length bytes), and a three-letter
+/// alphabet so equal-length components often share a prefix.
+fn arb_wire_name() -> impl Strategy<Value = Name> {
+    let component = (0usize..7, 0u8..3, 0u8..3).prop_map(|(len, fill, last)| {
+        let mut c = vec![b'a' + fill; [0, 1, 2, 252, 253, 255, 256][len]];
+        if let Some(end) = c.last_mut() {
+            *end = b'a' + last;
+        }
+        Component::from_bytes(c)
+    });
+    proptest::collection::vec(component, 0..4).prop_map(Name::from_components)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -33,6 +48,27 @@ proptest! {
     fn name_uri_round_trips(name in arb_name()) {
         let uri = name.to_string();
         prop_assert_eq!(Name::from_uri(&uri), name);
+    }
+
+    /// Canonical `Name` order is byte order of the canonical wire values —
+    /// what the Content Store's ordered index and `Pit::expire`'s sort
+    /// rely on.
+    #[test]
+    fn name_order_is_wire_value_byte_order(
+        a in arb_wire_name(),
+        b in arb_wire_name(),
+        cut in 0usize..4,
+    ) {
+        // A prefix of `a`, and that prefix extended by `b`, make prefix pairs.
+        let prefix = a.prefix(cut.min(a.len()));
+        let mut extended = prefix.clone();
+        for c in b.components() {
+            extended.push(c.clone());
+        }
+        for (x, y) in [(&a, &b), (&b, &a), (&prefix, &a), (&a, &prefix), (&prefix, &extended),
+                       (&extended, &a), (&a, &a)] {
+            prop_assert_eq!(x.cmp(y), x.to_wire_value().cmp(&y.to_wire_value()));
+        }
     }
 
     #[test]
@@ -1339,6 +1375,22 @@ mod watermark_properties {
             matched
         }
 
+        /// The PIT's Table I proxy recomputed from scratch: per entry, the
+        /// `Name`, four bytes per downstream and nonce, 32 fixed, and the
+        /// wire key plus 16 of index.
+        fn state_bytes(&self) -> usize {
+            self.0
+                .iter()
+                .map(|(name, e)| {
+                    name.state_bytes()
+                        + 4 * (e.downstreams.len() + e.nonces.len())
+                        + 32
+                        + name.to_wire_value().len()
+                        + 16
+                })
+                .sum()
+        }
+
         fn expire(&mut self, now: SimTime) -> Vec<Name> {
             let mut expired = Vec::new();
             self.0.retain(|name, e| {
@@ -1568,11 +1620,11 @@ mod watermark_properties {
                         let got = pit.take_matching(name);
                         let want = model.take_matching(name);
                         prop_assert_eq!(got.len(), want.len());
-                        for (g, (wname, w)) in got.iter().zip(&want) {
-                            prop_assert_eq!(&g.name, wname);
+                        for ((gkey, g), (wname, w)) in got.iter().zip(&want) {
+                            prop_assert_eq!(&**gkey, &wname.to_wire_value()[..]);
                             prop_assert_eq!(g.can_be_prefix, w.can_be_prefix);
-                            prop_assert_eq!(&g.downstreams, &w.downstreams);
-                            prop_assert_eq!(&g.nonces, &w.nonces);
+                            prop_assert_eq!(g.downstreams().collect::<Vec<_>>(), w.downstreams.clone());
+                            prop_assert_eq!(g.nonces().collect::<Vec<_>>(), w.nonces.clone());
                             prop_assert_eq!(g.expiry(), w.expiry);
                         }
                     }
@@ -1588,6 +1640,7 @@ mod watermark_properties {
                     }
                 }
                 prop_assert_eq!(pit.len(), model.0.len());
+                prop_assert_eq!(pit.state_bytes(), model.state_bytes());
                 for probe in &pool {
                     prop_assert_eq!(pit.contains(probe), model.0.contains_key(probe));
                     let wire = probe.to_wire_value();
