@@ -256,6 +256,8 @@ impl DapesPeer {
         self.stats.tick_scans += ms.sweep_due(now) as u64;
         self.stats.neighbors_expired += ms.sweep(now) as u64;
         let neighbors = ms.neighbor_count();
+        // Expiring every tick leaves the forwarder's own reclaim, which
+        // lags expiry by at least a tick, nothing to take (DESIGN.md).
         self.stats.tick_scans += self.forwarder.pit().expire_due(now) as u64;
         self.forwarder.expire(now);
         if self.cfg.signed_adverts {

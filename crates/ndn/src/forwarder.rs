@@ -257,6 +257,10 @@ pub struct ForwarderStats {
     pub satisfied_data: u64,
     /// Data packets that arrived unsolicited.
     pub unsolicited_data: u64,
+    /// PIT entries removed by the forwarder's own [`Pit::reclaim`] — not
+    /// those an owner removed through [`Forwarder::expire`]. Zero for an
+    /// owner that expires every [`crate::pit::RECLAIM_AFTER`].
+    pub pit_reclaimed: u64,
 }
 
 /// The NDN forwarding daemon for one node, owning its [`Strategy`] — and
@@ -384,9 +388,11 @@ impl<S: Strategy> Forwarder<S> {
     /// aggregation, a payload-dependent strategy decision, or a forward the
     /// relay path's preconditions exclude. The caller must then decode and
     /// call [`Forwarder::process_interest`]; no state or statistics change
-    /// on fall-through, so there is no double counting. A malformed name
-    /// region also falls through: the full decode fails at the same byte,
-    /// so the frame is dropped either way.
+    /// on fall-through, so there is no double counting. (The PIT reclaim
+    /// that opens both pipelines is the one exception, and it is idempotent
+    /// at one instant: the second call finds nothing to scan.) A malformed
+    /// name region also falls through: the full decode fails at the same
+    /// byte, so the frame is dropped either way.
     pub fn process_interest_header(
         &mut self,
         now: SimTime,
@@ -394,6 +400,7 @@ impl<S: Strategy> Forwarder<S> {
         backing: &Payload,
         ingress: FaceId,
     ) -> Option<(Vec<Action>, PeekOutcome)> {
+        self.reclaim(now);
         if header.can_be_prefix {
             // The ordered prefix walk may only run on a *complete* region:
             // a truncated one could byte-prefix-match a cached name the
@@ -609,6 +616,7 @@ impl<S: Strategy> Forwarder<S> {
         interest: &Interest,
         ingress: FaceId,
     ) -> Vec<Action> {
+        self.reclaim(now);
         // Encode the name once; the CS probe and every PIT probe key on the
         // canonical wire value.
         let name_wire = interest.name().to_wire_value();
@@ -767,10 +775,17 @@ impl<S: Strategy> Forwarder<S> {
         (actions, true)
     }
 
-    /// Expires stale PIT entries, returning their names (used by DAPES pure
-    /// forwarders to arm suppression timers, §V-A).
-    pub fn expire(&mut self, now: SimTime) -> Vec<Name> {
+    /// Expires stale PIT entries, returning how many went.
+    pub fn expire(&mut self, now: SimTime) -> usize {
         self.pit.expire(now)
+    }
+
+    /// Takes the PIT entries long past their expiry, so a table whose
+    /// owner never calls [`Forwarder::expire`] stays a window of recent
+    /// Interests instead of growing with every Interest ever heard. Runs
+    /// first on both Interest paths, the only ones that grow the table.
+    fn reclaim(&mut self, now: SimTime) {
+        self.stats.pit_reclaimed += self.pit.reclaim(now) as u64;
     }
 }
 
@@ -978,7 +993,7 @@ mod tests {
     }
 
     #[test]
-    fn pit_expiry_reports_names() {
+    fn pit_expiry_reports_the_removed_count() {
         let mut f = fwd();
         f.process_interest(
             now(),
@@ -987,13 +1002,54 @@ mod tests {
         );
         let lifetime = SimDuration::from_secs(1);
         let just_before = now() + lifetime.saturating_sub(SimDuration::from_micros(1));
-        assert!(f.expire(just_before).is_empty(), "not due yet");
+        assert_eq!(f.expire(just_before), 0, "not due yet");
         assert!(f.pit().contains(&Name::from_uri("/a")));
-        let expired = f.expire(now() + SimDuration::from_secs(2));
-        assert_eq!(expired, vec![Name::from_uri("/a")]);
+        assert_eq!(f.expire(now() + SimDuration::from_secs(2)), 1);
+        assert!(!f.pit().contains(&Name::from_uri("/a")));
+        assert_eq!(
+            f.stats().pit_reclaimed,
+            0,
+            "an owner's expiry is not a reclaim"
+        );
         // Late data is now unsolicited.
         let (_, solicited) = f.process_data(now(), &data("/a"), FaceId::WIRELESS);
         assert!(!solicited);
+    }
+
+    #[test]
+    fn an_unswept_pit_is_reclaimed_by_later_interests_on_either_path() {
+        // Nobody calls `expire`: the Interest paths bound the table
+        // themselves, a grace period behind each entry's expiry.
+        let mut f = relay_fwd();
+        let at = |millis: u64| SimTime::from_micros(millis * 1_000);
+        let lifetime = |i: Interest| i.with_lifetime_ms(500);
+        f.process_interest(at(1_000), &lifetime(interest("/a", 1)), FaceId::WIRELESS);
+        f.process_interest(at(1_300), &lifetime(interest("/b", 2)), FaceId::WIRELESS);
+        // /a expired at t=1.5, but the watermark trails by under 200 ms.
+        f.process_interest(at(1_699), &lifetime(interest("/c", 3)), FaceId::WIRELESS);
+        assert!(f.pit().contains(&Name::from_uri("/a")));
+        assert_eq!(f.stats().pit_reclaimed, 0);
+        // The peeked path reclaims too, before it resolves the frame.
+        let i = lifetime(interest("/d", 4));
+        let wire = wire_of(&i);
+        let (_, outcome) = f
+            .process_interest_header(at(1_700), &header_of(&wire), &wire, FaceId::WIRELESS)
+            .expect("relay resolves");
+        assert_eq!(outcome, PeekOutcome::Relayed);
+        assert!(
+            !f.pit().contains(&Name::from_uri("/a")),
+            "100 ms past expiry"
+        );
+        assert!(f.pit().contains(&Name::from_uri("/b")), "not yet expired");
+        assert_eq!(f.stats().pit_reclaimed, 1);
+        // /b expires at t=1.8 and goes once the watermark trails by 200 ms.
+        f.process_interest(at(2_000), &lifetime(interest("/e", 5)), FaceId::WIRELESS);
+        assert!(!f.pit().contains(&Name::from_uri("/b")));
+        assert_eq!(f.stats().pit_reclaimed, 2);
+        assert_eq!(f.pit().len(), 3, "/c, /d and /e are held");
+        // A name reclaimed from the table is new again.
+        let again = f.process_interest(at(2_000), &interest("/a", 1), FaceId::WIRELESS);
+        assert_eq!(again.len(), 1, "forwarded, not dropped as a duplicate");
     }
 
     #[test]
@@ -1123,8 +1179,9 @@ mod tests {
         let due = now() + SimDuration::from_millis(1_234);
         let just_before = now() + SimDuration::from_micros(1_233_999);
         for f in [&mut lazy, &mut eager] {
-            assert!(f.expire(just_before).is_empty());
-            assert!(f.expire(due).contains(&Name::from_uri("/nowhere/x")));
+            assert_eq!(f.expire(just_before), 0);
+            assert_eq!(f.expire(due), 1);
+            assert!(!f.pit().contains(&Name::from_uri("/nowhere/x")));
         }
     }
 

@@ -8,17 +8,20 @@
 use crate::face::FaceId;
 use crate::hash::FxBuildHasher;
 use crate::name::{wire_value_is_well_formed, Name};
-use crate::packet::decode_name_value_counted;
 use crate::tlv::TlvReader;
-use dapes_netsim::payload::Payload;
-use dapes_netsim::time::SimTime;
+use dapes_netsim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
+
+/// How long past its expiry an entry must be before [`Pit::reclaim`] may
+/// take it: DAPES's 100 ms tick, so an owner that calls [`Pit::expire`]
+/// every tick has always removed first whatever `reclaim` could.
+pub const RECLAIM_AFTER: SimDuration = SimDuration::from_millis(100);
 
 /// One pending Interest. Its name is the wire key the [`Pit`] stores it
 /// under; the entry itself is a few words.
 #[derive(Clone, Debug)]
 pub struct PitEntry {
-    /// When the entry expires. Crate-private because [`Pit::expire`]'s
+    /// When the entry expires. Crate-private because the sweeps'
     /// watermark must see every write: aggregation only ever raises it.
     pub(crate) expiry: SimTime,
     /// When the Interest was last forwarded upstream (consumer
@@ -118,6 +121,13 @@ pub enum PitInsert {
 /// minimum over the survivors. Below the watermark `expire` returns at
 /// once, so a periodic caller pays for entries that are due, not for
 /// entries that are held.
+///
+/// The table also bounds itself without an owner's sweep:
+/// [`Pit::reclaim`], called by the forwarder on every Interest, scans once
+/// the watermark trails the clock by `2 ×` [`RECLAIM_AFTER`] and takes the
+/// entries `RECLAIM_AFTER` past their expiry. So no entry outlives its
+/// expiry by more than `2 × RECLAIM_AFTER` past the next Interest, and the
+/// table scans at most once per `RECLAIM_AFTER`.
 #[derive(Clone, Debug)]
 pub struct Pit {
     entries: HashMap<Box<[u8]>, PitEntry, FxBuildHasher>,
@@ -317,25 +327,38 @@ impl Pit {
         now >= self.next_due
     }
 
-    /// Removes entries that expired at or before `now`, returning their
-    /// names in canonical order (DAPES pure forwarders start suppression
-    /// timers off these, and callers may arm per-name timers — the sort
-    /// keeps that order independent of hash-map iteration). The sort is
-    /// bytewise over the wire keys, which is canonical `Name` order, and a
-    /// `Name` is built only for each entry returned. Returns without
-    /// looking at the table (and without allocating) while nothing can be
-    /// due.
-    pub fn expire(&mut self, now: SimTime) -> Vec<Name> {
+    /// Removes entries that expired at or before `now`, returning how many.
+    /// Returns without looking at the table while nothing can be due.
+    pub fn expire(&mut self, now: SimTime) -> usize {
         if !self.expire_due(now) {
-            return Vec::new();
+            return 0;
         }
-        let mut due = Vec::new();
+        self.sweep(now)
+    }
+
+    /// Removes entries at least [`RECLAIM_AFTER`] past their expiry,
+    /// returning how many — but scans only once the watermark trails `now`
+    /// by `2 ×` [`RECLAIM_AFTER`], so it costs one comparison per call
+    /// between scans. An owner that calls [`Pit::expire`] every
+    /// `RECLAIM_AFTER` never lets the watermark trail that far, and this
+    /// never removes anything.
+    pub fn reclaim(&mut self, now: SimTime) -> usize {
+        if now.since(self.next_due) < RECLAIM_AFTER * 2 {
+            return 0;
+        }
+        let cutoff = SimTime::from_micros(now.as_micros() - RECLAIM_AFTER.as_micros());
+        self.sweep(cutoff)
+    }
+
+    /// Removes every entry that expires at or before `cutoff` and raises
+    /// the watermark to the earliest expiry left.
+    fn sweep(&mut self, cutoff: SimTime) -> usize {
+        let before = self.entries.len();
         let mut next_due = SimTime::FAR_FUTURE;
         let state_bytes = &mut self.state_bytes;
         self.entries.retain(|key, e| {
-            if e.expiry <= now {
+            if e.expiry <= cutoff {
                 *state_bytes -= e.state_bytes(key);
-                due.push(Payload::copy_from_slice(key));
                 false
             } else {
                 next_due = next_due.min(e.expiry);
@@ -343,10 +366,7 @@ impl Pit {
             }
         });
         self.next_due = next_due;
-        due.sort_unstable_by(|a, b| a.as_slice().cmp(b.as_slice()));
-        due.iter()
-            .map(|w| decode_name_value_counted(w, w).expect("keys are well-formed names"))
-            .collect()
+        before - self.entries.len()
     }
 }
 
@@ -517,17 +537,17 @@ mod tests {
         pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
         pit.insert(&name("/b"), 2, false, FaceId::APP, t(8));
         assert!(!pit.expire_due(t(3)), "first expiry is t=4");
-        assert_eq!(pit.expire(t(3)), Vec::<Name>::new());
+        assert_eq!(pit.expire(t(3)), 0);
         assert_eq!(pit.len(), 2);
-        let expired = pit.expire(t(5));
-        assert_eq!(expired, vec![name("/a")]);
-        assert_eq!(pit.len(), 1);
-        assert_eq!(pit.expire(t(5)), Vec::<Name>::new());
+        assert_eq!(pit.expire(t(5)), 1);
+        assert!(!pit.contains(&name("/a")));
+        assert!(pit.contains(&name("/b")));
+        assert_eq!(pit.expire(t(5)), 0);
         assert!(
             !pit.expire_due(t(7)),
             "the scan raised the watermark to t=8"
         );
-        assert_eq!(pit.expire(t(8)), vec![name("/b")]);
+        assert_eq!(pit.expire(t(8)), 1);
         assert!(pit.is_empty());
     }
 
@@ -538,36 +558,75 @@ mod tests {
         pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
         // Aggregating a shorter lifetime keeps the later expiry.
         pit.insert(&name("/a"), 2, false, FaceId::WIRELESS, t(2));
-        assert_eq!(pit.expire(t(3)), Vec::<Name>::new());
+        assert_eq!(pit.expire(t(3)), 0);
         assert!(pit.contains(&name("/a")));
         pit.insert(&name("/b"), 3, false, FaceId::APP, t(9));
-        assert_eq!(pit.expire(t(4)), vec![name("/a")]);
+        assert_eq!(pit.expire(t(4)), 1);
+        assert!(!pit.contains(&name("/a")));
         assert!(!pit.expire_due(t(8)), "the scan found /b due at t=9");
         // An entry due before the watermark pulls it back down.
         pit.insert(&name("/c"), 4, false, FaceId::APP, t(6));
         assert!(pit.expire_due(t(6)));
-        assert_eq!(pit.expire(t(6)), vec![name("/c")]);
+        assert_eq!(pit.expire(t(6)), 1);
+        assert!(!pit.contains(&name("/c")));
         // Entries consumed by Data leave the watermark where it was:
         // the next sweep scans an empty table once and then rests.
         assert_eq!(pit.take_matching(&name("/b")).len(), 1);
         assert!(pit.expire_due(t(9)));
-        assert_eq!(pit.expire(t(9)), Vec::<Name>::new());
+        assert_eq!(pit.expire(t(9)), 0);
         assert!(!pit.expire_due(t(3600)));
     }
 
+    fn ms(millis: u64) -> SimTime {
+        SimTime::from_micros(millis * 1_000)
+    }
+
     #[test]
-    fn expire_reports_names_in_canonical_order() {
+    fn reclaim_waits_for_the_watermark_to_trail_by_two_grace_periods() {
         let mut pit = Pit::new();
-        for uri in ["/z/9", "/a/1", "/m", "/b/2/3", "/aa", "/a"] {
-            pit.insert(&name(uri), 1, false, FaceId::APP, t(4));
-        }
-        let expired = pit.expire(t(4));
+        pit.insert(&name("/a"), 1, false, FaceId::APP, ms(1_000));
+        pit.insert(&name("/b"), 2, false, FaceId::APP, ms(1_150));
+        pit.insert(&name("/c"), 3, false, FaceId::APP, ms(1_250));
+        // Expired, but the watermark (t=1.0) trails by less than 200 ms.
+        assert_eq!(pit.reclaim(ms(1_199)), 0);
+        assert_eq!(pit.len(), 3);
+        // At t=1.2 it scans and takes what is 100 ms past expiry: /a only.
+        assert_eq!(pit.reclaim(ms(1_200)), 1);
+        assert!(!pit.contains(&name("/a")));
+        assert!(pit.contains(&name("/b")), "expired 50 ms ago: still held");
+        assert!(pit.contains(&name("/c")), "not expired");
         assert_eq!(
-            expired,
-            ["/a", "/a/1", "/b/2/3", "/m", "/z/9", "/aa"].map(name),
-            "order must not depend on hash-map iteration"
+            pit.state_bytes(),
+            2 * (24 + 9 + 8 + 32 + 3 + 16),
+            "its bytes leave the total"
         );
-        assert!(expired.windows(2).all(|w| w[0] < w[1]), "canonical order");
+        // The scan raised the watermark to /b's expiry, t=1.15.
+        assert_eq!(pit.reclaim(ms(1_349)), 0);
+        assert_eq!(pit.reclaim(ms(1_350)), 2);
+        assert!(pit.is_empty());
+        assert_eq!(pit.state_bytes(), 0);
+    }
+
+    #[test]
+    fn reclaim_finds_nothing_behind_an_expire_every_grace_period() {
+        // An owner sweeping every `RECLAIM_AFTER` keeps the watermark ahead
+        // of the last sweep, so `reclaim` never scans, let alone removes.
+        let mut pit = Pit::new();
+        let mut removed = 0;
+        for step in 0..100u64 {
+            let now = ms(step * 100);
+            for k in 0..3u64 {
+                let uri = format!("/n/{step}/{k}");
+                let expiry = now + SimDuration::from_millis(1 + 137 * k);
+                pit.insert(&name(&uri), 1, false, FaceId::APP, expiry);
+                for late in 1..=100 {
+                    let at = now + SimDuration::from_millis(late);
+                    assert_eq!(pit.reclaim(at), 0, "at {at:?}");
+                }
+            }
+            removed += pit.expire(now + RECLAIM_AFTER);
+        }
+        assert!(removed > 0);
     }
 
     #[test]
@@ -581,8 +640,7 @@ mod tests {
         assert!(pit.contains_wire(&key));
         assert!(pit.has_nonce_wire(&key, 7));
         assert!(pit.matches_wire(&name("/col/f/0/seg").to_wire_value()));
-        let expired = pit.expire(t(4));
-        assert_eq!(expired, vec![name("/col/f/0")]);
+        assert_eq!(pit.expire(t(4)), 1);
         assert!(!pit.contains_wire(&key), "wire entry must expire with it");
         assert!(!pit.has_nonce_wire(&key, 7));
         assert!(!pit.matches_wire(&name("/col/f/0/seg").to_wire_value()));

@@ -51,8 +51,7 @@ proptest! {
     }
 
     /// Canonical `Name` order is byte order of the canonical wire values —
-    /// what the Content Store's ordered index and `Pit::expire`'s sort
-    /// rely on.
+    /// what the Content Store's ordered index relies on.
     #[test]
     fn name_order_is_wire_value_byte_order(
         a in arb_wire_name(),
@@ -1298,7 +1297,7 @@ mod watermark_properties {
     use dapes_crypto::signing::KeyId;
     use dapes_ndn::face::FaceId;
     use dapes_ndn::name::{Component, Name};
-    use dapes_ndn::pit::{Pit, PitInsert};
+    use dapes_ndn::pit::{Pit, PitInsert, RECLAIM_AFTER};
     use dapes_netsim::time::{SimDuration, SimTime};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, BTreeSet};
@@ -1391,17 +1390,10 @@ mod watermark_properties {
                 .sum()
         }
 
-        fn expire(&mut self, now: SimTime) -> Vec<Name> {
-            let mut expired = Vec::new();
-            self.0.retain(|name, e| {
-                if e.expiry <= now {
-                    expired.push(name.clone());
-                    false
-                } else {
-                    true
-                }
-            });
-            expired
+        fn expire(&mut self, now: SimTime) -> usize {
+            let before = self.0.len();
+            self.0.retain(|_, e| e.expiry > now);
+            before - self.0.len()
         }
     }
 
@@ -1598,9 +1590,10 @@ mod watermark_properties {
 
         #[test]
         fn pit_expiry_matches_a_full_scan_model(
-            ops in proptest::collection::vec((0u8..6, 0usize..8, 0u32..5, 0u64..1_500), 1..160),
+            ops in proptest::collection::vec((0u8..7, 0usize..8, 0u32..5, 0u64..1_500), 1..160),
         ) {
             let pool = name_pool();
+            let grace = RECLAIM_AFTER.as_micros();
             let mut pit = Pit::new();
             let mut model = PitModel::default();
             let mut now = SimTime::from_secs(1);
@@ -1628,15 +1621,34 @@ mod watermark_properties {
                             prop_assert_eq!(g.expiry(), w.expiry);
                         }
                     }
-                    _ => {
+                    4 | 5 => {
                         // Half the sweeps find the clock where they left it.
                         if op == 4 {
                             now += SimDuration::from_millis(ms);
                         }
                         let would_scan = pit.expire_due(now);
                         let want = model.expire(now);
-                        prop_assert!(would_scan || want.is_empty(), "skipped a due entry");
+                        prop_assert!(would_scan || want == 0, "skipped a due entry");
                         prop_assert_eq!(pit.expire(now), want);
+                    }
+                    _ => {
+                        now += SimDuration::from_millis(ms);
+                        let removed = pit.reclaim(now);
+                        let gone: Vec<Name> =
+                            model.0.keys().filter(|n| !pit.contains(n)).cloned().collect();
+                        prop_assert_eq!(removed, gone.len());
+                        let at = now.as_micros();
+                        for name in &gone {
+                            let expiry = model.0[name].expiry.as_micros();
+                            prop_assert!(expiry + grace <= at, "reclaimed {} early", name);
+                            model.0.remove(name);
+                        }
+                        for e in model.0.values() {
+                            prop_assert!(
+                                e.expiry.as_micros() + 2 * grace > at,
+                                "kept an entry two grace periods past expiry"
+                            );
+                        }
                     }
                 }
                 prop_assert_eq!(pit.len(), model.0.len());
@@ -1652,7 +1664,7 @@ mod watermark_properties {
                     }
                 }
             }
-            // Everything left expires, in canonical order, at the end of time.
+            // Everything left expires at the end of time.
             prop_assert_eq!(pit.expire(SimTime::FAR_FUTURE), model.expire(SimTime::FAR_FUTURE));
             prop_assert!(pit.is_empty());
         }
