@@ -16,6 +16,7 @@ use dapes_netsim::radio::{Frame, FrameKind};
 use dapes_netsim::time::{SimDuration, SimTime};
 use rand::Rng;
 use std::any::Any;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 const TOKEN_TICK: u64 = 1;
@@ -199,6 +200,8 @@ pub struct BithocPeer {
     hello_seen: BTreeMap<u32, u32>,
     /// Last triggered DSDV update (rate limit).
     last_triggered_dsdv: SimTime,
+    /// `refill`'s `(lacking, piece)` request order, kept to reuse its buffer.
+    order: Vec<(u32, u32)>,
 }
 
 impl BithocPeer {
@@ -222,6 +225,7 @@ impl BithocPeer {
             hello_seq: 0,
             hello_seen: BTreeMap::new(),
             last_triggered_dsdv: SimTime::ZERO,
+            order: Vec::new(),
         }
     }
 
@@ -288,54 +292,57 @@ impl BithocPeer {
         self.send_ip(ctx, packet, kinds::DSDV_UPDATE);
     }
 
+    /// Requests missing pieces until the window is full, rarest among close
+    /// peers first. Every check that can end the call comes before the first
+    /// send, so returning early changes no trace.
     fn refill(&mut self, ctx: &mut NodeCtx<'_>) {
-        if self.role != BithocRole::Downloader || self.completed_at.is_some() {
+        if self.role != BithocRole::Downloader
+            || self.completed_at.is_some()
+            || self.peers.is_empty()
+            || self.outstanding.len() >= self.cfg.window
+        {
             return;
         }
         let now = ctx.now;
-        // Rarity across close peers (Bithoc's RPF, paper §VI-B1).
-        let close: Vec<&Bitmap> = self
-            .peers
-            .values()
-            .filter(|p| p.close)
-            .map(|p| &p.bitmap)
-            .collect();
-        if close.is_empty() && self.peers.is_empty() {
-            return;
-        }
-        let rarity = dapes_core::rpf::rarity_counts(self.spec.total_pieces, close);
-        let mut missing: Vec<usize> = self
-            .have
-            .iter_missing()
-            .filter(|i| !self.outstanding.contains_key(&(*i as u32)))
-            .filter(|i| {
-                self.stalled_until
-                    .get(&(*i as u32))
-                    .is_none_or(|&until| until <= now)
-            })
-            .collect();
-        missing.sort_by_key(|&i| std::cmp::Reverse(rarity.get(i).copied().unwrap_or(0)));
+        // Rarity across close peers (Bithoc's RPF, paper §VI-B1): how many
+        // of them lack each piece. Rarest first; the sort is stable, so ties
+        // keep `iter_missing`'s ascending piece order.
+        let mut order = std::mem::take(&mut self.order);
+        order.clear();
+        order.extend(
+            self.have
+                .iter_missing()
+                .filter(|&i| !self.outstanding.contains_key(&(i as u32)))
+                .filter(|&i| {
+                    self.stalled_until
+                        .get(&(i as u32))
+                        .is_none_or(|&until| until <= now)
+                })
+                .map(|i| {
+                    let lacking = self
+                        .peers
+                        .values()
+                        .filter(|p| p.close && i < p.bitmap.len() && !p.bitmap.get(i))
+                        .count();
+                    (lacking as u32, i as u32)
+                }),
+        );
+        order.sort_by_key(|&(lacking, _)| Reverse(lacking));
 
-        for piece in missing {
+        for &(_, piece) in &order {
             if self.outstanding.len() >= self.cfg.window {
                 break;
             }
+            let i = piece as usize;
             // Prefer a close holder; fall back to any known (far) holder.
+            let holds = |p: &KnownPeer| i < p.bitmap.len() && p.bitmap.get(i);
             let holder = self
                 .peers
                 .iter()
-                .filter(|(_, p)| p.close && piece < p.bitmap.len() && p.bitmap.get(piece))
-                .map(|(&id, _)| id)
-                .next()
-                .or_else(|| {
-                    self.peers
-                        .iter()
-                        .filter(|(_, p)| piece < p.bitmap.len() && p.bitmap.get(piece))
-                        .map(|(&id, _)| id)
-                        .next()
-                });
+                .find(|(_, p)| p.close && holds(p))
+                .or_else(|| self.peers.iter().find(|(_, p)| holds(p)))
+                .map(|(&id, _)| id);
             let Some(holder) = holder else { continue };
-            let piece = piece as u32;
             if self.unicast(ctx, holder, &AppMsg::Req { piece }) {
                 self.outstanding.insert(piece, (holder, now, 0));
             } else {
@@ -343,6 +350,7 @@ impl BithocPeer {
                     .insert(piece, now + SimDuration::from_secs(1));
             }
         }
+        self.order = order;
     }
 
     fn on_app_msg(&mut self, ctx: &mut NodeCtx<'_>, src: u32, msg: AppMsg) {

@@ -385,24 +385,22 @@ impl EktaPeer {
             };
             self.unicast(ctx, resp, msg);
         }
-        // Request pieces from known holders.
-        let mut missing: Vec<usize> = self
-            .have
-            .iter_missing()
-            .filter(|p| !self.outstanding.contains_key(&(*p as u32)))
-            .collect();
-        missing.sort_unstable();
-        for piece in missing {
+        // Request pieces from known holders, lowest index first. Both exits
+        // come before the walk's first draw or send, so they change no trace.
+        if self.outstanding.len() >= self.cfg.window || self.holders.is_empty() {
+            return;
+        }
+        for piece in 0..self.have.len() {
             if self.outstanding.len() >= self.cfg.window {
                 break;
             }
-            let file = self.spec.file_of(piece) as u32;
-            let Some(holders) = self.holders.get(&file) else {
-                continue;
-            };
-            if holders.is_empty() {
+            if self.have.get(piece) || self.outstanding.contains_key(&(piece as u32)) {
                 continue;
             }
+            let file = self.spec.file_of(piece) as u32;
+            let Some(holders) = self.holders.get(&file).filter(|h| !h.is_empty()) else {
+                continue;
+            };
             // Prefer holders with short known routes (Pastry's locality
             // property); break ties randomly to spread load.
             let tie = ctx.rng().gen_range(0..holders.len());

@@ -128,7 +128,9 @@ impl Bitmap {
         (0..self.len).filter(move |&i| self.get(i))
     }
 
-    /// Iterator over indices of missing bits.
+    /// Iterator over indices of missing bits, in strictly ascending order.
+    /// Callers rely on that order: Bithoc's piece requests break rarity ties
+    /// by it.
     pub fn iter_missing(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.len).filter(move |&i| !self.get(i))
     }
@@ -344,6 +346,27 @@ mod tests {
         b.set(4);
         assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![1, 4]);
         assert_eq!(b.iter_missing().collect::<Vec<_>>(), vec![0, 2, 3, 5]);
+    }
+
+    #[test]
+    fn iter_missing_is_strictly_ascending_across_words() {
+        // 150 bits: two full words and a partial third (22 bits).
+        let mut b = Bitmap::new(150);
+        for i in [0, 1, 62, 63, 64, 100, 127, 128, 140, 149] {
+            b.set(i);
+        }
+        let missing: Vec<usize> = b.iter_missing().collect();
+        assert!(missing.windows(2).all(|w| w[0] < w[1]));
+        let expected: Vec<usize> = (0..150).filter(|i| !b.get(*i)).collect();
+        assert_eq!(missing, expected);
+        assert_eq!(missing.first(), Some(&2));
+        assert_eq!(missing.last(), Some(&148), "partial last word");
+        assert!(missing.contains(&65) && missing.contains(&129));
+        assert_eq!(Bitmap::full(150).iter_missing().count(), 0);
+        assert_eq!(
+            Bitmap::new(70).iter_missing().collect::<Vec<_>>(),
+            (0..70).collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -839,9 +839,10 @@ impl World {
     }
 
     fn finish_tx(&mut self, tx_id: u64) {
-        let tx_idx = match self.active_tx.iter().position(|t| t.id == tx_id) {
-            Some(i) => i,
-            None => return,
+        // Ids are pushed ascending and `retain` keeps their order.
+        debug_assert!(self.active_tx.windows(2).all(|w| w[0].id < w[1].id));
+        let Ok(tx_idx) = self.active_tx.binary_search_by_key(&tx_id, |t| t.id) else {
+            return;
         };
         let sender = self.active_tx[tx_idx].sender;
         let sender_pos = self.active_tx[tx_idx].sender_pos;
