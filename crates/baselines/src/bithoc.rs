@@ -29,6 +29,31 @@ const CLOSE_TTL: u8 = 2;
 /// Far flood scope.
 const FAR_TTL: u8 = 16;
 
+/// DSDV full-dump period. The 15 s typical of DSDV would starve a mobile
+/// swarm; Bithoc deployments use a few seconds.
+const DSDV_PERIOD: SimDuration = SimDuration::from_secs(4);
+/// Close-scope HELLO period.
+const HELLO_PERIOD: SimDuration = SimDuration::from_secs(3);
+/// Far-scope HELLO period.
+const FAR_HELLO_PERIOD: SimDuration = SimDuration::from_secs(10);
+/// Outstanding piece requests.
+const WINDOW: usize = 4;
+/// Request retransmission timeout.
+const RETX_TIMEOUT: SimDuration = SimDuration::from_millis(700);
+/// Known-peer expiry.
+const PEER_TIMEOUT: SimDuration = SimDuration::from_secs(10);
+/// Housekeeping tick, the same as DAPES's (`dapes_core::config::TICK`).
+const TICK: SimDuration = SimDuration::from_millis(100);
+/// Random jitter window applied to transmissions, the same as DAPES's
+/// (`dapes_core::config::TX_WINDOW`).
+const TX_WINDOW: SimDuration = SimDuration::from_millis(20);
+
+// Start-up staggers draw from `0..DSDV_PERIOD` and `0..HELLO_PERIOD`,
+// jitter from `0..TX_WINDOW`: each range must be non-empty.
+const _: () = assert!(DSDV_PERIOD.as_micros() > 0);
+const _: () = assert!(HELLO_PERIOD.as_micros() > 0);
+const _: () = assert!(TX_WINDOW.as_micros() > 0);
+
 /// What a Bithoc node does in the swarm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BithocRole {
@@ -143,47 +168,17 @@ struct KnownPeer {
     close: bool,
 }
 
-/// Configuration knobs for Bithoc.
-#[derive(Clone, Debug)]
-pub struct BithocConfig {
-    /// DSDV full-dump period (paper-typical 15 s would starve a mobile
-    /// swarm; Bithoc deployments use a few seconds).
-    pub dsdv_period: SimDuration,
-    /// Close-scope HELLO period.
-    pub hello_period: SimDuration,
-    /// Far-scope HELLO period.
-    pub far_hello_period: SimDuration,
-    /// Outstanding piece requests.
-    pub window: usize,
-    /// Request retransmission timeout.
-    pub retx_timeout: SimDuration,
-    /// Known-peer expiry.
-    pub peer_timeout: SimDuration,
-    /// Housekeeping tick.
-    pub tick: SimDuration,
-    /// Random jitter window applied to transmissions.
-    pub tx_window: SimDuration,
-}
-
-impl Default for BithocConfig {
-    fn default() -> Self {
-        BithocConfig {
-            dsdv_period: SimDuration::from_secs(4),
-            hello_period: SimDuration::from_secs(3),
-            far_hello_period: SimDuration::from_secs(10),
-            window: 4,
-            retx_timeout: SimDuration::from_millis(700),
-            peer_timeout: SimDuration::from_secs(10),
-            tick: SimDuration::from_millis(100),
-            tx_window: SimDuration::from_millis(20),
-        }
-    }
-}
+/// A source-compatibility placeholder, not a setting: Bithoc's timings are
+/// this module's constants, which no caller varies. It survives only
+/// because `benchmark/` (which engine changes may not edit) passes
+/// `BithocConfig::default()` to [`BithocPeer::new`]; ROADMAP item 0(g)
+/// removes it together with that argument.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct BithocConfig;
 
 /// A Bithoc node (downloader, seed, or plain DSDV router).
 pub struct BithocPeer {
     me: u32,
-    cfg: BithocConfig,
     role: BithocRole,
     spec: SwarmSpec,
     dsdv: Dsdv,
@@ -206,14 +201,13 @@ pub struct BithocPeer {
 
 impl BithocPeer {
     /// Creates a node.
-    pub fn new(me: u32, role: BithocRole, spec: SwarmSpec, cfg: BithocConfig) -> Self {
+    pub fn new(me: u32, role: BithocRole, spec: SwarmSpec, _cfg: BithocConfig) -> Self {
         let have = match role {
             BithocRole::Seed => Bitmap::full(spec.total_pieces),
             _ => Bitmap::new(spec.total_pieces),
         };
         BithocPeer {
             me,
-            cfg,
             role,
             spec,
             dsdv: Dsdv::new(me),
@@ -245,10 +239,7 @@ impl BithocPeer {
     }
 
     fn jitter(&self, ctx: &mut NodeCtx<'_>) -> SimDuration {
-        SimDuration::from_micros(
-            ctx.rng()
-                .gen_range(0..self.cfg.tx_window.as_micros().max(1)),
-        )
+        SimDuration::from_micros(ctx.rng().gen_range(0..TX_WINDOW.as_micros()))
     }
 
     fn send_ip(&mut self, ctx: &mut NodeCtx<'_>, packet: IpPacket, kind: FrameKind) {
@@ -299,7 +290,7 @@ impl BithocPeer {
         if self.role != BithocRole::Downloader
             || self.completed_at.is_some()
             || self.peers.is_empty()
-            || self.outstanding.len() >= self.cfg.window
+            || self.outstanding.len() >= WINDOW
         {
             return;
         }
@@ -330,7 +321,7 @@ impl BithocPeer {
         order.sort_by_key(|&(lacking, _)| Reverse(lacking));
 
         for &(_, piece) in &order {
-            if self.outstanding.len() >= self.cfg.window {
+            if self.outstanding.len() >= WINDOW {
                 break;
             }
             let i = piece as usize;
@@ -424,19 +415,14 @@ impl BithocPeer {
 
 impl NetStack for BithocPeer {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        ctx.set_timer(self.cfg.tick, TOKEN_TICK);
-        let stagger = SimDuration::from_micros(
-            ctx.rng()
-                .gen_range(0..self.cfg.dsdv_period.as_micros().max(1)),
-        );
+        ctx.set_timer(TICK, TOKEN_TICK);
+        let stagger = SimDuration::from_micros(ctx.rng().gen_range(0..DSDV_PERIOD.as_micros()));
         ctx.set_timer(stagger, TOKEN_DSDV);
         if self.role != BithocRole::Router {
-            let hello_stagger = SimDuration::from_micros(
-                ctx.rng()
-                    .gen_range(0..self.cfg.hello_period.as_micros().max(1)),
-            );
+            let hello_stagger =
+                SimDuration::from_micros(ctx.rng().gen_range(0..HELLO_PERIOD.as_micros()));
             ctx.set_timer(hello_stagger, TOKEN_HELLO);
-            ctx.set_timer(self.cfg.far_hello_period, TOKEN_FAR_HELLO);
+            ctx.set_timer(FAR_HELLO_PERIOD, TOKEN_FAR_HELLO);
         }
     }
 
@@ -451,15 +437,14 @@ impl NetStack for BithocPeer {
                     self.broadcast_dsdv(ctx);
                 }
                 // Peer expiry.
-                let timeout = self.cfg.peer_timeout;
                 let now = ctx.now;
-                self.peers.retain(|_, p| now.since(p.last_heard) <= timeout);
+                self.peers
+                    .retain(|_, p| now.since(p.last_heard) <= PEER_TIMEOUT);
                 // Request retransmissions.
-                let retx_timeout = self.cfg.retx_timeout;
                 let mut retx: Vec<(u32, u32)> = Vec::new();
                 let mut gave_up: Vec<u32> = Vec::new();
                 for (&piece, (holder, sent, tries)) in self.outstanding.iter_mut() {
-                    if now.since(*sent) > retx_timeout {
+                    if now.since(*sent) > RETX_TIMEOUT {
                         if *tries >= 5 {
                             gave_up.push(piece);
                         } else {
@@ -478,19 +463,19 @@ impl NetStack for BithocPeer {
                     self.unicast(ctx, holder, &AppMsg::Req { piece });
                 }
                 self.refill(ctx);
-                ctx.set_timer(self.cfg.tick, TOKEN_TICK);
+                ctx.set_timer(TICK, TOKEN_TICK);
             }
             TOKEN_DSDV => {
                 self.broadcast_dsdv(ctx);
-                ctx.set_timer(self.cfg.dsdv_period, TOKEN_DSDV);
+                ctx.set_timer(DSDV_PERIOD, TOKEN_DSDV);
             }
             TOKEN_HELLO => {
                 self.broadcast_hello(ctx, CLOSE_TTL);
-                ctx.set_timer(self.cfg.hello_period, TOKEN_HELLO);
+                ctx.set_timer(HELLO_PERIOD, TOKEN_HELLO);
             }
             TOKEN_FAR_HELLO => {
                 self.broadcast_hello(ctx, FAR_TTL);
-                ctx.set_timer(self.cfg.far_hello_period, TOKEN_FAR_HELLO);
+                ctx.set_timer(FAR_HELLO_PERIOD, TOKEN_FAR_HELLO);
             }
             _ => {}
         }
@@ -613,13 +598,13 @@ mod tests {
             pieces_per_file: 4,
             piece_size: 16,
         };
-        let seed = BithocPeer::new(0, BithocRole::Seed, spec.clone(), BithocConfig::default());
+        let seed = BithocPeer::new(0, BithocRole::Seed, spec.clone(), BithocConfig);
         assert_eq!(seed.progress(), 1.0);
         assert!(
             !seed.is_complete(),
             "seeds do not report download completion"
         );
-        let dl = BithocPeer::new(1, BithocRole::Downloader, spec, BithocConfig::default());
+        let dl = BithocPeer::new(1, BithocRole::Downloader, spec, BithocConfig);
         assert_eq!(dl.progress(), 0.0);
     }
 }

@@ -14,6 +14,10 @@ use std::collections::BTreeMap;
 /// Metric representing an unreachable destination.
 pub const INFINITY: u16 = u16::MAX;
 
+/// Neighbors silent past this age are declared broken: longer than Bithoc's
+/// 4 s full-dump period, so a neighbor whose dumps arrive is never broken.
+const NEIGHBOR_TIMEOUT: SimDuration = SimDuration::from_secs(6);
+
 /// One routing-table entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Route {
@@ -45,8 +49,6 @@ pub struct Dsdv {
     my_seqno: u32,
     /// Last time each direct neighbor was heard.
     neighbor_heard: BTreeMap<u32, SimTime>,
-    /// Neighbors silent past this age are declared broken.
-    pub neighbor_timeout: SimDuration,
     /// Destinations that changed since the last update (triggered updates).
     dirty: bool,
 }
@@ -59,7 +61,6 @@ impl Dsdv {
             routes: BTreeMap::new(),
             my_seqno: 0,
             neighbor_heard: BTreeMap::new(),
-            neighbor_timeout: SimDuration::from_secs(6),
             dirty: false,
         }
     }
@@ -118,14 +119,13 @@ impl Dsdv {
         }
     }
 
-    /// Declares neighbors unheard since `now - neighbor_timeout` broken and
+    /// Declares neighbors unheard since `now - NEIGHBOR_TIMEOUT` broken and
     /// invalidates routes through them.
     pub fn expire_neighbors(&mut self, now: SimTime) {
-        let timeout = self.neighbor_timeout;
         let dead: Vec<u32> = self
             .neighbor_heard
             .iter()
-            .filter(|(_, &t)| now.since(t) > timeout)
+            .filter(|(_, &t)| now.since(t) > NEIGHBOR_TIMEOUT)
             .map(|(&n, _)| n)
             .collect();
         for n in dead {

@@ -28,6 +28,28 @@ use std::collections::BTreeMap;
 const TOKEN_TICK: u64 = 1;
 const TOKEN_PUBLISH: u64 = 2;
 
+/// Outstanding piece requests.
+const WINDOW: usize = 8;
+/// Request retransmission timeout.
+const RETX_TIMEOUT: SimDuration = SimDuration::from_millis(700);
+/// Lookup retry period while holders are unknown (the base of a backoff to
+/// 16x).
+const LOOKUP_PERIOD: SimDuration = SimDuration::from_secs(2);
+/// Holder re-publish period (the base of a backoff to 8x).
+const PUBLISH_PERIOD: SimDuration = SimDuration::from_secs(8);
+/// Housekeeping tick, the same as DAPES's (`dapes_core::config::TICK`).
+const TICK: SimDuration = SimDuration::from_millis(100);
+/// Random jitter window for transmissions, the same as DAPES's
+/// (`dapes_core::config::TX_WINDOW`).
+const TX_WINDOW: SimDuration = SimDuration::from_millis(20);
+/// How long a queued packet waits for route discovery before dropping.
+const ROUTE_WAIT: SimDuration = SimDuration::from_secs(6);
+
+// The publish stagger draws from `0..PUBLISH_PERIOD` and jitter from
+// `0..TX_WINDOW`: each range must be non-empty.
+const _: () = assert!(PUBLISH_PERIOD.as_micros() > 0);
+const _: () = assert!(TX_WINDOW.as_micros() > 0);
+
 /// What an Ekta node does in the swarm.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EktaRole {
@@ -149,43 +171,17 @@ impl AppMsg {
     }
 }
 
-/// Configuration knobs for Ekta.
-#[derive(Clone, Debug)]
-pub struct EktaConfig {
-    /// Outstanding piece requests.
-    pub window: usize,
-    /// Request retransmission timeout.
-    pub retx_timeout: SimDuration,
-    /// Lookup retry period while holders are unknown.
-    pub lookup_period: SimDuration,
-    /// Holder re-publish period.
-    pub publish_period: SimDuration,
-    /// Housekeeping tick.
-    pub tick: SimDuration,
-    /// Random jitter window for transmissions.
-    pub tx_window: SimDuration,
-    /// How long a queued packet waits for route discovery before dropping.
-    pub route_wait: SimDuration,
-}
-
-impl Default for EktaConfig {
-    fn default() -> Self {
-        EktaConfig {
-            window: 8,
-            retx_timeout: SimDuration::from_millis(700),
-            lookup_period: SimDuration::from_secs(2),
-            publish_period: SimDuration::from_secs(8),
-            tick: SimDuration::from_millis(100),
-            tx_window: SimDuration::from_millis(20),
-            route_wait: SimDuration::from_secs(6),
-        }
-    }
-}
+/// A source-compatibility placeholder, not a setting: Ekta's timings are
+/// this module's constants, which no caller varies. It survives only
+/// because `benchmark/` (which engine changes may not edit) passes
+/// `EktaConfig::default()` to [`EktaPeer::new`]; ROADMAP item 0(g)
+/// removes it together with that argument.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct EktaConfig;
 
 /// An Ekta node (downloader, seed, or DSR relay).
 pub struct EktaPeer {
     me: u32,
-    cfg: EktaConfig,
     role: EktaRole,
     spec: SwarmSpec,
     dsr: Dsr,
@@ -216,7 +212,7 @@ impl EktaPeer {
         role: EktaRole,
         spec: SwarmSpec,
         members: Vec<u32>,
-        cfg: EktaConfig,
+        _cfg: EktaConfig,
     ) -> Self {
         let have = match role {
             EktaRole::Seed => Bitmap::full(spec.total_pieces),
@@ -224,7 +220,6 @@ impl EktaPeer {
         };
         EktaPeer {
             me,
-            cfg,
             role,
             spec,
             dsr: Dsr::new(me),
@@ -257,10 +252,7 @@ impl EktaPeer {
     }
 
     fn jitter(&self, ctx: &mut NodeCtx<'_>) -> SimDuration {
-        SimDuration::from_micros(
-            ctx.rng()
-                .gen_range(0..self.cfg.tx_window.as_micros().max(1)),
-        )
+        SimDuration::from_micros(ctx.rng().gen_range(0..TX_WINDOW.as_micros()))
     }
 
     fn send_ip(&mut self, ctx: &mut NodeCtx<'_>, packet: IpPacket, kind: FrameKind) {
@@ -288,7 +280,7 @@ impl EktaPeer {
                 self.route_queue
                     .entry(dst)
                     .or_default()
-                    .push((ctx.now + self.cfg.route_wait, msg));
+                    .push((ctx.now + ROUTE_WAIT, msg));
                 self.maybe_discover(ctx, dst);
             }
         }
@@ -366,8 +358,7 @@ impl EktaPeer {
                 .copied()
                 .unwrap_or((SimTime::ZERO, 0));
             // Lookup backoff: base period doubling to 16x while unanswered.
-            let period =
-                SimDuration::from_micros(self.cfg.lookup_period.as_micros() << fails.min(4) as u64);
+            let period = SimDuration::from_micros(LOOKUP_PERIOD.as_micros() << fails.min(4) as u64);
             if last > SimTime::ZERO && now.since(last) < period {
                 continue;
             }
@@ -387,11 +378,11 @@ impl EktaPeer {
         }
         // Request pieces from known holders, lowest index first. Both exits
         // come before the walk's first draw or send, so they change no trace.
-        if self.outstanding.len() >= self.cfg.window || self.holders.is_empty() {
+        if self.outstanding.len() >= WINDOW || self.holders.is_empty() {
             return;
         }
         for piece in 0..self.have.len() {
-            if self.outstanding.len() >= self.cfg.window {
+            if self.outstanding.len() >= WINDOW {
                 break;
             }
             if self.have.get(piece) || self.outstanding.contains_key(&(piece as u32)) {
@@ -568,12 +559,10 @@ impl EktaPeer {
 
 impl NetStack for EktaPeer {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        ctx.set_timer(self.cfg.tick, TOKEN_TICK);
+        ctx.set_timer(TICK, TOKEN_TICK);
         if self.role != EktaRole::Router {
-            let stagger = SimDuration::from_micros(
-                ctx.rng()
-                    .gen_range(0..self.cfg.publish_period.as_micros().max(1)),
-            );
+            let stagger =
+                SimDuration::from_micros(ctx.rng().gen_range(0..PUBLISH_PERIOD.as_micros()));
             ctx.set_timer(stagger, TOKEN_PUBLISH);
         }
     }
@@ -585,11 +574,10 @@ impl NetStack for EktaPeer {
                 // Mobile source routes rot; age them out.
                 self.dsr.expire_routes(now, SimDuration::from_secs(15));
                 // Retransmissions.
-                let retx_timeout = self.cfg.retx_timeout;
                 let mut retx: Vec<(u32, u32)> = Vec::new();
                 let mut gave_up: Vec<u32> = Vec::new();
                 for (&piece, (holder, sent, tries)) in self.outstanding.iter_mut() {
-                    if now.since(*sent) > retx_timeout {
+                    if now.since(*sent) > RETX_TIMEOUT {
                         if *tries >= 5 {
                             gave_up.push(piece);
                         } else {
@@ -617,7 +605,7 @@ impl NetStack for EktaPeer {
                     !q.is_empty()
                 });
                 self.refill(ctx);
-                ctx.set_timer(self.cfg.tick, TOKEN_TICK);
+                ctx.set_timer(TICK, TOKEN_TICK);
             }
             TOKEN_PUBLISH => {
                 self.publish_files(ctx);
@@ -625,7 +613,7 @@ impl NetStack for EktaPeer {
                 // not need to re-announce every few seconds.
                 self.publish_rounds = self.publish_rounds.saturating_add(1);
                 let period = SimDuration::from_micros(
-                    self.cfg.publish_period.as_micros() << self.publish_rounds.min(3) as u64,
+                    PUBLISH_PERIOD.as_micros() << self.publish_rounds.min(3) as u64,
                 );
                 ctx.set_timer(period, TOKEN_PUBLISH);
             }
@@ -737,21 +725,9 @@ mod tests {
             pieces_per_file: 4,
             piece_size: 16,
         };
-        let seed = EktaPeer::new(
-            0,
-            EktaRole::Seed,
-            spec.clone(),
-            vec![0, 1],
-            EktaConfig::default(),
-        );
+        let seed = EktaPeer::new(0, EktaRole::Seed, spec.clone(), vec![0, 1], EktaConfig);
         assert_eq!(seed.progress(), 1.0);
-        let dl = EktaPeer::new(
-            1,
-            EktaRole::Downloader,
-            spec,
-            vec![0, 1],
-            EktaConfig::default(),
-        );
+        let dl = EktaPeer::new(1, EktaRole::Downloader, spec, vec![0, 1], EktaConfig);
         assert_eq!(dl.progress(), 0.0);
     }
 

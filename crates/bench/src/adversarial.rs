@@ -30,6 +30,7 @@
 
 use crate::host::HostFacts;
 use dapes_core::adversary::attack_kinds;
+use dapes_core::config::REPLAY_WINDOW;
 use dapes_core::prelude::*;
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
@@ -392,7 +393,7 @@ pub fn render_report(
         params.seed,
         params.files,
         params.file_size,
-        DapesConfig::default().replay_window_ms,
+        REPLAY_WINDOW.as_micros() / 1_000,
         entries.join(", "),
     )
 }

@@ -12,7 +12,7 @@
 //! * the **partition axis** cuts downloader 0 off from every other node
 //!   for `partition_secs`, healing afterwards. The 30 s cell outlasts the
 //!   full retransmission backoff ladder (0.5 s doubling to the 4 s cap
-//!   over `max_retx` tries ≈ 23.5 s), so the give-up counter must fire
+//!   over `MAX_RETX` tries ≈ 23.5 s), so the give-up counter must fire
 //!   before the heal.
 //!
 //! The gate each cell is judged on: every transfer completes after the

@@ -232,12 +232,7 @@ pub fn run_trial(protocol: &Protocol, params: &ScenarioParams) -> TrialResult {
                 let id = if is_bithoc {
                     world.add_node(
                         mobility,
-                        Box::new(BithocPeer::new(
-                            *next_id,
-                            brole,
-                            spec.clone(),
-                            BithocConfig::default(),
-                        )),
+                        Box::new(BithocPeer::new(*next_id, brole, spec.clone(), BithocConfig)),
                     )
                 } else {
                     world.add_node(
@@ -247,7 +242,7 @@ pub fn run_trial(protocol: &Protocol, params: &ScenarioParams) -> TrialResult {
                             erole,
                             spec.clone(),
                             members.clone(),
-                            EktaConfig::default(),
+                            EktaConfig,
                         )),
                     )
                 };

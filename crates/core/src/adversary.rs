@@ -182,7 +182,7 @@ impl Adversary {
     }
 
     /// Overrides the replayer's hold time. Callers must keep it above the
-    /// victims' `replay_window_ms`.
+    /// victims' [`REPLAY_WINDOW`](crate::config::REPLAY_WINDOW).
     pub fn with_replay_delay(mut self, delay: SimDuration) -> Self {
         self.replay_delay = delay;
         self

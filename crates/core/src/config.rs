@@ -1,8 +1,88 @@
-//! DAPES configuration: every design knob the paper evaluates.
+//! DAPES configuration: the axes the paper's figures and the gates vary,
+//! and the protocol timings they all share as named constants.
 
 use crate::metadata::MetadataFormat;
 use crate::rpf::{RpfVariant, StartPacket};
+use dapes_ndn::pit::RECLAIM_AFTER;
 use dapes_netsim::time::SimDuration;
+
+/// The random transmission window for data/Interest jitter and the base of
+/// the linear advertisement prioritization (paper §IV-F: 20 ms).
+pub const TX_WINDOW: SimDuration = SimDuration::from_millis(20);
+/// PEBA slot length, roughly one bitmap's air time (paper §IV-F, footnote 4).
+pub const SLOT_LEN: SimDuration = SimDuration::from_millis(2);
+/// Outstanding content (and catalog) Interests per download. The paper
+/// gives no depth; this is the one every golden pin and benchmark
+/// fingerprint was recorded with.
+pub const FETCH_WINDOW: usize = 4;
+/// Base retransmission timeout for content/metadata Interests. The
+/// effective timeout doubles per retransmission (bounded exponential
+/// backoff, README "Fault model & recovery") up to [`RETX_BACKOFF_CAP`].
+pub const RETX_TIMEOUT: SimDuration = SimDuration::from_millis(500);
+/// Give up re-expressing a packet after this many retransmissions and
+/// requeue it: the 0.5 s → 4 s ladder then spans under half a minute, which
+/// the faults gate's 30 s partition cell is sized to outlast (`dapes-bench`
+/// `faults`).
+pub const MAX_RETX: u32 = 8;
+/// Ceiling on the per-packet backed-off retransmission timeout. Keeps a
+/// downloader probing at a bounded rate through a partition or a crashed
+/// upstream instead of backing off into silence.
+pub const RETX_BACKOFF_CAP: SimDuration = SimDuration::from_secs(4);
+/// Fastest discovery beacon period (paper §IV-B: frequent while peers are
+/// around); also the window the first beacons are staggered over.
+pub const DISCOVERY_MIN: SimDuration = SimDuration::from_secs(1);
+/// Slowest discovery beacon period, the cap of the isolation backoff
+/// (paper §IV-B).
+pub const DISCOVERY_MAX: SimDuration = SimDuration::from_secs(8);
+/// Window within which a heard peer keeps discovery at [`DISCOVERY_MIN`].
+pub const DISCOVERY_RECENT: SimDuration = SimDuration::from_secs(5);
+/// Neighbors unheard for this long drop out of knowledge and encounters:
+/// the "short-lived knowledge" of paper §V.
+pub const NEIGHBOR_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+/// Interval between advertisement rounds while downloading (paper §IV-D).
+pub const ADVERT_INTERVAL: SimDuration = SimDuration::from_secs(2);
+/// Encounter-history capacity of the encounter-based RPF (paper §IV-E).
+pub const ENCOUNTER_HISTORY: usize = 16;
+/// How long a forwarded Interest may wait for data before its name is
+/// suppressed (paper §V-A).
+pub const RESPONSE_TIMEOUT: SimDuration = SimDuration::from_millis(400);
+/// How long a suppression lasts (paper §V-A).
+pub const SUPPRESS_DURATION: SimDuration = SimDuration::from_secs(2);
+/// Housekeeping tick (retransmissions, expiry sweeps). A fixed-period poll
+/// (DESIGN.md, "The 100 ms tick stays a fixed-period poll"), no longer than
+/// the forwarder's PIT reclaim grace (asserted below; DESIGN.md, "The
+/// forwarder reclaims a PIT entry 100 ms after it expires").
+pub const TICK: SimDuration = SimDuration::from_millis(100);
+/// How far in the past a sealed announcement's timestamp may lie before it
+/// is rejected as a replay (alongside the per-producer high-water mark,
+/// which catches re-injections inside the window). Must exceed the longest
+/// benign re-serve path — a discovery reply answered from a neighbor's
+/// Content Store within its 1 s freshness, or a bitmap reply served inside
+/// its [`ADVERT_INTERVAL`] round — with margin.
+pub const REPLAY_WINDOW: SimDuration = SimDuration::from_secs(5);
+/// Producers unheard for this long are swept from the replay table — the
+/// stale-peer expiry of the authenticated discovery set (the dedup/expiry
+/// rules of SNIPPETS.md, Snippet 2).
+pub const PEER_TTL: SimDuration = SimDuration::from_secs(10);
+/// Producer marks the replay table holds before evicting the stalest: well
+/// above the 44 nodes of the paper's scenario (§VI-B1).
+pub const REPLAY_GUARD_CAPACITY: usize = 256;
+/// How long an overheard Interest nonce stays journaled: four replay
+/// windows, so a re-injection is still recognized, after which entries age
+/// out.
+pub const NONCE_RETENTION: SimDuration = SimDuration::from_micros(REPLAY_WINDOW.as_micros() * 4);
+
+// Random draws span `0..TX_WINDOW` and `0..DISCOVERY_MIN`, and the windowed
+// requests take `FETCH_WINDOW` at a time: each must be non-empty.
+const _: () = assert!(TX_WINDOW.as_micros() > 0);
+const _: () = assert!(DISCOVERY_MIN.as_micros() > 0);
+const _: () = assert!(FETCH_WINDOW > 0);
+// The backoff ladder doubles a non-zero base and stops at a cap above it.
+const _: () = assert!(RETX_TIMEOUT.as_micros() > 0);
+const _: () = assert!(RETX_TIMEOUT.as_micros() <= RETX_BACKOFF_CAP.as_micros());
+// A tick must sweep the PIT before the forwarder's own reclaim could take
+// anything, or the reclaim would move DAPES traces.
+const _: () = assert!(TICK.as_micros() <= RECLAIM_AFTER.as_micros());
 
 /// How many bitmaps to collect in an encounter before/while fetching data
 /// (the Fig. 9c/9d sweep).
@@ -58,7 +138,9 @@ impl AdvertSchedule {
     }
 }
 
-/// Full DAPES peer configuration. Defaults follow the paper's §VI-B setup.
+/// DAPES peer configuration: only what some figure, gate or test varies
+/// (DESIGN.md, "A value no caller varies is a named constant").
+/// Defaults follow the paper's §VI-B setup.
 #[derive(Clone, Debug)]
 pub struct DapesConfig {
     /// RPF flavour (paper default: local neighborhood).
@@ -75,49 +157,10 @@ pub struct DapesConfig {
     pub forward_prob: f64,
     /// Metadata encoding for produced collections.
     pub metadata_format: MetadataFormat,
-    /// The random transmission window for data/Interest jitter (paper:
-    /// 20 ms).
-    pub tx_window: SimDuration,
-    /// PEBA slot length.
-    pub slot_len: SimDuration,
-    /// Outstanding content Interests per download.
-    pub fetch_window: usize,
-    /// Base retransmission timeout for content/metadata Interests. The
-    /// effective timeout doubles per retransmission (bounded exponential
-    /// backoff) up to [`retx_backoff_cap`](Self::retx_backoff_cap).
-    pub retx_timeout: SimDuration,
-    /// Give up re-expressing a packet after this many retransmissions and
-    /// requeue it.
-    pub max_retx: u32,
-    /// Ceiling on the per-packet backed-off retransmission timeout. Keeps a
-    /// downloader probing at a bounded rate through a partition or a crashed
-    /// upstream instead of backing off into silence.
-    pub retx_backoff_cap: SimDuration,
-    /// Fastest discovery beacon period.
-    pub discovery_min: SimDuration,
-    /// Slowest discovery beacon period (isolation backoff cap).
-    pub discovery_max: SimDuration,
-    /// Window within which a heard peer keeps discovery fast.
-    pub discovery_recent: SimDuration,
-    /// Neighbors unheard for this long drop out of knowledge/encounters.
-    pub neighbor_timeout: SimDuration,
-    /// Interval between advertisement rounds while downloading.
-    pub advert_interval: SimDuration,
-    /// Encounter-history capacity (encounter-based RPF).
-    pub encounter_history: usize,
-    /// Content Store capacity in packets (used when `cs_budget_bytes`
-    /// is unset).
-    pub cs_capacity: usize,
     /// Content Store memory budget in bytes (wire-size accounted). When
-    /// set, it replaces the packet-count cap; `None` keeps the
-    /// count-capped store. Either way the store evicts FIFO.
+    /// set, it replaces the forwarder's default packet-count cap; `None`
+    /// keeps the count-capped store. Either way the store evicts FIFO.
     pub cs_budget_bytes: Option<usize>,
-    /// How long a forwarded Interest may wait for data before suppression.
-    pub response_timeout: SimDuration,
-    /// How long a suppression lasts.
-    pub suppress_duration: SimDuration,
-    /// Housekeeping tick (retransmissions, expiry sweeps).
-    pub tick: SimDuration,
     /// Seal bitmap advertisements and discovery replies in the signed
     /// envelope ([`crate::auth`]): a monotonic per-producer timestamp plus
     /// a trust-anchor signature over the payload, verified (and
@@ -126,16 +169,6 @@ pub struct DapesConfig {
     /// format byte for byte, so benign golden traces stay bit-identical
     /// with the adversarial axis disabled.
     pub signed_adverts: bool,
-    /// How far in the past a sealed announcement's timestamp may lie before
-    /// it is rejected as a replay (alongside the per-producer high-water
-    /// mark, which catches re-injections inside the window). Must exceed
-    /// the longest benign re-serve path — a discovery reply answered from
-    /// a neighbor's Content Store within its 1 s freshness, or a bitmap
-    /// reply served inside its ~2 s advertisement round — with margin.
-    pub replay_window_ms: u64,
-    /// Producers unheard for this long are swept from the replay table —
-    /// the stale-peer expiry of the authenticated discovery set.
-    pub peer_ttl_ms: u64,
 }
 
 impl Default for DapesConfig {
@@ -148,26 +181,8 @@ impl Default for DapesConfig {
             multihop: true,
             forward_prob: 0.20,
             metadata_format: MetadataFormat::MerkleRoots,
-            tx_window: SimDuration::from_millis(20),
-            slot_len: SimDuration::from_millis(2),
-            fetch_window: 4,
-            retx_timeout: SimDuration::from_millis(500),
-            max_retx: 8,
-            retx_backoff_cap: SimDuration::from_secs(4),
-            discovery_min: SimDuration::from_secs(1),
-            discovery_max: SimDuration::from_secs(8),
-            discovery_recent: SimDuration::from_secs(5),
-            neighbor_timeout: SimDuration::from_secs(5),
-            advert_interval: SimDuration::from_secs(2),
-            encounter_history: 16,
-            cs_capacity: 4096,
             cs_budget_bytes: None,
-            response_timeout: SimDuration::from_millis(400),
-            suppress_duration: SimDuration::from_secs(2),
-            tick: SimDuration::from_millis(100),
             signed_adverts: true,
-            replay_window_ms: 5_000,
-            peer_ttl_ms: 10_000,
         }
     }
 }
@@ -194,7 +209,25 @@ mod tests {
         assert!(c.peba);
         assert!(c.multihop);
         assert!((c.forward_prob - 0.2).abs() < 1e-12);
-        assert_eq!(c.tx_window, SimDuration::from_millis(20));
+        assert_eq!(TX_WINDOW, SimDuration::from_millis(20));
+    }
+
+    #[test]
+    fn dapes_config_holds_only_the_varied_axes() {
+        // No `..`: a new field must be added here, next to the caller that
+        // varies it (DESIGN.md), or it belongs with the constants above.
+        let DapesConfig {
+            rpf: _,
+            start: _,
+            schedule: _,
+            peba: _,
+            multihop: _,
+            forward_prob: _,
+            metadata_format: _,
+            cs_budget_bytes,
+            signed_adverts: _,
+        } = DapesConfig::default();
+        assert_eq!(cs_budget_bytes, None);
     }
 
     #[test]
@@ -228,9 +261,9 @@ mod tests {
 
     #[test]
     fn signed_adverts_default_on_with_paper_scale_windows() {
-        let c = DapesConfig::default();
-        assert!(c.signed_adverts);
-        assert_eq!(c.replay_window_ms, 5_000);
-        assert_eq!(c.peer_ttl_ms, 10_000);
+        assert!(DapesConfig::default().signed_adverts);
+        assert_eq!(REPLAY_WINDOW, SimDuration::from_secs(5));
+        assert_eq!(PEER_TTL, SimDuration::from_secs(10));
+        assert_eq!(NONCE_RETENTION, SimDuration::from_secs(20));
     }
 }

@@ -5,36 +5,30 @@
 //! The beacon period adapts: frequent while peers are around, backing off
 //! exponentially in isolation.
 
+use crate::config::{DISCOVERY_MAX, DISCOVERY_MIN, DISCOVERY_RECENT};
 use dapes_ndn::name::Name;
 use dapes_netsim::time::{SimDuration, SimTime};
 
-/// Adaptive discovery beacon timing.
+/// Adaptive discovery beacon timing between [`DISCOVERY_MIN`] and
+/// [`DISCOVERY_MAX`]; a peer heard within [`DISCOVERY_RECENT`] counts as
+/// encountered.
 #[derive(Clone, Debug)]
 pub struct DiscoveryState {
     period: SimDuration,
-    min_period: SimDuration,
-    max_period: SimDuration,
-    /// How recently a peer must have been heard to count as "encountered".
-    recent_window: SimDuration,
     last_peer_heard: Option<SimTime>,
 }
 
-impl DiscoveryState {
-    /// Creates the beacon state. The period starts at `min_period`.
-    pub fn new(
-        min_period: SimDuration,
-        max_period: SimDuration,
-        recent_window: SimDuration,
-    ) -> Self {
+impl Default for DiscoveryState {
+    /// The beacon state of a fresh peer: the period starts at the minimum.
+    fn default() -> Self {
         DiscoveryState {
-            period: min_period,
-            min_period,
-            max_period,
-            recent_window,
+            period: DISCOVERY_MIN,
             last_peer_heard: None,
         }
     }
+}
 
+impl DiscoveryState {
     /// Notes that any peer was heard (any DAPES frame counts).
     pub fn note_peer_heard(&mut self, now: SimTime) {
         self.last_peer_heard = Some(now);
@@ -46,12 +40,12 @@ impl DiscoveryState {
     pub fn next_period(&mut self, now: SimTime) -> SimDuration {
         let recently = self
             .last_peer_heard
-            .is_some_and(|t| now.since(t) <= self.recent_window);
+            .is_some_and(|t| now.since(t) <= DISCOVERY_RECENT);
         if recently {
-            self.period = self.min_period;
+            self.period = DISCOVERY_MIN;
         } else {
             self.period = SimDuration::from_micros(
-                (self.period.as_micros() * 2).min(self.max_period.as_micros()),
+                (self.period.as_micros() * 2).min(DISCOVERY_MAX.as_micros()),
             );
         }
         self.period
@@ -62,6 +56,9 @@ impl DiscoveryState {
         self.period
     }
 }
+
+/// The smallest encoded offer: two empty names, each a 2-byte length.
+const OFFER_MIN_LEN: usize = 2 + 2;
 
 /// One collection offered in a discovery reply.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -108,7 +105,9 @@ impl DiscoveryInfo {
         };
         let peer = u32::from_be_bytes(take(&mut pos, 4)?.try_into().ok()?);
         let count = u16::from_be_bytes(take(&mut pos, 2)?.try_into().ok()?) as usize;
-        let mut offers = Vec::with_capacity(count);
+        // Reserve no more offers than the bytes left can hold: a claimed
+        // count is hostile input.
+        let mut offers = Vec::with_capacity(count.min((wire.len() - pos) / OFFER_MIN_LEN));
         for _ in 0..count {
             let mut names = Vec::with_capacity(2);
             for _ in 0..2 {
@@ -147,17 +146,9 @@ impl DiscoveryInfo {
 mod tests {
     use super::*;
 
-    fn state() -> DiscoveryState {
-        DiscoveryState::new(
-            SimDuration::from_secs(1),
-            SimDuration::from_secs(8),
-            SimDuration::from_secs(5),
-        )
-    }
-
     #[test]
     fn period_backs_off_in_isolation() {
-        let mut s = state();
+        let mut s = DiscoveryState::default();
         let t = SimTime::from_secs(100);
         assert_eq!(s.next_period(t), SimDuration::from_secs(2));
         assert_eq!(s.next_period(t), SimDuration::from_secs(4));
@@ -167,7 +158,7 @@ mod tests {
 
     #[test]
     fn period_resets_when_peers_around() {
-        let mut s = state();
+        let mut s = DiscoveryState::default();
         let mut t = SimTime::from_secs(100);
         s.next_period(t);
         s.next_period(t);
@@ -179,7 +170,7 @@ mod tests {
 
     #[test]
     fn stale_peer_sighting_does_not_reset() {
-        let mut s = state();
+        let mut s = DiscoveryState::default();
         let t0 = SimTime::from_secs(100);
         s.note_peer_heard(t0);
         // 6 s later the sighting is outside the 5 s window.
@@ -234,6 +225,13 @@ mod tests {
             "trailer rejected"
         );
         assert_eq!(DiscoveryInfo::from_wire_maybe_sealed(&sealed), Some(info));
+    }
+
+    #[test]
+    fn a_short_payload_claiming_the_largest_count_is_rejected() {
+        let mut wire = 7u32.to_be_bytes().to_vec();
+        wire.extend_from_slice(&u16::MAX.to_be_bytes());
+        assert!(DiscoveryInfo::from_wire(&wire).is_none());
     }
 
     #[test]

@@ -29,6 +29,9 @@ use crate::namespace;
 pub const PACKET_DIGEST_LEN: usize = 8;
 /// Payload bytes per metadata segment.
 pub const SEGMENT_SIZE: usize = 1024;
+/// The smallest encoded file entry: a 2-byte name length, a 4-byte packet
+/// count and an 8-byte size (empty name, no digests).
+const FILE_ENTRY_MIN_LEN: usize = 2 + 4 + 8;
 
 /// Which metadata encoding a collection uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -227,7 +230,9 @@ impl Metadata {
         if file_count > 1_000_000 {
             return None;
         }
-        let mut files = Vec::with_capacity(file_count);
+        // Counts are hostile input: reserve no more than the bytes left can
+        // hold.
+        let mut files = Vec::with_capacity(file_count.min((body.len() - pos) / FILE_ENTRY_MIN_LEN));
         for _ in 0..file_count {
             let name_len = u16::from_be_bytes(take(&mut pos, 2)?.try_into().ok()?) as usize;
             let name = String::from_utf8(take(&mut pos, name_len)?.to_vec()).ok()?;
@@ -242,7 +247,9 @@ impl Metadata {
             };
             match format {
                 MetadataFormat::PacketDigest => {
-                    let mut digests = Vec::with_capacity(packet_count as usize);
+                    let mut digests = Vec::with_capacity(
+                        (packet_count as usize).min((body.len() - pos) / PACKET_DIGEST_LEN),
+                    );
                     for _ in 0..packet_count {
                         let d: [u8; PACKET_DIGEST_LEN] =
                             take(&mut pos, PACKET_DIGEST_LEN)?.try_into().ok()?;
@@ -515,6 +522,25 @@ mod tests {
             let back = Metadata::decode_body(&body).expect("decode");
             assert_eq!(back, meta);
         }
+    }
+
+    #[test]
+    fn a_short_body_claiming_the_largest_counts_is_rejected() {
+        // Format, packet size, an empty producer, then the file count.
+        let head = |format: u8, files: u32| {
+            let mut body = vec![format];
+            body.extend_from_slice(&2u32.to_be_bytes());
+            body.extend_from_slice(&0u16.to_be_bytes());
+            body.extend_from_slice(&files.to_be_bytes());
+            body
+        };
+        assert!(Metadata::decode_body(&head(1, 1_000_000)).is_none());
+        // One packet-digest file claiming `u32::MAX` digests, none present.
+        let mut body = head(0, 1);
+        body.extend_from_slice(&0u16.to_be_bytes());
+        body.extend_from_slice(&u32::MAX.to_be_bytes());
+        body.extend_from_slice(&0u64.to_be_bytes());
+        assert!(Metadata::decode_body(&body).is_none());
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! strategy and for the peer's fetch and serve paths alike.
 
 use crate::bitmap::Bitmap;
+use crate::config::{NEIGHBOR_TIMEOUT, RESPONSE_TIMEOUT, SUPPRESS_DURATION};
 use crate::due_after;
 use crate::metadata::PacketIndex;
 use crate::namespace::{self, DapesName};
@@ -27,7 +28,7 @@ use dapes_ndn::face::FaceId;
 use dapes_ndn::forwarder::{Decision, Strategy};
 use dapes_ndn::name::Name;
 use dapes_ndn::packet::Interest;
-use dapes_netsim::time::{SimDuration, SimTime};
+use dapes_netsim::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -69,12 +70,12 @@ impl NeighborInfo {
 /// timers, and the forwarding-accuracy bookkeeping behind the paper's "83 %
 /// of forwarded Interests brought data back" claim.
 ///
-/// The three expiring maps (neighbors, suppressions, pending forwards) and
-/// their timeouts are private because [`MultihopState::sweep`] is
-/// watermarked: `next_due` is a *lower bound* on the earliest instant a
-/// sweep could remove anything. Every insert lowers it with `min`,
-/// refreshes and removals leave it, and only a full scan raises it — to
-/// the exact minimum over the survivors. Below it `sweep` returns at once.
+/// The three expiring maps (neighbors, suppressions, pending forwards) are
+/// private because [`MultihopState::sweep`] is watermarked: `next_due` is
+/// a *lower bound* on the earliest instant a sweep could remove anything.
+/// Every insert lowers it with `min`, refreshes and removals leave it, and
+/// only a full scan raises it — to the exact minimum over the survivors.
+/// Below it `sweep` returns at once.
 #[derive(Debug)]
 pub struct MultihopState {
     /// This node's role.
@@ -100,12 +101,6 @@ pub struct MultihopState {
     pub forward_successes: u64,
     /// Forwarded Interests that timed out.
     pub forward_failures: u64,
-    /// How long to wait for a response before suppressing.
-    response_timeout: SimDuration,
-    /// How long a suppression lasts.
-    suppress_duration: SimDuration,
-    /// Neighbor expiry: entries older than this are dropped.
-    neighbor_timeout: SimDuration,
     /// The sweep watermark (see the type docs).
     next_due: SimTime,
     rng: SmallRng,
@@ -124,29 +119,9 @@ impl MultihopState {
             pending_response: BTreeMap::new(),
             forward_successes: 0,
             forward_failures: 0,
-            response_timeout: SimDuration::from_millis(400),
-            suppress_duration: SimDuration::from_secs(2),
-            neighbor_timeout: SimDuration::from_secs(5),
             next_due: SimTime::FAR_FUTURE,
             rng: SmallRng::seed_from_u64(seed),
         }
-    }
-
-    /// Replaces the default timeouts: how long a forwarded Interest waits
-    /// for Data before its name is suppressed, how long a suppression
-    /// lasts, and how long an unheard neighbor is kept. A builder, so the
-    /// timeouts cannot change under entries the watermark already covers.
-    #[must_use]
-    pub fn with_timeouts(
-        mut self,
-        response: SimDuration,
-        suppress: SimDuration,
-        neighbor: SimDuration,
-    ) -> Self {
-        self.response_timeout = response;
-        self.suppress_duration = suppress;
-        self.neighbor_timeout = neighbor;
-        self
     }
 
     /// Per-neighbor knowledge, keyed by peer id.
@@ -218,7 +193,7 @@ impl MultihopState {
     fn touch_peer(&mut self, peer: u32, now: SimTime) -> &mut NeighborInfo {
         // A refresh only moves the entry's own deadline later, so `min`
         // changes the watermark for a new neighbor alone.
-        self.next_due = self.next_due.min(due_after(now, self.neighbor_timeout));
+        self.next_due = self.next_due.min(due_after(now, NEIGHBOR_TIMEOUT));
         let info = self.neighbors.entry(peer).or_default();
         info.last_heard = now;
         info
@@ -294,7 +269,7 @@ impl MultihopState {
 
     /// Called when we actually put a forwarded Interest on the air.
     pub fn note_forwarded(&mut self, name: &Name, now: SimTime) {
-        self.next_due = self.next_due.min(due_after(now, self.response_timeout));
+        self.next_due = self.next_due.min(due_after(now, RESPONSE_TIMEOUT));
         self.pending_response.entry(name.clone()).or_insert(now);
     }
 
@@ -314,20 +289,19 @@ impl MultihopState {
             return 0;
         }
         let mut next_due = SimTime::FAR_FUTURE;
-        let timeout = self.response_timeout;
         let mut to_suppress = Vec::new();
         self.pending_response.retain(|name, &mut at| {
-            if now.since(at) > timeout {
+            if now.since(at) > RESPONSE_TIMEOUT {
                 to_suppress.push(name.clone());
                 false
             } else {
-                next_due = next_due.min(due_after(at, timeout));
+                next_due = next_due.min(due_after(at, RESPONSE_TIMEOUT));
                 true
             }
         });
         for name in to_suppress {
             self.forward_failures += 1;
-            self.suppressed.insert(name, now + self.suppress_duration);
+            self.suppressed.insert(name, now + SUPPRESS_DURATION);
         }
         self.suppressed.retain(|_, &mut until| {
             let keep = until > now;
@@ -336,12 +310,11 @@ impl MultihopState {
             }
             keep
         });
-        let nt = self.neighbor_timeout;
         let before = self.neighbors.len();
         self.neighbors.retain(|_, info| {
-            let keep = now.since(info.last_heard) <= nt;
+            let keep = now.since(info.last_heard) <= NEIGHBOR_TIMEOUT;
             if keep {
-                next_due = next_due.min(due_after(info.last_heard, nt));
+                next_due = next_due.min(due_after(info.last_heard, NEIGHBOR_TIMEOUT));
             }
             keep
         });
@@ -677,11 +650,7 @@ mod tests {
     #[test]
     fn sweep_waits_for_the_earliest_deadline_and_refreshes_never_hide_one() {
         let ms_at = SimTime::from_micros;
-        let mut ms = state(NodeRole::Dapes, 0.2).with_timeouts(
-            SimDuration::from_millis(400),
-            SimDuration::from_secs(2),
-            SimDuration::from_secs(5),
-        );
+        let mut ms = state(NodeRole::Dapes, 0.2);
         assert!(!ms.sweep_due(SimTime::from_secs(3600)), "nothing held");
         ms.note_peer(1, SimTime::ZERO);
         ms.note_peer(2, SimTime::from_secs(1));

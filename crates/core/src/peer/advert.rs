@@ -8,6 +8,7 @@ use super::{DapesPeer, TOKEN_PENDING};
 use crate::advert::AdvertScheduler;
 use crate::advert_payload::{decode_bitmap_params_maybe_sealed, encode_bitmap_params};
 use crate::bitmap::Bitmap;
+use crate::config::{SLOT_LEN, TX_WINDOW};
 use crate::namespace;
 use crate::stats::kinds;
 use dapes_ndn::face::FaceId;
@@ -254,8 +255,7 @@ impl DapesPeer {
             Some(d) => d.advert.delay_for(&my, ctx.rng()),
             None => {
                 // Seeding: full bitmap, first-transmission priority.
-                AdvertScheduler::new(self.cfg.peba, self.cfg.tx_window, self.cfg.slot_len)
-                    .delay_for(&my, ctx.rng())
+                AdvertScheduler::new(self.cfg.peba, TX_WINDOW, SLOT_LEN).delay_for(&my, ctx.rng())
             }
         };
         let Some(delay) = delay else {

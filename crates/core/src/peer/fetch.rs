@@ -7,7 +7,10 @@
 use super::DapesPeer;
 use crate::advert::AdvertScheduler;
 use crate::bitmap::Bitmap;
-use crate::config::DapesConfig;
+use crate::config::{
+    DapesConfig, ADVERT_INTERVAL, ENCOUNTER_HISTORY, FETCH_WINDOW, MAX_RETX, RETX_BACKOFF_CAP,
+    RETX_TIMEOUT, SLOT_LEN, TX_WINDOW,
+};
 use crate::discovery::OfferedCollection;
 use crate::metadata::{
     Metadata, MetadataAssembler, MetadataFormat, PacketIndex, PacketVerification,
@@ -211,8 +214,8 @@ impl DapesPeer {
             bitmaps_this_encounter: 0,
             rounds_seen: BTreeMap::new(),
             last_advert: None,
-            advert: AdvertScheduler::new(self.cfg.peba, self.cfg.tx_window, self.cfg.slot_len),
-            history: EncounterHistory::new(self.cfg.encounter_history),
+            advert: AdvertScheduler::new(self.cfg.peba, TX_WINDOW, SLOT_LEN),
+            history: EncounterHistory::new(ENCOUNTER_HISTORY),
             resumed: None,
         };
         self.downloads.insert(offer.collection.clone(), download);
@@ -259,11 +262,10 @@ impl DapesPeer {
         let Some(meta) = completed else {
             // Request more segments (windowed).
             let missing = d.assembler.missing();
-            let window = self.cfg.fetch_window.max(1);
             let to_request: Vec<u32> = missing
                 .into_iter()
                 .filter(|s| !d.meta_outstanding.contains_key(s))
-                .take(window.saturating_sub(d.meta_outstanding.len()))
+                .take(FETCH_WINDOW.saturating_sub(d.meta_outstanding.len()))
                 .collect();
             for seg in to_request {
                 self.request_metadata_segment(ctx, collection, seg);
@@ -362,7 +364,7 @@ impl DapesPeer {
             let Some(d) = self.downloads.get_mut(collection) else {
                 return;
             };
-            if d.outstanding.len() >= self.cfg.fetch_window || d.queue.is_empty() {
+            if d.outstanding.len() >= FETCH_WINDOW || d.queue.is_empty() {
                 break;
             }
             let idx = d.queue.pop().expect("checked non-empty");
@@ -487,9 +489,6 @@ impl DapesPeer {
 
     pub(super) fn sweep_download(&mut self, ctx: &mut NodeCtx<'_>, collection: &Name) {
         let now = ctx.now;
-        let base = self.cfg.retx_timeout;
-        let cap = self.cfg.retx_backoff_cap;
-        let max_retx = self.cfg.max_retx;
 
         // Metadata retransmissions.
         let mut meta_retx: Vec<u32> = Vec::new();
@@ -502,10 +501,10 @@ impl DapesPeer {
                 Phase::FetchingMetadata => {
                     let mut gave_up: Vec<u32> = Vec::new();
                     for (&seg, (sent, retx)) in d.meta_outstanding.iter_mut() {
-                        if now.since(*sent) > backed_off_timeout(base, cap, *retx) {
+                        if now.since(*sent) > backed_off_timeout(*retx) {
                             *sent = now;
                             *retx += 1;
-                            if *retx <= max_retx {
+                            if *retx <= MAX_RETX {
                                 meta_retx.push(seg);
                             } else {
                                 gave_up.push(seg);
@@ -528,8 +527,7 @@ impl DapesPeer {
                         if d.assembler.total().is_none() {
                             meta_retx.push(0);
                         } else {
-                            let window = self.cfg.fetch_window.max(1);
-                            meta_retx.extend(d.assembler.missing().into_iter().take(window));
+                            meta_retx.extend(d.assembler.missing().into_iter().take(FETCH_WINDOW));
                         }
                     }
                 }
@@ -539,8 +537,8 @@ impl DapesPeer {
                     let mut requeue: Vec<usize> = Vec::new();
                     let mut resend: Vec<usize> = Vec::new();
                     for (&idx, (sent, retx)) in d.outstanding.iter_mut() {
-                        if now.since(*sent) > backed_off_timeout(base, cap, *retx) {
-                            if *retx >= max_retx {
+                        if now.since(*sent) > backed_off_timeout(*retx) {
+                            if *retx >= MAX_RETX {
                                 requeue.push(idx);
                             } else {
                                 *sent = now;
@@ -568,9 +566,7 @@ impl DapesPeer {
                         if self.cfg.signed_adverts {
                             self.nonce_journal.record(interest.nonce(), ctx.now);
                         }
-                        let delay_us = ctx
-                            .rng()
-                            .gen_range(0..self.cfg.tx_window.as_micros().max(1));
+                        let delay_us = ctx.rng().gen_range(0..TX_WINDOW.as_micros());
                         ctx.send_frame(
                             interest.wire(),
                             kinds::CONTENT_INTEREST,
@@ -583,7 +579,7 @@ impl DapesPeer {
                     };
                     advert_due = d
                         .last_advert
-                        .is_none_or(|t| now.since(t) >= self.cfg.advert_interval);
+                        .is_none_or(|t| now.since(t) >= ADVERT_INTERVAL);
                 }
                 Phase::Complete => {}
             }
@@ -600,12 +596,12 @@ impl DapesPeer {
 }
 
 /// Bounded exponential backoff: the effective retransmission timeout after
-/// `retx` attempts is `base << retx`, saturating, clamped to `cap` — a
-/// downloader keeps probing through an outage at the capped rate instead of
-/// backing off into silence.
-fn backed_off_timeout(base: SimDuration, cap: SimDuration, retx: u32) -> SimDuration {
-    let base_us = base.as_micros().max(1);
-    let cap_us = cap.as_micros().max(base_us);
-    let scaled = base_us.saturating_mul(1u64 << retx.min(16));
-    SimDuration::from_micros(scaled.min(cap_us))
+/// `retx` attempts is `RETX_TIMEOUT << retx`, saturating, clamped to
+/// `RETX_BACKOFF_CAP` — a downloader keeps probing through an outage at the
+/// capped rate instead of backing off into silence.
+fn backed_off_timeout(retx: u32) -> SimDuration {
+    let scaled = RETX_TIMEOUT
+        .as_micros()
+        .saturating_mul(1u64 << retx.min(16));
+    SimDuration::from_micros(scaled.min(RETX_BACKOFF_CAP.as_micros()))
 }

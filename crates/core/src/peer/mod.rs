@@ -30,7 +30,10 @@ pub use fetch::SalvagedDownload;
 
 use crate::advert_payload::decode_bitmap_params_maybe_sealed;
 use crate::auth::{MonotonicStamp, NonceJournal, ReplayGuard};
-use crate::config::DapesConfig;
+use crate::config::{
+    DapesConfig, DISCOVERY_MIN, NONCE_RETENTION, PEER_TTL, REPLAY_GUARD_CAPACITY, REPLAY_WINDOW,
+    TICK,
+};
 use crate::discovery::{DiscoveryInfo, DiscoveryState};
 use crate::multihop::{MultihopState, NodeRole};
 use crate::namespace::{self, DapesName};
@@ -133,14 +136,8 @@ impl DapesPeer {
         wanted: WantPolicy,
         role: NodeRole,
     ) -> Self {
-        let multihop = MultihopState::new(role, cfg.multihop, cfg.forward_prob, id as u64 + 17)
-            .with_timeouts(
-                cfg.response_timeout,
-                cfg.suppress_duration,
-                cfg.neighbor_timeout,
-            );
+        let multihop = MultihopState::new(role, cfg.multihop, cfg.forward_prob, id as u64 + 17);
         let fwd_cfg = ForwarderConfig {
-            cs_capacity: cfg.cs_capacity,
             cs_budget_bytes: cfg.cs_budget_bytes,
             cache_unsolicited: role == NodeRole::PureForwarder,
             rebroadcast_faces: vec![FaceId::WIRELESS],
@@ -154,13 +151,7 @@ impl DapesPeer {
             forwarder.fib_mut().register(dapes.clone(), FaceId::APP);
             forwarder.fib_mut().register(dapes, FaceId::WIRELESS);
         }
-        let discovery =
-            DiscoveryState::new(cfg.discovery_min, cfg.discovery_max, cfg.discovery_recent);
-        let replay = ReplayGuard::new(
-            256,
-            SimDuration::from_millis(cfg.replay_window_ms),
-            SimDuration::from_millis(cfg.peer_ttl_ms),
-        );
+        let replay = ReplayGuard::new(REPLAY_GUARD_CAPACITY, REPLAY_WINDOW, PEER_TTL);
         DapesPeer {
             id,
             cfg,
@@ -170,7 +161,7 @@ impl DapesPeer {
             seeding: BTreeMap::new(),
             downloads: BTreeMap::new(),
             wanted,
-            discovery,
+            discovery: DiscoveryState::default(),
             advert_round: 0,
             pending: BTreeMap::new(),
             inflight: BTreeMap::new(),
@@ -263,11 +254,7 @@ impl DapesPeer {
         if self.cfg.signed_adverts {
             self.stats.tick_scans += self.replay.sweep_due(now) as u64;
             self.stats.peers_expired += self.replay.sweep(now) as u64;
-            // Nonce journal retention outlives the replay window by a wide
-            // margin so a re-injection is still recognized, then entries
-            // age out.
-            let keep = SimDuration::from_micros(self.replay_window().as_micros() * 4);
-            self.nonce_journal.forget_older_than(now, keep);
+            self.nonce_journal.forget_older_than(now, NONCE_RETENTION);
         }
 
         // Encounter transitions.
@@ -291,7 +278,7 @@ impl DapesPeer {
         for collection in unfinished {
             self.sweep_download(ctx, &collection);
         }
-        ctx.set_timer(self.cfg.tick, TOKEN_TICK);
+        ctx.set_timer(TICK, TOKEN_TICK);
     }
 
     /// Applies the forwarder's actions for an overheard Interest — the
@@ -531,14 +518,11 @@ impl DapesPeer {
 
 impl NetStack for DapesPeer {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
-        ctx.set_timer(self.cfg.tick, TOKEN_TICK);
+        ctx.set_timer(TICK, TOKEN_TICK);
         if self.role == NodeRole::Dapes {
             // Stagger first beacons across the window to avoid a start-up
             // collision storm.
-            let delay = SimDuration::from_micros(
-                ctx.rng()
-                    .gen_range(0..self.cfg.discovery_min.as_micros().max(1)),
-            );
+            let delay = SimDuration::from_micros(ctx.rng().gen_range(0..DISCOVERY_MIN.as_micros()));
             ctx.set_timer(delay, TOKEN_DISCOVERY);
         }
     }

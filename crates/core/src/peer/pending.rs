@@ -3,6 +3,7 @@
 //! transmission outcomes the radio reports back.
 
 use super::{DapesPeer, TOKEN_PENDING};
+use crate::config::TX_WINDOW;
 use crate::namespace;
 use dapes_ndn::face::FaceId;
 use dapes_ndn::forwarder::Action;
@@ -56,8 +57,7 @@ pub(super) struct Pending {
 
 impl DapesPeer {
     pub(super) fn jitter(&self, ctx: &mut NodeCtx<'_>) -> SimDuration {
-        let w = self.cfg.tx_window.as_micros().max(1);
-        SimDuration::from_micros(ctx.rng().gen_range(0..w))
+        SimDuration::from_micros(ctx.rng().gen_range(0..TX_WINDOW.as_micros()))
     }
 
     /// Sends our own Interest through the forwarder (creating PIT state) and

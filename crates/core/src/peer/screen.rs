@@ -5,11 +5,12 @@
 
 use super::DapesPeer;
 use crate::auth::{self, OpenError, ReplayVerdict};
+use crate::config::REPLAY_WINDOW;
 use crate::namespace::{self, DapesName};
 use dapes_ndn::packet::{Data, Interest, Packet, PacketHeader};
 use dapes_netsim::node::NodeCtx;
 use dapes_netsim::radio::Frame;
-use dapes_netsim::time::{SimDuration, SimTime};
+use dapes_netsim::time::SimTime;
 
 /// Overheard-nonce journal capacity: enough for several replay windows of
 /// traffic in a dense cell, bounded so a nonce-minting flooder cannot grow
@@ -32,10 +33,6 @@ impl DapesPeer {
         )
     }
 
-    pub(super) fn replay_window(&self) -> SimDuration {
-        SimDuration::from_millis(self.cfg.replay_window_ms)
-    }
-
     /// Pre-decode screening: drops frames whose header peek fails (the
     /// noise-flood sink) and Interests whose nonce was first overheard
     /// longer than the replay window ago (re-injected Interests). Runs
@@ -51,7 +48,7 @@ impl DapesPeer {
             // A first sighting is journaled; a recent re-hearing is an
             // honest wireless echo or relay.
             if let Some(first_seen) = self.nonce_journal.record(h.nonce, ctx.now) {
-                if ctx.now.since(first_seen) > self.replay_window() {
+                if ctx.now.since(first_seen) > REPLAY_WINDOW {
                     self.stats.interests_rejected_replay += 1;
                     return true;
                 }

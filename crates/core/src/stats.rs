@@ -134,7 +134,7 @@ pub struct PeerStats {
     /// Frames that failed to parse as NDN packets at all and were dropped
     /// on the floor (the noise-flood sink).
     pub flood_frames_dropped: u64,
-    /// Outstanding fetches abandoned after `max_retx` backed-off
+    /// Outstanding fetches abandoned after [`MAX_RETX`](crate::config::MAX_RETX) backed-off
     /// retransmissions (content packets are requeued for a later window;
     /// metadata segments re-enter the fetch plan on the next encounter).
     pub retx_give_ups: u64,

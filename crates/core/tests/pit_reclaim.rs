@@ -3,6 +3,7 @@
 //! never finds anything the last tick left. These transfers pin that: the
 //! reclaim cannot move a DAPES trace because it never removes an entry.
 
+use dapes_core::config::TICK;
 use dapes_core::prelude::*;
 use dapes_ndn::pit::RECLAIM_AFTER;
 use dapes_netsim::prelude::*;
@@ -27,7 +28,7 @@ fn assert_nothing_reclaimed(label: &str, sc: &Scenario) {
 
 #[test]
 fn the_dapes_tick_is_no_longer_than_the_reclaim_grace() {
-    assert!(DapesConfig::default().tick <= RECLAIM_AFTER);
+    assert!(TICK <= RECLAIM_AFTER);
 }
 
 #[test]

@@ -28,6 +28,11 @@ use crate::pit::{Pit, PitInsert};
 use dapes_netsim::payload::Payload;
 use dapes_netsim::time::{SimDuration, SimTime};
 
+/// How long after forwarding a pending name a consumer retransmission (an
+/// aggregated Interest with a new nonce) may forward it again — the
+/// retransmission suppression interval of NFD's strategies.
+const REFORWARD_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
 /// An output the caller must perform.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Action {
@@ -674,7 +679,7 @@ impl<S: Strategy> Forwarder<S> {
                         .probe_wire(&name_wire)
                         .is_some_and(|e| match e.last_forward {
                             None => true,
-                            Some(t) => now.since(t) >= SimDuration::from_millis(200),
+                            Some(t) => now.since(t) >= REFORWARD_INTERVAL,
                         });
                 if retx_ok {
                     let nexthops: Vec<FaceId> = self

@@ -129,12 +129,7 @@ impl BaselineSwarmBuilder {
                         BaselineRole::Downloader => BithocRole::Downloader,
                         BaselineRole::Router => BithocRole::Router,
                     };
-                    Box::new(BithocPeer::new(
-                        id,
-                        role,
-                        self.spec.clone(),
-                        BithocConfig::default(),
-                    ))
+                    Box::new(BithocPeer::new(id, role, self.spec.clone(), BithocConfig))
                 }
                 BaselineProtocol::Ekta => {
                     let role = match spec.role {
@@ -147,7 +142,7 @@ impl BaselineSwarmBuilder {
                         role,
                         self.spec.clone(),
                         members.clone(),
-                        EktaConfig::default(),
+                        EktaConfig,
                     ))
                 }
             };

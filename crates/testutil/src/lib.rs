@@ -14,9 +14,7 @@
 //!   variant, not forty lines of setup;
 //! * [`golden`] — [`GoldenMetrics`] assertions (completion, signature
 //!   hygiene, frame classification, overhead bounds) shared by the
-//!   integration, e2e and baseline suites;
-//! * [`zipf`] — [`ZipfSampler`]: deterministic heavy-tailed popularity
-//!   for cache workloads.
+//!   integration, e2e and baseline suites.
 //!
 //! # Example
 //!
@@ -40,7 +38,6 @@ pub mod baseline;
 pub mod golden;
 pub mod matrix;
 pub mod scenario;
-pub mod zipf;
 
 /// Glob-import of the harness types test suites need.
 pub mod prelude {
@@ -56,7 +53,6 @@ pub mod prelude {
         rogue_anchor, shared_anchor, CollectionParams, FaultProfile, MobilityPreset, PeerRole,
         Scenario, ScenarioBuilder,
     };
-    pub use crate::zipf::ZipfSampler;
 }
 
 pub use prelude::*;

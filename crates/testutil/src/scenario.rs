@@ -401,7 +401,8 @@ impl ScenarioBuilder {
 
     /// Adds an attacker with explicit timing: `period` for the periodic
     /// behaviors (flood, forge), `replay_delay` for the replayer's hold
-    /// time (must exceed the honest peers' `replay_window_ms`).
+    /// time (must exceed the honest peers'
+    /// [`REPLAY_WINDOW`](dapes_core::config::REPLAY_WINDOW)).
     pub fn adversary_with_timing(
         mut self,
         kind: AdversaryKind,

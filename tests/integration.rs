@@ -376,7 +376,7 @@ fn crashed_downloader_resumes_after_restart_without_refetching() {
 #[test]
 fn partitioned_downloader_backs_off_gives_up_and_recovers_on_heal() {
     // The downloader is cut off mid-transfer for 30 s — longer than the
-    // full backoff ladder (0.5 s doubling to the 4 s cap over max_retx=8
+    // full backoff ladder (0.5 s doubling to the 4 s cap over MAX_RETX=8
     // tries ≈ 23.5 s), so its outstanding Interests must be abandoned, and
     // the give-up accounted. After the heal the refill path re-requests
     // what is still missing and the transfer completes.

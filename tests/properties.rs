@@ -1291,6 +1291,7 @@ mod watermark_properties {
 
     use dapes_core::auth::{NonceJournal, ReplayGuard, ReplayVerdict};
     use dapes_core::bitmap::Bitmap;
+    use dapes_core::config::{NEIGHBOR_TIMEOUT, RESPONSE_TIMEOUT, SUPPRESS_DURATION};
     use dapes_core::metadata::PacketIndex;
     use dapes_core::multihop::{MultihopState, NodeRole};
     use dapes_core::namespace::{self, DapesName};
@@ -1674,22 +1675,16 @@ mod watermark_properties {
             ops in proptest::collection::vec((0u8..8, 0usize..8, 0u64..900), 1..200),
         ) {
             let pool = name_pool();
-            let (response, suppress, neighbor) = (
-                SimDuration::from_millis(400),
-                SimDuration::from_millis(1_100),
-                SimDuration::from_millis(2_000),
-            );
-            let mut ms = MultihopState::new(NodeRole::Dapes, true, 0.2, 3)
-                .with_timeouts(response, suppress, neighbor);
+            let mut ms = MultihopState::new(NodeRole::Dapes, true, 0.2, 3);
             let mut model = MultihopModel {
                 neighbors: BTreeMap::new(),
                 suppressed: BTreeMap::new(),
                 pending: BTreeMap::new(),
                 successes: 0,
                 failures: 0,
-                response,
-                suppress,
-                neighbor,
+                response: RESPONSE_TIMEOUT,
+                suppress: SUPPRESS_DURATION,
+                neighbor: NEIGHBOR_TIMEOUT,
             };
             let mut now = SimTime::from_secs(1);
             let collection = Name::from_uri("/col");
