@@ -70,6 +70,18 @@ impl AttackMode {
             AttackMode::Flood => "flood",
         }
     }
+
+    /// The cell whose [`label`](Self::label) is `label`, or an error naming
+    /// every label.
+    pub fn from_label(label: &str) -> Result<AttackMode, String> {
+        Self::ALL
+            .into_iter()
+            .find(|m| m.label() == label)
+            .ok_or_else(|| {
+                let labels: Vec<&str> = Self::ALL.iter().map(|m| m.label()).collect();
+                format!("unknown attack {label:?} (accepted: {})", labels.join(", "))
+            })
+    }
 }
 
 /// Shared workload knobs for every cell.
@@ -108,36 +120,6 @@ impl AdversarialParams {
     }
 }
 
-/// Honest-side defense counters summed over every DAPES peer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DefenseTotals {
-    /// Announcements rejected for a bad/missing signature.
-    pub adverts_rejected_bad_sig: u64,
-    /// Announcements rejected by the replay guard.
-    pub adverts_rejected_replay: u64,
-    /// Stale producers swept from the replay table.
-    pub peers_expired: u64,
-    /// Segments rejected for a failed content signature.
-    pub segments_rejected_tamper: u64,
-    /// Interests rejected by the nonce journal.
-    pub interests_rejected_replay: u64,
-    /// Frames dropped because they do not parse as NDN packets.
-    pub flood_frames_dropped: u64,
-}
-
-impl DefenseTotals {
-    fn of(sc: &Scenario) -> Self {
-        DefenseTotals {
-            adverts_rejected_bad_sig: sc.defense_total(|s| s.adverts_rejected_bad_sig),
-            adverts_rejected_replay: sc.defense_total(|s| s.adverts_rejected_replay),
-            peers_expired: sc.defense_total(|s| s.peers_expired),
-            segments_rejected_tamper: sc.defense_total(|s| s.segments_rejected_tamper),
-            interests_rejected_replay: sc.defense_total(|s| s.interests_rejected_replay),
-            flood_frames_dropped: sc.defense_total(|s| s.flood_frames_dropped),
-        }
-    }
-}
-
 /// Outcome of one cell.
 #[derive(Clone, Debug)]
 pub struct AttackOutcome {
@@ -147,24 +129,28 @@ pub struct AttackOutcome {
     pub completed: bool,
     /// Completion time in simulated seconds (horizon if incomplete).
     pub completion_secs: f64,
-    /// Frames on the air over the whole run.
-    pub tx_frames: u64,
     /// Non-content fraction of all frames (hostile frames included — the
     /// overhead the attack actually imposes).
     pub overhead_ratio: f64,
-    /// Honest-side defense counters.
-    pub defense: DefenseTotals,
+    /// The simulator's counters over the whole run.
+    pub stats: Stats,
+    /// Every honest peer's counters summed, the defense counters among them.
+    pub peers: PeerStats,
     /// Hostile frames the simulator delivered to honest radios, by kind.
     pub hostile_delivered: [(FrameKind, u64); 5],
     /// Hostile frames the attacker transmitted.
     pub hostile_sent: u64,
     /// Whether every per-kind rejection counter equals its delivery count.
     pub exact_accounting: bool,
-    /// The Prometheus text-format dump of the cell's simulator counters.
-    pub prometheus: String,
 }
 
 impl AttackOutcome {
+    /// The Prometheus text-format dump of the cell: the simulator counters
+    /// and the summed peer counters, via [`crate::prom::export`].
+    pub fn prometheus(&self) -> String {
+        crate::prom::export(&self.stats, &self.peers)
+    }
+
     /// Total hostile frames delivered across every attack kind.
     pub fn hostile_delivered_total(&self) -> u64 {
         self.hostile_delivered.iter().map(|&(_, n)| n).sum()
@@ -208,7 +194,7 @@ pub fn run_mode(params: &AdversarialParams, mode: AttackMode) -> AttackOutcome {
         .flatten()
         .map(|t| t.as_micros() as f64 / 1e6)
         .fold(0.0f64, f64::max);
-    let defense = DefenseTotals::of(&sc);
+    let peers = sc.peer_totals();
     let stats = sc.world.stats();
     let hostile_delivered = [
         attack_kinds::FLOOD,
@@ -227,11 +213,11 @@ pub fn run_mode(params: &AdversarialParams, mode: AttackMode) -> AttackOutcome {
     // The per-cell accounting: each defense counter must equal the
     // delivery count of the attack kind it defends against, and the
     // counters of attacks not running in this cell must stay zero.
-    let exact_accounting = defense.flood_frames_dropped == delivered(attack_kinds::FLOOD)
-        && defense.adverts_rejected_bad_sig == delivered(attack_kinds::SPOOF)
-        && defense.segments_rejected_tamper == delivered(attack_kinds::TAMPER)
-        && defense.interests_rejected_replay == delivered(attack_kinds::INTEREST_REPLAY)
-        && defense.adverts_rejected_replay == delivered(attack_kinds::ADVERT_REPLAY);
+    let exact_accounting = peers.flood_frames_dropped == delivered(attack_kinds::FLOOD)
+        && peers.adverts_rejected_bad_sig == delivered(attack_kinds::SPOOF)
+        && peers.segments_rejected_tamper == delivered(attack_kinds::TAMPER)
+        && peers.interests_rejected_replay == delivered(attack_kinds::INTEREST_REPLAY)
+        && peers.adverts_rejected_replay == delivered(attack_kinds::ADVERT_REPLAY);
     let hostile_sent = sc
         .adversaries
         .iter()
@@ -246,13 +232,12 @@ pub fn run_mode(params: &AdversarialParams, mode: AttackMode) -> AttackOutcome {
         } else {
             params.run_secs as f64
         },
-        tx_frames: stats.tx_frames,
         overhead_ratio: overhead_ratio(stats),
-        defense,
+        stats: stats.clone(),
+        peers,
         hostile_delivered,
         hostile_sent,
         exact_accounting,
-        prometheus: crate::prom::export(stats, &crate::prom::peer_totals(&sc)),
     }
 }
 
@@ -285,7 +270,7 @@ pub fn gate(outcomes: &[AttackOutcome]) -> Result<(), String> {
         if !o.exact_accounting {
             return Err(format!(
                 "[{label}] rejection counters do not match hostile deliveries: {:?} vs {:?}",
-                o.defense, o.hostile_delivered
+                o.peers, o.hostile_delivered
             ));
         }
         if o.completion_secs > benign.completion_secs * MAX_SLOWDOWN {
@@ -295,19 +280,19 @@ pub fn gate(outcomes: &[AttackOutcome]) -> Result<(), String> {
             ));
         }
         // Every cell runs the walkaway, so stale-peer expiry must fire.
-        if o.defense.peers_expired == 0 {
+        if o.peers.peers_expired == 0 {
             return Err(format!("[{label}] walkaway peer never expired"));
         }
         let expected_counter = match o.mode {
             AttackMode::Benign => None,
-            AttackMode::Spoof => Some(o.defense.adverts_rejected_bad_sig),
-            AttackMode::Tamper => Some(o.defense.segments_rejected_tamper),
+            AttackMode::Spoof => Some(o.peers.adverts_rejected_bad_sig),
+            AttackMode::Tamper => Some(o.peers.segments_rejected_tamper),
             AttackMode::Replay => Some(
-                o.defense
+                o.peers
                     .interests_rejected_replay
-                    .min(o.defense.adverts_rejected_replay),
+                    .min(o.peers.adverts_rejected_replay),
             ),
-            AttackMode::Flood => Some(o.defense.flood_frames_dropped),
+            AttackMode::Flood => Some(o.peers.flood_frames_dropped),
         };
         if let Some(counter) = expected_counter {
             if counter == 0 {
@@ -316,15 +301,15 @@ pub fn gate(outcomes: &[AttackOutcome]) -> Result<(), String> {
                 ));
             }
         } else if o.hostile_delivered_total() != 0
-            || o.defense.adverts_rejected_bad_sig != 0
-            || o.defense.flood_frames_dropped != 0
-            || o.defense.segments_rejected_tamper != 0
-            || o.defense.interests_rejected_replay != 0
-            || o.defense.adverts_rejected_replay != 0
+            || o.peers.adverts_rejected_bad_sig != 0
+            || o.peers.flood_frames_dropped != 0
+            || o.peers.segments_rejected_tamper != 0
+            || o.peers.interests_rejected_replay != 0
+            || o.peers.adverts_rejected_replay != 0
         {
             return Err(format!(
                 "[benign] hostile traffic or rejections in the control cell: {:?}",
-                o.defense
+                o.peers
             ));
         }
     }
@@ -362,14 +347,14 @@ pub fn render_report(
             o.mode.label(),
             o.completed,
             o.completion_secs,
-            o.tx_frames,
+            o.stats.tx_frames,
             o.overhead_ratio,
-            o.defense.adverts_rejected_bad_sig,
-            o.defense.adverts_rejected_replay,
-            o.defense.peers_expired,
-            o.defense.segments_rejected_tamper,
-            o.defense.interests_rejected_replay,
-            o.defense.flood_frames_dropped,
+            o.peers.adverts_rejected_bad_sig,
+            o.peers.adverts_rejected_replay,
+            o.peers.peers_expired,
+            o.peers.segments_rejected_tamper,
+            o.peers.interests_rejected_replay,
+            o.peers.flood_frames_dropped,
             o.hostile_delivered_total(),
             o.hostile_sent,
             o.exact_accounting,
@@ -403,20 +388,32 @@ mod tests {
     use super::*;
 
     #[test]
+    fn attack_labels_round_trip_and_unknown_ones_name_every_label() {
+        for mode in AttackMode::ALL {
+            assert_eq!(AttackMode::from_label(mode.label()), Ok(mode));
+        }
+        let err = AttackMode::from_label("jam").expect_err("no such cell");
+        assert!(err.contains("\"jam\""), "{err}");
+        for mode in AttackMode::ALL {
+            assert!(err.contains(mode.label()), "{err}");
+        }
+    }
+
+    #[test]
     fn benign_cell_completes_with_clean_counters_and_expiry() {
         let o = run_mode(&AdversarialParams::smoke(), AttackMode::Benign);
         assert!(o.completed);
         assert!(o.exact_accounting);
         assert_eq!(o.hostile_delivered_total(), 0);
-        assert_eq!(o.defense.adverts_rejected_bad_sig, 0);
-        assert!(o.defense.peers_expired > 0, "walkaway must expire");
+        assert_eq!(o.peers.adverts_rejected_bad_sig, 0);
+        assert!(o.peers.peers_expired > 0, "walkaway must expire");
     }
 
     #[test]
     fn spoof_cell_rejects_every_delivered_forgery() {
         let o = run_mode(&AdversarialParams::smoke(), AttackMode::Spoof);
         assert!(o.completed, "spoofing must not block the transfer");
-        assert!(o.defense.adverts_rejected_bad_sig > 0);
+        assert!(o.peers.adverts_rejected_bad_sig > 0);
         assert!(o.exact_accounting, "{:?}", o);
     }
 
@@ -434,7 +431,7 @@ mod tests {
             Some(5)
         );
         for o in &outcomes {
-            crate::check::validate_prometheus(&o.prometheus).expect("prom dump validates");
+            crate::check::validate_prometheus(&o.prometheus()).expect("prom dump validates");
         }
     }
 }

@@ -1,7 +1,8 @@
 //! Adversarial benchmark: runs the benign control cell plus the four
 //! attack cells (spoof / tamper / replay / flood), gates on the defense
 //! invariants and writes `BENCH_adversarial.json` plus a Prometheus
-//! text-format dump of the benign cell's simulator counters.
+//! text-format dump of the benign cell's counters (the simulator's and the
+//! summed peer counters).
 //!
 //! ```text
 //! cargo run --release -p dapes-bench --bin adversarial            # dense
@@ -46,16 +47,16 @@ fn main() {
             o.mode.label(),
             o.completed,
             o.completion_secs,
-            o.tx_frames,
+            o.stats.tx_frames,
             o.overhead_ratio * 100.0,
             o.hostile_delivered_total(),
             o.hostile_sent,
-            o.defense.adverts_rejected_bad_sig,
-            o.defense.adverts_rejected_replay,
-            o.defense.interests_rejected_replay,
-            o.defense.segments_rejected_tamper,
-            o.defense.flood_frames_dropped,
-            o.defense.peers_expired,
+            o.peers.adverts_rejected_bad_sig,
+            o.peers.adverts_rejected_replay,
+            o.peers.interests_rejected_replay,
+            o.peers.segments_rejected_tamper,
+            o.peers.flood_frames_dropped,
+            o.peers.peers_expired,
             o.exact_accounting,
         );
     }
@@ -68,7 +69,7 @@ fn main() {
             .iter()
             .find(|o| o.mode == AttackMode::Benign)
             .expect("benign cell always runs");
-        std::fs::write(prom, &benign.prometheus).expect("write prometheus dump");
+        std::fs::write(prom, benign.prometheus()).expect("write prometheus dump");
         eprintln!("wrote {prom}");
     }
 

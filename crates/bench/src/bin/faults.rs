@@ -48,15 +48,15 @@ fn main() {
             o.label,
             o.completed,
             o.completion_secs,
-            o.tx_frames,
-            o.node_crashes,
-            o.node_restarts,
-            o.partition_drops,
-            o.retransmissions,
-            o.retx_give_ups,
-            o.resumed_segments_skipped,
-            o.resumed_refetch,
-            o.stale_events_suppressed,
+            o.stats.tx_frames,
+            o.stats.node_crashes,
+            o.stats.node_restarts,
+            o.stats.partition_drops,
+            o.peers.retransmissions,
+            o.peers.retx_give_ups,
+            o.peers.resumed_segments_skipped,
+            o.peers.resumed_refetch,
+            o.stats.stale_events_suppressed,
             o.deterministic,
         );
     }
@@ -68,7 +68,7 @@ fn main() {
         // The last cell sweeps the most faults (max crashes + longest
         // partition), so its counters are the richest dump.
         let cell = outcomes.last().expect("the sweep ran at least one cell");
-        std::fs::write(path, &cell.prometheus).expect("write prometheus dump");
+        std::fs::write(path, cell.prometheus()).expect("write prometheus dump");
         eprintln!("wrote {path} ({} cell)", cell.label);
     }
 

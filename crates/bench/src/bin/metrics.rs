@@ -1,6 +1,6 @@
-//! Runs one scenario and emits the simulator's counters as a Prometheus
-//! text-format dump — the scrape-friendly observability surface next to the
-//! JSON reports.
+//! Runs one scenario and emits its counters — the simulator's plus the
+//! summed peer counters — as a Prometheus text-format dump, the
+//! scrape-friendly observability surface next to the JSON reports.
 //!
 //! ```text
 //! cargo run --release -p dapes-bench --bin metrics                 # stdout
@@ -9,7 +9,8 @@
 //! ```
 //!
 //! `--attack` selects a cell of the adversarial benchmark (`benign`,
-//! `spoof`, `tamper`, `replay`, `flood`); the default is the benign cell.
+//! `spoof`, `tamper`, `replay`, `flood`); the default is the benign cell,
+//! and any other value exits 2, naming the five.
 //! The dump is `checkjson`-compatible (`checkjson file.prom`).
 
 use dapes_bench::adversarial::{run_mode, AdversarialParams, AttackMode};
@@ -17,16 +18,11 @@ use dapes_bench::cli::Args;
 
 fn main() {
     let args = Args::from_env(&["--attack", "--seed", "--secs", "--out"], &[]);
-    let mode = match args.value("--attack") {
-        None | Some("benign") => AttackMode::Benign,
-        Some("spoof") => AttackMode::Spoof,
-        Some("tamper") => AttackMode::Tamper,
-        Some("replay") => AttackMode::Replay,
-        Some("flood") => AttackMode::Flood,
-        Some(other) => {
-            panic!("--attack must be one of benign/spoof/tamper/replay/flood, got {other:?}")
-        }
-    };
+    let mode =
+        AttackMode::from_label(args.value("--attack").unwrap_or("benign")).unwrap_or_else(|msg| {
+            eprintln!("--attack: {msg}");
+            std::process::exit(2);
+        });
     let mut params = AdversarialParams::smoke();
     if let Some(s) = args.value("--seed") {
         params.seed = s.parse().expect("--seed");
@@ -39,13 +35,14 @@ fn main() {
         "metrics: {} cell, completed={}, {} frames on the air",
         outcome.mode.label(),
         outcome.completed,
-        outcome.tx_frames
+        outcome.stats.tx_frames
     );
+    let dump = outcome.prometheus();
     match args.value("--out") {
         Some(path) => {
-            std::fs::write(path, &outcome.prometheus).expect("write metrics dump");
+            std::fs::write(path, dump).expect("write metrics dump");
             eprintln!("wrote {path}");
         }
-        None => print!("{}", outcome.prometheus),
+        None => print!("{dump}"),
     }
 }

@@ -82,15 +82,15 @@ fn main() {
          ({} fib-drop, {} cbp-hit, {} relay-patched) / {} decoded, pool {}h/{}m)",
         best.events_per_sec,
         best.wall_secs,
-        best.events,
+        best.stats.event_dispatches,
         best.sim_events,
         best.frames_peek_resolved,
         best.peek_fib_drops,
         best.peek_prefix_hits,
         best.frames_relay_patched,
         best.full_decodes,
-        best.cmd_pool_hits,
-        best.cmd_pool_misses,
+        best.stats.cmd_pool_hits,
+        best.stats.cmd_pool_misses,
     );
 
     std::fs::write(out, render_report(&host, &params, &best)).expect("write BENCH_sched.json");

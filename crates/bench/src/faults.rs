@@ -23,6 +23,7 @@
 //! partition drops, backoff give-ups).
 
 use crate::host::HostFacts;
+use dapes_core::stats::PeerStats;
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
 
@@ -109,7 +110,7 @@ impl FaultParams {
 }
 
 /// Outcome of one `(crashes, partition_secs)` cell.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct FaultOutcome {
     /// The stable report label, e.g. `crash1-part30`.
     pub label: String,
@@ -122,36 +123,22 @@ pub struct FaultOutcome {
     /// Completion time of the slowest downloader, in simulated seconds
     /// (the deadline if incomplete).
     pub completion_secs: f64,
-    /// Frames on the air over the whole run.
-    pub tx_frames: u64,
-    /// Crashes the simulator executed.
-    pub node_crashes: u64,
-    /// Restarts the simulator executed.
-    pub node_restarts: u64,
-    /// Partition cuts applied.
-    pub partitions_cut: u64,
-    /// Partition heals applied.
-    pub partitions_healed: u64,
-    /// In-range frames dropped on cut links.
-    pub partition_drops: u64,
-    /// Timer/MAC events from pre-crash stack incarnations that were
-    /// suppressed at dispatch.
-    pub stale_events_suppressed: u64,
-    /// Interest retransmissions across every honest peer.
-    pub retransmissions: u64,
-    /// Fetches abandoned after the backoff ladder ran dry.
-    pub retx_give_ups: u64,
-    /// Segments a restarted downloader kept from salvage instead of
-    /// re-downloading.
-    pub resumed_segments_skipped: u64,
-    /// Interests sent for segments salvage already held — a resume bug if
-    /// ever non-zero.
-    pub resumed_refetch: u64,
+    /// The simulator's counters over the whole run: frames, fault actions,
+    /// partition drops, suppressed stale events.
+    pub stats: Stats,
+    /// Every honest peer's counters summed: retransmissions, give-ups and
+    /// the resume counters among them.
+    pub peers: PeerStats,
     /// Whether a second run of the cell was bit-identical.
     pub deterministic: bool,
+}
+
+impl FaultOutcome {
     /// Prometheus text-format dump of the cell (simulator counters plus
-    /// aggregated peer counters), via [`crate::prom::export`].
-    pub prometheus: String,
+    /// summed peer counters), via [`crate::prom::export`].
+    pub fn prometheus(&self) -> String {
+        crate::prom::export(&self.stats, &self.peers)
+    }
 }
 
 /// Builds and runs one cell (twice — the second run checks determinism).
@@ -186,26 +173,15 @@ pub fn run_cell(params: &FaultParams, crashes: usize, partition_secs: u64) -> Fa
     } else {
         params.deadline_secs as f64
     };
-    let stats = sc.world.stats();
     FaultOutcome {
         label: format!("crash{crashes}-part{partition_secs}"),
         crashes,
         partition_secs,
         completed,
         completion_secs,
-        tx_frames: stats.tx_frames,
-        node_crashes: stats.node_crashes,
-        node_restarts: stats.node_restarts,
-        partitions_cut: stats.partitions_cut,
-        partitions_healed: stats.partitions_healed,
-        partition_drops: stats.partition_drops,
-        stale_events_suppressed: stats.stale_events_suppressed,
-        retransmissions: sc.defense_total(|s| s.retransmissions),
-        retx_give_ups: sc.defense_total(|s| s.retx_give_ups),
-        resumed_segments_skipped: sc.defense_total(|s| s.resumed_segments_skipped),
-        resumed_refetch: sc.defense_total(|s| s.resumed_refetch),
+        stats: sc.world.stats().clone(),
+        peers: sc.peer_totals(),
         deterministic,
-        prometheus: crate::prom::export(stats, &crate::prom::peer_totals(&sc)),
     }
 }
 
@@ -236,48 +212,53 @@ pub fn gate(outcomes: &[FaultOutcome]) -> Result<(), String> {
         if !o.deterministic {
             return Err(format!("[{label}] the double run was not bit-identical"));
         }
-        if o.resumed_refetch != 0 {
+        if o.peers.resumed_refetch != 0 {
             return Err(format!(
                 "[{label}] a resumed downloader re-fetched {} held segments",
-                o.resumed_refetch
+                o.peers.resumed_refetch
             ));
         }
         let crashes = o.crashes as u64;
-        if o.node_crashes != crashes || o.node_restarts != crashes {
+        if o.stats.node_crashes != crashes || o.stats.node_restarts != crashes {
             return Err(format!(
                 "[{label}] fault accounting: {} crashes / {} restarts executed, plan had {crashes}",
-                o.node_crashes, o.node_restarts
+                o.stats.node_crashes, o.stats.node_restarts
             ));
         }
         let cuts = u64::from(o.partition_secs > 0);
-        if o.partitions_cut != cuts || o.partitions_healed != cuts {
+        if o.stats.partitions_cut != cuts || o.stats.partitions_healed != cuts {
             return Err(format!(
                 "[{label}] fault accounting: {} cuts / {} heals executed, plan had {cuts}",
-                o.partitions_cut, o.partitions_healed
+                o.stats.partitions_cut, o.stats.partitions_healed
             ));
         }
-        if o.crashes == 0 && (o.resumed_segments_skipped != 0 || o.stale_events_suppressed != 0) {
+        if o.crashes == 0
+            && (o.peers.resumed_segments_skipped != 0 || o.stats.stale_events_suppressed != 0)
+        {
             return Err(format!(
                 "[{label}] crash-free cell shows crash side effects: {} skipped, {} stale",
-                o.resumed_segments_skipped, o.stale_events_suppressed
+                o.peers.resumed_segments_skipped, o.stats.stale_events_suppressed
             ));
         }
-        if o.partition_secs == 0 && o.partition_drops != 0 {
+        if o.partition_secs == 0 && o.stats.partition_drops != 0 {
             return Err(format!(
                 "[{label}] partition-free cell dropped {} frames on cut links",
-                o.partition_drops
+                o.stats.partition_drops
             ));
         }
     }
     // Each recovery mechanism must actually run somewhere in the sweep —
     // a sweep whose faults land outside the transfer proves nothing.
-    if !outcomes.iter().any(|o| o.resumed_segments_skipped > 0) {
+    if !outcomes
+        .iter()
+        .any(|o| o.peers.resumed_segments_skipped > 0)
+    {
         return Err("no cell resumed a transfer from salvage".into());
     }
-    if !outcomes.iter().any(|o| o.partition_drops > 0) {
+    if !outcomes.iter().any(|o| o.stats.partition_drops > 0) {
         return Err("no cell dropped frames on a cut link".into());
     }
-    if !outcomes.iter().any(|o| o.retx_give_ups > 0) {
+    if !outcomes.iter().any(|o| o.peers.retx_give_ups > 0) {
         return Err("no cell exhausted the backoff ladder".into());
     }
     Ok(())
@@ -313,17 +294,17 @@ pub fn render_report(host: &HostFacts, params: &FaultParams, outcomes: &[FaultOu
             o.partition_secs,
             o.completed,
             o.completion_secs,
-            o.tx_frames,
-            o.node_crashes,
-            o.node_restarts,
-            o.partitions_cut,
-            o.partitions_healed,
-            o.partition_drops,
-            o.stale_events_suppressed,
-            o.retransmissions,
-            o.retx_give_ups,
-            o.resumed_segments_skipped,
-            o.resumed_refetch,
+            o.stats.tx_frames,
+            o.stats.node_crashes,
+            o.stats.node_restarts,
+            o.stats.partitions_cut,
+            o.stats.partitions_healed,
+            o.stats.partition_drops,
+            o.stats.stale_events_suppressed,
+            o.peers.retransmissions,
+            o.peers.retx_give_ups,
+            o.peers.resumed_segments_skipped,
+            o.peers.resumed_refetch,
             o.deterministic,
         )
     }
@@ -357,28 +338,28 @@ mod tests {
         let o = run_cell(&FaultParams::smoke(), 0, 0);
         assert!(o.completed);
         assert!(o.deterministic);
-        assert_eq!(o.node_crashes, 0);
-        assert_eq!(o.partition_drops, 0);
-        assert_eq!(o.resumed_segments_skipped, 0);
-        assert_eq!(o.resumed_refetch, 0);
+        assert_eq!(o.stats.node_crashes, 0);
+        assert_eq!(o.stats.partition_drops, 0);
+        assert_eq!(o.peers.resumed_segments_skipped, 0);
+        assert_eq!(o.peers.resumed_refetch, 0);
     }
 
     #[test]
     fn crash_cell_resumes_without_refetching() {
         let o = run_cell(&FaultParams::smoke(), 1, 0);
         assert!(o.completed, "{o:?}");
-        assert_eq!(o.node_crashes, 1);
-        assert_eq!(o.node_restarts, 1);
-        assert!(o.resumed_segments_skipped > 0, "{o:?}");
-        assert_eq!(o.resumed_refetch, 0, "{o:?}");
+        assert_eq!(o.stats.node_crashes, 1);
+        assert_eq!(o.stats.node_restarts, 1);
+        assert!(o.peers.resumed_segments_skipped > 0, "{o:?}");
+        assert_eq!(o.peers.resumed_refetch, 0, "{o:?}");
     }
 
     #[test]
     fn long_partition_cell_gives_up_and_recovers() {
         let o = run_cell(&FaultParams::smoke(), 0, 30);
         assert!(o.completed, "{o:?}");
-        assert!(o.partition_drops > 0, "{o:?}");
-        assert!(o.retx_give_ups > 0, "{o:?}");
+        assert!(o.stats.partition_drops > 0, "{o:?}");
+        assert!(o.peers.retx_give_ups > 0, "{o:?}");
     }
 
     #[test]

@@ -323,7 +323,7 @@ mod tests {
             v.get("run")
                 .and_then(|r| r.get("delivered"))
                 .and_then(Value::as_f64),
-            Some(run.delivered as f64)
+            Some(run.stats.delivered as f64)
         );
     }
 }

@@ -460,8 +460,6 @@ impl NetStack for SchedStack {
 pub struct SchedResult {
     /// Wall-clock seconds for the whole run.
     pub wall_secs: f64,
-    /// Events popped from the queue.
-    pub events: u64,
     /// Simulation events processed: queue pops plus the per-receiver
     /// deliveries each batched arrival event executes inside its one pop
     /// (the unit `BENCH_sched.json` has reported since PR 5).
@@ -469,14 +467,6 @@ pub struct SchedResult {
     /// Simulation events per wall-clock second — the headline throughput
     /// figure (computed over `sim_events`).
     pub events_per_sec: f64,
-    /// Frames put on the air.
-    pub tx_frames: u64,
-    /// Per-receiver deliveries.
-    pub delivered: u64,
-    /// Stack callbacks served from the command-buffer pool.
-    pub cmd_pool_hits: u64,
-    /// Stack callbacks that allocated a fresh command buffer.
-    pub cmd_pool_misses: u64,
     /// Frames resolved from the peeked header alone, summed over nodes.
     pub frames_peek_resolved: u64,
     /// Peek-resolved Interests dropped through the FIB wire index.
@@ -494,12 +484,10 @@ pub struct SchedResult {
     pub pit_arena_live: usize,
     /// Live Content Store arena entries at the deadline, summed over nodes.
     pub cs_arena_live: usize,
-    /// Arrival events enqueued (one per transmission).
-    pub arrival_events: u64,
     /// Timer slots ever allocated (peak concurrent timers, not volume).
     pub timer_slots_allocated: usize,
-    /// The full simulator counters of the run, for the shared Prometheus
-    /// export.
+    /// The simulator's counters over the run: events popped, frames,
+    /// deliveries, arrival events, command-buffer pool hits and misses.
     pub stats: Stats,
 }
 
@@ -544,13 +532,8 @@ pub fn run_sched(params: &SchedParams) -> SchedResult {
     let sim_events = s.event_dispatches + s.delivered;
     SchedResult {
         wall_secs,
-        events: s.event_dispatches,
         sim_events,
         events_per_sec: sim_events as f64 / wall_secs.max(1e-9),
-        tx_frames: s.tx_frames,
-        delivered: s.delivered,
-        cmd_pool_hits: s.cmd_pool_hits,
-        cmd_pool_misses: s.cmd_pool_misses,
         frames_peek_resolved: peeks,
         peek_fib_drops: fib_drops,
         peek_prefix_hits: prefix_hits,
@@ -558,7 +541,6 @@ pub fn run_sched(params: &SchedParams) -> SchedResult {
         full_decodes: decodes,
         pit_arena_live: pit_live,
         cs_arena_live: cs_live,
-        arrival_events: s.arrival_events,
         timer_slots_allocated: world.timer_slots_allocated(),
         stats: s.clone(),
     }
@@ -591,14 +573,14 @@ pub fn render_report(host: &HostFacts, params: &SchedParams, run: &SchedResult) 
                 "  }}"
             ),
             r.wall_secs,
-            r.events,
+            r.stats.event_dispatches,
             r.sim_events,
             r.events_per_sec,
-            r.tx_frames,
-            r.delivered,
-            r.arrival_events,
-            r.cmd_pool_hits,
-            r.cmd_pool_misses,
+            r.stats.tx_frames,
+            r.stats.delivered,
+            r.stats.arrival_events,
+            r.stats.cmd_pool_hits,
+            r.stats.cmd_pool_misses,
             r.frames_peek_resolved,
             r.peek_fib_drops,
             r.peek_prefix_hits,
@@ -661,13 +643,13 @@ mod tests {
         assert_eq!(
             (
                 r.sim_events,
-                r.tx_frames,
-                r.delivered,
+                r.stats.tx_frames,
+                r.stats.delivered,
                 r.frames_peek_resolved + r.full_decodes
             ),
             (71_035, 4_940, 39_275, 39_275)
         );
-        assert_eq!(r.events, 31_760);
+        assert_eq!(r.stats.event_dispatches, 31_760);
         assert!(
             r.frames_peek_resolved > r.full_decodes,
             "the advert swarm must mostly resolve by peek: {} peeked vs {} decoded",
@@ -686,8 +668,8 @@ mod tests {
             r.frames_relay_patched > 0,
             "the advert swarm must relay decode-free"
         );
-        assert!(r.cmd_pool_hits > 0 && r.cmd_pool_misses == 1);
-        assert_eq!(r.arrival_events, r.tx_frames);
+        assert!(r.stats.cmd_pool_hits > 0 && r.stats.cmd_pool_misses == 1);
+        assert_eq!(r.stats.arrival_events, r.stats.tx_frames);
     }
 
     #[test]
@@ -709,7 +691,7 @@ mod tests {
         let entry = doc.get("run").expect("one run entry");
         assert_eq!(
             entry.get("tx_frames").and_then(crate::json::Value::as_f64),
-            Some(run.tx_frames as f64)
+            Some(run.stats.tx_frames as f64)
         );
     }
 }

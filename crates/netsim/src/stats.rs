@@ -1,76 +1,183 @@
 //! Run-wide accounting: transmissions by kind, collisions, losses, and the
 //! system-load proxies used for the paper's Table I.
+//!
+//! Every `u64` counter of a stats struct is declared once, through
+//! [`counters!`](crate::counters): its field, doc comment and Prometheus
+//! help text. Summing two runs, the Prometheus dump and any other per-counter
+//! loop iterate that declaration, so adding a counter is one entry plus the
+//! line that increments it.
 
 use crate::radio::FrameKind;
 use std::collections::BTreeMap;
 
-/// Counters accumulated over a simulation run.
+/// Declares a stats struct whose `u64` counters are spelled once.
 ///
-/// *Transmissions* count frames put on the air (the paper's "number of
-/// transmissions" overhead metric); deliveries/losses/collisions count
-/// per-receiver outcomes.
-#[derive(Clone, Debug, Default)]
-pub struct Stats {
-    /// Frames transmitted (one per send, regardless of receiver count).
-    pub tx_frames: u64,
-    /// Upper-layer payload bytes transmitted.
-    pub tx_payload_bytes: u64,
-    /// Frames transmitted, broken down by protocol kind.
-    pub tx_by_kind: BTreeMap<FrameKind, u64>,
-    /// Per-receiver deliveries that succeeded.
-    pub delivered: u64,
-    /// Per-receiver deliveries, broken down by protocol kind. The
-    /// adversarial benches anchor their accounting here: a defense counter
-    /// must equal the *deliveries* of the matching hostile kind (frames
-    /// lost to collisions or channel loss were never seen, so they cannot
-    /// be rejected).
-    pub delivered_by_kind: BTreeMap<FrameKind, u64>,
-    /// Payload bytes handed to receivers, all through one shared buffer per
-    /// transmission (`delivered × payload length`, zero copies).
-    pub delivered_payload_bytes: u64,
-    /// Per-receiver drops due to overlapping transmissions.
-    pub collision_drops: u64,
-    /// Transmissions during which the sender could hear a colliding sender.
-    pub tx_collisions: u64,
-    /// Per-receiver drops due to random channel loss.
-    pub channel_losses: u64,
-    /// MAC deferrals due to carrier sense.
-    pub mac_deferrals: u64,
-    /// Event dispatches — one per event popped from the pending-event
-    /// queue (Table I context-switch proxy).
-    pub event_dispatches: u64,
-    /// Arrival events enqueued for finished transmissions: one per
-    /// transmission, which runs every per-receiver delivery when it pops.
-    pub arrival_events: u64,
-    /// Stack callbacks that reused a pooled command buffer.
-    pub cmd_pool_hits: u64,
-    /// Stack callbacks that had to allocate a fresh command buffer.
-    pub cmd_pool_misses: u64,
-    /// Stack → simulator API calls (Table I system-call proxy).
-    pub api_calls: u64,
-    /// Protocol state-table insertions (Table I page-fault proxy).
-    pub state_inserts: u64,
-    /// Per-node transmission counts, indexed by `NodeId.0`.
-    pub tx_per_node: Vec<u64>,
-    /// Nodes crashed by a fault plan (restartable).
-    pub node_crashes: u64,
-    /// Crashed nodes rebooted with a fresh stack.
-    pub node_restarts: u64,
-    /// Dormant nodes booted late by a fault plan.
-    pub node_joins: u64,
-    /// Nodes removed permanently by a fault plan.
-    pub node_leaves: u64,
-    /// Partition cuts applied (one per `Cut` action, however many links).
-    pub partitions_cut: u64,
-    /// Partition heals applied (one per `Heal` action).
-    pub partitions_healed: u64,
-    /// In-range deliveries suppressed because the sender→receiver link was
-    /// cut by an active partition.
-    pub partition_drops: u64,
-    /// Timer or delayed-send events that popped after their node's
-    /// incarnation died (crash/leave/restart) and were suppressed instead of
-    /// firing into the fresh stack. Their slab slots are still freed.
-    pub stale_events_suppressed: u64,
+/// The first block is the struct: its attributes, then one
+/// `name: "help",` entry per counter, which becomes a `pub name: u64` field
+/// carrying the entry's doc comment. The `with` block lists the fields that
+/// are not plain counters (maps, vectors, timestamps), written as ordinary
+/// fields. The macro generates the struct plus:
+///
+/// * `merge_counters(&mut self, other)` (private) — adds every counter of
+///   `other`; the struct's own `merge` calls it and folds the `with` fields;
+/// * `visit(|name, help, value|)` — every counter in declaration order, the
+///   loop the Prometheus writer ([`prometheus_counters`]) runs;
+/// * `visit_mut(|name, &mut value|)` — the same counters, writable.
+///
+/// ```
+/// dapes_netsim::counters! {
+///     /// Counters of a toy stack.
+///     #[derive(Clone, Debug, Default)]
+///     pub struct ToyStats {
+///         /// Frames the toy sent.
+///         sent: "Frames sent.",
+///     }
+///     with {
+///         /// When the toy stopped, if it did.
+///         pub stopped_at: Option<u64>,
+///     }
+/// }
+///
+/// impl ToyStats {
+///     /// Adds `other`'s counters and keeps the later stop.
+///     pub fn merge(&mut self, other: &ToyStats) {
+///         self.merge_counters(other);
+///         self.stopped_at = self.stopped_at.max(other.stopped_at);
+///     }
+/// }
+///
+/// let mut a = ToyStats { sent: 2, ..ToyStats::default() };
+/// a.merge(&ToyStats { sent: 3, stopped_at: Some(9) });
+/// let mut dump = String::new();
+/// a.visit(dapes_netsim::stats::prometheus_counters(&mut dump, "toy_"));
+/// assert_eq!(dump, "# HELP toy_sent_total Frames sent.\n# TYPE toy_sent_total counter\ntoy_sent_total 5\n");
+/// ```
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $( $(#[$cattr:meta])* $counter:ident : $help:literal ),* $(,)?
+        }
+        with {
+            $( $(#[$fattr:meta])* $fvis:vis $field:ident : $fty:ty ),* $(,)?
+        }
+    ) => {
+        $(#[$attr])*
+        $vis struct $name {
+            $( $(#[$cattr])* pub $counter: u64, )*
+            $( $(#[$fattr])* $fvis $field: $fty, )*
+        }
+
+        impl $name {
+            /// Adds every declared counter of `other` into `self`.
+            fn merge_counters(&mut self, other: &Self) {
+                $( self.$counter += other.$counter; )*
+            }
+
+            /// Calls `f(name, help, value)` for every declared counter, in
+            /// declaration order.
+            pub fn visit(&self, mut f: impl FnMut(&'static str, &'static str, u64)) {
+                $( f(stringify!($counter), $help, self.$counter); )*
+            }
+
+            /// Calls `f(name, &mut value)` for every declared counter, in
+            /// declaration order.
+            pub fn visit_mut(&mut self, mut f: impl FnMut(&'static str, &mut u64)) {
+                $( f(stringify!($counter), &mut self.$counter); )*
+            }
+        }
+    };
+}
+
+/// The Prometheus text-format writer for a [`counters!`](crate::counters)
+/// struct: pass the returned closure to its `visit`, and every counter is
+/// appended to `out` as `# HELP` / `# TYPE` lines plus one sample named
+/// `{prefix}{name}_total`.
+pub fn prometheus_counters<'a>(
+    out: &'a mut String,
+    prefix: &'a str,
+) -> impl FnMut(&str, &str, u64) + 'a {
+    move |name, help, value| {
+        out.push_str(&format!(
+            "# HELP {prefix}{name}_total {help}\n\
+             # TYPE {prefix}{name}_total counter\n\
+             {prefix}{name}_total {value}\n"
+        ));
+    }
+}
+
+counters! {
+    /// Counters accumulated over a simulation run.
+    ///
+    /// *Transmissions* count frames put on the air (the paper's "number of
+    /// transmissions" overhead metric); deliveries/losses/collisions count
+    /// per-receiver outcomes.
+    #[derive(Clone, Debug, Default)]
+    pub struct Stats {
+        /// Frames transmitted (one per send, regardless of receiver count).
+        tx_frames: "Frames transmitted.",
+        /// Upper-layer payload bytes transmitted.
+        tx_payload_bytes: "Payload bytes transmitted.",
+        /// Per-receiver deliveries that succeeded.
+        delivered: "Per-receiver deliveries that succeeded.",
+        /// Payload bytes handed to receivers, all through one shared buffer per
+        /// transmission (`delivered × payload length`, zero copies).
+        delivered_payload_bytes: "Payload bytes handed to receivers.",
+        /// Per-receiver drops due to overlapping transmissions.
+        collision_drops: "Per-receiver drops due to overlapping transmissions.",
+        /// Transmissions during which the sender could hear a colliding sender.
+        tx_collisions: "Transmissions during which the sender heard a colliding sender.",
+        /// Per-receiver drops due to random channel loss.
+        channel_losses: "Per-receiver drops due to random channel loss.",
+        /// MAC deferrals due to carrier sense.
+        mac_deferrals: "MAC deferrals due to carrier sense.",
+        /// Event dispatches — one per event popped from the pending-event
+        /// queue (Table I context-switch proxy).
+        event_dispatches: "Scheduler event dispatches.",
+        /// Arrival events enqueued for finished transmissions: one per
+        /// transmission, which runs every per-receiver delivery when it pops.
+        arrival_events: "Arrival events enqueued, one per transmission.",
+        /// Stack callbacks that reused a pooled command buffer.
+        cmd_pool_hits: "Stack callbacks that reused a pooled command buffer.",
+        /// Stack callbacks that had to allocate a fresh command buffer.
+        cmd_pool_misses: "Stack callbacks that allocated a fresh command buffer.",
+        /// Stack → simulator API calls (Table I system-call proxy).
+        api_calls: "Stack-to-simulator API calls (Table I system-call proxy).",
+        /// Protocol state-table insertions (Table I page-fault proxy).
+        state_inserts: "Protocol state-table insertions (Table I page-fault proxy).",
+        /// Nodes crashed by a fault plan (restartable).
+        node_crashes: "Nodes crashed by a fault plan.",
+        /// Crashed nodes rebooted with a fresh stack.
+        node_restarts: "Crashed nodes rebooted with a fresh stack.",
+        /// Dormant nodes booted late by a fault plan.
+        node_joins: "Dormant nodes booted late by a fault plan.",
+        /// Nodes removed permanently by a fault plan.
+        node_leaves: "Nodes removed permanently by a fault plan.",
+        /// Partition cuts applied (one per `Cut` action, however many links).
+        partitions_cut: "Partition cuts applied.",
+        /// Partition heals applied (one per `Heal` action).
+        partitions_healed: "Partition heals applied.",
+        /// In-range deliveries suppressed because the sender→receiver link was
+        /// cut by an active partition.
+        partition_drops: "In-range deliveries suppressed by an active partition.",
+        /// Timer or delayed-send events that popped after their node's
+        /// incarnation died (crash/leave/restart) and were suppressed instead of
+        /// firing into the fresh stack. Their slab slots are still freed.
+        stale_events_suppressed: "Events suppressed after their node incarnation died.",
+    }
+    with {
+        /// Frames transmitted, broken down by protocol kind.
+        pub tx_by_kind: BTreeMap<FrameKind, u64>,
+        /// Per-receiver deliveries, broken down by protocol kind. The
+        /// adversarial benches anchor their accounting here: a defense counter
+        /// must equal the *deliveries* of the matching hostile kind (frames
+        /// lost to collisions or channel loss were never seen, so they cannot
+        /// be rejected).
+        pub delivered_by_kind: BTreeMap<FrameKind, u64>,
+        /// Per-node transmission counts, indexed by `NodeId.0`.
+        pub tx_per_node: Vec<u64>,
+    }
 }
 
 impl Stats {
@@ -103,40 +210,19 @@ impl Stats {
     /// element-wise sum of every field (`tx_per_node` by index, the longer
     /// vector setting the length).
     pub fn merge(&mut self, other: &Stats) {
-        self.tx_frames += other.tx_frames;
-        self.tx_payload_bytes += other.tx_payload_bytes;
+        self.merge_counters(other);
         for (kind, count) in &other.tx_by_kind {
             *self.tx_by_kind.entry(*kind).or_insert(0) += count;
         }
-        self.delivered += other.delivered;
         for (kind, count) in &other.delivered_by_kind {
             *self.delivered_by_kind.entry(*kind).or_insert(0) += count;
         }
-        self.delivered_payload_bytes += other.delivered_payload_bytes;
-        self.collision_drops += other.collision_drops;
-        self.tx_collisions += other.tx_collisions;
-        self.channel_losses += other.channel_losses;
-        self.mac_deferrals += other.mac_deferrals;
-        self.event_dispatches += other.event_dispatches;
-        self.arrival_events += other.arrival_events;
-        self.cmd_pool_hits += other.cmd_pool_hits;
-        self.cmd_pool_misses += other.cmd_pool_misses;
-        self.api_calls += other.api_calls;
-        self.state_inserts += other.state_inserts;
         if self.tx_per_node.len() < other.tx_per_node.len() {
             self.tx_per_node.resize(other.tx_per_node.len(), 0);
         }
         for (slot, n) in self.tx_per_node.iter_mut().zip(&other.tx_per_node) {
             *slot += n;
         }
-        self.node_crashes += other.node_crashes;
-        self.node_restarts += other.node_restarts;
-        self.node_joins += other.node_joins;
-        self.node_leaves += other.node_leaves;
-        self.partitions_cut += other.partitions_cut;
-        self.partitions_healed += other.partitions_healed;
-        self.partition_drops += other.partition_drops;
-        self.stale_events_suppressed += other.stale_events_suppressed;
     }
 
     /// Total deliveries for a set of kinds (the adversarial benches'
@@ -159,93 +245,13 @@ impl Stats {
     /// Renders the run counters in Prometheus text exposition format.
     ///
     /// Every metric is prefixed `dapes_` and carries `# HELP` / `# TYPE`
-    /// headers; per-kind breakdowns use a `kind` label. The adversarial
-    /// bench emits this dump next to its JSON report and `checkjson`
-    /// validates the shape, so scrape pipelines can ingest a run without
-    /// parsing the report.
+    /// headers: each declared counter as `dapes_<name>_total`, then the
+    /// per-kind breakdowns with a `kind` label. The bench binaries emit this
+    /// dump next to their JSON reports and `checkjson` validates the shape,
+    /// so scrape pipelines can ingest a run without parsing the report.
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
-        let mut counter = |name: &str, help: &str, value: u64| {
-            out.push_str(&format!(
-                "# HELP dapes_{name} {help}\n# TYPE dapes_{name} counter\ndapes_{name} {value}\n"
-            ));
-        };
-        counter("tx_frames_total", "Frames transmitted.", self.tx_frames);
-        counter(
-            "tx_payload_bytes_total",
-            "Payload bytes transmitted.",
-            self.tx_payload_bytes,
-        );
-        counter(
-            "delivered_total",
-            "Per-receiver deliveries that succeeded.",
-            self.delivered,
-        );
-        counter(
-            "delivered_payload_bytes_total",
-            "Payload bytes handed to receivers.",
-            self.delivered_payload_bytes,
-        );
-        counter(
-            "collision_drops_total",
-            "Per-receiver drops due to overlapping transmissions.",
-            self.collision_drops,
-        );
-        counter(
-            "channel_losses_total",
-            "Per-receiver drops due to random channel loss.",
-            self.channel_losses,
-        );
-        counter(
-            "mac_deferrals_total",
-            "MAC deferrals due to carrier sense.",
-            self.mac_deferrals,
-        );
-        counter(
-            "event_dispatches_total",
-            "Scheduler event dispatches.",
-            self.event_dispatches,
-        );
-        counter(
-            "node_crashes_total",
-            "Nodes crashed by a fault plan.",
-            self.node_crashes,
-        );
-        counter(
-            "node_restarts_total",
-            "Crashed nodes rebooted with a fresh stack.",
-            self.node_restarts,
-        );
-        counter(
-            "node_joins_total",
-            "Dormant nodes booted late by a fault plan.",
-            self.node_joins,
-        );
-        counter(
-            "node_leaves_total",
-            "Nodes removed permanently by a fault plan.",
-            self.node_leaves,
-        );
-        counter(
-            "partitions_cut_total",
-            "Partition cuts applied.",
-            self.partitions_cut,
-        );
-        counter(
-            "partitions_healed_total",
-            "Partition heals applied.",
-            self.partitions_healed,
-        );
-        counter(
-            "partition_drops_total",
-            "In-range deliveries suppressed by an active partition.",
-            self.partition_drops,
-        );
-        counter(
-            "stale_events_suppressed_total",
-            "Events suppressed after their node incarnation died.",
-            self.stale_events_suppressed,
-        );
+        self.visit(prometheus_counters(&mut out, "dapes_"));
         out.push_str(concat!(
             "# HELP dapes_tx_by_kind_total Frames transmitted, by protocol kind.\n",
             "# TYPE dapes_tx_by_kind_total counter\n"
@@ -342,24 +348,43 @@ mod tests {
         let mut a = Stats::new(2);
         a.record_tx(0, FrameKind(5), 10);
         a.record_delivery(FrameKind(5), 10);
-        a.partitions_cut = 3;
-        a.event_dispatches = 7;
-        a.partitions_healed = 1;
         let mut b = Stats::new(4);
         b.record_tx(3, FrameKind(5), 20);
         b.record_tx(3, FrameKind(6), 5);
-        b.partitions_cut = 2;
-        b.event_dispatches = 11;
+        // Every declared counter gets a distinct value on each side, so a
+        // counter the merge skipped or crossed with another shows up.
+        let mut i = 0;
+        a.visit_mut(|_, v| {
+            i += 1;
+            *v = i;
+        });
+        b.visit_mut(|_, v| {
+            i += 1;
+            *v = 100 * i;
+        });
+        let (mut before_a, mut before_b) = (Vec::new(), Vec::new());
+        a.visit(|name, _, v| before_a.push((name, v)));
+        b.visit(|_, _, v| before_b.push(v));
         a.merge(&b);
-        assert_eq!(a.tx_frames, 3);
-        assert_eq!(a.tx_payload_bytes, 35);
+        let mut seen = 0;
+        a.visit(|name, _, v| {
+            assert_eq!(name, before_a[seen].0);
+            assert_eq!(v, before_a[seen].1 + before_b[seen], "{name}");
+            seen += 1;
+        });
+        assert_eq!(seen, before_a.len());
+        let dump = a.to_prometheus();
+        a.visit(|name, _, v| {
+            assert!(
+                dump.contains(&format!("\ndapes_{name}_total {v}\n")),
+                "{name}"
+            );
+        });
+        // The hand-merged fields: per-kind maps by key, per-node by index.
         assert_eq!(a.tx_by_kind[&FrameKind(5)], 2);
         assert_eq!(a.tx_by_kind[&FrameKind(6)], 1);
-        assert_eq!(a.delivered, 1);
+        assert_eq!(a.delivered_by_kind[&FrameKind(5)], 1);
         assert_eq!(a.tx_per_node, vec![1, 0, 0, 2]);
-        assert_eq!(a.partitions_cut, 5);
-        assert_eq!(a.partitions_healed, 1);
-        assert_eq!(a.event_dispatches, 18);
     }
 
     #[test]

@@ -648,12 +648,16 @@ impl Scenario {
         self.world.stack::<Adversary>(node)
     }
 
-    /// Sums one honest-side defense counter over every DAPES peer.
-    pub fn defense_total<F: Fn(&PeerStats) -> u64>(&self, pick: F) -> u64 {
-        (0..self.world.node_count())
-            .filter_map(|i| self.peer(NodeId(i as u32)))
-            .map(|p| pick(p.stats()))
-            .sum()
+    /// Every honest DAPES peer's counters summed with [`PeerStats::merge`]
+    /// (adversaries and non-DAPES stacks are skipped).
+    pub fn peer_totals(&self) -> PeerStats {
+        let mut total = PeerStats::default();
+        for i in 0..self.world.node_count() {
+            if let Some(p) = self.peer(NodeId(i as u32)) {
+                total.merge(p.stats());
+            }
+        }
+        total
     }
 
     /// Whether `node` completed all wanted downloads.

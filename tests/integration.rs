@@ -127,7 +127,7 @@ fn tampered_segments_never_enter_the_content_store() {
         "the transfer must survive the tamperer"
     );
     assert!(
-        sc.defense_total(|s| s.segments_rejected_tamper) > 0,
+        sc.peer_totals().segments_rejected_tamper > 0,
         "the tamperer must have been heard and rejected"
     );
     let collection = sc.collection.clone();
@@ -360,13 +360,13 @@ fn crashed_downloader_resumes_after_restart_without_refetching() {
     assert_eq!(world.node_restarts, 1);
     // The fault interrupted a live transfer and the resume did real work:
     // held segments were skipped, and none of them was re-requested.
-    let skipped = sc.defense_total(|s| s.resumed_segments_skipped);
+    let skipped = sc.peer_totals().resumed_segments_skipped;
     assert!(
         skipped > 0,
         "resume should skip segments held at crash time"
     );
     assert_eq!(
-        sc.defense_total(|s| s.resumed_refetch),
+        sc.peer_totals().resumed_refetch,
         0,
         "a resumed downloader must not re-fetch a held segment"
     );
