@@ -1,8 +1,8 @@
 //! Criterion wrapper around a miniature end-to-end scenario: measures the
 //! wall-clock cost of simulating one DAPES trial and one trial of each
 //! baseline, so regressions in the protocol or simulator hot paths surface
-//! in CI. (The *paper figures* are produced by the `fig*`/`table1`
-//! binaries, not by this bench.)
+//! in CI. (The *paper figures* are produced by the `all` binary, not by
+//! this bench.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dapes_bench::{run_trial, Protocol, ScenarioParams};

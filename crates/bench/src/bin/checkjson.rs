@@ -4,9 +4,8 @@
 //! dumps instead.
 //!
 //! ```text
-//! cargo run -p dapes-bench --bin checkjson -- BENCH_sched.json BENCH_sched.prom
-//! cargo run -p dapes-bench --bin checkjson -- --summary BENCH_sched_smoke.json
 //! cargo run -p dapes-bench --bin checkjson -- BENCH_adversarial.json BENCH_adversarial.prom
+//! cargo run -p dapes-bench --bin checkjson -- --summary BENCH_faults.json
 //! ```
 //!
 //! The actual checks live in [`dapes_bench::check`] (unit-tested there);
@@ -24,6 +23,13 @@ fn fail(file: &str, msg: &str) -> ! {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let want_summary = args.iter().any(|a| a == "--summary");
+    if let Some(flag) = args
+        .iter()
+        .find(|a| a.starts_with("--") && *a != "--summary")
+    {
+        eprintln!("unknown argument {flag:?} (accepted: --summary)");
+        std::process::exit(2);
+    }
     let files: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
     if files.is_empty() {
         eprintln!("usage: checkjson [--summary] <BENCH_*.json>...");

@@ -1,14 +1,13 @@
 //! Schema validation and step-summary rendering for the committed
 //! `BENCH_*.json` reports — the library behind the `checkjson` binary.
 //!
-//! Every shape carries a string `scenario` and numeric `nodes` and `seed`.
-//! The scheduler, adversarial and fault-injection reports additionally
-//! state their `host` (logical cores, CPU model, rustc, git revision,
-//! SHA-256 kernel); the scheduler report carries one `run` entry with
-//! *finite positive* `wall_secs`/`events_per_sec` (NaN and ±Inf — e.g. from
-//! a zero-wall-clock division — are rejected, not round-tripped into CI)
-//! and non-negative integer counters, and no key outside its shape: a
-//! report in an older shape must be regenerated, not half-read.
+//! Two shapes exist, the adversarial report (an `attacks` array) and the
+//! fault-injection report (a `cells` array). Both carry a string
+//! `scenario`, numeric `nodes` and `seed`, and their `host` (logical cores,
+//! CPU model, rustc, git revision, SHA-256 kernel); every number must be
+//! *finite* (NaN and ±Inf are rejected, not round-tripped into CI) and
+//! every counter a non-negative integer. A document of neither shape is an
+//! error: a report in a retired shape must not be half-read.
 
 use crate::json::Value;
 
@@ -51,8 +50,10 @@ fn validate_host(doc: &Value) -> Result<(), String> {
 /// The attack modes an adversarial report must cover, exactly once each.
 pub const REQUIRED_ATTACK_MODES: [&str; 5] = ["benign", "spoof", "tamper", "replay", "flood"];
 
-/// Per-attack-entry defense counters; all must be present and non-negative.
-const ATTACK_COUNTERS: [&str; 8] = [
+/// Per-attack-entry counters (frames on the air, then the defense
+/// counters); all must be present, non-negative integers.
+const ATTACK_COUNTERS: [&str; 9] = [
+    "tx_frames",
     "adverts_rejected_bad_sig",
     "adverts_rejected_replay",
     "peers_expired",
@@ -98,7 +99,7 @@ fn validate_adversarial(doc: &Value) -> Result<(), String> {
                 _ => return Err(format!("mode \"{mode}\": missing or non-bool \"{key}\"")),
             }
         }
-        for key in ["completion_secs", "tx_frames", "overhead_ratio"] {
+        for key in ["completion_secs", "overhead_ratio"] {
             let n = require_num(entry, key).map_err(|e| format!("mode \"{mode}\": {e}"))?;
             if n < 0.0 {
                 return Err(format!("mode \"{mode}\": \"{key}\" is negative ({n})"));
@@ -123,7 +124,8 @@ fn validate_adversarial(doc: &Value) -> Result<(), String> {
 
 /// Per-cell counters of the fault-injection report; all must be present,
 /// non-negative integers.
-const FAULT_COUNTERS: [&str; 11] = [
+const FAULT_COUNTERS: [&str; 12] = [
+    "tx_frames",
     "crashes",
     "partition_secs",
     "node_crashes",
@@ -175,11 +177,12 @@ fn validate_faults(doc: &Value) -> Result<(), String> {
                 _ => return Err(format!("cell \"{label}\": missing or non-bool \"{key}\"")),
             }
         }
-        for key in ["completion_secs", "tx_frames"] {
-            let n = require_num(entry, key).map_err(|e| format!("cell \"{label}\": {e}"))?;
-            if n < 0.0 {
-                return Err(format!("cell \"{label}\": \"{key}\" is negative ({n})"));
-            }
+        let secs =
+            require_num(entry, "completion_secs").map_err(|e| format!("cell \"{label}\": {e}"))?;
+        if secs < 0.0 {
+            return Err(format!(
+                "cell \"{label}\": \"completion_secs\" is negative ({secs})"
+            ));
         }
         for key in FAULT_COUNTERS {
             let n = require_num(entry, key).map_err(|e| format!("cell \"{label}\": {e}"))?;
@@ -258,78 +261,13 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// The scheduler report's top-level keys; any other key is an error.
-const SCHED_KEYS: [&str; 11] = [
-    "scenario",
-    "host",
-    "nodes",
-    "field_m",
-    "range_m",
-    "rounds_per_node",
-    "advert_period_ms",
-    "tick_ms",
-    "reply_bytes",
-    "seed",
-    "run",
-];
-
-/// Counters of the scheduler report's `run` entry; all must be present,
-/// non-negative integers.
-const RUN_COUNTERS: [&str; 15] = [
-    "events_popped",
-    "sim_events",
-    "tx_frames",
-    "delivered",
-    "arrival_events",
-    "cmd_pool_hits",
-    "cmd_pool_misses",
-    "frames_peek_resolved",
-    "peek_fib_drops",
-    "peek_prefix_hits",
-    "frames_relay_patched",
-    "full_decodes",
-    "pit_arena_live",
-    "cs_arena_live",
-    "timer_slots_allocated",
-];
-
-/// Validates the scheduler report: host facts, no key outside the shape,
-/// and one `run` entry with positive timings and non-negative integer
-/// counters.
-fn validate_sched(doc: &Value) -> Result<(), String> {
-    require_num(doc, "nodes")?;
-    require_num(doc, "seed")?;
-    validate_host(doc)?;
-    if let Value::Object(map) = doc {
-        if let Some(stale) = map.keys().find(|k| !SCHED_KEYS.contains(&k.as_str())) {
-            return Err(format!(
-                "unknown key \"{stale}\" — not part of the scheduler report; \
-                 regenerate the file with the `sched` binary"
-            ));
-        }
-    }
-    let run = doc.get("run").ok_or("missing \"run\"")?;
-    for key in ["wall_secs", "events_per_sec"] {
-        let n = require_num(run, key).map_err(|e| format!("run: {e}"))?;
-        if n <= 0.0 {
-            return Err(format!("run: \"{key}\" must be positive, got {n}"));
-        }
-    }
-    for key in RUN_COUNTERS {
-        let n = require_num(run, key).map_err(|e| format!("run: {e}"))?;
-        if n < 0.0 || n.fract() != 0.0 {
-            return Err(format!(
-                "run: counter \"{key}\" must be a non-negative integer, got {n}"
-            ));
-        }
-    }
-    Ok(())
-}
+/// What a document that is neither report shape is told.
+const UNKNOWN_SHAPE: &str = "neither an adversarial report (\"attacks\") nor a \
+                             fault-injection report (\"cells\"), the two shapes checkjson knows";
 
 /// Validates one parsed report document against the CI schema. Documents
 /// carrying an `attacks` key use the adversarial shape, documents with a
-/// `cells` array the fault-injection shape; everything else must be the
-/// scheduler report.
+/// `cells` array the fault-injection shape; anything else is an error.
 pub fn validate(doc: &Value) -> Result<(), String> {
     require_str(doc, "scenario")?;
     if doc.get("attacks").is_some() {
@@ -338,7 +276,7 @@ pub fn validate(doc: &Value) -> Result<(), String> {
     if doc.get("cells").is_some() {
         return validate_faults(doc);
     }
-    validate_sched(doc)
+    Err(UNKNOWN_SHAPE.into())
 }
 
 /// Renders the GitHub-flavoured markdown summary table for one report.
@@ -402,25 +340,7 @@ pub fn summary(doc: &Value) -> Result<String, String> {
         }
         return Ok(out);
     }
-    let run = doc.get("run").ok_or("missing \"run\"")?;
-    let opt_u64 = |key: &str| -> String {
-        run.get(key)
-            .and_then(Value::as_f64)
-            .map_or_else(|| "-".into(), |n| format!("{n:.0}"))
-    };
-    Ok(format!(
-        "### `{scenario}` ({nodes} nodes) — scheduler throughput\n\n\
-         | events/sec | wall (s) | tx frames | delivered | relay-patched | PIT live | CS live |\n\
-         | ---: | ---: | ---: | ---: | ---: | ---: | ---: |\n\
-         | {:.0} | {:.3} | {} | {} | {} | {} | {} |\n",
-        require_num(run, "events_per_sec")?,
-        require_num(run, "wall_secs")?,
-        opt_u64("tx_frames"),
-        opt_u64("delivered"),
-        opt_u64("frames_relay_patched"),
-        opt_u64("pit_arena_live"),
-        opt_u64("cs_arena_live"),
-    ))
+    Err(UNKNOWN_SHAPE.into())
 }
 
 #[cfg(test)]
@@ -432,110 +352,155 @@ mod tests {
                         \"rustc\": \"rustc 1.0\", \"git_rev\": \"abc1234\", \
                         \"sha256_kernel\": \"sha-ni\"}";
 
-    /// A scheduler report's `run` entry with the given throughput.
-    fn run_entry(eps: &str) -> String {
-        format!(
-            "{{\"wall_secs\": 1.0, \"events_per_sec\": {eps}, \"events_popped\": 6, \
-              \"sim_events\": 15, \"tx_frames\": 5, \"delivered\": 9, \
-              \"arrival_events\": 5, \"cmd_pool_hits\": 8, \"cmd_pool_misses\": 1, \
-              \"frames_peek_resolved\": 7, \"peek_fib_drops\": 2, \"peek_prefix_hits\": 1, \
-              \"frames_relay_patched\": 123, \"full_decodes\": 2, \"pit_arena_live\": 7, \
-              \"cs_arena_live\": 11, \"timer_slots_allocated\": 3}}"
-        )
+    /// Both report shapes, well formed.
+    fn both_docs() -> [String; 2] {
+        [full_adversarial_doc(), full_faults_doc()]
     }
 
-    /// A scheduler report around the given `run` entry.
-    fn sched_doc(run: &str) -> String {
-        format!(
-            "{{\"scenario\": \"perf_sched\", {HOST}, \"nodes\": 4, \"seed\": 1, \
-             \"run\": {run}}}"
-        )
-    }
-
+    /// The committed reports pass, and their summary tables render.
     #[test]
     fn accepts_a_well_formed_report() {
-        let doc = parse(&sched_doc(&run_entry("15"))).expect("parses");
-        assert_eq!(validate(&doc), Ok(()));
-        let table = summary(&doc).expect("summary renders");
-        assert!(table.contains("| 15 | 1.000 | 5 | 9 |"), "{table}");
+        for text in [
+            include_str!("../../../BENCH_adversarial.json"),
+            include_str!("../../../BENCH_faults.json"),
+        ] {
+            let doc = parse(text).expect("parses");
+            assert_eq!(validate(&doc), Ok(()));
+            let table = summary(&doc).expect("summary renders");
+            assert!(table.contains("| yes |"), "{table}");
+        }
     }
 
+    /// The scheduler report this crate wrote until its advert swarm moved to
+    /// `benchmark/`'s `relay-swarm`, as last committed.
+    const RETIRED_SCHED_REPORT: &str = r#"{
+  "scenario": "perf_sched",
+  "host": {
+    "logical_cores": 2,
+    "cpu_model": "Intel(R) Xeon(R) Processor",
+    "rustc": "rustc 1.95.0 (59807616e 2026-04-14)",
+    "git_rev": "ed18cae-dirty",
+    "sha256_kernel": "sha-ni"
+  },
+  "nodes": 2400,
+  "field_m": 900,
+  "range_m": 60,
+  "rounds_per_node": 3,
+  "advert_period_ms": 1000,
+  "tick_ms": 16,
+  "reply_bytes": 256,
+  "seed": 1,
+  "run": {
+    "wall_secs": 9.6440,
+    "events_popped": 4068945,
+    "sim_events": 11679613,
+    "events_per_sec": 1211072,
+    "tx_frames": 642574,
+    "delivered": 7610668,
+    "arrival_events": 642574,
+    "cmd_pool_hits": 1304365,
+    "cmd_pool_misses": 1,
+    "frames_peek_resolved": 7098596,
+    "peek_fib_drops": 90344,
+    "peek_prefix_hits": 57276,
+    "frames_relay_patched": 315333,
+    "full_decodes": 512072,
+    "pit_arena_live": 159139,
+    "cs_arena_live": 2400,
+    "timer_slots_allocated": 644992
+  }
+}
+"#;
+
+    /// A report in a retired shape fails until it is regenerated, naming
+    /// the two shapes that remain; nothing falls through to a default.
     #[test]
-    fn rejects_a_key_outside_the_sched_shape() {
-        // What a report written before the shape changed carries: checkjson
-        // must fail it until it is regenerated, naming the leftover key.
-        let text = sched_doc(&run_entry("15")).replace("\"run\":", "\"left_over\": [], \"run\":");
-        let err = validate(&parse(&text).expect("parses")).expect_err("leftover key");
-        assert!(err.contains("unknown key \"left_over\""), "{err}");
-        let no_run = sched_doc(&run_entry("15")).replace("\"run\":", "\"tick_ms\":");
-        let err = validate(&parse(&no_run).expect("parses")).expect_err("no run entry");
-        assert!(err.contains("missing \"run\""), "{err}");
+    fn rejects_a_report_of_neither_shape() {
+        let doc = parse(RETIRED_SCHED_REPORT).expect("parses");
+        for err in [
+            validate(&doc).expect_err("retired shape"),
+            summary(&doc).expect_err("retired shape"),
+        ] {
+            assert!(
+                err.contains("\"attacks\"") && err.contains("\"cells\""),
+                "{err}"
+            );
+        }
     }
 
     #[test]
     fn rejects_missing_host_facts() {
-        let no_host = sched_doc(&run_entry("15")).replace(&format!("{HOST}, "), "");
-        let err = validate(&parse(&no_host).expect("parses")).expect_err("no host facts");
-        assert!(err.contains("host"), "{err}");
+        for doc in both_docs() {
+            let no_host = doc.replace(&format!("{HOST}, "), "");
+            let err = validate(&parse(&no_host).expect("parses")).expect_err("no host facts");
+            assert!(err.contains("host"), "{err}");
+        }
     }
 
     #[test]
     fn rejects_host_facts_without_a_known_sha256_kernel() {
-        let docs = [
-            sched_doc(&run_entry("15")),
-            full_adversarial_doc(),
-            full_faults_doc(),
-        ];
-        for doc in docs {
+        for doc in both_docs() {
             let missing = doc.replace(", \"sha256_kernel\": \"sha-ni\"", "");
             let err = validate(&parse(&missing).expect("parses")).expect_err("no kernel");
             assert!(err.contains("sha256_kernel"), "{err}");
             let unknown = doc.replace("\"sha-ni\"", "\"avx512\"");
             let err = validate(&parse(&unknown).expect("parses")).expect_err("unknown kernel");
             assert!(err.contains("sha256_kernel"), "{err}");
-            let no_host = doc.replace(&format!("{HOST}, "), "");
-            let err = validate(&parse(&no_host).expect("parses")).expect_err("no host");
-            assert!(err.contains("host"), "{err}");
         }
     }
 
     /// Keeps the name it had when the only integer counters were the
-    /// sharded engine's; it now holds every `run` counter to an integer.
+    /// sharded engine's; it now holds `tx_frames` of both shapes to a
+    /// non-negative integer.
     #[test]
     fn rejects_fractional_border_counters() {
-        for bad in ["4.5", "-5"] {
-            let text = sched_doc(&run_entry("15"))
-                .replace("\"tx_frames\": 5", &format!("\"tx_frames\": {bad}"));
-            let err = validate(&parse(&text).expect("parses")).expect_err("bad counter");
-            assert!(err.contains("tx_frames"), "{err}");
+        for (doc, frames) in [
+            (full_adversarial_doc(), "\"tx_frames\": 120"),
+            (full_faults_doc(), "\"tx_frames\": 300"),
+        ] {
+            for bad in ["4.5", "-5"] {
+                let text = doc.replacen(frames, &format!("\"tx_frames\": {bad}"), 1);
+                let err = validate(&parse(&text).expect("parses")).expect_err("bad counter");
+                assert!(err.contains("tx_frames"), "{err}");
+            }
         }
     }
 
-    /// The one ratio left in the report is `events_per_sec` (the name dates
-    /// from the speedup ratios the report used to carry).
+    /// The name dates from the speedup ratios an earlier report carried;
+    /// `overhead_ratio` is the ratio left.
     #[test]
     fn rejects_nan_and_infinite_speedups() {
-        // The report writer formats floats with {:.0}, which renders NaN
-        // and infinities as bare words — exactly what a zero-wall-clock
-        // division would commit. The parser reads them as nulls/errors;
-        // either way validation must name the field.
+        // A writer formatting a float with {:.4} renders NaN and infinities
+        // as bare words — exactly what a zero-denominator division would
+        // commit. The parser reads them as nulls/errors; either way
+        // validation must name the field.
         for bad in ["null", "\"NaN\"", "\"inf\"", "1e999"] {
-            let Ok(doc) = parse(&sched_doc(&run_entry(bad))) else {
+            let text = full_adversarial_doc().replacen(
+                "\"overhead_ratio\": 0.4",
+                &format!("\"overhead_ratio\": {bad}"),
+                1,
+            );
+            let Ok(doc) = parse(&text) else {
                 continue; // unparseable is an even earlier failure
             };
-            let err = validate(&doc).expect_err(&format!("throughput {bad} must fail"));
+            let err = validate(&doc).expect_err(&format!("ratio {bad} must fail"));
             assert!(
-                err.contains("events_per_sec"),
+                err.contains("overhead_ratio"),
                 "error must name the field: {err}"
             );
         }
     }
 
+    /// The one field that must be strictly positive is now the adversarial
+    /// report's replay window.
     #[test]
     fn rejects_zero_and_negative_speedups() {
         for bad in ["0", "-3.5"] {
-            let doc = parse(&sched_doc(&run_entry(bad))).expect("parses");
-            let err = validate(&doc).expect_err("non-positive throughput");
+            let text = full_adversarial_doc().replace(
+                "\"replay_window_ms\": 5000",
+                &format!("\"replay_window_ms\": {bad}"),
+            );
+            let err = validate(&parse(&text).expect("parses")).expect_err("non-positive window");
             assert!(err.contains("must be positive"), "{err}");
         }
     }
@@ -543,17 +508,23 @@ mod tests {
     /// A report that measured nothing must not pass the gate.
     #[test]
     fn rejects_an_empty_modes_array() {
-        let doc = parse(&sched_doc("{}")).expect("parses");
-        let err = validate(&doc).expect_err("empty run entry");
-        assert!(err.contains("run: missing \"wall_secs\""), "{err}");
+        let doc = parse(&adversarial_doc(&[])).expect("parses");
+        let err = validate(&doc).expect_err("empty attacks array");
+        assert!(err.contains("missing required attack mode"), "{err}");
     }
 
     #[test]
     fn rejects_non_finite_mode_fields() {
-        let entry = run_entry("15").replace("\"wall_secs\": 1.0", "\"wall_secs\": 1e999");
-        let doc = parse(&sched_doc(&entry)).expect("parses");
-        let err = validate(&doc).expect_err("infinite wall_secs");
-        assert!(err.contains("run: \"wall_secs\""), "{err}");
+        let text = full_adversarial_doc().replacen(
+            "\"completion_secs\": 9.5",
+            "\"completion_secs\": 1e999",
+            1,
+        );
+        let err = validate(&parse(&text).expect("parses")).expect_err("infinite completion_secs");
+        assert!(
+            err.contains("mode \"benign\": \"completion_secs\""),
+            "{err}"
+        );
     }
 
     fn attack_entry(mode: &str, extra: &str) -> String {
@@ -774,16 +745,5 @@ mod tests {
         ] {
             assert!(validate_prometheus(text).is_err(), "must reject: {why}");
         }
-    }
-
-    #[test]
-    fn summary_surfaces_relay_and_arena_counters_when_present() {
-        let doc = parse(&sched_doc(&run_entry("40"))).expect("parses");
-        let table = summary(&doc).expect("renders");
-        assert!(table.contains("| 123 | 7 | 11 |"), "{table}");
-        // A run entry without the counters still renders, with placeholders.
-        let bare = parse(&sched_doc("{\"wall_secs\": 1.0, \"events_per_sec\": 40}"));
-        let table = summary(&bare.expect("parses")).expect("renders");
-        assert!(table.contains("| - | - | - |"), "{table}");
     }
 }

@@ -21,7 +21,7 @@ impl Args {
         })
     }
 
-    fn parse<I: IntoIterator<Item = String>>(
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(
         argv: I,
         value_flags: &[&str],
         switches: &[&str],

@@ -4,6 +4,7 @@
 //! and prints the series the figure plots, next to the paper's qualitative
 //! expectation. `benchmark/README.md` records measured-vs-paper outcomes.
 
+use crate::cli::Args;
 use crate::profile::Profile;
 use crate::report::{kilo, pct, secs, Table};
 use crate::scenario::{run_trials, Protocol};
@@ -313,27 +314,95 @@ fn compare_protocols(profile: Profile, title: &str, metric: Metric) {
     );
 }
 
-/// Runs a named figure (dispatch used by the `all` binary).
-pub fn run_figure(name: &str, profile: Profile) -> bool {
-    match name {
-        "fig9a" => fig9a(profile),
-        "fig9b" => fig9b(profile),
-        "fig9c" => fig9c(profile),
-        "fig9d" => fig9d(profile),
-        "fig9e" => fig9e(profile),
-        "fig9f" => fig9f(profile),
-        "fig9g" => fig9g(profile),
-        "fig9h" => fig9h(profile),
-        "fig10a" => fig10a(profile),
-        "fig10b" => fig10b(profile),
-        "table1" => crate::table1::table1(profile),
-        _ => return false,
-    }
-    true
+/// One experiment: its name and the function that reproduces it.
+pub type Experiment = (&'static str, fn(Profile));
+
+/// Every experiment of the evaluation, in paper order.
+pub const ALL_EXPERIMENTS: [Experiment; 11] = [
+    ("fig9a", fig9a),
+    ("fig9b", fig9b),
+    ("fig9c", fig9c),
+    ("fig9d", fig9d),
+    ("fig9e", fig9e),
+    ("fig9f", fig9f),
+    ("fig9g", fig9g),
+    ("fig9h", fig9h),
+    ("fig10a", fig10a),
+    ("fig10b", fig10b),
+    ("table1", crate::table1::table1),
+];
+
+/// The experiment called `name`; an unknown name is an error naming every
+/// entry of [`ALL_EXPERIMENTS`].
+pub fn experiment(name: &str) -> Result<Experiment, String> {
+    ALL_EXPERIMENTS
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .ok_or_else(|| {
+            let names: Vec<&str> = ALL_EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+            format!(
+                "unknown experiment {name:?}: expected one of {}",
+                names.join("|")
+            )
+        })
 }
 
-/// All experiment names in paper order.
-pub const ALL_EXPERIMENTS: [&str; 11] = [
-    "fig9a", "fig9b", "fig9c", "fig9d", "fig9e", "fig9f", "fig9g", "fig9h", "fig10a", "fig10b",
-    "table1",
-];
+/// What the `all` binary runs, read from its command line
+/// `[--profile quick|paper] [--only <experiment>]`: the quick profile and
+/// every experiment unless told otherwise. Any other argument, profile or
+/// experiment name is an error naming what is accepted.
+pub fn select<I: IntoIterator<Item = String>>(
+    argv: I,
+) -> Result<(Profile, Vec<Experiment>), String> {
+    let args = Args::parse(argv, &["--profile", "--only"], &[])?;
+    let profile = args
+        .value("--profile")
+        .map_or(Ok(Profile::Quick), Profile::parse)?;
+    let experiments = match args.value("--only") {
+        Some(name) => vec![experiment(name)?],
+        None => ALL_EXPERIMENTS.to_vec(),
+    };
+    Ok((profile, experiments))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn select_from(argv: &[&str]) -> Result<(Profile, Vec<&'static str>), String> {
+        let (profile, experiments) = select(argv.iter().map(|a| a.to_string()))?;
+        Ok((profile, experiments.iter().map(|(n, _)| *n).collect()))
+    }
+
+    #[test]
+    fn every_experiment_is_found_by_name_and_an_unknown_one_names_them_all() {
+        for (name, _) in ALL_EXPERIMENTS {
+            assert_eq!(experiment(name).map(|(n, _)| n), Ok(name));
+        }
+        let err = experiment("fig9z").expect_err("no such experiment");
+        assert!(err.contains("\"fig9z\""), "{err}");
+        for (name, _) in ALL_EXPERIMENTS {
+            assert!(err.contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_all_command_line_selects_a_profile_and_experiments_or_fails() {
+        let everything: Vec<&str> = ALL_EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        assert_eq!(select_from(&[]), Ok((Profile::Quick, everything)));
+        assert_eq!(
+            select_from(&["--only", "fig10a", "--profile", "paper"]),
+            Ok((Profile::Paper, vec!["fig10a"]))
+        );
+        // A mistyped flag, profile or experiment fails instead of running
+        // the quick profile or nothing.
+        for (argv, want) in [
+            (&["--prfile", "paper"][..], "\"--prfile\""),
+            (&["--profile", "papr"], "quick|paper"),
+            (&["--only", "fig11"], "table1"),
+        ] {
+            let err = select_from(argv).expect_err("bad argv");
+            assert!(err.contains(want), "{argv:?}: {err}");
+        }
+    }
+}

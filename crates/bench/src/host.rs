@@ -2,10 +2,11 @@
 
 use std::process::Command;
 
-/// Host facts a report states next to its numbers. A throughput figure
-/// means nothing without these: anything that authenticates packets costs
-/// several times less under the `sha-ni` hash kernel than under the
-/// `portable` one.
+/// Host facts the adversarial and fault-injection reports state next to
+/// their numbers: the machine, toolchain and revision that produced them,
+/// and the SHA-256 kernel the CPU selected. The kernel moves no counter
+/// (digests are identical), but anything timed that authenticates packets
+/// runs several times faster under `sha-ni` than under `portable`.
 #[derive(Clone, Debug)]
 pub struct HostFacts {
     /// Logical cores available to the process.

@@ -3,7 +3,7 @@
 //! The workspace is fully offline (no serde), and the reports are small and
 //! machine-written, so a compact recursive-descent parser is all the
 //! `checkjson` gate needs: parse, then assert the schema (keys present,
-//! speedup fields numeric) and render the step-summary table.
+//! numbers finite, counters integral) and render the step-summary table.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -292,8 +292,8 @@ mod tests {
 
     #[test]
     fn parses_the_report_shapes() {
+        use crate::faults::{render_report, run_cell, FaultParams};
         use crate::host::HostFacts;
-        use crate::sched::{render_report, run_sched, SchedParams};
         let host = HostFacts {
             logical_cores: 2,
             cpu_model: "a \"quoted\" cpu".into(),
@@ -301,29 +301,21 @@ mod tests {
             git_rev: "abc1234".into(),
             sha256_kernel: "portable".into(),
         };
-        let params = SchedParams {
-            nodes: 8,
-            field: 100.0,
-            rounds: 1,
-            ..SchedParams::dense()
-        };
-        let run = run_sched(&params);
-        let v = parse(&render_report(&host, &params, &run)).expect("sched report parses");
-        assert_eq!(
-            v.get("scenario").and_then(Value::as_str),
-            Some("perf_sched")
-        );
+        let params = FaultParams::smoke();
+        let cell = run_cell(&params, 0, 0);
+        let v = parse(&render_report(&host, &params, std::slice::from_ref(&cell)))
+            .expect("faults report parses");
+        assert_eq!(v.get("scenario").and_then(Value::as_str), Some("faults"));
         assert_eq!(
             v.get("host")
                 .and_then(|h| h.get("cpu_model"))
                 .and_then(Value::as_str),
             Some("a \"quoted\" cpu")
         );
+        let cells = v.get("cells").and_then(Value::as_array).expect("cells");
         assert_eq!(
-            v.get("run")
-                .and_then(|r| r.get("delivered"))
-                .and_then(Value::as_f64),
-            Some(run.stats.delivered as f64)
+            cells[0].get("tx_frames").and_then(Value::as_f64),
+            Some(cell.stats.tx_frames as f64)
         );
     }
 }

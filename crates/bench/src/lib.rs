@@ -1,8 +1,9 @@
 //! Experiment harness reproducing every table and figure of the DAPES
 //! paper's evaluation (§VI).
 //!
-//! Each figure has a binary (`cargo run --release -p dapes-bench --bin
-//! fig9a`) and all of them run via the `all` binary. Two profiles exist:
+//! The `all` binary runs every figure in paper order, or one with `--only`
+//! (`cargo run --release -p dapes-bench --bin all -- --only fig9a`). Two
+//! profiles exist:
 //!
 //! * `--profile quick` (default) — the same 44-node topology and sweep axes
 //!   with a scaled-down collection, finishing in minutes;
@@ -26,9 +27,8 @@ pub mod profile;
 pub mod prom;
 pub mod report;
 pub mod scenario;
-pub mod sched;
 pub mod table1;
 
-pub use figures::{run_figure, ALL_EXPERIMENTS};
+pub use figures::{experiment, ALL_EXPERIMENTS};
 pub use profile::Profile;
 pub use scenario::{run_trial, run_trials, Protocol, ScenarioParams, Summary, TrialResult};

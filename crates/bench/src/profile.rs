@@ -14,28 +14,9 @@ pub enum Profile {
 }
 
 impl Profile {
-    /// Reads the profile from argv (`--profile quick|paper`) or the
-    /// `DAPES_PROFILE` environment variable; defaults to [`Profile::Quick`].
-    /// An unrecognised value is reported on stderr and exits with status 2
-    /// rather than silently running the quick profile.
-    pub fn from_env_args() -> Profile {
-        let args: Vec<String> = std::env::args().collect();
-        let given = args
-            .windows(2)
-            .find(|w| w[0] == "--profile")
-            .map(|w| w[1].clone())
-            .or_else(|| std::env::var("DAPES_PROFILE").ok());
-        match given.as_deref().map(Self::parse) {
-            None => Profile::Quick,
-            Some(Ok(profile)) => profile,
-            Some(Err(msg)) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    fn parse(s: &str) -> Result<Profile, String> {
+    /// Parses a `--profile` value; an unrecognised one is an error naming
+    /// the accepted values, never a silent fall-back to the quick profile.
+    pub fn parse(s: &str) -> Result<Profile, String> {
         match s.to_ascii_lowercase().as_str() {
             "quick" => Ok(Profile::Quick),
             "paper" | "full" => Ok(Profile::Paper),

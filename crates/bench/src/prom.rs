@@ -1,9 +1,9 @@
 //! Shared Prometheus text-format export for the bench binaries.
 //!
-//! Every `BENCH_*` binary exposes a `--prom-out <path>` flag; the dump it
-//! writes comes from one place — [`export`] — so the exposition format,
-//! the `dapes_` metric namespace and the counter coverage cannot drift
-//! between benchmarks. The dump is the simulator's counters
+//! The `faults` and `adversarial` binaries take `--prom-out <path>`, and
+//! `metrics` writes the same dump. It comes from one place — [`export`] —
+//! so the exposition format, the `dapes_` metric namespace and the counter
+//! coverage cannot drift between binaries. The dump is the simulator's counters
 //! ([`Stats::to_prometheus`]) followed by the DAPES peer-protocol counters
 //! (summed over every honest peer) as `dapes_peer_*` counters, both written
 //! by looping over each struct's counter declaration, and `checkjson`
@@ -15,9 +15,6 @@ use dapes_netsim::stats::{prometheus_counters, Stats};
 /// Renders the combined Prometheus text-format dump: the simulator's
 /// counters followed by every declared [`PeerStats`] counter as
 /// `dapes_peer_<name>_total`, then the swarm's completion time as a gauge.
-/// Pass `&PeerStats::default()` for benches whose stacks are not DAPES peers
-/// (the scheduler swarm); the peer section then reports zeros rather than
-/// silently disappearing from the scrape surface.
 pub fn export(stats: &Stats, peers: &PeerStats) -> String {
     let mut out = stats.to_prometheus();
     peers.visit(prometheus_counters(&mut out, "dapes_peer_"));

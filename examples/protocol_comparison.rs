@@ -2,8 +2,8 @@
 //!
 //! Runs one seeded trial of each protocol on a scaled-down version of the
 //! paper's 44-node scenario and prints download time and transmission
-//! counts. For the full sweeps use the bench binaries
-//! (`cargo run --release -p dapes-bench --bin fig10a`).
+//! counts. For the full sweeps use the bench driver
+//! (`cargo run --release -p dapes-bench --bin all -- --only fig10a`).
 //!
 //! Run with `cargo run --release --example protocol_comparison`.
 
@@ -11,7 +11,8 @@ use dapes_bench::{run_trial, Profile, Protocol};
 
 fn main() {
     // The paper's full 44-node topology with the quick-profile workload
-    // (one seeded trial per protocol; the fig10 binaries run the sweeps).
+    // (one seeded trial per protocol; `all --only fig10a|fig10b` runs the
+    // sweeps).
     let mut params = Profile::Quick.base_params();
     params.range = 60.0;
     params.seed = 21;

@@ -145,10 +145,12 @@ fn lazy_peek_actually_resolves_frames_without_decode() {
         "overheard re-broadcasts must resolve as dup nonces"
     );
     assert!(unsol > 0, "unwanted data must resolve as unsolicited");
-    let _ = relayed; // star traffic aggregates; the chain test below relays
-                     // DAPES peers register the root prefix, so everything is routable and
-                     // the FIB-drop outcome stays zero here (the scheduler benchmark's
-                     // selective-FIB swarm exercises it; `cs` hits depend on cache timing).
+    // Star traffic aggregates; the chain test below relays.
+    let _ = relayed;
+    // DAPES peers register the root prefix, so everything is routable and
+    // the FIB-drop outcome stays zero here (the forwarder's
+    // `header_pipeline_matches_full_pipeline_on_fib_no_route` exercises it;
+    // `cs` hits depend on cache timing).
     assert_eq!(fib, 0, "root-registered FIBs never drop by route");
     let _ = cs;
 }
