@@ -28,7 +28,8 @@
 //! recognized and dropped, and nothing else was. Completion must hold in
 //! every cell, within a bounded slowdown over benign.
 
-use crate::host::HostFacts;
+use crate::check::{visit_run, Sweep};
+use crate::json::{Fields, Slot, Visit};
 use dapes_core::adversary::attack_kinds;
 use dapes_core::config::REPLAY_WINDOW;
 use dapes_core::prelude::*;
@@ -36,9 +37,10 @@ use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
 
 /// One attack cell of the benchmark.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AttackMode {
     /// No attacker.
+    #[default]
     Benign,
     /// Forged announcements under a rogue anchor.
     Spoof,
@@ -60,27 +62,22 @@ impl AttackMode {
         AttackMode::Flood,
     ];
 
+    /// Every cell's stable report label, in [`ALL`](Self::ALL) order.
+    pub const LABELS: [&'static str; 5] = ["benign", "spoof", "tamper", "replay", "flood"];
+
     /// The stable report label.
     pub fn label(self) -> &'static str {
-        match self {
-            AttackMode::Benign => "benign",
-            AttackMode::Spoof => "spoof",
-            AttackMode::Tamper => "tamper",
-            AttackMode::Replay => "replay",
-            AttackMode::Flood => "flood",
-        }
+        Self::LABELS[self as usize]
     }
 
     /// The cell whose [`label`](Self::label) is `label`, or an error naming
     /// every label.
     pub fn from_label(label: &str) -> Result<AttackMode, String> {
-        Self::ALL
-            .into_iter()
-            .find(|m| m.label() == label)
-            .ok_or_else(|| {
-                let labels: Vec<&str> = Self::ALL.iter().map(|m| m.label()).collect();
-                format!("unknown attack {label:?} (accepted: {})", labels.join(", "))
-            })
+        let i = Self::LABELS.iter().position(|&l| l == label);
+        i.map(|i| Self::ALL[i]).ok_or_else(|| {
+            let labels = Self::LABELS.join(", ");
+            format!("unknown attack {label:?} (accepted: {labels})")
+        })
     }
 }
 
@@ -121,7 +118,7 @@ impl AdversarialParams {
 }
 
 /// Outcome of one cell.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct AttackOutcome {
     /// Which cell ran.
     pub mode: AttackMode,
@@ -136,8 +133,8 @@ pub struct AttackOutcome {
     pub stats: Stats,
     /// Every honest peer's counters summed, the defense counters among them.
     pub peers: PeerStats,
-    /// Hostile frames the simulator delivered to honest radios, by kind.
-    pub hostile_delivered: [(FrameKind, u64); 5],
+    /// Hostile frames the simulator delivered to honest radios, all kinds.
+    pub hostile_delivered: u64,
     /// Hostile frames the attacker transmitted.
     pub hostile_sent: u64,
     /// Whether every per-kind rejection counter equals its delivery count.
@@ -149,11 +146,6 @@ impl AttackOutcome {
     /// and the summed peer counters, via [`crate::prom::export`].
     pub fn prometheus(&self) -> String {
         crate::prom::export(&self.stats, &self.peers)
-    }
-
-    /// Total hostile frames delivered across every attack kind.
-    pub fn hostile_delivered_total(&self) -> u64 {
-        self.hostile_delivered.iter().map(|&(_, n)| n).sum()
     }
 }
 
@@ -235,7 +227,7 @@ pub fn run_mode(params: &AdversarialParams, mode: AttackMode) -> AttackOutcome {
         overhead_ratio: overhead_ratio(stats),
         stats: stats.clone(),
         peers,
-        hostile_delivered,
+        hostile_delivered: hostile_delivered.iter().map(|&(_, n)| n).sum(),
         hostile_sent,
         exact_accounting,
     }
@@ -258,6 +250,13 @@ pub const MAX_SLOWDOWN: f64 = 3.0;
 /// accounting, the right counters firing (and only those). Returns the
 /// first violation.
 pub fn gate(outcomes: &[AttackOutcome]) -> Result<(), String> {
+    for mode in AttackMode::ALL {
+        match outcomes.iter().filter(|o| o.mode == mode).count() {
+            0 => return Err(format!("missing required attack mode {:?}", mode.label())),
+            1 => {}
+            _ => return Err(format!("duplicate attack mode {:?}", mode.label())),
+        }
+    }
     let benign = outcomes
         .iter()
         .find(|o| o.mode == AttackMode::Benign)
@@ -269,8 +268,8 @@ pub fn gate(outcomes: &[AttackOutcome]) -> Result<(), String> {
         }
         if !o.exact_accounting {
             return Err(format!(
-                "[{label}] rejection counters do not match hostile deliveries: {:?} vs {:?}",
-                o.peers, o.hostile_delivered
+                "[{label}] rejection counters do not match hostile deliveries: {:?}",
+                o.peers
             ));
         }
         if o.completion_secs > benign.completion_secs * MAX_SLOWDOWN {
@@ -300,7 +299,7 @@ pub fn gate(outcomes: &[AttackOutcome]) -> Result<(), String> {
                     "[{label}] the attack's defense counter never fired"
                 ));
             }
-        } else if o.hostile_delivered_total() != 0
+        } else if o.hostile_delivered != 0
             || o.peers.adverts_rejected_bad_sig != 0
             || o.peers.flood_frames_dropped != 0
             || o.peers.segments_rejected_tamper != 0
@@ -316,71 +315,54 @@ pub fn gate(outcomes: &[AttackOutcome]) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders the `BENCH_adversarial.json` document. Every cell authenticates
-/// each advert and segment it hears, so the host block (hash kernel
-/// included) says what the sweep's wall-clock cost was paid on.
-pub fn render_report(
-    host: &HostFacts,
-    params: &AdversarialParams,
-    outcomes: &[AttackOutcome],
-) -> String {
-    fn entry(o: &AttackOutcome) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "    \"mode\": \"{}\",\n",
-                "    \"completed\": {},\n",
-                "    \"completion_secs\": {:.3},\n",
-                "    \"tx_frames\": {},\n",
-                "    \"overhead_ratio\": {:.4},\n",
-                "    \"adverts_rejected_bad_sig\": {},\n",
-                "    \"adverts_rejected_replay\": {},\n",
-                "    \"peers_expired\": {},\n",
-                "    \"segments_rejected_tamper\": {},\n",
-                "    \"interests_rejected_replay\": {},\n",
-                "    \"flood_frames_dropped\": {},\n",
-                "    \"hostile_delivered\": {},\n",
-                "    \"hostile_sent\": {},\n",
-                "    \"exact_accounting\": {}\n",
-                "  }}"
-            ),
-            o.mode.label(),
-            o.completed,
-            o.completion_secs,
-            o.stats.tx_frames,
-            o.overhead_ratio,
-            o.peers.adverts_rejected_bad_sig,
-            o.peers.adverts_rejected_replay,
-            o.peers.peers_expired,
-            o.peers.segments_rejected_tamper,
-            o.peers.interests_rejected_replay,
-            o.peers.flood_frames_dropped,
-            o.hostile_delivered_total(),
-            o.hostile_sent,
-            o.exact_accounting,
-        )
+/// One `attacks` entry of `BENCH_adversarial.json`.
+impl Fields for AttackOutcome {
+    fn fields(&mut self, f: &mut Visit<'_>) {
+        let mut mode = self.mode.label();
+        f("mode", Slot::Choice(&mut mode, &AttackMode::LABELS));
+        self.mode = AttackMode::from_label(mode).unwrap_or(self.mode);
+        visit_run(
+            &mut self.completed,
+            &mut self.completion_secs,
+            &mut self.stats,
+            &[],
+            f,
+        );
+        f("overhead_ratio", Slot::Num(&mut self.overhead_ratio, 4));
+        let defenses = [
+            "adverts_rejected_bad_sig",
+            "adverts_rejected_replay",
+            "peers_expired",
+            "segments_rejected_tamper",
+            "interests_rejected_replay",
+            "flood_frames_dropped",
+        ];
+        self.peers.visit_mut(|name, n| {
+            if defenses.contains(&name) {
+                f(name, Slot::Int(n));
+            }
+        });
+        f("hostile_delivered", Slot::Int(&mut self.hostile_delivered));
+        f("hostile_sent", Slot::Int(&mut self.hostile_sent));
+        f("exact_accounting", Slot::Flag(&mut self.exact_accounting));
     }
-    let entries: Vec<String> = outcomes.iter().map(entry).collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"scenario\": \"adversarial\",\n",
-            "{}",
-            "  \"nodes\": 3,\n",
-            "  \"seed\": {},\n",
-            "  \"files\": {},\n",
-            "  \"file_size\": {},\n",
-            "  \"replay_window_ms\": {},\n",
-            "  \"attacks\": [{}]\n",
-            "}}\n"
-        ),
-        host.render_json(),
-        params.seed,
-        params.files,
-        params.file_size,
-        REPLAY_WINDOW.as_micros() / 1_000,
-        entries.join(", "),
-    )
+}
+
+/// `BENCH_adversarial.json`. Every cell authenticates each advert and
+/// segment it hears, so the host block (hash kernel included) says what the
+/// sweep's wall-clock cost was paid on.
+impl Sweep for AttackOutcome {
+    const SCENARIO: &'static str = "adversarial";
+    const CELLS: &'static str = "attacks";
+
+    fn header(f: &mut Visit<'_>) {
+        let mut window = REPLAY_WINDOW.as_micros() / 1_000;
+        f("replay_window_ms", Slot::Pos(&mut window));
+    }
+
+    fn gate(cells: &[Self]) -> Result<(), String> {
+        gate(cells)
+    }
 }
 
 #[cfg(test)]
@@ -404,7 +386,7 @@ mod tests {
         let o = run_mode(&AdversarialParams::smoke(), AttackMode::Benign);
         assert!(o.completed);
         assert!(o.exact_accounting);
-        assert_eq!(o.hostile_delivered_total(), 0);
+        assert_eq!(o.hostile_delivered, 0);
         assert_eq!(o.peers.adverts_rejected_bad_sig, 0);
         assert!(o.peers.peers_expired > 0, "walkaway must expire");
     }
@@ -419,10 +401,16 @@ mod tests {
 
     #[test]
     fn full_sweep_passes_the_gate_and_renders_valid_json() {
-        let outcomes = run_all(&AdversarialParams::smoke());
+        let params = AdversarialParams::smoke();
+        let outcomes = run_all(&params);
         gate(&outcomes).expect("gate");
-        let json = render_report(&HostFacts::probe(), &AdversarialParams::smoke(), &outcomes);
-        let doc = crate::json::parse(&json).expect("report parses");
+        for o in &outcomes {
+            crate::check::validate_prometheus(&o.prometheus()).expect("prom dump validates");
+        }
+        let host = crate::host::HostFacts::probe();
+        let report =
+            crate::check::Report::new(host, params.seed, params.files, params.file_size, outcomes);
+        let doc = crate::json::parse(&report.render()).expect("report parses");
         crate::check::validate(&doc).expect("report validates");
         assert_eq!(
             doc.get("attacks")
@@ -430,8 +418,5 @@ mod tests {
                 .map(|a| a.len()),
             Some(5)
         );
-        for o in &outcomes {
-            crate::check::validate_prometheus(&o.prometheus()).expect("prom dump validates");
-        }
     }
 }

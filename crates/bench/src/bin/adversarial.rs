@@ -18,64 +18,27 @@
 //!
 //! [`MAX_SLOWDOWN`]: dapes_bench::adversarial::MAX_SLOWDOWN
 
-use dapes_bench::adversarial::{render_report, run_all, AdversarialParams, AttackMode};
-use dapes_bench::cli::Args;
+use dapes_bench::adversarial::{run_all, AdversarialParams};
+use dapes_bench::check::Report;
+use dapes_bench::cli::{usage, Args};
 use dapes_bench::host::HostFacts;
 
 fn main() {
     let args = Args::from_env(&["--out", "--prom-out", "--seed"], &["--quick"]);
-    let out = args.value("--out").unwrap_or("BENCH_adversarial.json");
     let mut params = if args.has("--quick") {
         AdversarialParams::smoke()
     } else {
         AdversarialParams::dense()
     };
-    if let Some(s) = args.value("--seed") {
-        params.seed = s.parse().expect("--seed");
+    if let Some(seed) = args.parsed("--seed").unwrap_or_else(|e| usage(&e)) {
+        params.seed = seed;
     }
     eprintln!(
         "adversarial: seed {}, {} files x {} B, {} s horizon",
         params.seed, params.files, params.file_size, params.run_secs
     );
-
-    let outcomes = run_all(&params);
-    for o in &outcomes {
-        eprintln!(
-            "  {:<7}: done={} at {:>6.2} s, {:>5} frames ({:>4.1}% overhead), \
-             hostile {:>4} delivered / {:>4} sent, rejected bad-sig {} replay {}/{} \
-             tamper {} flood {}, expired {}, exact={}",
-            o.mode.label(),
-            o.completed,
-            o.completion_secs,
-            o.stats.tx_frames,
-            o.overhead_ratio * 100.0,
-            o.hostile_delivered_total(),
-            o.hostile_sent,
-            o.peers.adverts_rejected_bad_sig,
-            o.peers.adverts_rejected_replay,
-            o.peers.interests_rejected_replay,
-            o.peers.segments_rejected_tamper,
-            o.peers.flood_frames_dropped,
-            o.peers.peers_expired,
-            o.exact_accounting,
-        );
-    }
-
-    let json = render_report(&HostFacts::probe(), &params, &outcomes);
-    std::fs::write(out, &json).expect("write BENCH_adversarial.json");
-    eprintln!("wrote {out}");
-    if let Some(prom) = args.value("--prom-out") {
-        let benign = outcomes
-            .iter()
-            .find(|o| o.mode == AttackMode::Benign)
-            .expect("benign cell always runs");
-        std::fs::write(prom, benign.prometheus()).expect("write prometheus dump");
-        eprintln!("wrote {prom}");
-    }
-
-    if let Err(msg) = dapes_bench::adversarial::gate(&outcomes) {
-        eprintln!("GATE VIOLATION: {msg}");
-        std::process::exit(1);
-    }
-    eprintln!("gate: all defense invariants hold");
+    let (seed, files, size) = (params.seed, params.files, params.file_size);
+    let report = Report::new(HostFacts::probe(), seed, files, size, run_all(&params));
+    // The first cell is the benign control.
+    report.publish(&args, &report.cells[0].prometheus());
 }

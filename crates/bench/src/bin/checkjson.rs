@@ -1,7 +1,7 @@
-//! Validates committed/generated `BENCH_*.json` reports against the schema
-//! the CI gate relies on, and renders the step-summary table.
-//! Files ending in `.prom` are validated as Prometheus text-format metric
-//! dumps instead.
+//! Checks committed/generated `BENCH_*.json` reports: each is decoded into
+//! the outcomes of the bin that wrote it and held to that bin's own gate,
+//! and `--summary` prints its step-summary table. Files ending in `.prom`
+//! are validated as Prometheus text-format metric dumps instead.
 //!
 //! ```text
 //! cargo run -p dapes-bench --bin checkjson -- BENCH_adversarial.json BENCH_adversarial.prom
@@ -12,7 +12,7 @@
 //! this binary only does argument handling and exit codes. Exits non-zero
 //! on the first violation, so a malformed or hand-mangled report fails CI.
 
-use dapes_bench::check::{summary, validate, validate_prometheus};
+use dapes_bench::check::{summary, validate_prometheus};
 use dapes_bench::json::parse;
 
 fn fail(file: &str, msg: &str) -> ! {
@@ -46,14 +46,9 @@ fn main() {
             continue;
         }
         let doc = parse(&text).unwrap_or_else(|e| fail(file, &format!("invalid JSON: {e}")));
-        if let Err(e) = validate(&doc) {
-            fail(file, &e);
-        }
+        let table = summary(&doc).unwrap_or_else(|e| fail(file, &e));
         if want_summary {
-            match summary(&doc) {
-                Ok(table) => println!("{table}"),
-                Err(e) => fail(file, &e),
-            }
+            println!("{table}");
         } else {
             eprintln!("checkjson: {file}: OK");
         }

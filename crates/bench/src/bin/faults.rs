@@ -15,20 +15,20 @@
 //! is bit-identical, and the sweep exercises each recovery mechanism
 //! (salvage resume, partition drops, backoff give-ups) at least once.
 
-use dapes_bench::cli::Args;
-use dapes_bench::faults::{gate, render_report, run_all, FaultParams};
+use dapes_bench::check::Report;
+use dapes_bench::cli::{usage, Args};
+use dapes_bench::faults::{run_all, FaultParams};
 use dapes_bench::host::HostFacts;
 
 fn main() {
     let args = Args::from_env(&["--out", "--prom-out", "--seed"], &["--quick"]);
-    let out = args.value("--out").unwrap_or("BENCH_faults.json");
     let mut params = if args.has("--quick") {
         FaultParams::smoke()
     } else {
         FaultParams::dense()
     };
-    if let Some(s) = args.value("--seed") {
-        params.seed = s.parse().expect("--seed");
+    if let Some(seed) = args.parsed("--seed").unwrap_or_else(|e| usage(&e)) {
+        params.seed = seed;
     }
     eprintln!(
         "faults: seed {}, {} files x {} B, crash at {:.1} s, cut at {:.1} s",
@@ -38,43 +38,13 @@ fn main() {
         params.crash_at_us as f64 / 1e6,
         params.cut_at_us as f64 / 1e6,
     );
-
-    let outcomes = run_all(&params);
-    for o in &outcomes {
-        eprintln!(
-            "  {:<13}: done={} at {:>6.2} s, {:>5} frames, crashes {}/{} restarts, \
-             {:>4} part-drops, retx {:>3} (gave up {:>2}), resumed-skip {:>3}, \
-             refetch {}, stale {}, deterministic={}",
-            o.label,
-            o.completed,
-            o.completion_secs,
-            o.stats.tx_frames,
-            o.stats.node_crashes,
-            o.stats.node_restarts,
-            o.stats.partition_drops,
-            o.peers.retransmissions,
-            o.peers.retx_give_ups,
-            o.peers.resumed_segments_skipped,
-            o.peers.resumed_refetch,
-            o.stats.stale_events_suppressed,
-            o.deterministic,
-        );
-    }
-
-    let json = render_report(&HostFacts::probe(), &params, &outcomes);
-    std::fs::write(out, &json).expect("write BENCH_faults.json");
-    eprintln!("wrote {out}");
-    if let Some(path) = args.value("--prom-out") {
-        // The last cell sweeps the most faults (max crashes + longest
-        // partition), so its counters are the richest dump.
-        let cell = outcomes.last().expect("the sweep ran at least one cell");
-        std::fs::write(path, cell.prometheus()).expect("write prometheus dump");
-        eprintln!("wrote {path} ({} cell)", cell.label);
-    }
-
-    if let Err(msg) = gate(&outcomes) {
-        eprintln!("GATE VIOLATION: {msg}");
-        std::process::exit(1);
-    }
-    eprintln!("gate: all recovery invariants hold");
+    let (seed, files, size) = (params.seed, params.files, params.file_size);
+    let report = Report::new(HostFacts::probe(), seed, files, size, run_all(&params));
+    // The last cell sweeps the most faults (max crashes + longest
+    // partition), so its counters are the richest dump.
+    let richest = report
+        .cells
+        .last()
+        .expect("the sweep ran at least one cell");
+    report.publish(&args, &richest.prometheus());
 }

@@ -14,21 +14,18 @@
 //! The dump is `checkjson`-compatible (`checkjson file.prom`).
 
 use dapes_bench::adversarial::{run_mode, AdversarialParams, AttackMode};
-use dapes_bench::cli::Args;
+use dapes_bench::cli::{usage, Args};
 
 fn main() {
     let args = Args::from_env(&["--attack", "--seed", "--secs", "--out"], &[]);
-    let mode =
-        AttackMode::from_label(args.value("--attack").unwrap_or("benign")).unwrap_or_else(|msg| {
-            eprintln!("--attack: {msg}");
-            std::process::exit(2);
-        });
+    let mode = AttackMode::from_label(args.value("--attack").unwrap_or("benign"))
+        .unwrap_or_else(|msg| usage(&format!("--attack: {msg}")));
     let mut params = AdversarialParams::smoke();
-    if let Some(s) = args.value("--seed") {
-        params.seed = s.parse().expect("--seed");
+    if let Some(seed) = args.parsed("--seed").unwrap_or_else(|e| usage(&e)) {
+        params.seed = seed;
     }
-    if let Some(s) = args.value("--secs") {
-        params.run_secs = s.parse().expect("--secs");
+    if let Some(secs) = args.parsed("--secs").unwrap_or_else(|e| usage(&e)) {
+        params.run_secs = secs;
     }
     let outcome = run_mode(&params, mode);
     eprintln!(

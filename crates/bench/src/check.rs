@@ -1,220 +1,140 @@
-//! Schema validation and step-summary rendering for the committed
-//! `BENCH_*.json` reports — the library behind the `checkjson` binary.
+//! The gate reports: one [`Report`] type the `adversarial` and `faults`
+//! bins write, and `checkjson` reads back and gates — the library behind
+//! the `checkjson` binary.
 //!
-//! Two shapes exist, the adversarial report (an `attacks` array) and the
-//! fault-injection report (a `cells` array). Both carry a string
-//! `scenario`, numeric `nodes` and `seed`, and their `host` (logical cores,
-//! CPU model, rustc, git revision, SHA-256 kernel); every number must be
-//! *finite* (NaN and ±Inf are rejected, not round-tripped into CI) and
-//! every counter a non-negative integer. A document of neither shape is an
-//! error: a report in a retired shape must not be half-read.
+//! A report is its `host` block, the workload header and one outcome per
+//! cell, every key listed once by a [`Fields`] visitor (the cell counters
+//! under their declared `Stats` / `PeerStats` names). Checking a committed
+//! report decodes it into the bin's own outcome type — every number finite,
+//! every counter a non-negative integer, each failure naming its key — and
+//! runs that bin's own [`Sweep::gate`] on it. A document of neither shape is
+//! an error: a report in a retired shape must not be half-read.
 
-use crate::json::Value;
+use crate::adversarial::AttackOutcome;
+use crate::cli::Args;
+use crate::faults::FaultOutcome;
+use crate::host::HostFacts;
+use crate::json::{self, Fields, Slot, Value, Visit};
+use dapes_netsim::stats::Stats;
 
-/// Pulls a required *finite* numeric field out of an object.
-fn require_num(v: &Value, key: &str) -> Result<f64, String> {
-    match v.get(key).map(|f| (f, f.as_f64())) {
-        Some((_, Some(n))) if n.is_finite() => Ok(n),
-        Some((f, _)) => Err(format!("\"{key}\" must be a finite number, got {f:?}")),
-        None => Err(format!("missing \"{key}\"")),
+/// An outcome type whose cells make up one report shape.
+pub trait Sweep: Fields + Default + Clone {
+    /// The report's `scenario`.
+    const SCENARIO: &'static str;
+    /// The key of the cell array.
+    const CELLS: &'static str;
+    /// Visits the header members this shape states beyond the common ones.
+    fn header(_f: &mut Visit<'_>) {}
+    /// The bin's gate: the first violation across the sweep.
+    fn gate(cells: &[Self]) -> Result<(), String>;
+}
+
+/// Visits what every cell states after its label: whether and when its
+/// transfers completed, then `tx_frames` and the named `stats` counters.
+/// Named counters, here and in each cell's peer list, come in declaration
+/// order.
+pub fn visit_run(
+    completed: &mut bool,
+    completion_secs: &mut f64,
+    stats: &mut Stats,
+    counters: &[&str],
+    f: &mut Visit<'_>,
+) {
+    f("completed", Slot::Flag(completed));
+    f("completion_secs", Slot::Num(completion_secs, 3));
+    stats.visit_mut(|name, n| {
+        if name == "tx_frames" || counters.contains(&name) {
+            f(name, Slot::Int(n));
+        }
+    });
+}
+
+/// A gate report, as its bin writes it and `checkjson` reads it back.
+#[derive(Clone, Debug, Default)]
+pub struct Report<T> {
+    /// Where it ran.
+    pub host: HostFacts,
+    /// Nodes in every cell.
+    pub nodes: u64,
+    /// World seed.
+    pub seed: u64,
+    /// Files in the shared collection.
+    pub files: u64,
+    /// Bytes per file.
+    pub file_size: u64,
+    /// One outcome per cell, in sweep order.
+    pub cells: Vec<T>,
+}
+
+impl<T: Sweep> Report<T> {
+    /// A report of `cells`, each laid out on three nodes.
+    pub fn new(host: HostFacts, seed: u64, files: usize, file_size: usize, cells: Vec<T>) -> Self {
+        Report {
+            host,
+            nodes: 3,
+            seed,
+            files: files as u64,
+            file_size: file_size as u64,
+            cells,
+        }
+    }
+
+    /// Decodes a parsed report of this shape.
+    pub fn decode(doc: &Value) -> Result<Self, String> {
+        let mut report = Report::default();
+        json::read(doc, &mut report)?;
+        Ok(report)
+    }
+
+    /// The `BENCH_*.json` document.
+    pub fn render(&self) -> String {
+        json::write(&mut self.clone())
+    }
+
+    /// The markdown summary: one row per cell, one column per key.
+    pub fn summary(&self) -> String {
+        format!(
+            "### `{}` ({} nodes, seed {})\n\n{}",
+            T::SCENARIO,
+            self.nodes,
+            self.seed,
+            json::table(&mut self.cells.clone())
+        )
+    }
+
+    /// The tail of a gate bin: prints the table, writes the report to
+    /// `--out` (default `BENCH_<scenario>.json`) and `dump` to `--prom-out`,
+    /// and exits 1 on the first violation of the gate.
+    pub fn publish(&self, args: &Args, dump: &str) {
+        eprintln!("{}", self.summary());
+        let out = args.value("--out").map(str::to_owned);
+        let out = out.unwrap_or_else(|| format!("BENCH_{}.json", T::SCENARIO));
+        std::fs::write(&out, self.render()).expect("write the report");
+        eprintln!("wrote {out}");
+        if let Some(path) = args.value("--prom-out") {
+            std::fs::write(path, dump).expect("write the prometheus dump");
+            eprintln!("wrote {path}");
+        }
+        if let Err(msg) = T::gate(&self.cells) {
+            eprintln!("GATE VIOLATION: {msg}");
+            std::process::exit(1);
+        }
+        eprintln!("gate: every {} invariant holds", T::SCENARIO);
     }
 }
 
-fn require_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("missing or non-string \"{key}\""))
-}
-
-/// Validates a report's `host` block.
-fn validate_host(doc: &Value) -> Result<(), String> {
-    let host = doc.get("host").ok_or("missing \"host\"")?;
-    for key in ["cpu_model", "rustc", "git_rev"] {
-        require_str(host, key).map_err(|e| format!("host: {e}"))?;
+impl<T: Sweep> Fields for Report<T> {
+    fn fields(&mut self, f: &mut Visit<'_>) {
+        let mut scenario = T::SCENARIO;
+        f("scenario", Slot::Choice(&mut scenario, &[T::SCENARIO]));
+        f("host", Slot::Object(&mut self.host));
+        f("nodes", Slot::Pos(&mut self.nodes));
+        f("seed", Slot::Int(&mut self.seed));
+        f("files", Slot::Int(&mut self.files));
+        f("file_size", Slot::Int(&mut self.file_size));
+        T::header(f);
+        f(T::CELLS, Slot::Rows(&mut self.cells));
     }
-    let kernel = require_str(host, "sha256_kernel").map_err(|e| format!("host: {e}"))?;
-    if !["sha-ni", "portable"].contains(&kernel) {
-        return Err(format!(
-            "host: \"sha256_kernel\" must be \"sha-ni\" or \"portable\", got \"{kernel}\""
-        ));
-    }
-    let logical_cores = require_num(host, "logical_cores").map_err(|e| format!("host: {e}"))?;
-    if logical_cores < 1.0 || logical_cores.fract() != 0.0 {
-        return Err(format!(
-            "host: \"logical_cores\" must be a positive integer, got {logical_cores}"
-        ));
-    }
-    Ok(())
-}
-
-/// The attack modes an adversarial report must cover, exactly once each.
-pub const REQUIRED_ATTACK_MODES: [&str; 5] = ["benign", "spoof", "tamper", "replay", "flood"];
-
-/// Per-attack-entry counters (frames on the air, then the defense
-/// counters); all must be present, non-negative integers.
-const ATTACK_COUNTERS: [&str; 9] = [
-    "tx_frames",
-    "adverts_rejected_bad_sig",
-    "adverts_rejected_replay",
-    "peers_expired",
-    "segments_rejected_tamper",
-    "interests_rejected_replay",
-    "flood_frames_dropped",
-    "hostile_delivered",
-    "hostile_sent",
-];
-
-/// Validates the adversarial report shape: host facts, header fields, one entry per
-/// required attack mode, non-negative counters, boolean `completed` and
-/// `exact_accounting` flags that are both `true`.
-fn validate_adversarial(doc: &Value) -> Result<(), String> {
-    validate_host(doc)?;
-    require_num(doc, "nodes")?;
-    require_num(doc, "seed")?;
-    let window = require_num(doc, "replay_window_ms")?;
-    if window <= 0.0 {
-        return Err(format!(
-            "\"replay_window_ms\" must be positive, got {window}"
-        ));
-    }
-    let attacks = doc
-        .get("attacks")
-        .and_then(Value::as_array)
-        .ok_or("\"attacks\" must be an array")?;
-    let mut seen = Vec::new();
-    for entry in attacks {
-        let mode = require_str(entry, "mode")?;
-        if seen.contains(&mode.to_string()) {
-            return Err(format!("duplicate attack mode \"{mode}\""));
-        }
-        seen.push(mode.to_string());
-        for key in ["completed", "exact_accounting"] {
-            match entry.get(key) {
-                Some(Value::Bool(true)) => {}
-                Some(Value::Bool(false)) => {
-                    return Err(format!(
-                        "mode \"{mode}\": \"{key}\" is false — gate violated"
-                    ))
-                }
-                _ => return Err(format!("mode \"{mode}\": missing or non-bool \"{key}\"")),
-            }
-        }
-        for key in ["completion_secs", "overhead_ratio"] {
-            let n = require_num(entry, key).map_err(|e| format!("mode \"{mode}\": {e}"))?;
-            if n < 0.0 {
-                return Err(format!("mode \"{mode}\": \"{key}\" is negative ({n})"));
-            }
-        }
-        for key in ATTACK_COUNTERS {
-            let n = require_num(entry, key).map_err(|e| format!("mode \"{mode}\": {e}"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "mode \"{mode}\": counter \"{key}\" must be a non-negative integer, got {n}"
-                ));
-            }
-        }
-    }
-    for required in REQUIRED_ATTACK_MODES {
-        if !seen.iter().any(|m| m == required) {
-            return Err(format!("missing required attack mode \"{required}\""));
-        }
-    }
-    Ok(())
-}
-
-/// Per-cell counters of the fault-injection report; all must be present,
-/// non-negative integers.
-const FAULT_COUNTERS: [&str; 12] = [
-    "tx_frames",
-    "crashes",
-    "partition_secs",
-    "node_crashes",
-    "node_restarts",
-    "partitions_cut",
-    "partitions_healed",
-    "partition_drops",
-    "stale_events_suppressed",
-    "retransmissions",
-    "retx_give_ups",
-    "resumed_segments_skipped",
-];
-
-/// Validates the fault-injection report shape: host facts, header fields,
-/// per-cell entries with true `completed`/`deterministic` gate flags,
-/// non-negative integer counters, a `resumed_refetch` that is exactly zero
-/// (any resumed re-fetch is a recovery bug), and sweep-level coverage: at
-/// least one cell each with resume skips, partition drops and backoff
-/// give-ups.
-fn validate_faults(doc: &Value) -> Result<(), String> {
-    validate_host(doc)?;
-    require_num(doc, "nodes")?;
-    require_num(doc, "seed")?;
-    let cells = doc
-        .get("cells")
-        .and_then(Value::as_array)
-        .ok_or("\"cells\" must be an array")?;
-    if cells.is_empty() {
-        return Err("\"cells\" array is empty — the sweep measured nothing".into());
-    }
-    let mut seen = Vec::new();
-    let mut any_resume = false;
-    let mut any_drop = false;
-    let mut any_give_up = false;
-    for entry in cells {
-        let label = require_str(entry, "label")?;
-        if seen.contains(&label.to_string()) {
-            return Err(format!("duplicate cell \"{label}\""));
-        }
-        seen.push(label.to_string());
-        for key in ["completed", "deterministic"] {
-            match entry.get(key) {
-                Some(Value::Bool(true)) => {}
-                Some(Value::Bool(false)) => {
-                    return Err(format!(
-                        "cell \"{label}\": \"{key}\" is false — gate violated"
-                    ))
-                }
-                _ => return Err(format!("cell \"{label}\": missing or non-bool \"{key}\"")),
-            }
-        }
-        let secs =
-            require_num(entry, "completion_secs").map_err(|e| format!("cell \"{label}\": {e}"))?;
-        if secs < 0.0 {
-            return Err(format!(
-                "cell \"{label}\": \"completion_secs\" is negative ({secs})"
-            ));
-        }
-        for key in FAULT_COUNTERS {
-            let n = require_num(entry, key).map_err(|e| format!("cell \"{label}\": {e}"))?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(format!(
-                    "cell \"{label}\": counter \"{key}\" must be a non-negative integer, got {n}"
-                ));
-            }
-        }
-        let refetch =
-            require_num(entry, "resumed_refetch").map_err(|e| format!("cell \"{label}\": {e}"))?;
-        if refetch != 0.0 {
-            return Err(format!(
-                "cell \"{label}\": \"resumed_refetch\" is {refetch} — a resumed \
-                 downloader re-fetched held segments"
-            ));
-        }
-        let get = |key: &str| entry.get(key).and_then(Value::as_f64).unwrap_or(0.0);
-        any_resume |= get("resumed_segments_skipped") > 0.0;
-        any_drop |= get("partition_drops") > 0.0;
-        any_give_up |= get("retx_give_ups") > 0.0;
-    }
-    if !any_resume {
-        return Err("no cell resumed a transfer from salvage".into());
-    }
-    if !any_drop {
-        return Err("no cell dropped frames on a cut link".into());
-    }
-    if !any_give_up {
-        return Err("no cell exhausted the backoff ladder".into());
-    }
-    Ok(())
 }
 
 /// Validates a Prometheus text-format metrics dump: every non-empty line is
@@ -261,86 +181,30 @@ pub fn validate_prometheus(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// What a document that is neither report shape is told.
-const UNKNOWN_SHAPE: &str = "neither an adversarial report (\"attacks\") nor a \
-                             fault-injection report (\"cells\"), the two shapes checkjson knows";
-
-/// Validates one parsed report document against the CI schema. Documents
-/// carrying an `attacks` key use the adversarial shape, documents with a
-/// `cells` array the fault-injection shape; anything else is an error.
+/// Checks one parsed report: decoded into its bin's outcomes, it must pass
+/// that bin's gate.
 pub fn validate(doc: &Value) -> Result<(), String> {
-    require_str(doc, "scenario")?;
-    if doc.get("attacks").is_some() {
-        return validate_adversarial(doc);
-    }
-    if doc.get("cells").is_some() {
-        return validate_faults(doc);
-    }
-    Err(UNKNOWN_SHAPE.into())
+    summary(doc).map(drop)
 }
 
-/// Renders the GitHub-flavoured markdown summary table for one report.
+/// Checks one parsed report — decoded as the shape its cell array names,
+/// it must pass that shape's gate — and renders its markdown summary.
 pub fn summary(doc: &Value) -> Result<String, String> {
-    let scenario = require_str(doc, "scenario")?;
-    let nodes = require_num(doc, "nodes")?;
-    if let Some(attacks) = doc.get("attacks").and_then(Value::as_array) {
-        let mut out = format!(
-            "### `{scenario}` ({nodes} nodes) — defenses vs attack modes\n\n\
-             | mode | done (s) | overhead | hostile rx | rejected | exact |\n\
-             | --- | ---: | ---: | ---: | ---: | --- |\n"
-        );
-        for entry in attacks {
-            let mode = require_str(entry, "mode")?;
-            let rejected: f64 = [
-                "adverts_rejected_bad_sig",
-                "adverts_rejected_replay",
-                "segments_rejected_tamper",
-                "interests_rejected_replay",
-                "flood_frames_dropped",
-            ]
-            .iter()
-            .map(|k| entry.get(k).and_then(Value::as_f64).unwrap_or(0.0))
-            .sum();
-            out.push_str(&format!(
-                "| `{mode}` | {:.2} | {:.1}% | {:.0} | {rejected:.0} | {} |\n",
-                require_num(entry, "completion_secs")?,
-                require_num(entry, "overhead_ratio")? * 100.0,
-                require_num(entry, "hostile_delivered")?,
-                if matches!(entry.get("exact_accounting"), Some(Value::Bool(true))) {
-                    "yes"
-                } else {
-                    "NO"
-                },
-            ));
-        }
-        return Ok(out);
+    fn gated<T: Sweep>(doc: &Value) -> Result<String, String> {
+        let report = Report::<T>::decode(doc)?;
+        T::gate(&report.cells).map_err(|e| format!("gate violated: {e}"))?;
+        Ok(report.summary())
     }
-    if let Some(cells) = doc.get("cells").and_then(Value::as_array) {
-        let mut out = format!(
-            "### `{scenario}` ({nodes} nodes) — recovery under crash × partition sweeps\n\n\
-             | cell | done (s) | part drops | retx (gave up) | resumed skip | refetch | det |\n\
-             | --- | ---: | ---: | ---: | ---: | ---: | --- |\n"
-        );
-        for entry in cells {
-            let label = require_str(entry, "label")?;
-            out.push_str(&format!(
-                "| `{label}` | {:.2} | {:.0} | {:.0} ({:.0}) | {:.0} | {:.0} | {} |\n",
-                require_num(entry, "completion_secs")?,
-                require_num(entry, "partition_drops")?,
-                require_num(entry, "retransmissions")?,
-                require_num(entry, "retx_give_ups")?,
-                require_num(entry, "resumed_segments_skipped")?,
-                require_num(entry, "resumed_refetch")?,
-                if matches!(entry.get("deterministic"), Some(Value::Bool(true))) {
-                    "yes"
-                } else {
-                    "NO"
-                },
-            ));
-        }
-        return Ok(out);
+    match (doc.get(AttackOutcome::CELLS), doc.get(FaultOutcome::CELLS)) {
+        (Some(_), _) => gated::<AttackOutcome>(doc),
+        (_, Some(_)) => gated::<FaultOutcome>(doc),
+        _ => Err(format!(
+            "neither an adversarial report ({:?}) nor a fault-injection report ({:?}), \
+             the two shapes checkjson knows",
+            AttackOutcome::CELLS,
+            FaultOutcome::CELLS
+        )),
     }
-    Err(UNKNOWN_SHAPE.into())
 }
 
 #[cfg(test)]
@@ -352,9 +216,41 @@ mod tests {
                         \"rustc\": \"rustc 1.0\", \"git_rev\": \"abc1234\", \
                         \"sha256_kernel\": \"sha-ni\"}";
 
-    /// Both report shapes, well formed.
+    const ADV: &str = include_str!("../../../BENCH_adversarial.json");
+    const FAULTS: &str = include_str!("../../../BENCH_faults.json");
+
+    /// Both report shapes, well formed: the committed adversarial report
+    /// and a hand-built fault sweep.
     fn both_docs() -> [String; 2] {
-        [full_adversarial_doc(), full_faults_doc()]
+        [ADV.to_owned(), full_faults_doc()]
+    }
+
+    /// `text` with the value of its `nth` (0-based) `"key"` member replaced
+    /// by `value`.
+    fn set(text: &str, key: &str, nth: usize, value: &str) -> String {
+        let pat = format!("\"{key}\": ");
+        let (at, _) = text.match_indices(&pat).nth(nth).expect("key present");
+        let start = at + pat.len();
+        let end = start + text[start..].find([',', '\n', '}']).expect("value ends");
+        format!("{}{value}{}", &text[..start], &text[end..])
+    }
+
+    /// `text` parsed, with `edit` applied to its cell array.
+    fn with_rows(text: &str, edit: impl FnOnce(&mut Vec<Value>)) -> Value {
+        let mut doc = parse(text).expect("parses");
+        let Value::Object(members) = &mut doc else {
+            panic!("not an object")
+        };
+        let rows = members.values_mut().find_map(|v| match v {
+            Value::Array(rows) => Some(rows),
+            _ => None,
+        });
+        edit(rows.expect("a cell array"));
+        doc
+    }
+
+    fn invalid(text: &str) -> String {
+        validate(&parse(text).expect("parses")).expect_err("must be rejected")
     }
 
     /// The committed reports pass, and their summary tables render.
@@ -431,20 +327,18 @@ mod tests {
     #[test]
     fn rejects_missing_host_facts() {
         for doc in both_docs() {
-            let no_host = doc.replace(&format!("{HOST}, "), "");
-            let err = validate(&parse(&no_host).expect("parses")).expect_err("no host facts");
-            assert!(err.contains("host"), "{err}");
+            let err = invalid(&doc.replacen("\"host\":", "\"hoist\":", 1));
+            assert!(err.contains("missing \"host\""), "{err}");
         }
     }
 
     #[test]
     fn rejects_host_facts_without_a_known_sha256_kernel() {
         for doc in both_docs() {
-            let missing = doc.replace(", \"sha256_kernel\": \"sha-ni\"", "");
-            let err = validate(&parse(&missing).expect("parses")).expect_err("no kernel");
-            assert!(err.contains("sha256_kernel"), "{err}");
-            let unknown = doc.replace("\"sha-ni\"", "\"avx512\"");
-            let err = validate(&parse(&unknown).expect("parses")).expect_err("unknown kernel");
+            let missing = doc.replacen("\"sha256_kernel\":", "\"sha256_kernal\":", 1);
+            let err = invalid(&missing);
+            assert!(err.contains("missing \"sha256_kernel\""), "{err}");
+            let err = invalid(&set(&doc, "sha256_kernel", 0, "\"avx512\""));
             assert!(err.contains("sha256_kernel"), "{err}");
         }
     }
@@ -454,14 +348,10 @@ mod tests {
     /// non-negative integer.
     #[test]
     fn rejects_fractional_border_counters() {
-        for (doc, frames) in [
-            (full_adversarial_doc(), "\"tx_frames\": 120"),
-            (full_faults_doc(), "\"tx_frames\": 300"),
-        ] {
+        for doc in both_docs() {
             for bad in ["4.5", "-5"] {
-                let text = doc.replacen(frames, &format!("\"tx_frames\": {bad}"), 1);
-                let err = validate(&parse(&text).expect("parses")).expect_err("bad counter");
-                assert!(err.contains("tx_frames"), "{err}");
+                let err = invalid(&set(&doc, "tx_frames", 0, bad));
+                assert!(err.contains("\"tx_frames\" must be"), "{err}");
             }
         }
     }
@@ -475,12 +365,7 @@ mod tests {
         // commit. The parser reads them as nulls/errors; either way
         // validation must name the field.
         for bad in ["null", "\"NaN\"", "\"inf\"", "1e999"] {
-            let text = full_adversarial_doc().replacen(
-                "\"overhead_ratio\": 0.4",
-                &format!("\"overhead_ratio\": {bad}"),
-                1,
-            );
-            let Ok(doc) = parse(&text) else {
+            let Ok(doc) = parse(&set(ADV, "overhead_ratio", 0, bad)) else {
                 continue; // unparseable is an even earlier failure
             };
             let err = validate(&doc).expect_err(&format!("ratio {bad} must fail"));
@@ -496,11 +381,7 @@ mod tests {
     #[test]
     fn rejects_zero_and_negative_speedups() {
         for bad in ["0", "-3.5"] {
-            let text = full_adversarial_doc().replace(
-                "\"replay_window_ms\": 5000",
-                &format!("\"replay_window_ms\": {bad}"),
-            );
-            let err = validate(&parse(&text).expect("parses")).expect_err("non-positive window");
+            let err = invalid(&set(ADV, "replay_window_ms", 0, bad));
             assert!(err.contains("must be positive"), "{err}");
         }
     }
@@ -508,56 +389,22 @@ mod tests {
     /// A report that measured nothing must not pass the gate.
     #[test]
     fn rejects_an_empty_modes_array() {
-        let doc = parse(&adversarial_doc(&[])).expect("parses");
-        let err = validate(&doc).expect_err("empty attacks array");
+        let err = validate(&with_rows(ADV, Vec::clear)).expect_err("empty attacks array");
         assert!(err.contains("missing required attack mode"), "{err}");
     }
 
     #[test]
     fn rejects_non_finite_mode_fields() {
-        let text = full_adversarial_doc().replacen(
-            "\"completion_secs\": 9.5",
-            "\"completion_secs\": 1e999",
-            1,
-        );
-        let err = validate(&parse(&text).expect("parses")).expect_err("infinite completion_secs");
+        let err = invalid(&set(ADV, "completion_secs", 0, "1e999"));
         assert!(
             err.contains("mode \"benign\": \"completion_secs\""),
             "{err}"
         );
     }
 
-    fn attack_entry(mode: &str, extra: &str) -> String {
-        format!(
-            "{{\"mode\": \"{mode}\", \"completed\": true, \"completion_secs\": 9.5, \
-              \"tx_frames\": 120, \"overhead_ratio\": 0.4, \
-              \"adverts_rejected_bad_sig\": 0, \"adverts_rejected_replay\": 0, \
-              \"peers_expired\": 1, \"segments_rejected_tamper\": 0, \
-              \"interests_rejected_replay\": 0, \"flood_frames_dropped\": 0, \
-              \"hostile_delivered\": 0, \"hostile_sent\": 0, \
-              \"exact_accounting\": true{extra}}}"
-        )
-    }
-
-    fn adversarial_doc(entries: &[String]) -> String {
-        format!(
-            "{{\"scenario\": \"adversarial\", {HOST}, \"nodes\": 3, \"seed\": 7, \
-             \"replay_window_ms\": 5000, \"attacks\": [{}]}}",
-            entries.join(", ")
-        )
-    }
-
-    fn full_adversarial_doc() -> String {
-        let entries: Vec<String> = REQUIRED_ATTACK_MODES
-            .iter()
-            .map(|m| attack_entry(m, ""))
-            .collect();
-        adversarial_doc(&entries)
-    }
-
     #[test]
     fn accepts_a_well_formed_adversarial_report() {
-        let doc = parse(&full_adversarial_doc()).expect("parses");
+        let doc = parse(ADV).expect("parses");
         assert_eq!(validate(&doc), Ok(()));
         let table = summary(&doc).expect("summary renders");
         assert!(
@@ -568,11 +415,9 @@ mod tests {
 
     #[test]
     fn rejects_adversarial_report_missing_an_attack_mode() {
-        let entries: Vec<String> = ["benign", "spoof", "tamper", "replay"]
-            .iter()
-            .map(|m| attack_entry(m, ""))
-            .collect();
-        let doc = parse(&adversarial_doc(&entries)).expect("parses");
+        let doc = with_rows(ADV, |rows| {
+            rows.pop();
+        });
         let err = validate(&doc).expect_err("missing flood");
         assert!(err.contains("\"flood\""), "{err}");
     }
@@ -580,50 +425,65 @@ mod tests {
     #[test]
     fn rejects_negative_and_fractional_defense_counters() {
         for bad in ["-1", "0.5"] {
-            let mut entries: Vec<String> = ["benign", "spoof", "tamper", "replay"]
-                .iter()
-                .map(|m| attack_entry(m, ""))
-                .collect();
-            entries.push(attack_entry("flood", "").replace(
-                "\"flood_frames_dropped\": 0",
-                &format!("\"flood_frames_dropped\": {bad}"),
-            ));
-            let doc = parse(&adversarial_doc(&entries)).expect("parses");
-            let err = validate(&doc).expect_err("bad counter");
-            assert!(err.contains("flood_frames_dropped"), "{err}");
+            let err = invalid(&set(ADV, "flood_frames_dropped", 4, bad));
+            assert!(
+                err.contains("mode \"flood\": \"flood_frames_dropped\""),
+                "{err}"
+            );
         }
     }
 
     #[test]
     fn rejects_failed_accounting_and_incomplete_transfers() {
-        for (key, want) in [
-            ("exact_accounting", "gate violated"),
-            ("completed", "gate violated"),
-        ] {
-            let mut entries: Vec<String> = ["benign", "spoof", "tamper", "replay"]
-                .iter()
-                .map(|m| attack_entry(m, ""))
-                .collect();
-            entries.push(
-                attack_entry("flood", "")
-                    .replace(&format!("\"{key}\": true"), &format!("\"{key}\": false")),
-            );
-            let doc = parse(&adversarial_doc(&entries)).expect("parses");
-            let err = validate(&doc).expect_err("false gate flag");
-            assert!(err.contains(want), "{err}");
+        for key in ["exact_accounting", "completed"] {
+            let err = invalid(&set(ADV, key, 4, "false"));
+            assert!(err.contains("gate violated: [flood]"), "{err}");
         }
     }
 
     #[test]
     fn rejects_duplicate_attack_modes() {
-        let mut entries: Vec<String> = REQUIRED_ATTACK_MODES
-            .iter()
-            .map(|m| attack_entry(m, ""))
-            .collect();
-        entries.push(attack_entry("spoof", ""));
-        let doc = parse(&adversarial_doc(&entries)).expect("parses");
+        let doc = with_rows(ADV, |rows| rows.push(rows[1].clone()));
         let err = validate(&doc).expect_err("duplicate spoof");
-        assert!(err.contains("duplicate"), "{err}");
+        assert!(err.contains("duplicate attack mode \"spoof\""), "{err}");
+    }
+
+    /// What the bins' gates reject and a schema check alone let through:
+    /// each committed report with one value mutated.
+    #[test]
+    fn rejects_what_the_bin_gates_reject() {
+        for (text, want) in [
+            (
+                set(FAULTS, "node_crashes", 0, "1"),
+                "[crash0-part0] fault accounting",
+            ),
+            (
+                set(ADV, "flood_frames_dropped", 0, "1"),
+                "[benign] hostile traffic",
+            ),
+            (
+                set(ADV, "completion_secs", 1, "99.000"),
+                "[spoof] completed in 99.00s",
+            ),
+            (
+                set(FAULTS, "label", 1, "\"crash0-part0\""),
+                "duplicate cell \"crash0-part0\"",
+            ),
+        ] {
+            let err = invalid(&text);
+            assert!(err.contains(&format!("gate violated: {want}")), "{err}");
+        }
+    }
+
+    /// Decoding a committed report and writing it again reproduces the
+    /// file byte for byte, `host` included.
+    #[test]
+    fn committed_reports_round_trip_byte_for_byte() {
+        let adv = Report::<AttackOutcome>::decode(&parse(ADV).expect("parses")).expect("decodes");
+        assert_eq!(adv.render(), ADV);
+        let faults =
+            Report::<FaultOutcome>::decode(&parse(FAULTS).expect("parses")).expect("decodes");
+        assert_eq!(faults.render(), FAULTS);
     }
 
     fn fault_cell(label: &str, extra_counters: (u64, u64, u64)) -> String {

@@ -15,10 +15,7 @@ impl Args {
     /// reported on stderr, naming the accepted flags, and exits with
     /// status 2.
     pub fn from_env(value_flags: &[&str], switches: &[&str]) -> Args {
-        Self::parse(std::env::args().skip(1), value_flags, switches).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        })
+        Self::parse(std::env::args().skip(1), value_flags, switches).unwrap_or_else(|e| usage(&e))
     }
 
     pub(crate) fn parse<I: IntoIterator<Item = String>>(
@@ -64,10 +61,23 @@ impl Args {
             .map(|(_, v)| v.as_str())
     }
 
+    /// The value given for `flag`, parsed as a `T`; a value that does not
+    /// parse is an error naming the flag and the value.
+    pub fn parsed<T: std::str::FromStr>(&self, flag: &str) -> Result<Option<T>, String> {
+        let parse = |v: &str| v.parse().map_err(|_| format!("{flag}: cannot parse {v:?}"));
+        self.value(flag).map(parse).transpose()
+    }
+
     /// Whether the bare switch `flag` was given.
     pub fn has(&self, flag: &str) -> bool {
         self.switches.iter().any(|s| s == flag)
     }
+}
+
+/// Reports a command-line error on stderr and exits with status 2.
+pub fn usage(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 #[cfg(test)]
@@ -102,6 +112,15 @@ mod tests {
             err.contains("--out <value>") && err.contains("--quick"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_is_an_error_naming_the_flag() {
+        let args = parse(&["--nodes", "abc", "--out", "7"]).expect("parses");
+        let err = args.parsed::<u64>("--nodes").expect_err("not a number");
+        assert!(err.contains("--nodes") && err.contains("\"abc\""), "{err}");
+        assert_eq!(args.parsed::<u64>("--out"), Ok(Some(7)));
+        assert_eq!(args.parsed::<u64>("--prom-out"), Ok(None));
     }
 
     #[test]

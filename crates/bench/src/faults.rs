@@ -22,7 +22,8 @@
 //! least one cell must exercise each recovery mechanism (resume skips,
 //! partition drops, backoff give-ups).
 
-use crate::host::HostFacts;
+use crate::check::{visit_run, Sweep};
+use crate::json::{Fields, Slot, Visit};
 use dapes_core::stats::PeerStats;
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
@@ -110,12 +111,12 @@ impl FaultParams {
 }
 
 /// Outcome of one `(crashes, partition_secs)` cell.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct FaultOutcome {
     /// The stable report label, e.g. `crash1-part30`.
     pub label: String,
     /// Downloaders crashed and restarted in this cell.
-    pub crashes: usize,
+    pub crashes: u64,
     /// Seconds downloader 0 spent cut off (0 = no partition).
     pub partition_secs: u64,
     /// Whether every downloader finished the transfer.
@@ -175,7 +176,7 @@ pub fn run_cell(params: &FaultParams, crashes: usize, partition_secs: u64) -> Fa
     };
     FaultOutcome {
         label: format!("crash{crashes}-part{partition_secs}"),
-        crashes,
+        crashes: crashes as u64,
         partition_secs,
         completed,
         completion_secs,
@@ -202,10 +203,13 @@ pub fn run_all(params: &FaultParams) -> Vec<FaultOutcome> {
 /// violation.
 pub fn gate(outcomes: &[FaultOutcome]) -> Result<(), String> {
     if outcomes.is_empty() {
-        return Err("the sweep ran no cells".into());
+        return Err("the sweep ran no cells: it measured nothing".into());
     }
-    for o in outcomes {
+    for (i, o) in outcomes.iter().enumerate() {
         let label = &o.label;
+        if outcomes[..i].iter().any(|p| p.label == *label) {
+            return Err(format!("duplicate cell {label:?}"));
+        }
         if !o.completed {
             return Err(format!("[{label}] a transfer never completed after heal"));
         }
@@ -214,11 +218,11 @@ pub fn gate(outcomes: &[FaultOutcome]) -> Result<(), String> {
         }
         if o.peers.resumed_refetch != 0 {
             return Err(format!(
-                "[{label}] a resumed downloader re-fetched {} held segments",
+                "[{label}] resumed_refetch {}: a resumed downloader re-fetched held segments",
                 o.peers.resumed_refetch
             ));
         }
-        let crashes = o.crashes as u64;
+        let crashes = o.crashes;
         if o.stats.node_crashes != crashes || o.stats.node_restarts != crashes {
             return Err(format!(
                 "[{label}] fault accounting: {} crashes / {} restarts executed, plan had {crashes}",
@@ -264,69 +268,50 @@ pub fn gate(outcomes: &[FaultOutcome]) -> Result<(), String> {
     Ok(())
 }
 
-/// Renders the `BENCH_faults.json` document.
-pub fn render_report(host: &HostFacts, params: &FaultParams, outcomes: &[FaultOutcome]) -> String {
-    fn entry(o: &FaultOutcome) -> String {
-        format!(
-            concat!(
-                "{{\n",
-                "    \"label\": \"{}\",\n",
-                "    \"crashes\": {},\n",
-                "    \"partition_secs\": {},\n",
-                "    \"completed\": {},\n",
-                "    \"completion_secs\": {:.3},\n",
-                "    \"tx_frames\": {},\n",
-                "    \"node_crashes\": {},\n",
-                "    \"node_restarts\": {},\n",
-                "    \"partitions_cut\": {},\n",
-                "    \"partitions_healed\": {},\n",
-                "    \"partition_drops\": {},\n",
-                "    \"stale_events_suppressed\": {},\n",
-                "    \"retransmissions\": {},\n",
-                "    \"retx_give_ups\": {},\n",
-                "    \"resumed_segments_skipped\": {},\n",
-                "    \"resumed_refetch\": {},\n",
-                "    \"deterministic\": {}\n",
-                "  }}"
-            ),
-            o.label,
-            o.crashes,
-            o.partition_secs,
-            o.completed,
-            o.completion_secs,
-            o.stats.tx_frames,
-            o.stats.node_crashes,
-            o.stats.node_restarts,
-            o.stats.partitions_cut,
-            o.stats.partitions_healed,
-            o.stats.partition_drops,
-            o.stats.stale_events_suppressed,
-            o.peers.retransmissions,
-            o.peers.retx_give_ups,
-            o.peers.resumed_segments_skipped,
-            o.peers.resumed_refetch,
-            o.deterministic,
-        )
+/// One `cells` entry of `BENCH_faults.json`.
+impl Fields for FaultOutcome {
+    fn fields(&mut self, f: &mut Visit<'_>) {
+        f("label", Slot::Text(&mut self.label));
+        f("crashes", Slot::Int(&mut self.crashes));
+        f("partition_secs", Slot::Int(&mut self.partition_secs));
+        let faults = [
+            "node_crashes",
+            "node_restarts",
+            "partitions_cut",
+            "partitions_healed",
+            "partition_drops",
+            "stale_events_suppressed",
+        ];
+        visit_run(
+            &mut self.completed,
+            &mut self.completion_secs,
+            &mut self.stats,
+            &faults,
+            f,
+        );
+        let recovery = [
+            "retransmissions",
+            "retx_give_ups",
+            "resumed_segments_skipped",
+            "resumed_refetch",
+        ];
+        self.peers.visit_mut(|name, n| {
+            if recovery.contains(&name) {
+                f(name, Slot::Int(n));
+            }
+        });
+        f("deterministic", Slot::Flag(&mut self.deterministic));
     }
-    let entries: Vec<String> = outcomes.iter().map(entry).collect();
-    format!(
-        concat!(
-            "{{\n",
-            "  \"scenario\": \"faults\",\n",
-            "{}",
-            "  \"nodes\": 3,\n",
-            "  \"seed\": {},\n",
-            "  \"files\": {},\n",
-            "  \"file_size\": {},\n",
-            "  \"cells\": [{}]\n",
-            "}}\n"
-        ),
-        host.render_json(),
-        params.seed,
-        params.files,
-        params.file_size,
-        entries.join(", "),
-    )
+}
+
+/// `BENCH_faults.json`.
+impl Sweep for FaultOutcome {
+    const SCENARIO: &'static str = "faults";
+    const CELLS: &'static str = "cells";
+
+    fn gate(cells: &[Self]) -> Result<(), String> {
+        gate(cells)
+    }
 }
 
 #[cfg(test)]
@@ -364,10 +349,13 @@ mod tests {
 
     #[test]
     fn full_sweep_passes_the_gate_and_renders_valid_json() {
-        let outcomes = run_all(&FaultParams::smoke());
+        let params = FaultParams::smoke();
+        let outcomes = run_all(&params);
         gate(&outcomes).expect("gate");
-        let json = render_report(&HostFacts::probe(), &FaultParams::smoke(), &outcomes);
-        let doc = crate::json::parse(&json).expect("report parses");
+        let host = crate::host::HostFacts::probe();
+        let report =
+            crate::check::Report::new(host, params.seed, params.files, params.file_size, outcomes);
+        let doc = crate::json::parse(&report.render()).expect("report parses");
         crate::check::validate(&doc).expect("report validates");
         assert_eq!(
             doc.get("cells").and_then(|c| c.as_array()).map(|c| c.len()),

@@ -24,40 +24,22 @@ fn cfg_with(f: impl FnOnce(&mut DapesConfig)) -> DapesConfig {
 /// packet policies (bitmaps-first exchange, as in the paper's caption).
 pub fn fig9a(profile: Profile) {
     println!("{}", profile.describe());
-    let series: Vec<(&str, DapesConfig)> = vec![
+    let (encounter, local) = (RpfVariant::EncounterBased, RpfVariant::LocalNeighborhood);
+    let (same, random) = (StartPacket::Same, StartPacket::Random);
+    let series: Vec<(&str, DapesConfig)> = [
+        ("same+encounter", encounter, same),
+        ("rand+encounter", encounter, random),
+        ("same+local", local, same),
+        ("rand+local", local, random),
+    ]
+    .map(|(label, rpf, start)| {
+        let schedule = AdvertSchedule::BitmapsFirst(BitmapBudget::All);
         (
-            "same+encounter",
-            cfg_with(|c| {
-                c.rpf = RpfVariant::EncounterBased;
-                c.start = StartPacket::Same;
-                c.schedule = AdvertSchedule::BitmapsFirst(BitmapBudget::All);
-            }),
-        ),
-        (
-            "rand+encounter",
-            cfg_with(|c| {
-                c.rpf = RpfVariant::EncounterBased;
-                c.start = StartPacket::Random;
-                c.schedule = AdvertSchedule::BitmapsFirst(BitmapBudget::All);
-            }),
-        ),
-        (
-            "same+local",
-            cfg_with(|c| {
-                c.rpf = RpfVariant::LocalNeighborhood;
-                c.start = StartPacket::Same;
-                c.schedule = AdvertSchedule::BitmapsFirst(BitmapBudget::All);
-            }),
-        ),
-        (
-            "rand+local",
-            cfg_with(|c| {
-                c.rpf = RpfVariant::LocalNeighborhood;
-                c.start = StartPacket::Random;
-                c.schedule = AdvertSchedule::BitmapsFirst(BitmapBudget::All);
-            }),
-        ),
-    ];
+            label,
+            cfg_with(|c| (c.rpf, c.start, c.schedule) = (rpf, start, schedule)),
+        )
+    })
+    .into();
     sweep_ranges(
         profile,
         "Fig 9a: download time (s) by RPF strategy / start packet",
@@ -70,36 +52,15 @@ pub fn fig9a(profile: Profile) {
 /// Fig. 9b — transmissions vs Wi-Fi range, with and without PEBA.
 pub fn fig9b(profile: Profile) {
     println!("{}", profile.describe());
-    let series: Vec<(&str, DapesConfig)> = vec![
-        (
-            "encounter w/o PEBA",
-            cfg_with(|c| {
-                c.rpf = RpfVariant::EncounterBased;
-                c.peba = false;
-            }),
-        ),
-        (
-            "local w/o PEBA",
-            cfg_with(|c| {
-                c.rpf = RpfVariant::LocalNeighborhood;
-                c.peba = false;
-            }),
-        ),
-        (
-            "encounter PEBA",
-            cfg_with(|c| {
-                c.rpf = RpfVariant::EncounterBased;
-                c.peba = true;
-            }),
-        ),
-        (
-            "local PEBA",
-            cfg_with(|c| {
-                c.rpf = RpfVariant::LocalNeighborhood;
-                c.peba = true;
-            }),
-        ),
-    ];
+    let (encounter, local) = (RpfVariant::EncounterBased, RpfVariant::LocalNeighborhood);
+    let series: Vec<(&str, DapesConfig)> = [
+        ("encounter w/o PEBA", encounter, false),
+        ("local w/o PEBA", local, false),
+        ("encounter PEBA", encounter, true),
+        ("local PEBA", local, true),
+    ]
+    .map(|(label, rpf, peba)| (label, cfg_with(|c| (c.rpf, c.peba) = (rpf, peba))))
+    .into();
     sweep_ranges(
         profile,
         "Fig 9b: transmissions (x1000) by RPF / PEBA",

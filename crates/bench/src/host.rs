@@ -1,5 +1,6 @@
 //! Where and on what a report was measured.
 
+use crate::json::{Fields, Slot, Visit};
 use std::process::Command;
 
 /// Host facts the adversarial and fault-injection reports state next to
@@ -7,10 +8,10 @@ use std::process::Command;
 /// and the SHA-256 kernel the CPU selected. The kernel moves no counter
 /// (digests are identical), but anything timed that authenticates packets
 /// runs several times faster under `sha-ni` than under `portable`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HostFacts {
     /// Logical cores available to the process.
-    pub logical_cores: usize,
+    pub logical_cores: u64,
     /// CPU model string.
     pub cpu_model: String,
     /// `rustc --version` of the toolchain on the path.
@@ -19,7 +20,7 @@ pub struct HostFacts {
     pub git_rev: String,
     /// The SHA-256 kernel the CPU selected
     /// ([`dapes_crypto::sha256::kernel`]).
-    pub sha256_kernel: String,
+    pub sha256_kernel: &'static str,
 }
 
 /// First line of a command's stdout, or `"unknown"`.
@@ -55,28 +56,27 @@ impl HostFacts {
             git_rev.push_str("-dirty");
         }
         HostFacts {
-            logical_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            logical_cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
             cpu_model,
             rustc: first_line_of("rustc", &["--version"]),
             git_rev,
-            sha256_kernel: dapes_crypto::sha256::kernel().to_owned(),
+            sha256_kernel: dapes_crypto::sha256::kernel(),
         }
     }
+}
 
-    /// The report's `"host": {…},` line group, as the `BENCH_*.json`
-    /// writers embed it after `"scenario"`.
-    pub fn render_json(&self) -> String {
-        format!(
-            concat!(
-                "  \"host\": {{\n",
-                "    \"logical_cores\": {},\n",
-                "    \"cpu_model\": {:?},\n",
-                "    \"rustc\": {:?},\n",
-                "    \"git_rev\": {:?},\n",
-                "    \"sha256_kernel\": {:?}\n",
-                "  }},\n",
-            ),
-            self.logical_cores, self.cpu_model, self.rustc, self.git_rev, self.sha256_kernel,
-        )
+/// The report's `host` block: written after `scenario`, read back into the
+/// same facts.
+impl Fields for HostFacts {
+    fn fields(&mut self, f: &mut Visit<'_>) {
+        f("logical_cores", Slot::Pos(&mut self.logical_cores));
+        f("cpu_model", Slot::Text(&mut self.cpu_model));
+        f("rustc", Slot::Text(&mut self.rustc));
+        f("git_rev", Slot::Text(&mut self.git_rev));
+        let kernels = &["sha-ni", "portable"];
+        f(
+            "sha256_kernel",
+            Slot::Choice(&mut self.sha256_kernel, kernels),
+        );
     }
 }

@@ -1,12 +1,14 @@
-//! A minimal JSON reader for the committed `BENCH_*.json` reports.
+//! JSON for the committed `BENCH_*.json` reports: a minimal parser, and
+//! the field-list machinery that writes, reads back and tables a report.
 //!
 //! The workspace is fully offline (no serde), and the reports are small and
 //! machine-written, so a compact recursive-descent parser is all the
-//! `checkjson` gate needs: parse, then assert the schema (keys present,
-//! numbers finite, counters integral) and render the step-summary table.
+//! `checkjson` gate needs. A report type lists its members once, as a
+//! [`Fields`] visitor handing out one [`Slot`] per key in report order;
+//! [`write()`], [`read`] and [`table`] are loops over that visitor, so a key
+//! is spelled in exactly one place.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,207 +62,330 @@ impl Value {
     }
 }
 
-/// A parse failure with its byte offset.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JsonError {
-    /// Byte offset of the failure.
-    pub at: usize,
-    /// What went wrong.
-    pub msg: &'static str,
-}
-
-impl fmt::Display for JsonError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} at byte {}", self.msg, self.at)
-    }
-}
-
-impl std::error::Error for JsonError {}
-
-/// Parses one JSON document; trailing non-whitespace is an error.
-pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
+/// Parses one JSON document; trailing non-whitespace is an error. A
+/// failure names what went wrong and its byte offset.
+pub fn parse(input: &str) -> Result<Value, String> {
+    let mut p = Parser { src: input, pos: 0 };
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(p.err("trailing bytes after document"));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
     pos: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn err(&self, msg: &'static str) -> JsonError {
-        JsonError { at: self.pos, msg }
+impl Parser<'_> {
+    fn err(&self, msg: &str) -> String {
+        format!("{msg} at byte {}", self.pos)
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+    fn peek(&self) -> Option<char> {
+        self.src[self.pos..].chars().next()
+    }
+
+    fn next(&mut self) -> Result<char, String> {
+        let c = self.peek().ok_or_else(|| self.err("unexpected end"))?;
+        self.pos += c.len_utf8();
+        Ok(c)
+    }
+
+    /// Consumes `c` if it comes next.
+    fn eat(&mut self, c: char) -> bool {
+        let next = self.peek() == Some(c);
+        self.pos += usize::from(next);
+        next
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+        while matches!(self.peek(), Some(' ' | '\t' | '\n' | '\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err("unexpected character"))
-        }
+    /// One value and the whitespace around it.
+    fn value(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        let v = match self.peek().ok_or_else(|| self.err("unexpected end"))? {
+            '{' => Value::Object(self.seq('}', |p| {
+                let key = p.string()?;
+                p.skip_ws();
+                if !p.eat(':') {
+                    return Err(p.err("expected :"));
+                }
+                Ok((key, p.value()?))
+            })?),
+            '[' => Value::Array(self.seq(']', Self::value)?),
+            '"' => Value::String(self.string()?),
+            't' => self.literal("true", Value::Bool(true))?,
+            'f' => self.literal("false", Value::Bool(false))?,
+            'n' => self.literal("null", Value::Null)?,
+            '-' | '0'..='9' => self.number()?,
+            _ => return Err(self.err("unexpected character")),
+        };
+        self.skip_ws();
+        Ok(v)
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Value::String(self.string()?)),
-            b't' => self.literal(b"true", Value::Bool(true)),
-            b'f' => self.literal(b"false", Value::Bool(false)),
-            b'n' => self.literal(b"null", Value::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            _ => Err(self.err("unexpected character")),
+    /// The comma-separated items between the bracket at `pos` and `close`.
+    fn seq<T, C: FromIterator<T>>(
+        &mut self,
+        close: char,
+        mut item: impl FnMut(&mut Self) -> Result<T, String>,
+    ) -> Result<C, String> {
+        self.pos += 1;
+        self.skip_ws();
+        let mut items = Vec::new();
+        if !self.eat(close) {
+            loop {
+                self.skip_ws();
+                items.push(item(self)?);
+                if self.eat(close) {
+                    break;
+                }
+                if !self.eat(',') {
+                    return Err(self.err("expected , or a closing bracket"));
+                }
+            }
         }
+        Ok(items.into_iter().collect())
     }
 
-    fn literal(&mut self, lit: &[u8], v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err("bad literal"))
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+        if !self.src[self.pos..].starts_with(lit) {
+            return Err(self.err("bad literal"));
         }
+        self.pos += lit.len();
+        Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
+    fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        while matches!(self.peek(), Some('0'..='9' | '.' | 'e' | 'E' | '+' | '-')) {
             self.pos += 1;
         }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
+        let text = &self.src[start..self.pos];
+        text.parse()
             .map(Value::Number)
-            .ok_or_else(|| self.err("bad number"))
+            .map_err(|_| self.err("bad number"))
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+    fn string(&mut self) -> Result<String, String> {
+        if !self.eat('"') {
+            return Err(self.err("expected a string"));
+        }
         let mut out = String::new();
         loop {
-            match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                b'"' => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("bad escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad unicode escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        }
-                        _ => return Err(self.err("bad escape")),
+            let c = match self.next()? {
+                '"' => return Ok(out),
+                '\\' => match self.next()? {
+                    c @ ('"' | '\\' | '/') => c,
+                    'n' => '\n',
+                    't' => '\t',
+                    'r' => '\r',
+                    'b' => '\u{8}',
+                    'f' => '\u{c}',
+                    'u' => {
+                        let hex = self.src.get(self.pos..self.pos + 4);
+                        let code = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
+                        let code = code.ok_or_else(|| self.err("bad unicode escape"))?;
+                        self.pos += 4;
+                        char::from_u32(code).unwrap_or('\u{fffd}')
                     }
-                }
-                _ => {
-                    // Consume one UTF-8 scalar worth of bytes.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("unexpected end"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
+                    _ => return Err(self.err("bad escape")),
+                },
+                c => c,
+            };
+            out.push(c);
         }
+    }
+}
+
+/// One report member as a [`Fields`] visitor hands it out: the place a
+/// writer reads it from and a reader stores it into, typed by how the
+/// report spells it.
+pub enum Slot<'a> {
+    /// A non-negative integer (every counter).
+    Int(&'a mut u64),
+    /// A strictly positive integer.
+    Pos(&'a mut u64),
+    /// A finite non-negative number, written with this many decimals.
+    Num(&'a mut f64, usize),
+    /// `true` / `false`.
+    Flag(&'a mut bool),
+    /// Free text.
+    Text(&'a mut String),
+    /// One of a fixed set of labels.
+    Choice(&'a mut &'static str, &'a [&'static str]),
+    /// A nested object.
+    Object(&'a mut dyn Fields),
+    /// An array of objects.
+    Rows(&'a mut dyn Rows),
+}
+
+/// The callback a [`Fields`] visitor calls once per member, in order.
+pub type Visit<'v> = dyn FnMut(&'static str, Slot<'_>) + 'v;
+
+/// A report object: its members, listed once.
+pub trait Fields {
+    /// Calls `f(key, slot)` for every member, in report order.
+    fn fields(&mut self, f: &mut Visit<'_>);
+}
+
+/// An array of report objects.
+pub trait Rows {
+    /// Every row, in order.
+    fn rows(&mut self) -> Vec<&mut dyn Fields>;
+    /// Appends a blank row for a reader to fill, and returns it.
+    fn push_blank(&mut self) -> &mut dyn Fields;
+}
+
+impl<T: Fields + Default> Rows for Vec<T> {
+    fn rows(&mut self) -> Vec<&mut dyn Fields> {
+        self.iter_mut().map(|r| r as &mut dyn Fields).collect()
     }
 
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(self.err("expected , or ]")),
-            }
-        }
+    fn push_blank(&mut self) -> &mut dyn Fields {
+        self.push(T::default());
+        self.last_mut().expect("just pushed")
     }
+}
 
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
+/// A scalar slot as JSON, or (`json == false`) as a markdown table cell.
+fn scalar(slot: Slot<'_>, json: bool) -> String {
+    let text = |s: &str| {
+        if json {
+            format!("{s:?}")
+        } else {
+            format!("`{s}`")
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(self.err("expected , or }")),
+    };
+    match slot {
+        Slot::Int(n) | Slot::Pos(n) => n.to_string(),
+        Slot::Num(x, places) => format!("{x:.places$}"),
+        Slot::Flag(b) if json => b.to_string(),
+        Slot::Flag(b) => (if *b { "yes" } else { "NO" }).into(),
+        Slot::Text(s) => text(s),
+        Slot::Choice(s, _) => text(s),
+        Slot::Object(_) | Slot::Rows(_) => String::new(),
+    }
+}
+
+/// Writes `doc` in the reports' layout: one member a line, nested objects
+/// indented two spaces a level, an array of objects as `[{…}, {…}]`.
+pub fn write(doc: &mut dyn Fields) -> String {
+    object(doc, 0) + "\n"
+}
+
+fn object(doc: &mut dyn Fields, depth: usize) -> String {
+    let pad = "  ".repeat(depth + 1);
+    let mut members = Vec::new();
+    doc.fields(&mut |key, slot| {
+        let value = match slot {
+            Slot::Object(o) => object(o, depth + 1),
+            Slot::Rows(rows) => {
+                let rows: Vec<String> = rows
+                    .rows()
+                    .into_iter()
+                    .map(|r| object(r, depth + 1))
+                    .collect();
+                format!("[{}]", rows.join(", "))
+            }
+            slot => scalar(slot, true),
+        };
+        members.push(format!("{pad}\"{key}\": {value}"));
+    });
+    format!("{{\n{}\n{}}}", members.join(",\n"), "  ".repeat(depth))
+}
+
+/// Reads `doc` into `into`, member by member. Every key must be present
+/// and hold its slot's type: numbers finite and non-negative, integers
+/// whole. The first failure is returned, naming its key (and, inside an
+/// array, the row's label).
+pub fn read(doc: &Value, into: &mut dyn Fields) -> Result<(), String> {
+    read_object(doc, into, false)
+}
+
+/// [`read`], prefixing errors after the first text member of a `named`
+/// object (an array row) with that member, e.g. `mode "spoof": `.
+fn read_object(doc: &Value, into: &mut dyn Fields, named: bool) -> Result<(), String> {
+    let mut label = String::new();
+    let mut result = Ok(());
+    into.fields(&mut |key, slot| {
+        if result.is_err() {
+            return;
+        }
+        let names = named && label.is_empty() && matches!(slot, Slot::Text(_) | Slot::Choice(..));
+        result = match doc.get(key) {
+            Some(v) => read_slot(key, v, slot),
+            None => Err(format!("missing \"{key}\"")),
+        }
+        .map_err(|e| format!("{label}{e}"));
+        if names {
+            let text = doc.get(key).and_then(Value::as_str).unwrap_or_default();
+            label = format!("{key} {text:?}: ");
+        }
+    });
+    result
+}
+
+fn read_slot(key: &str, v: &Value, slot: Slot<'_>) -> Result<(), String> {
+    let bad = |want: &str| format!("\"{key}\" must be {want}, got {v:?}");
+    let num = v.as_f64().filter(|n| n.is_finite() && *n >= 0.0);
+    let int = num.filter(|n| n.fract() == 0.0);
+    match slot {
+        Slot::Int(n) => *n = int.ok_or_else(|| bad("a non-negative integer"))? as u64,
+        Slot::Pos(n) => {
+            *n = int
+                .filter(|&n| n >= 1.0)
+                .ok_or_else(|| bad("positive and whole"))? as u64
+        }
+        Slot::Num(x, _) => *x = num.ok_or_else(|| bad("a finite non-negative number"))?,
+        Slot::Flag(b) => match v {
+            Value::Bool(x) => *b = *x,
+            _ => return Err(bad("true or false")),
+        },
+        Slot::Text(s) => *s = v.as_str().ok_or_else(|| bad("a string"))?.to_owned(),
+        Slot::Choice(s, labels) => {
+            *s = labels
+                .iter()
+                .find(|&&l| Some(l) == v.as_str())
+                .ok_or_else(|| bad(&format!("one of {labels:?}")))?
+        }
+        Slot::Object(o) => read(v, o).map_err(|e| format!("{key}: {e}"))?,
+        Slot::Rows(rows) => {
+            for row in v.as_array().ok_or_else(|| bad("an array"))? {
+                read_object(row, rows.push_blank(), true)?;
             }
         }
     }
+    Ok(())
+}
+
+/// Renders `rows` as a markdown table: one column per member, headed by
+/// its key.
+pub fn table(rows: &mut dyn Rows) -> String {
+    let mut out = String::new();
+    for (i, row) in rows.rows().into_iter().enumerate() {
+        let mut keys = Vec::new();
+        let mut cells = Vec::new();
+        row.fields(&mut |key, slot| {
+            keys.push(key);
+            cells.push(scalar(slot, false));
+        });
+        if i == 0 {
+            out += &format!(
+                "| {} |\n|{}\n",
+                keys.join(" | "),
+                " --- |".repeat(keys.len())
+            );
+        }
+        out += &format!("| {} |\n", cells.join(" | "));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -292,19 +417,27 @@ mod tests {
 
     #[test]
     fn parses_the_report_shapes() {
-        use crate::faults::{render_report, run_cell, FaultParams};
+        use crate::check::Report;
+        use crate::faults::{run_cell, FaultParams};
         use crate::host::HostFacts;
         let host = HostFacts {
             logical_cores: 2,
             cpu_model: "a \"quoted\" cpu".into(),
             rustc: "rustc 1.0".into(),
             git_rev: "abc1234".into(),
-            sha256_kernel: "portable".into(),
+            sha256_kernel: "portable",
         };
         let params = FaultParams::smoke();
         let cell = run_cell(&params, 0, 0);
-        let v = parse(&render_report(&host, &params, std::slice::from_ref(&cell)))
-            .expect("faults report parses");
+        let report = Report::new(
+            host,
+            params.seed,
+            params.files,
+            params.file_size,
+            vec![cell],
+        );
+        let text = report.render();
+        let v = parse(&text).expect("faults report parses");
         assert_eq!(v.get("scenario").and_then(Value::as_str), Some("faults"));
         assert_eq!(
             v.get("host")
@@ -315,7 +448,9 @@ mod tests {
         let cells = v.get("cells").and_then(Value::as_array).expect("cells");
         assert_eq!(
             cells[0].get("tx_frames").and_then(Value::as_f64),
-            Some(cell.stats.tx_frames as f64)
+            Some(report.cells[0].stats.tx_frames as f64)
         );
+        let back = Report::<crate::faults::FaultOutcome>::decode(&v).expect("reads back");
+        assert_eq!(back.render(), text);
     }
 }

@@ -45,25 +45,44 @@ fn build_collection(profile: Profile) -> Arc<Collection> {
     }))
 }
 
-fn anchor() -> TrustAnchor {
-    TrustAnchor::from_seed(b"rural-area-anchor")
+fn still(x: f64, y: f64) -> Box<dyn Mobility> {
+    Box::new(Stationary::new(Point::new(x, y)))
 }
 
-fn world(seed: u64) -> World {
-    World::new(WorldConfig {
-        range: 50.0, // the MacBooks' outdoor range
+/// A walk through `(time s, x m, y m)` waypoints.
+fn path(waypoints: &[(u64, f64, f64)]) -> Box<dyn Mobility> {
+    let waypoints = waypoints
+        .iter()
+        .map(|&(t, x, y)| (SimTime::from_secs(t), Point::new(x, y)));
+    Box::new(ScriptedMobility::new(waypoints.collect()))
+}
+
+/// Runs the five devices, moving as given, in the MacBooks' ~50 m outdoor
+/// range: device 0 produces the collection, the other four want
+/// everything. Runs until they complete (or the cap), sampling memory.
+fn run(profile: Profile, seed: u64, devices: [Box<dyn Mobility>; 5]) -> ScenarioOutcome {
+    let anchor = TrustAnchor::from_seed(b"rural-area-anchor");
+    let mut w = World::new(WorldConfig {
+        range: 50.0,
         seed,
         ..WorldConfig::default()
-    })
-}
-
-fn wp(t: u64, x: f64, y: f64) -> (SimTime, Point) {
-    (SimTime::from_secs(t), Point::new(x, y))
-}
-
-/// Runs a built world until the given downloaders complete (or cap) and
-/// extracts the Table I metrics.
-fn finish(mut w: World, downloaders: Vec<NodeId>, cap: SimTime) -> ScenarioOutcome {
+    });
+    let mut downloaders = Vec::new();
+    for (id, mobility) in (0..).zip(devices) {
+        let want = if id == 0 {
+            WantPolicy::Nothing
+        } else {
+            WantPolicy::Everything
+        };
+        let mut peer = DapesPeer::new(id, DapesConfig::default(), anchor.clone(), want);
+        if id == 0 {
+            peer.add_production(build_collection(profile));
+            w.add_node(mobility, Box::new(peer));
+        } else {
+            downloaders.push(w.add_node(mobility, Box::new(peer)));
+        }
+    }
+    let cap = profile.base_params().max_sim;
     let mut memory_peak = 0usize;
     let step = SimDuration::from_secs(2);
     let mut now = SimTime::ZERO;
@@ -96,226 +115,99 @@ fn finish(mut w: World, downloaders: Vec<NodeId>, cap: SimTime) -> ScenarioOutco
 }
 
 /// Scenario 1 (Fig. 8a): data sharing through a carrier.
-fn scenario_carrier(profile: Profile, seed: u64) -> ScenarioOutcome {
-    let col = build_collection(profile);
-    let a = anchor();
-    let mut w = world(seed);
-    let cap = profile.base_params().max_sim;
-    let want = WantPolicy::Everything;
-
-    // Producer A at the west end.
-    let mut prod = DapesPeer::new(0, DapesConfig::default(), a.clone(), WantPolicy::Nothing);
-    prod.add_production(col);
-    w.add_node(
-        Box::new(Stationary::new(Point::new(0.0, 0.0))),
-        Box::new(prod),
-    );
-    // B and C in two disconnected segments 150 m apart.
-    let b = w.add_node(
-        Box::new(Stationary::new(Point::new(150.0, 0.0))),
-        Box::new(DapesPeer::new(
-            1,
-            DapesConfig::default(),
-            a.clone(),
-            want.clone(),
-        )),
-    );
-    let c = w.add_node(
-        Box::new(Stationary::new(Point::new(300.0, 0.0))),
-        Box::new(DapesPeer::new(
-            2,
-            DapesConfig::default(),
-            a.clone(),
-            want.clone(),
-        )),
-    );
-    // Carrier D: dwell near A, walk to B, dwell, walk to C, return.
-    let d = w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 20.0, 0.0),
-            wp(120, 20.0, 0.0),
-            wp(180, 150.0, 10.0),
-            wp(300, 150.0, 10.0),
-            wp(360, 300.0, 10.0),
-            wp(480, 300.0, 10.0),
-            wp(540, 20.0, 0.0),
-            wp(660, 20.0, 0.0),
-            wp(720, 150.0, 10.0),
-            wp(840, 300.0, 10.0),
-        ])),
-        Box::new(DapesPeer::new(
-            3,
-            DapesConfig::default(),
-            a.clone(),
-            want.clone(),
-        )),
-    );
-    // A fifth resident idling near B (the study used 5 MacBooks).
-    let e = w.add_node(
-        Box::new(Stationary::new(Point::new(170.0, 0.0))),
-        Box::new(DapesPeer::new(4, DapesConfig::default(), a, want)),
-    );
-    finish(w, vec![b, c, d, e], cap)
+fn carrier() -> [Box<dyn Mobility>; 5] {
+    [
+        // Producer A at the west end; B and C in two disconnected segments
+        // 150 m apart.
+        still(0.0, 0.0),
+        still(150.0, 0.0),
+        still(300.0, 0.0),
+        // Carrier D: dwell near A, walk to B, dwell, walk to C, return.
+        path(&[
+            (0, 20.0, 0.0),
+            (120, 20.0, 0.0),
+            (180, 150.0, 10.0),
+            (300, 150.0, 10.0),
+            (360, 300.0, 10.0),
+            (480, 300.0, 10.0),
+            (540, 20.0, 0.0),
+            (660, 20.0, 0.0),
+            (720, 150.0, 10.0),
+            (840, 300.0, 10.0),
+        ]),
+        // A fifth resident idling near B (the study used 5 MacBooks).
+        still(170.0, 0.0),
+    ]
 }
 
 /// Scenario 2 (Fig. 8b): data sharing through a repository.
-fn scenario_repo(profile: Profile, seed: u64) -> ScenarioOutcome {
-    let col = build_collection(profile);
-    let a = anchor();
-    let mut w = world(seed);
-    let cap = profile.base_params().max_sim;
-    let want = WantPolicy::Everything;
-
-    // Producer C walks past the repo, seeding it.
-    let mut prod = DapesPeer::new(0, DapesConfig::default(), a.clone(), WantPolicy::Nothing);
-    prod.add_production(col);
-    w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 150.0, 150.0),
-            wp(600, 150.0, 150.0),
-            wp(700, 300.0, 300.0),
-        ])),
-        Box::new(prod),
-    );
-    // The repository: a stationary DAPES peer that downloads then serves.
-    let repo = w.add_node(
-        Box::new(Stationary::new(Point::new(150.0, 130.0))),
-        Box::new(DapesPeer::new(
-            1,
-            DapesConfig::default(),
-            a.clone(),
-            want.clone(),
-        )),
-    );
-    // A and B walk to the rest area after the repo has been seeded, then
-    // fetch from it simultaneously (Fig. 8b's arrows 3a/3b).
-    let pa = w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 0.0, 0.0),
-            wp(180, 0.0, 0.0),
-            wp(260, 130.0, 110.0),
-        ])),
-        Box::new(DapesPeer::new(
-            2,
-            DapesConfig::default(),
-            a.clone(),
-            want.clone(),
-        )),
-    );
-    let pb = w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 300.0, 0.0),
-            wp(180, 300.0, 0.0),
-            wp(260, 170.0, 110.0),
-        ])),
-        Box::new(DapesPeer::new(
-            3,
-            DapesConfig::default(),
-            a.clone(),
-            want.clone(),
-        )),
-    );
-    // Fifth device roaming into the rest area later still.
-    let pe = w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 300.0, 300.0),
-            wp(280, 300.0, 300.0),
-            wp(360, 150.0, 90.0),
-        ])),
-        Box::new(DapesPeer::new(4, DapesConfig::default(), a, want)),
-    );
-    finish(w, vec![repo, pa, pb, pe], cap)
+fn repository() -> [Box<dyn Mobility>; 5] {
+    [
+        // Producer C walks past the repo, seeding it.
+        path(&[(0, 150.0, 150.0), (600, 150.0, 150.0), (700, 300.0, 300.0)]),
+        // The repository: a stationary peer that downloads then serves.
+        still(150.0, 130.0),
+        // A and B walk to the rest area after the repo has been seeded,
+        // then fetch from it simultaneously (Fig. 8b's arrows 3a/3b).
+        path(&[(0, 0.0, 0.0), (180, 0.0, 0.0), (260, 130.0, 110.0)]),
+        path(&[(0, 300.0, 0.0), (180, 300.0, 0.0), (260, 170.0, 110.0)]),
+        // Fifth device roaming into the rest area later still.
+        path(&[(0, 300.0, 300.0), (280, 300.0, 300.0), (360, 150.0, 90.0)]),
+    ]
 }
 
 /// Scenario 3 (Fig. 8c): data sharing among moving nodes with moments of
 /// disconnection and multi-hop contact.
-fn scenario_moving(profile: Profile, seed: u64) -> ScenarioOutcome {
-    let col = build_collection(profile);
-    let a = anchor();
-    let mut w = world(seed);
-    let cap = profile.base_params().max_sim;
-    let want = WantPolicy::Everything;
-
-    // Producer A loops around the area.
-    let mut prod = DapesPeer::new(0, DapesConfig::default(), a.clone(), WantPolicy::Nothing);
-    prod.add_production(col);
-    w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 0.0, 0.0),
-            wp(60, 75.0, 40.0),
-            wp(120, 150.0, 0.0),
-            wp(180, 75.0, 40.0),
-            wp(240, 0.0, 0.0),
-            wp(300, 75.0, 40.0),
-            wp(360, 150.0, 0.0),
-        ])),
-        Box::new(prod),
-    );
-    // B, C, D crisscross: sometimes all disconnected, sometimes chained
-    // within range of each other (exercising multi-hop).
-    let pb = w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 150.0, 150.0),
-            wp(90, 40.0, 20.0),
-            wp(200, 150.0, 150.0),
-            wp(300, 40.0, 20.0),
-            wp(420, 110.0, 20.0),
-        ])),
-        Box::new(DapesPeer::new(
-            1,
-            DapesConfig::default(),
-            a.clone(),
-            want.clone(),
-        )),
-    );
-    let pc = w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 0.0, 150.0),
-            wp(120, 80.0, 30.0),
-            wp(240, 0.0, 150.0),
-            wp(330, 80.0, 30.0),
-            wp(420, 150.0, 30.0),
-        ])),
-        Box::new(DapesPeer::new(
-            2,
-            DapesConfig::default(),
-            a.clone(),
-            want.clone(),
-        )),
-    );
-    let pd = w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 150.0, 75.0),
-            wp(100, 120.0, 30.0),
-            wp(220, 150.0, 75.0),
-            wp(320, 120.0, 30.0),
-        ])),
-        Box::new(DapesPeer::new(
-            3,
-            DapesConfig::default(),
-            a.clone(),
-            want.clone(),
-        )),
-    );
-    let pe = w.add_node(
-        Box::new(ScriptedMobility::new(vec![
-            wp(0, 75.0, 150.0),
-            wp(150, 60.0, 50.0),
-            wp(280, 75.0, 150.0),
-            wp(380, 60.0, 50.0),
-        ])),
-        Box::new(DapesPeer::new(4, DapesConfig::default(), a, want)),
-    );
-    finish(w, vec![pb, pc, pd, pe], cap)
+fn moving() -> [Box<dyn Mobility>; 5] {
+    [
+        // Producer A loops around the area.
+        path(&[
+            (0, 0.0, 0.0),
+            (60, 75.0, 40.0),
+            (120, 150.0, 0.0),
+            (180, 75.0, 40.0),
+            (240, 0.0, 0.0),
+            (300, 75.0, 40.0),
+            (360, 150.0, 0.0),
+        ]),
+        // B, C, D crisscross: sometimes all disconnected, sometimes chained
+        // within range of each other (exercising multi-hop).
+        path(&[
+            (0, 150.0, 150.0),
+            (90, 40.0, 20.0),
+            (200, 150.0, 150.0),
+            (300, 40.0, 20.0),
+            (420, 110.0, 20.0),
+        ]),
+        path(&[
+            (0, 0.0, 150.0),
+            (120, 80.0, 30.0),
+            (240, 0.0, 150.0),
+            (330, 80.0, 30.0),
+            (420, 150.0, 30.0),
+        ]),
+        path(&[
+            (0, 150.0, 75.0),
+            (100, 120.0, 30.0),
+            (220, 150.0, 75.0),
+            (320, 120.0, 30.0),
+        ]),
+        path(&[
+            (0, 75.0, 150.0),
+            (150, 60.0, 50.0),
+            (280, 75.0, 150.0),
+            (380, 60.0, 50.0),
+        ]),
+    ]
 }
 
 /// Prints the Table I reproduction.
 pub fn table1(profile: Profile) {
     println!("{}", profile.describe());
     let outcomes = vec![
-        ("1 carrier", scenario_carrier(profile, 101)),
-        ("2 repository", scenario_repo(profile, 102)),
-        ("3 moving", scenario_moving(profile, 103)),
+        ("1 carrier", run(profile, 101, carrier())),
+        ("2 repository", run(profile, 102, repository())),
+        ("3 moving", run(profile, 103, moving())),
     ];
     let mut t = Table::new(
         "Table I: real-world feasibility scenarios",
@@ -353,7 +245,7 @@ mod tests {
 
     #[test]
     fn carrier_scenario_finishes_with_quick_profile() {
-        let o = scenario_carrier(Profile::Quick, 42);
+        let o = run(Profile::Quick, 42, carrier());
         assert!(o.transmissions > 0);
         assert!(o.memory_mb > 0.0);
         assert!(o.download_time_s > 0.0);
@@ -363,8 +255,8 @@ mod tests {
     fn repo_scenario_is_faster_than_carrier() {
         // The paper's key Table I ordering: the repository scenario beats
         // the carrier scenario; moving+multi-hop beats both.
-        let carrier = scenario_carrier(Profile::Quick, 7);
-        let repo = scenario_repo(Profile::Quick, 7);
+        let carrier = run(Profile::Quick, 7, super::carrier());
+        let repo = run(Profile::Quick, 7, repository());
         assert!(
             repo.download_time_s <= carrier.download_time_s,
             "repo {:.0}s vs carrier {:.0}s",

@@ -40,7 +40,7 @@ use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Frame kinds for hostile transmissions (DAPES uses 1–8, baselines 20+,
-/// the scheduler bench 50+).
+/// the `relay-swarm` benchmark workload 50–53).
 pub mod attack_kinds {
     use super::FrameKind;
 
