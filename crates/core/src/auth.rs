@@ -25,8 +25,9 @@
 
 use crate::due_after;
 use dapes_crypto::signing::{KeyId, Signature, Signer, TrustAnchor, Verifier};
+use dapes_ndn::hash::FxBuildHasher;
 use dapes_netsim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Bytes the envelope appends to the base payload: an 8-byte big-endian
 /// timestamp (microseconds), then [`Signature::WIRE_SIZE`] signature bytes.
@@ -251,15 +252,16 @@ impl ReplayGuard {
 /// A nonce re-heard within the replay window is an honest wireless echo;
 /// one re-injected after it is a replayed Interest — so the journal must
 /// remember first sightings for a while, then let them age out.
-/// `oldest_first` holds the journaled nonces ordered by `(first seen,
-/// nonce)`: retention pops expired heads and the capacity eviction takes
-/// the front — the oldest entry, ties on equal timestamps breaking on the
-/// smaller nonce — so neither ever walks the whole journal. It stores bare
-/// nonces (their times live in `first_seen`), four bytes an entry.
+/// `oldest_first` holds the journaled `(first seen, nonce)` pairs in
+/// order: retention pops expired heads and the capacity eviction takes the
+/// front — the oldest entry, ties on equal timestamps breaking on the
+/// smaller nonce — so neither ever walks the whole journal, nor looks a
+/// timestamp up. `first_seen` answers the per-nonce probe; nothing
+/// iterates it, so its order (a hash map's) never shows.
 #[derive(Clone, Debug)]
 pub struct NonceJournal {
-    first_seen: BTreeMap<u32, SimTime>,
-    oldest_first: VecDeque<u32>,
+    first_seen: HashMap<u32, SimTime, FxBuildHasher>,
+    oldest_first: VecDeque<(SimTime, u32)>,
     capacity: usize,
 }
 
@@ -267,7 +269,7 @@ impl NonceJournal {
     /// Creates a journal holding at most `capacity` nonces.
     pub fn new(capacity: usize) -> Self {
         NonceJournal {
-            first_seen: BTreeMap::new(),
+            first_seen: HashMap::default(),
             oldest_first: VecDeque::new(),
             capacity: capacity.max(1),
         }
@@ -287,21 +289,19 @@ impl NonceJournal {
             return Some(earlier);
         }
         if self.first_seen.len() >= self.capacity {
-            if let Some(oldest) = self.oldest_first.pop_front() {
+            if let Some((_, oldest)) = self.oldest_first.pop_front() {
                 self.first_seen.remove(&oldest);
             }
         }
         // The simulation clock only moves forward, so the new entry almost
         // always belongs at the back; the search handles a tie on the
         // timestamp with a larger nonce (or a caller whose clock does not).
-        let order = |n: u32| (self.first_seen[&n], n);
+        let entry = (now, nonce);
         let at = match self.oldest_first.back() {
-            Some(&last) if order(last) > (now, nonce) => self
-                .oldest_first
-                .partition_point(|&n| order(n) < (now, nonce)),
+            Some(&last) if last > entry => self.oldest_first.partition_point(|&e| e < entry),
             _ => self.oldest_first.len(),
         };
-        self.oldest_first.insert(at, nonce);
+        self.oldest_first.insert(at, entry);
         self.first_seen.insert(nonce, now);
         None
     }
@@ -310,8 +310,8 @@ impl NonceJournal {
     /// how many.
     pub fn forget_older_than(&mut self, now: SimTime, keep: SimDuration) -> usize {
         let mut forgotten = 0;
-        while let Some(&oldest) = self.oldest_first.front() {
-            if now.since(self.first_seen[&oldest]) <= keep {
+        while let Some(&(seen, oldest)) = self.oldest_first.front() {
+            if now.since(seen) <= keep {
                 break;
             }
             self.oldest_first.pop_front();

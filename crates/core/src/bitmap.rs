@@ -98,6 +98,12 @@ impl Bitmap {
         self.bits[i / 64] &= !(1u64 << (i % 64));
     }
 
+    /// The packed words: bit `i` is bit `i % 64` of word `i / 64`, and
+    /// the bits past [`Bitmap::len`] are clear.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Number of set bits.
     pub fn count_set(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()

@@ -4,6 +4,7 @@
 //! download *holds* (packet index, possession bitmap) lives in the
 //! forwarder's [`MultihopState`]; a [`Download`] keeps everything else.
 
+use super::received::Proofs;
 use super::DapesPeer;
 use crate::advert::AdvertScheduler;
 use crate::bitmap::Bitmap;
@@ -19,7 +20,7 @@ use crate::multihop::MultihopState;
 use crate::namespace;
 use crate::rpf::{fetch_order, rarity_counts, EncounterHistory, RpfVariant};
 use crate::stats::kinds;
-use dapes_crypto::merkle::{leaf_hash, MerkleTree};
+use dapes_crypto::merkle::MerkleTree;
 use dapes_crypto::Digest;
 use dapes_ndn::name::Name;
 use dapes_ndn::packet::{Data, Interest};
@@ -106,30 +107,24 @@ impl Download {
             .iter_missing()
             .filter(|i| !self.outstanding.contains_key(i))
             .collect();
+        // The neighbours' bitmaps for this collection, gathered once for
+        // both the rarity counts and the available/speculative split.
+        let nearby: Vec<&Bitmap> = ms
+            .neighbors()
+            .values()
+            .filter_map(|info| info.bitmaps.get(&self.collection))
+            .collect();
         let rarity = match cfg.rpf {
-            RpfVariant::LocalNeighborhood => {
-                let bitmaps: Vec<&Bitmap> = ms
-                    .neighbors()
-                    .values()
-                    .filter_map(|info| info.bitmaps.get(&self.collection))
-                    .collect();
-                rarity_counts(total, bitmaps)
-            }
+            RpfVariant::LocalNeighborhood => rarity_counts(total, nearby.iter().copied()),
             RpfVariant::EncounterBased => rarity_counts(total, self.history.bitmaps()),
         };
         let seed = (id as u64) << 32 | (total as u64 & 0xffff_ffff);
         let ordered = fetch_order(missing, &rarity, cfg.start, seed);
         // Partition: packets known to be nearby first; speculative
         // (multi-hop) requests afterwards. Reverse so `pop` takes the front.
-        let mut available = Vec::new();
-        let mut speculative = Vec::new();
-        for idx in ordered {
-            match ms.neighbor_has_packet(&self.collection, idx) {
-                Some(true) => available.push(idx),
-                Some(false) | None => speculative.push(idx),
-            }
-        }
-        let mut queue = available;
+        let (mut queue, speculative): (Vec<usize>, Vec<usize>) = ordered
+            .into_iter()
+            .partition(|&idx| nearby.iter().any(|bm| idx < bm.len() && bm.get(idx)));
         if ms.enabled {
             queue.extend(speculative);
         }
@@ -396,13 +391,15 @@ impl DapesPeer {
     }
 
     /// Consumes an authenticated content Data packet for global packet
-    /// `idx` (from [`MultihopState::content_index`]) of `collection`.
+    /// `idx` (from [`MultihopState::content_index`]) of `collection`, with
+    /// the packet's `proofs`.
     pub(super) fn handle_content_data(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         collection: &Name,
         idx: usize,
         data: &Data,
+        proofs: &mut Proofs,
     ) {
         let Some(d) = self.downloads.get_mut(collection) else {
             return;
@@ -436,7 +433,7 @@ impl DapesPeer {
                 self.stats.packets_verified += 1;
             }
             PacketVerification::Deferred => {
-                d.leaf_hashes[idx] = Some(leaf_hash(data.content()));
+                d.leaf_hashes[idx] = Some(proofs.leaf_hash(data.content()));
             }
         }
         d.outstanding.remove(&idx);

@@ -23,6 +23,7 @@ mod advert;
 mod discovery;
 mod fetch;
 mod pending;
+mod received;
 mod screen;
 mod serve;
 
@@ -49,6 +50,7 @@ use dapes_netsim::time::{SimDuration, SimTime};
 use fetch::{Download, Phase};
 use pending::{Cancel, Pending};
 use rand::Rng;
+use received::{Proofs, Received};
 use serve::Seed;
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -338,7 +340,8 @@ impl DapesPeer {
 
     /// The overhearing fast path: tries to resolve `frame` from a
     /// name-first header peek, without a full TLV decode. Returns whether
-    /// the frame was fully handled.
+    /// the frame was fully handled. A Data name and its class come from the
+    /// transmission's shared `rx`.
     ///
     /// Every branch that resolves a frame reproduces the full-decode
     /// pipeline's side effects *exactly* — same forwarder statistics, same
@@ -348,11 +351,11 @@ impl DapesPeer {
     /// decode-free relay path cannot take, PIT-matching or cacheable or
     /// DAPES-signalling Data) fall through untouched, with no state or
     /// statistics recorded, and take the full-decode path.
-    fn on_frame_peeked(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) -> Peeked {
+    fn on_frame_peeked(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame, rx: &mut Received) -> bool {
         let Ok(header) = Packet::peek_header(&frame.payload) else {
             // A malformed prefix fails the full decode at the same byte, so
             // dropping here is exactly what the eager path would do.
-            return Peeked::Resolved;
+            return true;
         };
         match header {
             PacketHeader::Interest(h) => {
@@ -362,7 +365,7 @@ impl DapesPeer {
                     &frame.payload,
                     FaceId::WIRELESS,
                 ) else {
-                    return Peeked::NeedsDecode(None);
+                    return false;
                 };
                 self.note_sender(ctx, frame);
                 // Cancel our own redundant pending forward, comparing the
@@ -383,36 +386,30 @@ impl DapesPeer {
                     PeekOutcome::Relayed => self.stats.peek_relayed += 1,
                     PeekOutcome::RelaySuppressed => self.stats.peek_relay_suppressed += 1,
                 }
-                Peeked::Resolved
+                true
             }
             PacketHeader::Data(h) => {
                 // Classification and the knowledge-building side effects
                 // need a materialized name (zero-copy views, one Vec) — but
                 // never the packet's MetaInfo/Content/signature tail.
-                let Ok(dname) = h.to_name(&frame.payload) else {
+                let Some(named) = rx.named(&h, &frame.payload) else {
                     // Malformed name region: the full decode fails at the
                     // same byte, so dropping matches the eager path.
-                    return Peeked::Resolved;
+                    return true;
                 };
-                // Non-DAPES roles take no overhearing action beyond the
-                // forwarder pipeline, so they never need the class here.
-                let class = if self.role == NodeRole::Dapes {
-                    namespace::classify(&dname)
-                } else {
-                    None
-                };
-                if !self.data_resolvable_by_name(class.as_ref())
+                let class = named.class.as_ref();
+                if !self.data_resolvable_by_name(class)
                     || !self.forwarder.process_data_header(h.name_wire)
                 {
-                    return Peeked::NeedsDecode(class);
+                    return false;
                 }
                 // Committed: mirror the eager pipeline's name-derived side
                 // effects (the payload-derived ones cannot apply, because
                 // `data_resolvable_by_name` ruled them out).
-                self.note_data_heard(ctx, frame, &dname, class.as_ref());
+                self.note_data_heard(ctx, frame, &named.name, class);
                 self.stats.frames_peek_resolved += 1;
                 self.stats.peek_unsolicited_data += 1;
-                Peeked::Resolved
+                true
             }
         }
     }
@@ -484,14 +481,15 @@ impl DapesPeer {
     }
 
     /// Consumes Data the forwarder delivered to the application face.
-    /// `class` and `authentic` are `data`'s own classification and
-    /// [`DapesPeer::check_signature`] verdict.
+    /// `class`, `authentic` and `proofs` are `data`'s own classification,
+    /// [`DapesPeer::check_signature`] verdict and proofs.
     fn handle_app_data(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         data: &Data,
         class: Option<&DapesName>,
         authentic: bool,
+        proofs: &mut Proofs,
     ) {
         match class {
             Some(DapesName::Metadata { collection, .. }) => {
@@ -506,12 +504,127 @@ impl DapesPeer {
                 if !authentic {
                     self.stats.verify_failures += 1;
                 } else if let Some(idx) = ms.content_index(collection, file, *seq) {
-                    self.handle_content_data(ctx, collection, idx, data);
+                    self.handle_content_data(ctx, collection, idx, data, proofs);
                 }
             }
             // Bitmap and discovery data were already handled during
             // overhearing.
             _ => {}
+        }
+    }
+
+    /// Handles one received frame. What the frame bytes alone determine —
+    /// the decoded packet, its name and class, its verdicts — comes from
+    /// `rx`, shared by every receiver of the transmission; everything that
+    /// depends on this peer is worked out here.
+    fn receive(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame, rx: &mut Received) {
+        if self.cfg.signed_adverts && self.screen_frame(ctx, frame) {
+            return;
+        }
+        if self.on_frame_peeked(ctx, frame, rx) {
+            return;
+        }
+        let Some((packet, class, proofs)) = rx.decoded(&frame.payload) else {
+            return;
+        };
+        match packet {
+            Packet::Interest(interest) => {
+                if self.cfg.signed_adverts && self.screen_interest(ctx, interest, proofs) {
+                    return;
+                }
+                self.note_sender(ctx, frame);
+                // Someone else re-broadcast an Interest we were also about
+                // to forward: ours is now redundant.
+                let (name, nonce) = (interest.name(), interest.nonce());
+                self.cancel_pending_where(
+                    ctx,
+                    |p| matches!(&p.cancel, Cancel::Relayed(n, pn) if *pn == nonce && n == name),
+                );
+                let actions = self
+                    .forwarder
+                    .process_interest(ctx.now, interest, FaceId::WIRELESS);
+                ctx.note_state_inserts(1);
+                self.apply_interest_actions(ctx, frame.kind, actions);
+            }
+            Packet::Data(data) => {
+                // The signature verdict is consulted once, here; the screen
+                // and every handler below consume it as a value.
+                let authentic = self.check_signature(data, class, proofs);
+                if self.cfg.signed_adverts && self.screen_data(ctx, data, class, authentic, proofs)
+                {
+                    return;
+                }
+                let content_idx = self.note_data_heard(ctx, frame, data.name(), class);
+
+                // DAPES-level overhearing before the forwarder pipeline.
+                if self.role == NodeRole::Dapes {
+                    match class {
+                        Some(DapesName::Bitmap {
+                            collection,
+                            replier,
+                            ..
+                        }) => {
+                            // Sealed or plain: authentication already ran in
+                            // the `screen_data` gate when the axis is on.
+                            if let Some((peer, bm)) =
+                                decode_bitmap_params_maybe_sealed(data.content())
+                            {
+                                let peer = replier.unwrap_or(peer);
+                                self.handle_bitmap_seen(ctx, collection, peer, &bm);
+                            }
+                        }
+                        Some(DapesName::Discovery { .. }) => {
+                            if let Some(info) =
+                                DiscoveryInfo::from_wire_maybe_sealed(data.content())
+                            {
+                                self.handle_discovery_info(ctx, &info);
+                            }
+                        }
+                        _ => {}
+                    }
+                }
+
+                let (actions, _solicited) =
+                    self.forwarder.process_data(ctx.now, data, FaceId::WIRELESS);
+                for action in actions {
+                    match action {
+                        Action::SendData {
+                            face: FaceId::APP,
+                            data,
+                        } => {
+                            // The forwarder hands back the frame's own
+                            // packet, so its class, verdict and proofs
+                            // carry over.
+                            self.handle_app_data(ctx, &data, class, authentic, proofs);
+                        }
+                        Action::SendData {
+                            face: FaceId::WIRELESS,
+                            data,
+                        } => {
+                            // Multi-hop data return: re-broadcast for the
+                            // next hop, unless someone beats us to it.
+                            self.schedule_reply(ctx, &data, frame.kind);
+                        }
+                        _ => {}
+                    }
+                }
+
+                // Opportunistic use of overheard content/metadata even when
+                // our PIT did not ask for it.
+                if self.role == NodeRole::Dapes {
+                    match class {
+                        Some(DapesName::Content { collection, .. }) if authentic => {
+                            if let Some(idx) = content_idx {
+                                self.handle_content_data(ctx, collection, idx, data, proofs);
+                            }
+                        }
+                        Some(DapesName::Metadata { collection, .. }) => {
+                            self.handle_metadata_segment(ctx, collection, data, authentic);
+                        }
+                        _ => {}
+                    }
+                }
+            }
         }
     }
 }
@@ -541,117 +654,13 @@ impl NetStack for DapesPeer {
     }
 
     fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) {
-        if self.cfg.signed_adverts && self.screen_frame(ctx, frame) {
-            return;
-        }
-        let class = match self.on_frame_peeked(ctx, frame) {
-            Peeked::Resolved => return,
-            Peeked::NeedsDecode(class) => class,
-        };
-        let Ok(packet) = Packet::decode_payload(&frame.payload) else {
-            return;
-        };
-        match packet {
-            Packet::Interest(interest) => {
-                if self.cfg.signed_adverts && self.screen_interest(ctx, &interest) {
-                    return;
-                }
-                self.note_sender(ctx, frame);
-                // Someone else re-broadcast an Interest we were also about
-                // to forward: ours is now redundant.
-                let (name, nonce) = (interest.name(), interest.nonce());
-                self.cancel_pending_where(
-                    ctx,
-                    |p| matches!(&p.cancel, Cancel::Relayed(n, pn) if *pn == nonce && n == name),
-                );
-                let actions = self
-                    .forwarder
-                    .process_interest(ctx.now, &interest, FaceId::WIRELESS);
-                ctx.note_state_inserts(1);
-                self.apply_interest_actions(ctx, frame.kind, actions);
-            }
-            Packet::Data(data) => {
-                // The name is classified and the signature checked once,
-                // here; the screen and every handler below consume the
-                // class and the verdict as values.
-                let class = class.or_else(|| namespace::classify(data.name()));
-                let authentic = self.check_signature(&data, class.as_ref());
-                if self.cfg.signed_adverts
-                    && self.screen_data(ctx, &data, class.as_ref(), authentic)
-                {
-                    return;
-                }
-                let content_idx = self.note_data_heard(ctx, frame, data.name(), class.as_ref());
-
-                // DAPES-level overhearing before the forwarder pipeline.
-                if self.role == NodeRole::Dapes {
-                    match &class {
-                        Some(DapesName::Bitmap {
-                            collection,
-                            replier,
-                            ..
-                        }) => {
-                            // Sealed or plain: authentication already ran in
-                            // the `screen_data` gate when the axis is on.
-                            if let Some((peer, bm)) =
-                                decode_bitmap_params_maybe_sealed(data.content())
-                            {
-                                let peer = replier.unwrap_or(peer);
-                                self.handle_bitmap_seen(ctx, collection, peer, &bm);
-                            }
-                        }
-                        Some(DapesName::Discovery { .. }) => {
-                            if let Some(info) =
-                                DiscoveryInfo::from_wire_maybe_sealed(data.content())
-                            {
-                                self.handle_discovery_info(ctx, &info);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-
-                let (actions, _solicited) =
-                    self.forwarder
-                        .process_data(ctx.now, &data, FaceId::WIRELESS);
-                for action in actions {
-                    match action {
-                        Action::SendData {
-                            face: FaceId::APP,
-                            data,
-                        } => {
-                            // The forwarder hands back the frame's own
-                            // packet, so its class and verdict carry over.
-                            self.handle_app_data(ctx, &data, class.as_ref(), authentic);
-                        }
-                        Action::SendData {
-                            face: FaceId::WIRELESS,
-                            data,
-                        } => {
-                            // Multi-hop data return: re-broadcast for the
-                            // next hop, unless someone beats us to it.
-                            self.schedule_reply(ctx, &data, frame.kind);
-                        }
-                        _ => {}
-                    }
-                }
-
-                // Opportunistic use of overheard content/metadata even when
-                // our PIT did not ask for it.
-                if self.role == NodeRole::Dapes {
-                    match &class {
-                        Some(DapesName::Content { collection, .. }) if authentic => {
-                            if let Some(idx) = content_idx {
-                                self.handle_content_data(ctx, collection, idx, &data);
-                            }
-                        }
-                        Some(DapesName::Metadata { collection, .. }) => {
-                            self.handle_metadata_segment(ctx, collection, &data, authentic);
-                        }
-                        _ => {}
-                    }
-                }
-            }
+        // The simulator lends every `on_frame` its transmission's memo; a
+        // context without one gets a memo of its own.
+        if ctx
+            .with_frame_memo(|ctx, rx: &mut Received| self.receive(ctx, frame, rx))
+            .is_none()
+        {
+            self.receive(ctx, frame, &mut Received::default());
         }
     }
 
@@ -679,17 +688,6 @@ impl NetStack for DapesPeer {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
-}
-
-/// What the header fast path made of a frame.
-enum Peeked {
-    /// Fully handled from the header alone.
-    Resolved,
-    /// Needs the full decode. Carries the Data name's classification when
-    /// the peek already worked it out, so the decode path does not repeat
-    /// it (`None` also when the name is not a DAPES name or was not
-    /// classified — the decode path then classifies).
-    NeedsDecode(Option<DapesName>),
 }
 
 fn response_kind_for(data: &Data) -> FrameKind {
@@ -787,7 +785,7 @@ mod tests {
                 } else {
                     genuine
                 };
-                peer.handle_content_data(ctx, name, idx, &data);
+                peer.handle_content_data(ctx, name, idx, &data, &mut Proofs::default());
             }
         }
         fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: &Frame) {}

@@ -2,6 +2,7 @@
 //! delayed transmissions with their cancellation rules, and the
 //! transmission outcomes the radio reports back.
 
+use super::received::Proofs;
 use super::{DapesPeer, TOKEN_PENDING};
 use crate::config::TX_WINDOW;
 use crate::namespace;
@@ -102,10 +103,12 @@ impl DapesPeer {
                 } => {
                     // A Content Store hit is a different packet from
                     // whatever frame is being processed: it gets a
-                    // classification and a signature check of its own.
+                    // classification, a signature check and proofs of its
+                    // own, never the frame's.
                     let class = namespace::classify(data.name());
-                    let authentic = self.check_signature(&data, class.as_ref());
-                    self.handle_app_data(ctx, &data, class.as_ref(), authentic);
+                    let mut proofs = Proofs::default();
+                    let authentic = self.check_signature(&data, class.as_ref(), &mut proofs);
+                    self.handle_app_data(ctx, &data, class.as_ref(), authentic, &mut proofs);
                     handled = true;
                 }
                 _ => {}

@@ -3,8 +3,9 @@
 //! packet to the trust anchor, the replay guard and the nonce journal
 //! before any protocol state can absorb it.
 
+use super::received::Proofs;
 use super::DapesPeer;
-use crate::auth::{self, OpenError, ReplayVerdict};
+use crate::auth::{self, ReplayVerdict};
 use crate::config::REPLAY_WINDOW;
 use crate::namespace::{self, DapesName};
 use dapes_ndn::packet::{Data, Interest, Packet, PacketHeader};
@@ -61,14 +62,19 @@ impl DapesPeer {
     /// forwarder or `handle_bitmap_seen` touch it. Other Interests pass:
     /// discovery probes carry only the bare prober id and content/metadata
     /// Interests carry no announcement at all.
-    pub(super) fn screen_interest(&mut self, ctx: &mut NodeCtx<'_>, interest: &Interest) -> bool {
+    pub(super) fn screen_interest(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        interest: &Interest,
+        proofs: &mut Proofs,
+    ) -> bool {
         // Exactly the names `classify` calls `Bitmap`, without building the
         // classification of the content Interests that are most frames.
         if namespace::parse_bitmap_name(interest.name()).is_none() {
             return false;
         }
         match interest.app_parameters() {
-            Some(params) => self.screen_announcement(ctx, params),
+            Some(params) => self.screen_announcement(ctx, params, proofs),
             None => false,
         }
     }
@@ -84,10 +90,11 @@ impl DapesPeer {
         data: &Data,
         class: Option<&DapesName>,
         authentic: bool,
+        proofs: &mut Proofs,
     ) -> bool {
         match class {
             Some(DapesName::Bitmap { .. }) | Some(DapesName::Discovery { .. }) => {
-                self.screen_announcement(ctx, data.content())
+                self.screen_announcement(ctx, data.content(), proofs)
             }
             Some(DapesName::Content { .. }) | Some(DapesName::Metadata { .. }) => {
                 if !authentic {
@@ -102,11 +109,18 @@ impl DapesPeer {
     /// The signature check of one decoded Data packet: content and metadata
     /// segments verify against the trust anchor (announcements are sealed
     /// inside their content instead and go through
-    /// [`DapesPeer::screen_announcement`]). Called once per decoded packet;
-    /// the verdict then travels by value, because the packet a Content
-    /// Store hit hands to [`DapesPeer::handle_app_data`] is not the frame
-    /// being processed and must not inherit its verdict.
-    pub(super) fn check_signature(&mut self, data: &Data, class: Option<&DapesName>) -> bool {
+    /// [`DapesPeer::screen_announcement`]). Consulted once per decoded
+    /// packet and counted per receiver in `signature_checks`; the MAC runs
+    /// once per packet and anchor, in `proofs`. The verdict then travels by
+    /// value, because the packet a Content Store hit hands to
+    /// [`DapesPeer::handle_app_data`] is not the frame being processed and
+    /// must not inherit its verdict.
+    pub(super) fn check_signature(
+        &mut self,
+        data: &Data,
+        class: Option<&DapesName>,
+        proofs: &mut Proofs,
+    ) -> bool {
         if !matches!(
             class,
             Some(DapesName::Content { .. }) | Some(DapesName::Metadata { .. })
@@ -114,36 +128,28 @@ impl DapesPeer {
             return false;
         }
         self.stats.signature_checks += 1;
-        data.verify(&self.anchor)
+        proofs.verdict(data, &self.anchor)
     }
 
-    /// Opens a sealed announcement: counts and drops bad signatures and
-    /// replays. The claimed producer is the peer id leading the base
-    /// payload (both the bitmap and the discovery encodings start with
-    /// it), so a forged producer name fails signature verification.
-    fn screen_announcement(&mut self, ctx: &mut NodeCtx<'_>, sealed: &[u8]) -> bool {
-        let claimed = auth::strip(sealed)
-            .filter(|base| base.len() >= 4)
-            .map(|base| u32::from_be_bytes(base[..4].try_into().expect("4 bytes")));
-        let Some(claimed) = claimed else {
-            // No room for an envelope at all: an unsigned or truncated
-            // announcement in a signed deployment is a forgery.
+    /// Screens a sealed announcement: counts and drops forgeries (no room
+    /// for an envelope, or a signature that fails under the claimed
+    /// producer's key, see [`Proofs::opened`]) and replays.
+    fn screen_announcement(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        sealed: &[u8],
+        proofs: &mut Proofs,
+    ) -> bool {
+        let Some((key_id, ts)) = proofs.opened(sealed, &self.anchor) else {
+            // An unsigned, truncated or forged announcement in a signed
+            // deployment.
             self.stats.adverts_rejected_bad_sig += 1;
             return true;
         };
-        // One derivation serves both the envelope check and the replay
-        // guard's table key.
-        let key_id = self.anchor.key_id_for(&format!("peer-{claimed}"));
-        match auth::open(sealed, key_id, &self.anchor) {
-            Ok((_base, ts)) => match self.replay.check(key_id, ts, ctx.now) {
-                ReplayVerdict::Fresh | ReplayVerdict::Duplicate => false,
-                ReplayVerdict::Replayed => {
-                    self.stats.adverts_rejected_replay += 1;
-                    true
-                }
-            },
-            Err(OpenError::BadSignature) | Err(OpenError::Replay) => {
-                self.stats.adverts_rejected_bad_sig += 1;
+        match self.replay.check(key_id, ts, ctx.now) {
+            ReplayVerdict::Fresh | ReplayVerdict::Duplicate => false,
+            ReplayVerdict::Replayed => {
+                self.stats.adverts_rejected_replay += 1;
                 true
             }
         }

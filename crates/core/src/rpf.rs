@@ -84,20 +84,22 @@ impl EncounterHistory {
 }
 
 /// Computes per-packet rarity: how many of `bitmaps` *lack* each packet.
-/// Higher is rarer. Packets nobody advertises score `bitmaps.len()`.
+/// Higher is rarer. Packets nobody advertises score `bitmaps.len()`; bits
+/// past a shorter bitmap's end are unknown, not missing.
+///
+/// Counts a word at a time: each word's clear bits, masked to the packets
+/// the bitmap covers, add one apiece to their packets' counts.
 pub fn rarity_counts<'a, I>(total_packets: usize, bitmaps: I) -> Vec<u32>
 where
     I: IntoIterator<Item = &'a Bitmap>,
 {
     let mut rarity = vec![0u32; total_packets];
     for bm in bitmaps {
-        for (i, r) in rarity
-            .iter_mut()
-            .enumerate()
-            .take(bm.len().min(total_packets))
-        {
-            if !bm.get(i) {
-                *r += 1;
+        let known = bm.len().min(total_packets);
+        for (counts, &word) in rarity[..known].chunks_mut(64).zip(bm.words()) {
+            let missing = !word;
+            for (bit, count) in counts.iter_mut().enumerate() {
+                *count += (missing >> bit) as u32 & 1;
             }
         }
     }
@@ -116,27 +118,32 @@ fn shuffle_key(seed: u64, idx: usize) -> u64 {
 /// broken per `start`.
 ///
 /// `seed` individualises the [`StartPacket::Random`] shuffle per peer.
+/// Each packet's `(rarity, tie-break, index)` key is computed once and the
+/// keys sorted unstably: the index makes every key distinct, so the order
+/// is the one a stable sort by `(rarity, tie-break)` of ascending indices
+/// gives.
 pub fn fetch_order(
     missing: impl IntoIterator<Item = usize>,
     rarity: &[u32],
     start: StartPacket,
     seed: u64,
 ) -> Vec<usize> {
-    let mut order: Vec<usize> = missing.into_iter().collect();
-    match start {
-        StartPacket::Same => {
-            order.sort_by_key(|&i| (std::cmp::Reverse(rarity.get(i).copied().unwrap_or(0)), i));
-        }
-        StartPacket::Random => {
-            order.sort_by_key(|&i| {
-                (
-                    std::cmp::Reverse(rarity.get(i).copied().unwrap_or(0)),
-                    shuffle_key(seed, i),
-                )
-            });
-        }
-    }
-    order
+    let mut keyed: Vec<(std::cmp::Reverse<u32>, u64, usize)> = missing
+        .into_iter()
+        .map(|i| {
+            let tie = match start {
+                StartPacket::Same => i as u64,
+                StartPacket::Random => shuffle_key(seed, i),
+            };
+            (
+                std::cmp::Reverse(rarity.get(i).copied().unwrap_or(0)),
+                tie,
+                i,
+            )
+        })
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, _, i)| i).collect()
 }
 
 #[cfg(test)]

@@ -48,6 +48,10 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
+/// Domain tag of [`TrustAnchor::fingerprint`], so the fingerprint is never
+/// an input or output of any other derivation from the anchor secret.
+const FINGERPRINT_DOMAIN: &[u8] = b"dapes-anchor-fingerprint";
+
 /// A detached signature: the signing key's identifier plus the tag bytes.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Signature {
@@ -187,6 +191,9 @@ fn insert_bounded<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, value: V) {
 pub struct TrustAnchor {
     /// The anchor secret as an HMAC key: the root of both derivations.
     root: HmacKey,
+    /// A domain-separated hash of the anchor secret (see
+    /// [`TrustAnchor::fingerprint`]).
+    fingerprint: Digest,
     cache: RefCell<KeyCache>,
 }
 
@@ -200,10 +207,24 @@ impl fmt::Debug for TrustAnchor {
 impl TrustAnchor {
     /// Derives an anchor from an arbitrary seed.
     pub fn from_seed(seed: &[u8]) -> Self {
+        let secret = sha256(seed);
+        let mut tagged = FINGERPRINT_DOMAIN.to_vec();
+        tagged.extend_from_slice(secret.as_bytes());
         TrustAnchor {
-            root: HmacKey::new(sha256(seed).as_bytes()),
+            root: HmacKey::new(secret.as_bytes()),
+            fingerprint: sha256(&tagged),
             cache: RefCell::default(),
         }
+    }
+
+    /// Identifies the anchor without revealing it: a domain-separated
+    /// SHA-256 of the anchor secret, computed once at construction. Two
+    /// anchors with equal fingerprints hold the same secret, so every
+    /// verification outcome under one is the outcome under the other —
+    /// what lets a verdict worked out once be reused by any holder of the
+    /// same anchor.
+    pub fn fingerprint(&self) -> Digest {
+        self.fingerprint
     }
 
     /// The key id a given producer name maps to.
@@ -305,6 +326,20 @@ impl Signer for ProducerKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fingerprint_tells_anchors_apart_and_is_not_the_secret() {
+        let a = TrustAnchor::from_seed(b"seed");
+        assert_eq!(
+            a.fingerprint(),
+            TrustAnchor::from_seed(b"seed").fingerprint()
+        );
+        assert_ne!(
+            a.fingerprint(),
+            TrustAnchor::from_seed(b"rogue").fingerprint()
+        );
+        assert_ne!(a.fingerprint(), sha256(b"seed"), "never the secret itself");
+    }
 
     #[test]
     fn producer_signature_verifies_with_name() {

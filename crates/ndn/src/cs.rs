@@ -239,6 +239,15 @@ impl ContentStore {
     /// self-eviction; an existing entry under the same name stays
     /// untouched.
     pub fn insert(&mut self, data: Data, now: SimTime) {
+        let wire = data.name().to_wire_value();
+        self.insert_wired(data, &wire, now);
+    }
+
+    /// [`ContentStore::insert`] for a packet whose name the caller already
+    /// encoded to its canonical wire value, `name_wire`. On a miss, the
+    /// entry and both wire indexes share one copy of the key.
+    pub(crate) fn insert_wired(&mut self, data: Data, name_wire: &[u8], now: SimTime) {
+        debug_assert_eq!(name_wire, data.name().to_wire_value());
         if self.budget.is_zero() {
             return;
         }
@@ -249,10 +258,7 @@ impl ContentStore {
                 return;
             }
         }
-        // Encode the name once; on a miss, entry and both wire indexes
-        // share the key.
-        let wire = data.name().to_wire_value();
-        if let Some(&handle) = self.exact.get(wire.as_slice()) {
+        if let Some(&handle) = self.exact.get(name_wire) {
             let entry = self
                 .arena
                 .get_mut(handle)
@@ -263,7 +269,7 @@ impl ContentStore {
             entry.size = size;
             self.stats.refreshes += 1;
         } else {
-            let wire_key: Arc<[u8]> = wire.into();
+            let wire_key: Arc<[u8]> = name_wire.into();
             let handle = self.arena.insert(CsEntry {
                 data,
                 inserted: now,

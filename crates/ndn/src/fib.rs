@@ -78,22 +78,21 @@ impl Fib {
 
     /// Longest-prefix-match lookup. Returns the next hops of the longest
     /// registered prefix of `name`, or an empty slice when nothing matches.
+    /// Encodes `name` and runs [`Fib::longest_prefix_match_wire`]; a caller
+    /// holding the encoding already should call that directly.
     pub fn longest_prefix_match(&self, name: &Name) -> &[FaceId] {
-        for k in (0..=name.len()).rev() {
-            if let Some(faces) = self.entries.get(&name.prefix(k)) {
-                return faces;
-            }
-        }
-        &[]
+        self.longest_prefix_match_wire(&name.to_wire_value())
+            .expect("an encoded name is well-formed")
     }
 
-    /// [`Fib::longest_prefix_match`] against a peeked frame's borrowed name
-    /// bytes — no `Name` is built and, for realistically short names, no
-    /// allocation is made (this runs once per overheard Interest at swarm
-    /// scale). Returns `None` when the region is malformed or truncated
-    /// (the caller must fall through to the full decode, which fails at
-    /// the same byte), and `Some(&[])`/`Some(faces)` with exactly what the
-    /// `Name`-keyed lookup would return otherwise.
+    /// [`Fib::longest_prefix_match`] against a name's canonical wire value
+    /// — an encoded name, or a peeked frame's borrowed name bytes. No
+    /// `Name` is built and, for realistically short names, no allocation
+    /// is made (this runs once per Interest). Returns `None` when the
+    /// region is malformed or truncated (a peeking caller must fall through
+    /// to the full decode, which fails at the same byte), and
+    /// `Some(&[])`/`Some(faces)` with the next hops of the longest
+    /// registered prefix otherwise.
     pub fn longest_prefix_match_wire(&self, name_wire: &[u8]) -> Option<&[FaceId]> {
         // Walk the whole region first: a truncated tail must not resolve
         // even when some shorter prefix would match. Boundaries land in a
@@ -214,6 +213,15 @@ mod tests {
         assert!(fib.is_empty());
     }
 
+    /// The longest-prefix walk over `Name` prefixes that the wire LPM
+    /// replaced: one `name.prefix(k)` probe of the ordered map per length.
+    fn name_walk_lpm<'a>(fib: &'a Fib, name: &Name) -> &'a [FaceId] {
+        (0..=name.len())
+            .rev()
+            .find_map(|k| fib.entries.get(&name.prefix(k)))
+            .map_or(&[], Vec::as_slice)
+    }
+
     #[test]
     fn wire_lpm_mirrors_name_lpm() {
         let mut fib = Fib::new();
@@ -225,7 +233,7 @@ mod tests {
             assert_eq!(
                 fib.longest_prefix_match_wire(&qn.to_wire_value())
                     .expect("well-formed"),
-                fib.longest_prefix_match(&qn),
+                name_walk_lpm(&fib, &qn),
                 "query {q}"
             );
         }
@@ -236,7 +244,7 @@ mod tests {
             assert_eq!(
                 fib.longest_prefix_match_wire(&qn.to_wire_value())
                     .expect("well-formed"),
-                fib.longest_prefix_match(&qn),
+                name_walk_lpm(&fib, &qn),
             );
         }
         // Unregistration keeps the mirror in sync.

@@ -660,7 +660,8 @@ impl<S: Strategy> Forwarder<S> {
                 self.stats.aggregated_interests += 1;
                 let mut actions: Vec<Action> = self
                     .fib
-                    .longest_prefix_match(interest.name())
+                    .longest_prefix_match_wire(&name_wire)
+                    .expect("an encoded name is well-formed")
                     .iter()
                     .copied()
                     .filter(|f| *f != ingress && self.cfg.deliver_on_aggregate.contains(f))
@@ -684,7 +685,8 @@ impl<S: Strategy> Forwarder<S> {
                 if retx_ok {
                     let nexthops: Vec<FaceId> = self
                         .fib
-                        .longest_prefix_match(interest.name())
+                        .longest_prefix_match_wire(&name_wire)
+                        .expect("an encoded name is well-formed")
                         .iter()
                         .copied()
                         .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f))
@@ -719,7 +721,8 @@ impl<S: Strategy> Forwarder<S> {
                 // radio is exactly what multi-hop Interest relay means.
                 let nexthops: Vec<FaceId> = self
                     .fib
-                    .longest_prefix_match(interest.name())
+                    .longest_prefix_match_wire(&name_wire)
+                    .expect("an encoded name is well-formed")
                     .iter()
                     .copied()
                     .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f))
@@ -756,16 +759,18 @@ impl<S: Strategy> Forwarder<S> {
         data: &Data,
         ingress: FaceId,
     ) -> (Vec<Action>, bool) {
-        let matched = self.pit.take_matching(data.name());
+        // Encode the name once, for the PIT match and the cache insert.
+        let name_wire = data.name().to_wire_value();
+        let matched = self.pit.take_matching_wire(&name_wire);
         if matched.is_empty() {
             self.stats.unsolicited_data += 1;
             if self.cfg.cache_unsolicited {
-                self.cs.insert(data.clone(), now);
+                self.cs.insert_wired(data.clone(), &name_wire, now);
             }
             return (Vec::new(), false);
         }
         self.stats.satisfied_data += 1;
-        self.cs.insert(data.clone(), now);
+        self.cs.insert_wired(data.clone(), &name_wire, now);
         let mut actions = Vec::new();
         for (_, entry) in matched {
             for face in entry.downstreams() {

@@ -33,8 +33,9 @@ pub struct PitEntry {
     nonce: u32,
     /// The first Interest's ingress face.
     downstream: FaceId,
-    /// Whether any aggregated Interest had CanBePrefix set.
-    pub can_be_prefix: bool,
+    /// Whether any aggregated Interest had CanBePrefix set. Crate-private
+    /// because the table's count of such entries must see every write.
+    pub(crate) can_be_prefix: bool,
 }
 
 // Relay swarms hold hundreds of thousands of entries per run: the common
@@ -69,6 +70,12 @@ impl PitEntry {
     /// Whether `nonce` was already recorded for this name.
     pub fn has_nonce(&self, nonce: u32) -> bool {
         self.nonces().any(|n| n == nonce)
+    }
+
+    /// Whether any aggregated Interest had CanBePrefix set, so that Data
+    /// under a longer name also satisfies the entry.
+    pub fn can_be_prefix(&self) -> bool {
+        self.can_be_prefix
     }
 
     /// Approximate bytes of state (Table I memory proxy) of this entry
@@ -112,7 +119,10 @@ pub enum PitInsert {
 /// through to the full decode path.
 ///
 /// [`Pit::state_bytes`] is a running total, kept at insert, aggregation
-/// and removal, so reading it costs nothing.
+/// and removal, so reading it costs nothing. So is
+/// [`Pit::prefix_entries`], the number of CanBePrefix entries: while it is
+/// zero, Data matches at most its exact-name entry, and the prefix walk of
+/// [`Pit::take_matching`] and [`Pit::matches_wire`] is skipped.
 ///
 /// Expiry is watermarked: `next_due` is a *lower bound* on the earliest
 /// instant [`Pit::expire`] could remove anything. New entries lower it
@@ -132,6 +142,8 @@ pub enum PitInsert {
 pub struct Pit {
     entries: HashMap<Box<[u8]>, PitEntry, FxBuildHasher>,
     state_bytes: usize,
+    /// Entries with `can_be_prefix` set.
+    prefix_entries: usize,
     next_due: SimTime,
 }
 
@@ -140,6 +152,7 @@ impl Default for Pit {
         Pit {
             entries: HashMap::default(),
             state_bytes: 0,
+            prefix_entries: 0,
             next_due: SimTime::FAR_FUTURE,
         }
     }
@@ -165,6 +178,12 @@ impl Pit {
     /// over the entries.
     pub fn state_bytes(&self) -> usize {
         self.state_bytes
+    }
+
+    /// Number of entries a Data packet may satisfy by prefix (CanBePrefix
+    /// set), kept at insert, aggregation and removal.
+    pub fn prefix_entries(&self) -> usize {
+        self.prefix_entries
     }
 
     /// Records an incoming Interest: encodes the name once, then
@@ -200,7 +219,10 @@ impl Pit {
             return PitInsert::DuplicateNonce;
         }
         let new_face = !entry.downstreams().any(|f| f == ingress);
-        entry.can_be_prefix |= can_be_prefix;
+        if can_be_prefix && !entry.can_be_prefix {
+            entry.can_be_prefix = true;
+            self.prefix_entries += 1;
+        }
         entry.expiry = entry.expiry.max(expiry);
         let more = entry.more.get_or_insert_with(Box::default);
         more.nonces.push(nonce);
@@ -237,6 +259,7 @@ impl Pit {
             can_be_prefix,
         };
         self.state_bytes += entry.state_bytes(name_wire);
+        self.prefix_entries += usize::from(can_be_prefix);
         self.entries.entry(name_wire.into()).or_insert(entry)
     }
 
@@ -281,10 +304,12 @@ impl Pit {
     }
 
     /// [`Pit::matches`] against a peeked frame's borrowed name bytes: one
-    /// hash probe for the exact name, then one per strict prefix.
+    /// hash probe for the exact name, then — while any CanBePrefix entry is
+    /// pending — one per strict prefix.
     pub fn matches_wire(&self, name_wire: &[u8]) -> bool {
         self.contains_wire(name_wire)
-            || strict_prefix_ends(name_wire).any(|end| self.is_prefix_entry(&name_wire[..end]))
+            || (self.prefix_entries > 0
+                && strict_prefix_ends(name_wire).any(|end| self.is_prefix_entry(&name_wire[..end])))
     }
 
     /// Whether a CanBePrefix entry is stored under `key`.
@@ -302,6 +327,7 @@ impl Pit {
     fn evict(&mut self, key: &[u8]) -> Option<(Box<[u8]>, PitEntry)> {
         let (key, entry) = self.entries.remove_entry(key)?;
         self.state_bytes -= entry.state_bytes(&key);
+        self.prefix_entries -= usize::from(entry.can_be_prefix);
         Some((key, entry))
     }
 
@@ -310,11 +336,20 @@ impl Pit {
     /// then any prefix entries that were inserted with CanBePrefix — root
     /// first, then longer prefixes, as the boundary walk ascends.
     pub fn take_matching(&mut self, data_name: &Name) -> Vec<(Box<[u8]>, PitEntry)> {
-        let wire = data_name.to_wire_value();
-        let mut matched: Vec<_> = self.evict(&wire).into_iter().collect();
-        for end in strict_prefix_ends(&wire) {
-            if self.is_prefix_entry(&wire[..end]) {
-                matched.push(self.evict(&wire[..end]).expect("just checked"));
+        self.take_matching_wire(&data_name.to_wire_value())
+    }
+
+    /// [`Pit::take_matching`] for a Data name already encoded to its
+    /// canonical wire value. The prefix walk runs only while a CanBePrefix
+    /// entry is pending.
+    pub(crate) fn take_matching_wire(&mut self, name_wire: &[u8]) -> Vec<(Box<[u8]>, PitEntry)> {
+        let mut matched: Vec<_> = self.evict(name_wire).into_iter().collect();
+        if self.prefix_entries == 0 {
+            return matched;
+        }
+        for end in strict_prefix_ends(name_wire) {
+            if self.is_prefix_entry(&name_wire[..end]) {
+                matched.push(self.evict(&name_wire[..end]).expect("just checked"));
             }
         }
         matched
@@ -355,10 +390,11 @@ impl Pit {
     fn sweep(&mut self, cutoff: SimTime) -> usize {
         let before = self.entries.len();
         let mut next_due = SimTime::FAR_FUTURE;
-        let state_bytes = &mut self.state_bytes;
+        let (state_bytes, prefix_entries) = (&mut self.state_bytes, &mut self.prefix_entries);
         self.entries.retain(|key, e| {
             if e.expiry <= cutoff {
                 *state_bytes -= e.state_bytes(key);
+                *prefix_entries -= usize::from(e.can_be_prefix);
                 false
             } else {
                 next_due = next_due.min(e.expiry);

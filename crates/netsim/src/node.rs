@@ -194,6 +194,18 @@ pub(crate) enum Command {
     },
 }
 
+/// One transmission's per-frame memo: whatever one receiver of a broadcast
+/// works out from the frame bytes, every later receiver of the same
+/// transmission may reuse instead of working it out again.
+///
+/// The delivery batch owns it and lends it, by value, through the
+/// [`NodeCtx`] of each receiver's [`NetStack::on_frame`] in turn, receivers
+/// ascending; it is dropped with the batch. Timers and
+/// [`NetStack::on_tx_done`] get none. Reached through
+/// [`NodeCtx::with_frame_memo`].
+#[derive(Default)]
+pub(crate) struct FrameMemo(Option<Box<dyn Any + Send>>);
+
 /// The context handed to every [`NetStack`] callback.
 pub struct NodeCtx<'a> {
     /// Current simulation time.
@@ -205,6 +217,8 @@ pub struct NodeCtx<'a> {
     pub(crate) timers: &'a mut TimerSlab,
     pub(crate) api_calls: &'a mut u64,
     pub(crate) state_inserts: &'a mut u64,
+    /// The frame memo on loan to this callback: `Some` only in `on_frame`.
+    pub(crate) memo: Option<FrameMemo>,
 }
 
 impl<'a> NodeCtx<'a> {
@@ -261,6 +275,30 @@ impl<'a> NodeCtx<'a> {
     pub fn note_state_inserts(&mut self, n: u64) {
         *self.state_inserts += n;
     }
+
+    /// Runs `f` with the memo of the transmission being delivered, as a
+    /// `T`: the value an earlier receiver of the same transmission left
+    /// there, or a fresh `T::default()` for the first receiver — and for a
+    /// receiver asking for a different type than the memo holds, whose
+    /// fresh value then replaces it. Returns `None`, without running `f`,
+    /// outside [`NetStack::on_frame`] (and inside `f` itself).
+    ///
+    /// The memo must only hold what is a pure function of the frame bytes:
+    /// every receiver sees the same frame, but not the same state.
+    pub fn with_frame_memo<T, R>(&mut self, f: impl FnOnce(&mut Self, &mut T) -> R) -> Option<R>
+    where
+        T: Any + Send + Default,
+    {
+        let mut memo = self.memo.take()?;
+        let mut value = match memo.0.take().map(|held| held.downcast::<T>()) {
+            Some(Ok(held)) => held,
+            _ => Box::<T>::default(),
+        };
+        let out = f(self, &mut value);
+        memo.0 = Some(value);
+        self.memo = Some(memo);
+        Some(out)
+    }
 }
 
 #[cfg(test)]
@@ -282,6 +320,7 @@ mod tests {
             timers: &mut timers,
             api_calls: &mut api,
             state_inserts: &mut ins,
+            memo: None,
         };
         ctx.send_frame(vec![1, 2, 3], FrameKind(7), 0, SimDuration::ZERO);
         let h = ctx.set_timer(SimDuration::from_millis(5), 42);
@@ -314,6 +353,7 @@ mod tests {
             timers: &mut timers,
             api_calls: &mut api,
             state_inserts: &mut ins,
+            memo: None,
         };
         let a = ctx.set_timer(SimDuration::ZERO, 0);
         let b = ctx.set_timer(SimDuration::ZERO, 0);

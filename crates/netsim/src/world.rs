@@ -22,7 +22,7 @@ use crate::fault::{FaultAction, FaultPlan};
 use crate::geometry::Point;
 use crate::grid::SpatialGrid;
 use crate::mobility::Mobility;
-use crate::node::{Command, NetStack, NodeCtx, NodeId, TimerHandle, TxOutcome};
+use crate::node::{Command, FrameMemo, NetStack, NodeCtx, NodeId, TimerHandle, TxOutcome};
 use crate::payload::Payload;
 use crate::radio::{Frame, FrameKind, PhyConfig};
 use crate::stats::Stats;
@@ -657,7 +657,7 @@ impl World {
             return;
         }
         let mut commands = self.claim_commands();
-        self.call_stack(node, &mut commands, f);
+        self.call_stack(node, &mut commands, None, f);
         self.cmd_pool.push(commands);
     }
 
@@ -677,16 +677,18 @@ impl World {
     }
 
     /// Runs `f` on `node`'s stack (if it is alive) with `commands` as its
-    /// buffer, then applies what it buffered, leaving `commands` empty.
+    /// buffer and `memo` on loan through its context, then applies what it
+    /// buffered, leaving `commands` empty. Hands the memo back.
     fn call_stack<F: FnOnce(&mut dyn NetStack, &mut NodeCtx<'_>)>(
         &mut self,
         node: NodeId,
         commands: &mut Vec<Command>,
+        memo: Option<FrameMemo>,
         f: F,
-    ) {
+    ) -> Option<FrameMemo> {
         let idx = node.0 as usize;
         let Some(mut stack) = self.nodes[idx].stack.take() else {
-            return;
+            return memo;
         };
         let mut ctx = NodeCtx {
             now: self.now,
@@ -696,17 +698,23 @@ impl World {
             timers: &mut self.timers,
             api_calls: &mut self.stats.api_calls,
             state_inserts: &mut self.stats.state_inserts,
+            memo,
         };
         f(stack.as_mut(), &mut ctx);
         *commands = ctx.commands;
+        let memo = ctx.memo;
         self.nodes[idx].stack = Some(stack);
         self.apply_commands(node, commands);
+        memo
     }
 
     /// Executes one transmission's whole delivery fan-out — every receiver's
     /// `on_frame`, receivers ascending, then the sender's `on_tx_done` —
     /// inside a single stack-entry round trip: one command buffer is claimed
-    /// once and reused across every callback.
+    /// once and reused across every callback. The receivers share one
+    /// [`FrameMemo`], passed from each to the next and dropped here with the
+    /// batch, so work that depends only on the frame bytes is done once per
+    /// transmission rather than once per receiver.
     fn dispatch_batch(&mut self, batch: DeliveryBatch) {
         let DeliveryBatch {
             frame,
@@ -715,12 +723,14 @@ impl World {
             outcome,
         } = batch;
         let mut commands = self.claim_commands();
+        let mut memo = Some(FrameMemo::default());
         for &receiver in &receivers {
-            self.call_stack(receiver, &mut commands, |stack, ctx| {
+            memo = self.call_stack(receiver, &mut commands, memo, |stack, ctx| {
                 stack.on_frame(ctx, &frame)
             });
         }
-        self.call_stack(sender, &mut commands, |stack, ctx| {
+        drop(memo);
+        self.call_stack(sender, &mut commands, None, |stack, ctx| {
             stack.on_tx_done(ctx, outcome)
         });
         self.cmd_pool.push(commands);
@@ -983,6 +993,7 @@ mod tests {
     use super::*;
     use crate::mobility::Stationary;
     use std::any::Any;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Test stack: broadcasts `n` beacons at fixed intervals and records
     /// everything it hears.
@@ -1433,6 +1444,142 @@ mod tests {
     #[test]
     fn fault_traces_identical_across_delivery_modes() {
         assert_chatter_pinned(true);
+    }
+
+    /// Frame memos alive right now / ever made (only [`Tally`] counts).
+    static MEMOS_LIVE: AtomicUsize = AtomicUsize::new(0);
+    static MEMOS_MADE: AtomicUsize = AtomicUsize::new(0);
+
+    /// A frame memo that records who filled it and who read it, and counts
+    /// its own lifetime.
+    #[derive(Debug)]
+    struct Tally {
+        filled_by: Option<NodeId>,
+        readers: Vec<NodeId>,
+    }
+
+    impl Default for Tally {
+        fn default() -> Self {
+            MEMOS_MADE.fetch_add(1, Ordering::SeqCst);
+            MEMOS_LIVE.fetch_add(1, Ordering::SeqCst);
+            Tally {
+                filled_by: None,
+                readers: Vec::new(),
+            }
+        }
+    }
+
+    impl Drop for Tally {
+        fn drop(&mut self) {
+            MEMOS_LIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A second memo type.
+    #[derive(Default)]
+    struct Other;
+
+    /// Beacons like [`Chatter`], reading the frame memo as a [`Tally`] (or
+    /// as an [`Other`]) on every frame, and probing for one everywhere else.
+    #[derive(Default)]
+    struct MemoProbe {
+        beacons: u32,
+        asks_other: bool,
+        /// What the memo held when this node's `on_frame` got it.
+        seen: Vec<(Option<NodeId>, Vec<NodeId>)>,
+        /// Whether `on_timer` / `on_tx_done` were offered a memo.
+        offered_outside_on_frame: Vec<bool>,
+        /// Live memos while `on_tx_done` ran.
+        live_at_tx_done: Vec<usize>,
+    }
+
+    impl NetStack for MemoProbe {
+        fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+            if self.beacons > 0 {
+                ctx.set_timer(SimDuration::from_millis(10), 1);
+            }
+        }
+        fn on_frame(&mut self, ctx: &mut NodeCtx<'_>, _: &Frame) {
+            if self.asks_other {
+                ctx.with_frame_memo(|_, _: &mut Other| ())
+                    .expect("on_frame gets the memo");
+                return;
+            }
+            let seen = &mut self.seen;
+            let nested = ctx
+                .with_frame_memo(|ctx, tally: &mut Tally| {
+                    seen.push((tally.filled_by, tally.readers.clone()));
+                    tally.filled_by.get_or_insert(ctx.node);
+                    tally.readers.push(ctx.node);
+                    ctx.with_frame_memo(|_, _: &mut Tally| ()).is_some()
+                })
+                .expect("on_frame gets the memo");
+            assert!(!nested, "the memo is on loan inside the closure");
+        }
+        fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, _: u64) {
+            let offered = ctx.with_frame_memo(|_, _: &mut Tally| ()).is_some();
+            self.offered_outside_on_frame.push(offered);
+            ctx.send_frame(vec![0xAB; 100], FrameKind(9), 0, SimDuration::ZERO);
+            self.beacons -= 1;
+            if self.beacons > 0 {
+                ctx.set_timer(SimDuration::from_millis(10), 1);
+            }
+        }
+        fn on_tx_done(&mut self, ctx: &mut NodeCtx<'_>, _: TxOutcome) {
+            let offered = ctx.with_frame_memo(|_, _: &mut Tally| ()).is_some();
+            self.offered_outside_on_frame.push(offered);
+            self.live_at_tx_done.push(MEMOS_LIVE.load(Ordering::SeqCst));
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn one_frame_memo_per_transmission_filled_first_read_by_later_receivers_dropped_with_the_batch()
+    {
+        let mut w = World::new(lossless());
+        let sender = w.add_node(
+            Box::new(Stationary::new(Point::new(0.0, 0.0))),
+            Box::new(MemoProbe {
+                beacons: 2,
+                ..MemoProbe::default()
+            }),
+        );
+        // Receivers 1..=4, all in range; node 3 asks for another type.
+        for i in 1..=4u32 {
+            w.add_node(
+                Box::new(Stationary::new(Point::new(10.0 * i as f64, 0.0))),
+                Box::new(MemoProbe {
+                    asks_other: i == 3,
+                    ..MemoProbe::default()
+                }),
+            );
+        }
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!(w.stats().tx_frames, 2);
+        let seen = |n: u32| w.stack::<MemoProbe>(NodeId(n)).expect("probe").seen.clone();
+        // The first receiver finds a fresh memo and fills it; the next one,
+        // ascending, reads what it left — for each of the two transmissions.
+        assert_eq!(seen(1), vec![(None, vec![]); 2]);
+        assert_eq!(seen(2), vec![(Some(NodeId(1)), vec![NodeId(1)]); 2]);
+        // Node 3 asked for another type, which replaced the memo: node 4
+        // starts fresh.
+        assert!(seen(3).is_empty());
+        assert_eq!(seen(4), vec![(None, vec![]); 2]);
+        // One memo per transmission up to node 3, one more after it.
+        assert_eq!(MEMOS_MADE.load(Ordering::SeqCst), 4);
+        assert_eq!(
+            MEMOS_LIVE.load(Ordering::SeqCst),
+            0,
+            "dropped with the batch"
+        );
+        let probe = w.stack::<MemoProbe>(sender).expect("probe");
+        assert_eq!(probe.offered_outside_on_frame, vec![false; 4]);
+        assert_eq!(probe.live_at_tx_done, vec![0, 0], "gone before on_tx_done");
     }
 
     /// One transmission reaching four receivers.

@@ -41,6 +41,45 @@ fn arb_wire_name() -> impl Strategy<Value = Name> {
     proptest::collection::vec(component, 0..4).prop_map(Name::from_components)
 }
 
+/// `rarity_counts` as it was: one `Bitmap::get` per packet per bitmap.
+fn rarity_counts_oracle(total_packets: usize, bitmaps: &[Bitmap]) -> Vec<u32> {
+    let mut rarity = vec![0u32; total_packets];
+    for bm in bitmaps {
+        for (i, r) in rarity
+            .iter_mut()
+            .enumerate()
+            .take(bm.len().min(total_packets))
+        {
+            if !bm.get(i) {
+                *r += 1;
+            }
+        }
+    }
+    rarity
+}
+
+/// `fetch_order` as it was: a stable `sort_by_key` on (rarity, tie-break),
+/// with the SplitMix64 shuffle key it used.
+fn fetch_order_oracle(
+    mut order: Vec<usize>,
+    rarity: &[u32],
+    start: StartPacket,
+    seed: u64,
+) -> Vec<usize> {
+    let shuffle_key = |idx: usize| {
+        let mut z = seed ^ (idx as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let rank = |i: usize| std::cmp::Reverse(rarity.get(i).copied().unwrap_or(0));
+    match start {
+        StartPacket::Same => order.sort_by_key(|&i| (rank(i), i)),
+        StartPacket::Random => order.sort_by_key(|&i| (rank(i), shuffle_key(i))),
+    }
+    order
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -291,6 +330,96 @@ proptest! {
             files,
         };
         prop_assert_eq!(Metadata::decode_body(&meta.encode_body()).unwrap(), meta);
+    }
+
+    /// Word-at-a-time `rarity_counts` against the bit-at-a-time loop it
+    /// replaced, over bitmaps shorter than, equal to and longer than the
+    /// packet count.
+    #[test]
+    fn rarity_counts_match_the_bitwise_loop(
+        total in 0usize..200,
+        maps in proptest::collection::vec((0usize..220, any::<u64>()), 0..6),
+    ) {
+        let bitmaps: Vec<Bitmap> = maps
+            .iter()
+            .map(|&(len, seed)| {
+                let mut b = Bitmap::new(len);
+                for i in 0..len {
+                    if !(seed.rotate_left(i as u32 * 7) ^ i as u64).is_multiple_of(3) {
+                        b.set(i);
+                    }
+                }
+                b
+            })
+            .collect();
+        prop_assert_eq!(
+            dapes_core::rpf::rarity_counts(total, &bitmaps),
+            rarity_counts_oracle(total, &bitmaps)
+        );
+    }
+
+    /// `fetch_order`'s unstable sort of precomputed keys against the stable
+    /// `sort_by_key` it replaced, for both tie-breaks, with heavy rarity
+    /// ties and missing lists in any order.
+    #[test]
+    fn fetch_order_matches_the_stable_sort(
+        total in 0usize..160,
+        levels in 1u32..4,
+        seed in any::<u64>(),
+        same in any::<bool>(),
+        drop_every in 1usize..5,
+    ) {
+        let rarity: Vec<u32> = (0..total)
+            .map(|i| (seed.rotate_left(i as u32) % levels as u64) as u32)
+            .collect();
+        let start = if same { StartPacket::Same } else { StartPacket::Random };
+        let missing: Vec<usize> = (0..total + 3).rev().filter(|i| i % drop_every != 1).collect();
+        prop_assert_eq!(
+            dapes_core::rpf::fetch_order(missing.iter().copied(), &rarity, start, seed),
+            fetch_order_oracle(missing, &rarity, start, seed)
+        );
+    }
+
+    /// The FIB's wire-level LPM against the `Name`-prefix walk it
+    /// replaced, through registrations, unregistrations and names deeper
+    /// than the wire walk's inline boundary buffer.
+    #[test]
+    fn fib_wire_lpm_matches_the_name_walk(
+        ops in proptest::collection::vec((any::<bool>(), 0usize..20, 0u8..3, 0u32..3), 1..24),
+        queries in proptest::collection::vec((0usize..20, 0u8..3), 1..8),
+    ) {
+        let name = |depth: usize, fill: u8| {
+            Name::from_components((0..depth).map(|d| Component::from_seq((d as u64 + fill as u64) % 3)).collect())
+        };
+        let mut fib = Fib::new();
+        let mut oracle: std::collections::BTreeMap<Name, Vec<FaceId>> = Default::default();
+        for &(register, depth, fill, face) in &ops {
+            let (prefix, face) = (name(depth, fill), FaceId(face));
+            if register {
+                fib.register(prefix.clone(), face);
+                let faces = oracle.entry(prefix).or_default();
+                if !faces.contains(&face) {
+                    faces.push(face);
+                }
+            } else {
+                fib.unregister(&prefix, face);
+                if let Some(faces) = oracle.get_mut(&prefix) {
+                    faces.retain(|&f| f != face);
+                    if faces.is_empty() {
+                        oracle.remove(&prefix);
+                    }
+                }
+            }
+        }
+        for &(depth, fill) in &queries {
+            let q = name(depth, fill);
+            let walked = (0..=q.len())
+                .rev()
+                .find_map(|k| oracle.get(&q.prefix(k)))
+                .map_or(&[][..], Vec::as_slice);
+            prop_assert_eq!(fib.longest_prefix_match_wire(&q.to_wire_value()), Some(walked));
+            prop_assert_eq!(fib.longest_prefix_match(&q), walked);
+        }
     }
 
     #[test]
@@ -1396,6 +1525,16 @@ mod watermark_properties {
             self.0.retain(|_, e| e.expiry > now);
             before - self.0.len()
         }
+
+        /// Whether Data named `data_name` satisfies any entry.
+        fn matches(&self, data_name: &Name) -> bool {
+            self.0.contains_key(data_name)
+                || (0..data_name.len()).any(|k| {
+                    self.0
+                        .get(&data_name.prefix(k))
+                        .is_some_and(|e| e.can_be_prefix)
+                })
+        }
     }
 
     /// The multi-hop expiring maps with the pre-watermark sweep body.
@@ -1616,7 +1755,7 @@ mod watermark_properties {
                         prop_assert_eq!(got.len(), want.len());
                         for ((gkey, g), (wname, w)) in got.iter().zip(&want) {
                             prop_assert_eq!(&**gkey, &wname.to_wire_value()[..]);
-                            prop_assert_eq!(g.can_be_prefix, w.can_be_prefix);
+                            prop_assert_eq!(g.can_be_prefix(), w.can_be_prefix);
                             prop_assert_eq!(g.downstreams().collect::<Vec<_>>(), w.downstreams.clone());
                             prop_assert_eq!(g.nonces().collect::<Vec<_>>(), w.nonces.clone());
                             prop_assert_eq!(g.expiry(), w.expiry);
@@ -1654,6 +1793,11 @@ mod watermark_properties {
                 }
                 prop_assert_eq!(pit.len(), model.0.len());
                 prop_assert_eq!(pit.state_bytes(), model.state_bytes());
+                // The running CanBePrefix count against a recount.
+                prop_assert_eq!(
+                    pit.prefix_entries(),
+                    model.0.values().filter(|e| e.can_be_prefix).count()
+                );
                 for probe in &pool {
                     prop_assert_eq!(pit.contains(probe), model.0.contains_key(probe));
                     let wire = probe.to_wire_value();
@@ -1662,6 +1806,10 @@ mod watermark_properties {
                             pit.has_nonce_wire(&wire, nonce),
                             model.0.get(probe).is_some_and(|e| e.nonces.contains(&nonce))
                         );
+                    }
+                    // Data under the probe name, and one component deeper.
+                    for data in [probe.clone(), probe.child(Component::from_seq(9))] {
+                        prop_assert_eq!(pit.matches(&data), model.matches(&data));
                     }
                 }
             }
@@ -1864,15 +2012,15 @@ mod watermark_properties {
         #[test]
         fn nonce_journal_matches_a_full_scan_model_through_ties_and_eviction(
             ops in proptest::collection::vec((0u8..5, 0u32..40, 0u64..3), 1..300),
+            capacity in 1usize..12,
         ) {
-            const CAPACITY: usize = 8;
             let keep = SimDuration::from_millis(6);
-            let mut journal = NonceJournal::new(CAPACITY);
+            let mut journal = NonceJournal::new(capacity);
             let mut model = JournalModel::default();
             let mut now = SimTime::from_secs(1);
             for &(op, nonce, step) in &ops {
                 // Steps of 0–2 ms over a 6 ms horizon: plenty of equal
-                // timestamps, and the cap of 8 is hit long before age is.
+                // timestamps, and a cap under 12 is hit long before age is.
                 now += SimDuration::from_millis(step);
                 if op == 0 {
                     prop_assert_eq!(
@@ -1882,10 +2030,10 @@ mod watermark_properties {
                 } else {
                     let earlier = model.0.get(&nonce).copied();
                     prop_assert_eq!(journal.record(nonce, now), earlier);
-                    model.record(nonce, now, CAPACITY);
+                    model.record(nonce, now, capacity);
                 }
                 prop_assert_eq!(journal.len(), model.0.len());
-                prop_assert!(journal.len() <= CAPACITY);
+                prop_assert!(journal.len() <= capacity);
                 for probe in 0..40 {
                     prop_assert_eq!(journal.first_seen(probe), model.0.get(&probe).copied());
                 }
