@@ -61,8 +61,11 @@ struct TimerSlot {
 /// pop, and cancelling an already-fired timer left its id in the set for
 /// the rest of the run (an unbounded leak in long simulations). Here a
 /// cancel is a bounds-checked array write, and a slot is returned to the
-/// free list the moment its event pops — fired, cancelled, or both — so
-/// live slots are bounded by the number of timers actually pending.
+/// free list when its timer retires: when its event pops (fired, cancelled,
+/// or both), or when the world purges a cancelled timer's entry from the
+/// queue early. Allocated slots are therefore bounded by the timers armed
+/// at once plus the cancelled ones the world has not purged yet, not by
+/// the total armed over the run.
 #[derive(Debug, Default)]
 pub(crate) struct TimerSlab {
     slots: Vec<TimerSlot>,
@@ -85,19 +88,32 @@ impl TimerSlab {
         TimerHandle::pack(idx, slot.generation)
     }
 
-    /// Marks a timer cancelled. Stale handles (already fired, or from a
-    /// previous tenant of the slot) are ignored.
-    pub(crate) fn cancel(&mut self, handle: TimerHandle) {
+    /// Marks a timer cancelled. Returns whether this cancelled an armed
+    /// timer for the first time; a second cancel, a cancel after the timer
+    /// fired and a stale handle (from a previous tenant of the slot) are
+    /// no-ops and return `false`.
+    pub(crate) fn cancel(&mut self, handle: TimerHandle) -> bool {
         let (idx, generation) = handle.unpack();
-        if let Some(slot) = self.slots.get_mut(idx) {
-            if slot.armed && slot.generation == generation {
+        match self.slots.get_mut(idx) {
+            Some(slot) if slot.armed && slot.generation == generation && !slot.cancelled => {
                 slot.cancelled = true;
+                true
             }
+            _ => false,
         }
     }
 
-    /// Retires a timer when its event pops, freeing the slot for reuse.
-    /// Returns whether the timer callback should run (i.e. not cancelled).
+    /// Whether `handle` names an armed timer that has been cancelled.
+    pub(crate) fn is_cancelled(&self, handle: TimerHandle) -> bool {
+        let (idx, generation) = handle.unpack();
+        self.slots
+            .get(idx)
+            .is_some_and(|s| s.armed && s.cancelled && s.generation == generation)
+    }
+
+    /// Retires a timer when its event pops (or is purged), freeing the
+    /// slot for reuse. Returns whether the timer callback should run (i.e.
+    /// not cancelled).
     pub(crate) fn fire(&mut self, handle: TimerHandle) -> bool {
         let (idx, generation) = handle.unpack();
         match self.slots.get_mut(idx) {
@@ -118,8 +134,9 @@ impl TimerSlab {
         self.slots.len() - self.free.len()
     }
 
-    /// Slots ever allocated — bounded by the peak number of concurrently
-    /// armed timers, not by the total armed over the run.
+    /// Slots ever allocated — bounded by the peak number of timers armed
+    /// at once (cancelled ones awaiting a purge included), not by the total
+    /// armed over the run.
     pub(crate) fn allocated(&self) -> usize {
         self.slots.len()
     }
@@ -372,7 +389,7 @@ mod tests {
         let b = slab.arm();
         assert_eq!(slab.allocated(), 1, "slot must be reused");
         assert_ne!(a, b);
-        slab.cancel(a); // stale: must not affect the new tenant
+        assert!(!slab.cancel(a), "stale: must not affect the new tenant");
         assert!(slab.fire(b), "new tenant unaffected by stale cancel");
         assert!(!slab.fire(b), "double fire is a no-op");
     }
@@ -381,9 +398,24 @@ mod tests {
     fn slab_cancel_suppresses_fire_and_frees_slot() {
         let mut slab = TimerSlab::default();
         let h = slab.arm();
-        slab.cancel(h);
-        assert_eq!(slab.live(), 1, "cancelled slot freed only when it pops");
+        assert!(!slab.is_cancelled(h));
+        assert!(slab.cancel(h), "first cancel of an armed timer counts");
+        assert!(slab.is_cancelled(h));
+        assert!(!slab.cancel(h), "a second cancel is a no-op");
+        assert_eq!(slab.live(), 1, "cancelled slot freed only when it retires");
         assert!(!slab.fire(h), "cancelled timer must not fire");
+        assert_eq!(slab.live(), 0);
+        assert!(!slab.is_cancelled(h), "a retired handle is stale");
+        assert!(!slab.cancel(h), "a cancel after retirement is a no-op");
+    }
+
+    #[test]
+    fn slab_cancel_after_fire_is_not_counted() {
+        let mut slab = TimerSlab::default();
+        let h = slab.arm();
+        assert!(slab.fire(h));
+        assert!(!slab.cancel(h), "a cancel after the timer fired is a no-op");
+        assert!(!slab.is_cancelled(h));
         assert_eq!(slab.live(), 0);
     }
 
@@ -396,11 +428,11 @@ mod tests {
         for round in 0..10_000u64 {
             let a = slab.arm();
             let b = slab.arm();
-            slab.cancel(b);
+            assert!(slab.cancel(b));
             assert!(slab.fire(a));
             assert!(!slab.fire(b));
             if round % 2 == 0 {
-                slab.cancel(a); // cancel after fire: harmless no-op
+                assert!(!slab.cancel(a), "cancel after fire: harmless no-op");
             }
             assert_eq!(slab.live(), 0, "round {round} leaked a slot");
         }

@@ -187,6 +187,29 @@ impl<T> TimerWheel<T> {
         self.ready.pop()
     }
 
+    /// Drops every entry for which `keep` returns `false`, wherever it
+    /// waits: a level slot, the drained ready batch or the overflow heap.
+    /// What stays pops in the same `(time, seq)` order as before; slot
+    /// vectors keep their capacity for the pushes that follow.
+    pub fn retain(&mut self, mut keep: impl FnMut(&WheelEntry<T>) -> bool) {
+        self.ready.retain(&mut keep);
+        for level in 0..LEVELS {
+            let mut pending = self.occupied[level];
+            while pending != 0 {
+                let slot = pending.trailing_zeros() as usize;
+                pending &= pending - 1;
+                let bucket = &mut self.slots[level * SLOTS + slot];
+                let before = bucket.len();
+                bucket.retain(&mut keep);
+                self.in_slots -= before - bucket.len();
+                if bucket.is_empty() {
+                    self.occupied[level] &= !(1 << slot);
+                }
+            }
+        }
+        self.overflow.retain(|std::cmp::Reverse(e)| keep(e));
+    }
+
     /// Fills `ready` with the earliest instant's entries, sorted for
     /// back-to-front popping.
     fn ensure_ready(&mut self) {
@@ -277,6 +300,19 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+
+    /// The bookkeeping `retain` must keep: a slot's occupancy bit is set
+    /// exactly when the slot holds entries, and `in_slots` counts them.
+    fn assert_bookkeeping<T>(w: &TimerWheel<T>) {
+        for level in 0..LEVELS {
+            for slot in 0..SLOTS {
+                let held = !w.slots[level * SLOTS + slot].is_empty();
+                let bit = w.occupied[level] & (1 << slot) != 0;
+                assert_eq!(bit, held, "level {level} slot {slot}");
+            }
+        }
+        assert_eq!(w.in_slots, w.slots.iter().map(Vec::len).sum::<usize>());
+    }
 
     #[test]
     fn pops_in_time_then_seq_order() {
@@ -414,8 +450,8 @@ mod tests {
     }
 
     /// The load-bearing property: the wheel pops the exact sequence a
-    /// min-heap pops, under randomized interleaved pushes and pops across
-    /// every level's time scale.
+    /// min-heap pops, under randomized interleaved pushes, pops and
+    /// `retain` filters across every level's time scale.
     #[test]
     fn matches_binary_heap_under_random_interleaving() {
         for seed in 0..8u64 {
@@ -425,7 +461,16 @@ mod tests {
             let mut seq = 0u64;
             let mut now = 0u64;
             for _ in 0..4_000 {
-                if rng.gen_bool(0.55) || heap.is_empty() {
+                if rng.gen_bool(0.02) {
+                    // Drop a pseudo-random share of entries, wherever they
+                    // wait: ready batch, level slots or overflow.
+                    let (modulus, salt) = (rng.gen_range(2..6u64), rng.gen_range(0..6u64));
+                    let keep = |e: &WheelEntry<u64>| !(e.item ^ salt).is_multiple_of(modulus);
+                    wheel.retain(keep);
+                    heap.retain(|std::cmp::Reverse(e)| keep(e));
+                    assert_eq!(wheel.len(), heap.len());
+                    assert_bookkeeping(&wheel);
+                } else if rng.gen_bool(0.55) || heap.is_empty() {
                     seq += 1;
                     // Mix deltas across the wheel's scales, including 0.
                     let delta = match rng.gen_range(0u32..6) {

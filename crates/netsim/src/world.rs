@@ -30,7 +30,8 @@ use crate::time::{SimDuration, SimTime};
 use crate::wheel::TimerWheel;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeSet, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 
 /// Builds the replacement stack for a node being restarted by a
 /// [`FaultAction::Restart`]. The second argument is the crashed incarnation
@@ -167,6 +168,10 @@ enum EventKind {
 // is the 16-byte `(time, seq)` key plus a few words of kind.
 const _: () = assert!(std::mem::size_of::<EventKind>() <= 32);
 
+/// Cancelled timers the queue may hold before a purge is considered: fewer
+/// hold too little memory to be worth a pass over the queue.
+const PURGE_FLOOR: usize = 256;
+
 /// The discrete-event simulator.
 ///
 /// # Examples
@@ -190,6 +195,20 @@ pub struct World {
     next_tx_id: u64,
     next_frame_seq: u64,
     timers: crate::node::TimerSlab,
+    /// Cancelled timers whose entries are still in `queue`. Once they
+    /// outnumber the rest (above [`PURGE_FLOOR`]), one `retain` pass drops
+    /// them all, so a cancel costs amortised O(1) and a far-future timer
+    /// cancelled early does not hold memory until it is due.
+    cancelled_queued: usize,
+    /// Due times (µs) of the cancelled timers a purge dropped, earliest
+    /// first. Each is still counted in [`Stats::event_dispatches`] once the
+    /// run has passed where its entry would have popped — at a run's
+    /// deadline, or at the end of each instant `run_until_cond` drains —
+    /// so the count, part of every trace fingerprint, reads as if nothing
+    /// were purged. This heap exists only for that
+    /// count and goes once `event_dispatches` stops counting cancelled
+    /// timers (ROADMAP item 4(c)).
+    ghosts: BinaryHeap<Reverse<u64>>,
     /// Free list of command buffers recycled across stack callbacks.
     cmd_pool: Vec<Vec<Command>>,
     /// Free list of receiver vectors recycled through delivery batches, so
@@ -241,6 +260,8 @@ impl World {
             next_tx_id: 0,
             next_frame_seq: 0,
             timers: crate::node::TimerSlab::default(),
+            cancelled_queued: 0,
+            ghosts: BinaryHeap::new(),
             cmd_pool: Vec::new(),
             recv_pool: Vec::new(),
             overlap_buf: Vec::new(),
@@ -445,7 +466,21 @@ impl World {
         while self.next_event_time().is_some_and(|t| t <= deadline) {
             self.step();
         }
+        self.fold_ghosts(deadline);
         self.now = deadline.max(self.now);
+    }
+
+    /// Counts every purged timer due at or before `upto` as the dispatch
+    /// its entry would have been had it stayed queued.
+    fn fold_ghosts(&mut self, upto: SimTime) {
+        while self
+            .ghosts
+            .peek()
+            .is_some_and(|&Reverse(t)| t <= upto.as_micros())
+        {
+            self.ghosts.pop();
+            self.stats.event_dispatches += 1;
+        }
     }
 
     /// Time of the earliest pending event (the wheel may advance its cursor
@@ -492,24 +527,47 @@ impl World {
                     break;
                 }
             }
+            self.fold_ghosts(t);
             if pred(self) {
                 return true;
             }
         }
+        self.fold_ghosts(deadline);
         self.now = deadline.max(self.now);
         false
     }
 
-    /// Timers currently armed (set but not yet fired or popped-cancelled).
-    /// Exposed so tests can assert the timer slab does not leak.
+    /// Timers whose slots are claimed: armed and not yet retired. A timer
+    /// retires when it fires, or — cancelled — when its entry pops or a
+    /// purge drops it from the queue. Exposed so tests can assert the timer
+    /// slab does not leak.
     pub fn live_timers(&self) -> usize {
         self.timers.live()
     }
 
-    /// Timer slots ever allocated — bounded by peak concurrent timers, not
-    /// by the total number armed over the run (the no-leak property).
+    /// Timer slots ever allocated — bounded by the peak of timers armed at
+    /// once plus the cancelled ones not yet purged (at most as many again,
+    /// or a small floor), not by the total number armed over the run.
     pub fn timer_slots_allocated(&self) -> usize {
         self.timers.allocated()
+    }
+
+    /// Drops every cancelled timer from the queue, retiring its slot as
+    /// [`TimerSlab::fire`](crate::node::TimerSlab::fire) does at pop and
+    /// keeping its due time as a ghost for `event_dispatches`.
+    fn purge_cancelled(&mut self) {
+        let mut purged = 0;
+        self.queue.retain(|e| match e.item {
+            EventKind::Timer { handle, .. } if self.timers.is_cancelled(handle) => {
+                self.timers.fire(handle);
+                self.ghosts.push(Reverse(e.time));
+                purged += 1;
+                false
+            }
+            _ => true,
+        });
+        debug_assert_eq!(purged, self.cancelled_queued, "cancel count drifted");
+        self.cancelled_queued = 0;
     }
 
     fn dispatch(&mut self, kind: EventKind) {
@@ -528,6 +586,10 @@ impl World {
                     } else {
                         self.stats.stale_events_suppressed += 1;
                     }
+                } else {
+                    // A queued timer's slot stays armed until it retires,
+                    // so only a cancelled one pops without firing.
+                    self.cancelled_queued -= 1;
                 }
             }
             EventKind::MacEnqueue { node, epoch, frame } => {
@@ -778,7 +840,14 @@ impl World {
                     );
                 }
                 Command::CancelTimer { handle } => {
-                    self.timers.cancel(handle);
+                    if self.timers.cancel(handle) {
+                        self.cancelled_queued += 1;
+                        if self.cancelled_queued > PURGE_FLOOR
+                            && self.cancelled_queued * 2 > self.queue.len()
+                        {
+                            self.purge_cancelled();
+                        }
+                    }
                 }
             }
         }
@@ -1687,6 +1756,74 @@ mod tests {
             "slot allocation {} exceeds peak concurrency",
             w.timer_slots_allocated()
         );
+    }
+
+    /// A cancelled far-future timer leaves the queue long before it is
+    /// due, yet `event_dispatches` still counts it once its due time
+    /// passes, exactly as if its entry had stayed queued and popped.
+    #[test]
+    fn cancelled_far_future_timers_leave_the_queue_but_count_once_due() {
+        const ROUNDS: u64 = 10_000;
+        #[derive(Debug, Default)]
+        struct DecoyChurner {
+            rounds: u64,
+            decoy: Option<TimerHandle>,
+        }
+        impl NetStack for DecoyChurner {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                ctx.set_timer(SimDuration::from_millis(1), 1);
+            }
+            fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: &Frame) {}
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
+                if token != 1 {
+                    return;
+                }
+                if let Some(h) = self.decoy.take() {
+                    ctx.cancel_timer(h);
+                }
+                self.decoy = Some(ctx.set_timer(SimDuration::from_secs(30), 2));
+                self.rounds += 1;
+                if self.rounds < ROUNDS {
+                    ctx.set_timer(SimDuration::from_millis(1), 1);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut w = World::new(lossless());
+        let a = w.add_node(
+            Box::new(Stationary::new(Point::new(0.0, 0.0))),
+            Box::new(DecoyChurner::default()),
+        );
+        // One tick a millisecond for ten seconds, each re-arming a decoy due
+        // 30 s later and cancelling the previous one: kept queued, the
+        // cancelled decoys would reach 10,000 entries and slots.
+        let bound = PURGE_FLOOR + 8;
+        for step in 1..=100 {
+            w.run_until(SimTime::from_micros(100_000 * step));
+            assert!(w.queue.len() <= bound, "queue holds {}", w.queue.len());
+            assert!(
+                w.timer_slots_allocated() <= bound,
+                "{} timer slots allocated",
+                w.timer_slots_allocated()
+            );
+        }
+        assert_eq!(w.stack::<DecoyChurner>(a).expect("stack").rounds, ROUNDS);
+        // Model: the ticks are the only timers due by 10 s.
+        assert_eq!(w.stats().event_dispatches, ROUNDS);
+        // The decoy armed at tick k (k ms) is due at 30 s + k ms: by 35 s
+        // the first 5,000 have come due, all but the last cancelled.
+        w.run_until(SimTime::from_secs(35));
+        assert_eq!(w.stats().event_dispatches, ROUNDS + 5_000);
+        w.run_until(SimTime::from_secs(40));
+        assert_eq!(w.stats().event_dispatches, 2 * ROUNDS);
+        assert!(w.queue.is_empty());
+        assert!(w.ghosts.is_empty(), "every purged decoy came due");
+        assert_eq!(w.live_timers(), 0);
     }
 
     #[test]

@@ -1056,9 +1056,10 @@ mod sched_properties {
     //! Scheduler properties: the timer wheel must pop the exact
     //! `(time, seq)` sequence a min-heap pops, the world must fire the same
     //! timers in the same order as a min-heap model of it under random
-    //! arm/cancel interleavings, a transmission's delivery fan-out must land
-    //! at one instant, and the name-first header peek must agree with the
-    //! full decode.
+    //! arm/cancel interleavings and count every armed timer, cancelled or
+    //! not, as one dispatch once it is due, a transmission's delivery
+    //! fan-out must land at one instant, and the name-first header peek must
+    //! agree with the full decode.
 
     use dapes_netsim::payload::Payload;
     use dapes_netsim::prelude::*;
@@ -1199,6 +1200,122 @@ mod sched_properties {
             prop_assert!(!expected.is_empty());
             // No-leak property: once every event has popped, no slot stays
             // claimed.
+            prop_assert_eq!(w.live_timers(), 0);
+        }
+
+        #[test]
+        fn event_dispatches_count_every_armed_timer_once_due_at_every_stop(
+            script in proptest::collection::vec(
+                (0u8..4, 1u64..2_000_000, 1u8..48), 8..80),
+            stops in proptest::collection::vec(
+                (any::<bool>(), 1u64..400_000, 1u64..200), 1..24),
+        ) {
+            // A frame-free stack whose only events are its timers. Each
+            // tick of its chain runs one scripted step on a burst of
+            // timers: arm them, arm and cancel each, arm and cancel each
+            // twice, or cancel handles from its whole history (live,
+            // already cancelled or already fired). Cancelled timers leave the queue in purges,
+            // yet every armed timer must count as one dispatch once its due
+            // time is at or before where the run stands — at every
+            // `run_until` deadline, at every `run_until_cond` stop and in
+            // every `pred` call.
+            #[derive(Debug)]
+            struct Churn {
+                script: Vec<(u8, u64, u8)>,
+                step: usize,
+                history: Vec<TimerHandle>,
+                /// Due time (µs) of every timer ever armed.
+                due: Vec<u64>,
+                fired: u64,
+            }
+            impl Churn {
+                fn arm(&mut self, ctx: &mut NodeCtx<'_>, delay_us: u64, token: u64) -> TimerHandle {
+                    let h = ctx.set_timer(SimDuration::from_micros(delay_us), token);
+                    self.due.push(ctx.now.as_micros() + delay_us);
+                    self.history.push(h);
+                    h
+                }
+            }
+            impl NetStack for Churn {
+                fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                    self.arm(ctx, 1, 0);
+                }
+                fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: &Frame) {}
+                fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
+                    self.fired += 1;
+                    if token != 0 {
+                        return;
+                    }
+                    let Some(&(op, delay, n)) = self.script.get(self.step) else {
+                        return;
+                    };
+                    self.step += 1;
+                    for i in 0..u64::from(n) {
+                        let d = delay + i * 997;
+                        match op {
+                            0 => {
+                                self.arm(ctx, d, 1);
+                            }
+                            1 => {
+                                let h = self.arm(ctx, d, 1);
+                                ctx.cancel_timer(h);
+                            }
+                            2 => {
+                                let h = self.arm(ctx, d, 1);
+                                ctx.cancel_timer(h);
+                                ctx.cancel_timer(h);
+                            }
+                            _ => {
+                                let pick = (d as usize).wrapping_mul(31) % self.history.len();
+                                ctx.cancel_timer(self.history[pick]);
+                            }
+                        }
+                    }
+                    self.arm(ctx, 1_000, 0);
+                }
+                fn as_any(&self) -> &dyn Any { self }
+                fn as_any_mut(&mut self) -> &mut dyn Any { self }
+            }
+            fn due_by(w: &World, a: NodeId, horizon: SimTime) -> u64 {
+                let churn = w.stack::<Churn>(a).unwrap();
+                churn.due.iter().filter(|&&t| t <= horizon.as_micros()).count() as u64
+            }
+            let mut w = World::new(WorldConfig::default());
+            let a = w.add_node(
+                Box::new(Stationary::new(Point::new(0.0, 0.0))),
+                Box::new(Churn {
+                    script: script.clone(),
+                    step: 0,
+                    history: Vec::new(),
+                    due: Vec::new(),
+                    fired: 0,
+                }),
+            );
+            for &(cond, advance_us, fires) in &stops {
+                let deadline = w.now() + SimDuration::from_micros(advance_us);
+                let horizon = if cond {
+                    let target = w.stack::<Churn>(a).unwrap().fired + fires;
+                    let mut mismatches = Vec::new();
+                    let stopped = w.run_until_cond(deadline, |w| {
+                        let (seen, model) = (w.stats().event_dispatches, due_by(w, a, w.now()));
+                        if seen != model {
+                            mismatches.push((w.now(), seen, model));
+                        }
+                        w.stack::<Churn>(a).unwrap().fired >= target
+                    });
+                    prop_assert!(mismatches.is_empty(), "pred saw {:?}", mismatches);
+                    if stopped { w.now() } else { deadline }
+                } else {
+                    w.run_until(deadline);
+                    deadline
+                };
+                prop_assert_eq!(w.stats().event_dispatches, due_by(&w, a, horizon));
+            }
+            // Past every due time, every armed timer has counted once and
+            // every slot is free again.
+            w.run_until(w.now() + SimDuration::from_secs(5));
+            let armed = w.stack::<Churn>(a).unwrap().due.len() as u64;
+            prop_assert_eq!(w.stats().event_dispatches, armed);
             prop_assert_eq!(w.live_timers(), 0);
         }
 
