@@ -552,7 +552,7 @@ impl<S: Strategy> Forwarder<S> {
             }
             Decision::Forward(faces) => {
                 self.stats.forwarded_interests += 1;
-                entry.last_forward = Some(now);
+                entry.set_last_forward(now);
                 let frame = match header.hop_limit {
                     PeekedHopLimit::Absent => backing.clone(),
                     PeekedHopLimit::Patchable { value, .. } if value <= 1 => {
@@ -678,7 +678,7 @@ impl<S: Strategy> Forwarder<S> {
                 let retx_ok =
                     self.pit
                         .probe_wire(&name_wire)
-                        .is_some_and(|e| match e.last_forward {
+                        .is_some_and(|e| match e.last_forward() {
                             None => true,
                             Some(t) => now.since(t) >= REFORWARD_INTERVAL,
                         });
@@ -708,7 +708,7 @@ impl<S: Strategy> Forwarder<S> {
                         }
                         if forwarded {
                             if let Some(e) = self.pit.entry_mut_wire(&name_wire) {
-                                e.last_forward = Some(now);
+                                e.set_last_forward(now);
                             }
                         }
                     }
@@ -735,7 +735,7 @@ impl<S: Strategy> Forwarder<S> {
                     Decision::Forward(faces) => {
                         self.stats.forwarded_interests += 1;
                         if let Some(e) = self.pit.entry_mut_wire(&name_wire) {
-                            e.last_forward = Some(now);
+                            e.set_last_forward(now);
                         }
                         faces
                             .into_iter()
@@ -894,6 +894,51 @@ mod tests {
             .process_interest(now(), &interest("/a", 2), FaceId::WIRELESS)
             .is_empty());
         assert_eq!(f.stats().aggregated_interests, 1);
+    }
+
+    /// A consumer retransmission (new nonce, same pending name) re-forwards
+    /// only once `REFORWARD_INTERVAL` has passed since the last forward —
+    /// a forward at t = 0 included, which must not read as "never".
+    #[test]
+    fn retransmission_reforwards_only_after_the_interval() {
+        let mut f = fwd();
+        let at = SimTime::from_micros;
+        let step = REFORWARD_INTERVAL.as_micros();
+        let sent = |actions: Vec<Action>| !actions.is_empty();
+        let lifetime = |nonce| interest("/a", nonce).with_lifetime_ms(10_000);
+        assert!(sent(f.process_interest(
+            SimTime::ZERO,
+            &lifetime(1),
+            FaceId::APP
+        )));
+        let stamped = |f: &Forwarder| {
+            f.pit()
+                .probe_wire(&Name::from_uri("/a").to_wire_value())
+                .and_then(crate::pit::PitEntry::last_forward)
+        };
+        assert_eq!(stamped(&f), Some(SimTime::ZERO));
+        assert!(!sent(f.process_interest(
+            at(step - 1),
+            &lifetime(2),
+            FaceId::APP
+        )));
+        assert!(sent(f.process_interest(
+            at(step),
+            &lifetime(3),
+            FaceId::APP
+        )));
+        assert_eq!(stamped(&f), Some(at(step)));
+        assert!(!sent(f.process_interest(
+            at(2 * step - 1),
+            &lifetime(4),
+            FaceId::APP
+        )));
+        assert!(sent(f.process_interest(
+            at(2 * step),
+            &lifetime(5),
+            FaceId::APP
+        )));
+        assert_eq!(f.stats().aggregated_interests, 4);
     }
 
     #[test]

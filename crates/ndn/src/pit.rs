@@ -24,9 +24,10 @@ pub struct PitEntry {
     /// When the entry expires. Crate-private because the sweeps'
     /// watermark must see every write: aggregation only ever raises it.
     pub(crate) expiry: SimTime,
-    /// When the Interest was last forwarded upstream (consumer
-    /// retransmissions may re-forward after a suppression interval).
-    pub last_forward: Option<SimTime>,
+    /// When the Interest was last forwarded upstream, in µs, or
+    /// [`NEVER_FORWARDED`]: a bare `u64` rather than an `Option<SimTime>`,
+    /// which would take 16 bytes.
+    last_forward: u64,
     /// Nonces and downstreams after the first, once an Interest aggregates.
     more: Option<Box<Aggregated>>,
     /// The first Interest's nonce.
@@ -40,7 +41,11 @@ pub struct PitEntry {
 
 // Relay swarms hold hundreds of thousands of entries per run: the common
 // entry (one nonce, one face) must stay a few words, with no heap of its own.
-const _: () = assert!(std::mem::size_of::<PitEntry>() <= 48);
+const _: () = assert!(std::mem::size_of::<PitEntry>() <= 40);
+
+/// `PitEntry::last_forward` of an entry never forwarded: no simulated run
+/// reaches this instant (`SimTime::FAR_FUTURE` is a quarter of it).
+const NEVER_FORWARDED: u64 = u64::MAX;
 
 /// What aggregation adds to a [`PitEntry`] beyond its first Interest.
 #[derive(Clone, Debug, Default)]
@@ -53,6 +58,19 @@ impl PitEntry {
     /// When the entry expires.
     pub fn expiry(&self) -> SimTime {
         self.expiry
+    }
+
+    /// When the Interest was last forwarded upstream; `None` until it is
+    /// (consumer retransmissions may re-forward after a suppression
+    /// interval).
+    pub fn last_forward(&self) -> Option<SimTime> {
+        (self.last_forward != NEVER_FORWARDED).then(|| SimTime::from_micros(self.last_forward))
+    }
+
+    /// Records that the Interest was forwarded upstream at `now`.
+    pub(crate) fn set_last_forward(&mut self, now: SimTime) {
+        debug_assert_ne!(now.as_micros(), NEVER_FORWARDED, "sentinel instant");
+        self.last_forward = now.as_micros();
     }
 
     /// Faces that asked for this data, in arrival order, without repeats.
@@ -252,7 +270,7 @@ impl Pit {
         self.next_due = self.next_due.min(expiry);
         let entry = PitEntry {
             expiry,
-            last_forward: None,
+            last_forward: NEVER_FORWARDED,
             more: None,
             nonce,
             downstream: ingress,
@@ -318,7 +336,7 @@ impl Pit {
     }
 
     /// Mutable access to the entry for a canonical name wire value
-    /// (forwarders update `last_forward`).
+    /// (forwarders stamp [`PitEntry::last_forward`]).
     pub fn entry_mut_wire(&mut self, name_wire: &[u8]) -> Option<&mut PitEntry> {
         self.entries.get_mut(name_wire)
     }
@@ -429,6 +447,24 @@ mod tests {
 
     fn name(uri: &str) -> Name {
         Name::from_uri(uri)
+    }
+
+    /// The sentinel is not an instant a forward can carry: a forward at
+    /// t = 0 reads back as `Some(ZERO)`, a never-forwarded entry as `None`.
+    #[test]
+    fn last_forward_tells_a_forward_at_zero_from_none() {
+        let mut pit = Pit::new();
+        pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
+        pit.insert(&name("/b"), 2, false, FaceId::APP, t(4));
+        let a = pit.entry_mut_wire(&name("/a").to_wire_value()).expect("a");
+        assert_eq!(a.last_forward(), None);
+        a.set_last_forward(SimTime::ZERO);
+        assert_eq!(a.last_forward(), Some(SimTime::ZERO));
+        let b = pit.probe_wire(&name("/b").to_wire_value()).expect("b");
+        assert_eq!(b.last_forward(), None, "never forwarded");
+        let a = pit.entry_mut_wire(&name("/a").to_wire_value()).expect("a");
+        a.set_last_forward(SimTime::FAR_FUTURE);
+        assert_eq!(a.last_forward(), Some(SimTime::FAR_FUTURE));
     }
 
     #[test]

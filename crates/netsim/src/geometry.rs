@@ -30,6 +30,16 @@ impl Point {
         dx * dx + dy * dy <= range * range
     }
 
+    /// Whether a transmitter here can be audible, at `range`, to `sender`
+    /// or to any receiver within `range` of it: the triangle inequality
+    /// bounds every such distance by `2 × range`, and a relative margin of
+    /// 1e-9 absorbs the rounding of [`Point::within`], so an interferer
+    /// this rejects fails every `within(_, range)` check a receiver of
+    /// `sender` would make.
+    pub fn may_interfere(&self, sender: &Point, range: f64) -> bool {
+        self.within(sender, 2.0 * range * (1.0 + 1e-9))
+    }
+
     /// Component-wise clamp into the rectangle `(0,0)..=(w,h)`.
     pub fn clamped(&self, w: f64, h: f64) -> Point {
         Point {
@@ -113,6 +123,46 @@ mod tests {
         assert!((a.distance(&b) - 5.0).abs() < 1e-12);
         assert!(a.within(&b, 5.0));
         assert!(!a.within(&b, 4.999));
+    }
+
+    /// Collinear chains sender → receiver → interferer, each hop `range`
+    /// long, where rounding puts both hops within `range` but the interferer
+    /// just beyond `2 × range` of the sender: the margin must keep it.
+    #[test]
+    fn may_interfere_keeps_interferers_rounding_puts_past_twice_the_range() {
+        let chains = [
+            (
+                (-362.10392348037624, 403.45664025121823),
+                119.34595355973192,
+                (-269.5515165134901, 328.10739608966355),
+                (-176.99910954660405, 252.75815192810884),
+            ),
+            (
+                (-277.4488260546326, 408.3216600744306),
+                133.23367344209936,
+                (-172.32158351527698, 326.47134171862047),
+                (-67.19434097592138, 244.6210233628103),
+            ),
+            (
+                (225.792049380678, -177.36664726686024),
+                78.5900804884818,
+                (155.0643232135863, -143.1031170573366),
+                (84.33659704649462, -108.83958684781292),
+            ),
+        ];
+        for (s, range, r, p) in chains {
+            let (s, r, p) = (
+                Point::new(s.0, s.1),
+                Point::new(r.0, r.1),
+                Point::new(p.0, p.1),
+            );
+            assert!(
+                s.within(&r, range) && p.within(&r, range),
+                "{s:?} {r:?} {p:?}"
+            );
+            assert!(!p.within(&s, 2.0 * range), "{p:?} rounds past 2R of {s:?}");
+            assert!(p.may_interfere(&s, range), "{p:?} dropped");
+        }
     }
 
     #[test]

@@ -30,6 +30,18 @@
 //! Events beyond the top-level horizon (`64^6` µs ≈ 19 hours) spill into a
 //! small overflow heap and are folded back in when the wheel drains — they
 //! exist only so pathological far-future timers stay correct, not fast.
+//!
+//! # Storage
+//!
+//! Every slot is a singly linked list of `u32` indices into one shared
+//! entry arena, whose freed cells form a free list. A push links a cell
+//! in, a cascade relinks cells without moving an entry, a level-0 drain
+//! moves its entries into the sorted ready batch and frees their cells,
+//! and [`TimerWheel::retain`] frees the cells it drops. The arena thus
+//! grows to the peak of entries queued at once and no further; per-slot
+//! vectors would each keep their own largest size, which over a long run
+//! sums to many times what is ever queued. Order within a list does not
+//! matter: a level-0 drain sorts by `(time, seq)` anyway.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -73,6 +85,17 @@ impl<T> Ord for WheelEntry<T> {
     }
 }
 
+/// List terminator in the slot lists and the free list.
+const NIL: u32 = u32::MAX;
+
+/// One arena cell: a queued entry linked into a slot list, or — `entry`
+/// empty — a free cell linked into the free list.
+#[derive(Debug)]
+pub(crate) struct ArenaNode<T> {
+    entry: Option<WheelEntry<T>>,
+    next: u32,
+}
+
 /// A hierarchical timer wheel that pops entries in exact `(time, seq)`
 /// order, equivalent to a min-heap but with O(1) near-future push/pop.
 ///
@@ -93,14 +116,19 @@ impl<T> Ord for WheelEntry<T> {
 pub struct TimerWheel<T> {
     /// Current time position; only moves forward.
     cursor: u64,
-    /// `LEVELS × SLOTS` buckets, flattened.
-    slots: Vec<Vec<WheelEntry<T>>>,
+    /// First arena cell of each of the `LEVELS × SLOTS` slot lists
+    /// (flattened), or [`NIL`] when the slot is empty.
+    heads: [u32; LEVELS * SLOTS],
+    /// Every slot list's cells, live or free, in one allocation.
+    nodes: Vec<ArenaNode<T>>,
+    /// First free arena cell, or [`NIL`].
+    free: u32,
     /// Per-level occupancy bitmask (bit `s` set ⇔ slot `s` non-empty).
     occupied: [u64; LEVELS],
-    /// Entries in the level buckets (excludes `ready` and `overflow`).
+    /// Entries in the level slots (excludes `ready` and `overflow`).
     in_slots: usize,
     /// The drained current-instant slot, sorted descending so `pop` takes
-    /// from the back. Swapped with slot vectors to recycle allocations.
+    /// from the back.
     ready: Vec<WheelEntry<T>>,
     /// Events beyond the wheel's horizon, folded back in when it drains.
     overflow: BinaryHeap<std::cmp::Reverse<WheelEntry<T>>>,
@@ -117,7 +145,9 @@ impl<T> TimerWheel<T> {
     pub fn new() -> Self {
         TimerWheel {
             cursor: 0,
-            slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
+            heads: [NIL; LEVELS * SLOTS],
+            nodes: Vec::new(),
+            free: NIL,
             occupied: [0; LEVELS],
             in_slots: 0,
             ready: Vec::new(),
@@ -133,6 +163,14 @@ impl<T> TimerWheel<T> {
     /// Whether no entries are queued.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Bytes the wheel holds on the heap: its entry arena, ready batch and
+    /// overflow heap, at their allocated capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<ArenaNode<T>>()
+            + self.ready.capacity() * std::mem::size_of::<WheelEntry<T>>()
+            + self.overflow.capacity() * std::mem::size_of::<WheelEntry<T>>()
     }
 
     /// Queues an entry. `seq` must be unique (and, for heap equivalence,
@@ -153,25 +191,75 @@ impl<T> TimerWheel<T> {
             self.overflow.push(std::cmp::Reverse(entry));
             return;
         }
-        self.place(entry);
+        let bucket = self.bucket_of(time);
+        let idx = match self.free {
+            NIL => {
+                let idx = u32::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("timer wheel arena exceeds u32 indices");
+                self.nodes.push(ArenaNode {
+                    entry: Some(entry),
+                    next: NIL,
+                });
+                idx
+            }
+            idx => {
+                let node = &mut self.nodes[idx as usize];
+                self.free = node.next;
+                node.entry = Some(entry);
+                idx
+            }
+        };
+        self.link(bucket, idx);
         self.in_slots += 1;
     }
 
-    /// Routes an in-horizon entry to its level and slot. Callers guarantee
-    /// `entry.time >= cursor` (late pushes merge into `ready` instead).
-    fn place(&mut self, entry: WheelEntry<T>) {
-        debug_assert!(entry.time >= self.cursor);
-        let t = entry.time;
-        let diff = t ^ self.cursor;
+    /// The flattened slot an in-horizon time belongs to, given the cursor.
+    /// Callers guarantee `time >= cursor` (late pushes merge into `ready`).
+    fn bucket_of(&self, time: u64) -> usize {
+        debug_assert!(time >= self.cursor);
+        let diff = time ^ self.cursor;
         let level = if diff == 0 {
             0
         } else {
             ((63 - diff.leading_zeros()) / SLOT_BITS) as usize
         };
         debug_assert!(level < LEVELS, "beyond-horizon entry must overflow");
-        let slot = ((t >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        self.occupied[level] |= 1 << slot;
-        self.slots[level * SLOTS + slot].push(entry);
+        let slot = ((time >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
+        level * SLOTS + slot
+    }
+
+    /// Links arena cell `idx` at the head of slot list `bucket`.
+    fn link(&mut self, bucket: usize, idx: u32) {
+        self.nodes[idx as usize].next = self.heads[bucket];
+        self.heads[bucket] = idx;
+        self.occupied[bucket / SLOTS] |= 1 << (bucket % SLOTS);
+    }
+
+    /// Empties slot list `bucket`, clearing its occupancy bit, and returns
+    /// its first cell for the caller to walk.
+    fn unlink_all(&mut self, bucket: usize) -> u32 {
+        self.occupied[bucket / SLOTS] &= !(1 << (bucket % SLOTS));
+        std::mem::replace(&mut self.heads[bucket], NIL)
+    }
+
+    /// Takes the entry out of live cell `idx` and puts the cell on the
+    /// free list; returns the cell's old successor.
+    fn release(&mut self, idx: u32) -> (WheelEntry<T>, u32) {
+        let node = &mut self.nodes[idx as usize];
+        let entry = node.entry.take().expect("slot lists hold live cells");
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = idx;
+        (entry, next)
+    }
+
+    /// The entry in live cell `idx`.
+    fn entry(&self, idx: u32) -> &WheelEntry<T> {
+        self.nodes[idx as usize]
+            .entry
+            .as_ref()
+            .expect("slot lists hold live cells")
     }
 
     /// The time of the next entry, or `None` when empty. Advances the
@@ -189,8 +277,9 @@ impl<T> TimerWheel<T> {
 
     /// Drops every entry for which `keep` returns `false`, wherever it
     /// waits: a level slot, the drained ready batch or the overflow heap.
-    /// What stays pops in the same `(time, seq)` order as before; slot
-    /// vectors keep their capacity for the pushes that follow.
+    /// What stays pops in the same `(time, seq)` order as before; a dropped
+    /// slot entry's arena cell goes to the free list for the pushes that
+    /// follow.
     pub fn retain(&mut self, mut keep: impl FnMut(&WheelEntry<T>) -> bool) {
         self.ready.retain(&mut keep);
         for level in 0..LEVELS {
@@ -198,12 +287,17 @@ impl<T> TimerWheel<T> {
             while pending != 0 {
                 let slot = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
-                let bucket = &mut self.slots[level * SLOTS + slot];
-                let before = bucket.len();
-                bucket.retain(&mut keep);
-                self.in_slots -= before - bucket.len();
-                if bucket.is_empty() {
-                    self.occupied[level] &= !(1 << slot);
+                let bucket = level * SLOTS + slot;
+                let mut idx = self.unlink_all(bucket);
+                while idx != NIL {
+                    let next = self.nodes[idx as usize].next;
+                    if keep(self.entry(idx)) {
+                        self.link(bucket, idx);
+                    } else {
+                        self.release(idx);
+                        self.in_slots -= 1;
+                    }
+                    idx = next;
                 }
             }
         }
@@ -227,8 +321,12 @@ impl<T> TimerWheel<T> {
             // up zero-delay events pushed while the previous batch popped).
             let idx0 = (self.cursor & (SLOTS as u64 - 1)) as usize;
             if self.occupied[0] & (1 << idx0) != 0 {
-                self.occupied[0] &= !(1 << idx0);
-                std::mem::swap(&mut self.ready, &mut self.slots[idx0]);
+                let mut idx = self.unlink_all(idx0);
+                while idx != NIL {
+                    let (entry, next) = self.release(idx);
+                    self.ready.push(entry);
+                    idx = next;
+                }
                 self.in_slots -= self.ready.len();
                 self.ready
                     .sort_unstable_by_key(|e| std::cmp::Reverse((e.time, e.seq)));
@@ -256,23 +354,23 @@ impl<T> TimerWheel<T> {
             let window_base = self.cursor & !((unit << SLOT_BITS) - 1);
             self.cursor = window_base + slot * unit;
             if level > 0 {
-                self.cascade(level, slot as usize);
+                self.cascade(level * SLOTS + slot as usize);
             }
             return;
         }
         debug_assert!(self.in_slots == 0, "entries queued but no slot found");
     }
 
-    /// Redistributes a higher-level bucket into the finer levels now that
-    /// the cursor sits at its window start.
-    fn cascade(&mut self, level: usize, slot: usize) {
-        self.occupied[level] &= !(1 << slot);
-        let mut bucket = std::mem::take(&mut self.slots[level * SLOTS + slot]);
-        for entry in bucket.drain(..) {
-            self.place(entry);
+    /// Relinks a higher-level slot's cells into the finer levels now that
+    /// the cursor sits at its window start; no entry moves.
+    fn cascade(&mut self, bucket: usize) {
+        let mut idx = self.unlink_all(bucket);
+        while idx != NIL {
+            let next = self.nodes[idx as usize].next;
+            let to = self.bucket_of(self.entry(idx).time);
+            self.link(to, idx);
+            idx = next;
         }
-        // Hand the allocation back so steady-state cascades do not allocate.
-        self.slots[level * SLOTS + slot] = bucket;
     }
 
     /// Jumps the cursor to the overflow's earliest window and folds every
@@ -288,8 +386,7 @@ impl<T> TimerWheel<T> {
                 break;
             }
             let std::cmp::Reverse(e) = self.overflow.pop().expect("peeked");
-            self.place(e);
-            self.in_slots += 1;
+            self.push(e.time, e.seq, e.item);
         }
         true
     }
@@ -301,17 +398,50 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
 
-    /// The bookkeeping `retain` must keep: a slot's occupancy bit is set
-    /// exactly when the slot holds entries, and `in_slots` counts them.
+    /// The bookkeeping every operation must keep: a slot's occupancy bit is
+    /// set exactly when its list is non-empty, `in_slots` counts the listed
+    /// entries, and every arena cell is either listed live or free — none
+    /// leaks, none is in two lists.
     fn assert_bookkeeping<T>(w: &TimerWheel<T>) {
+        let walk = |mut idx: u32| {
+            let mut cells = Vec::new();
+            while idx != NIL {
+                assert!(cells.len() < w.nodes.len(), "list cycles");
+                cells.push(idx);
+                idx = w.nodes[idx as usize].next;
+            }
+            cells
+        };
+        let mut seen = vec![false; w.nodes.len()];
+        let mut listed = 0;
         for level in 0..LEVELS {
             for slot in 0..SLOTS {
-                let held = !w.slots[level * SLOTS + slot].is_empty();
+                let cells = walk(w.heads[level * SLOTS + slot]);
                 let bit = w.occupied[level] & (1 << slot) != 0;
-                assert_eq!(bit, held, "level {level} slot {slot}");
+                assert_eq!(bit, !cells.is_empty(), "level {level} slot {slot}");
+                for &i in &cells {
+                    assert!(
+                        w.nodes[i as usize].entry.is_some(),
+                        "listed cell {i} is free"
+                    );
+                    assert!(
+                        !std::mem::replace(&mut seen[i as usize], true),
+                        "cell {i} twice"
+                    );
+                }
+                listed += cells.len();
             }
         }
-        assert_eq!(w.in_slots, w.slots.iter().map(Vec::len).sum::<usize>());
+        assert_eq!(w.in_slots, listed);
+        let free = walk(w.free);
+        for &i in &free {
+            assert!(w.nodes[i as usize].entry.is_none(), "free cell {i} is live");
+            assert!(
+                !std::mem::replace(&mut seen[i as usize], true),
+                "cell {i} twice"
+            );
+        }
+        assert_eq!(listed + free.len(), w.nodes.len(), "an arena cell leaked");
     }
 
     #[test]
@@ -495,11 +625,36 @@ mod tests {
                     now = expect.time;
                 }
             }
+            assert_bookkeeping(&wheel);
             while let Some(std::cmp::Reverse(expect)) = heap.pop() {
                 let got = wheel.pop().expect("drain");
                 assert_eq!((got.time, got.seq), (expect.time, expect.seq));
             }
             assert!(wheel.pop().is_none());
+            assert_bookkeeping(&wheel);
+        }
+    }
+
+    /// Cells freed by drains, cascades' targets and `retain` are what later
+    /// pushes take: refilling the same number of entries reuses the arena
+    /// instead of growing it.
+    #[test]
+    fn arena_cells_are_reused_across_refills() {
+        let mut w = TimerWheel::new();
+        let mut seq = 0u64;
+        for round in 0..5u64 {
+            let base = round * 100_000_000;
+            for i in 0..300u64 {
+                seq += 1;
+                // Spread over levels 0-4 from the cursor.
+                w.push(base + (i * 7_919) % 50_000_000, seq, i);
+            }
+            // Drop a third, then drain the rest.
+            w.retain(|e| e.item % 3 != 0);
+            assert_bookkeeping(&w);
+            while w.pop().is_some() {}
+            assert_bookkeeping(&w);
+            assert_eq!(w.nodes.len(), 300, "round {round}");
         }
     }
 }

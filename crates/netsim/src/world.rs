@@ -27,7 +27,7 @@ use crate::payload::Payload;
 use crate::radio::{Frame, FrameKind, PhyConfig};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimerWheel;
+use crate::wheel::{ArenaNode, TimerWheel};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -167,6 +167,19 @@ enum EventKind {
 // fat payloads (pending frames, delivery batches) are boxed, so a wheel entry
 // is the 16-byte `(time, seq)` key plus a few words of kind.
 const _: () = assert!(std::mem::size_of::<EventKind>() <= 32);
+// A queued entry's arena cell is that entry plus one link.
+const _: () = assert!(std::mem::size_of::<ArenaNode<EventKind>>() <= 56);
+
+/// Heap bytes the event queue holds, at allocated capacity
+/// ([`World::queue_bytes`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QueueBytes {
+    /// The timer wheel: its entry arena, ready batch and overflow heap.
+    pub wheel: usize,
+    /// Due times of purged cancelled timers, kept only for
+    /// [`Stats::event_dispatches`].
+    pub ghosts: usize,
+}
 
 /// Cancelled timers the queue may hold before a purge is considered: fewer
 /// hold too little memory to be worth a pass over the queue.
@@ -550,6 +563,15 @@ impl World {
     /// or a small floor), not by the total number armed over the run.
     pub fn timer_slots_allocated(&self) -> usize {
         self.timers.allocated()
+    }
+
+    /// Heap bytes held by the event queue: the wheel, and separately the
+    /// ghost heap of purged cancelled timers.
+    pub fn queue_bytes(&self) -> QueueBytes {
+        QueueBytes {
+            wheel: self.queue.heap_bytes(),
+            ghosts: self.ghosts.capacity() * std::mem::size_of::<Reverse<u64>>(),
+        }
     }
 
     /// Drops every cancelled timer from the queue, retiring its slot as
@@ -943,15 +965,17 @@ impl World {
         let mut deliveries: Vec<NodeId> = self.recv_pool.pop().unwrap_or_default();
         // The time-overlap half of the interference test is per-transmission,
         // not per-receiver: filter the history down to the transmissions that
-        // actually overlap [start, end) once, so every receiver below only
-        // pays a distance check per *overlapping* sender.
+        // actually overlap [start, end) once, and to the senders that could
+        // be audible at the sender or at any in-range receiver, so every
+        // receiver below only pays a distance check per such sender.
         let mut overlapping = std::mem::take(&mut self.overlap_buf);
         overlapping.clear();
         overlapping.extend(
             self.active_tx
                 .iter()
                 .filter(|o| o.id != tx_id && o.start < end && o.end > start)
-                .map(|o| o.sender_pos),
+                .map(|o| o.sender_pos)
+                .filter(|p| p.may_interfere(&sender_pos, self.cfg.range)),
         );
         for &receiver in &candidates {
             let j = receiver.0 as usize;
@@ -1824,6 +1848,85 @@ mod tests {
         assert!(w.queue.is_empty());
         assert!(w.ghosts.is_empty(), "every purged decoy came due");
         assert_eq!(w.live_timers(), 0);
+    }
+
+    /// The queue's storage follows what is queued, not each slot's past
+    /// peak: identical bursts of timers spread over levels 0-4, queued
+    /// again and again from cursor positions that land them in different
+    /// slots, reuse the same arena cells.
+    #[test]
+    fn queue_bytes_follow_the_queued_entries_not_slot_peaks() {
+        const BURST: u64 = 1_000;
+        const BURSTS: u64 = 6;
+        // Every burst timer is due before this; the odd offset moves the
+        // next burst's cursor off the previous one's slot alignment.
+        const NEXT_US: u64 = (1 << 30) + 37_000_003;
+        #[derive(Debug, Default)]
+        struct Burster {
+            bursts: u64,
+        }
+        impl Burster {
+            fn arm(&mut self, ctx: &mut NodeCtx<'_>) {
+                self.bursts += 1;
+                for i in 0..BURST {
+                    // Level `l` delays lie in [64^l, 64^(l+1)).
+                    let unit = 1u64 << (6 * (i % 5));
+                    let delay = unit + (i * 7_919) % (63 * unit);
+                    ctx.set_timer(SimDuration::from_micros(delay), 1);
+                }
+                if self.bursts < BURSTS {
+                    ctx.set_timer(SimDuration::from_micros(NEXT_US), 0);
+                }
+            }
+        }
+        impl NetStack for Burster {
+            fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
+                self.arm(ctx);
+            }
+            fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: &Frame) {}
+            fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
+                if token == 0 {
+                    self.arm(ctx);
+                }
+            }
+            fn as_any(&self) -> &dyn Any {
+                self
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut w = World::new(lossless());
+        let a = w.add_node(
+            Box::new(Stationary::new(Point::new(0.0, 0.0))),
+            Box::new(Burster::default()),
+        );
+        let peak = (BURST + 1) as usize;
+        let bound = 2 * peak * std::mem::size_of::<ArenaNode<EventKind>>();
+        let mut first = None;
+        for k in 0..BURSTS {
+            // Just after burst `k` was queued, and `k - 1` fully drained.
+            w.run_until(SimTime::from_micros(k * NEXT_US));
+            let expect = if k + 1 < BURSTS { peak } else { peak - 1 };
+            assert_eq!(w.queue.len(), expect, "burst {k}");
+            let bytes = w.queue_bytes();
+            assert_eq!(bytes.ghosts, 0, "nothing was cancelled");
+            assert!(
+                bytes.wheel <= bound,
+                "burst {k}: {} B > {bound} B",
+                bytes.wheel
+            );
+            let first = *first.get_or_insert(bytes.wheel);
+            assert!(
+                bytes.wheel <= first,
+                "burst {k}: {} B grew from {first} B",
+                bytes.wheel
+            );
+        }
+        w.run_until(SimTime::from_micros(BURSTS * NEXT_US));
+        assert!(w.queue.is_empty());
+        assert_eq!(w.stack::<Burster>(a).expect("stack").bursts, BURSTS);
+        assert_eq!(w.stats().event_dispatches, BURSTS * (BURST + 1) - 1);
     }
 
     #[test]

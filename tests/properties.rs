@@ -1463,6 +1463,51 @@ mod sched_properties {
             // packet is covered by the unit suite.
             let _ = Packet::peek_header(&Payload::from(bytes));
         }
+
+        /// `World::finish_tx` keeps only the overlapping senders that
+        /// `Point::may_interfere` admits: the per-receiver and sender-side
+        /// collision verdicts must read the same with and without that
+        /// prefilter, random geometry and points placed exactly at `range`
+        /// and `2 × range` included.
+        #[test]
+        fn interference_prefilter_keeps_both_collision_verdicts(
+            origin in (-1_000.0f64..1_000.0, -1_000.0f64..1_000.0),
+            range in 0.5f64..150.0,
+            rx_angles in proptest::collection::vec(0.0f64..std::f64::consts::TAU, 1..6),
+            tx_angles in proptest::collection::vec(0.0f64..std::f64::consts::TAU, 0..6),
+            rx_scatter in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 0..12),
+            tx_scatter in proptest::collection::vec((-3.5f64..3.5, -3.5f64..3.5), 0..12),
+        ) {
+            let sender = Point::new(origin.0, origin.1);
+            let step = |from: Point, dist: f64, angle: f64| {
+                Point::new(from.x + dist * angle.cos(), from.y + dist * angle.sin())
+            };
+            let scaled = |&(fx, fy): &(f64, f64)| Point::new(sender.x + fx * range, sender.y + fy * range);
+            let axes = [0.0, 0.5, 1.0, 1.5].map(|q| q * std::f64::consts::PI);
+            let mut receivers: Vec<Point> = rx_scatter.iter().map(scaled).collect();
+            let mut interferers: Vec<Point> = tx_scatter.iter().map(scaled).collect();
+            for &a in rx_angles.iter().chain(&axes) {
+                // A receiver at `range`, and an interferer one more hop of
+                // `range` beyond it: rounding can put that chain's end just
+                // past `2 × range` of the sender.
+                let rx = step(sender, range, a);
+                receivers.push(rx);
+                interferers.push(step(rx, range, a));
+            }
+            for &a in tx_angles.iter().chain(&axes) {
+                interferers.extend([step(sender, range, a), step(sender, 2.0 * range, a)]);
+            }
+            let kept: Vec<Point> = interferers
+                .iter()
+                .copied()
+                .filter(|p| p.may_interfere(&sender, range))
+                .collect();
+            let heard_at = |set: &[Point], rx: &Point| set.iter().any(|p| p.within(rx, range));
+            prop_assert_eq!(heard_at(&interferers, &sender), heard_at(&kept, &sender));
+            for rx in receivers.iter().filter(|rx| sender.within(rx, range)) {
+                prop_assert_eq!(heard_at(&interferers, rx), heard_at(&kept, rx), "receiver {:?}", rx);
+            }
+        }
     }
 }
 
