@@ -485,6 +485,33 @@ mod tests {
         );
     }
 
+    /// `run_trial`'s output on the tiny cell, one row per protocol: a change
+    /// to how the scenario world is built or stepped must leave every row.
+    #[test]
+    fn tiny_trials_match_their_pins() {
+        // (transmissions, avg_download_time_s bits, memory_bytes, completed)
+        type Row = (u64, u64, usize, usize);
+        let pins: [(Protocol, u64, Row); 3] = [
+            (
+                Protocol::Dapes(Box::default()),
+                11,
+                (552, 4639578618856925047, 25346, 3),
+            ),
+            (Protocol::Bithoc, 12, (422, 4630638399176535889, 720, 3)),
+            (Protocol::Ekta, 13, (315, 4646394339247507000, 448, 3)),
+        ];
+        for (protocol, seed, pinned) in pins {
+            let r = run_trial(&protocol, &tiny_params(seed));
+            let observed = (
+                r.transmissions,
+                r.avg_download_time_s.to_bits(),
+                r.memory_bytes,
+                r.completed,
+            );
+            assert_eq!(observed, pinned, "{protocol:?} seed {seed} moved");
+        }
+    }
+
     #[test]
     fn trials_are_deterministic() {
         let p = tiny_params(14);

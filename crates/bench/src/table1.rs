@@ -251,6 +251,32 @@ mod tests {
         assert!(o.download_time_s > 0.0);
     }
 
+    /// The quick profile's carrier row as Table I prints it: a change to how
+    /// the five-device world is built or stepped must leave it.
+    #[test]
+    fn quick_carrier_row_matches_its_pin() {
+        let o = run(Profile::Quick, 101, carrier());
+        let observed = (
+            o.download_time_s.to_bits(),
+            o.transmissions,
+            o.memory_mb.to_bits(),
+            o.context_switches,
+            o.system_calls,
+            o.page_faults,
+        );
+        assert_eq!(
+            observed,
+            (
+                4644866994797203484,
+                2011,
+                4599839984154733175,
+                26954,
+                21933,
+                2752
+            )
+        );
+    }
+
     #[test]
     fn repo_scenario_is_faster_than_carrier() {
         // The paper's key Table I ordering: the repository scenario beats
