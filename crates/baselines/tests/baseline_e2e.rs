@@ -1,21 +1,31 @@
 //! End-to-end transfers for the Bithoc and Ekta baselines, built on the
-//! `dapes-testutil` swarm builder.
+//! `dapes-testutil` scenario builder.
 
 use dapes_baselines::prelude::*;
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
 
-fn bithoc(seed: u64) -> BaselineSwarmBuilder {
-    BaselineSwarmBuilder::new(BaselineProtocol::Bithoc, seed)
+/// Two files of four 1 KiB pieces.
+fn swarm(protocol: Protocol, seed: u64) -> ScenarioBuilder {
+    ScenarioBuilder::new(seed)
+        .protocol(protocol)
+        .collection(2, 4096)
 }
 
-fn ekta(seed: u64) -> BaselineSwarmBuilder {
-    BaselineSwarmBuilder::new(BaselineProtocol::Ekta, seed)
+fn bithoc(seed: u64) -> ScenarioBuilder {
+    swarm(Protocol::Bithoc, seed)
+}
+
+fn ekta(seed: u64) -> ScenarioBuilder {
+    swarm(Protocol::Ekta, seed)
 }
 
 #[test]
 fn bithoc_single_hop_download() {
-    let mut sw = bithoc(1).seed_at(0.0, 0.0).downloader_at(20.0, 0.0).build();
+    let mut sw = bithoc(1)
+        .producer_at(0.0, 0.0)
+        .downloader_at(20.0, 0.0)
+        .build();
     assert!(
         sw.run_until_complete(SimTime::from_secs(120)),
         "bithoc single-hop download incomplete"
@@ -32,8 +42,8 @@ fn bithoc_single_hop_download() {
 #[test]
 fn bithoc_two_hop_download_through_router() {
     let mut sw = bithoc(2)
-        .seed_at(0.0, 0.0)
-        .router_at(50.0, 0.0)
+        .producer_at(0.0, 0.0)
+        .relay_at(50.0, 0.0)
         .downloader_at(100.0, 0.0)
         .build();
     assert!(
@@ -46,7 +56,7 @@ fn bithoc_two_hop_download_through_router() {
 fn bithoc_survives_loss() {
     let mut sw = bithoc(3)
         .loss(0.10)
-        .seed_at(0.0, 0.0)
+        .producer_at(0.0, 0.0)
         .downloader_at(20.0, 0.0)
         .build();
     assert!(
@@ -57,7 +67,10 @@ fn bithoc_survives_loss() {
 
 #[test]
 fn ekta_single_hop_download() {
-    let mut sw = ekta(4).seed_at(0.0, 0.0).downloader_at(20.0, 0.0).build();
+    let mut sw = ekta(4)
+        .producer_at(0.0, 0.0)
+        .downloader_at(20.0, 0.0)
+        .build();
     assert!(
         sw.run_until_complete(SimTime::from_secs(180)),
         "ekta single-hop download incomplete"
@@ -76,8 +89,8 @@ fn ekta_single_hop_download() {
 #[test]
 fn ekta_two_hop_download_through_router() {
     let mut sw = ekta(5)
-        .seed_at(0.0, 0.0)
-        .router_at(50.0, 0.0)
+        .producer_at(0.0, 0.0)
+        .relay_at(50.0, 0.0)
         .downloader_at(100.0, 0.0)
         .build();
     assert!(
@@ -90,7 +103,7 @@ fn ekta_two_hop_download_through_router() {
 fn ekta_survives_loss() {
     let mut sw = ekta(6)
         .loss(0.10)
-        .seed_at(0.0, 0.0)
+        .producer_at(0.0, 0.0)
         .downloader_at(20.0, 0.0)
         .build();
     assert!(
@@ -104,7 +117,7 @@ fn baselines_are_deterministic() {
     let run = || {
         let mut sw = bithoc(7)
             .loss(0.05)
-            .seed_at(0.0, 0.0)
+            .producer_at(0.0, 0.0)
             .downloader_at(20.0, 0.0)
             .build();
         sw.run_until_complete(SimTime::from_secs(200));
@@ -119,7 +132,7 @@ fn baselines_are_deterministic() {
 #[test]
 fn bithoc_multiple_downloaders() {
     let mut sw = bithoc(8)
-        .seed_at(0.0, 0.0)
+        .producer_at(0.0, 0.0)
         .downloader_at(20.0, 0.0)
         .downloader_at(0.0, 20.0)
         .build();
@@ -136,9 +149,9 @@ fn bithoc_mobile_ferry_reaches_partitioned_downloader() {
     // slowly, so the ferry dwells longer than the DAPES equivalent.
     let mut sw = bithoc(9)
         .range(50.0)
-        .seed_at(0.0, 0.0)
-        .node(
-            BaselineRole::Downloader,
+        .producer_at(0.0, 0.0)
+        .peer(
+            PeerRole::Downloader,
             MobilityPreset::Ferry {
                 from: Point::new(10.0, 0.0),
                 to: Point::new(290.0, 0.0),

@@ -7,9 +7,9 @@
 //! every row as it is; one that moves traces on purpose re-pins by pasting
 //! the observed rows the failing assertion prints — and says so.
 
-use dapes_baselines::prelude::*;
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
+use std::mem::discriminant;
 
 /// The swarm a row runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -28,7 +28,7 @@ enum Cell {
 type Counters = (u64, u64, u64, u64, u64);
 
 struct Pin {
-    protocol: BaselineProtocol,
+    protocol: Protocol,
     cell: Cell,
     seed: u64,
     counters: Counters,
@@ -38,30 +38,23 @@ struct Pin {
     completions_us: &'static [u64],
 }
 
-/// Four files of twelve pieces: enough that both request windows (Bithoc 4,
-/// Ekta 8) fill, and Ekta looks up more than one file.
-fn spec() -> SwarmSpec {
-    SwarmSpec {
-        total_pieces: 48,
-        pieces_per_file: 12,
-        piece_size: 1024,
-    }
-}
-
 const DEADLINE: SimTime = SimTime::from_secs(600);
 
-fn build(protocol: BaselineProtocol, cell: Cell, seed: u64) -> BaselineScenario {
-    let b = BaselineSwarmBuilder::new(protocol, seed)
-        .spec(spec())
-        .seed_at(0.0, 0.0);
+fn build(protocol: &Protocol, cell: Cell, seed: u64) -> Scenario {
+    // Four files of twelve 1 KiB pieces: enough that both request windows
+    // (Bithoc 4, Ekta 8) fill, and Ekta looks up more than one file.
+    let b = ScenarioBuilder::new(seed)
+        .protocol(protocol.clone())
+        .collection(4, 12 * 1024)
+        .producer_at(0.0, 0.0);
     match cell {
         Cell::Chain => b
             .loss(0.05)
-            .router_at(50.0, 0.0)
+            .relay_at(50.0, 0.0)
             .downloader_at(100.0, 0.0)
             .downloader_at(20.0, 0.0),
-        Cell::LateArrival => b.downloader_at(30.0, 0.0).node(
-            BaselineRole::Downloader,
+        Cell::LateArrival => b.downloader_at(30.0, 0.0).peer(
+            PeerRole::Downloader,
             MobilityPreset::Ferry {
                 from: Point::new(250.0, 0.0),
                 to: Point::new(40.0, 20.0),
@@ -73,8 +66,8 @@ fn build(protocol: BaselineProtocol, cell: Cell, seed: u64) -> BaselineScenario 
     .build()
 }
 
-const BITHOC: BaselineProtocol = BaselineProtocol::Bithoc;
-const EKTA: BaselineProtocol = BaselineProtocol::Ekta;
+const BITHOC: Protocol = Protocol::Bithoc;
+const EKTA: Protocol = Protocol::Ekta;
 
 /// Recorded on the tree before `refill` learned to return early.
 const PINS: &[Pin] = &[
@@ -184,7 +177,7 @@ struct Trace {
     completions_us: Vec<u64>,
 }
 
-fn observe(protocol: BaselineProtocol, cell: Cell, seed: u64) -> Trace {
+fn observe(protocol: &Protocol, cell: Cell, seed: u64) -> Trace {
     let mut sw = build(protocol, cell, seed);
     sw.run_until_complete(DEADLINE);
     let s = sw.world.stats();
@@ -212,19 +205,21 @@ fn observe(protocol: BaselineProtocol, cell: Cell, seed: u64) -> Trace {
 }
 
 /// Runs every cell × seed of `protocol` and asserts its pinned row.
-fn assert_pins(protocol: BaselineProtocol) {
+fn assert_pins(protocol: Protocol) {
     let name = match protocol {
-        BaselineProtocol::Bithoc => "BITHOC",
-        BaselineProtocol::Ekta => "EKTA",
+        Protocol::Bithoc => "BITHOC",
+        Protocol::Ekta => "EKTA",
+        Protocol::Dapes(_) => unreachable!("the pins hold baselines only"),
     };
     let mut rows = Vec::new();
     let mut moved = false;
     for cell in [Cell::Chain, Cell::LateArrival] {
         for seed in [1, 2, 3] {
-            let t = observe(protocol, cell, seed);
+            let t = observe(&protocol, cell, seed);
+            let same_protocol = |p: &Pin| discriminant(&p.protocol) == discriminant(&protocol);
             let pinned = PINS
                 .iter()
-                .find(|p| p.protocol == protocol && p.cell == cell && p.seed == seed)
+                .find(|p| same_protocol(p) && p.cell == cell && p.seed == seed)
                 .map(|p| Trace {
                     counters: p.counters,
                     tx_by_kind: p.tx_by_kind.to_vec(),

@@ -2,13 +2,15 @@
 //!
 //! Each function sweeps the figure's x-axis, runs seeded trials per point,
 //! and prints the series the figure plots, next to the paper's qualitative
-//! expectation. `benchmark/README.md` records measured-vs-paper outcomes.
+//! expectation. ROADMAP.md's "Measured at this re-anchor" table compares
+//! the quick profile with the paper; its item 7 plans a checked artifact.
 
 use crate::cli::Args;
 use crate::profile::Profile;
 use crate::report::{kilo, pct, secs, Table};
-use crate::scenario::{run_trials, Protocol};
+use crate::scenario::run_trials;
 use dapes_core::prelude::*;
+use dapes_testutil::Protocol;
 
 fn dapes(cfg: DapesConfig) -> Protocol {
     Protocol::Dapes(Box::new(cfg))
@@ -120,7 +122,7 @@ pub fn fig9e(profile: Profile) {
     println!("{}", profile.describe());
     let mut table = Table::new(
         "Fig 9e: download time (s) by number of files (range sweep)",
-        &header_with_ranges(profile, "files"),
+        header_with_ranges(profile, "files"),
     );
     for count in profile.file_counts() {
         let mut cells = vec![count.to_string()];
@@ -142,7 +144,7 @@ pub fn fig9f(profile: Profile) {
     println!("{}", profile.describe());
     let mut table = Table::new(
         "Fig 9f: download time (s) by file size (range sweep)",
-        &header_with_ranges(profile, "file size"),
+        header_with_ranges(profile, "file size"),
     );
     for size in profile.file_sizes() {
         let mut cells = vec![format!("{}KB", size / 1024)];
@@ -217,17 +219,13 @@ enum Metric {
     Transmissions,
 }
 
-fn header_with_ranges(profile: Profile, first: &str) -> Vec<&'static str> {
-    // Leak tiny strings for the static table header; bounded by sweep size.
-    let mut h: Vec<&'static str> = vec![Box::leak(first.to_owned().into_boxed_str())];
-    for r in profile.ranges() {
-        h.push(Box::leak(format!("{r:.0}m").into_boxed_str()));
-    }
-    h
+fn header_with_ranges(profile: Profile, first: &str) -> Vec<String> {
+    let ranges = profile.ranges().into_iter().map(|r| format!("{r:.0}m"));
+    std::iter::once(first.to_owned()).chain(ranges).collect()
 }
 
 fn sweep_ranges(profile: Profile, title: &str, series: &[(&str, DapesConfig)], metric: Metric) {
-    let mut table = Table::new(title, &header_with_ranges(profile, "series"));
+    let mut table = Table::new(title, header_with_ranges(profile, "series"));
     for (label, cfg) in series {
         let mut cells = vec![label.to_string()];
         for range in profile.ranges() {
@@ -245,7 +243,7 @@ fn sweep_ranges(profile: Profile, title: &str, series: &[(&str, DapesConfig)], m
 }
 
 fn compare_protocols(profile: Profile, title: &str, metric: Metric) {
-    let mut table = Table::new(title, &header_with_ranges(profile, "protocol"));
+    let mut table = Table::new(title, header_with_ranges(profile, "protocol"));
     let protocols: Vec<(&str, Protocol)> = vec![
         ("DAPES", Protocol::Dapes(Box::default())),
         ("Bithoc", Protocol::Bithoc),

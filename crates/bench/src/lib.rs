@@ -11,7 +11,8 @@
 //!   trials), which takes hours.
 //!
 //! The measured numbers land next to the paper's qualitative expectations;
-//! `benchmark/README.md` records the measured-vs-paper comparison.
+//! ROADMAP.md's "Measured at this re-anchor" table compares them with the
+//! paper, and its item 7 plans a checked artifact for them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +30,7 @@ pub mod report;
 pub mod scenario;
 pub mod table1;
 
+pub use dapes_testutil::Protocol;
 pub use figures::{experiment, ALL_EXPERIMENTS};
 pub use profile::Profile;
-pub use scenario::{run_trial, run_trials, Protocol, ScenarioParams, Summary, TrialResult};
+pub use scenario::{run_trial, run_trials, ScenarioParams, Summary, TrialResult};

@@ -10,10 +10,10 @@ pub struct Table {
 
 impl Table {
     /// Creates a table with a title and column headers.
-    pub fn new(title: &str, header: &[&str]) -> Self {
+    pub fn new<S: Into<String>>(title: &str, header: impl IntoIterator<Item = S>) -> Self {
         Table {
             title: title.to_owned(),
-            header: header.iter().map(|s| s.to_string()).collect(),
+            header: header.into_iter().map(Into::into).collect(),
             rows: Vec::new(),
         }
     }
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn table_renders_aligned() {
-        let mut t = Table::new("Demo", &["range", "time"]);
+        let mut t = Table::new("Demo", ["range", "time"]);
         t.row(vec!["20".into(), "512.3".into()]);
         t.row(vec!["100".into(), "99.1".into()]);
         let s = t.render();

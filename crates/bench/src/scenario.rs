@@ -5,29 +5,14 @@
 //! seeds the collection; the remaining 3 stationary and 20 mobile nodes
 //! download it; 10 mobile nodes are pure forwarders and 10 are intermediate
 //! nodes that understand the protocol's semantics (DAPES) or plain routers
-//! (baselines).
+//! (baselines). The world is built by `dapes-testutil`'s
+//! [`ScenarioBuilder::paper_swarm`], so every protocol runs on the same
+//! placement and the same collection.
 
-use dapes_baselines::prelude::{
-    BithocConfig, BithocPeer, BithocRole, EktaConfig, EktaPeer, EktaRole, SwarmSpec,
-};
 use dapes_core::prelude::*;
-use dapes_crypto::signing::TrustAnchor;
 use dapes_netsim::prelude::*;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-/// Which protocol stack populates the swarm.
-#[derive(Clone, Debug)]
-pub enum Protocol {
-    /// DAPES with the given configuration.
-    Dapes(Box<DapesConfig>),
-    /// The Bithoc baseline (DSDV + HELLO floods + TCP-lite).
-    Bithoc,
-    /// The Ekta baseline (DSR + DHT + UDP).
-    Ekta,
-}
+use dapes_testutil::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Scenario parameters (defaults follow the paper).
 #[derive(Clone, Debug)]
@@ -77,10 +62,14 @@ impl ScenarioParams {
         self.stationary + self.mobile_downloaders + self.intermediates + self.pure_forwarders
     }
 
-    /// Number of nodes whose download time is measured.
-    pub fn downloader_count(&self) -> usize {
-        // All stationary nodes except the seed, plus the mobile downloaders.
-        self.stationary.saturating_sub(1) + self.mobile_downloaders
+    /// The collection every node shares.
+    pub fn collection(&self) -> CollectionParams {
+        CollectionParams {
+            files: self.n_files,
+            file_size: self.file_size,
+            packet_size: self.packet_size,
+            ..CollectionParams::default()
+        }
     }
 }
 
@@ -96,282 +85,96 @@ pub struct TrialResult {
     pub downloaders: usize,
     /// Total frames transmitted by all nodes.
     pub transmissions: u64,
-    /// Transmissions by protocol frame kind.
-    pub tx_by_kind: BTreeMap<u16, u64>,
     /// Fraction of forwarded Interests that brought data back (DAPES only).
     pub forward_accuracy: Option<f64>,
     /// Peak observed live protocol state in bytes (Table I memory proxy).
     pub memory_bytes: usize,
-    /// Event dispatches (Table I context-switch proxy).
-    pub event_dispatches: u64,
-    /// Layer-boundary API calls (Table I system-call proxy).
-    pub api_calls: u64,
-    /// State-table insertions (Table I page-fault proxy).
-    pub state_inserts: u64,
 }
 
-fn stationary_positions(n: usize) -> Vec<Point> {
-    // Spread repositories over the field interior.
-    let spots = [
-        Point::new(75.0, 75.0),
-        Point::new(225.0, 75.0),
-        Point::new(75.0, 225.0),
-        Point::new(225.0, 225.0),
-        Point::new(150.0, 150.0),
-    ];
-    (0..n).map(|i| spots[i % spots.len()]).collect()
-}
-
-fn random_point(rng: &mut SmallRng) -> Point {
-    Point::new(rng.gen_range(0.0..300.0), rng.gen_range(0.0..300.0))
-}
-
-/// Runs one trial of the paper's scenario and collects the metrics.
+/// Runs one trial of the paper's scenario, stepping 5 s at a time until
+/// every downloader finished or the cap, and collects the metrics.
 pub fn run_trial(protocol: &Protocol, params: &ScenarioParams) -> TrialResult {
-    let mut world = World::new(WorldConfig {
-        range: params.range,
-        seed: params.seed,
-        ..WorldConfig::default()
-    });
-    let mut placement_rng = SmallRng::seed_from_u64(params.seed ^ 0x9e3779b97f4a7c15);
-
-    let collection_name = "/damaged-bridge-1533783192";
-    let anchor = TrustAnchor::from_seed(b"rural-area-anchor");
-
-    let stationary = stationary_positions(params.stationary);
-    let mut downloader_nodes: Vec<NodeId> = Vec::new();
-
-    match protocol {
-        Protocol::Dapes(cfg) => {
-            let collection = Arc::new(Collection::build(CollectionSpec {
-                name: dapes_ndn::name::Name::from_uri(collection_name),
-                files: (0..params.n_files)
-                    .map(|i| {
-                        dapes_core::collection::FileSpec::new(format!("file-{i}"), params.file_size)
-                    })
-                    .collect(),
-                packet_size: params.packet_size,
-                format: cfg.metadata_format,
-                producer: "resident-a".into(),
-            }));
-            let want =
-                WantPolicy::Collections(vec![dapes_ndn::name::Name::from_uri(collection_name)]);
-            let mut next_id = 0u32;
-            // Stationary: node 0 seeds, the rest download.
-            for (i, pos) in stationary.iter().enumerate() {
-                let mut peer = if i == 0 {
-                    DapesPeer::new(
-                        next_id,
-                        (**cfg).clone(),
-                        anchor.clone(),
-                        WantPolicy::Nothing,
-                    )
-                } else {
-                    DapesPeer::new(next_id, (**cfg).clone(), anchor.clone(), want.clone())
-                };
-                if i == 0 {
-                    peer.add_production(collection.clone());
-                }
-                let id = world.add_node(Box::new(Stationary::new(*pos)), Box::new(peer));
-                if i != 0 {
-                    downloader_nodes.push(id);
-                }
-                next_id += 1;
-            }
-            // Mobile downloaders.
-            for _ in 0..params.mobile_downloaders {
-                let peer = DapesPeer::new(next_id, (**cfg).clone(), anchor.clone(), want.clone());
-                let id = world.add_node(
-                    Box::new(RandomDirection::new(random_point(&mut placement_rng))),
-                    Box::new(peer),
-                );
-                downloader_nodes.push(id);
-                next_id += 1;
-            }
-            // Intermediate DAPES nodes.
-            for _ in 0..params.intermediates {
-                let peer = DapesPeer::new(
-                    next_id,
-                    (**cfg).clone(),
-                    anchor.clone(),
-                    WantPolicy::Nothing,
-                );
-                world.add_node(
-                    Box::new(RandomDirection::new(random_point(&mut placement_rng))),
-                    Box::new(peer),
-                );
-                next_id += 1;
-            }
-            // Pure forwarders.
-            for _ in 0..params.pure_forwarders {
-                let peer = DapesPeer::pure_forwarder(next_id, (**cfg).clone(), anchor.clone());
-                world.add_node(
-                    Box::new(RandomDirection::new(random_point(&mut placement_rng))),
-                    Box::new(peer),
-                );
-                next_id += 1;
-            }
-        }
-        Protocol::Bithoc | Protocol::Ekta => {
-            let total_pieces = params.n_files * params.file_size.div_ceil(params.packet_size);
-            let spec = SwarmSpec {
-                total_pieces,
-                pieces_per_file: params.file_size.div_ceil(params.packet_size),
-                piece_size: params.packet_size,
-            };
-            let is_bithoc = matches!(protocol, Protocol::Bithoc);
-            // For Ekta, DHT members = all swarm participants (seed + downloaders).
-            let member_count = params.stationary + params.mobile_downloaders;
-            let members: Vec<u32> = (0..member_count as u32).collect();
-            let mut next_id = 0u32;
-            let add = |world: &mut World,
-                       mobility: Box<dyn Mobility>,
-                       brole: BithocRole,
-                       erole: EktaRole,
-                       next_id: &mut u32| {
-                let id = if is_bithoc {
-                    world.add_node(
-                        mobility,
-                        Box::new(BithocPeer::new(*next_id, brole, spec.clone(), BithocConfig)),
-                    )
-                } else {
-                    world.add_node(
-                        mobility,
-                        Box::new(EktaPeer::new(
-                            *next_id,
-                            erole,
-                            spec.clone(),
-                            members.clone(),
-                            EktaConfig,
-                        )),
-                    )
-                };
-                *next_id += 1;
-                id
-            };
-            for (i, pos) in stationary.iter().enumerate() {
-                let (brole, erole) = if i == 0 {
-                    (BithocRole::Seed, EktaRole::Seed)
-                } else {
-                    (BithocRole::Downloader, EktaRole::Downloader)
-                };
-                let id = add(
-                    &mut world,
-                    Box::new(Stationary::new(*pos)),
-                    brole,
-                    erole,
-                    &mut next_id,
-                );
-                if i != 0 {
-                    downloader_nodes.push(id);
-                }
-            }
-            for _ in 0..params.mobile_downloaders {
-                let id = add(
-                    &mut world,
-                    Box::new(RandomDirection::new(random_point(&mut placement_rng))),
-                    BithocRole::Downloader,
-                    EktaRole::Downloader,
-                    &mut next_id,
-                );
-                downloader_nodes.push(id);
-            }
-            for _ in 0..(params.intermediates + params.pure_forwarders) {
-                add(
-                    &mut world,
-                    Box::new(RandomDirection::new(random_point(&mut placement_rng))),
-                    BithocRole::Router,
-                    EktaRole::Router,
-                    &mut next_id,
-                );
-            }
-        }
-    }
-
-    // Run until every downloader finished (or the cap), sampling memory.
-    let mut memory_peak = 0usize;
-    let step = SimDuration::from_secs(5);
-    let mut now = SimTime::ZERO;
-    let all_done = |world: &World, nodes: &[NodeId], protocol: &Protocol| -> bool {
-        nodes.iter().all(|&n| match protocol {
-            Protocol::Dapes(_) => world
-                .stack::<DapesPeer>(n)
-                .is_some_and(|p| p.downloads_complete()),
-            Protocol::Bithoc => world
-                .stack::<BithocPeer>(n)
-                .is_some_and(|p| p.is_complete()),
-            Protocol::Ekta => world.stack::<EktaPeer>(n).is_some_and(|p| p.is_complete()),
-        })
+    let format = match protocol {
+        Protocol::Dapes(cfg) => cfg.metadata_format,
+        Protocol::Bithoc | Protocol::Ekta => MetadataFormat::MerkleRoots,
     };
-    loop {
-        now = (now + step).min(params.max_sim);
-        world.run_until(now);
-        memory_peak = memory_peak.max(world.live_state_bytes());
-        if all_done(&world, &downloader_nodes, protocol) || now >= params.max_sim {
-            break;
-        }
-    }
+    let mut sc = ScenarioBuilder::new(params.seed)
+        .protocol(protocol.clone())
+        .range(params.range)
+        .anchor(paper_anchor())
+        .collection_params(CollectionParams {
+            format,
+            ..params.collection()
+        })
+        .paper_swarm(
+            params.stationary,
+            params.mobile_downloaders,
+            params.intermediates,
+            params.pure_forwarders,
+        )
+        .build();
+    let run = sc.run_sampled(SimDuration::from_secs(5), params.max_sim);
 
-    // Collect completion times.
     let cap_s = params.max_sim.as_secs_f64();
-    let mut completed = 0usize;
-    let mut sum_time = 0.0f64;
-    let mut fwd_success = 0u64;
-    let mut fwd_total = 0u64;
-    for &n in &downloader_nodes {
-        let t = match protocol {
-            Protocol::Dapes(_) => world.stack::<DapesPeer>(n).and_then(|p| p.completed_at()),
-            Protocol::Bithoc => world.stack::<BithocPeer>(n).and_then(|p| p.completed_at()),
-            Protocol::Ekta => world.stack::<EktaPeer>(n).and_then(|p| p.completed_at()),
-        };
-        match t {
-            Some(t) => {
-                completed += 1;
-                sum_time += t.as_secs_f64();
-            }
-            None => sum_time += cap_s,
+    let times = &run.completion_times;
+    let sum_time: f64 = times
+        .iter()
+        .map(|t| t.map_or(cap_s, SimTime::as_secs_f64))
+        .sum();
+    let (mut fwd_success, mut fwd_total) = (0u64, 0u64);
+    for i in 0..sc.world.node_count() {
+        if let Some(p) = sc.peer(NodeId(i as u32)) {
+            let (s, f) = p.forward_counts();
+            fwd_success += s;
+            fwd_total += s + f;
         }
     }
-    if let Protocol::Dapes(_) = protocol {
-        for i in 0..world.node_count() {
-            if let Some(p) = world.stack::<DapesPeer>(NodeId(i as u32)) {
-                let (s, f) = p.forward_counts();
-                fwd_success += s;
-                fwd_total += s + f;
-            }
-        }
-    }
-
-    let stats = world.stats();
     TrialResult {
-        avg_download_time_s: sum_time / downloader_nodes.len().max(1) as f64,
-        completed,
-        downloaders: downloader_nodes.len(),
-        transmissions: stats.tx_frames,
-        tx_by_kind: stats.tx_by_kind.iter().map(|(k, v)| (k.0, *v)).collect(),
-        forward_accuracy: if fwd_total > 0 {
-            Some(fwd_success as f64 / fwd_total as f64)
-        } else {
-            None
-        },
-        memory_bytes: memory_peak,
-        event_dispatches: stats.event_dispatches,
-        api_calls: stats.api_calls,
-        state_inserts: stats.state_inserts,
+        avg_download_time_s: sum_time / times.len().max(1) as f64,
+        completed: times.iter().flatten().count(),
+        downloaders: times.len(),
+        transmissions: sc.world.stats().tx_frames,
+        forward_accuracy: (fwd_total > 0).then(|| fwd_success as f64 / fwd_total as f64),
+        memory_bytes: run.peak_state_bytes,
     }
 }
 
 /// Runs `trials` seeded trials and reports the 90th percentile of the mean
 /// download time and of the transmission count (the paper reports the 90th
-/// percentile over ten trials).
+/// percentile over ten trials). Trials run on up to
+/// [`std::thread::available_parallelism`] threads at once; each is a pure
+/// function of its seed, and the results keep seed order.
 pub fn run_trials(protocol: &Protocol, base: &ScenarioParams, trials: usize) -> Summary {
-    let mut results = Vec::with_capacity(trials);
-    for t in 0..trials {
-        let mut p = base.clone();
-        p.seed = base.seed + t as u64 * 7919;
-        results.push(run_trial(protocol, &p));
-    }
-    Summary::from_results(results)
+    let params: Vec<ScenarioParams> = (0..trials)
+        .map(|t| ScenarioParams {
+            seed: base.seed + t as u64 * 7919,
+            ..base.clone()
+        })
+        .collect();
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let next = AtomicUsize::new(0);
+    let mut results: Vec<(usize, TrialResult)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers.min(trials))
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let t = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(p) = params.get(t) else {
+                            return done;
+                        };
+                        done.push((t, run_trial(protocol, p)));
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("a trial panicked"))
+            .collect()
+    });
+    results.sort_by_key(|&(t, _)| t);
+    Summary::from_results(results.into_iter().map(|(_, r)| r).collect())
 }
 
 /// Aggregated trial results.

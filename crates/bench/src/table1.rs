@@ -18,10 +18,8 @@
 
 use crate::profile::Profile;
 use crate::report::Table;
-use dapes_core::prelude::*;
-use dapes_crypto::signing::TrustAnchor;
 use dapes_netsim::prelude::*;
-use std::sync::Arc;
+use dapes_testutil::prelude::*;
 
 struct ScenarioOutcome {
     download_time_s: f64,
@@ -32,82 +30,56 @@ struct ScenarioOutcome {
     page_faults: u64,
 }
 
-fn build_collection(profile: Profile) -> Arc<Collection> {
-    let p = profile.base_params();
-    Arc::new(Collection::build(CollectionSpec {
-        name: dapes_ndn::name::Name::from_uri("/damaged-bridge-1533783192"),
-        files: (0..p.n_files)
-            .map(|i| dapes_core::collection::FileSpec::new(format!("file-{i}"), p.file_size))
-            .collect(),
-        packet_size: p.packet_size,
-        format: MetadataFormat::MerkleRoots,
-        producer: "resident-a".into(),
-    }))
-}
-
-fn still(x: f64, y: f64) -> Box<dyn Mobility> {
-    Box::new(Stationary::new(Point::new(x, y)))
+fn still(x: f64, y: f64) -> MobilityPreset {
+    MobilityPreset::at(x, y)
 }
 
 /// A walk through `(time s, x m, y m)` waypoints.
-fn path(waypoints: &[(u64, f64, f64)]) -> Box<dyn Mobility> {
+fn path(waypoints: &[(u64, f64, f64)]) -> MobilityPreset {
     let waypoints = waypoints
         .iter()
         .map(|&(t, x, y)| (SimTime::from_secs(t), Point::new(x, y)));
-    Box::new(ScriptedMobility::new(waypoints.collect()))
+    MobilityPreset::Waypoints(waypoints.collect())
 }
 
 /// Runs the five devices, moving as given, in the MacBooks' ~50 m outdoor
-/// range: device 0 produces the collection, the other four want
-/// everything. Runs until they complete (or the cap), sampling memory.
-fn run(profile: Profile, seed: u64, devices: [Box<dyn Mobility>; 5]) -> ScenarioOutcome {
-    let anchor = TrustAnchor::from_seed(b"rural-area-anchor");
-    let mut w = World::new(WorldConfig {
-        range: 50.0,
-        seed,
-        ..WorldConfig::default()
-    });
-    let mut downloaders = Vec::new();
-    for (id, mobility) in (0..).zip(devices) {
-        let want = if id == 0 {
-            WantPolicy::Nothing
+/// range on the figures' air: device 0 produces the collection, the other
+/// four want everything. Steps 2 s at a time until they complete (or the
+/// cap), sampling memory.
+fn run(profile: Profile, seed: u64, devices: [MobilityPreset; 5]) -> ScenarioOutcome {
+    let p = profile.base_params();
+    let mut builder = ScenarioBuilder::new(seed)
+        .range(50.0)
+        // The simulator's default 10 % frame loss, as in the figures; the
+        // builder's own default is a clean channel.
+        .loss(PhyConfig::default().loss_rate)
+        .anchor(paper_anchor())
+        .collection_params(p.collection());
+    for (i, mobility) in devices.into_iter().enumerate() {
+        let role = if i == 0 {
+            PeerRole::Producer
         } else {
-            WantPolicy::Everything
+            PeerRole::Downloader
         };
-        let mut peer = DapesPeer::new(id, DapesConfig::default(), anchor.clone(), want);
-        if id == 0 {
-            peer.add_production(build_collection(profile));
-            w.add_node(mobility, Box::new(peer));
-        } else {
-            downloaders.push(w.add_node(mobility, Box::new(peer)));
-        }
+        builder = builder.peer(role, mobility);
     }
-    let cap = profile.base_params().max_sim;
-    let mut memory_peak = 0usize;
-    let step = SimDuration::from_secs(2);
-    let mut now = SimTime::ZERO;
-    loop {
-        now = (now + step).min(cap);
-        w.run_until(now);
-        memory_peak = memory_peak.max(w.live_state_bytes());
-        let done = downloaders.iter().all(|&n| {
-            w.stack::<DapesPeer>(n)
-                .is_some_and(|p| p.downloads_complete())
-        });
-        if done || now >= cap {
-            break;
-        }
-    }
-    let last = downloaders
+    let mut sc = builder.build();
+    let run = sc.run_sampled(SimDuration::from_secs(2), p.max_sim);
+    let last = run
+        .completion_times
         .iter()
-        .filter_map(|&n| w.stack::<DapesPeer>(n).and_then(|p| p.completed_at()))
+        .flatten()
         .map(|t| t.as_secs_f64())
         .fold(0.0f64, f64::max);
-    let stats = w.stats();
+    let stats = sc.world.stats();
     ScenarioOutcome {
-        download_time_s: if last > 0.0 { last } else { cap.as_secs_f64() },
+        download_time_s: if last > 0.0 {
+            last
+        } else {
+            p.max_sim.as_secs_f64()
+        },
         transmissions: stats.tx_frames,
-        memory_mb: memory_peak as f64 / 1e6,
+        memory_mb: run.peak_state_bytes as f64 / 1e6,
         context_switches: stats.event_dispatches,
         system_calls: stats.api_calls,
         page_faults: stats.state_inserts,
@@ -115,7 +87,7 @@ fn run(profile: Profile, seed: u64, devices: [Box<dyn Mobility>; 5]) -> Scenario
 }
 
 /// Scenario 1 (Fig. 8a): data sharing through a carrier.
-fn carrier() -> [Box<dyn Mobility>; 5] {
+fn carrier() -> [MobilityPreset; 5] {
     [
         // Producer A at the west end; B and C in two disconnected segments
         // 150 m apart.
@@ -141,7 +113,7 @@ fn carrier() -> [Box<dyn Mobility>; 5] {
 }
 
 /// Scenario 2 (Fig. 8b): data sharing through a repository.
-fn repository() -> [Box<dyn Mobility>; 5] {
+fn repository() -> [MobilityPreset; 5] {
     [
         // Producer C walks past the repo, seeding it.
         path(&[(0, 150.0, 150.0), (600, 150.0, 150.0), (700, 300.0, 300.0)]),
@@ -158,7 +130,7 @@ fn repository() -> [Box<dyn Mobility>; 5] {
 
 /// Scenario 3 (Fig. 8c): data sharing among moving nodes with moments of
 /// disconnection and multi-hop contact.
-fn moving() -> [Box<dyn Mobility>; 5] {
+fn moving() -> [MobilityPreset; 5] {
     [
         // Producer A loops around the area.
         path(&[
@@ -211,7 +183,7 @@ pub fn table1(profile: Profile) {
     ];
     let mut t = Table::new(
         "Table I: real-world feasibility scenarios",
-        &[
+        [
             "scenario",
             "time(s)",
             "tx",

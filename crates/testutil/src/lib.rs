@@ -6,9 +6,9 @@
 //!
 //! * [`scenario`] — [`ScenarioBuilder`]: collection/peer/world factories
 //!   with seeded RNG placement, [`MobilityPreset`]s (fixed, random walk,
-//!   waypoints, partition-crossing ferry) and per-run loss schedules;
-//! * [`baseline`] — the same builder idiom for the Bithoc and Ekta
-//!   comparison stacks;
+//!   waypoints, partition-crossing ferry), per-run loss schedules and the
+//!   paper's §VI-B swarm, under DAPES or either baseline ([`Protocol`]),
+//!   plus the sampled runner the figures and Table I read;
 //! * [`matrix`] — [`ScenarioMatrix`]: sweeps named [`Topology`]s × seeds
 //!   and asserts per-cell invariants, so "new scenario" means one enum
 //!   variant, not forty lines of setup;
@@ -34,24 +34,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod golden;
 pub mod matrix;
 pub mod scenario;
 
 /// Glob-import of the harness types test suites need.
 pub mod prelude {
-    pub use crate::baseline::{
-        BaselineProtocol, BaselineRole, BaselineScenario, BaselineSwarmBuilder,
-    };
     pub use crate::golden::{
         assert_frames_classified, assert_frames_classified_among, assert_scenario,
         neighbors_brute_force, overhead_ratio, GoldenMetrics,
     };
     pub use crate::matrix::{MatrixCell, MatrixParams, ScenarioMatrix, Topology};
     pub use crate::scenario::{
-        rogue_anchor, shared_anchor, CollectionParams, FaultProfile, MobilityPreset, PeerRole,
-        Scenario, ScenarioBuilder,
+        paper_anchor, rogue_anchor, shared_anchor, CollectionParams, FaultProfile, MobilityPreset,
+        PeerRole, Protocol, SampledRun, Scenario, ScenarioBuilder,
     };
 }
 
@@ -175,8 +171,10 @@ mod tests {
 
     #[test]
     fn baseline_builder_runs_bithoc_pair() {
-        let mut sw = BaselineSwarmBuilder::new(BaselineProtocol::Bithoc, 1)
-            .seed_at(0.0, 0.0)
+        let mut sw = ScenarioBuilder::new(1)
+            .protocol(Protocol::Bithoc)
+            .collection(2, 4096)
+            .producer_at(0.0, 0.0)
             .downloader_at(20.0, 0.0)
             .build();
         assert!(sw.run_until_complete(SimTime::from_secs(120)));
@@ -185,8 +183,10 @@ mod tests {
 
     #[test]
     fn baseline_builder_runs_ekta_pair() {
-        let mut sw = BaselineSwarmBuilder::new(BaselineProtocol::Ekta, 2)
-            .seed_at(0.0, 0.0)
+        let mut sw = ScenarioBuilder::new(2)
+            .protocol(Protocol::Ekta)
+            .collection(2, 4096)
+            .producer_at(0.0, 0.0)
             .downloader_at(20.0, 0.0)
             .build();
         assert!(sw.run_until_complete(SimTime::from_secs(180)));

@@ -1,6 +1,8 @@
-//! Scenario builders: collection, peer and world factories with seeded
-//! RNG placement, mobility presets and loss schedules.
+//! The scenario builder: collection, peer and world factories with seeded
+//! RNG placement, mobility presets and loss schedules, for DAPES and for
+//! the Bithoc and Ekta baselines alike.
 
+use dapes_baselines::prelude::*;
 use dapes_core::prelude::*;
 use dapes_crypto::signing::TrustAnchor;
 use dapes_netsim::prelude::*;
@@ -18,6 +20,12 @@ pub fn shared_anchor() -> TrustAnchor {
 /// under it never verify against [`shared_anchor`].
 pub fn rogue_anchor() -> TrustAnchor {
     TrustAnchor::from_seed(b"dapes-testutil-rogue")
+}
+
+/// The anchor of the paper's rural-area scenarios: every figure and
+/// Table I run under it.
+pub fn paper_anchor() -> TrustAnchor {
+    TrustAnchor::from_seed(b"rural-area-anchor")
 }
 
 /// Parameters of the collection a scenario shares.
@@ -75,7 +83,54 @@ impl CollectionParams {
 
     /// Content packets in the collection (excluding metadata segments).
     pub fn total_packets(&self) -> usize {
-        self.files * self.file_size.div_ceil(self.packet_size)
+        self.swarm_spec().total_pieces
+    }
+
+    /// The same content as a baseline swarm: one piece per packet.
+    pub fn swarm_spec(&self) -> SwarmSpec {
+        let pieces_per_file = self.file_size.div_ceil(self.packet_size);
+        SwarmSpec {
+            total_pieces: self.files * pieces_per_file,
+            pieces_per_file,
+            piece_size: self.packet_size,
+        }
+    }
+}
+
+/// Which protocol stack populates a scenario.
+#[derive(Clone, Debug)]
+pub enum Protocol {
+    /// DAPES with the given configuration (a peer may override it).
+    Dapes(Box<DapesConfig>),
+    /// The Bithoc baseline (DSDV + HELLO floods + TCP-lite).
+    Bithoc,
+    /// The Ekta baseline (DSR + DHT + UDP).
+    Ekta,
+}
+
+impl Protocol {
+    /// Whether the stack at `node` finished every download it wants.
+    fn is_complete(&self, world: &World, node: NodeId) -> bool {
+        match self {
+            Protocol::Dapes(_) => world
+                .stack::<DapesPeer>(node)
+                .is_some_and(|p| p.downloads_complete()),
+            Protocol::Bithoc => world
+                .stack::<BithocPeer>(node)
+                .is_some_and(|p| p.is_complete()),
+            Protocol::Ekta => world
+                .stack::<EktaPeer>(node)
+                .is_some_and(|p| p.is_complete()),
+        }
+    }
+
+    /// When the stack at `node` finished, if it did.
+    fn completed_at(&self, world: &World, node: NodeId) -> Option<SimTime> {
+        match self {
+            Protocol::Dapes(_) => world.stack::<DapesPeer>(node)?.completed_at(),
+            Protocol::Bithoc => world.stack::<BithocPeer>(node)?.completed_at(),
+            Protocol::Ekta => world.stack::<EktaPeer>(node)?.completed_at(),
+        }
     }
 }
 
@@ -177,7 +232,8 @@ impl FaultProfile {
     }
 }
 
-/// What a peer does in the scenario.
+/// What a peer does in the scenario. Under a baseline protocol a producer
+/// is the swarm's seed, and relays and pure forwarders are plain routers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PeerRole {
     /// Seeds the collection, downloads nothing.
@@ -188,6 +244,26 @@ pub enum PeerRole {
     Relay,
     /// Forwards blindly on the NDN plane without DAPES semantics.
     PureForwarder,
+}
+
+/// A DAPES peer playing `role`: a producer holds `collection`.
+fn dapes_peer(
+    id: u32,
+    role: PeerRole,
+    cfg: DapesConfig,
+    anchor: TrustAnchor,
+    collection: &Arc<Collection>,
+) -> DapesPeer {
+    match role {
+        PeerRole::Producer => {
+            let mut p = DapesPeer::new(id, cfg, anchor, WantPolicy::Nothing);
+            p.add_production(collection.clone());
+            p
+        }
+        PeerRole::Downloader => DapesPeer::new(id, cfg, anchor, WantPolicy::Everything),
+        PeerRole::Relay => DapesPeer::new(id, cfg, anchor, WantPolicy::Nothing),
+        PeerRole::PureForwarder => DapesPeer::pure_forwarder(id, cfg, anchor),
+    }
 }
 
 #[derive(Debug)]
@@ -206,9 +282,18 @@ struct AdversarySpec {
     period: Option<SimDuration>,
 }
 
-/// Builder for a deterministic DAPES scenario. Every knob defaults to the
-/// values the pre-existing test suites used, so a two-peer test is one
-/// producer call, one downloader call and `build()`.
+/// Ekta's DHT membership: the ids of the producers and downloaders.
+fn swarm_members(peers: &[PeerSpec]) -> Vec<u32> {
+    (0..)
+        .zip(peers)
+        .filter(|(_, p)| matches!(p.role, PeerRole::Producer | PeerRole::Downloader))
+        .map(|(id, _)| id)
+        .collect()
+}
+
+/// Builder for a deterministic scenario under DAPES or a baseline. Every
+/// knob defaults to the values the pre-existing test suites used, so a
+/// two-peer test is one producer call, one downloader call and `build()`.
 #[derive(Debug)]
 pub struct ScenarioBuilder {
     seed: u64,
@@ -217,7 +302,7 @@ pub struct ScenarioBuilder {
     loss: f64,
     loss_schedule: Vec<(SimTime, f64)>,
     collection: CollectionParams,
-    cfg: DapesConfig,
+    protocol: Protocol,
     anchor: TrustAnchor,
     peers: Vec<PeerSpec>,
     adversaries: Vec<AdversarySpec>,
@@ -227,8 +312,8 @@ pub struct ScenarioBuilder {
 
 impl ScenarioBuilder {
     /// Starts a scenario with the given world seed. Defaults: 60 m range,
-    /// 300 × 300 m field, zero loss, one-file/4 KiB collection, default
-    /// [`DapesConfig`], the [`shared_anchor`].
+    /// 300 × 300 m field, zero loss, one-file/4 KiB collection, DAPES with
+    /// the default [`DapesConfig`], the [`shared_anchor`].
     pub fn new(seed: u64) -> Self {
         ScenarioBuilder {
             seed,
@@ -237,7 +322,7 @@ impl ScenarioBuilder {
             loss: 0.0,
             loss_schedule: Vec::new(),
             collection: CollectionParams::default(),
-            cfg: DapesConfig::default(),
+            protocol: Protocol::Dapes(Box::default()),
             anchor: shared_anchor(),
             peers: Vec::new(),
             adversaries: Vec::new(),
@@ -304,9 +389,16 @@ impl ScenarioBuilder {
         self
     }
 
-    /// DAPES configuration used by peers without a per-peer override.
-    pub fn config(mut self, cfg: DapesConfig) -> Self {
-        self.cfg = cfg;
+    /// Runs DAPES with `cfg` on every peer without a per-peer override.
+    pub fn config(self, cfg: DapesConfig) -> Self {
+        self.protocol(Protocol::Dapes(Box::new(cfg)))
+    }
+
+    /// The protocol every peer runs. A baseline swarm shares the
+    /// [`CollectionParams`]' content ([`CollectionParams::swarm_spec`]);
+    /// Ekta's DHT members are its producers and downloaders.
+    pub fn protocol(mut self, protocol: Protocol) -> Self {
+        self.protocol = protocol;
         self
     }
 
@@ -317,45 +409,43 @@ impl ScenarioBuilder {
     }
 
     /// Adds a peer with an explicit role and mobility.
-    pub fn peer(mut self, role: PeerRole, mobility: MobilityPreset) -> Self {
-        self.peers.push(PeerSpec {
-            role,
-            mobility,
-            cfg: None,
-            anchor: None,
-        });
-        self
+    pub fn peer(self, role: PeerRole, mobility: MobilityPreset) -> Self {
+        self.push_peer(role, mobility, None, None)
     }
 
     /// Adds a peer whose [`DapesConfig`] differs from the scenario default.
     pub fn peer_with_config(
-        mut self,
+        self,
         role: PeerRole,
         mobility: MobilityPreset,
         cfg: DapesConfig,
     ) -> Self {
-        self.peers.push(PeerSpec {
-            role,
-            mobility,
-            cfg: Some(cfg),
-            anchor: None,
-        });
-        self
+        self.push_peer(role, mobility, Some(cfg), None)
     }
 
     /// Adds a peer signing/verifying under its own trust anchor (e.g. a
     /// forged producer).
     pub fn peer_with_anchor(
-        mut self,
+        self,
         role: PeerRole,
         mobility: MobilityPreset,
         anchor: TrustAnchor,
     ) -> Self {
+        self.push_peer(role, mobility, None, Some(anchor))
+    }
+
+    fn push_peer(
+        mut self,
+        role: PeerRole,
+        mobility: MobilityPreset,
+        cfg: Option<DapesConfig>,
+        anchor: Option<TrustAnchor>,
+    ) -> Self {
         self.peers.push(PeerSpec {
             role,
             mobility,
-            cfg: None,
-            anchor: Some(anchor),
+            cfg,
+            anchor,
         });
         self
     }
@@ -384,14 +474,8 @@ impl ScenarioBuilder {
     /// the [`rogue_anchor`]. Adversaries are instantiated after every
     /// honest peer, so honest node ids are unchanged by their presence;
     /// the forger's victim is the scenario's first producer.
-    pub fn adversary(mut self, kind: AdversaryKind, mobility: MobilityPreset) -> Self {
-        self.adversaries.push(AdversarySpec {
-            kind,
-            mobility,
-            replay_delay: None,
-            period: None,
-        });
-        self
+    pub fn adversary(self, kind: AdversaryKind, mobility: MobilityPreset) -> Self {
+        self.adversary_with_timing(kind, mobility, None, None)
     }
 
     /// Stationary adversary at `(x, y)`.
@@ -420,48 +504,77 @@ impl ScenarioBuilder {
     }
 
     /// `n` random-walking downloaders placed by the scenario's seeded RNG.
-    pub fn mobile_downloaders(mut self, n: usize) -> Self {
-        for _ in 0..n {
-            self.peers.push(PeerSpec {
-                role: PeerRole::Downloader,
-                mobility: MobilityPreset::RandomWalk(Point::new(0.0, 0.0)),
-                cfg: None,
-                anchor: None,
-            });
-        }
-        self
+    pub fn mobile_downloaders(self, n: usize) -> Self {
+        self.walkers(PeerRole::Downloader, n)
     }
 
     /// `n` random-walking DAPES relays placed by the scenario's seeded RNG.
-    pub fn mobile_relays(mut self, n: usize) -> Self {
+    pub fn mobile_relays(self, n: usize) -> Self {
+        self.walkers(PeerRole::Relay, n)
+    }
+
+    /// `n` random-walking pure forwarders placed by the seeded RNG.
+    pub fn mobile_pure_forwarders(self, n: usize) -> Self {
+        self.walkers(PeerRole::PureForwarder, n)
+    }
+
+    fn walkers(mut self, role: PeerRole, n: usize) -> Self {
         for _ in 0..n {
-            self.peers.push(PeerSpec {
-                role: PeerRole::Relay,
-                mobility: MobilityPreset::RandomWalk(Point::new(0.0, 0.0)),
-                cfg: None,
-                anchor: None,
-            });
+            self = self.peer(role, MobilityPreset::RandomWalk(Point::new(0.0, 0.0)));
         }
         self
     }
 
-    /// `n` random-walking pure forwarders placed by the seeded RNG.
-    pub fn mobile_pure_forwarders(mut self, n: usize) -> Self {
-        for _ in 0..n {
-            self.peers.push(PeerSpec {
-                role: PeerRole::PureForwarder,
-                mobility: MobilityPreset::RandomWalk(Point::new(0.0, 0.0)),
-                cfg: None,
-                anchor: None,
-            });
+    /// The paper's §VI-B1 swarm on the paper's air. `stationary`
+    /// repositories sit on fixed spots over the field interior; the first
+    /// produces and the rest download. Then come `mobile_downloaders`
+    /// random-walking downloaders, `relays` random-walking relays and
+    /// `forwarders` random-walking pure forwarders, placed by the seeded
+    /// RNG in that order.
+    pub fn paper_swarm(
+        mut self,
+        stationary: usize,
+        mobile_downloaders: usize,
+        relays: usize,
+        forwarders: usize,
+    ) -> Self {
+        const SPOTS: [(f64, f64); 5] = [
+            (75.0, 75.0),
+            (225.0, 75.0),
+            (75.0, 225.0),
+            (225.0, 225.0),
+            (150.0, 150.0),
+        ];
+        for i in 0..stationary {
+            let role = if i == 0 {
+                PeerRole::Producer
+            } else {
+                PeerRole::Downloader
+            };
+            let (x, y) = SPOTS[i % SPOTS.len()];
+            self = self.peer(role, MobilityPreset::at(x, y));
         }
-        self
+        // The paper's channel is the simulator's default 10 % frame loss;
+        // the builder's own default is a clean channel.
+        self.loss(PhyConfig::default().loss_rate)
+            .mobile_downloaders(mobile_downloaders)
+            .mobile_relays(relays)
+            .mobile_pure_forwarders(forwarders)
     }
 
     /// Instantiates the world, collection and peers. Node ids are assigned
     /// in insertion order; random-walk start positions come from a SplitMix
     /// of the scenario seed, so equal builders give bit-identical runs.
+    /// A baseline scenario takes no adversaries and no faults.
     pub fn build(self) -> Scenario {
+        let dapes = matches!(self.protocol, Protocol::Dapes(_));
+        assert!(
+            dapes
+                || self.adversaries.is_empty()
+                    && self.fault_plan.is_empty()
+                    && self.fault_profiles.is_empty(),
+            "a baseline scenario takes no adversaries or faults"
+        );
         let mut world = World::new(WorldConfig {
             seed: self.seed,
             range: self.range,
@@ -473,8 +586,21 @@ impl ScenarioBuilder {
             ..WorldConfig::default()
         });
         let collection = self.collection.build();
+        let swarm = self.collection.swarm_spec();
         let mut placement_rng = SmallRng::seed_from_u64(self.seed ^ 0x9e37_79b9_7f4a_7c15);
+        // Random walkers get their start drawn here so placement is a pure
+        // function of the scenario seed.
+        let field = self.field;
+        let mut place = |mobility| match mobility {
+            MobilityPreset::RandomWalk(_) => {
+                let x = placement_rng.gen_range(0.0..field.0);
+                let y = placement_rng.gen_range(0.0..field.1);
+                MobilityPreset::RandomWalk(Point::new(x, y)).into_mobility()
+            }
+            other => other.into_mobility(),
+        };
 
+        let members = swarm_members(&self.peers);
         let mut producers = Vec::new();
         let mut downloaders = Vec::new();
         let mut relays = Vec::new();
@@ -482,34 +608,33 @@ impl ScenarioBuilder {
 
         let honest = self.peers.len();
         let mut recipes: Vec<(PeerRole, DapesConfig, TrustAnchor)> = Vec::with_capacity(honest);
-        for (i, spec) in self.peers.into_iter().enumerate() {
-            let id = i as u32;
-            let cfg = spec.cfg.unwrap_or_else(|| self.cfg.clone());
-            let anchor = spec.anchor.unwrap_or_else(|| self.anchor.clone());
-            recipes.push((spec.role, cfg.clone(), anchor.clone()));
-            let mobility = match spec.mobility {
-                // Random walkers get their start drawn here so placement is
-                // a pure function of the scenario seed.
-                MobilityPreset::RandomWalk(_) => {
-                    let x = placement_rng.gen_range(0.0..self.field.0);
-                    let y = placement_rng.gen_range(0.0..self.field.1);
-                    MobilityPreset::RandomWalk(Point::new(x, y))
+        for (id, spec) in (0..).zip(self.peers) {
+            let stack: Box<dyn NetStack> = match &self.protocol {
+                Protocol::Dapes(default) => {
+                    let cfg = spec.cfg.unwrap_or_else(|| (**default).clone());
+                    let anchor = spec.anchor.unwrap_or_else(|| self.anchor.clone());
+                    recipes.push((spec.role, cfg.clone(), anchor.clone()));
+                    Box::new(dapes_peer(id, spec.role, cfg, anchor, &collection))
                 }
-                other => other,
+                Protocol::Bithoc => {
+                    let role = match spec.role {
+                        PeerRole::Producer => BithocRole::Seed,
+                        PeerRole::Downloader => BithocRole::Downloader,
+                        PeerRole::Relay | PeerRole::PureForwarder => BithocRole::Router,
+                    };
+                    Box::new(BithocPeer::new(id, role, swarm.clone(), BithocConfig))
+                }
+                Protocol::Ekta => {
+                    let role = match spec.role {
+                        PeerRole::Producer => EktaRole::Seed,
+                        PeerRole::Downloader => EktaRole::Downloader,
+                        PeerRole::Relay | PeerRole::PureForwarder => EktaRole::Router,
+                    };
+                    let members = members.clone();
+                    Box::new(EktaPeer::new(id, role, swarm.clone(), members, EktaConfig))
+                }
             };
-            let stack: Box<dyn NetStack> = match spec.role {
-                PeerRole::Producer => {
-                    let mut p = DapesPeer::new(id, cfg, anchor, WantPolicy::Nothing);
-                    p.add_production(collection.clone());
-                    Box::new(p)
-                }
-                PeerRole::Downloader => {
-                    Box::new(DapesPeer::new(id, cfg, anchor, WantPolicy::Everything))
-                }
-                PeerRole::Relay => Box::new(DapesPeer::new(id, cfg, anchor, WantPolicy::Nothing)),
-                PeerRole::PureForwarder => Box::new(DapesPeer::pure_forwarder(id, cfg, anchor)),
-            };
-            let node = world.add_node(mobility.into_mobility(), stack);
+            let node = world.add_node(place(spec.mobility), stack);
             match spec.role {
                 PeerRole::Producer => producers.push(node),
                 PeerRole::Downloader => downloaders.push(node),
@@ -532,15 +657,7 @@ impl ScenarioBuilder {
             if let Some(d) = spec.replay_delay {
                 adv = adv.with_replay_delay(d);
             }
-            let mobility = match spec.mobility {
-                MobilityPreset::RandomWalk(_) => {
-                    let x = placement_rng.gen_range(0.0..self.field.0);
-                    let y = placement_rng.gen_range(0.0..self.field.1);
-                    MobilityPreset::RandomWalk(Point::new(x, y))
-                }
-                other => other,
-            };
-            adversaries.push(world.add_node(mobility.into_mobility(), Box::new(adv)));
+            adversaries.push(world.add_node(place(spec.mobility), Box::new(adv)));
         }
 
         // Resolve role-relative fault profiles now that node ids exist and
@@ -569,33 +686,25 @@ impl ScenarioBuilder {
             }
         }
 
-        // Restart recipes: a fresh stack per honest node id (same role,
-        // config and anchor as the original), salvaging download state from
-        // the wreck so a restarted downloader resumes instead of starting
-        // over. Installed unconditionally — a plan set later on the world
-        // still finds it.
-        let factory_collection = collection.clone();
-        world.set_stack_factory(Box::new(move |node, wreck| {
-            let (role, cfg, anchor) = recipes
-                .get(node.0 as usize)
-                .cloned()
-                .expect("fault plans may only restart honest peers");
-            let id = node.0;
-            let mut peer = match role {
-                PeerRole::Producer => {
-                    let mut p = DapesPeer::new(id, cfg, anchor, WantPolicy::Nothing);
-                    p.add_production(factory_collection.clone());
-                    p
+        // Restart recipes: a fresh stack per honest DAPES node id (same
+        // role, config and anchor as the original), salvaging download
+        // state from the wreck so a restarted downloader resumes instead of
+        // starting over. Installed for every DAPES world — a plan set later
+        // on the world still finds it.
+        if dapes {
+            let factory_collection = collection.clone();
+            world.set_stack_factory(Box::new(move |node, wreck| {
+                let (role, cfg, anchor) = recipes
+                    .get(node.0 as usize)
+                    .cloned()
+                    .expect("fault plans may only restart honest peers");
+                let mut peer = dapes_peer(node.0, role, cfg, anchor, &factory_collection);
+                if let Some(old) = wreck.and_then(|w| w.as_any().downcast_ref::<DapesPeer>()) {
+                    peer.restore(old.salvage());
                 }
-                PeerRole::Downloader => DapesPeer::new(id, cfg, anchor, WantPolicy::Everything),
-                PeerRole::Relay => DapesPeer::new(id, cfg, anchor, WantPolicy::Nothing),
-                PeerRole::PureForwarder => DapesPeer::pure_forwarder(id, cfg, anchor),
-            };
-            if let Some(old) = wreck.and_then(|w| w.as_any().downcast_ref::<DapesPeer>()) {
-                peer.restore(old.salvage());
-            }
-            Box::new(peer)
-        }));
+                Box::new(peer)
+            }));
+        }
         if !plan.is_empty() {
             world.set_fault_plan(plan);
         }
@@ -609,6 +718,7 @@ impl ScenarioBuilder {
             adversaries,
             collection,
             anchor: self.anchor,
+            protocol: self.protocol,
             loss_schedule: self.loss_schedule,
             schedule_applied: 0,
         }
@@ -633,8 +743,19 @@ pub struct Scenario {
     pub collection: Arc<Collection>,
     /// The default trust anchor.
     pub anchor: TrustAnchor,
+    protocol: Protocol,
     loss_schedule: Vec<(SimTime, f64)>,
     schedule_applied: usize,
+}
+
+/// What [`Scenario::run_sampled`] observed.
+#[derive(Clone, Debug)]
+pub struct SampledRun {
+    /// Downloader completion times, in insertion order; `None` for one
+    /// that had not finished at the cap.
+    pub completion_times: Vec<Option<SimTime>>,
+    /// Peak of [`World::live_state_bytes`] over the samples.
+    pub peak_state_bytes: usize,
 }
 
 impl Scenario {
@@ -662,7 +783,12 @@ impl Scenario {
 
     /// Whether `node` completed all wanted downloads.
     pub fn completed(&self, node: NodeId) -> bool {
-        self.peer(node).is_some_and(|p| p.downloads_complete())
+        self.protocol.is_complete(&self.world, node)
+    }
+
+    /// When `node` completed, if it did.
+    pub fn completed_at(&self, node: NodeId) -> Option<SimTime> {
+        self.protocol.completed_at(&self.world, node)
     }
 
     /// Whether every downloader completed.
@@ -674,7 +800,7 @@ impl Scenario {
     pub fn completion_times(&self) -> Vec<Option<SimTime>> {
         self.downloaders
             .iter()
-            .map(|&d| self.peer(d).and_then(|p| p.completed_at()))
+            .map(|&d| self.completed_at(d))
             .collect()
     }
 
@@ -713,20 +839,116 @@ impl Scenario {
     /// Runs until every downloader finished or `deadline`. Returns whether
     /// all finished.
     pub fn run_until_complete(&mut self, deadline: SimTime) -> bool {
-        let downloaders = self.downloaders.clone();
+        let (protocol, downloaders) = (self.protocol.clone(), self.downloaders.clone());
         self.run_until_cond(deadline, |w| {
-            downloaders.iter().all(|&d| {
-                w.stack::<DapesPeer>(d)
-                    .is_some_and(|p| p.downloads_complete())
-            })
+            downloaders.iter().all(|&d| protocol.is_complete(w, d))
         })
     }
 
     /// Runs until one specific node finished or `deadline`.
     pub fn run_until_node_complete(&mut self, node: NodeId, deadline: SimTime) -> bool {
-        self.run_until_cond(deadline, |w| {
-            w.stack::<DapesPeer>(node)
-                .is_some_and(|p| p.downloads_complete())
-        })
+        let protocol = self.protocol.clone();
+        self.run_until_cond(deadline, |w| protocol.is_complete(w, node))
+    }
+
+    /// Steps by `step` until every downloader finished or `cap`, sampling
+    /// [`World::live_state_bytes`] after each step. Unlike
+    /// [`Scenario::run_until_complete`] it stops on a step boundary, so the
+    /// frame counts include the rest of the step the last download
+    /// finished in.
+    pub fn run_sampled(&mut self, step: SimDuration, cap: SimTime) -> SampledRun {
+        let mut peak_state_bytes = 0;
+        let mut now = self.world.now();
+        loop {
+            now = (now + step).min(cap);
+            self.run_until(now);
+            peak_state_bytes = peak_state_bytes.max(self.world.live_state_bytes());
+            if self.all_complete() || now >= cap {
+                break;
+            }
+        }
+        SampledRun {
+            completion_times: self.completion_times(),
+            peak_state_bytes,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn paper(protocol: Protocol) -> ScenarioBuilder {
+        ScenarioBuilder::new(17)
+            .protocol(protocol)
+            .paper_swarm(4, 5, 3, 2)
+    }
+
+    #[test]
+    fn the_paper_swarm_is_one_world_under_every_protocol() {
+        let dapes = paper(Protocol::Dapes(Box::default())).build();
+        let start = |sc: &Scenario| -> Vec<Point> {
+            (0..sc.world.node_count() as u32)
+                .map(|i| sc.world.position_of(NodeId(i)))
+                .collect()
+        };
+        let roles = |sc: &Scenario| {
+            [&sc.producers, &sc.downloaders, &sc.relays, &sc.forwarders].map(|v| v.clone())
+        };
+        assert_eq!(start(&dapes).len(), 14);
+        assert_eq!(dapes.producers, vec![NodeId(0)]);
+        assert_eq!(dapes.downloaders.len(), 3 + 5);
+        for protocol in [Protocol::Bithoc, Protocol::Ekta] {
+            let baseline = paper(protocol.clone()).build();
+            assert_eq!(start(&baseline), start(&dapes), "{protocol:?}");
+            assert_eq!(roles(&baseline), roles(&dapes), "{protocol:?}");
+        }
+    }
+
+    #[test]
+    fn ekta_members_are_the_producers_and_downloaders() {
+        let builder = paper(Protocol::Ekta);
+        let members = swarm_members(&builder.peers);
+        let sc = builder.build();
+        let mut swarm: Vec<u32> = sc
+            .producers
+            .iter()
+            .chain(&sc.downloaders)
+            .map(|n| n.0)
+            .collect();
+        swarm.sort_unstable();
+        assert_eq!(members, swarm);
+        assert_eq!(members, (0..9).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn the_baseline_swarm_holds_the_collections_packets() {
+        for (files, file_size) in [(1, 4096), (2, 1500), (3, 1024), (4, 12 * 1024)] {
+            let params = CollectionParams::sized(files, file_size);
+            let spec = params.swarm_spec();
+            assert_eq!(spec.total_pieces, params.build().total_packets());
+            assert_eq!(spec.total_pieces, files * spec.pieces_per_file);
+            assert_eq!(spec.piece_size, params.packet_size);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a baseline scenario takes no adversaries or faults")]
+    fn a_baseline_scenario_refuses_an_adversary() {
+        paper(Protocol::Bithoc)
+            .adversary_at(AdversaryKind::NoiseFlooder, 150.0, 150.0)
+            .build();
+    }
+
+    #[test]
+    #[should_panic(expected = "a baseline scenario takes no adversaries or faults")]
+    fn a_baseline_scenario_refuses_a_restart() {
+        paper(Protocol::Ekta)
+            .faults([FaultProfile::CrashRestartDownloader {
+                index: 0,
+                crash: SimTime::from_secs(1),
+                restart: SimTime::from_secs(2),
+            }])
+            .build();
     }
 }
