@@ -27,7 +27,7 @@ use crate::namespace::{self, DapesName};
 use dapes_ndn::face::FaceId;
 use dapes_ndn::forwarder::{Decision, Strategy};
 use dapes_ndn::name::Name;
-use dapes_ndn::packet::Interest;
+use dapes_ndn::packet::InterestHeader;
 use dapes_netsim::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -351,32 +351,24 @@ impl MultihopState {
                 .sum::<usize>()
     }
 
-    /// Should we re-broadcast `interest` heard from the air?
-    pub fn should_forward(&mut self, interest: &Interest, now: SimTime) -> bool {
-        match self.should_forward_named(interest.name(), now) {
-            Some(decision) => decision,
-            // Only the bitmap-Interest arm needs the payload.
-            None => self.bitmap_decision(interest),
-        }
-    }
-
-    /// Name-only forwarding decision, the basis of the forwarder's
-    /// decode-free relay path. Returns `None` — *before touching the RNG or
-    /// any other state* — when the decision needs the Interest payload
-    /// (bitmap Interests compare the requester's bitmap against neighbor
-    /// knowledge); [`MultihopState::should_forward`] then finishes the job.
-    /// When it returns `Some`, the state consumed (RNG draws included) is
-    /// exactly what `should_forward` would have consumed.
-    pub fn should_forward_named(&mut self, name: &Name, now: SimTime) -> Option<bool> {
+    /// Should we re-broadcast an Interest named `name`, heard from the
+    /// air? `app_parameters` are its application parameters, which a
+    /// bitmap Interest's decision reads.
+    pub fn should_forward(
+        &mut self,
+        name: &Name,
+        app_parameters: Option<&[u8]>,
+        now: SimTime,
+    ) -> bool {
         if !self.enabled {
-            return Some(false);
+            return false;
         }
         if self.suppressed.get(name).is_some_and(|&until| until > now) {
-            return Some(false);
+            return false;
         }
         match self.role {
-            NodeRole::PureForwarder => Some(self.probabilistic()),
-            NodeRole::Dapes => self.dapes_decision_named(name, now),
+            NodeRole::PureForwarder => self.probabilistic(),
+            NodeRole::Dapes => self.dapes_decision(name, app_parameters),
         }
     }
 
@@ -384,24 +376,17 @@ impl MultihopState {
         self.rng.gen::<f64>() < self.forward_prob
     }
 
-    /// The payload-dependent tail of the DAPES decision: forward a bitmap
-    /// Interest when a neighbor could add packets the requester misses.
-    fn bitmap_decision(&mut self, interest: &Interest) -> bool {
-        let Some(DapesName::Bitmap { collection, .. }) = namespace::classify(interest.name())
-        else {
-            // `should_forward_named` only defers for bitmap names.
-            debug_assert!(false, "bitmap_decision on a non-bitmap Interest");
-            return self.probabilistic();
-        };
-        let requester_bitmap = interest
-            .app_parameters()
+    /// Forward a bitmap Interest when a neighbor could add packets the
+    /// requester (whose bitmap `app_parameters` carry) misses.
+    fn bitmap_decision(&mut self, collection: &Name, app_parameters: Option<&[u8]>) -> bool {
+        let requester_bitmap = app_parameters
             .and_then(crate::advert_payload::decode_bitmap_params_maybe_sealed)
             .map(|(_, bm)| bm);
         match requester_bitmap {
             Some(req) => {
                 let mut any = false;
                 for info in self.neighbors.values() {
-                    if let Some(nb) = info.bitmaps.get(&collection) {
+                    if let Some(nb) = info.bitmaps.get(collection) {
                         any = true;
                         if nb.len() == req.len() && nb.count_set_and_missing_from(&req) > 0 {
                             return true;
@@ -418,7 +403,7 @@ impl MultihopState {
         }
     }
 
-    fn dapes_decision_named(&mut self, name: &Name, _now: SimTime) -> Option<bool> {
+    fn dapes_decision(&mut self, name: &Name, app_parameters: Option<&[u8]>) -> bool {
         match namespace::classify(name) {
             Some(DapesName::Content {
                 collection,
@@ -430,110 +415,79 @@ impl MultihopState {
                 if let Some((index, have)) = self.holdings.get(&collection) {
                     if let Some(g) = index.global_index(&file, seq) {
                         if have.get(g) {
-                            return Some(false);
+                            return false;
                         }
-                        return Some(match self.neighbor_has_packet(&collection, g) {
+                        return match self.neighbor_has_packet(&collection, g) {
                             Some(true) => true,   // knowledge says data is out there
                             Some(false) => false, // knowledge says nobody has it
                             None => self.probabilistic(),
-                        });
+                        };
                     }
                 }
                 // No metadata for this collection: behave like a pure
                 // forwarder, but only if someone nearby seems interested.
-                if self.any_neighbor_interested(&collection) {
-                    Some(true)
-                } else {
-                    Some(self.probabilistic())
-                }
+                self.any_neighbor_interested(&collection) || self.probabilistic()
             }
-            // The bitmap decision reads the requester's bitmap out of the
-            // Interest's application parameters — payload, not name. Defer
-            // (without drawing from the RNG) so the full-decode path can
-            // finish with `bitmap_decision`.
-            Some(DapesName::Bitmap { .. }) => None,
+            Some(DapesName::Bitmap { collection, .. }) => {
+                self.bitmap_decision(&collection, app_parameters)
+            }
             Some(DapesName::Metadata { collection, .. }) => {
-                if self.any_neighbor_interested(&collection) {
-                    Some(true)
-                } else {
-                    Some(self.probabilistic())
-                }
+                self.any_neighbor_interested(&collection) || self.probabilistic()
             }
-            Some(DapesName::Discovery { .. }) | None => Some(self.probabilistic()),
+            Some(DapesName::Discovery { .. }) | None => self.probabilistic(),
         }
-    }
-
-    /// The face loop of both strategy entry points: every next hop is kept
-    /// except the wireless one for an Interest heard from the air, which
-    /// `approve` gates (`None` defers the whole decision) — at most once,
-    /// as the FIB hands over each face at most once.
-    fn gate(
-        &mut self,
-        ingress: FaceId,
-        nexthops: &[FaceId],
-        mut approve: impl FnMut(&mut Self) -> Option<bool>,
-    ) -> Option<Decision> {
-        let mut faces = Vec::new();
-        for &face in nexthops {
-            // Our own Interest always goes to the air.
-            if face != FaceId::WIRELESS || ingress == FaceId::APP || approve(self)? {
-                faces.push(face);
-            }
-        }
-        Some(if faces.is_empty() {
-            Decision::Suppress
-        } else {
-            Decision::Forward(faces)
-        })
     }
 }
 
 /// Interests from the local application are always sent to the wireless
 /// face; Interests heard from the air are delivered to the application (if
-/// the FIB says so) and re-broadcast only when the knowledge approves.
+/// the FIB says so) and re-broadcast only when the knowledge approves —
+/// asked at most once, as the FIB hands over each face at most once.
 impl Strategy for MultihopState {
     fn decide(
         &mut self,
-        interest: &Interest,
-        ingress: FaceId,
-        nexthops: &[FaceId],
-        now: SimTime,
-    ) -> Decision {
-        self.gate(ingress, nexthops, |ms| {
-            Some(ms.should_forward(interest, now))
-        })
-        .expect("the full decision never defers")
-    }
-
-    /// With no next hops the face loop never consults the knowledge (or its
-    /// RNG), so the empty-FIB decision is statically `Suppress` — which
-    /// lets the forwarder's header-only fast path drop not-for-me Interests
-    /// without a full decode.
-    fn decide_no_nexthops(&mut self, _ingress: FaceId, _now: SimTime) -> Option<Decision> {
-        Some(Decision::Suppress)
-    }
-
-    /// Name-only mirror of `decide`, enabling the forwarder's decode-free
-    /// relay path. When `should_forward_named` defers (`None`, bitmap
-    /// Interests) no state was touched and the full pipeline re-runs
-    /// `decide` against an untouched strategy.
-    fn decide_header(
-        &mut self,
+        interest: &InterestHeader<'_>,
         name: &Name,
         ingress: FaceId,
         nexthops: &[FaceId],
         now: SimTime,
-    ) -> Option<Decision> {
-        self.gate(ingress, nexthops, |ms| ms.should_forward_named(name, now))
+    ) -> Decision {
+        let mut faces = Vec::new();
+        for &face in nexthops {
+            if face != FaceId::WIRELESS
+                || ingress == FaceId::APP
+                || self.should_forward(name, interest.app_parameters, now)
+            {
+                faces.push(face);
+            }
+        }
+        if faces.is_empty() {
+            Decision::Suppress
+        } else {
+            Decision::Forward(faces)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dapes_ndn::packet::{Interest, Packet, PacketHeader};
+    use dapes_netsim::payload::Payload;
 
-    fn content_interest(uri: &str) -> Interest {
-        Interest::new(Name::from_uri(uri)).with_nonce(1)
+    /// `strat`'s decision on `interest` received on `ingress`, given its
+    /// view.
+    fn decide(
+        strat: &mut MultihopState,
+        interest: &Interest,
+        ingress: FaceId,
+        nexthops: &[FaceId],
+    ) -> Decision {
+        let wire = interest.wire();
+        let Ok(PacketHeader::Interest(view)) = Packet::peek_header(&wire) else {
+            panic!("an encoded Interest peeks as one");
+        };
+        strat.decide(&view, interest.name(), ingress, nexthops, SimTime::ZERO)
     }
 
     fn state(role: NodeRole, prob: f64) -> MultihopState {
@@ -555,20 +509,20 @@ mod tests {
     #[test]
     fn disabled_never_forwards() {
         let mut ms = MultihopState::new(NodeRole::Dapes, false, 1.0, 1);
-        assert!(!ms.should_forward(&content_interest("/col/f/0"), SimTime::ZERO));
+        assert!(!ms.should_forward(&Name::from_uri("/col/f/0"), None, SimTime::ZERO));
     }
 
     #[test]
     fn pure_forwarder_is_probabilistic() {
         let mut always = state(NodeRole::PureForwarder, 1.0);
         let mut never = state(NodeRole::PureForwarder, 0.0);
-        let i = content_interest("/col/f/0");
-        assert!(always.should_forward(&i, SimTime::ZERO));
-        assert!(!never.should_forward(&i, SimTime::ZERO));
+        let i = Name::from_uri("/col/f/0");
+        assert!(always.should_forward(&i, None, SimTime::ZERO));
+        assert!(!never.should_forward(&i, None, SimTime::ZERO));
         // ~20 %: out of many draws, some but not all forward.
         let mut some = state(NodeRole::PureForwarder, 0.2);
         let n = (0..1000)
-            .filter(|_| some.should_forward(&i, SimTime::ZERO))
+            .filter(|_| some.should_forward(&i, None, SimTime::ZERO))
             .count();
         assert!((100..350).contains(&n), "got {n} of 1000 at p=0.2");
     }
@@ -580,7 +534,7 @@ mod tests {
         let mut nb = Bitmap::new(10);
         nb.set(3);
         ms.record_bitmap(9, &col(), nb, SimTime::ZERO);
-        assert!(ms.should_forward(&content_interest("/col/f/3"), SimTime::ZERO));
+        assert!(ms.should_forward(&Name::from_uri("/col/f/3"), None, SimTime::ZERO));
     }
 
     #[test]
@@ -588,7 +542,7 @@ mod tests {
         let mut ms = state(NodeRole::Dapes, 1.0); // even with p=1
         setup_indexed(&mut ms, &[], 10);
         ms.record_bitmap(9, &col(), Bitmap::new(10), SimTime::ZERO);
-        assert!(!ms.should_forward(&content_interest("/col/f/3"), SimTime::ZERO));
+        assert!(!ms.should_forward(&Name::from_uri("/col/f/3"), None, SimTime::ZERO));
     }
 
     #[test]
@@ -598,7 +552,7 @@ mod tests {
         let mut nb = Bitmap::new(10);
         nb.set(3);
         ms.record_bitmap(9, &col(), nb, SimTime::ZERO);
-        assert!(!ms.should_forward(&content_interest("/col/f/3"), SimTime::ZERO));
+        assert!(!ms.should_forward(&Name::from_uri("/col/f/3"), None, SimTime::ZERO));
     }
 
     #[test]
@@ -606,10 +560,10 @@ mod tests {
         let mut ms = state(NodeRole::Dapes, 0.0);
         setup_indexed(&mut ms, &[], 10);
         // No neighbor bitmaps at all.
-        assert!(!ms.should_forward(&content_interest("/col/f/3"), SimTime::ZERO));
+        assert!(!ms.should_forward(&Name::from_uri("/col/f/3"), None, SimTime::ZERO));
         let mut ms2 = state(NodeRole::Dapes, 1.0);
         setup_indexed(&mut ms2, &[], 10);
-        assert!(ms2.should_forward(&content_interest("/col/f/3"), SimTime::ZERO));
+        assert!(ms2.should_forward(&Name::from_uri("/col/f/3"), None, SimTime::ZERO));
     }
 
     #[test]
@@ -620,10 +574,10 @@ mod tests {
         // No data within the timeout -> suppression starts at sweep.
         ms.sweep(SimTime::from_secs(1));
         assert_eq!(ms.forward_failures, 1);
-        assert!(!ms.should_forward(&content_interest("/col/f/0"), SimTime::from_secs(1)));
+        assert!(!ms.should_forward(&Name::from_uri("/col/f/0"), None, SimTime::from_secs(1)));
         // After the suppression lapses, forwarding resumes.
         ms.sweep(SimTime::from_secs(4));
-        assert!(ms.should_forward(&content_interest("/col/f/0"), SimTime::from_secs(4)));
+        assert!(ms.should_forward(&Name::from_uri("/col/f/0"), None, SimTime::from_secs(4)));
     }
 
     #[test]
@@ -700,73 +654,104 @@ mod tests {
     #[test]
     fn strategy_always_airs_local_interests() {
         let mut strat = MultihopState::new(NodeRole::Dapes, true, 0.0, 1);
-        let i = content_interest("/col/f/0");
-        let d = strat.decide(&i, FaceId::APP, &[FaceId::WIRELESS], SimTime::ZERO);
+        let i = Interest::new(Name::from_uri("/col/f/0")).with_nonce(1);
+        let d = decide(&mut strat, &i, FaceId::APP, &[FaceId::WIRELESS]);
         assert_eq!(d, Decision::Forward(vec![FaceId::WIRELESS]));
     }
 
     #[test]
     fn strategy_gates_relayed_interests() {
         let mut strat = MultihopState::new(NodeRole::PureForwarder, true, 0.0, 1);
-        let i = content_interest("/col/f/0");
-        let d = strat.decide(
-            &i,
-            FaceId::WIRELESS,
-            &[FaceId::APP, FaceId::WIRELESS],
-            SimTime::ZERO,
-        );
+        let i = Interest::new(Name::from_uri("/col/f/0")).with_nonce(1);
+        let hops = [FaceId::APP, FaceId::WIRELESS];
         // p=0: only the app face survives.
+        let d = decide(&mut strat, &i, FaceId::WIRELESS, &hops);
         assert_eq!(d, Decision::Forward(vec![FaceId::APP]));
         strat.forward_prob = 1.0;
-        let d = strat.decide(
-            &i,
-            FaceId::WIRELESS,
-            &[FaceId::APP, FaceId::WIRELESS],
-            SimTime::ZERO,
-        );
+        let d = decide(&mut strat, &i, FaceId::WIRELESS, &hops);
         assert_eq!(d, Decision::Forward(vec![FaceId::APP, FaceId::WIRELESS]));
     }
 
     #[test]
     fn header_decision_matches_full_decision_draw_for_draw() {
-        // Two states seeded identically: one driven through the name-only
-        // path, one through the payload path. Every decision (and therefore
-        // every RNG draw) must line up.
-        let mut header = MultihopState::new(NodeRole::Dapes, true, 0.5, 7);
-        let mut full = MultihopState::new(NodeRole::Dapes, true, 0.5, 7);
+        // The strategy asks the knowledge once per heard Interest, for the
+        // wireless face only: a same-seed twin asked directly stays in
+        // lockstep, RNG draws included.
+        let mut strat = MultihopState::new(NodeRole::Dapes, true, 0.5, 7);
+        let mut twin = MultihopState::new(NodeRole::Dapes, true, 0.5, 7);
         let hops = [FaceId::APP, FaceId::WIRELESS];
         for i in 0..200 {
-            let interest = content_interest(&format!("/col/f/{i}"));
-            let d_header = header
-                .decide_header(interest.name(), FaceId::WIRELESS, &hops, SimTime::ZERO)
-                .expect("content names are name-decidable");
-            let d_full = full.decide(&interest, FaceId::WIRELESS, &hops, SimTime::ZERO);
-            assert_eq!(d_header, d_full, "diverged at draw {i}");
+            let interest = Interest::new(Name::from_uri(&format!("/col/f/{i}"))).with_nonce(i);
+            let want = if twin.should_forward(interest.name(), None, SimTime::ZERO) {
+                Decision::Forward(hops.to_vec())
+            } else {
+                Decision::Forward(vec![FaceId::APP])
+            };
+            let got = decide(&mut strat, &interest, FaceId::WIRELESS, &hops);
+            assert_eq!(got, want, "diverged at draw {i}");
         }
     }
 
     #[test]
     fn header_decision_defers_on_bitmap_interests_without_touching_state() {
+        // A relay decides a bitmap Interest from the received view: the
+        // requester's bitmap rides in its parameters. A neighbour holds
+        // packet 2; a requester missing it is relayed as the patched
+        // frame, one holding it is suppressed — and neither consults the
+        // RNG, which a same-seed twin confirms.
+        use crate::advert_payload::encode_bitmap_params;
+        use dapes_ndn::forwarder::{Action, Forwarder, ForwarderConfig, InterestOutcome};
         let mut strat = MultihopState::new(NodeRole::Dapes, true, 0.5, 11);
-        let bitmap_name = crate::namespace::bitmap_interest_name(&col(), 4, 1);
-        assert_eq!(
-            strat.decide_header(
-                &bitmap_name,
-                FaceId::WIRELESS,
-                &[FaceId::APP, FaceId::WIRELESS],
-                SimTime::ZERO,
-            ),
-            None,
-            "bitmap decisions need the Interest payload"
+        let mut nb = Bitmap::new(4);
+        nb.set(2);
+        strat.record_bitmap(9, &col(), nb, SimTime::ZERO);
+        let mut relay = Forwarder::with_strategy(
+            ForwarderConfig {
+                rebroadcast_faces: vec![FaceId::WIRELESS],
+                ..ForwarderConfig::default()
+            },
+            strat,
         );
-        // The deferral must not have consumed an RNG draw: a fresh
-        // same-seed state stays in lockstep afterwards.
+        relay.fib_mut().register(Name::root(), FaceId::WIRELESS);
+        let advert = |round: u64, requester: &Bitmap| {
+            let name = crate::namespace::bitmap_interest_name(&col(), 4, round);
+            Interest::new(name)
+                .with_nonce(round as u32)
+                .with_hop_limit(3)
+                .with_app_parameters(encode_bitmap_params(4, requester))
+                .wire()
+        };
+        let receive = |relay: &mut Forwarder<MultihopState>, wire: &Payload| {
+            let Ok(PacketHeader::Interest(view)) = Packet::peek_header(wire) else {
+                panic!("an encoded Interest peeks as one");
+            };
+            relay.receive_interest(SimTime::ZERO, &view, wire, FaceId::WIRELESS)
+        };
+        let missing = advert(1, &Bitmap::new(4));
+        let (actions, outcome) = receive(&mut relay, &missing);
+        assert_eq!(outcome, InterestOutcome::Relayed);
+        let [Action::RelayInterest { frame, .. }] = &actions[..] else {
+            panic!("expected one relay action, got {actions:?}");
+        };
+        let relayed = Interest::decode(frame).expect("decodes");
+        assert_eq!(relayed.hop_limit(), Some(2), "hop limit patched");
+        assert_eq!(
+            relayed.app_parameters(),
+            Interest::decode(&missing)
+                .expect("decodes")
+                .app_parameters()
+        );
+        let (actions, outcome) = receive(&mut relay, &advert(2, &Bitmap::full(4)));
+        assert!(actions.is_empty());
+        assert_eq!(outcome, InterestOutcome::Suppressed);
         let mut fresh = MultihopState::new(NodeRole::Dapes, true, 0.5, 11);
         for i in 0..50 {
-            let name = Name::from_uri(&format!("/col/f/{i}"));
+            let name = Name::from_uri(&format!("/elsewhere/f/{i}"));
             assert_eq!(
-                strat.should_forward_named(&name, SimTime::ZERO),
-                fresh.should_forward_named(&name, SimTime::ZERO),
+                relay
+                    .strategy_mut()
+                    .should_forward(&name, None, SimTime::ZERO),
+                fresh.should_forward(&name, None, SimTime::ZERO),
                 "RNG streams diverged at draw {i}"
             );
         }

@@ -83,15 +83,13 @@ impl DapesPeer {
             .forwarder
             .process_interest(ctx.now, &interest, FaceId::APP);
         for action in actions {
-            if let Action::SendInterest { face, interest } = action {
-                if face == FaceId::WIRELESS {
-                    ctx.send_frame(
-                        interest.wire(),
-                        kinds::BITMAP_INTEREST,
-                        tx_token,
-                        SimDuration::ZERO,
-                    );
-                }
+            if let Action::RelayInterest {
+                face: FaceId::WIRELESS,
+                frame,
+                ..
+            } = action
+            {
+                ctx.send_frame(frame, kinds::BITMAP_INTEREST, tx_token, SimDuration::ZERO);
             }
         }
     }

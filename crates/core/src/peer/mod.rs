@@ -41,9 +41,9 @@ use crate::namespace::{self, DapesName};
 use crate::stats::{kinds, PeerStats};
 use dapes_crypto::signing::TrustAnchor;
 use dapes_ndn::face::FaceId;
-use dapes_ndn::forwarder::{Action, Forwarder, ForwarderConfig, PeekOutcome};
+use dapes_ndn::forwarder::{Action, Forwarder, ForwarderConfig, InterestOutcome};
 use dapes_ndn::name::Name;
-use dapes_ndn::packet::{Data, Packet, PacketHeader};
+use dapes_ndn::packet::{Data, DataHeader, InterestHeader, PacketHeader};
 use dapes_netsim::node::{NetStack, NodeCtx, TxOutcome};
 use dapes_netsim::radio::{Frame, FrameKind};
 use dapes_netsim::time::{SimDuration, SimTime};
@@ -283,142 +283,83 @@ impl DapesPeer {
         ctx.set_timer(TICK, TOKEN_TICK);
     }
 
-    /// Applies the forwarder's actions for an overheard Interest — the
-    /// common tail of the eager pipeline and the header fast path.
-    fn apply_interest_actions(
+    /// Handles an overheard Interest: screened, then the forwarder's one
+    /// pipeline over the received view. Outcomes resolved without building
+    /// an `Interest` are counted in `frames_peek_resolved` and its
+    /// per-outcome split.
+    fn receive_interest(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        frame_kind: FrameKind,
-        actions: Vec<Action>,
+        frame: &Frame,
+        interest: &InterestHeader<'_>,
+        proofs: &mut Proofs,
     ) {
+        if self.cfg.signed_adverts && self.screen_interest(ctx, interest, &frame.payload, proofs) {
+            return;
+        }
+        let (actions, outcome) =
+            self.forwarder
+                .receive_interest(ctx.now, interest, &frame.payload, FaceId::WIRELESS);
+        if outcome == InterestOutcome::Malformed {
+            return;
+        }
+        self.note_sender(ctx, frame);
+        // Someone else re-broadcast an Interest we were also about to
+        // forward: ours is now redundant.
+        let (name_wire, nonce) = (interest.name_wire, interest.nonce);
+        self.cancel_pending_where(ctx, |p| {
+            matches!(&p.cancel, Cancel::Relayed(n, pn) if *pn == nonce && n.wire_value_eq(name_wire))
+        });
+        ctx.note_state_inserts(1);
         for action in actions {
             match action {
                 Action::SendInterest {
                     face: FaceId::APP,
                     interest,
-                } if self.role == NodeRole::Dapes => {
-                    self.serve_interest(ctx, &interest);
-                }
-                Action::SendInterest {
-                    face: FaceId::WIRELESS,
-                    mut interest,
-                } => {
-                    // Multi-hop re-broadcast approved by the
-                    // strategy: schedule with a random delay and
-                    // cancellation rules (§V-A).
-                    if !interest.decrement_hop_limit() {
-                        continue;
-                    }
-                    let (name, nonce) = (interest.name().clone(), interest.nonce());
-                    self.schedule_relay(ctx, interest.wire(), frame_kind, name, nonce);
-                }
+                } if self.role == NodeRole::Dapes => self.serve_interest(ctx, &interest),
                 Action::RelayInterest {
                     face: FaceId::WIRELESS,
-                    frame,
+                    frame: relayed,
                     name,
                     nonce,
                 } => {
-                    // Decode-free re-broadcast: the forwarder already
-                    // patched the hop-limit byte copy-on-write, so the
-                    // received bytes go back out as-is — same jitter draw
-                    // and cancellation rules as the eager arm above.
+                    // Multi-hop re-broadcast approved by the strategy, the
+                    // received frame with its hop limit patched: schedule
+                    // with a random delay and cancellation rules (§V-A).
                     self.stats.frames_relay_patched += 1;
-                    self.schedule_relay(ctx, frame, frame_kind, name, nonce);
+                    self.schedule_relay(ctx, relayed, frame.kind, name, nonce);
                 }
                 Action::SendData {
                     face: FaceId::WIRELESS,
                     data,
                 } => {
-                    // Content Store hit: answer from cache after a
-                    // polite delay, cancelled if someone else does.
+                    // Content Store hit: answer from cache after a polite
+                    // delay, cancelled if someone else does.
                     self.schedule_reply(ctx, &data, response_kind_for(&data));
                 }
                 _ => {}
             }
         }
-    }
-
-    /// The overhearing fast path: tries to resolve `frame` from a
-    /// name-first header peek, without a full TLV decode. Returns whether
-    /// the frame was fully handled. A Data name and its class come from the
-    /// transmission's shared `rx`.
-    ///
-    /// Every branch that resolves a frame reproduces the full-decode
-    /// pipeline's side effects *exactly* — same forwarder statistics, same
-    /// RNG draws in the same order, same pending-transmission bookkeeping
-    /// (held to the traces pinned in `tests/golden.rs`). Frames that need
-    /// their payload (aggregating Interests, novel Interests the
-    /// decode-free relay path cannot take, PIT-matching or cacheable or
-    /// DAPES-signalling Data) fall through untouched, with no state or
-    /// statistics recorded, and take the full-decode path.
-    fn on_frame_peeked(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame, rx: &mut Received) -> bool {
-        let Ok(header) = Packet::peek_header(&frame.payload) else {
-            // A malformed prefix fails the full decode at the same byte, so
-            // dropping here is exactly what the eager path would do.
-            return true;
+        let stats = &mut self.stats;
+        let counter = match outcome {
+            InterestOutcome::CsHit | InterestOutcome::CsPrefixHit => &mut stats.peek_cs_hits,
+            InterestOutcome::DuplicateNonce => &mut stats.peek_dup_nonces,
+            InterestOutcome::NoRoute => &mut stats.peek_fib_drops,
+            InterestOutcome::Relayed => &mut stats.peek_relayed,
+            InterestOutcome::Suppressed => &mut stats.peek_relay_suppressed,
+            InterestOutcome::Aggregated
+            | InterestOutcome::Forwarded
+            | InterestOutcome::Malformed => return,
         };
-        match header {
-            PacketHeader::Interest(h) => {
-                let Some((actions, outcome)) = self.forwarder.process_interest_header(
-                    ctx.now,
-                    &h,
-                    &frame.payload,
-                    FaceId::WIRELESS,
-                ) else {
-                    return false;
-                };
-                self.note_sender(ctx, frame);
-                // Cancel our own redundant pending forward, comparing the
-                // stored name against the frame's borrowed bytes — the
-                // Interest fast path builds no `Name` except for the PIT
-                // entry a no-route drop records.
-                let (name_wire, nonce) = (h.name_wire, h.nonce);
-                self.cancel_pending_where(ctx, |p| {
-                    matches!(&p.cancel, Cancel::Relayed(n, pn) if *pn == nonce && n.wire_value_eq(name_wire))
-                });
-                ctx.note_state_inserts(1);
-                self.apply_interest_actions(ctx, frame.kind, actions);
-                self.stats.frames_peek_resolved += 1;
-                match outcome {
-                    PeekOutcome::CsHit | PeekOutcome::CsPrefixHit => self.stats.peek_cs_hits += 1,
-                    PeekOutcome::DuplicateNonce => self.stats.peek_dup_nonces += 1,
-                    PeekOutcome::FibNoRoute => self.stats.peek_fib_drops += 1,
-                    PeekOutcome::Relayed => self.stats.peek_relayed += 1,
-                    PeekOutcome::RelaySuppressed => self.stats.peek_relay_suppressed += 1,
-                }
-                true
-            }
-            PacketHeader::Data(h) => {
-                // Classification and the knowledge-building side effects
-                // need a materialized name (zero-copy views, one Vec) — but
-                // never the packet's MetaInfo/Content/signature tail.
-                let Some(named) = rx.named(&h, &frame.payload) else {
-                    // Malformed name region: the full decode fails at the
-                    // same byte, so dropping matches the eager path.
-                    return true;
-                };
-                let class = named.class.as_ref();
-                if !self.data_resolvable_by_name(class)
-                    || !self.forwarder.process_data_header(h.name_wire)
-                {
-                    return false;
-                }
-                // Committed: mirror the eager pipeline's name-derived side
-                // effects (the payload-derived ones cannot apply, because
-                // `data_resolvable_by_name` ruled them out).
-                self.note_data_heard(ctx, frame, &named.name, class);
-                self.stats.frames_peek_resolved += 1;
-                self.stats.peek_unsolicited_data += 1;
-                true
-            }
-        }
+        *counter += 1;
+        stats.frames_peek_resolved += 1;
     }
 
     /// Whether an overheard Data packet whose name classifies as `class`
     /// could be fully handled without its payload, assuming it also matches
-    /// no PIT entry. Conservative: any name whose eager handling reads the
+    /// no PIT entry. Conservative: any name whose handling reads the
     /// content (bitmaps, discovery replies, metadata, content for an active
-    /// download) forces the full decode.
+    /// download) forces the decode.
     fn data_resolvable_by_name(&self, class: Option<&DapesName>) -> bool {
         if self.role != NodeRole::Dapes {
             // Non-DAPES roles take no overhearing action beyond the
@@ -438,8 +379,8 @@ impl DapesPeer {
         }
     }
 
-    /// The name-derived side effects of an overheard Data frame, the same
-    /// on the decode path and the header fast path: the sender is alive,
+    /// The name-derived side effects of an overheard Data frame, decoded or
+    /// resolved by name: the sender is alive,
     /// our duplicate pending responses/forwards are redundant, a forwarded
     /// Interest was answered, and — for a content name under a catalog we
     /// hold — the sender has that packet, whose global index is returned.
@@ -514,116 +455,128 @@ impl DapesPeer {
     }
 
     /// Handles one received frame. What the frame bytes alone determine —
-    /// the decoded packet, its name and class, its verdicts — comes from
-    /// `rx`, shared by every receiver of the transmission; everything that
-    /// depends on this peer is worked out here.
+    /// its peeked header, a Data packet's name, class, decoded form and
+    /// verdicts — comes from `rx`, shared by every receiver of the
+    /// transmission; everything that depends on this peer is worked out
+    /// here.
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame, rx: &mut Received) {
-        if self.cfg.signed_adverts && self.screen_frame(ctx, frame) {
-            return;
-        }
-        if self.on_frame_peeked(ctx, frame, rx) {
-            return;
-        }
-        let Some((packet, class, proofs)) = rx.decoded(&frame.payload) else {
+        let Some(header) = rx.header(&frame.payload) else {
+            // The noise-flood sink: a frame that does not parse.
+            if self.cfg.signed_adverts {
+                self.stats.flood_frames_dropped += 1;
+            }
             return;
         };
-        match packet {
-            Packet::Interest(interest) => {
-                if self.cfg.signed_adverts && self.screen_interest(ctx, interest, proofs) {
-                    return;
+        if self.cfg.signed_adverts && self.screen_frame(ctx, &header) {
+            return;
+        }
+        match header {
+            PacketHeader::Interest(h) => self.receive_interest(ctx, frame, &h, &mut rx.proofs),
+            PacketHeader::Data(h) => self.receive_data(ctx, frame, &h, rx),
+        }
+    }
+
+    /// Handles an overheard Data packet, name first: one that matches no
+    /// PIT entry and whose handling needs only its name is resolved from
+    /// the transmission's peeked name; any other is decoded (and its
+    /// signature checked) first.
+    fn receive_data(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        frame: &Frame,
+        header: &DataHeader<'_>,
+        rx: &mut Received,
+    ) {
+        // Classification and the knowledge-building side effects need a
+        // materialized name (zero-copy views, one Vec) — but never the
+        // packet's MetaInfo/Content/signature tail.
+        let Some(named) = rx.named(header, &frame.payload) else {
+            // Malformed name region: the decode would fail at it too.
+            return;
+        };
+        let class = named.class.as_ref();
+        if self.data_resolvable_by_name(class)
+            && self.forwarder.process_data_header(header.name_wire)
+        {
+            // The payload-derived side effects cannot apply, because
+            // `data_resolvable_by_name` ruled them out.
+            self.note_data_heard(ctx, frame, &named.name, class);
+            self.stats.frames_peek_resolved += 1;
+            self.stats.peek_unsolicited_data += 1;
+            return;
+        }
+        let Some((data, class, proofs)) = rx.decoded(&frame.payload) else {
+            return;
+        };
+        // The signature verdict is consulted once, here; the screen
+        // and every handler below consume it as a value.
+        let authentic = self.check_signature(data, class, proofs);
+        if self.cfg.signed_adverts && self.screen_data(ctx, data, class, authentic, proofs) {
+            return;
+        }
+        let content_idx = self.note_data_heard(ctx, frame, data.name(), class);
+
+        // DAPES-level overhearing before the forwarder pipeline.
+        if self.role == NodeRole::Dapes {
+            match class {
+                Some(DapesName::Bitmap {
+                    collection,
+                    replier,
+                    ..
+                }) => {
+                    // Sealed or plain: authentication already ran in
+                    // the `screen_data` gate when the axis is on.
+                    if let Some((peer, bm)) = decode_bitmap_params_maybe_sealed(data.content()) {
+                        let peer = replier.unwrap_or(peer);
+                        self.handle_bitmap_seen(ctx, collection, peer, &bm);
+                    }
                 }
-                self.note_sender(ctx, frame);
-                // Someone else re-broadcast an Interest we were also about
-                // to forward: ours is now redundant.
-                let (name, nonce) = (interest.name(), interest.nonce());
-                self.cancel_pending_where(
-                    ctx,
-                    |p| matches!(&p.cancel, Cancel::Relayed(n, pn) if *pn == nonce && n == name),
-                );
-                let actions = self
-                    .forwarder
-                    .process_interest(ctx.now, interest, FaceId::WIRELESS);
-                ctx.note_state_inserts(1);
-                self.apply_interest_actions(ctx, frame.kind, actions);
+                Some(DapesName::Discovery { .. }) => {
+                    if let Some(info) = DiscoveryInfo::from_wire_maybe_sealed(data.content()) {
+                        self.handle_discovery_info(ctx, &info);
+                    }
+                }
+                _ => {}
             }
-            Packet::Data(data) => {
-                // The signature verdict is consulted once, here; the screen
-                // and every handler below consume it as a value.
-                let authentic = self.check_signature(data, class, proofs);
-                if self.cfg.signed_adverts && self.screen_data(ctx, data, class, authentic, proofs)
-                {
-                    return;
-                }
-                let content_idx = self.note_data_heard(ctx, frame, data.name(), class);
+        }
 
-                // DAPES-level overhearing before the forwarder pipeline.
-                if self.role == NodeRole::Dapes {
-                    match class {
-                        Some(DapesName::Bitmap {
-                            collection,
-                            replier,
-                            ..
-                        }) => {
-                            // Sealed or plain: authentication already ran in
-                            // the `screen_data` gate when the axis is on.
-                            if let Some((peer, bm)) =
-                                decode_bitmap_params_maybe_sealed(data.content())
-                            {
-                                let peer = replier.unwrap_or(peer);
-                                self.handle_bitmap_seen(ctx, collection, peer, &bm);
-                            }
-                        }
-                        Some(DapesName::Discovery { .. }) => {
-                            if let Some(info) =
-                                DiscoveryInfo::from_wire_maybe_sealed(data.content())
-                            {
-                                self.handle_discovery_info(ctx, &info);
-                            }
-                        }
-                        _ => {}
+        let (actions, _solicited) = self.forwarder.process_data(ctx.now, data, FaceId::WIRELESS);
+        for action in actions {
+            match action {
+                Action::SendData {
+                    face: FaceId::APP,
+                    data,
+                } => {
+                    // The forwarder hands back the frame's own
+                    // packet, so its class, verdict and proofs
+                    // carry over.
+                    self.handle_app_data(ctx, &data, class, authentic, proofs);
+                }
+                Action::SendData {
+                    face: FaceId::WIRELESS,
+                    data,
+                } => {
+                    // Multi-hop data return: re-broadcast for the
+                    // next hop, unless someone beats us to it.
+                    self.schedule_reply(ctx, &data, frame.kind);
+                }
+                _ => {}
+            }
+        }
+
+        // Opportunistic use of overheard content/metadata even when
+        // our PIT did not ask for it.
+        if self.role == NodeRole::Dapes {
+            match class {
+                Some(DapesName::Content { collection, .. }) if authentic => {
+                    if let Some(idx) = content_idx {
+                        self.handle_content_data(ctx, collection, idx, data, proofs);
                     }
                 }
-
-                let (actions, _solicited) =
-                    self.forwarder.process_data(ctx.now, data, FaceId::WIRELESS);
-                for action in actions {
-                    match action {
-                        Action::SendData {
-                            face: FaceId::APP,
-                            data,
-                        } => {
-                            // The forwarder hands back the frame's own
-                            // packet, so its class, verdict and proofs
-                            // carry over.
-                            self.handle_app_data(ctx, &data, class, authentic, proofs);
-                        }
-                        Action::SendData {
-                            face: FaceId::WIRELESS,
-                            data,
-                        } => {
-                            // Multi-hop data return: re-broadcast for the
-                            // next hop, unless someone beats us to it.
-                            self.schedule_reply(ctx, &data, frame.kind);
-                        }
-                        _ => {}
-                    }
+                Some(DapesName::Metadata { collection, .. }) => {
+                    self.handle_metadata_segment(ctx, collection, data, authentic);
                 }
-
-                // Opportunistic use of overheard content/metadata even when
-                // our PIT did not ask for it.
-                if self.role == NodeRole::Dapes {
-                    match class {
-                        Some(DapesName::Content { collection, .. }) if authentic => {
-                            if let Some(idx) = content_idx {
-                                self.handle_content_data(ctx, collection, idx, data, proofs);
-                            }
-                        }
-                        Some(DapesName::Metadata { collection, .. }) => {
-                            self.handle_metadata_segment(ctx, collection, data, authentic);
-                        }
-                        _ => {}
-                    }
-                }
+                _ => {}
             }
         }
     }
@@ -836,8 +789,8 @@ mod tests {
             let name = namespace::packet_name(col.name(), file, seq);
             let ms = peer.forwarder.strategy_mut();
             assert_eq!(
-                ms.should_forward_named(&name, SimTime::ZERO),
-                Some(!serves),
+                ms.should_forward(&name, None, SimTime::ZERO),
+                !serves,
                 "packet {idx}"
             );
         }

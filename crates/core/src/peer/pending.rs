@@ -89,12 +89,13 @@ impl DapesPeer {
         let mut handled = false;
         for action in actions {
             match action {
-                Action::SendInterest {
+                Action::RelayInterest {
                     face: FaceId::WIRELESS,
-                    interest,
+                    frame,
+                    ..
                 } => {
                     let delay = self.jitter(ctx);
-                    ctx.send_frame(interest.wire(), kind, 0, delay);
+                    ctx.send_frame(frame, kind, 0, delay);
                     handled = true;
                 }
                 Action::SendData {

@@ -16,7 +16,7 @@ use dapes_crypto::merkle::leaf_hash;
 use dapes_crypto::signing::{KeyId, TrustAnchor};
 use dapes_crypto::Digest;
 use dapes_ndn::name::Name;
-use dapes_ndn::packet::{Data, DataHeader, Packet};
+use dapes_ndn::packet::{Data, DataHeader, DetachedHeader, Packet, PacketHeader};
 use dapes_netsim::payload::Payload;
 
 /// A Data name and its DAPES classification.
@@ -35,15 +35,26 @@ impl Named {
 /// The frame facts one transmission's receivers share.
 #[derive(Default)]
 pub(super) struct Received {
-    /// The Data name a header peek materialized (`Some(None)`: the name
-    /// region is malformed).
+    /// The peeked header (`Some(None)`: the frame does not peek).
+    header: Option<Option<DetachedHeader>>,
+    /// The Data name the header names (`Some(None)`: the name region is
+    /// malformed).
     named: Option<Option<Named>>,
-    /// The decoded packet (`Some(None)`: the decode failed).
-    packet: Option<Option<Packet>>,
-    proofs: Proofs,
+    /// The decoded Data packet (`Some(None)`: the decode failed).
+    data: Option<Option<Data>>,
+    pub(super) proofs: Proofs,
 }
 
 impl Received {
+    /// The frame's peeked header, walked by the first receiver; `None`
+    /// when the frame does not peek.
+    pub(super) fn header<'p>(&mut self, payload: &'p Payload) -> Option<PacketHeader<'p>> {
+        self.header
+            .get_or_insert_with(|| Packet::peek_header(payload).ok().map(|h| h.detach(payload)))
+            .as_ref()
+            .map(|h| h.attach(payload))
+    }
+
     /// The peeked Data name and its class, built by the first receiver
     /// that asks; `None` when the name region is malformed.
     pub(super) fn named(&mut self, header: &DataHeader<'_>, payload: &Payload) -> Option<&Named> {
@@ -52,29 +63,27 @@ impl Received {
             .as_ref()
     }
 
-    /// The decoded packet — decoded by the first receiver that needs it —
-    /// with a Data packet's classification and the packet's proofs; `None`
-    /// when the frame does not decode.
+    /// The decoded Data packet — decoded by the first receiver that needs
+    /// it — with its classification and proofs; `None` when the frame does
+    /// not decode.
     pub(super) fn decoded(
         &mut self,
         payload: &Payload,
-    ) -> Option<(&Packet, Option<&DapesName>, &mut Proofs)> {
+    ) -> Option<(&Data, Option<&DapesName>, &mut Proofs)> {
         let Received {
             named,
-            packet,
+            data,
             proofs,
+            ..
         } = self;
-        let packet = packet
-            .get_or_insert_with(|| Packet::decode_payload(payload).ok())
+        let data = data
+            .get_or_insert_with(|| Data::decode_payload(payload).ok())
             .as_ref()?;
-        let class = match packet {
-            Packet::Data(data) => named
-                .get_or_insert_with(|| Some(Named::new(data.name().clone())))
-                .as_ref()
-                .and_then(|n| n.class.as_ref()),
-            Packet::Interest(_) => None,
-        };
-        Some((packet, class, proofs))
+        let class = named
+            .get_or_insert_with(|| Some(Named::new(data.name().clone())))
+            .as_ref()
+            .and_then(|n| n.class.as_ref());
+        Some((data, class, proofs))
     }
 }
 

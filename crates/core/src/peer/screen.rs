@@ -7,10 +7,11 @@ use super::received::Proofs;
 use super::DapesPeer;
 use crate::auth::{self, ReplayVerdict};
 use crate::config::REPLAY_WINDOW;
+use crate::multihop::NodeRole;
 use crate::namespace::{self, DapesName};
-use dapes_ndn::packet::{Data, Interest, Packet, PacketHeader};
+use dapes_ndn::packet::{Data, InterestHeader, PacketHeader};
 use dapes_netsim::node::NodeCtx;
-use dapes_netsim::radio::Frame;
+use dapes_netsim::payload::Payload;
 use dapes_netsim::time::SimTime;
 
 /// Overheard-nonce journal capacity: enough for several replay windows of
@@ -34,17 +35,15 @@ impl DapesPeer {
         )
     }
 
-    /// Pre-decode screening: drops frames whose header peek fails (the
-    /// noise-flood sink) and Interests whose nonce was first overheard
-    /// longer than the replay window ago (re-injected Interests). Runs
-    /// before the peek/decode split so a replayed Interest can never be
-    /// answered from the Content Store or refresh its old PIT entry.
-    /// Makes no RNG draws.
-    pub(super) fn screen_frame(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame) -> bool {
-        let Ok(header) = Packet::peek_header(&frame.payload) else {
-            self.stats.flood_frames_dropped += 1;
-            return true;
-        };
+    /// Drops Interests whose nonce was first overheard longer than the
+    /// replay window ago (re-injected Interests). Runs before the forwarder
+    /// so a replayed Interest can never be answered from the Content Store
+    /// or refresh its old PIT entry. Makes no RNG draws.
+    pub(super) fn screen_frame(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        header: &PacketHeader<'_>,
+    ) -> bool {
         if let PacketHeader::Interest(h) = header {
             // A first sighting is journaled; a recent re-hearing is an
             // honest wireless echo or relay.
@@ -58,25 +57,36 @@ impl DapesPeer {
         false
     }
 
-    /// Authenticates a bitmap Interest's sealed advertisement before the
-    /// forwarder or `handle_bitmap_seen` touch it. Other Interests pass:
-    /// discovery probes carry only the bare prober id and content/metadata
-    /// Interests carry no announcement at all.
+    /// Authenticates a bitmap Interest's sealed advertisement before a DAPES
+    /// peer's forwarder records it or its application reads it. An Interest
+    /// the Content Store answers or the PIT drops as a duplicate reaches
+    /// neither, so it passes unscreened; so does every Interest at a pure
+    /// forwarder, which only relays announcements and records none; so do
+    /// other names: discovery probes carry only the bare prober id and
+    /// content/metadata Interests carry no announcement at all.
     pub(super) fn screen_interest(
         &mut self,
         ctx: &mut NodeCtx<'_>,
-        interest: &Interest,
+        interest: &InterestHeader<'_>,
+        frame: &Payload,
         proofs: &mut Proofs,
     ) -> bool {
-        // Exactly the names `classify` calls `Bitmap`, without building the
-        // classification of the content Interests that are most frames.
-        if namespace::parse_bitmap_name(interest.name()).is_none() {
+        let Some(params) = interest.app_parameters else {
+            return false;
+        };
+        if self.role != NodeRole::Dapes {
             return false;
         }
-        match interest.app_parameters() {
-            Some(params) => self.screen_announcement(ctx, params, proofs),
-            None => false,
+        // Exactly the names `classify` calls `Bitmap`, without building the
+        // classification of the content Interests that are most frames. A
+        // malformed name is the forwarder's to drop.
+        let is_bitmap = interest
+            .to_name(frame)
+            .is_ok_and(|name| namespace::parse_bitmap_name(&name).is_some());
+        if !is_bitmap || !self.forwarder.reaches_pit(ctx.now, interest) {
+            return false;
         }
+        self.screen_announcement(ctx, params, proofs)
     }
 
     /// Screens an overheard Data packet before any protocol state —

@@ -84,8 +84,8 @@ dapes_netsim::counters! {
         packets_served: "Data replies served to other peers.",
         /// Interests we re-broadcast as an intermediate node.
         interests_forwarded: "Interests re-broadcast as an intermediate node.",
-        /// Overheard frames fully resolved from a name-first header peek,
-        /// without a full TLV decode — always the sum of the six per-outcome
+        /// Overheard frames resolved from their peeked header without
+        /// building a packet — always the sum of the six per-outcome
         /// counters below.
         frames_peek_resolved: "Frames resolved from a name-first header peek.",
         /// Peek-resolved Interests answered from the Content Store (exact hits
@@ -100,18 +100,18 @@ dapes_netsim::counters! {
         /// Peek-resolved Data frames that matched no PIT entry and were neither
         /// cached nor wanted.
         peek_unsolicited_data: "Peek-resolved Data matching no PIT entry.",
-        /// Peek-resolved Interests relayed on the decode-free path: PIT entry
-        /// recorded and the frame re-broadcast (or the hop limit found
+        /// Peek-resolved Interests forwarded to network faces only: PIT
+        /// entry recorded and the frame re-broadcast (or the hop limit found
         /// exhausted) without constructing an `Interest`.
         peek_relayed: "Peek-resolved Interests relayed decode-free.",
-        /// Peek-resolved Interests the forwarding strategy suppressed on the
-        /// decode-free path (PIT entry still recorded).
+        /// Peek-resolved Interests the forwarding strategy suppressed (PIT
+        /// entry still recorded).
         peek_relay_suppressed: "Peek-resolved Interests the strategy suppressed.",
-        /// Frames actually re-broadcast on the decode-free relay path — the
-        /// received bytes handed straight back to the radio, hop-limit byte
-        /// patched copy-on-write when the Interest carries one. A subset of
-        /// [`PeerStats::peek_relayed`], which also counts hop-exhausted relays
-        /// that transmit nothing.
+        /// Interest frames scheduled for re-broadcast — the received bytes
+        /// handed back to the radio, hop-limit byte patched copy-on-write
+        /// when the Interest carries one — whether or not the same Interest
+        /// was also delivered to the application (which
+        /// [`PeerStats::peek_relayed`] does not count).
         frames_relay_patched: "Frames re-broadcast with a copy-on-write hop-limit patch.",
         /// Sealed adverts/discovery replies dropped for a bad or forged
         /// signature (wrong tag, truncated envelope, or a key id that does not

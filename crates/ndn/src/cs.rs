@@ -360,11 +360,6 @@ impl ContentStore {
             .map(|e| &e.data)
     }
 
-    /// Prefix lookup ignoring freshness.
-    pub fn lookup_prefix(&self, prefix: &Name) -> Option<&Data> {
-        self.lookup(prefix, true, false, SimTime::ZERO)
-    }
-
     /// Removes everything (used when resetting a node). Cumulative
     /// counters are kept.
     pub fn clear(&mut self) {
@@ -528,10 +523,18 @@ mod tests {
     fn prefix_hit() {
         let mut cs = ContentStore::new(10);
         cs.insert(data("/col/f/3"), t(0));
-        assert!(cs.lookup_prefix(&Name::from_uri("/col")).is_some());
-        assert!(cs.lookup_prefix(&Name::from_uri("/col/f")).is_some());
-        assert!(cs.lookup_prefix(&Name::from_uri("/col/g")).is_none());
-        assert!(cs.lookup_prefix(&Name::from_uri("/other")).is_none());
+        assert!(cs
+            .lookup(&Name::from_uri("/col"), true, false, SimTime::ZERO)
+            .is_some());
+        assert!(cs
+            .lookup(&Name::from_uri("/col/f"), true, false, SimTime::ZERO)
+            .is_some());
+        assert!(cs
+            .lookup(&Name::from_uri("/col/g"), true, false, SimTime::ZERO)
+            .is_none());
+        assert!(cs
+            .lookup(&Name::from_uri("/other"), true, false, SimTime::ZERO)
+            .is_none());
     }
 
     #[test]
@@ -539,14 +542,18 @@ mod tests {
         let mut cs = ContentStore::new(10);
         cs.insert(data("/cole/f/0"), t(0));
         // "/col" is a string prefix of "/cole" but not a name prefix.
-        assert!(cs.lookup_prefix(&Name::from_uri("/col")).is_none());
+        assert!(cs
+            .lookup(&Name::from_uri("/col"), true, false, SimTime::ZERO)
+            .is_none());
     }
 
     #[test]
     fn exact_name_prefix_query_finds_itself() {
         let mut cs = ContentStore::new(10);
         cs.insert(data("/col"), t(0));
-        assert!(cs.lookup_prefix(&Name::from_uri("/col")).is_some());
+        assert!(cs
+            .lookup(&Name::from_uri("/col"), true, false, SimTime::ZERO)
+            .is_some());
     }
 
     #[test]
@@ -624,7 +631,7 @@ mod tests {
     fn zero_freshness_is_never_fresh_on_every_path() {
         // Pins the immutable-segment semantics: freshness_ms == 0 means
         // "no FreshnessPeriod" — served to freshness-agnostic Interests
-        // forever, NEVER to MustBeFresh — and the header fast path
+        // forever, NEVER to MustBeFresh — and the wire-keyed lookup
         // (borrowed wire bytes) must agree with the `Name` path at every
         // instant, including t == insertion time.
         let mut cs = ContentStore::new(10);

@@ -15,11 +15,11 @@ use std::collections::{BTreeMap, HashMap};
 ///
 /// Alongside the canonical `Name`-keyed map, the FIB mirrors its entries in
 /// a *wire index* keyed by [`Name::to_wire_value`]:
-/// [`Fib::longest_prefix_match_wire`] answers LPM queries against a peeked
-/// frame's borrowed name bytes directly — component boundaries found by a
-/// cheap TLV walk are the only candidate cut points, probed longest-first —
-/// so an overheard not-for-me Interest can be classified without building a
-/// `Name`.
+/// [`Fib::longest_prefix_match_wire`] answers LPM queries against a
+/// received Interest's borrowed name bytes directly — component boundaries
+/// found by a cheap TLV walk are the only candidate cut points, probed
+/// longest-first — so an overheard not-for-me Interest can be classified
+/// without building a `Name`.
 ///
 /// # Examples
 ///
@@ -31,8 +31,9 @@ use std::collections::{BTreeMap, HashMap};
 /// let mut fib = Fib::new();
 /// fib.register(Name::from_uri("/"), FaceId::WIRELESS);
 /// fib.register(Name::from_uri("/dapes"), FaceId::APP);
-/// assert_eq!(fib.longest_prefix_match(&Name::from_uri("/dapes/discovery")), &[FaceId::APP]);
-/// assert_eq!(fib.longest_prefix_match(&Name::from_uri("/col/f/0")), &[FaceId::WIRELESS]);
+/// let lpm = |uri: &str| fib.longest_prefix_match_wire(&Name::from_uri(uri).to_wire_value());
+/// assert_eq!(lpm("/dapes/discovery"), Some(&[FaceId::APP][..]));
+/// assert_eq!(lpm("/col/f/0"), Some(&[FaceId::WIRELESS][..]));
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Fib {
@@ -76,17 +77,8 @@ impl Fib {
         }
     }
 
-    /// Longest-prefix-match lookup. Returns the next hops of the longest
-    /// registered prefix of `name`, or an empty slice when nothing matches.
-    /// Encodes `name` and runs [`Fib::longest_prefix_match_wire`]; a caller
-    /// holding the encoding already should call that directly.
-    pub fn longest_prefix_match(&self, name: &Name) -> &[FaceId] {
-        self.longest_prefix_match_wire(&name.to_wire_value())
-            .expect("an encoded name is well-formed")
-    }
-
-    /// [`Fib::longest_prefix_match`] against a name's canonical wire value
-    /// — an encoded name, or a peeked frame's borrowed name bytes. No
+    /// Longest-prefix-match lookup against a name's canonical wire value —
+    /// an encoded name, or a received Interest's borrowed name bytes. No
     /// `Name` is built and, for realistically short names, no allocation
     /// is made (this runs once per Interest). Returns `None` when the
     /// region is malformed or truncated (a peeking caller must fall through
@@ -163,30 +155,35 @@ mod tests {
         Name::from_uri(uri)
     }
 
+    fn lpm<'f>(fib: &'f Fib, name: &Name) -> &'f [FaceId] {
+        fib.longest_prefix_match_wire(&name.to_wire_value())
+            .expect("an encoded name is well-formed")
+    }
+
     #[test]
     fn longest_prefix_wins() {
         let mut fib = Fib::new();
         fib.register(name("/"), FaceId(10));
         fib.register(name("/a"), FaceId(11));
         fib.register(name("/a/b"), FaceId(12));
-        assert_eq!(fib.longest_prefix_match(&name("/a/b/c")), &[FaceId(12)]);
-        assert_eq!(fib.longest_prefix_match(&name("/a/x")), &[FaceId(11)]);
-        assert_eq!(fib.longest_prefix_match(&name("/z")), &[FaceId(10)]);
+        assert_eq!(lpm(&fib, &name("/a/b/c")), &[FaceId(12)]);
+        assert_eq!(lpm(&fib, &name("/a/x")), &[FaceId(11)]);
+        assert_eq!(lpm(&fib, &name("/z")), &[FaceId(10)]);
     }
 
     #[test]
     fn no_match_returns_empty() {
         let mut fib = Fib::new();
         fib.register(name("/a"), FaceId(1));
-        assert!(fib.longest_prefix_match(&name("/b")).is_empty());
-        assert!(Fib::new().longest_prefix_match(&name("/a")).is_empty());
+        assert!(lpm(&fib, &name("/b")).is_empty());
+        assert!(lpm(&Fib::new(), &name("/a")).is_empty());
     }
 
     #[test]
     fn exact_name_matches_its_own_prefix_entry() {
         let mut fib = Fib::new();
         fib.register(name("/a/b"), FaceId(1));
-        assert_eq!(fib.longest_prefix_match(&name("/a/b")), &[FaceId(1)]);
+        assert_eq!(lpm(&fib, &name("/a/b")), &[FaceId(1)]);
     }
 
     #[test]
@@ -195,10 +192,7 @@ mod tests {
         fib.register(name("/a"), FaceId(1));
         fib.register(name("/a"), FaceId(2));
         fib.register(name("/a"), FaceId(1)); // duplicate ignored
-        assert_eq!(
-            fib.longest_prefix_match(&name("/a")),
-            &[FaceId(1), FaceId(2)]
-        );
+        assert_eq!(lpm(&fib, &name("/a")), &[FaceId(1), FaceId(2)]);
     }
 
     #[test]
@@ -207,9 +201,9 @@ mod tests {
         fib.register(name("/a"), FaceId(1));
         fib.register(name("/a"), FaceId(2));
         fib.unregister(&name("/a"), FaceId(1));
-        assert_eq!(fib.longest_prefix_match(&name("/a")), &[FaceId(2)]);
+        assert_eq!(lpm(&fib, &name("/a")), &[FaceId(2)]);
         fib.unregister(&name("/a"), FaceId(2));
-        assert!(fib.longest_prefix_match(&name("/a")).is_empty());
+        assert!(lpm(&fib, &name("/a")).is_empty());
         assert!(fib.is_empty());
     }
 
@@ -293,7 +287,7 @@ mod tests {
                 .filter(|(_, p)| name(p).is_prefix_of(&qn))
                 .max_by_key(|(_, p)| name(p).len())
                 .map(|(i, _)| FaceId(i as u32));
-            let got = fib.longest_prefix_match(&qn).first().copied();
+            let got = lpm(&fib, &qn).first().copied();
             assert_eq!(got, naive, "query {q}");
         }
     }

@@ -6,7 +6,8 @@
 //! frames and [`crate::face::FaceId::APP`] to application callbacks — lives
 //! with the protocol stacks.
 //!
-//! Pipeline for an incoming Interest:
+//! Pipeline for an incoming Interest ([`Forwarder::receive_interest`], run
+//! on the received view [`crate::packet::InterestHeader`]):
 //!
 //! 1. **CS lookup** — a cached Data packet satisfies the Interest directly.
 //! 2. **PIT lookup** — a duplicate nonce is dropped; a same-name pending
@@ -23,10 +24,14 @@ use crate::cs::{ContentStore, CsBudget, EvictionPolicyKind};
 use crate::face::FaceId;
 use crate::fib::Fib;
 use crate::name::{wire_value_is_well_formed, Name};
-use crate::packet::{whole_buffer_is_one_packet, Data, Interest, InterestHeader, PeekedHopLimit};
-use crate::pit::{Pit, PitInsert};
+use crate::packet::{
+    whole_buffer_is_one_packet, Data, Interest, InterestHeader, Packet, PacketHeader,
+    PeekedHopLimit,
+};
+use crate::pit::{Pit, PitEntry};
 use dapes_netsim::payload::Payload;
 use dapes_netsim::time::{SimDuration, SimTime};
+use std::ops::ControlFlow;
 
 /// How long after forwarding a pending name a consumer retransmission (an
 /// aggregated Interest with a new nonce) may forward it again — the
@@ -50,18 +55,18 @@ pub enum Action {
         /// The Data to send.
         data: Data,
     },
-    /// Relay a raw Interest frame out a face without ever constructing an
-    /// [`Interest`]: `frame` is the received buffer with its hop-limit byte
-    /// already patched (copy-on-write), byte-identical to what the eager
-    /// pipeline would re-broadcast. `name` and `nonce` accompany it for the
-    /// caller's pending-transmission bookkeeping (cancel-on-data,
+    /// Send an Interest frame out a network face, ready for the radio:
+    /// the received buffer with its hop-limit byte already patched
+    /// (copy-on-write), or our own Interest's wire image as is (see
+    /// [`Forwarder::receive_interest`]). `name` and `nonce` accompany it for
+    /// the caller's pending-transmission bookkeeping (cancel-on-data,
     /// cancel-on-nonce, forwarding notes).
     RelayInterest {
         /// Egress face.
         face: FaceId,
-        /// The patched wire image, ready for the radio.
+        /// The wire image to send.
         frame: Payload,
-        /// The Interest name (zero-copy views into the received frame).
+        /// The Interest name (zero-copy views into the frame).
         name: Name,
         /// The Interest nonce.
         nonce: u32,
@@ -82,46 +87,19 @@ pub enum Decision {
 /// `Send` so forwarders can live inside stacks of a `World` that moves to
 /// a worker thread; strategies hold only per-node state.
 pub trait Strategy: Send {
-    /// Decides forwarding for `interest` arriving on `ingress`, given the
-    /// FIB's `nexthops` (already excluding `ingress`).
+    /// Decides forwarding for `interest`, the received view (its
+    /// application parameters included), arriving on `ingress`. `name` is
+    /// the view's name, materialized once by the forwarder, and `nexthops`
+    /// are the FIB's usable next hops — never empty: with none the
+    /// forwarder suppresses without asking.
     fn decide(
         &mut self,
-        interest: &Interest,
+        interest: &InterestHeader<'_>,
+        name: &Name,
         ingress: FaceId,
         nexthops: &[FaceId],
         now: SimTime,
     ) -> Decision;
-
-    /// Header-only decision for an Interest whose FIB lookup produced no
-    /// usable next hops, used by the overhearing fast path
-    /// ([`Forwarder::process_interest_header`]) to drop not-for-me frames
-    /// without a full decode. Implementations must return exactly what
-    /// [`Strategy::decide`] would return for an empty `nexthops` slice
-    /// without observing the Interest, or `None` (the default) to force the
-    /// full pipeline when that decision depends on the Interest's payload
-    /// or would mutate strategy state.
-    fn decide_no_nexthops(&mut self, _ingress: FaceId, _now: SimTime) -> Option<Decision> {
-        None
-    }
-
-    /// Header-only decision for a would-be-new Interest *with* usable next
-    /// hops — the decode-free relay path. `name` is the Interest name,
-    /// materialized from the peeked header. Implementations must either
-    /// return exactly what [`Strategy::decide`] would for this Interest,
-    /// consuming identical strategy state (including any RNG draws, in the
-    /// same order), or return `None` *before mutating any state* when the
-    /// decision depends on the Interest's payload — the caller then decodes
-    /// and runs the full pipeline, which must observe the strategy exactly
-    /// as [`Strategy::decide`] would have found it.
-    fn decide_header(
-        &mut self,
-        _name: &Name,
-        _ingress: FaceId,
-        _nexthops: &[FaceId],
-        _now: SimTime,
-    ) -> Option<Decision> {
-        None
-    }
 }
 
 /// The default NDN multicast behaviour: forward to every FIB next hop.
@@ -131,60 +109,60 @@ pub struct BroadcastStrategy;
 impl Strategy for BroadcastStrategy {
     fn decide(
         &mut self,
-        _interest: &Interest,
-        _ingress: FaceId,
-        nexthops: &[FaceId],
-        _now: SimTime,
-    ) -> Decision {
-        if nexthops.is_empty() {
-            Decision::Suppress
-        } else {
-            Decision::Forward(nexthops.to_vec())
-        }
-    }
-
-    fn decide_no_nexthops(&mut self, _ingress: FaceId, _now: SimTime) -> Option<Decision> {
-        Some(Decision::Suppress)
-    }
-
-    fn decide_header(
-        &mut self,
+        _interest: &InterestHeader<'_>,
         _name: &Name,
         _ingress: FaceId,
         nexthops: &[FaceId],
         _now: SimTime,
-    ) -> Option<Decision> {
-        // The broadcast decision never looks at the Interest at all.
-        Some(if nexthops.is_empty() {
-            Decision::Suppress
-        } else {
-            Decision::Forward(nexthops.to_vec())
-        })
+    ) -> Decision {
+        Decision::Forward(nexthops.to_vec())
     }
 }
 
-/// How [`Forwarder::process_interest_header`] resolved an overheard frame,
-/// for per-outcome accounting (the peer-level stats distinguish FIB drops
-/// from Content Store hits and duplicate nonces).
+/// How [`Forwarder::receive_interest`] resolved an Interest.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InterestOutcome {
+    /// Answered from the Content Store by exact name.
+    CsHit,
+    /// Answered from the Content Store by prefix (CanBePrefix).
+    CsPrefixHit,
+    /// Dropped: the PIT already holds its nonce.
+    DuplicateNonce,
+    /// Aggregated onto a pending entry (then delivered to the faces in
+    /// [`ForwarderConfig::deliver_on_aggregate`], and re-forwarded when the
+    /// retransmission interval has passed).
+    Aggregated,
+    /// Recorded and suppressed: no usable next hop.
+    NoRoute,
+    /// Recorded and suppressed by the strategy.
+    Suppressed,
+    /// Recorded and forwarded out network faces as the received frame
+    /// itself, its hop limit patched — or recorded with its hop limit
+    /// spent, so nothing was sent. No `Interest` was built.
+    Relayed,
+    /// Recorded and forwarded, building an `Interest`: for the application
+    /// face, or to re-encode a frame a byte patch cannot relay.
+    Forwarded,
+    /// The name region is malformed: dropped, nothing recorded.
+    Malformed,
+}
+
+/// [`Forwarder::process_interest_header`]'s outcomes. Kept, with that
+/// method, only for `benchmark/`'s relay-swarm stack, which matches these
+/// six variants.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PeekOutcome {
-    /// Exact-name Content Store hit served from the wire index.
+    /// [`InterestOutcome::CsHit`].
     CsHit,
-    /// CanBePrefix Content Store hit served from the ordered wire index.
+    /// [`InterestOutcome::CsPrefixHit`].
     CsPrefixHit,
-    /// Duplicate nonce dropped.
+    /// [`InterestOutcome::DuplicateNonce`].
     DuplicateNonce,
-    /// No usable FIB route: the PIT entry was recorded and forwarding
-    /// suppressed, all from the peeked header.
+    /// [`InterestOutcome::NoRoute`].
     FibNoRoute,
-    /// A would-be-new Interest the strategy chose to forward: the PIT entry
-    /// was recorded and the frame relayed by copy-on-write hop-limit patch
-    /// — no `Interest` was ever constructed. (Also returned when the patch
-    /// found the hop limit exhausted: the entry and forwarding stats commit
-    /// exactly as in the full pipeline, which sends nothing either.)
+    /// [`InterestOutcome::Relayed`] or [`InterestOutcome::Forwarded`].
     Relayed,
-    /// A would-be-new Interest the strategy suppressed, resolved entirely
-    /// from the peeked header (PIT entry recorded, nothing sent).
+    /// [`InterestOutcome::Suppressed`].
     RelaySuppressed,
 }
 
@@ -222,8 +200,8 @@ pub struct ForwarderConfig {
     /// this, a peer's own pending `/dapes/discovery` beacon would swallow
     /// all neighbor probes for the shared discovery name.
     pub deliver_on_aggregate: Vec<FaceId>,
-    /// Placeholder that must be `true`: the peek path always attempts the
-    /// decode-free relay ([`Action::RelayInterest`]).
+    /// Placeholder that must be `true`: a relay always sends the received
+    /// frame ([`Action::RelayInterest`]).
     pub relay_patch: bool,
     /// Placeholder that must be `false`: the PIT and Content Store run on
     /// their wire-keyed tables only.
@@ -364,40 +342,209 @@ impl<S: Strategy> Forwarder<S> {
         self.cs.state_bytes() + self.pit.state_bytes() + self.fib.state_bytes()
     }
 
-    /// Attempts to resolve an Interest from its peeked header alone —
-    /// borrowed name bytes, flags, nonce, lifetime; no full decode — running
-    /// the prefix of the Fig. 1 pipeline that needs no payload:
+    /// The Interest pipeline (the paper's Fig. 1) over a received view:
     ///
-    /// 1. **CS lookup** — an exact hit resolves through the wire index, and
-    ///    a CanBePrefix hit through the *ordered* wire index (same range
-    ///    walk, same first match), exactly as
-    ///    [`Forwarder::process_interest`] would;
-    /// 2. **duplicate nonce** — a loop/duplicate is dropped (empty action
-    ///    list);
-    /// 3. **FIB no-route** — a would-be-new Interest whose wire-level
-    ///    longest-prefix match yields no usable next hop (and whose
-    ///    strategy suppresses on empty next hops, see
-    ///    [`Strategy::decide_no_nexthops`]) records its PIT entry — keyed
-    ///    by the peeked name bytes, the expiry from the peeked lifetime,
-    ///    no `Name` built — bumps the suppression counter, and
-    ///    returns no actions: the not-for-me drop, byte-identical to the
-    ///    full pipeline's outcome;
-    /// 4. **decode-free relay** — a would-be-new Interest with a usable wireless route whose
-    ///    strategy can decide from the name alone records its PIT entry and,
-    ///    on Forward, relays the received frame with its hop-limit byte
-    ///    patched copy-on-write ([`Action::RelayInterest`]) — no `Interest`
-    ///    is ever constructed, and the relayed bytes are identical to what
-    ///    the eager decode→decrement→re-encode path would send.
+    /// 1. **CS lookup** — a cached Data packet answers the Interest out its
+    ///    ingress face;
+    /// 2. **PIT** — a duplicate nonce is dropped; a pending name aggregates
+    ///    (see [`InterestOutcome::Aggregated`]);
+    /// 3. **FIB + strategy** — a new entry is recorded, and the
+    ///    [`Strategy`] chooses among the usable next hops, which is where
+    ///    DAPES's §V forwarding and suppression plug in.
     ///
-    /// Returns `None` when the Interest still needs the full pipeline — PIT
-    /// aggregation, a payload-dependent strategy decision, or a forward the
-    /// relay path's preconditions exclude. The caller must then decode and
-    /// call [`Forwarder::process_interest`]; no state or statistics change
-    /// on fall-through, so there is no double counting. (The PIT reclaim
-    /// that opens both pipelines is the one exception, and it is idempotent
-    /// at one instant: the second call finds nothing to scan.) A malformed
-    /// name region also falls through: the full decode fails at the same
-    /// byte, so the frame is dropped either way.
+    /// `frame` is the buffer `interest` was peeked from. The application
+    /// face receives an owned [`Interest`] ([`Action::SendInterest`]);
+    /// every other face receives the frame itself ([`Action::RelayInterest`])
+    /// — as is when `ingress` is the application (our own Interest), else
+    /// with its hop-limit byte patched copy-on-write, and nothing once the
+    /// hop limit is spent. Only a frame the patch cannot reproduce exactly
+    /// (trailing bytes, a non-canonical hop limit) is re-encoded, which is
+    /// what decode → decrement → encode sends.
+    pub fn receive_interest(
+        &mut self,
+        now: SimTime,
+        interest: &InterestHeader<'_>,
+        frame: &Payload,
+        ingress: FaceId,
+    ) -> (Vec<Action>, InterestOutcome) {
+        match self.consult_tables(now, interest, ingress) {
+            ControlFlow::Break(resolved) => resolved,
+            ControlFlow::Continue(pending) => self.record(now, interest, frame, ingress, pending),
+        }
+    }
+
+    /// The pipeline's first two steps: reclaims, then answers `interest`
+    /// from the Content Store or drops it as a duplicate nonce (`Break`),
+    /// or hands on whether its name is pending — and if so, when it was
+    /// last forwarded (`Continue`). Nothing is recorded but those two
+    /// outcomes' counters.
+    fn consult_tables(
+        &mut self,
+        now: SimTime,
+        interest: &InterestHeader<'_>,
+        ingress: FaceId,
+    ) -> ControlFlow<(Vec<Action>, InterestOutcome), Option<Option<SimTime>>> {
+        self.reclaim(now);
+        if let Some((data, outcome)) = self.cs_answer(interest, now) {
+            let data = data.clone();
+            self.stats.cs_hits += 1;
+            let face = ingress;
+            return ControlFlow::Break((vec![Action::SendData { face, data }], outcome));
+        }
+        match self.pit.probe_wire(interest.name_wire) {
+            Some(entry) if entry.has_nonce(interest.nonce) => {
+                self.stats.duplicate_interests += 1;
+                ControlFlow::Break((Vec::new(), InterestOutcome::DuplicateNonce))
+            }
+            entry => ControlFlow::Continue(entry.map(PitEntry::last_forward)),
+        }
+    }
+
+    /// The rest of the pipeline, for an Interest the tables did not
+    /// resolve: FIB, the PIT entry (new, or aggregated onto the `pending`
+    /// one), the strategy and the egress.
+    fn record(
+        &mut self,
+        now: SimTime,
+        interest: &InterestHeader<'_>,
+        frame: &Payload,
+        ingress: FaceId,
+        pending: Option<Option<SimTime>>,
+    ) -> (Vec<Action>, InterestOutcome) {
+        let name_wire = interest.name_wire;
+        // The FIB walk also proves the name region well-formed; nothing is
+        // recorded for a malformed one.
+        let Some(nexthops) = self.fib.longest_prefix_match_wire(name_wire) else {
+            return (Vec::new(), InterestOutcome::Malformed);
+        };
+        // The ingress face stays a candidate when it is a broadcast face:
+        // re-broadcasting out the same radio is what multi-hop relay means.
+        let usable: Vec<FaceId> = nexthops
+            .iter()
+            .copied()
+            .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f))
+            .collect();
+        let expiry = now + SimDuration::from_millis(interest.lifetime_ms);
+        let (_, entry) = self.pit.insert_wired(
+            name_wire,
+            interest.nonce,
+            interest.can_be_prefix,
+            ingress,
+            expiry,
+        );
+        let Some(last_forward) = pending else {
+            if usable.is_empty() {
+                self.stats.suppressed_interests += 1;
+                return (Vec::new(), InterestOutcome::NoRoute);
+            }
+            let name = interest.to_name(frame).expect("the FIB walked the region");
+            return match self.strategy.decide(interest, &name, ingress, &usable, now) {
+                Decision::Suppress => {
+                    self.stats.suppressed_interests += 1;
+                    (Vec::new(), InterestOutcome::Suppressed)
+                }
+                Decision::Forward(faces) => {
+                    self.stats.forwarded_interests += 1;
+                    entry.set_last_forward(now);
+                    let faces = faces
+                        .into_iter()
+                        .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f));
+                    egress(faces, interest, name, frame, ingress)
+                }
+            };
+        };
+        self.stats.aggregated_interests += 1;
+        let mut faces: Vec<FaceId> = nexthops
+            .iter()
+            .copied()
+            .filter(|f| *f != ingress && self.cfg.deliver_on_aggregate.contains(f))
+            .collect();
+        // Consumer retransmission: a new nonce for a still-pending name
+        // re-forwards upstream once the suppression interval elapsed (NFD
+        // strategies behave the same way) — without this, one lost Data on
+        // a multi-hop path would stall the transfer for the whole Interest
+        // lifetime.
+        let reforward =
+            !usable.is_empty() && last_forward.is_none_or(|t| now.since(t) >= REFORWARD_INTERVAL);
+        if faces.is_empty() && !reforward {
+            return (Vec::new(), InterestOutcome::Aggregated);
+        }
+        let name = interest.to_name(frame).expect("the FIB walked the region");
+        if reforward {
+            if let Decision::Forward(chosen) =
+                self.strategy.decide(interest, &name, ingress, &usable, now)
+            {
+                let before = faces.len();
+                faces.extend(chosen.into_iter().filter(|&f| {
+                    (f != ingress || self.cfg.rebroadcast_faces.contains(&f))
+                        && !self.cfg.deliver_on_aggregate.contains(&f)
+                }));
+                if faces.len() > before {
+                    entry.set_last_forward(now);
+                }
+            }
+        }
+        let (actions, _) = egress(faces.into_iter(), interest, name, frame, ingress);
+        (actions, InterestOutcome::Aggregated)
+    }
+
+    /// The Content Store's answer to `interest`, if any. The ordered prefix
+    /// walk runs only over a well-formed name region: a truncated one could
+    /// byte-prefix-match a cached name.
+    fn cs_answer(
+        &self,
+        interest: &InterestHeader<'_>,
+        now: SimTime,
+    ) -> Option<(&Data, InterestOutcome)> {
+        let (name_wire, fresh) = (interest.name_wire, interest.must_be_fresh);
+        if !interest.can_be_prefix {
+            return self
+                .cs
+                .lookup_wire_exact(name_wire, fresh, now)
+                .map(|d| (d, InterestOutcome::CsHit));
+        }
+        if !wire_value_is_well_formed(name_wire) {
+            return None;
+        }
+        self.cs
+            .lookup_wire_prefix(name_wire, fresh, now)
+            .map(|d| (d, InterestOutcome::CsPrefixHit))
+    }
+
+    /// Whether `interest` would get past the Content Store and the
+    /// duplicate-nonce check into the PIT — where it is recorded, and from
+    /// where it can reach the strategy or the application. Reclaims first,
+    /// as [`Forwarder::receive_interest`] does, and records nothing else.
+    pub fn reaches_pit(&mut self, now: SimTime, interest: &InterestHeader<'_>) -> bool {
+        self.reclaim(now);
+        self.cs_answer(interest, now).is_none()
+            && !self
+                .pit
+                .probe_wire(interest.name_wire)
+                .is_some_and(|e| e.has_nonce(interest.nonce))
+    }
+
+    /// [`Forwarder::receive_interest`] for an owned Interest — our own,
+    /// arriving from the application face, or one `benchmark/` decoded.
+    pub fn process_interest(
+        &mut self,
+        now: SimTime,
+        interest: &Interest,
+        ingress: FaceId,
+    ) -> Vec<Action> {
+        let wire = interest.wire();
+        let Ok(PacketHeader::Interest(view)) = Packet::peek_header(&wire) else {
+            unreachable!("an encoded Interest peeks as one");
+        };
+        self.receive_interest(now, &view, &wire, ingress).0
+    }
+
+    /// [`Forwarder::receive_interest`] with its outcome mapped onto
+    /// [`PeekOutcome`], kept only for `benchmark/`'s relay-swarm stack. An
+    /// Interest that would aggregate, or whose name region is malformed,
+    /// returns `None` with nothing recorded but the reclaim (idempotent at
+    /// one instant): that stack decodes such frames and calls
+    /// [`Forwarder::process_interest`].
     pub fn process_interest_header(
         &mut self,
         now: SimTime,
@@ -405,350 +552,36 @@ impl<S: Strategy> Forwarder<S> {
         backing: &Payload,
         ingress: FaceId,
     ) -> Option<(Vec<Action>, PeekOutcome)> {
-        self.reclaim(now);
-        if header.can_be_prefix {
-            // The ordered prefix walk may only run on a *complete* region:
-            // a truncated one could byte-prefix-match a cached name the
-            // full decode would never see.
-            if !wire_value_is_well_formed(header.name_wire) {
-                return None;
-            }
-            if let Some(data) =
-                self.cs
-                    .lookup_wire_prefix(header.name_wire, header.must_be_fresh, now)
-            {
-                self.stats.cs_hits += 1;
-                return Some((
-                    vec![Action::SendData {
-                        face: ingress,
-                        data: data.clone(),
-                    }],
-                    PeekOutcome::CsPrefixHit,
-                ));
-            }
-        } else if let Some(data) =
-            self.cs
-                .lookup_wire_exact(header.name_wire, header.must_be_fresh, now)
-        {
-            self.stats.cs_hits += 1;
-            return Some((
-                vec![Action::SendData {
-                    face: ingress,
-                    data: data.clone(),
-                }],
-                PeekOutcome::CsHit,
-            ));
-        }
-        // One hash probe answers both the duplicate-nonce and the
-        // would-be-new question.
-        match self.pit.probe_wire(header.name_wire) {
-            Some(entry) if entry.has_nonce(header.nonce) => {
-                self.stats.duplicate_interests += 1;
-                return Some((Vec::new(), PeekOutcome::DuplicateNonce));
-            }
-            // Aggregation: the full pipeline handles it.
-            Some(_) => return None,
-            None => {}
-        }
-        // Would be `PitInsert::New`: probe the FIB at the wire level,
-        // filtering exactly as the full pipeline does. The usable set is
-        // collected into a stack buffer — this runs once per would-be-new
-        // Interest, and next-hop sets are tiny. A FIB entry wider than the
-        // buffer falls through to the full pipeline (always allowed).
-        let nexthops = self.fib.longest_prefix_match_wire(header.name_wire)?;
-        let mut usable_buf = [FaceId::WIRELESS; 8];
-        let mut usable_len = 0usize;
-        for &f in nexthops {
-            if f != ingress || self.cfg.rebroadcast_faces.contains(&f) {
-                if usable_len == usable_buf.len() {
-                    return None;
-                }
-                usable_buf[usable_len] = f;
-                usable_len += 1;
-            }
-        }
-        let usable = &usable_buf[..usable_len];
-        if usable.is_empty() {
-            if self.strategy.decide_no_nexthops(ingress, now) != Some(Decision::Suppress) {
-                return None;
-            }
-            // Committed: reproduce the full pipeline's PIT insert, keyed
-            // by the frame's own name bytes — no `Name` is built. A
-            // malformed name region falls through exactly where `to_name`
-            // would fail; the full decode then fails at the same byte.
-            if !wire_value_is_well_formed(header.name_wire) {
-                return None;
-            }
-            let expiry = now + SimDuration::from_millis(header.lifetime_ms);
-            self.pit.insert_new_peeked(
-                header.name_wire,
-                header.nonce,
-                header.can_be_prefix,
-                ingress,
-                expiry,
-            );
-            self.stats.suppressed_interests += 1;
-            return Some((Vec::new(), PeekOutcome::FibNoRoute));
-        }
-        self.relay_from_header(now, header, backing, ingress, usable)
+        let (actions, outcome) = match self.consult_tables(now, header, ingress) {
+            ControlFlow::Break(resolved) => resolved,
+            ControlFlow::Continue(Some(_)) => return None,
+            ControlFlow::Continue(None) => self.record(now, header, backing, ingress, None),
+        };
+        let outcome = match outcome {
+            InterestOutcome::CsHit => PeekOutcome::CsHit,
+            InterestOutcome::CsPrefixHit => PeekOutcome::CsPrefixHit,
+            InterestOutcome::DuplicateNonce => PeekOutcome::DuplicateNonce,
+            InterestOutcome::NoRoute => PeekOutcome::FibNoRoute,
+            InterestOutcome::Suppressed => PeekOutcome::RelaySuppressed,
+            InterestOutcome::Relayed | InterestOutcome::Forwarded => PeekOutcome::Relayed,
+            InterestOutcome::Aggregated | InterestOutcome::Malformed => return None,
+        };
+        Some((actions, outcome))
     }
 
-    /// The decode-free relay: resolves the *forward* outcome of a peeked
-    /// would-be-new Interest with usable next hops. Every fall-through
-    /// (`None`) happens before any strategy state is touched, so the full
-    /// pipeline replays from an identical starting point.
-    fn relay_from_header(
-        &mut self,
-        now: SimTime,
-        header: &InterestHeader<'_>,
-        backing: &Payload,
-        ingress: FaceId,
-        usable: &[FaceId],
-    ) -> Option<(Vec<Action>, PeekOutcome)> {
-        // Preconditions, all checked before the strategy (and its RNG) runs:
-        //
-        // * The frame must be exactly one packet — it becomes the relayed
-        //   wire image, and the eager path only seeds its encode-once cache
-        //   (i.e. re-broadcasts these very bytes) under the same condition.
-        // * The hop limit must be absent or canonically encoded: patching a
-        //   multi-byte encoding would not match decode→decrement→encode.
-        // * A patchable hop limit relays to at most one face — the eager
-        //   path decrements once *per egress action*, sending a different
-        //   hop count to each; more than one face falls back to it.
-        // * Every usable face must be wireless: an APP next hop delivers to
-        //   the application, which needs the decoded Interest.
-        if !whole_buffer_is_one_packet(backing) {
-            return None;
-        }
-        match header.hop_limit {
-            PeekedHopLimit::Opaque => return None,
-            PeekedHopLimit::Patchable { .. } if usable.len() > 1 => return None,
-            _ => {}
-        }
-        if usable.iter().any(|&f| f != FaceId::WIRELESS) {
-            return None;
-        }
-        // A malformed name region falls through; the full decode fails at
-        // the same byte, so the frame is dropped either way.
-        let name = header.to_name(backing).ok()?;
-        let decision = self.strategy.decide_header(&name, ingress, usable, now)?;
-
-        // Committed: reproduce the full pipeline's PIT insert and stats.
-        // `insert_new_peeked` keys the entry by the frame's own name bytes
-        // and hands it back, so the forward arm stamps `last_forward`
-        // without re-probing.
-        let expiry = now + SimDuration::from_millis(header.lifetime_ms);
-        let entry = self.pit.insert_new_peeked(
-            header.name_wire,
-            header.nonce,
-            header.can_be_prefix,
-            ingress,
-            expiry,
-        );
-        match decision {
-            Decision::Suppress => {
-                self.stats.suppressed_interests += 1;
-                Some((Vec::new(), PeekOutcome::RelaySuppressed))
-            }
-            Decision::Forward(faces) => {
-                self.stats.forwarded_interests += 1;
-                entry.set_last_forward(now);
-                let frame = match header.hop_limit {
-                    PeekedHopLimit::Absent => backing.clone(),
-                    PeekedHopLimit::Patchable { value, .. } if value <= 1 => {
-                        // Hop limit exhausted: the eager path commits the
-                        // PIT entry and forwarding stats, then sends
-                        // nothing (`decrement_hop_limit` returns false).
-                        return Some((Vec::new(), PeekOutcome::Relayed));
-                    }
-                    PeekedHopLimit::Patchable { value, offset } => {
-                        // The copy-on-write patch: one buffer copy, one
-                        // byte rewritten — byte-identical to the eager
-                        // path's decode→decrement→encode (which patches
-                        // its seeded wire cache the same way).
-                        let mut bytes = backing.as_slice().to_vec();
-                        bytes[offset] = value - 1;
-                        Payload::from(bytes)
-                    }
-                    PeekedHopLimit::Opaque => unreachable!("checked before committing"),
-                };
-                // Each action needs its own copy of the name, and the last
-                // one takes the materialized name itself — the common
-                // single-face relay clones nothing.
-                let mut relay_name = Some(name);
-                let mut egress = faces
-                    .into_iter()
-                    .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f))
-                    .peekable();
-                let mut actions = Vec::with_capacity(1);
-                while let Some(face) = egress.next() {
-                    let name = if egress.peek().is_none() {
-                        relay_name.take().expect("taken once, by the last face")
-                    } else {
-                        relay_name.clone().expect("taken once, by the last face")
-                    };
-                    actions.push(Action::RelayInterest {
-                        face,
-                        frame: frame.clone(),
-                        name,
-                        nonce: header.nonce,
-                    });
-                }
-                Some((actions, PeekOutcome::Relayed))
-            }
-        }
-    }
-
-    /// Attempts to resolve an overheard Data packet from its peeked name
-    /// bytes alone. Returns `true` — counting it as unsolicited, exactly as
-    /// [`Forwarder::process_data`] would — when the Data matches no PIT
-    /// entry and this forwarder does not cache unsolicited packets, i.e.
-    /// when the full pipeline would take no action and need no decode.
-    /// Returns `false` (with nothing counted) when the caller must decode
-    /// and run [`Forwarder::process_data`].
+    /// The Data pipeline's name-first step: resolves an overheard Data
+    /// packet from its peeked name bytes alone. Returns `true` — counting it
+    /// as unsolicited, exactly as [`Forwarder::process_data`] would — when
+    /// the Data matches no PIT entry and this forwarder does not cache
+    /// unsolicited packets, i.e. when the packet needs no action and no
+    /// decode. Returns `false` (with nothing counted) when the caller must
+    /// decode and run [`Forwarder::process_data`].
     pub fn process_data_header(&mut self, name_wire: &[u8]) -> bool {
         if self.cfg.cache_unsolicited || self.pit.matches_wire(name_wire) {
             return false;
         }
         self.stats.unsolicited_data += 1;
         true
-    }
-
-    /// Processes an incoming Interest per the Fig. 1 pipeline.
-    pub fn process_interest(
-        &mut self,
-        now: SimTime,
-        interest: &Interest,
-        ingress: FaceId,
-    ) -> Vec<Action> {
-        self.reclaim(now);
-        // Encode the name once; the CS probe and every PIT probe key on the
-        // canonical wire value.
-        let name_wire = interest.name().to_wire_value();
-
-        // 1. Content Store.
-        let cs_hit = if interest.can_be_prefix() {
-            self.cs
-                .lookup_wire_prefix(&name_wire, interest.must_be_fresh(), now)
-        } else {
-            self.cs
-                .lookup_wire_exact(&name_wire, interest.must_be_fresh(), now)
-        };
-        if let Some(data) = cs_hit {
-            self.stats.cs_hits += 1;
-            return vec![Action::SendData {
-                face: ingress,
-                data: data.clone(),
-            }];
-        }
-
-        // 2. PIT.
-        let expiry = now + SimDuration::from_millis(interest.lifetime_ms());
-        let inserted = self.pit.insert_wired(
-            &name_wire,
-            interest.nonce(),
-            interest.can_be_prefix(),
-            ingress,
-            expiry,
-        );
-        match inserted {
-            PitInsert::DuplicateNonce => {
-                self.stats.duplicate_interests += 1;
-                Vec::new()
-            }
-            PitInsert::Aggregated => {
-                self.stats.aggregated_interests += 1;
-                let mut actions: Vec<Action> = self
-                    .fib
-                    .longest_prefix_match_wire(&name_wire)
-                    .expect("an encoded name is well-formed")
-                    .iter()
-                    .copied()
-                    .filter(|f| *f != ingress && self.cfg.deliver_on_aggregate.contains(f))
-                    .map(|face| Action::SendInterest {
-                        face,
-                        interest: interest.clone(),
-                    })
-                    .collect();
-                // Consumer retransmission: a new nonce for a still-pending
-                // name re-forwards upstream once the suppression interval
-                // elapsed (NFD strategies behave the same way) — without
-                // this, one lost Data on a multi-hop path would stall the
-                // transfer for the whole Interest lifetime.
-                let retx_ok =
-                    self.pit
-                        .probe_wire(&name_wire)
-                        .is_some_and(|e| match e.last_forward() {
-                            None => true,
-                            Some(t) => now.since(t) >= REFORWARD_INTERVAL,
-                        });
-                if retx_ok {
-                    let nexthops: Vec<FaceId> = self
-                        .fib
-                        .longest_prefix_match_wire(&name_wire)
-                        .expect("an encoded name is well-formed")
-                        .iter()
-                        .copied()
-                        .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f))
-                        .collect();
-                    if let Decision::Forward(faces) =
-                        self.strategy.decide(interest, ingress, &nexthops, now)
-                    {
-                        let mut forwarded = false;
-                        for face in faces {
-                            let allowed =
-                                face != ingress || self.cfg.rebroadcast_faces.contains(&face);
-                            if allowed && !self.cfg.deliver_on_aggregate.contains(&face) {
-                                forwarded = true;
-                                actions.push(Action::SendInterest {
-                                    face,
-                                    interest: interest.clone(),
-                                });
-                            }
-                        }
-                        if forwarded {
-                            if let Some(e) = self.pit.entry_mut_wire(&name_wire) {
-                                e.set_last_forward(now);
-                            }
-                        }
-                    }
-                }
-                actions
-            }
-            PitInsert::New => {
-                // 3. FIB + strategy. The ingress face stays a candidate
-                // when it is a broadcast face: re-broadcasting out the same
-                // radio is exactly what multi-hop Interest relay means.
-                let nexthops: Vec<FaceId> = self
-                    .fib
-                    .longest_prefix_match_wire(&name_wire)
-                    .expect("an encoded name is well-formed")
-                    .iter()
-                    .copied()
-                    .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f))
-                    .collect();
-                match self.strategy.decide(interest, ingress, &nexthops, now) {
-                    Decision::Suppress => {
-                        self.stats.suppressed_interests += 1;
-                        Vec::new()
-                    }
-                    Decision::Forward(faces) => {
-                        self.stats.forwarded_interests += 1;
-                        if let Some(e) = self.pit.entry_mut_wire(&name_wire) {
-                            e.set_last_forward(now);
-                        }
-                        faces
-                            .into_iter()
-                            .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f))
-                            .map(|face| Action::SendInterest {
-                                face,
-                                interest: interest.clone(),
-                            })
-                            .collect()
-                    }
-                }
-            }
-        }
     }
 
     /// Processes an incoming Data packet. Returns the actions plus whether
@@ -761,7 +594,7 @@ impl<S: Strategy> Forwarder<S> {
     ) -> (Vec<Action>, bool) {
         // Encode the name once, for the PIT match and the cache insert.
         let name_wire = data.name().to_wire_value();
-        let matched = self.pit.take_matching_wire(&name_wire);
+        let matched = self.pit.take_matching(&name_wire);
         if matched.is_empty() {
             self.stats.unsolicited_data += 1;
             if self.cfg.cache_unsolicited {
@@ -793,10 +626,77 @@ impl<S: Strategy> Forwarder<S> {
     /// Takes the PIT entries long past their expiry, so a table whose
     /// owner never calls [`Forwarder::expire`] stays a window of recent
     /// Interests instead of growing with every Interest ever heard. Runs
-    /// first on both Interest paths, the only ones that grow the table.
+    /// first on every Interest, the only thing that grows the table.
     fn reclaim(&mut self, now: SimTime) {
         self.stats.pit_reclaimed += self.pit.reclaim(now) as u64;
     }
+}
+
+/// The actions sending `interest` (the view of `frame`, named `name`) out
+/// `faces`, in order, and whether that built an `Interest`
+/// ([`InterestOutcome::Forwarded`]) or not ([`InterestOutcome::Relayed`]):
+/// see [`Forwarder::receive_interest`].
+fn egress(
+    faces: impl Iterator<Item = FaceId>,
+    interest: &InterestHeader<'_>,
+    name: Name,
+    frame: &Payload,
+    ingress: FaceId,
+) -> (Vec<Action>, InterestOutcome) {
+    let mut built = false;
+    // The frame every network face sends, worked out at the first one.
+    let mut relayed: Option<Option<Payload>> = None;
+    let mut actions = Vec::with_capacity(1);
+    // Each action owns a name; the last one takes `name` itself.
+    let mut name = Some(name);
+    let mut faces = faces.peekable();
+    while let Some(face) = faces.next() {
+        let own = if faces.peek().is_some() {
+            name.clone()
+        } else {
+            name.take()
+        }
+        .expect("only the last face takes the name");
+        if face == FaceId::APP {
+            built = true;
+            let interest = interest.with_name(own, frame);
+            actions.push(Action::SendInterest { face, interest });
+            continue;
+        }
+        let relay = relayed.get_or_insert_with(|| {
+            if ingress == FaceId::APP {
+                return Some(frame.clone());
+            }
+            match interest.hop_limit {
+                _ if !whole_buffer_is_one_packet(frame) => {}
+                PeekedHopLimit::Absent => return Some(frame.clone()),
+                PeekedHopLimit::Patchable { value, .. } if value <= 1 => return None,
+                PeekedHopLimit::Patchable { value, offset } => {
+                    let mut bytes = frame.as_slice().to_vec();
+                    bytes[offset] = value - 1;
+                    return Some(Payload::from(bytes));
+                }
+                PeekedHopLimit::Opaque { .. } => {}
+            }
+            built = true;
+            let mut rebuilt = interest.with_name(own.clone(), frame);
+            rebuilt.decrement_hop_limit().then(|| rebuilt.wire())
+        });
+        if let Some(frame) = relay {
+            actions.push(Action::RelayInterest {
+                face,
+                frame: frame.clone(),
+                name: own,
+                nonce: interest.nonce,
+            });
+        }
+    }
+    let outcome = if built {
+        InterestOutcome::Forwarded
+    } else {
+        InterestOutcome::Relayed
+    };
+    (actions, outcome)
 }
 
 #[cfg(test)]
@@ -826,12 +726,15 @@ mod tests {
     #[test]
     fn interest_forwards_via_fib() {
         let mut f = fwd();
-        let actions = f.process_interest(now(), &interest("/col/f/0", 1), FaceId::APP);
+        let i = interest("/col/f/0", 1);
+        let actions = f.process_interest(now(), &i, FaceId::APP);
         assert_eq!(
             actions,
-            vec![Action::SendInterest {
+            vec![Action::RelayInterest {
                 face: FaceId::WIRELESS,
-                interest: interest("/col/f/0", 1)
+                frame: i.wire(),
+                name: Name::from_uri("/col/f/0"),
+                nonce: 1,
             }]
         );
         assert_eq!(f.stats().forwarded_interests, 1);
@@ -871,7 +774,7 @@ mod tests {
         let mut f = fwd();
         f.cs_mut().insert(data("/col/f/0"), now());
         let miss = f.process_interest(now(), &interest("/col", 1), FaceId::APP);
-        assert!(matches!(miss[0], Action::SendInterest { .. }));
+        assert!(matches!(miss[0], Action::RelayInterest { .. }));
         let hit = f.process_interest(
             now(),
             &interest("/col", 2).with_can_be_prefix(true),
@@ -991,7 +894,14 @@ mod tests {
     fn suppressing_strategy_blocks_forwarding() {
         struct Never;
         impl Strategy for Never {
-            fn decide(&mut self, _: &Interest, _: FaceId, _: &[FaceId], _: SimTime) -> Decision {
+            fn decide(
+                &mut self,
+                _: &InterestHeader<'_>,
+                _: &Name,
+                _: FaceId,
+                _: &[FaceId],
+                _: SimTime,
+            ) -> Decision {
                 Decision::Suppress
             }
         }
@@ -1011,7 +921,8 @@ mod tests {
         impl Strategy for Echo {
             fn decide(
                 &mut self,
-                _: &Interest,
+                _: &InterestHeader<'_>,
+                _: &Name,
                 ingress: FaceId,
                 _: &[FaceId],
                 _: SimTime,
@@ -1021,9 +932,11 @@ mod tests {
         }
         let mut f = Forwarder::with_strategy(ForwarderConfig::default(), Echo);
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
+        f.fib_mut().register(Name::from_uri("/"), FaceId(9));
         assert!(f
             .process_interest(now(), &interest("/a", 1), FaceId::WIRELESS)
             .is_empty());
+        assert_eq!(f.stats().forwarded_interests, 1, "the strategy was asked");
     }
 
     #[test]
@@ -1084,13 +997,11 @@ mod tests {
         f.process_interest(at(1_699), &lifetime(interest("/c", 3)), FaceId::WIRELESS);
         assert!(f.pit().contains(&Name::from_uri("/a")));
         assert_eq!(f.stats().pit_reclaimed, 0);
-        // The peeked path reclaims too, before it resolves the frame.
-        let i = lifetime(interest("/d", 4));
-        let wire = wire_of(&i);
-        let (_, outcome) = f
-            .process_interest_header(at(1_700), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .expect("relay resolves");
-        assert_eq!(outcome, PeekOutcome::Relayed);
+        // A received frame's pipeline reclaims before it resolves.
+        let wire = wire_of(&lifetime(interest("/d", 4)));
+        let (_, outcome) =
+            f.receive_interest(at(1_700), &header_of(&wire), &wire, FaceId::WIRELESS);
+        assert_eq!(outcome, InterestOutcome::Relayed);
         assert!(
             !f.pit().contains(&Name::from_uri("/a")),
             "100 ms past expiry"
@@ -1118,7 +1029,6 @@ mod tests {
 
     /// Peeks `i`'s header out of `wire` (which must outlive the header).
     fn header_of<'a>(wire: &'a dapes_netsim::payload::Payload) -> InterestHeader<'a> {
-        use crate::packet::{Packet, PacketHeader};
         match Packet::peek_header(wire).expect("valid") {
             PacketHeader::Interest(h) => h,
             other => panic!("unexpected {other:?}"),
@@ -1129,169 +1039,149 @@ mod tests {
         dapes_netsim::payload::Payload::from(i.encode())
     }
 
+    /// Runs the pipeline on the frame `wire`, arriving on `ingress`.
+    fn receive<S: Strategy>(
+        f: &mut Forwarder<S>,
+        wire: &Payload,
+        ingress: FaceId,
+    ) -> (Vec<Action>, InterestOutcome) {
+        f.receive_interest(now(), &header_of(wire), wire, ingress)
+    }
+
     #[test]
     fn header_pipeline_matches_full_pipeline_on_cs_hit() {
-        let mut eager = fwd();
-        let mut lazy = fwd();
-        eager.cs_mut().insert(data("/col/f/0"), now());
-        lazy.cs_mut().insert(data("/col/f/0"), now());
-        let i = interest("/col/f/0", 1);
-        let want = eager.process_interest(now(), &i, FaceId::WIRELESS);
-        let wire = wire_of(&i);
-        let (got, outcome) = lazy
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .expect("CS hit resolves from the header");
-        assert_eq!(got, want);
-        assert_eq!(outcome, PeekOutcome::CsHit);
-        assert_eq!(lazy.stats().cs_hits, eager.stats().cs_hits);
-        assert!(lazy.pit().is_empty(), "no PIT entry on a header CS hit");
+        let mut f = fwd();
+        f.cs_mut().insert(data("/col/f/0"), now());
+        let wire = wire_of(&interest("/col/f/0", 1));
+        let (actions, outcome) = receive(&mut f, &wire, FaceId::WIRELESS);
+        assert_eq!(
+            actions,
+            vec![Action::SendData {
+                face: FaceId::WIRELESS,
+                data: data("/col/f/0")
+            }]
+        );
+        assert_eq!(outcome, InterestOutcome::CsHit);
+        assert_eq!(f.stats().cs_hits, 1);
+        assert!(f.pit().is_empty(), "no PIT entry on a CS hit");
     }
 
     #[test]
     fn header_pipeline_matches_full_pipeline_on_prefix_cs_hit() {
-        let mut eager = fwd();
-        let mut lazy = fwd();
-        eager.cs_mut().insert(data("/col/f/0"), now());
-        lazy.cs_mut().insert(data("/col/f/0"), now());
-        let i = interest("/col", 1).with_can_be_prefix(true);
-        let want = eager.process_interest(now(), &i, FaceId::WIRELESS);
-        let wire = wire_of(&i);
-        let (got, outcome) = lazy
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .expect("CanBePrefix hit resolves through the ordered wire index");
-        assert_eq!(got, want);
-        assert_eq!(outcome, PeekOutcome::CsPrefixHit);
-        assert_eq!(lazy.stats().cs_hits, eager.stats().cs_hits);
-        assert!(lazy.pit().is_empty(), "no PIT entry on a header CS hit");
+        let mut f = fwd();
+        f.cs_mut().insert(data("/col/f/0"), now());
+        let wire = wire_of(&interest("/col", 1).with_can_be_prefix(true));
+        let (actions, outcome) = receive(&mut f, &wire, FaceId::WIRELESS);
+        let cached = data("/col/f/0");
+        assert!(matches!(&actions[..], [Action::SendData { data, .. }] if *data == cached));
+        assert_eq!(outcome, InterestOutcome::CsPrefixHit);
+        assert_eq!(f.stats().cs_hits, 1);
+        assert!(f.pit().is_empty(), "no PIT entry on a CS hit");
 
-        // A CanBePrefix *miss* with a usable route resolves as a relay.
-        let miss = interest("/other", 2).with_can_be_prefix(true);
-        let wire = wire_of(&miss);
-        let (_, outcome) = lazy
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::APP)
-            .expect("CanBePrefix miss with a usable route relays");
-        assert_eq!(outcome, PeekOutcome::Relayed);
+        // A CanBePrefix *miss* of our own goes to the air as our own frame.
+        let miss = wire_of(&interest("/other", 2).with_can_be_prefix(true));
+        let (actions, outcome) = receive(&mut f, &miss, FaceId::APP);
+        assert_eq!(outcome, InterestOutcome::Relayed);
+        let [Action::RelayInterest { frame, .. }] = &actions[..] else {
+            panic!("expected one relay action, got {actions:?}");
+        };
+        assert!(Payload::ptr_eq(frame, &miss), "our own frame, unpatched");
     }
 
     #[test]
     fn header_pipeline_matches_full_pipeline_on_duplicate_nonce() {
-        let mut eager = fwd();
-        let mut lazy = fwd();
-        let first = interest("/a", 7);
-        eager.process_interest(now(), &first, FaceId::WIRELESS);
-        lazy.process_interest(now(), &first, FaceId::WIRELESS);
-        let dup = interest("/a", 7);
-        let want = eager.process_interest(now(), &dup, FaceId::WIRELESS);
-        let wire = wire_of(&dup);
-        let (got, outcome) = lazy
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .expect("duplicate resolves from the header");
-        assert_eq!(got, want);
-        assert_eq!(outcome, PeekOutcome::DuplicateNonce);
-        assert!(got.is_empty());
-        assert_eq!(lazy.stats().duplicate_interests, 1);
+        let mut f = fwd();
+        let wire = wire_of(&interest("/a", 7));
+        receive(&mut f, &wire, FaceId::WIRELESS);
+        let (actions, outcome) = receive(&mut f, &wire, FaceId::WIRELESS);
+        assert!(actions.is_empty());
+        assert_eq!(outcome, InterestOutcome::DuplicateNonce);
+        assert_eq!(f.stats().duplicate_interests, 1);
+        assert_eq!(f.pit().len(), 1);
     }
 
     #[test]
     fn header_pipeline_matches_full_pipeline_on_fib_no_route() {
-        // No FIB entry covers "/nowhere": the full pipeline records a PIT
-        // entry and suppresses; the header pipeline must do exactly that —
-        // same entry, same expiry, same counter — without a full decode.
-        let mut eager = Forwarder::new(ForwarderConfig::default());
-        let mut lazy = Forwarder::new(ForwarderConfig::default());
-        eager
-            .fib_mut()
-            .register(Name::from_uri("/app"), FaceId::APP);
-        lazy.fib_mut().register(Name::from_uri("/app"), FaceId::APP);
-        let i = interest("/nowhere/x", 5).with_lifetime_ms(1_234);
-        let want = eager.process_interest(now(), &i, FaceId::WIRELESS);
-        assert!(want.is_empty());
-        let wire = wire_of(&i);
-        let (got, outcome) = lazy
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .expect("no-route interest resolves from the header");
-        assert_eq!(got, want);
-        assert_eq!(outcome, PeekOutcome::FibNoRoute);
-        assert_eq!(
-            lazy.stats().suppressed_interests,
-            eager.stats().suppressed_interests
-        );
-        assert!(
-            lazy.pit().contains(&Name::from_uri("/nowhere/x")),
-            "PIT entry recorded: data flowing past later is still delivered"
-        );
-        // A nexthop that is only the non-rebroadcast ingress face counts as
-        // no usable route too, matching the full pipeline's filter.
-        let j = interest("/app/y", 6);
-        let jw = wire_of(&j);
-        let (acts, outcome) = lazy
-            .process_interest_header(now(), &header_of(&jw), &jw, FaceId::APP)
-            .expect("ingress-only route suppresses");
-        assert!(acts.is_empty());
-        assert_eq!(outcome, PeekOutcome::FibNoRoute);
-        // Same expiry on both pipelines: the 1 234 ms entry survives up to
-        // the microsecond before its lifetime ends and goes exactly then.
+        // No FIB entry covers "/nowhere": the entry is recorded — data
+        // flowing past later is still delivered — and nothing is sent.
+        let mut f = Forwarder::new(ForwarderConfig::default());
+        f.fib_mut().register(Name::from_uri("/app"), FaceId::APP);
+        let wire = wire_of(&interest("/nowhere/x", 5).with_lifetime_ms(1_234));
+        let (actions, outcome) = receive(&mut f, &wire, FaceId::WIRELESS);
+        assert!(actions.is_empty());
+        assert_eq!(outcome, InterestOutcome::NoRoute);
+        assert_eq!(f.stats().suppressed_interests, 1);
+        assert!(f.pit().contains(&Name::from_uri("/nowhere/x")));
+        // A next hop that is only the non-rebroadcast ingress face is no
+        // usable route either.
+        let wire = wire_of(&interest("/app/y", 6));
+        let (actions, outcome) = receive(&mut f, &wire, FaceId::APP);
+        assert!(actions.is_empty());
+        assert_eq!(outcome, InterestOutcome::NoRoute);
+        // The entry takes the frame's lifetime: it survives up to the
+        // microsecond before its 1 234 ms end and goes exactly then.
         let due = now() + SimDuration::from_millis(1_234);
-        let just_before = now() + SimDuration::from_micros(1_233_999);
-        for f in [&mut lazy, &mut eager] {
-            assert_eq!(f.expire(just_before), 0);
-            assert_eq!(f.expire(due), 1);
-            assert!(!f.pit().contains(&Name::from_uri("/nowhere/x")));
-        }
+        assert_eq!(f.expire(now() + SimDuration::from_micros(1_233_999)), 0);
+        assert_eq!(f.expire(due), 1);
+        assert!(!f.pit().contains(&Name::from_uri("/nowhere/x")));
     }
 
     #[test]
     fn header_pipeline_defers_aggregation_and_routable_new_entries() {
-        // A new entry whose usable next hop is the application must take
-        // the full pipeline: the app needs the decoded Interest.
+        // An application next hop gets the built Interest.
         let mut f = fwd();
         let i = interest("/app/x", 1);
-        let wire = wire_of(&i);
-        assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .is_none());
+        let (actions, outcome) = receive(&mut f, &wire_of(&i), FaceId::WIRELESS);
         assert_eq!(
-            f.stats().cs_hits + f.stats().duplicate_interests + f.stats().suppressed_interests,
-            0,
-            "fall-through must count nothing"
+            actions,
+            vec![Action::SendInterest {
+                face: FaceId::APP,
+                interest: i
+            }]
         );
-        assert!(f.pit().is_empty(), "fall-through must not touch the PIT");
-        f.process_interest(now(), &i, FaceId::WIRELESS);
-        // Same name, fresh nonce: aggregation also defers.
-        let wire = wire_of(&interest("/app/x", 2));
-        assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .is_none());
-        // ...even when CanBePrefix is set and nothing is cached.
+        assert_eq!(outcome, InterestOutcome::Forwarded);
+        assert_eq!(f.stats().forwarded_interests, 1);
+        // Same name, fresh nonce: aggregated in the same pipeline.
+        let (actions, outcome) = receive(&mut f, &wire_of(&interest("/app/x", 2)), FaceId(9));
+        assert!(actions.is_empty(), "no aggregate delivery configured");
+        assert_eq!(outcome, InterestOutcome::Aggregated);
+        assert_eq!(f.stats().aggregated_interests, 1);
+        assert_eq!(f.pit().len(), 1);
+        // `process_interest_header` (kept for `benchmark/`) hands an
+        // aggregating Interest back undone, even with CanBePrefix set.
         let wire = wire_of(&interest("/app/x", 3).with_can_be_prefix(true));
         assert!(f
             .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
             .is_none());
-        assert_eq!(f.stats().aggregated_interests, 0, "nothing committed");
+        assert_eq!(f.stats().aggregated_interests, 1, "nothing committed");
     }
 
     #[test]
     fn header_pipeline_with_rebroadcast_ingress_defers_instead_of_dropping() {
-        // DAPES-style forwarders re-broadcast out the ingress radio: the
-        // same overheard Interest that a point-to-point FIB would drop is a
-        // usable-route case here. With a second next hop and a patchable
-        // hop limit, one byte patch cannot serve both faces, so it must
-        // fall through to the full pipeline rather than resolve as a drop.
+        // DAPES-style forwarders re-broadcast out the ingress radio, so an
+        // overheard Interest has a usable route here. Every network next
+        // hop gets the same patched frame.
         let mut f = Forwarder::new(ForwarderConfig {
             rebroadcast_faces: vec![FaceId::WIRELESS],
             ..ForwarderConfig::default()
         });
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
         f.fib_mut().register(Name::from_uri("/"), FaceId(9));
-        let i = interest("/a", 1).with_hop_limit(5);
-        let wire = wire_of(&i);
-        assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .is_none());
-        assert!(f.pit().is_empty(), "fall-through must not touch the PIT");
-        // The full pipeline forwards out both faces.
-        let actions = f.process_interest(now(), &i, FaceId::WIRELESS);
-        assert_eq!(actions.len(), 2, "{actions:?}");
+        let wire = wire_of(&interest("/a", 1).with_hop_limit(5));
+        let (actions, outcome) = receive(&mut f, &wire, FaceId::WIRELESS);
+        assert_eq!(outcome, InterestOutcome::Relayed);
+        let faces: Vec<FaceId> = actions
+            .iter()
+            .map(|a| match a {
+                Action::RelayInterest { face, frame, .. } => {
+                    let relayed = Interest::decode(frame).expect("decodes");
+                    assert_eq!(relayed.hop_limit(), Some(4));
+                    *face
+                }
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(faces, vec![FaceId::WIRELESS, FaceId(9)]);
     }
 
     #[test]
@@ -1324,12 +1214,12 @@ mod tests {
     #[test]
     fn header_pipeline_relays_by_hop_limit_patch_without_decoding() {
         let mut f = relay_fwd();
-        let i = interest("/a", 1).with_hop_limit(5);
+        let i = interest("/a", 1)
+            .with_hop_limit(5)
+            .with_app_parameters(vec![0xB1; 16]);
         let wire = wire_of(&i);
-        let (actions, outcome) = f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .expect("relay resolves from the header");
-        assert_eq!(outcome, PeekOutcome::Relayed);
+        let (actions, outcome) = receive(&mut f, &wire, FaceId::WIRELESS);
+        assert_eq!(outcome, InterestOutcome::Relayed);
         let [Action::RelayInterest {
             face,
             frame,
@@ -1342,29 +1232,19 @@ mod tests {
         assert_eq!(*face, FaceId::WIRELESS);
         assert_eq!(name, &Name::from_uri("/a"));
         assert_eq!(*nonce, 1);
-        // The frame is the eager path's bytes exactly: decode, decrement,
-        // re-encode.
-        let mut eager = Interest::decode_payload(&wire).expect("decode");
-        assert!(eager.decrement_hop_limit());
-        assert_eq!(frame.as_slice(), &eager.wire()[..]);
-        assert_eq!(
-            Interest::decode(frame)
-                .expect("patched frame decodes")
-                .hop_limit(),
-            Some(4)
-        );
-        // Full-pipeline side effects committed: PIT entry, stats, expiry.
-        assert!(f.pit().contains(&Name::from_uri("/a")));
-        assert!(f.pit().has_nonce(&Name::from_uri("/a"), 1));
+        // The frame is decode → decrement → re-encode's bytes exactly.
+        let mut decoded = Interest::decode(&wire).expect("decode");
+        assert!(decoded.decrement_hop_limit());
+        assert_eq!(frame.as_slice(), &decoded.encode()[..]);
+        // Recorded: PIT entry and nonce, forwarding stats.
+        let entry = f.pit().probe_wire(&Name::from_uri("/a").to_wire_value());
+        assert!(entry.is_some_and(|e| e.has_nonce(1)));
         assert_eq!(f.stats().forwarded_interests, 1);
 
-        // A hop-limit-free Interest relays the received buffer as-is.
-        let j = interest("/b", 2);
-        let jw = wire_of(&j);
-        let (actions, outcome) = f
-            .process_interest_header(now(), &header_of(&jw), &jw, FaceId::WIRELESS)
-            .expect("relay resolves");
-        assert_eq!(outcome, PeekOutcome::Relayed);
+        // A hop-limit-free Interest relays the received buffer as is.
+        let jw = wire_of(&interest("/b", 2));
+        let (actions, outcome) = receive(&mut f, &jw, FaceId::WIRELESS);
+        assert_eq!(outcome, InterestOutcome::Relayed);
         let [Action::RelayInterest { frame, .. }] = &actions[..] else {
             panic!("expected one relay action");
         };
@@ -1376,35 +1256,33 @@ mod tests {
 
     #[test]
     fn header_pipeline_relay_commits_but_sends_nothing_on_exhausted_hops() {
-        // `decrement_hop_limit` returning false in the eager path still
-        // leaves the PIT entry and forwarding stats committed — only the
-        // transmission is skipped.
+        // A spent hop limit still records the entry and the forward; only
+        // the transmission is skipped.
         let mut f = relay_fwd();
-        let i = interest("/a", 1).with_hop_limit(1);
-        let wire = wire_of(&i);
-        let (actions, outcome) = f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .expect("exhausted relay still resolves");
+        let wire = wire_of(&interest("/a", 1).with_hop_limit(1));
+        let (actions, outcome) = receive(&mut f, &wire, FaceId::WIRELESS);
         assert!(actions.is_empty());
-        assert_eq!(outcome, PeekOutcome::Relayed);
+        assert_eq!(outcome, InterestOutcome::Relayed);
         assert!(f.pit().contains(&Name::from_uri("/a")));
         assert_eq!(f.stats().forwarded_interests, 1);
     }
 
     #[test]
     fn header_pipeline_relay_falls_through_on_unpatchable_frames() {
-        // Non-wireless usable next hop: the application needs the decoded
-        // Interest.
-        let mut f = fwd();
-        let i = interest("/app/x", 1);
-        let wire = wire_of(&i);
-        assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .is_none());
-        assert!(f.pit().is_empty());
-
-        // Non-canonical (multi-byte) hop limit: a byte patch would not
-        // match a re-encode.
+        // Frames a byte patch cannot reproduce are re-encoded: exactly what
+        // decode → decrement → encode sends.
+        let relayed = |f: &mut Forwarder, wire: &Payload| {
+            let (actions, outcome) = receive(f, wire, FaceId::WIRELESS);
+            assert_eq!(outcome, InterestOutcome::Forwarded);
+            let [Action::RelayInterest { frame, .. }] = &actions[..] else {
+                panic!("expected one relay action, got {actions:?}");
+            };
+            let mut decoded = Interest::decode_payload(wire).expect("decode");
+            assert!(decoded.decrement_hop_limit());
+            assert_eq!(frame.as_slice(), &decoded.wire()[..]);
+            frame.clone()
+        };
+        // A non-canonical (multi-byte) hop limit.
         let mut f = relay_fwd();
         let mut body = Vec::new();
         crate::packet::encode_name(&mut body, &Name::from_uri("/a"));
@@ -1412,37 +1290,34 @@ mod tests {
         crate::tlv::write_tlv(&mut body, crate::tlv::types::HOP_LIMIT, &[3, 9]);
         let mut raw = Vec::new();
         crate::tlv::write_tlv(&mut raw, crate::tlv::types::INTEREST, &body);
-        let wire = Payload::from(raw);
-        assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .is_none());
-
+        let frame = relayed(&mut f, &Payload::from(raw));
+        assert_eq!(
+            Interest::decode(&frame).expect("decodes").hop_limit(),
+            Some(2)
+        );
         // Trailing bytes after the packet: the buffer is not this packet's
-        // wire image, so it must not be relayed verbatim.
-        let mut with_trailer = interest("/a", 1).encode();
+        // wire image, so it goes out re-encoded, without them.
+        let i = interest("/b", 1).with_hop_limit(4);
+        let mut with_trailer = i.encode();
         with_trailer.extend_from_slice(&[0x99, 0x00]);
-        let wire = Payload::from(with_trailer);
-        assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .is_none());
-        assert!(f.pit().is_empty(), "fall-throughs must not touch the PIT");
+        let frame = relayed(&mut f, &Payload::from(with_trailer));
+        assert_eq!(frame.as_slice(), &i.with_hop_limit(3).encode()[..]);
+        assert_eq!(f.stats().forwarded_interests, 2);
     }
 
     #[test]
     fn header_pipeline_relay_respects_strategy_suppression() {
-        struct NeverHeader;
-        impl Strategy for NeverHeader {
-            fn decide(&mut self, _: &Interest, _: FaceId, _: &[FaceId], _: SimTime) -> Decision {
-                Decision::Suppress
-            }
-            fn decide_header(
+        struct Never;
+        impl Strategy for Never {
+            fn decide(
                 &mut self,
+                _: &InterestHeader<'_>,
                 _: &Name,
                 _: FaceId,
                 _: &[FaceId],
                 _: SimTime,
-            ) -> Option<Decision> {
-                Some(Decision::Suppress)
+            ) -> Decision {
+                Decision::Suppress
             }
         }
         let mut f = Forwarder::with_strategy(
@@ -1450,16 +1325,12 @@ mod tests {
                 rebroadcast_faces: vec![FaceId::WIRELESS],
                 ..ForwarderConfig::default()
             },
-            NeverHeader,
+            Never,
         );
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
-        let i = interest("/a", 1);
-        let wire = wire_of(&i);
-        let (actions, outcome) = f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .expect("suppression resolves from the header");
+        let (actions, outcome) = receive(&mut f, &wire_of(&interest("/a", 1)), FaceId::WIRELESS);
         assert!(actions.is_empty());
-        assert_eq!(outcome, PeekOutcome::RelaySuppressed);
+        assert_eq!(outcome, InterestOutcome::Suppressed);
         assert_eq!(f.stats().suppressed_interests, 1);
         assert!(
             f.pit().contains(&Name::from_uri("/a")),
@@ -1469,12 +1340,22 @@ mod tests {
 
     #[test]
     fn header_pipeline_relay_defers_when_strategy_needs_the_payload() {
-        // The default `decide_header` returns None: strategies that inspect
-        // application parameters keep the full pipeline.
-        struct PayloadBound;
-        impl Strategy for PayloadBound {
-            fn decide(&mut self, _: &Interest, _: FaceId, n: &[FaceId], _: SimTime) -> Decision {
-                Decision::Forward(n.to_vec())
+        // A strategy that reads the application parameters decides from
+        // the view, like any other: nothing defers.
+        struct ParamsOnly;
+        impl Strategy for ParamsOnly {
+            fn decide(
+                &mut self,
+                interest: &InterestHeader<'_>,
+                _: &Name,
+                _: FaceId,
+                nexthops: &[FaceId],
+                _: SimTime,
+            ) -> Decision {
+                match interest.app_parameters {
+                    Some(_) => Decision::Forward(nexthops.to_vec()),
+                    None => Decision::Suppress,
+                }
             }
         }
         let mut f = Forwarder::with_strategy(
@@ -1482,16 +1363,24 @@ mod tests {
                 rebroadcast_faces: vec![FaceId::WIRELESS],
                 ..ForwarderConfig::default()
             },
-            PayloadBound,
+            ParamsOnly,
         );
         f.fib_mut().register(Name::from_uri("/"), FaceId::WIRELESS);
-        let i = interest("/a", 1).with_hop_limit(5);
-        let wire = wire_of(&i);
-        assert!(f
-            .process_interest_header(now(), &header_of(&wire), &wire, FaceId::WIRELESS)
-            .is_none());
-        assert!(f.pit().is_empty(), "fall-through must not touch the PIT");
-        assert_eq!(f.stats().forwarded_interests, 0);
+        let with = wire_of(
+            &interest("/a", 1)
+                .with_hop_limit(5)
+                .with_app_parameters(vec![1]),
+        );
+        let (actions, outcome) = receive(&mut f, &with, FaceId::WIRELESS);
+        assert_eq!(outcome, InterestOutcome::Relayed);
+        assert_eq!(actions.len(), 1);
+        let without = wire_of(&interest("/b", 2).with_hop_limit(5));
+        assert_eq!(
+            receive(&mut f, &without, FaceId::WIRELESS).1,
+            InterestOutcome::Suppressed
+        );
+        assert_eq!(f.stats().forwarded_interests, 1);
+        assert_eq!(f.stats().suppressed_interests, 1);
     }
 
     #[test]

@@ -19,13 +19,23 @@
 //! Mutating a packet through a builder setter invalidates the cache (no-op
 //! "mutations" keep it); [`Interest::decrement_hop_limit`] instead *patches*
 //! a warm cache — one copied buffer, one rewritten byte — the same
-//! copy-on-write transform the decode-free relay path applies to raw frames.
+//! copy-on-write transform a relay applies to a received frame.
+//!
+//! # Received Interests
+//!
+//! A received Interest is an [`InterestHeader`]: a view over its frame that
+//! one TLV walk fills ([`Packet::peek_header`]), which is what the
+//! forwarder's pipeline runs on. [`InterestHeader::to_interest`] builds the
+//! owned [`Interest`] when one is needed (delivery to the application), and
+//! [`Interest::decode`] is that walk plus the build. The owned `Interest` is
+//! otherwise the send-side builder.
 
 use crate::name::{Component, Name};
 use crate::tlv::{self, types, Scratch, TlvError, TlvReader};
 use dapes_crypto::signing::{KeyId, Signature, Signer, Verifier};
 use dapes_crypto::{sha256::sha256, Digest};
 use dapes_netsim::payload::Payload;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// Copies a wire cache for a cloned packet: the clone shares the same
@@ -212,28 +222,17 @@ impl Interest {
         self
     }
 
-    /// Decrements the hop limit, returning `false` when exhausted.
-    ///
-    /// A real decrement changes exactly one byte of the wire image, so a
-    /// warm cache is *patched* — the hop-limit value byte rewritten in a
-    /// fresh copy of the buffer — rather than dropped and re-encoded. This
-    /// is the same copy-on-write transform the decode-free relay fast path
-    /// applies to a raw frame, which keeps relayed frames byte-identical
-    /// whether or not the Interest was ever materialized. An exhausted
-    /// decrement (`Some(0)`) is a no-op and keeps the cache untouched.
+    /// Decrements the hop limit, returning `false` when exhausted (an
+    /// exhausted decrement, `Some(0)`, changes nothing). A real decrement
+    /// drops the wire cache; a relay patches the received frame instead
+    /// (`Forwarder::receive_interest`), and the two agree byte for byte.
     pub fn decrement_hop_limit(&mut self) -> bool {
         match self.hop_limit {
             None => true,
             Some(0) => false,
             Some(h) => {
                 self.hop_limit = Some(h - 1);
-                if let Some(cached) = self.wire.take() {
-                    if let Some(offset) = hop_limit_value_offset(&cached) {
-                        let mut bytes = cached.as_slice().to_vec();
-                        bytes[offset] = h - 1;
-                        let _ = self.wire.set(Payload::from(bytes));
-                    }
-                }
+                self.wire = OnceLock::new();
                 h > 1
             }
         }
@@ -272,63 +271,23 @@ impl Interest {
         out
     }
 
-    /// Decodes from wire format.
+    /// Decodes from wire format: [`Interest::decode_payload`] over a copy.
     ///
     /// # Errors
     ///
     /// Returns a [`TlvError`] on malformed input.
     pub fn decode(wire: &[u8]) -> Result<Self, TlvError> {
-        Self::decode_inner(wire, None)
+        Self::decode_payload(&Payload::copy_from_slice(wire))
     }
 
-    fn decode_inner(wire: &[u8], backing: Option<&Payload>) -> Result<Self, TlvError> {
-        let mut outer = TlvReader::new(wire);
-        let body = outer.read_expected(types::INTEREST)?;
-        let mut r = TlvReader::new(body);
-        let name = decode_name_inner(&mut r, backing)?;
-        let mut interest = Interest::new(name);
-        while !r.is_at_end() {
-            let (typ, value) = r.read_tlv()?;
-            match typ {
-                types::CAN_BE_PREFIX => interest.can_be_prefix = true,
-                types::MUST_BE_FRESH => interest.must_be_fresh = true,
-                types::NONCE => {
-                    let bytes: [u8; 4] = value
-                        .try_into()
-                        .map_err(|_| TlvError::BadValue("nonce must be 4 bytes"))?;
-                    interest.nonce = u32::from_be_bytes(bytes);
-                }
-                types::INTEREST_LIFETIME => interest.lifetime_ms = tlv::decode_nonneg(value)?,
-                types::HOP_LIMIT => {
-                    interest.hop_limit =
-                        Some(*value.first().ok_or(TlvError::BadValue("empty hop limit"))?)
-                }
-                types::APP_PARAMETERS => {
-                    interest.app_parameters = Some(match backing {
-                        Some(p) => p.view_of(value),
-                        None => Payload::copy_from_slice(value),
-                    })
-                }
-                _ => {} // ignore unknown fields
-            }
-        }
-        Ok(interest)
-    }
-
-    /// Decodes from a shared buffer with zero payload copies: the
-    /// application parameters become a view into `payload`, and the wire
-    /// cache is seeded with the received bytes so re-broadcasting the
-    /// Interest reuses the incoming frame's allocation.
+    /// Decodes from a shared buffer with zero payload copies: the peeked
+    /// view's [`InterestHeader::to_interest`].
     ///
     /// # Errors
     ///
     /// Returns a [`TlvError`] on malformed input.
     pub fn decode_payload(payload: &Payload) -> Result<Self, TlvError> {
-        let interest = Self::decode_inner(payload, Some(payload))?;
-        if whole_buffer_is_one_packet(payload) {
-            let _ = interest.wire.set(payload.clone());
-        }
-        Ok(interest)
+        InterestHeader::peek(payload)?.to_interest(payload)
     }
 }
 
@@ -338,30 +297,6 @@ impl Interest {
 pub(crate) fn whole_buffer_is_one_packet(buf: &[u8]) -> bool {
     let mut r = TlvReader::new(buf);
     r.read_tlv().is_ok() && r.is_at_end()
-}
-
-/// Byte offset, within a full Interest wire image, of the value byte of its
-/// hop-limit TLV (last occurrence, as in decode) — the single byte a relay
-/// rewrites. `None` when the packet has no hop limit, when the winning
-/// encoding is non-canonical (multi-byte, so a patch would not match a
-/// re-encode), or when the buffer is not a well-formed Interest.
-pub(crate) fn hop_limit_value_offset(wire: &[u8]) -> Option<usize> {
-    let base = wire.as_ptr() as usize;
-    let mut outer = TlvReader::new(wire);
-    let body = outer.read_expected(types::INTEREST).ok()?;
-    let mut r = TlvReader::new(body);
-    let mut found = None;
-    while !r.is_at_end() {
-        let (typ, value) = r.read_tlv().ok()?;
-        if typ == types::HOP_LIMIT {
-            // Last occurrence wins, exactly as in `Interest::decode`.
-            found = match value {
-                [_] => Some(value.as_ptr() as usize - base),
-                _ => None,
-            };
-        }
-    }
-    found
 }
 
 /// A hop-limit field as seen by [`Packet::peek_header`]: just enough for a
@@ -380,16 +315,21 @@ pub enum PeekedHopLimit {
         /// Byte offset of the value within the peeked frame.
         offset: usize,
     },
-    /// A non-canonical (multi-byte) encoding: a byte patch would not equal
-    /// decode→decrement→re-encode, so relays must take the full-decode
-    /// path.
-    Opaque,
+    /// A non-canonical (multi-byte) encoding, read as its first byte: a
+    /// byte patch would not equal decode→decrement→re-encode, so a relay
+    /// re-encodes.
+    Opaque {
+        /// The remaining hop count.
+        value: u8,
+    },
 }
 
-/// The name-first prefix of an Interest, produced by [`Packet::peek_header`]
-/// without decoding hop limit or application parameters — and without
-/// building a [`Name`]: the name stays a borrowed slice of the frame's
-/// encoded bytes until [`InterestHeader::to_name`] is called.
+/// A received Interest: a view over its frame, filled by the one TLV walk
+/// that parses Interests ([`Packet::peek_header`]; [`Interest::decode`]
+/// runs it too). The name and the application parameters stay borrowed
+/// slices of the frame — the name directly comparable against the PIT and
+/// Content Store wire keys — until [`InterestHeader::to_name`] or
+/// [`InterestHeader::to_interest`] materializes them.
 #[derive(Clone, Copy, Debug)]
 pub struct InterestHeader<'a> {
     /// The name's TLV value region (concatenated component TLVs), borrowed
@@ -400,18 +340,69 @@ pub struct InterestHeader<'a> {
     pub can_be_prefix: bool,
     /// Whether only fresh Data may satisfy it.
     pub must_be_fresh: bool,
-    /// The duplicate-suppression nonce (0 when absent, as in full decode).
+    /// The duplicate-suppression nonce (0 when absent).
     pub nonce: u32,
     /// InterestLifetime in milliseconds ([`Interest::DEFAULT_LIFETIME_MS`]
-    /// when absent, as in full decode). Lets the header-only pipeline record
-    /// a PIT entry with the exact expiry the full pipeline would.
+    /// when absent).
     pub lifetime_ms: u64,
     /// The hop-limit field, captured with its byte offset so a forwarding
     /// decision can relay the frame by copy-on-write byte patch.
     pub hop_limit: PeekedHopLimit,
+    /// The ApplicationParameters value (DAPES carries bitmaps here),
+    /// borrowed from the frame.
+    pub app_parameters: Option<&'a [u8]>,
 }
 
-impl InterestHeader<'_> {
+impl<'a> InterestHeader<'a> {
+    /// Walks an Interest frame once. Every TLV is read (unknown fields
+    /// skipped, repeated fields last-wins, any field order accepted), but
+    /// only the flags, nonce, lifetime and hop limit are parsed; the name
+    /// and parameters are sliced over. Always inlined: called out of line,
+    /// the view went back through an intermediate `Result`, which cost
+    /// `Packet::peek_header` about 15 ns a frame (`interest_peek_header`).
+    #[inline(always)]
+    fn peek(wire: &'a [u8]) -> Result<Self, TlvError> {
+        let mut outer = TlvReader::new(wire);
+        let body = outer.read_expected(types::INTEREST)?;
+        let mut r = TlvReader::new(body);
+        let mut view = InterestHeader {
+            name_wire: r.read_expected(types::NAME)?,
+            can_be_prefix: false,
+            must_be_fresh: false,
+            nonce: 0,
+            lifetime_ms: Interest::DEFAULT_LIFETIME_MS,
+            hop_limit: PeekedHopLimit::Absent,
+            app_parameters: None,
+        };
+        while !r.is_at_end() {
+            let (typ, value) = r.read_tlv()?;
+            match typ {
+                types::CAN_BE_PREFIX => view.can_be_prefix = true,
+                types::MUST_BE_FRESH => view.must_be_fresh = true,
+                types::NONCE => {
+                    let bytes: [u8; 4] = value
+                        .try_into()
+                        .map_err(|_| TlvError::BadValue("nonce must be 4 bytes"))?;
+                    view.nonce = u32::from_be_bytes(bytes);
+                }
+                types::INTEREST_LIFETIME => view.lifetime_ms = tlv::decode_nonneg(value)?,
+                types::HOP_LIMIT => {
+                    view.hop_limit = match value {
+                        [] => return Err(TlvError::BadValue("empty hop limit")),
+                        [v] => PeekedHopLimit::Patchable {
+                            value: *v,
+                            offset: value.as_ptr() as usize - wire.as_ptr() as usize,
+                        },
+                        [v, ..] => PeekedHopLimit::Opaque { value: *v },
+                    };
+                }
+                types::APP_PARAMETERS => view.app_parameters = Some(value),
+                _ => {}
+            }
+        }
+        Ok(view)
+    }
+
     /// Materializes the name, with components as zero-copy views into
     /// `backing` (the frame the header was peeked from).
     ///
@@ -420,7 +411,43 @@ impl InterestHeader<'_> {
     /// Returns a [`TlvError`] when the name region is malformed (peeking
     /// defers component validation to this point).
     pub fn to_name(&self, backing: &Payload) -> Result<Name, TlvError> {
-        decode_name_value_counted(self.name_wire, backing)
+        decode_name_value(self.name_wire, backing)
+    }
+
+    /// Builds the owned [`Interest`]: name components and parameters are
+    /// zero-copy views into `backing` (the frame the header was peeked
+    /// from), and the wire cache holds `backing` itself when it is exactly
+    /// this packet, so re-sending the Interest reuses the received bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TlvError`] when the name region is malformed.
+    pub fn to_interest(&self, backing: &Payload) -> Result<Interest, TlvError> {
+        Ok(self.with_name(self.to_name(backing)?, backing))
+    }
+
+    /// [`InterestHeader::to_interest`] around a name already materialized
+    /// from this view.
+    pub(crate) fn with_name(&self, name: Name, backing: &Payload) -> Interest {
+        let interest = Interest {
+            name,
+            can_be_prefix: self.can_be_prefix,
+            must_be_fresh: self.must_be_fresh,
+            nonce: self.nonce,
+            lifetime_ms: self.lifetime_ms,
+            hop_limit: match self.hop_limit {
+                PeekedHopLimit::Absent => None,
+                PeekedHopLimit::Patchable { value, .. } | PeekedHopLimit::Opaque { value } => {
+                    Some(value)
+                }
+            },
+            app_parameters: self.app_parameters.map(|p| backing.view_of(p)),
+            wire: OnceLock::new(),
+        };
+        if whole_buffer_is_one_packet(backing) {
+            let _ = interest.wire.set(backing.clone());
+        }
+        interest
     }
 }
 
@@ -440,25 +467,73 @@ impl DataHeader<'_> {
     ///
     /// Returns a [`TlvError`] when the name region is malformed.
     pub fn to_name(&self, backing: &Payload) -> Result<Name, TlvError> {
-        decode_name_value_counted(self.name_wire, backing)
+        decode_name_value(self.name_wire, backing)
     }
 }
 
-/// A peeked packet prefix: just enough to route an overheard frame.
+/// A peeked packet: a received Interest's view, or a Data packet's name.
 #[derive(Clone, Copy, Debug)]
 pub enum PacketHeader<'a> {
-    /// An Interest's type + name + flags + nonce.
+    /// A received Interest.
     Interest(InterestHeader<'a>),
     /// A Data packet's type + name.
     Data(DataHeader<'a>),
 }
 
-impl<'a> PacketHeader<'a> {
-    /// The peeked packet's name TLV value region.
-    pub fn name_wire(&self) -> &'a [u8] {
+impl PacketHeader<'_> {
+    /// The header with its borrowed slices stored as offsets into `frame`,
+    /// the buffer it was peeked from, so it can be kept beside that frame —
+    /// one transmission's receivers share one — and re-attached without a
+    /// second walk.
+    pub fn detach(&self, frame: &[u8]) -> DetachedHeader {
+        let span = |part: &[u8]| {
+            let start = part.as_ptr() as usize - frame.as_ptr() as usize;
+            start..start + part.len()
+        };
         match self {
-            PacketHeader::Interest(h) => h.name_wire,
-            PacketHeader::Data(h) => h.name_wire,
+            PacketHeader::Interest(h) => DetachedHeader {
+                header: PacketHeader::Interest(InterestHeader {
+                    name_wire: &[],
+                    can_be_prefix: h.can_be_prefix,
+                    must_be_fresh: h.must_be_fresh,
+                    nonce: h.nonce,
+                    lifetime_ms: h.lifetime_ms,
+                    hop_limit: h.hop_limit,
+                    app_parameters: None,
+                }),
+                name: span(h.name_wire),
+                app_parameters: h.app_parameters.map(span),
+            },
+            PacketHeader::Data(h) => DetachedHeader {
+                header: PacketHeader::Data(DataHeader { name_wire: &[] }),
+                name: span(h.name_wire),
+                app_parameters: None,
+            },
+        }
+    }
+}
+
+/// A [`PacketHeader`] kept apart from its frame ([`PacketHeader::detach`]).
+#[derive(Clone, Debug)]
+pub struct DetachedHeader {
+    /// The header, its slices left empty.
+    header: PacketHeader<'static>,
+    name: Range<usize>,
+    app_parameters: Option<Range<usize>>,
+}
+
+impl DetachedHeader {
+    /// The header again, borrowing from `frame` — which must be the buffer
+    /// it was detached from.
+    pub fn attach<'a>(&self, frame: &'a [u8]) -> PacketHeader<'a> {
+        let name_wire = &frame[self.name.clone()];
+        match self.header {
+            PacketHeader::Interest(h) => PacketHeader::Interest(InterestHeader {
+                name_wire,
+                app_parameters: self.app_parameters.clone().map(|r| &frame[r]),
+                ..h
+            }),
+            PacketHeader::Data(_) => PacketHeader::Data(DataHeader { name_wire }),
         }
     }
 }
@@ -697,14 +772,15 @@ impl Data {
     ///
     /// Returns a [`TlvError`] on malformed input.
     pub fn decode(wire: &[u8]) -> Result<Self, TlvError> {
-        Self::decode_inner(wire, None)
+        Self::decode_inner(&Payload::copy_from_slice(wire))
     }
 
-    fn decode_inner(wire: &[u8], backing: Option<&Payload>) -> Result<Self, TlvError> {
+    /// Decodes with the name and content as views into `wire`.
+    fn decode_inner(wire: &Payload) -> Result<Self, TlvError> {
         let mut outer = TlvReader::new(wire);
         let body = outer.read_expected(types::DATA)?;
         let mut r = TlvReader::new(body);
-        let name = decode_name_inner(&mut r, backing)?;
+        let name = decode_name_value(r.read_expected(types::NAME)?, wire)?;
         let mut data = Data::new(name, Vec::new());
         while !r.is_at_end() {
             let (typ, value) = r.read_tlv()?;
@@ -722,12 +798,7 @@ impl Data {
                         }
                     }
                 }
-                types::CONTENT => {
-                    data.content = match backing {
-                        Some(p) => p.view_of(value),
-                        None => Payload::copy_from_slice(value),
-                    }
-                }
+                types::CONTENT => data.content = wire.view_of(value),
                 types::SIGNATURE_INFO => {} // key id is inside SignatureValue too
                 types::SIGNATURE_VALUE => {
                     data.signature = if value.is_empty() {
@@ -754,7 +825,7 @@ impl Data {
     ///
     /// Returns a [`TlvError`] on malformed input.
     pub fn decode_payload(payload: &Payload) -> Result<Self, TlvError> {
-        let data = Self::decode_inner(payload, Some(payload))?;
+        let data = Self::decode_inner(payload)?;
         if whole_buffer_is_one_packet(payload) {
             let _ = data.wire.set(payload.clone());
         }
@@ -777,119 +848,42 @@ pub enum Packet {
 }
 
 impl Packet {
-    /// Decodes either packet type by its outer TLV.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TlvError`] for unknown outer types or malformed input.
-    pub fn decode(wire: &[u8]) -> Result<Self, TlvError> {
-        let r = TlvReader::new(wire);
-        match r.peek_type()? {
-            types::INTEREST => Ok(Packet::Interest(Interest::decode(wire)?)),
-            types::DATA => Ok(Packet::Data(Data::decode(wire)?)),
-            other => Err(TlvError::UnexpectedType {
-                expected: types::INTEREST,
-                found: other,
-            }),
-        }
-    }
-
-    /// Decodes either packet type from a shared buffer, seeding the packet's
-    /// wire cache with the received bytes (zero-copy re-broadcast).
+    /// Decodes either packet type from a shared buffer, its type read off
+    /// the peek: an Interest is built from its view
+    /// ([`InterestHeader::to_interest`]), Data decoded in full
+    /// ([`Data::decode_payload`]).
     ///
     /// # Errors
     ///
     /// Returns a [`TlvError`] for unknown outer types or malformed input.
     pub fn decode_payload(payload: &Payload) -> Result<Self, TlvError> {
-        let r = TlvReader::new(payload);
-        match r.peek_type()? {
-            types::INTEREST => Ok(Packet::Interest(Interest::decode_payload(payload)?)),
-            types::DATA => Ok(Packet::Data(Data::decode_payload(payload)?)),
-            other => Err(TlvError::UnexpectedType {
-                expected: types::INTEREST,
-                found: other,
-            }),
-        }
+        Ok(match Self::peek_header(payload)? {
+            PacketHeader::Interest(view) => Packet::Interest(view.to_interest(payload)?),
+            PacketHeader::Data(_) => Packet::Data(Data::decode_payload(payload)?),
+        })
     }
 
-    /// Decodes only the packet's routable prefix — type and name, plus the
-    /// CanBePrefix/MustBeFresh flags and nonce for Interests — as zero-copy
-    /// borrows of `payload`, stopping before the expensive tail (MetaInfo,
-    /// Content, signature, application parameters) and *without building a
-    /// [`Name`]*: the name stays the raw slice of its TLV value region,
-    /// directly comparable against the PIT/CS wire indexes.
+    /// Walks the frame once, as zero-copy borrows of `payload`, without
+    /// building a [`Name`]: for an Interest, the received-packet view
+    /// ([`InterestHeader`]) that the forwarder's one pipeline runs on; for
+    /// Data, just its name, stopping before MetaInfo, Content and signature.
     ///
-    /// This is the overhearing fast path: a forwarder can resolve the common
-    /// outcomes of a frame it was not addressed by — Content Store hit,
-    /// duplicate nonce, no PIT match, not-for-me — from the header alone,
-    /// and fall through to [`Packet::decode_payload`] only when the packet
-    /// is actually consumed. Every error `peek_header` can return (truncated
-    /// or malformed framing, a bad nonce/lifetime value) would also fail the
-    /// full decode at the same byte, so dropping a frame on a peek error
-    /// never diverges from the eager pipeline. The converse does not hold —
-    /// a Data frame with a valid name and a garbage tail peeks fine, and
-    /// component-level validation inside the name region is deferred to
+    /// An Interest that peeks fails to decode only when its name region is
+    /// malformed: component-level validation is deferred to
     /// [`InterestHeader::to_name`] / [`DataHeader::to_name`] (a malformed
     /// region can never byte-match a wire-index key, which only ever holds
-    /// canonical encodings of valid names, so deferral cannot misroute).
+    /// encodings of valid names, so deferral cannot misroute). A Data frame
+    /// with a valid name and a garbage tail also peeks fine; its decode
+    /// fails later.
     ///
     /// # Errors
     ///
-    /// Returns a [`TlvError`] for unknown outer types or a malformed
-    /// type/name/nonce prefix.
+    /// Returns a [`TlvError`] for unknown outer types or malformed framing
+    /// or field values — every error the full decode would also report.
     pub fn peek_header(payload: &Payload) -> Result<PacketHeader<'_>, TlvError> {
         let mut outer = TlvReader::new(payload);
         match outer.peek_type()? {
-            types::INTEREST => {
-                let body = outer.read_expected(types::INTEREST)?;
-                let mut r = TlvReader::new(body);
-                let mut header = InterestHeader {
-                    name_wire: r.read_expected(types::NAME)?,
-                    can_be_prefix: false,
-                    must_be_fresh: false,
-                    nonce: 0,
-                    lifetime_ms: Interest::DEFAULT_LIFETIME_MS,
-                    hop_limit: PeekedHopLimit::Absent,
-                };
-                // Walk every remaining TLV exactly as the full decode does
-                // (unknown fields skipped, repeated fields last-wins, any
-                // field order accepted) so the peeked nonce, lifetime and
-                // hop limit can never disagree with `Interest::decode`'s.
-                // Values other than the flags/nonce/lifetime/hop-limit are
-                // sliced over, not parsed — the heavy tail (application
-                // parameters) stays lazy.
-                while !r.is_at_end() {
-                    let (typ, value) = r.read_tlv()?;
-                    match typ {
-                        types::CAN_BE_PREFIX => header.can_be_prefix = true,
-                        types::MUST_BE_FRESH => header.must_be_fresh = true,
-                        types::NONCE => {
-                            let bytes: [u8; 4] = value
-                                .try_into()
-                                .map_err(|_| TlvError::BadValue("nonce must be 4 bytes"))?;
-                            header.nonce = u32::from_be_bytes(bytes);
-                        }
-                        types::INTEREST_LIFETIME => {
-                            header.lifetime_ms = tlv::decode_nonneg(value)?;
-                        }
-                        types::HOP_LIMIT => {
-                            // Last occurrence wins, as in the full decode —
-                            // which errors on an empty value, so erroring
-                            // here preserves the peek⊆decode error contract.
-                            header.hop_limit = match value {
-                                [] => return Err(TlvError::BadValue("empty hop limit")),
-                                [v] => PeekedHopLimit::Patchable {
-                                    value: *v,
-                                    offset: value.as_ptr() as usize - payload.as_ptr() as usize,
-                                },
-                                _ => PeekedHopLimit::Opaque,
-                            };
-                        }
-                        _ => {}
-                    }
-                }
-                Ok(PacketHeader::Interest(header))
-            }
+            types::INTEREST => Ok(PacketHeader::Interest(InterestHeader::peek(payload)?)),
             types::DATA => {
                 let body = outer.read_expected(types::DATA)?;
                 let mut r = TlvReader::new(body);
@@ -901,30 +895,6 @@ impl Packet {
                 expected: types::INTEREST,
                 found: other,
             }),
-        }
-    }
-
-    /// Encodes whichever packet this is.
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Packet::Interest(i) => i.encode(),
-            Packet::Data(d) => d.encode(),
-        }
-    }
-
-    /// The cached wire encoding of whichever packet this is.
-    pub fn wire(&self) -> Payload {
-        match self {
-            Packet::Interest(i) => i.wire(),
-            Packet::Data(d) => d.wire(),
-        }
-    }
-
-    /// The packet's name.
-    pub fn name(&self) -> &Name {
-        match self {
-            Packet::Interest(i) => i.name(),
-            Packet::Data(d) => d.name(),
         }
     }
 }
@@ -949,35 +919,12 @@ pub(crate) fn encode_name(out: &mut Vec<u8>, name: &Name) {
     write_name(name, &mut |bytes| out.extend_from_slice(bytes));
 }
 
-/// Decodes a Name; with a `backing` payload, each component is a zero-copy
-/// view into the received frame instead of a fresh allocation.
-fn decode_name_inner(r: &mut TlvReader<'_>, backing: Option<&Payload>) -> Result<Name, TlvError> {
-    decode_name_value(r.read_expected(types::NAME)?, backing)
-}
-
 /// Decodes a Name from its TLV value region (the borrowed slice a peeked
-/// header carries).
-fn decode_name_value(value: &[u8], backing: Option<&Payload>) -> Result<Name, TlvError> {
-    let mut nr = TlvReader::new(value);
-    let mut components = Vec::new();
-    while !nr.is_at_end() {
-        let (typ, value) = nr.read_tlv()?;
-        // Treat all component types as generic; we only emit 0x08.
-        let _ = typ;
-        components.push(match backing {
-            Some(p) => Component::from_payload(p.view_of(value)),
-            None => Component::from_bytes(value.to_vec()),
-        });
-    }
-    Ok(Name::from_components(components))
-}
-
-/// [`decode_name_value`] for the peek ladder's relay commit and the PIT's
-/// expired keys: a first TLV walk counts the components so the vector is
-/// allocated exactly once — the decode-free pipeline materializes a `Name`
-/// on every relay commit, so the incremental-growth reallocations are
-/// measurable there.
-pub(crate) fn decode_name_value_counted(value: &[u8], backing: &Payload) -> Result<Name, TlvError> {
+/// header carries), each component a zero-copy view into `backing`, the
+/// frame the region lies in. A first walk counts the components, so the
+/// vector is allocated exactly once — a relay materializes a name per
+/// forwarded Interest.
+fn decode_name_value(value: &[u8], backing: &Payload) -> Result<Name, TlvError> {
     let mut nr = TlvReader::new(value);
     let mut count = 0usize;
     while !nr.is_at_end() {
@@ -987,6 +934,7 @@ pub(crate) fn decode_name_value_counted(value: &[u8], backing: &Payload) -> Resu
     let mut nr = TlvReader::new(value);
     let mut components = Vec::with_capacity(count);
     while !nr.is_at_end() {
+        // Every component type is treated as generic; we only emit 0x08.
         let (_, value) = nr.read_tlv()?;
         components.push(Component::from_payload(backing.view_of(value)));
     }
@@ -1139,12 +1087,10 @@ mod tests {
     fn packet_dispatches_by_outer_type() {
         let i = Interest::new(name()).with_nonce(7);
         let d = Data::new(name(), vec![1]);
-        assert!(matches!(
-            Packet::decode(&i.encode()),
-            Ok(Packet::Interest(_))
-        ));
-        assert!(matches!(Packet::decode(&d.encode()), Ok(Packet::Data(_))));
-        assert!(Packet::decode(&[0x99, 0x00]).is_err());
+        let decode = |wire: Vec<u8>| Packet::decode_payload(&Payload::from(wire));
+        assert!(matches!(decode(i.encode()), Ok(Packet::Interest(_))));
+        assert!(matches!(decode(d.encode()), Ok(Packet::Data(_))));
+        assert!(decode(vec![0x99, 0x00]).is_err());
     }
 
     #[test]
@@ -1263,9 +1209,8 @@ mod tests {
 
     #[test]
     fn hop_limit_decrement_patches_a_warm_cache_byte_for_byte() {
-        // The decrement must rewrite exactly one byte of the cached image
-        // (the copy-on-write relay transform), and the result must equal a
-        // fresh decode→decrement→encode.
+        // Decode → decrement → encode must differ from the received image
+        // in exactly the hop-limit byte — the one byte a relay patches.
         let i = Interest::new(name())
             .with_nonce(0xfeed_f00d)
             .with_hop_limit(7)
@@ -1341,8 +1286,7 @@ mod tests {
         let Ok(PacketHeader::Interest(h)) = Packet::peek_header(&buf) else {
             panic!("peek must classify an Interest");
         };
-        assert_eq!(h.hop_limit, PeekedHopLimit::Opaque);
-        assert_eq!(hop_limit_value_offset(&buf), None);
+        assert_eq!(h.hop_limit, PeekedHopLimit::Opaque { value: 3 });
 
         // Empty value: both the peek and the full decode must reject it.
         let mut body = Vec::new();
@@ -1370,7 +1314,7 @@ mod tests {
         let PeekedHopLimit::Patchable { value: 4, offset } = h.hop_limit else {
             panic!("last canonical hop limit must win: {:?}", h.hop_limit);
         };
-        assert_eq!(hop_limit_value_offset(&buf), Some(offset));
+        assert_eq!(buf[offset], 4, "offset must address the winning byte");
     }
 
     #[test]
@@ -1389,8 +1333,16 @@ mod tests {
     fn packet_decode_payload_dispatches_and_seeds() {
         let d = Data::new(name(), vec![1]);
         let buf = Payload::from(d.encode());
-        let p = Packet::decode_payload(&buf).expect("decode");
-        assert!(Payload::ptr_eq(&buf, &p.wire()));
+        let Ok(Packet::Data(back)) = Packet::decode_payload(&buf) else {
+            panic!("Data decodes as Data");
+        };
+        assert!(Payload::ptr_eq(&buf, &back.wire()));
+        let i = Interest::new(name()).with_nonce(3);
+        let buf = Payload::from(i.encode());
+        let Ok(Packet::Interest(back)) = Packet::decode_payload(&buf) else {
+            panic!("an Interest decodes as one");
+        };
+        assert!(Payload::ptr_eq(&buf, &back.wire()));
     }
 
     #[test]

@@ -126,15 +126,13 @@ pub enum PitInsert {
 ///
 /// One hash map keyed by the name's canonical wire value
 /// ([`Name::to_wire_value`]) owns every entry; no entry holds a [`Name`],
-/// so none pins the frame its Interest arrived in. The map serves both
-/// pipelines: the full-decode path encodes the Interest name once per
-/// Interest, and peeked frames carry their name as a borrowed byte slice
-/// the map answers duplicate-nonce and PIT-match probes against directly.
-/// Data-to-entry prefix matching probes component boundaries of the wire
-/// key, which works because a name's canonical wire value byte-extends all
-/// of its prefixes'. The map only ever holds encodings of well-formed
-/// names, so a frame with a malformed name region simply misses and falls
-/// through to the full decode path.
+/// so none pins the frame its Interest arrived in. A received Interest's
+/// view carries its name as a borrowed byte slice, which the map answers
+/// duplicate-nonce and PIT-match probes against directly. Data-to-entry
+/// prefix matching probes component boundaries of the wire key, which
+/// works because a name's canonical wire value byte-extends all of its
+/// prefixes'. The map only ever holds encodings of well-formed names, so a
+/// frame with a malformed name region simply misses.
 ///
 /// [`Pit::state_bytes`] is a running total, kept at insert, aggregation
 /// and removal, so reading it costs nothing. So is
@@ -216,11 +214,13 @@ impl Pit {
     ) -> PitInsert {
         let wire = name.to_wire_value();
         self.insert_wired(&wire, nonce, can_be_prefix, ingress, expiry)
+            .0
     }
 
-    /// [`Pit::insert`] for a name already encoded to its canonical wire
-    /// value, so a pipeline that encoded it (for the Content Store probe,
-    /// say) does not pay for a second encoding.
+    /// [`Pit::insert`] for a name's canonical wire value — a received
+    /// Interest's own name bytes, which must be well-formed — handing back
+    /// the entry too, so the forwarder stamps `last_forward` without a
+    /// second probe.
     pub fn insert_wired(
         &mut self,
         name_wire: &[u8],
@@ -228,13 +228,26 @@ impl Pit {
         can_be_prefix: bool,
         ingress: FaceId,
         expiry: SimTime,
-    ) -> PitInsert {
-        let Some(entry) = self.entries.get_mut(name_wire) else {
-            self.insert_new_peeked(name_wire, nonce, can_be_prefix, ingress, expiry);
-            return PitInsert::New;
-        };
+    ) -> (PitInsert, &mut PitEntry) {
+        if !self.entries.contains_key(name_wire) {
+            debug_assert!(wire_value_is_well_formed(name_wire));
+            self.next_due = self.next_due.min(expiry);
+            let entry = PitEntry {
+                expiry,
+                last_forward: NEVER_FORWARDED,
+                more: None,
+                nonce,
+                downstream: ingress,
+                can_be_prefix,
+            };
+            self.state_bytes += entry.state_bytes(name_wire);
+            self.prefix_entries += usize::from(can_be_prefix);
+            let entry = self.entries.entry(name_wire.into()).or_insert(entry);
+            return (PitInsert::New, entry);
+        }
+        let entry = self.entries.get_mut(name_wire).expect("checked above");
         if entry.has_nonce(nonce) {
-            return PitInsert::DuplicateNonce;
+            return (PitInsert::DuplicateNonce, entry);
         }
         let new_face = !entry.downstreams().any(|f| f == ingress);
         if can_be_prefix && !entry.can_be_prefix {
@@ -249,83 +262,28 @@ impl Pit {
             more.downstreams.push(ingress);
             self.state_bytes += 4;
         }
-        PitInsert::Aggregated
-    }
-
-    /// [`Pit::insert`] specialized for a name the caller has already proven
-    /// absent (the decode-free commit): the entry is keyed by the frame's
-    /// own name bytes — no `Name` is needed — and handed back so
-    /// `last_forward` can be stamped without a second probe. `name_wire`
-    /// must be well-formed.
-    pub fn insert_new_peeked(
-        &mut self,
-        name_wire: &[u8],
-        nonce: u32,
-        can_be_prefix: bool,
-        ingress: FaceId,
-        expiry: SimTime,
-    ) -> &mut PitEntry {
-        debug_assert!(!self.contains_wire(name_wire), "caller proved absence");
-        debug_assert!(wire_value_is_well_formed(name_wire));
-        self.next_due = self.next_due.min(expiry);
-        let entry = PitEntry {
-            expiry,
-            last_forward: NEVER_FORWARDED,
-            more: None,
-            nonce,
-            downstream: ingress,
-            can_be_prefix,
-        };
-        self.state_bytes += entry.state_bytes(name_wire);
-        self.prefix_entries += usize::from(can_be_prefix);
-        self.entries.entry(name_wire.into()).or_insert(entry)
+        (PitInsert::Aggregated, entry)
     }
 
     /// Whether a pending entry exists for `name` (exact).
     pub fn contains(&self, name: &Name) -> bool {
-        self.contains_wire(&name.to_wire_value())
+        self.entries.contains_key(&*name.to_wire_value())
     }
 
-    /// [`Pit::contains`] against a peeked frame's borrowed name bytes — one
-    /// hash probe, no `Name` construction. Exactly the condition under
-    /// which [`Pit::insert`] would *not* return [`PitInsert::New`].
-    pub fn contains_wire(&self, name_wire: &[u8]) -> bool {
-        self.entries.contains_key(name_wire)
-    }
-
-    /// The entry recorded for a peeked frame's borrowed name bytes, if any
-    /// — the one probe behind both the duplicate-nonce and the would-be-new
-    /// checks, so the peek resolution ladder hashes the name bytes once.
+    /// The entry recorded under a name's wire value, if any — the one
+    /// probe behind both the duplicate-nonce and the would-be-new checks,
+    /// so the forwarder hashes the name bytes once.
     pub fn probe_wire(&self, name_wire: &[u8]) -> Option<&PitEntry> {
         self.entries.get(name_wire)
     }
 
-    /// Read-only duplicate check: whether `nonce` was already recorded for
-    /// `name`. Exactly the condition under which [`Pit::insert`] returns
-    /// [`PitInsert::DuplicateNonce`] without mutating anything.
-    pub fn has_nonce(&self, name: &Name, nonce: u32) -> bool {
-        self.has_nonce_wire(&name.to_wire_value(), nonce)
-    }
-
-    /// [`Pit::has_nonce`] against a peeked frame's borrowed name bytes —
-    /// one hash probe, no `Name` construction.
-    pub fn has_nonce_wire(&self, name_wire: &[u8], nonce: u32) -> bool {
-        self.probe_wire(name_wire)
-            .is_some_and(|e| e.has_nonce(nonce))
-    }
-
-    /// Read-only mirror of [`Pit::take_matching`]: whether a Data packet
-    /// named `data_name` would satisfy any pending entry (exact match or a
-    /// CanBePrefix prefix entry).
-    pub fn matches(&self, data_name: &Name) -> bool {
-        self.matches_wire(&data_name.to_wire_value())
-    }
-
-    /// [`Pit::matches`] against a peeked frame's borrowed name bytes: one
-    /// hash probe for the exact name, then — while any CanBePrefix entry is
-    /// pending — one per strict prefix.
+    /// Whether a Data packet named by `name_wire` would satisfy any
+    /// pending entry (exact match or a CanBePrefix prefix entry) — the
+    /// read-only mirror of [`Pit::take_matching`]: one hash probe for the
+    /// exact name, then, while any CanBePrefix entry is pending, one per
+    /// strict prefix.
     pub fn matches_wire(&self, name_wire: &[u8]) -> bool {
-        self.contains_wire(name_wire)
+        self.entries.contains_key(name_wire)
             || (self.prefix_entries > 0
                 && strict_prefix_ends(name_wire).any(|end| self.is_prefix_entry(&name_wire[..end])))
     }
@@ -350,17 +308,11 @@ impl Pit {
     }
 
     /// Removes and returns, each with its name's wire value, all entries a
-    /// Data packet with `data_name` satisfies: the exact-name entry first,
-    /// then any prefix entries that were inserted with CanBePrefix — root
-    /// first, then longer prefixes, as the boundary walk ascends.
-    pub fn take_matching(&mut self, data_name: &Name) -> Vec<(Box<[u8]>, PitEntry)> {
-        self.take_matching_wire(&data_name.to_wire_value())
-    }
-
-    /// [`Pit::take_matching`] for a Data name already encoded to its
-    /// canonical wire value. The prefix walk runs only while a CanBePrefix
-    /// entry is pending.
-    pub(crate) fn take_matching_wire(&mut self, name_wire: &[u8]) -> Vec<(Box<[u8]>, PitEntry)> {
+    /// Data packet named by `name_wire` satisfies: the exact-name entry
+    /// first, then any prefix entries that were inserted with CanBePrefix —
+    /// root first, then longer prefixes, as the boundary walk ascends. The
+    /// prefix walk runs only while a CanBePrefix entry is pending.
+    pub fn take_matching(&mut self, name_wire: &[u8]) -> Vec<(Box<[u8]>, PitEntry)> {
         let mut matched: Vec<_> = self.evict(name_wire).into_iter().collect();
         if self.prefix_entries == 0 {
             return matched;
@@ -449,6 +401,11 @@ mod tests {
         Name::from_uri(uri)
     }
 
+    fn has_nonce(pit: &Pit, uri: &str, nonce: u32) -> bool {
+        pit.probe_wire(&name(uri).to_wire_value())
+            .is_some_and(|e| e.has_nonce(nonce))
+    }
+
     /// The sentinel is not an instant a forward can carry: a forward at
     /// t = 0 reads back as `Some(ZERO)`, a never-forwarded entry as `None`.
     #[test]
@@ -485,7 +442,7 @@ mod tests {
             pit.insert(&name("/a"), 2, false, FaceId::WIRELESS, t(5)),
             PitInsert::Aggregated
         );
-        let entries = pit.take_matching(&name("/a"));
+        let entries = pit.take_matching(&name("/a").to_wire_value());
         assert_eq!(entries.len(), 1);
         let (_, entry) = &entries[0];
         assert_eq!(
@@ -516,9 +473,9 @@ mod tests {
     fn has_nonce_mirrors_duplicate_insert() {
         let mut pit = Pit::new();
         pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
-        assert!(pit.has_nonce(&name("/a"), 1));
-        assert!(!pit.has_nonce(&name("/a"), 2));
-        assert!(!pit.has_nonce(&name("/b"), 1));
+        assert!(has_nonce(&pit, "/a", 1));
+        assert!(!has_nonce(&pit, "/a", 2));
+        assert!(!has_nonce(&pit, "/b", 1));
     }
 
     #[test]
@@ -538,13 +495,19 @@ mod tests {
         pit.insert(&name("/col/f/0"), 1, false, FaceId::APP, t(4));
         pit.insert(&name("/col"), 2, true, FaceId::APP, t(4));
         pit.insert(&name("/other"), 3, false, FaceId::APP, t(4));
-        assert!(pit.matches(&name("/col/f/0")), "exact entry");
-        assert!(pit.matches(&name("/col/f/9")), "CanBePrefix prefix entry");
         assert!(
-            !pit.matches(&name("/other/x")),
+            pit.matches_wire(&name("/col/f/0").to_wire_value()),
+            "exact entry"
+        );
+        assert!(
+            pit.matches_wire(&name("/col/f/9").to_wire_value()),
+            "CanBePrefix prefix entry"
+        );
+        assert!(
+            !pit.matches_wire(&name("/other/x").to_wire_value()),
             "non-CBP prefix is no match"
         );
-        assert!(!pit.matches(&name("/elsewhere")));
+        assert!(!pit.matches_wire(&name("/elsewhere").to_wire_value()));
         assert_eq!(pit.len(), 3, "probe must not consume entries");
     }
 
@@ -553,7 +516,7 @@ mod tests {
         let mut pit = Pit::new();
         pit.insert(&name("/a"), 1, false, FaceId::APP, t(4));
         pit.insert(&name("/a"), 2, false, FaceId::APP, t(4));
-        let entries = pit.take_matching(&name("/a"));
+        let entries = pit.take_matching(&name("/a").to_wire_value());
         assert_eq!(
             entries[0].1.downstreams().collect::<Vec<_>>(),
             [FaceId::APP]
@@ -564,7 +527,10 @@ mod tests {
     fn data_matches_exact_entry() {
         let mut pit = Pit::new();
         pit.insert(&name("/col/f/0"), 1, false, FaceId::APP, t(4));
-        assert_eq!(pit.take_matching(&name("/col/f/0")).len(), 1);
+        assert_eq!(
+            pit.take_matching(&name("/col/f/0").to_wire_value()).len(),
+            1
+        );
         assert!(pit.is_empty());
     }
 
@@ -572,7 +538,7 @@ mod tests {
     fn data_matches_can_be_prefix_entry() {
         let mut pit = Pit::new();
         pit.insert(&name("/col"), 1, true, FaceId::APP, t(4));
-        let matched = pit.take_matching(&name("/col/f/0"));
+        let matched = pit.take_matching(&name("/col/f/0").to_wire_value());
         assert_eq!(matched.len(), 1);
         assert_eq!(*matched[0].0, *name("/col").to_wire_value());
     }
@@ -581,7 +547,9 @@ mod tests {
     fn data_does_not_match_non_prefix_entry() {
         let mut pit = Pit::new();
         pit.insert(&name("/col"), 1, false, FaceId::APP, t(4));
-        assert!(pit.take_matching(&name("/col/f/0")).is_empty());
+        assert!(pit
+            .take_matching(&name("/col/f/0").to_wire_value())
+            .is_empty());
         assert!(pit.contains(&name("/col")), "entry still pending");
     }
 
@@ -590,7 +558,7 @@ mod tests {
         let mut pit = Pit::new();
         pit.insert(&name("/col/f/0"), 1, false, FaceId::APP, t(4));
         pit.insert(&name("/col"), 2, true, FaceId::WIRELESS, t(4));
-        let matched = pit.take_matching(&name("/col/f/0"));
+        let matched = pit.take_matching(&name("/col/f/0").to_wire_value());
         assert_eq!(matched.len(), 2);
     }
 
@@ -598,8 +566,11 @@ mod tests {
     fn root_can_be_prefix_entry_matches_everything() {
         let mut pit = Pit::new();
         pit.insert(&Name::root(), 1, true, FaceId::APP, t(4));
-        assert!(pit.matches(&name("/any/thing")));
-        assert_eq!(pit.take_matching(&name("/any/thing")).len(), 1);
+        assert!(pit.matches_wire(&name("/any/thing").to_wire_value()));
+        assert_eq!(
+            pit.take_matching(&name("/any/thing").to_wire_value()).len(),
+            1
+        );
         assert!(pit.is_empty());
     }
 
@@ -643,7 +614,7 @@ mod tests {
         assert!(!pit.contains(&name("/c")));
         // Entries consumed by Data leave the watermark where it was:
         // the next sweep scans an empty table once and then rests.
-        assert_eq!(pit.take_matching(&name("/b")).len(), 1);
+        assert_eq!(pit.take_matching(&name("/b").to_wire_value()).len(), 1);
         assert!(pit.expire_due(t(9)));
         assert_eq!(pit.expire(t(9)), 0);
         assert!(!pit.expire_due(t(3600)));
@@ -704,17 +675,19 @@ mod tests {
     #[test]
     fn expire_evicts_the_wire_index_too() {
         // Regression: a stale key would keep reporting dup-nonce /
-        // PIT-match outcomes to the peek fast path after the entry itself
+        // PIT-match outcomes to the forwarder after the entry itself
         // expired.
         let mut pit = Pit::new();
         pit.insert(&name("/col/f/0"), 7, true, FaceId::APP, t(4));
         let key = name("/col/f/0").to_wire_value();
-        assert!(pit.contains_wire(&key));
-        assert!(pit.has_nonce_wire(&key, 7));
+        assert!(pit.probe_wire(&key).is_some());
+        assert!(pit.probe_wire(&key).is_some_and(|e| e.has_nonce(7)));
         assert!(pit.matches_wire(&name("/col/f/0/seg").to_wire_value()));
         assert_eq!(pit.expire(t(4)), 1);
-        assert!(!pit.contains_wire(&key), "wire entry must expire with it");
-        assert!(!pit.has_nonce_wire(&key, 7));
+        assert!(
+            pit.probe_wire(&key).is_none(),
+            "wire entry must expire with it"
+        );
         assert!(!pit.matches_wire(&name("/col/f/0/seg").to_wire_value()));
         assert_eq!(pit.len(), 0);
         assert_eq!(pit.state_bytes(), 0, "its bytes leave the total");
@@ -729,8 +702,8 @@ mod tests {
             pit.insert(&name("/a"), round, false, FaceId::APP, t(4));
             pit.insert(&name("/b"), round, false, FaceId::APP, t(4));
             assert_eq!(pit.len(), 2);
-            assert_eq!(pit.take_matching(&name("/a")).len(), 1);
-            assert_eq!(pit.take_matching(&name("/b")).len(), 1);
+            assert_eq!(pit.take_matching(&name("/a").to_wire_value()).len(), 1);
+            assert_eq!(pit.take_matching(&name("/b").to_wire_value()).len(), 1);
             assert_eq!(pit.state_bytes(), 0);
         }
         assert!(pit.is_empty());
@@ -748,7 +721,7 @@ mod tests {
         assert_eq!(pit.state_bytes(), 116 + 4, "a nonce, no new face");
         pit.insert(&name("/a/b/c"), 3, false, FaceId::WIRELESS, t(4));
         assert_eq!(pit.state_bytes(), 120 + 8, "a nonce and a face");
-        pit.take_matching(&name("/a/b/c"));
+        pit.take_matching(&name("/a/b/c").to_wire_value());
         assert_eq!(pit.state_bytes(), 0);
     }
 }

@@ -5,6 +5,9 @@
 //! at every instant of every scenario, and full runs reproduce the traces
 //! that grid and brute-force receiver selection both produced at
 //! `ff140d1`, pinned in `tests/golden.rs`.
+//!
+//! `golden_traces_bit_identical_across_delivery_modes` keeps a historical
+//! name: there is one delivery mode now, and it holds that mode to the pins.
 
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;

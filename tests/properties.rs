@@ -188,7 +188,7 @@ proptest! {
                     prop_assert_eq!(Interest::decode(&patched).unwrap(), eager);
                 }
             }
-            PeekedHopLimit::Opaque => {
+            PeekedHopLimit::Opaque { .. } => {
                 panic!("canonical encoder produced a non-patchable hop limit");
             }
         }
@@ -289,7 +289,9 @@ proptest! {
             fib.register(to_name(p), FaceId(i as u32));
         }
         let qn = to_name(&query);
-        let got = fib.longest_prefix_match(&qn).first().copied();
+        let got = fib
+            .longest_prefix_match_wire(&qn.to_wire_value())
+            .and_then(|faces| faces.first().copied());
         let naive = prefixes
             .iter()
             .enumerate()
@@ -418,7 +420,6 @@ proptest! {
                 .find_map(|k| oracle.get(&q.prefix(k)))
                 .map_or(&[][..], Vec::as_slice);
             prop_assert_eq!(fib.longest_prefix_match_wire(&q.to_wire_value()), Some(walked));
-            prop_assert_eq!(fib.longest_prefix_match(&q), walked);
         }
     }
 
@@ -1428,6 +1429,7 @@ mod sched_properties {
             lifetime in 1u64..100_000,
             cbp in any::<bool>(),
             mbf in any::<bool>(),
+            hops in proptest::option::of(any::<u8>()),
             params in proptest::option::of(proptest::collection::vec(any::<u8>(), 0..256)),
         ) {
             use dapes_ndn::packet::{Interest, Packet, PacketHeader};
@@ -1436,8 +1438,11 @@ mod sched_properties {
                 .with_lifetime_ms(lifetime)
                 .with_can_be_prefix(cbp)
                 .with_must_be_fresh(mbf);
-            if let Some(p) = params {
-                interest = interest.with_app_parameters(p);
+            if let Some(h) = hops {
+                interest = interest.with_hop_limit(h);
+            }
+            if let Some(p) = &params {
+                interest = interest.with_app_parameters(p.clone());
             }
             let wire = Payload::from(interest.encode());
             match Packet::peek_header(&wire) {
@@ -1446,9 +1451,15 @@ mod sched_properties {
                     prop_assert_eq!(h.lifetime_ms, lifetime);
                     prop_assert_eq!(h.can_be_prefix, cbp);
                     prop_assert_eq!(h.must_be_fresh, mbf);
+                    prop_assert_eq!(h.app_parameters, params.as_deref());
                     prop_assert!(name.wire_value_eq(h.name_wire));
                     prop_assert_eq!(h.name_wire, &name.to_wire_value()[..]);
                     prop_assert_eq!(&h.to_name(&wire).unwrap(), &name);
+                    // The view builds back exactly the builder's Interest,
+                    // re-sent as the received bytes.
+                    let built = h.to_interest(&wire).unwrap();
+                    prop_assert_eq!(&built, &interest);
+                    prop_assert!(Payload::ptr_eq(&built.wire(), &wire));
                 }
                 other => prop_assert!(false, "unexpected peek: {:?}", other),
             }
@@ -1457,11 +1468,66 @@ mod sched_properties {
         #[test]
         fn peek_header_never_panics_on_arbitrary_bytes(
             bytes in proptest::collection::vec(any::<u8>(), 0..256),
+            name in super::arb_name(),
+            nonce in any::<u32>(),
+            hops in proptest::option::of(any::<u8>()),
+            params in proptest::option::of(proptest::collection::vec(any::<u8>(), 0..64)),
+            mutation in 0u8..3,
+            at in any::<usize>(),
+            flip in 1u8..=255,
         ) {
-            use dapes_ndn::packet::Packet;
-            // Must reject or classify, never panic; truncation of a valid
-            // packet is covered by the unit suite.
-            let _ = Packet::peek_header(&Payload::from(bytes));
+            use dapes_ndn::face::FaceId;
+            use dapes_ndn::forwarder::{Forwarder, ForwarderConfig, InterestOutcome};
+            use dapes_ndn::packet::{Interest, Packet, PacketHeader};
+            // Arbitrary bytes, and a valid Interest frame mutated once: a
+            // byte flipped, the frame truncated, or the outer, name or
+            // first component length bumped.
+            let mut interest = Interest::new(name).with_nonce(nonce);
+            if let Some(h) = hops {
+                interest = interest.with_hop_limit(h);
+            }
+            if let Some(p) = params {
+                interest = interest.with_app_parameters(p);
+            }
+            let mut mutated = interest.encode();
+            let len = mutated.len();
+            match mutation {
+                0 => mutated[at % len] ^= flip,
+                1 => mutated.truncate(at % len),
+                _ => {
+                    let field = [1, 3, 5][at % 3].min(len - 1);
+                    mutated[field] = mutated[field].wrapping_add(1);
+                }
+            }
+            for frame in [Payload::from(bytes), Payload::from(mutated)] {
+                // Must reject or classify, never panic.
+                let Ok(PacketHeader::Interest(view)) = Packet::peek_header(&frame) else {
+                    continue;
+                };
+                // One decoder: the view builds what `decode_payload` does.
+                let built = view.to_interest(&frame);
+                prop_assert_eq!(&built, &Interest::decode_payload(&frame));
+                let mut fwd = Forwarder::new(ForwarderConfig {
+                    rebroadcast_faces: vec![FaceId::WIRELESS],
+                    ..ForwarderConfig::default()
+                });
+                fwd.fib_mut()
+                    .register(dapes_ndn::name::Name::root(), FaceId::WIRELESS);
+                let (actions, outcome) =
+                    fwd.receive_interest(SimTime::ZERO, &view, &frame, FaceId::WIRELESS);
+                if built.is_err() {
+                    // A frame that peeks but does not build records nothing.
+                    prop_assert_eq!(outcome, InterestOutcome::Malformed);
+                    prop_assert!(actions.is_empty());
+                    prop_assert!(fwd.pit().is_empty() && fwd.cs().is_empty());
+                    prop_assert_eq!(
+                        format!("{:?}", fwd.stats()),
+                        format!("{:?}", dapes_ndn::forwarder::ForwarderStats::default())
+                    );
+                } else {
+                    prop_assert_eq!(fwd.pit().len(), 1, "a built frame is recorded");
+                }
+            }
         }
 
         /// `World::finish_tx` keeps only the overlapping senders that
@@ -1912,7 +1978,7 @@ mod watermark_properties {
                         );
                     }
                     3 => {
-                        let got = pit.take_matching(name);
+                        let got = pit.take_matching(&name.to_wire_value());
                         let want = model.take_matching(name);
                         prop_assert_eq!(got.len(), want.len());
                         for ((gkey, g), (wname, w)) in got.iter().zip(&want) {
@@ -1965,13 +2031,13 @@ mod watermark_properties {
                     let wire = probe.to_wire_value();
                     for nonce in 0..5 {
                         prop_assert_eq!(
-                            pit.has_nonce_wire(&wire, nonce),
+                            pit.probe_wire(&wire).is_some_and(|e| e.has_nonce(nonce)),
                             model.0.get(probe).is_some_and(|e| e.nonces.contains(&nonce))
                         );
                     }
                     // Data under the probe name, and one component deeper.
                     for data in [probe.clone(), probe.child(Component::from_seq(9))] {
-                        prop_assert_eq!(pit.matches(&data), model.matches(&data));
+                        prop_assert_eq!(pit.matches_wire(&data.to_wire_value()), model.matches(&data));
                     }
                 }
             }
@@ -2115,8 +2181,8 @@ mod watermark_properties {
                         prop_assert_eq!(ms.content_index(col, "f", idx as u64), Some(idx));
                         let name = namespace::packet_name(col, "f", idx as u64);
                         prop_assert_eq!(
-                            ms.should_forward_named(&name, now),
-                            Some(!held.contains(&idx))
+                            ms.should_forward(&name, None, now),
+                            !held.contains(&idx)
                         );
                     }
                     prop_assert_eq!(ms.content_index(col, "f", *total as u64), None);
@@ -2127,8 +2193,8 @@ mod watermark_properties {
             for i in 0..64 {
                 let name = Name::from_uri(&format!("/elsewhere/f/{i}"));
                 prop_assert_eq!(
-                    ms.should_forward_named(&name, now),
-                    twin.should_forward_named(&name, now)
+                    ms.should_forward(&name, None, now),
+                    twin.should_forward(&name, None, now)
                 );
             }
         }

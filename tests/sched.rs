@@ -8,7 +8,7 @@
 //! both modes produced at `ff140d1`, pinned in `tests/golden.rs`. The rest
 //! of the file checks properties of the one path that no constant can
 //! capture: one arrival event per transmission, a leak-free timer slab,
-//! and a header fast path that actually resolves frames.
+//! and a receive path that resolves frames without building packets.
 
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
@@ -104,15 +104,15 @@ fn timer_slab_does_not_leak_across_a_full_scenario() {
 
 #[test]
 fn lazy_peek_actually_resolves_frames_without_decode() {
-    // Sanity that the fast path is exercised in a real scenario (not just
-    // equivalent): star downloaders overhear each other's content interests
+    // Sanity that frames resolve without building a packet in a real
+    // scenario: star downloaders overhear each other's content interests
     // and answers, so duplicate nonces and CS hits must resolve by peek —
     // and the per-outcome counters must decompose the total exactly.
     let params = MatrixParams::default();
     let topology = Topology::Star { downloaders: 3 };
     let mut sc = topology.build(1, &params);
     sc.run_until_complete(topology.deadline());
-    // Post-completion discovery chatter also feeds the fast path.
+    // Post-completion discovery chatter also resolves that way.
     let done = sc.world.now();
     sc.world.run_until(done + SimDuration::from_secs(60));
     let (mut peeked, mut cs, mut dup, mut fib, mut unsol) = (0u64, 0u64, 0u64, 0u64, 0u64);
