@@ -11,6 +11,7 @@ use crate::dsdv::Dsdv;
 use crate::ip::{IpPacket, Proto, BROADCAST};
 use crate::swarm::{kinds, SwarmSpec};
 use dapes_core::bitmap::Bitmap;
+use dapes_core::rpf::rarity_counts;
 use dapes_netsim::node::{NetStack, NodeCtx, NodeId};
 use dapes_netsim::radio::{Frame, FrameKind};
 use dapes_netsim::time::{SimDuration, SimTime};
@@ -296,8 +297,14 @@ impl BithocPeer {
         }
         let now = ctx.now;
         // Rarity across close peers (Bithoc's RPF, paper §VI-B1): how many
-        // of them lack each piece. Rarest first; the sort is stable, so ties
-        // keep `iter_missing`'s ascending piece order.
+        // of them lack each piece, counted a bitmap word at a time (bits
+        // past a shorter bitmap's end are unknown, not lacking). Rarest
+        // first; the sort is stable, so ties keep `iter_missing`'s
+        // ascending piece order.
+        let lacking = rarity_counts(
+            self.have.len(),
+            self.peers.values().filter(|p| p.close).map(|p| &p.bitmap),
+        );
         let mut order = std::mem::take(&mut self.order);
         order.clear();
         order.extend(
@@ -309,14 +316,7 @@ impl BithocPeer {
                         .get(&(i as u32))
                         .is_none_or(|&until| until <= now)
                 })
-                .map(|i| {
-                    let lacking = self
-                        .peers
-                        .values()
-                        .filter(|p| p.close && i < p.bitmap.len() && !p.bitmap.get(i))
-                        .count();
-                    (lacking as u32, i as u32)
-                }),
+                .map(|i| (lacking[i], i as u32)),
         );
         order.sort_by_key(|&(lacking, _)| Reverse(lacking));
 

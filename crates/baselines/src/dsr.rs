@@ -8,7 +8,7 @@
 //! "reactive routing overhead" the paper charges to Ekta.
 
 use dapes_netsim::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 /// A DSR control or source-routed message.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -147,8 +147,11 @@ pub struct Dsr {
     /// Cached full paths (intermediate hops only) keyed by destination,
     /// with the time they were learned: mobile routes go stale quickly.
     cache: BTreeMap<u32, (Vec<u32>, SimTime)>,
-    /// RREQ floods already seen: (origin, id).
-    seen_rreq: BTreeMap<(u32, u32), ()>,
+    /// RREQ floods already seen: (origin, id). Only ever probed and
+    /// inserted, never iterated, so its hash order cannot reach a trace.
+    /// Never pruned: it grows with every flood the node hears (ROADMAP
+    /// item 16).
+    seen_rreq: HashSet<(u32, u32)>,
     next_rreq_id: u32,
 }
 
@@ -158,7 +161,7 @@ impl Dsr {
         Dsr {
             me,
             cache: BTreeMap::new(),
-            seen_rreq: BTreeMap::new(),
+            seen_rreq: HashSet::new(),
             next_rreq_id: 0,
         }
     }
@@ -193,7 +196,7 @@ impl Dsr {
     pub fn start_discovery(&mut self, target: u32) -> DsrMessage {
         self.next_rreq_id += 1;
         let id = self.next_rreq_id;
-        self.seen_rreq.insert((self.me, id), ());
+        self.seen_rreq.insert((self.me, id));
         DsrMessage::Rreq {
             id,
             origin: self.me,
@@ -221,10 +224,9 @@ impl Dsr {
 
     /// Handles a RREQ heard from a direct neighbor. Returns what to do.
     pub fn on_rreq(&mut self, id: u32, origin: u32, target: u32, path: &[u32]) -> RreqAction {
-        if origin == self.me || self.seen_rreq.contains_key(&(origin, id)) {
+        if origin == self.me || !self.seen_rreq.insert((origin, id)) {
             return RreqAction::Drop;
         }
-        self.seen_rreq.insert((origin, id), ());
         // Opportunistically learn the reverse route to the origin.
         let mut reverse: Vec<u32> = path.to_vec();
         reverse.reverse();

@@ -73,15 +73,51 @@ fn bench_wire(c: &mut Criterion) {
 }
 
 fn bench_forwarder(c: &mut Criterion) {
-    c.bench_function("forwarder_interest_pipeline", |b| {
+    // Both cases advance the clock 1 ms an iteration and send Interests
+    // with a 10 ms lifetime over a ring of names long enough that each
+    // name's entry has been reclaimed before the name comes round again:
+    // the PIT stays a few hundred entries and no nonce list grows.
+    let ring = |names: u32, nonces: u32| -> Vec<Interest> {
+        (0..names)
+            .flat_map(|n| {
+                (1..=nonces).map(move |nonce| {
+                    Interest::new(Name::from_uri(&format!("/col/f/{n}")))
+                        .with_nonce(nonce)
+                        .with_lifetime_ms(10)
+                })
+            })
+            .collect()
+    };
+    let fwd = || {
         let mut fwd = Forwarder::new(ForwarderConfig::default());
         fwd.fib_mut()
             .register(Name::from_uri("/"), FaceId::WIRELESS);
-        let mut nonce = 0u32;
+        fwd
+    };
+    // Every Interest names something not pending: CS miss, PIT insert,
+    // FIB, strategy, relay.
+    c.bench_function("forwarder_interest_pipeline", |b| {
+        let interests = ring(1024, 1);
+        let mut fwd = fwd();
+        let mut k = 0usize;
         b.iter(|| {
-            nonce = nonce.wrapping_add(1);
-            let i = Interest::new(Name::from_uri("/col/f/1")).with_nonce(nonce);
-            fwd.process_interest(SimTime::ZERO, black_box(&i), FaceId::APP)
+            k += 1;
+            let now = SimTime::from_micros(k as u64 * 1_000);
+            let i = &interests[k % interests.len()];
+            fwd.process_interest(now, black_box(i), FaceId::APP)
+        })
+    });
+    // Eight Interests a name, each with a fresh nonce: the first records
+    // the entry, the next seven aggregate onto it (at most eight nonces).
+    c.bench_function("forwarder_interest_aggregate", |b| {
+        let interests = ring(64, 8);
+        let mut fwd = fwd();
+        let mut k = 0usize;
+        b.iter(|| {
+            k += 1;
+            let now = SimTime::from_micros(k as u64 * 1_000);
+            let i = &interests[k % interests.len()];
+            fwd.process_interest(now, black_box(i), FaceId::WIRELESS)
         })
     });
     c.bench_function("cs_prefix_lookup_4k", |b| {

@@ -28,6 +28,7 @@ use dapes_ndn::face::FaceId;
 use dapes_ndn::forwarder::{Decision, Strategy};
 use dapes_ndn::name::Name;
 use dapes_ndn::packet::InterestHeader;
+use dapes_netsim::payload::Payload;
 use dapes_netsim::time::SimTime;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -447,17 +448,19 @@ impl Strategy for MultihopState {
     fn decide(
         &mut self,
         interest: &InterestHeader<'_>,
-        name: &Name,
+        frame: &Payload,
         ingress: FaceId,
         nexthops: &[FaceId],
         now: SimTime,
     ) -> Decision {
         let mut faces = Vec::new();
         for &face in nexthops {
-            if face != FaceId::WIRELESS
-                || ingress == FaceId::APP
-                || self.should_forward(name, interest.app_parameters, now)
-            {
+            if face != FaceId::WIRELESS || ingress == FaceId::APP || {
+                let name = interest
+                    .to_name(frame)
+                    .expect("the forwarder hands over a well-formed name");
+                self.should_forward(&name, interest.app_parameters, now)
+            } {
                 faces.push(face);
             }
         }
@@ -473,7 +476,6 @@ impl Strategy for MultihopState {
 mod tests {
     use super::*;
     use dapes_ndn::packet::{Interest, Packet, PacketHeader};
-    use dapes_netsim::payload::Payload;
 
     /// `strat`'s decision on `interest` received on `ingress`, given its
     /// view.
@@ -487,7 +489,7 @@ mod tests {
         let Ok(PacketHeader::Interest(view)) = Packet::peek_header(&wire) else {
             panic!("an encoded Interest peeks as one");
         };
-        strat.decide(&view, interest.name(), ingress, nexthops, SimTime::ZERO)
+        strat.decide(&view, &wire, ingress, nexthops, SimTime::ZERO)
     }
 
     fn state(role: NodeRole, prob: f64) -> MultihopState {

@@ -320,13 +320,16 @@ impl DapesPeer {
                 Action::RelayInterest {
                     face: FaceId::WIRELESS,
                     frame: relayed,
-                    name,
+                    name_wire,
                     nonce,
                 } => {
                     // Multi-hop re-broadcast approved by the strategy, the
                     // received frame with its hop limit patched: schedule
-                    // with a random delay and cancellation rules (§V-A).
+                    // with a random delay and cancellation rules (§V-A),
+                    // which keep the name.
                     self.stats.frames_relay_patched += 1;
+                    let name = Name::from_wire_value(&name_wire)
+                        .expect("the forwarder relays well-formed names");
                     self.schedule_relay(ctx, relayed, frame.kind, name, nonce);
                 }
                 Action::SendData {

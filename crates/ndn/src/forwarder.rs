@@ -23,12 +23,12 @@
 use crate::cs::{ContentStore, CsBudget, EvictionPolicyKind};
 use crate::face::FaceId;
 use crate::fib::Fib;
-use crate::name::{wire_value_is_well_formed, Name};
+use crate::name::wire_value_is_well_formed;
 use crate::packet::{
     whole_buffer_is_one_packet, Data, Interest, InterestHeader, Packet, PacketHeader,
     PeekedHopLimit,
 };
-use crate::pit::{Pit, PitEntry};
+use crate::pit::{Pit, PitEntry, PitSlot};
 use dapes_netsim::payload::Payload;
 use dapes_netsim::time::{SimDuration, SimTime};
 use std::ops::ControlFlow;
@@ -58,16 +58,19 @@ pub enum Action {
     /// Send an Interest frame out a network face, ready for the radio:
     /// the received buffer with its hop-limit byte already patched
     /// (copy-on-write), or our own Interest's wire image as is (see
-    /// [`Forwarder::receive_interest`]). `name` and `nonce` accompany it for
-    /// the caller's pending-transmission bookkeeping (cancel-on-data,
-    /// cancel-on-nonce, forwarding notes).
+    /// [`Forwarder::receive_interest`]). `name_wire` and `nonce` accompany
+    /// it for the caller's pending-transmission bookkeeping
+    /// (cancel-on-data, cancel-on-nonce, forwarding notes); a caller that
+    /// keeps the name builds it
+    /// ([`crate::name::Name::from_wire_value`]).
     RelayInterest {
         /// Egress face.
         face: FaceId,
         /// The wire image to send.
         frame: Payload,
-        /// The Interest name (zero-copy views into the frame).
-        name: Name,
+        /// The Interest name's TLV value region: a zero-copy view into the
+        /// received frame, well-formed.
+        name_wire: Payload,
         /// The Interest nonce.
         nonce: u32,
     },
@@ -88,14 +91,16 @@ pub enum Decision {
 /// a worker thread; strategies hold only per-node state.
 pub trait Strategy: Send {
     /// Decides forwarding for `interest`, the received view (its
-    /// application parameters included), arriving on `ingress`. `name` is
-    /// the view's name, materialized once by the forwarder, and `nexthops`
-    /// are the FIB's usable next hops — never empty: with none the
-    /// forwarder suppresses without asking.
+    /// application parameters included) of `frame`, arriving on `ingress`.
+    /// The view's name region is well-formed; a strategy that reads the
+    /// name builds it ([`InterestHeader::to_name`] over `frame`), and one
+    /// that does not pays nothing for it. `nexthops` are the FIB's usable
+    /// next hops — never empty: with none the forwarder suppresses without
+    /// asking.
     fn decide(
         &mut self,
         interest: &InterestHeader<'_>,
-        name: &Name,
+        frame: &Payload,
         ingress: FaceId,
         nexthops: &[FaceId],
         now: SimTime,
@@ -110,7 +115,7 @@ impl Strategy for BroadcastStrategy {
     fn decide(
         &mut self,
         _interest: &InterestHeader<'_>,
-        _name: &Name,
+        _frame: &Payload,
         _ingress: FaceId,
         nexthops: &[FaceId],
         _now: SimTime,
@@ -375,7 +380,7 @@ impl<S: Strategy> Forwarder<S> {
 
     /// The pipeline's first two steps: reclaims, then answers `interest`
     /// from the Content Store or drops it as a duplicate nonce (`Break`),
-    /// or hands on whether its name is pending — and if so, when it was
+    /// or hands on the PIT probe and, if its name is pending, when it was
     /// last forwarded (`Continue`). Nothing is recorded but those two
     /// outcomes' counters.
     fn consult_tables(
@@ -383,7 +388,7 @@ impl<S: Strategy> Forwarder<S> {
         now: SimTime,
         interest: &InterestHeader<'_>,
         ingress: FaceId,
-    ) -> ControlFlow<(Vec<Action>, InterestOutcome), Option<Option<SimTime>>> {
+    ) -> ControlFlow<(Vec<Action>, InterestOutcome), Pending> {
         self.reclaim(now);
         if let Some((data, outcome)) = self.cs_answer(interest, now) {
             let data = data.clone();
@@ -391,12 +396,16 @@ impl<S: Strategy> Forwarder<S> {
             let face = ingress;
             return ControlFlow::Break((vec![Action::SendData { face, data }], outcome));
         }
-        match self.pit.probe_wire(interest.name_wire) {
+        let probe = self.pit.probe(interest.name_wire);
+        match self.pit.probed(probe) {
             Some(entry) if entry.has_nonce(interest.nonce) => {
                 self.stats.duplicate_interests += 1;
                 ControlFlow::Break((Vec::new(), InterestOutcome::DuplicateNonce))
             }
-            entry => ControlFlow::Continue(entry.map(PitEntry::last_forward)),
+            entry => ControlFlow::Continue(Pending {
+                probe,
+                last_forward: entry.map(PitEntry::last_forward),
+            }),
         }
     }
 
@@ -409,7 +418,7 @@ impl<S: Strategy> Forwarder<S> {
         interest: &InterestHeader<'_>,
         frame: &Payload,
         ingress: FaceId,
-        pending: Option<Option<SimTime>>,
+        pending: Pending,
     ) -> (Vec<Action>, InterestOutcome) {
         let name_wire = interest.name_wire;
         // The FIB walk also proves the name region well-formed; nothing is
@@ -425,20 +434,20 @@ impl<S: Strategy> Forwarder<S> {
             .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f))
             .collect();
         let expiry = now + SimDuration::from_millis(interest.lifetime_ms);
-        let (_, entry) = self.pit.insert_wired(
+        let (_, entry) = self.pit.insert_probed(
+            pending.probe,
             name_wire,
             interest.nonce,
             interest.can_be_prefix,
             ingress,
             expiry,
         );
-        let Some(last_forward) = pending else {
+        let Some(last_forward) = pending.last_forward else {
             if usable.is_empty() {
                 self.stats.suppressed_interests += 1;
                 return (Vec::new(), InterestOutcome::NoRoute);
             }
-            let name = interest.to_name(frame).expect("the FIB walked the region");
-            return match self.strategy.decide(interest, &name, ingress, &usable, now) {
+            return match self.strategy.decide(interest, frame, ingress, &usable, now) {
                 Decision::Suppress => {
                     self.stats.suppressed_interests += 1;
                     (Vec::new(), InterestOutcome::Suppressed)
@@ -449,7 +458,7 @@ impl<S: Strategy> Forwarder<S> {
                     let faces = faces
                         .into_iter()
                         .filter(|&f| f != ingress || self.cfg.rebroadcast_faces.contains(&f));
-                    egress(faces, interest, name, frame, ingress)
+                    egress(faces, interest, frame, ingress)
                 }
             };
         };
@@ -469,10 +478,9 @@ impl<S: Strategy> Forwarder<S> {
         if faces.is_empty() && !reforward {
             return (Vec::new(), InterestOutcome::Aggregated);
         }
-        let name = interest.to_name(frame).expect("the FIB walked the region");
         if reforward {
             if let Decision::Forward(chosen) =
-                self.strategy.decide(interest, &name, ingress, &usable, now)
+                self.strategy.decide(interest, frame, ingress, &usable, now)
             {
                 let before = faces.len();
                 faces.extend(chosen.into_iter().filter(|&f| {
@@ -484,7 +492,7 @@ impl<S: Strategy> Forwarder<S> {
                 }
             }
         }
-        let (actions, _) = egress(faces.into_iter(), interest, name, frame, ingress);
+        let (actions, _) = egress(faces.into_iter(), interest, frame, ingress);
         (actions, InterestOutcome::Aggregated)
     }
 
@@ -554,8 +562,11 @@ impl<S: Strategy> Forwarder<S> {
     ) -> Option<(Vec<Action>, PeekOutcome)> {
         let (actions, outcome) = match self.consult_tables(now, header, ingress) {
             ControlFlow::Break(resolved) => resolved,
-            ControlFlow::Continue(Some(_)) => return None,
-            ControlFlow::Continue(None) => self.record(now, header, backing, ingress, None),
+            ControlFlow::Continue(Pending {
+                last_forward: Some(_),
+                ..
+            }) => return None,
+            ControlFlow::Continue(pending) => self.record(now, header, backing, ingress, pending),
         };
         let outcome = match outcome {
             InterestOutcome::CsHit => PeekOutcome::CsHit,
@@ -632,14 +643,22 @@ impl<S: Strategy> Forwarder<S> {
     }
 }
 
-/// The actions sending `interest` (the view of `frame`, named `name`) out
-/// `faces`, in order, and whether that built an `Interest`
+/// What [`Forwarder::consult_tables`] hands on for an Interest the tables
+/// did not resolve: where the PIT probe found (or would put) its name, and
+/// — when the name is pending — when it was last forwarded.
+struct Pending {
+    probe: PitSlot,
+    last_forward: Option<Option<SimTime>>,
+}
+
+/// The actions sending `interest` (the view of `frame`) out `faces`, in
+/// order, and whether that built an `Interest`
 /// ([`InterestOutcome::Forwarded`]) or not ([`InterestOutcome::Relayed`]):
-/// see [`Forwarder::receive_interest`].
+/// see [`Forwarder::receive_interest`]. A name is built only for the
+/// application face or a frame that must be re-encoded.
 fn egress(
     faces: impl Iterator<Item = FaceId>,
     interest: &InterestHeader<'_>,
-    name: Name,
     frame: &Payload,
     ingress: FaceId,
 ) -> (Vec<Action>, InterestOutcome) {
@@ -647,20 +666,18 @@ fn egress(
     // The frame every network face sends, worked out at the first one.
     let mut relayed: Option<Option<Payload>> = None;
     let mut actions = Vec::with_capacity(1);
-    // Each action owns a name; the last one takes `name` itself.
-    let mut name = Some(name);
-    let mut faces = faces.peekable();
-    while let Some(face) = faces.next() {
-        let own = if faces.peek().is_some() {
-            name.clone()
-        } else {
-            name.take()
-        }
-        .expect("only the last face takes the name");
+    let build = || {
+        interest
+            .to_interest(frame)
+            .expect("the FIB walked the region")
+    };
+    for face in faces {
         if face == FaceId::APP {
             built = true;
-            let interest = interest.with_name(own, frame);
-            actions.push(Action::SendInterest { face, interest });
+            actions.push(Action::SendInterest {
+                face,
+                interest: build(),
+            });
             continue;
         }
         let relay = relayed.get_or_insert_with(|| {
@@ -679,14 +696,14 @@ fn egress(
                 PeekedHopLimit::Opaque { .. } => {}
             }
             built = true;
-            let mut rebuilt = interest.with_name(own.clone(), frame);
+            let mut rebuilt = build();
             rebuilt.decrement_hop_limit().then(|| rebuilt.wire())
         });
-        if let Some(frame) = relay {
+        if let Some(relay) = relay {
             actions.push(Action::RelayInterest {
                 face,
-                frame: frame.clone(),
-                name: own,
+                frame: relay.clone(),
+                name_wire: frame.view_of(interest.name_wire),
                 nonce: interest.nonce,
             });
         }
@@ -702,6 +719,7 @@ fn egress(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::name::Name;
 
     fn fwd() -> Forwarder {
         let mut f = Forwarder::new(ForwarderConfig::default());
@@ -733,7 +751,7 @@ mod tests {
             vec![Action::RelayInterest {
                 face: FaceId::WIRELESS,
                 frame: i.wire(),
-                name: Name::from_uri("/col/f/0"),
+                name_wire: Name::from_uri("/col/f/0").to_wire_value().into(),
                 nonce: 1,
             }]
         );
@@ -897,7 +915,7 @@ mod tests {
             fn decide(
                 &mut self,
                 _: &InterestHeader<'_>,
-                _: &Name,
+                _: &Payload,
                 _: FaceId,
                 _: &[FaceId],
                 _: SimTime,
@@ -922,7 +940,7 @@ mod tests {
             fn decide(
                 &mut self,
                 _: &InterestHeader<'_>,
-                _: &Name,
+                _: &Payload,
                 ingress: FaceId,
                 _: &[FaceId],
                 _: SimTime,
@@ -1223,14 +1241,18 @@ mod tests {
         let [Action::RelayInterest {
             face,
             frame,
-            name,
+            name_wire,
             nonce,
         }] = &actions[..]
         else {
             panic!("expected one relay action, got {actions:?}");
         };
         assert_eq!(*face, FaceId::WIRELESS);
-        assert_eq!(name, &Name::from_uri("/a"));
+        assert_eq!(Name::from_wire_value(name_wire), Some(Name::from_uri("/a")));
+        assert!(
+            Payload::same_backing(name_wire, &wire),
+            "the name bytes are a view into the received frame"
+        );
         assert_eq!(*nonce, 1);
         // The frame is decode → decrement → re-encode's bytes exactly.
         let mut decoded = Interest::decode(&wire).expect("decode");
@@ -1312,7 +1334,7 @@ mod tests {
             fn decide(
                 &mut self,
                 _: &InterestHeader<'_>,
-                _: &Name,
+                _: &Payload,
                 _: FaceId,
                 _: &[FaceId],
                 _: SimTime,
@@ -1347,7 +1369,7 @@ mod tests {
             fn decide(
                 &mut self,
                 interest: &InterestHeader<'_>,
-                _: &Name,
+                _: &Payload,
                 _: FaceId,
                 nexthops: &[FaceId],
                 _: SimTime,

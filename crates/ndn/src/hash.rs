@@ -73,15 +73,23 @@ impl Hasher for FxHasher {
 /// `BuildHasher` plugging [`FxHasher`] into `HashMap`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// [`FxHasher`] over `bytes` alone (no length prefix): the hash the PIT's
+/// own table and the Content Store's filter key a name's wire value by.
+/// Its high bits are the well-mixed ones.
+#[inline]
+pub(crate) fn hash_wire(bytes: &[u8]) -> u64 {
+    let mut h = FxHasher::default();
+    h.write(bytes);
+    h.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashMap;
 
     fn hash_of(bytes: &[u8]) -> u64 {
-        let mut h = FxHasher::default();
-        h.write(bytes);
-        h.finish()
+        hash_wire(bytes)
     }
 
     #[test]

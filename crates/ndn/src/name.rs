@@ -236,6 +236,14 @@ impl Name {
         out
     }
 
+    /// Decodes a name TLV value region — a received frame's name bytes, as
+    /// [`crate::forwarder::Action::RelayInterest`] carries them — into a
+    /// `Name` whose components are zero-copy views into `value`. `None`
+    /// when the region is malformed.
+    pub fn from_wire_value(value: &Payload) -> Option<Name> {
+        crate::packet::decode_name_value(value, value).ok()
+    }
+
     /// Whether `value` (a name TLV value region, as exposed by a peeked
     /// header) encodes exactly this name — equivalent to decoding it and
     /// comparing, but without allocating. Unparseable bytes never match.

@@ -924,7 +924,7 @@ pub(crate) fn encode_name(out: &mut Vec<u8>, name: &Name) {
 /// frame the region lies in. A first walk counts the components, so the
 /// vector is allocated exactly once — a relay materializes a name per
 /// forwarded Interest.
-fn decode_name_value(value: &[u8], backing: &Payload) -> Result<Name, TlvError> {
+pub(crate) fn decode_name_value(value: &[u8], backing: &Payload) -> Result<Name, TlvError> {
     let mut nr = TlvReader::new(value);
     let mut count = 0usize;
     while !nr.is_at_end() {

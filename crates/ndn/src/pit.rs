@@ -6,11 +6,10 @@
 //! downstream faces that asked for it.
 
 use crate::face::FaceId;
-use crate::hash::FxBuildHasher;
+use crate::hash::hash_wire;
 use crate::name::{wire_value_is_well_formed, Name};
 use crate::tlv::TlvReader;
 use dapes_netsim::time::{SimDuration, SimTime};
-use std::collections::HashMap;
 
 /// How long past its expiry an entry must be before [`Pit::reclaim`] may
 /// take it: DAPES's 100 ms tick, so an owner that calls [`Pit::expire`]
@@ -18,7 +17,7 @@ use std::collections::HashMap;
 pub const RECLAIM_AFTER: SimDuration = SimDuration::from_millis(100);
 
 /// One pending Interest. Its name is the wire key the [`Pit`] stores it
-/// under; the entry itself is a few words.
+/// under, beside it; the entry itself is a few words.
 #[derive(Clone, Debug)]
 pub struct PitEntry {
     /// When the entry expires. Crate-private because the sweeps'
@@ -34,6 +33,11 @@ pub struct PitEntry {
     nonce: u32,
     /// The first Interest's ingress face.
     downstream: FaceId,
+    /// This entry's share of [`Pit::state_bytes`]: the Table I formula
+    /// ([`PitEntry::recount_state_bytes`]) worked out once at insert and
+    /// raised by each aggregation, so removal subtracts it without walking
+    /// the key's TLVs again.
+    state_bytes: u32,
     /// Whether any aggregated Interest had CanBePrefix set. Crate-private
     /// because the table's count of such entries must see every write.
     pub(crate) can_be_prefix: bool,
@@ -87,7 +91,11 @@ impl PitEntry {
 
     /// Whether `nonce` was already recorded for this name.
     pub fn has_nonce(&self, nonce: u32) -> bool {
-        self.nonces().any(|n| n == nonce)
+        self.nonce == nonce
+            || self
+                .more
+                .as_ref()
+                .is_some_and(|m| m.nonces.contains(&nonce))
     }
 
     /// Whether any aggregated Interest had CanBePrefix set, so that Data
@@ -97,10 +105,12 @@ impl PitEntry {
     }
 
     /// Approximate bytes of state (Table I memory proxy) of this entry
-    /// stored under `key`: the name as a [`Name`] would hold it, four per
-    /// downstream and nonce, 32 of fixed fields, then the key plus 16 of
-    /// index overhead.
-    fn state_bytes(&self, key: &[u8]) -> usize {
+    /// stored under `key`, worked out from scratch: the name as a [`Name`]
+    /// would hold it, four per downstream and nonce, 32 of fixed fields,
+    /// then the key plus 16 of index overhead. The table keeps each
+    /// entry's figure instead of recounting it ([`Pit::audit`] checks the
+    /// two agree).
+    fn recount_state_bytes(&self, key: &[u8]) -> usize {
         let mut r = TlvReader::new(key);
         let mut name = 24;
         while let Ok((_, component)) = r.read_tlv() {
@@ -122,17 +132,115 @@ pub enum PitInsert {
     DuplicateNonce,
 }
 
+/// Keys up to this many bytes sit inline in their record, which then
+/// holds key and entry in 80 bytes. Every relay-swarm name fits.
+const INLINE_KEY: usize = 38;
+
+/// A name's canonical wire value as a table key: inline when short,
+/// boxed beyond [`INLINE_KEY`].
+#[derive(Clone, Debug)]
+enum WireKey {
+    Inline { len: u8, bytes: [u8; INLINE_KEY] },
+    Boxed(Box<[u8]>),
+}
+
+impl WireKey {
+    fn new(wire: &[u8]) -> Self {
+        if wire.len() > INLINE_KEY {
+            return WireKey::Boxed(wire.into());
+        }
+        let mut bytes = [0; INLINE_KEY];
+        bytes[..wire.len()].copy_from_slice(wire);
+        WireKey::Inline {
+            len: wire.len() as u8,
+            bytes,
+        }
+    }
+
+    #[inline]
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            WireKey::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            WireKey::Boxed(b) => b,
+        }
+    }
+}
+
+/// One stored entry with its key: a record of the dense table.
+#[derive(Clone, Debug)]
+struct Record {
+    entry: PitEntry,
+    key: WireKey,
+}
+
+const _: () = assert!(std::mem::size_of::<Record>() <= 80);
+
+/// An index slot: 0 when empty, else the key hash's top eight bits (the
+/// tag) over the record's position plus one in [`RECORD_BITS`] bits — four
+/// bytes, so a node's whole index stays a few cache lines.
+type Slot = u32;
+
+const RECORD_BITS: u32 = 24;
+
+/// The most records one table holds: what a slot can address.
+const MAX_RECORDS: usize = (1 << RECORD_BITS) - 1;
+
+fn slot(hash: u64, record: usize) -> Slot {
+    (tag(hash) << RECORD_BITS) | (record as u32 + 1)
+}
+
+fn tag(hash: u64) -> u32 {
+    (hash >> 56) as u32
+}
+
+fn slot_tag(s: Slot) -> u32 {
+    s >> RECORD_BITS
+}
+
+fn slot_record(s: Slot) -> usize {
+    (s & MAX_RECORDS as u32).wrapping_sub(1) as usize
+}
+
+/// Where a key with this hash starts probing: hash bits below the tag's.
+fn home(hash: u64, mask: usize) -> usize {
+    (hash >> 32) as usize & mask
+}
+
+/// Where one probe found a name, or where it would go: handed from
+/// [`Pit::probe`] to [`Pit::insert_probed`] so recording an Interest the
+/// pipeline already looked up costs no second probe. Valid until the
+/// table next changes.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PitSlot {
+    hash: u64,
+    /// `Ok(record)` when present, `Err(slot)` — the empty index slot the
+    /// name would take, or `usize::MAX` while the index is unallocated.
+    at: Result<usize, usize>,
+}
+
 /// The Pending Interest Table.
 ///
-/// One hash map keyed by the name's canonical wire value
-/// ([`Name::to_wire_value`]) owns every entry; no entry holds a [`Name`],
-/// so none pins the frame its Interest arrived in. A received Interest's
-/// view carries its name as a borrowed byte slice, which the map answers
-/// duplicate-nonce and PIT-match probes against directly. Data-to-entry
-/// prefix matching probes component boundaries of the wire key, which
-/// works because a name's canonical wire value byte-extends all of its
-/// prefixes'. The map only ever holds encodings of well-formed names, so a
-/// frame with a malformed name region simply misses.
+/// Entries live in one dense vector of records, each holding its name's
+/// canonical wire value ([`Name::to_wire_value`]) beside the entry —
+/// inline for every name up to 38 bytes — so no entry holds a
+/// [`Name`] or pins the frame its Interest arrived in. An open-addressing
+/// index (linear probing, at most half full) maps a key's hash to its
+/// record; each four-byte slot carries the hash's top eight bits as a
+/// tag, so a probe reads a record only on a tag match, and addresses up
+/// to `2^24 − 1` records. A lookup is therefore one index line and then
+/// the record — the duplicate-nonce hit, the pipeline's commonest
+/// outcome, reads nothing else. Removal shifts the probe run back (no
+/// tombstones) and moves the last record into the hole. Neither the
+/// index nor the vector shrinks: a table sits at its peak size, and
+/// re-growing after each sweep would cost more than it saves.
+///
+/// A received Interest's view carries its name as a borrowed byte slice,
+/// which the table answers duplicate-nonce and PIT-match probes against
+/// directly. Data-to-entry prefix matching probes component boundaries of
+/// the wire key, which works because a name's canonical wire value
+/// byte-extends all of its prefixes'. The table only ever holds encodings
+/// of well-formed names, so a frame with a malformed name region simply
+/// misses. Nothing the table returns depends on its hash order.
 ///
 /// [`Pit::state_bytes`] is a running total, kept at insert, aggregation
 /// and removal, so reading it costs nothing. So is
@@ -156,7 +264,8 @@ pub enum PitInsert {
 /// table scans at most once per `RECLAIM_AFTER`.
 #[derive(Clone, Debug)]
 pub struct Pit {
-    entries: HashMap<Box<[u8]>, PitEntry, FxBuildHasher>,
+    index: Vec<Slot>,
+    records: Vec<Record>,
     state_bytes: usize,
     /// Entries with `can_be_prefix` set.
     prefix_entries: usize,
@@ -166,7 +275,8 @@ pub struct Pit {
 impl Default for Pit {
     fn default() -> Self {
         Pit {
-            entries: HashMap::default(),
+            index: Vec::new(),
+            records: Vec::new(),
             state_bytes: 0,
             prefix_entries: 0,
             next_due: SimTime::FAR_FUTURE,
@@ -182,7 +292,7 @@ impl Pit {
 
     /// Number of pending entries (exported as the `pit_arena_live` stat).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.records.len()
     }
 
     /// Whether the PIT is empty.
@@ -200,6 +310,39 @@ impl Pit {
     /// set), kept at insert, aggregation and removal.
     pub fn prefix_entries(&self) -> usize {
         self.prefix_entries
+    }
+
+    /// Looks `name_wire` up: one index probe.
+    #[inline]
+    pub(crate) fn probe(&self, name_wire: &[u8]) -> PitSlot {
+        let hash = hash_wire(name_wire);
+        PitSlot {
+            hash,
+            at: self.find(hash, name_wire),
+        }
+    }
+
+    fn find(&self, hash: u64, key: &[u8]) -> Result<usize, usize> {
+        if self.index.is_empty() {
+            return Err(usize::MAX);
+        }
+        let mask = self.index.len() - 1;
+        let mut i = home(hash, mask);
+        loop {
+            let s = self.index[i];
+            if s == 0 {
+                return Err(i);
+            }
+            if slot_tag(s) == tag(hash) && self.records[slot_record(s)].key.as_slice() == key {
+                return Ok(slot_record(s));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The entry a probe found, if any.
+    pub(crate) fn probed(&self, probe: PitSlot) -> Option<&PitEntry> {
+        probe.at.ok().map(|r| &self.records[r].entry)
     }
 
     /// Records an incoming Interest: encodes the name once, then
@@ -229,23 +372,76 @@ impl Pit {
         ingress: FaceId,
         expiry: SimTime,
     ) -> (PitInsert, &mut PitEntry) {
-        if !self.entries.contains_key(name_wire) {
-            debug_assert!(wire_value_is_well_formed(name_wire));
-            self.next_due = self.next_due.min(expiry);
-            let entry = PitEntry {
-                expiry,
-                last_forward: NEVER_FORWARDED,
-                more: None,
-                nonce,
-                downstream: ingress,
-                can_be_prefix,
-            };
-            self.state_bytes += entry.state_bytes(name_wire);
-            self.prefix_entries += usize::from(can_be_prefix);
-            let entry = self.entries.entry(name_wire.into()).or_insert(entry);
-            return (PitInsert::New, entry);
+        let probe = self.probe(name_wire);
+        self.insert_probed(probe, name_wire, nonce, can_be_prefix, ingress, expiry)
+    }
+
+    /// [`Pit::insert_wired`] where `probe` is what [`Pit::probe`] returned
+    /// for `name_wire` with the table unchanged since: records the Interest
+    /// without probing again (unless the index must grow first).
+    pub(crate) fn insert_probed(
+        &mut self,
+        probe: PitSlot,
+        name_wire: &[u8],
+        nonce: u32,
+        can_be_prefix: bool,
+        ingress: FaceId,
+        expiry: SimTime,
+    ) -> (PitInsert, &mut PitEntry) {
+        debug_assert_eq!(
+            probe.at.ok(),
+            self.find(probe.hash, name_wire).ok(),
+            "stale probe"
+        );
+        let mut vacant = match probe.at {
+            Ok(r) => return self.aggregate(r, nonce, can_be_prefix, ingress, expiry),
+            Err(vacant) => vacant,
+        };
+        debug_assert!(wire_value_is_well_formed(name_wire));
+        assert!(
+            self.records.len() < MAX_RECORDS,
+            "a PIT holds at most {MAX_RECORDS} entries"
+        );
+        if (self.records.len() + 1) * 2 > self.index.len() {
+            self.grow();
+            vacant = self
+                .find(probe.hash, name_wire)
+                .expect_err("the name is not in the table");
         }
-        let entry = self.entries.get_mut(name_wire).expect("checked above");
+        self.next_due = self.next_due.min(expiry);
+        let mut entry = PitEntry {
+            expiry,
+            last_forward: NEVER_FORWARDED,
+            more: None,
+            nonce,
+            downstream: ingress,
+            state_bytes: 0,
+            can_be_prefix,
+        };
+        let bytes = entry.recount_state_bytes(name_wire);
+        entry.state_bytes = bytes as u32;
+        self.state_bytes += bytes;
+        self.prefix_entries += usize::from(can_be_prefix);
+        self.index[vacant] = slot(probe.hash, self.records.len());
+        self.records.push(Record {
+            entry,
+            key: WireKey::new(name_wire),
+        });
+        let record = self.records.last_mut().expect("just pushed");
+        (PitInsert::New, &mut record.entry)
+    }
+
+    /// Adds an Interest with a new nonce to record `r`, or reports its
+    /// nonce a duplicate.
+    fn aggregate(
+        &mut self,
+        r: usize,
+        nonce: u32,
+        can_be_prefix: bool,
+        ingress: FaceId,
+        expiry: SimTime,
+    ) -> (PitInsert, &mut PitEntry) {
+        let entry = &mut self.records[r].entry;
         if entry.has_nonce(nonce) {
             return (PitInsert::DuplicateNonce, entry);
         }
@@ -257,33 +453,54 @@ impl Pit {
         entry.expiry = entry.expiry.max(expiry);
         let more = entry.more.get_or_insert_with(Box::default);
         more.nonces.push(nonce);
-        self.state_bytes += 4;
+        let mut added = 4;
         if new_face {
             more.downstreams.push(ingress);
-            self.state_bytes += 4;
+            added += 4;
         }
+        entry.state_bytes += added;
+        self.state_bytes += added as usize;
         (PitInsert::Aggregated, entry)
+    }
+
+    /// Doubles the index (eight slots at first) and re-slots every record.
+    fn grow(&mut self) {
+        let len = (self.index.len() * 2).max(8);
+        self.index = vec![0; len];
+        self.reindex();
+    }
+
+    /// Clears the index and slots every record again, by position.
+    fn reindex(&mut self) {
+        self.index.fill(0);
+        let mask = self.index.len().wrapping_sub(1);
+        for (r, record) in self.records.iter().enumerate() {
+            let hash = hash_wire(record.key.as_slice());
+            let mut i = home(hash, mask);
+            while self.index[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.index[i] = slot(hash, r);
+        }
     }
 
     /// Whether a pending entry exists for `name` (exact).
     pub fn contains(&self, name: &Name) -> bool {
-        self.entries.contains_key(&*name.to_wire_value())
+        self.probe_wire(&name.to_wire_value()).is_some()
     }
 
-    /// The entry recorded under a name's wire value, if any — the one
-    /// probe behind both the duplicate-nonce and the would-be-new checks,
-    /// so the forwarder hashes the name bytes once.
+    /// The entry recorded under a name's wire value, if any: one probe.
     pub fn probe_wire(&self, name_wire: &[u8]) -> Option<&PitEntry> {
-        self.entries.get(name_wire)
+        self.probed(self.probe(name_wire))
     }
 
     /// Whether a Data packet named by `name_wire` would satisfy any
     /// pending entry (exact match or a CanBePrefix prefix entry) — the
-    /// read-only mirror of [`Pit::take_matching`]: one hash probe for the
-    /// exact name, then, while any CanBePrefix entry is pending, one per
-    /// strict prefix.
+    /// read-only mirror of [`Pit::take_matching`]: one probe for the exact
+    /// name, then, while any CanBePrefix entry is pending, one per strict
+    /// prefix.
     pub fn matches_wire(&self, name_wire: &[u8]) -> bool {
-        self.entries.contains_key(name_wire)
+        self.probe_wire(name_wire).is_some()
             || (self.prefix_entries > 0
                 && strict_prefix_ends(name_wire).any(|end| self.is_prefix_entry(&name_wire[..end])))
     }
@@ -296,15 +513,63 @@ impl Pit {
     /// Mutable access to the entry for a canonical name wire value
     /// (forwarders stamp [`PitEntry::last_forward`]).
     pub fn entry_mut_wire(&mut self, name_wire: &[u8]) -> Option<&mut PitEntry> {
-        self.entries.get_mut(name_wire)
+        let r = self.probe(name_wire).at.ok()?;
+        Some(&mut self.records[r].entry)
     }
 
     /// Removes the entry stored under `key`, if any, with its key.
     fn evict(&mut self, key: &[u8]) -> Option<(Box<[u8]>, PitEntry)> {
-        let (key, entry) = self.entries.remove_entry(key)?;
-        self.state_bytes -= entry.state_bytes(&key);
+        let hash = hash_wire(key);
+        let r = self.find(hash, key).ok()?;
+        let hole = self.slot_of(hash, r);
+        self.unslot(hole);
+        let last = self.records.len() - 1;
+        if r != last {
+            // The last record moves into `r`: re-point its slot.
+            let moved = hash_wire(self.records[last].key.as_slice());
+            let at = self.slot_of(moved, last);
+            self.index[at] = slot(moved, r);
+        }
+        let Record { entry, key } = self.records.swap_remove(r);
+        self.state_bytes -= entry.state_bytes as usize;
         self.prefix_entries -= usize::from(entry.can_be_prefix);
+        let key = match key {
+            WireKey::Boxed(b) => b,
+            inline => inline.as_slice().into(),
+        };
         Some((key, entry))
+    }
+
+    /// The index slot that points at record `r`, whose key has `hash`.
+    fn slot_of(&self, hash: u64, r: usize) -> usize {
+        let mask = self.index.len() - 1;
+        let mut i = home(hash, mask);
+        while slot_record(self.index[i]) != r {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Empties index slot `hole`, shifting later members of its probe run
+    /// back so every lookup still reaches them without tombstones.
+    fn unslot(&mut self, mut hole: usize) {
+        let mask = self.index.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.index[i];
+            if s == 0 {
+                break;
+            }
+            // `s` may fill the hole when its home lies cyclically at or
+            // before the hole, i.e. no nearer to `i` than the hole is.
+            let at = home(hash_wire(self.records[slot_record(s)].key.as_slice()), mask);
+            if (i.wrapping_sub(at) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.index[hole] = s;
+                hole = i;
+            }
+        }
+        self.index[hole] = 0;
     }
 
     /// Removes and returns, each with its name's wire value, all entries a
@@ -356,14 +621,15 @@ impl Pit {
     }
 
     /// Removes every entry that expires at or before `cutoff` and raises
-    /// the watermark to the earliest expiry left.
+    /// the watermark to the earliest expiry left. The survivors keep their
+    /// order and are slotted again in one pass.
     fn sweep(&mut self, cutoff: SimTime) -> usize {
-        let before = self.entries.len();
+        let before = self.records.len();
         let mut next_due = SimTime::FAR_FUTURE;
         let (state_bytes, prefix_entries) = (&mut self.state_bytes, &mut self.prefix_entries);
-        self.entries.retain(|key, e| {
+        self.records.retain(|Record { entry: e, .. }| {
             if e.expiry <= cutoff {
-                *state_bytes -= e.state_bytes(key);
+                *state_bytes -= e.state_bytes as usize;
                 *prefix_entries -= usize::from(e.can_be_prefix);
                 false
             } else {
@@ -372,7 +638,67 @@ impl Pit {
             }
         });
         self.next_due = next_due;
-        before - self.entries.len()
+        let removed = before - self.records.len();
+        if removed > 0 {
+            self.reindex();
+        }
+        removed
+    }
+
+    /// Checks the table against itself, returning the first violation:
+    ///
+    /// * every record is reachable through the index under its own key,
+    ///   and the index holds nothing else;
+    /// * each entry's kept state bytes equal the Table I formula recounted
+    ///   from its key and fields, and the running total is their sum;
+    /// * the CanBePrefix count matches a recount;
+    /// * the watermark is at or below every expiry.
+    ///
+    /// Test infrastructure; not called on hot paths.
+    pub fn audit(&self) -> Result<(), String> {
+        let slotted = self.index.iter().filter(|&&s| s != 0).count();
+        if slotted != self.records.len() {
+            return Err(format!(
+                "{slotted} index slots for {} records",
+                self.records.len()
+            ));
+        }
+        let mut sum = 0;
+        for (r, Record { entry, key }) in self.records.iter().enumerate() {
+            let key = key.as_slice();
+            if self.find(hash_wire(key), key) != Ok(r) {
+                return Err(format!("record {r} ({key:?}) is not reachable"));
+            }
+            let recount = entry.recount_state_bytes(key);
+            if entry.state_bytes as usize != recount {
+                return Err(format!(
+                    "record {r} keeps {} state bytes, the formula says {recount}",
+                    entry.state_bytes
+                ));
+            }
+            if entry.expiry < self.next_due {
+                return Err(format!("record {r} expires below the watermark"));
+            }
+            sum += recount;
+        }
+        if sum != self.state_bytes {
+            return Err(format!(
+                "state bytes drifted: running {} vs recounted {sum}",
+                self.state_bytes
+            ));
+        }
+        let prefix = self
+            .records
+            .iter()
+            .filter(|r| r.entry.can_be_prefix)
+            .count();
+        if prefix != self.prefix_entries {
+            return Err(format!(
+                "CanBePrefix count drifted: running {} vs recounted {prefix}",
+                self.prefix_entries
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -723,5 +1049,78 @@ mod tests {
         assert_eq!(pit.state_bytes(), 120 + 8, "a nonce and a face");
         pit.take_matching(&name("/a/b/c").to_wire_value());
         assert_eq!(pit.state_bytes(), 0);
+    }
+
+    /// Churn over a few hundred names — short keys stored inline, long
+    /// ones boxed — through index growth, backward-shift removal, record
+    /// moves and sweeps, against a map model, auditing after every step.
+    #[test]
+    fn table_churn_matches_a_map_model() {
+        use std::collections::BTreeMap;
+        let mut state = 7u64;
+        let mut next = |n: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        let names: Vec<Vec<u8>> = (0..300)
+            .map(|i| {
+                let uri = if i % 3 == 0 {
+                    format!("/a-long-collection-name/with/many/components/{i}")
+                } else {
+                    format!("/s/{i}")
+                };
+                name(&uri).to_wire_value()
+            })
+            .collect();
+        assert!(names.iter().any(|k| k.len() > INLINE_KEY));
+        assert!(names.iter().any(|k| k.len() <= INLINE_KEY));
+        let mut pit = Pit::new();
+        let mut model: BTreeMap<Vec<u8>, (Vec<u32>, SimTime)> = BTreeMap::new();
+        let mut now = t(1);
+        for step in 0..6_000 {
+            let key = &names[next(names.len() as u64) as usize];
+            match next(10) {
+                0..=5 => {
+                    let nonce = next(4) as u32;
+                    let expiry = now + SimDuration::from_millis(1 + next(50));
+                    let (got, _) = pit.insert_wired(key, nonce, false, FaceId::APP, expiry);
+                    let want = match model.get_mut(key) {
+                        None => {
+                            model.insert(key.clone(), (vec![nonce], expiry));
+                            PitInsert::New
+                        }
+                        Some((nonces, _)) if nonces.contains(&nonce) => PitInsert::DuplicateNonce,
+                        Some((nonces, e)) => {
+                            nonces.push(nonce);
+                            *e = (*e).max(expiry);
+                            PitInsert::Aggregated
+                        }
+                    };
+                    assert_eq!(got, want, "step {step}");
+                }
+                6 | 7 => {
+                    let taken = pit.take_matching(key);
+                    let want = model.remove(key);
+                    assert_eq!(taken.len(), usize::from(want.is_some()), "step {step}");
+                    if let (Some((k, e)), Some((nonces, _))) = (taken.first(), want) {
+                        assert_eq!(&**k, &key[..]);
+                        assert_eq!(e.nonces().collect::<Vec<_>>(), nonces);
+                    }
+                }
+                8 => {
+                    now += SimDuration::from_millis(next(30));
+                    let want = model.len();
+                    model.retain(|_, (_, e)| *e > now);
+                    assert_eq!(pit.expire(now), want - model.len(), "step {step}");
+                }
+                _ => now += SimDuration::from_millis(1),
+            }
+            assert_eq!(pit.audit(), Ok(()), "step {step}");
+            assert_eq!(pit.len(), model.len());
+            let probe = &names[next(names.len() as u64) as usize];
+            assert_eq!(pit.probe_wire(probe).is_some(), model.contains_key(probe));
+        }
     }
 }

@@ -19,6 +19,14 @@
 //! of the in-range nodes, and callers keep the exact distance check. Nodes
 //! are re-registered only at mobility-change events, which the event loop
 //! already dispatches.
+//!
+//! # Candidates as a bitset
+//!
+//! A query answers with a [`NodeSet`], one bit per node id, so a node
+//! registered in several of the queried cells is a single bit and
+//! iteration is ascending by construction: no per-query sort or dedup.
+//! Delivery walks receivers in that order, which keeps the per-receiver
+//! loss draws identical to a brute-force scan.
 
 use crate::geometry::Point;
 use crate::node::NodeId;
@@ -30,6 +38,86 @@ struct CellSpan {
     r0: u32,
     c1: u32,
     r1: u32,
+}
+
+/// A set of node ids, one bit each, iterated ascending
+/// ([`NodeSet::drain`]). Only the words an insert touched since the last
+/// drain are scanned, so a query costs O(candidates + span of their ids /
+/// 64) however many nodes the world holds.
+#[derive(Clone, Debug)]
+pub struct NodeSet {
+    words: Vec<u64>,
+    /// Touched word range `lo..hi`: `(usize::MAX, 0)` while empty.
+    lo: usize,
+    hi: usize,
+}
+
+impl Default for NodeSet {
+    fn default() -> Self {
+        NodeSet {
+            words: Vec::new(),
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+}
+
+impl NodeSet {
+    /// Adds `node`.
+    #[inline]
+    pub(crate) fn insert(&mut self, node: NodeId) {
+        let w = node.0 as usize / 64;
+        if w >= self.words.len() {
+            self.words.resize(w + 1, 0);
+        }
+        self.lo = self.lo.min(w);
+        self.hi = self.hi.max(w + 1);
+        self.words[w] |= 1 << (node.0 % 64);
+    }
+
+    /// Yields every node in ascending id order. The set is empty once the
+    /// drain is dropped, whether or not it ran to its end.
+    pub fn drain(&mut self) -> Drain<'_> {
+        Drain { set: self, bits: 0 }
+    }
+}
+
+/// Ascending iterator of [`NodeSet::drain`].
+#[derive(Debug)]
+pub struct Drain<'a> {
+    set: &'a mut NodeSet,
+    /// What is left of the word being yielded, at `set.lo - 1`.
+    bits: u64,
+}
+
+impl Iterator for Drain<'_> {
+    type Item = NodeId;
+
+    #[inline]
+    fn next(&mut self) -> Option<NodeId> {
+        while self.bits == 0 {
+            let set = &mut *self.set;
+            if set.lo >= set.hi {
+                return None;
+            }
+            self.bits = std::mem::take(&mut set.words[set.lo]);
+            set.lo += 1;
+        }
+        let bit = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(NodeId((self.set.lo as u32 - 1) * 64 + bit))
+    }
+}
+
+/// Clears what a drain stopped early left, and resets the touched range.
+impl Drop for Drain<'_> {
+    fn drop(&mut self) {
+        let set = &mut *self.set;
+        if set.lo < set.hi {
+            set.words[set.lo..set.hi].fill(0);
+        }
+        (set.lo, set.hi) = (usize::MAX, 0);
+    }
 }
 
 /// A uniform grid over the field, bucketing nodes by movement-segment
@@ -138,25 +226,23 @@ impl SpatialGrid {
         }
     }
 
-    /// Collects into `out` a sorted, deduplicated superset of the nodes
-    /// within `range` of `center`: every node whose exact position can be
-    /// inside the disk is included; callers apply the exact distance check.
-    /// The output order is ascending `NodeId`, which keeps delivery
-    /// iteration (and therefore per-receiver RNG draws) identical to a
-    /// brute-force scan.
-    pub fn candidates_into(&self, center: Point, range: f64, out: &mut Vec<NodeId>) {
-        out.clear();
+    /// Adds to `out` a superset of the nodes within `range` of `center`:
+    /// every node whose exact position can be inside the disk; callers
+    /// apply the exact distance check. Draining `out` yields them by
+    /// ascending `NodeId`, which keeps delivery iteration (and therefore
+    /// per-receiver RNG draws) identical to a brute-force scan.
+    pub fn candidates_into(&self, center: Point, range: f64, out: &mut NodeSet) {
         let c0 = self.col_of(center.x - range);
         let c1 = self.col_of(center.x + range);
         let r0 = self.row_of(center.y - range);
         let r1 = self.row_of(center.y + range);
         for r in r0..=r1 {
             for c in c0..=c1 {
-                out.extend_from_slice(&self.cells[self.cell_index(c, r)]);
+                for &node in &self.cells[self.cell_index(c, r)] {
+                    out.insert(node);
+                }
             }
         }
-        out.sort_unstable();
-        out.dedup();
     }
 
     /// Number of registered nodes.
@@ -178,6 +264,13 @@ mod tests {
         SpatialGrid::new((300.0, 300.0), 60.0)
     }
 
+    /// The grid's candidates around `center`, in drain order.
+    fn query(g: &SpatialGrid, center: Point, range: f64) -> Vec<NodeId> {
+        let mut set = NodeSet::default();
+        g.candidates_into(center, range, &mut set);
+        set.drain().collect()
+    }
+
     #[test]
     fn query_finds_point_nodes_in_and_out_of_range() {
         let mut g = grid();
@@ -188,8 +281,7 @@ mod tests {
             Point::new(290.0, 290.0),
             Point::new(290.0, 290.0),
         );
-        let mut out = Vec::new();
-        g.candidates_into(Point::new(12.0, 12.0), 60.0, &mut out);
+        let out = query(&g, Point::new(12.0, 12.0), 60.0);
         assert!(out.contains(&NodeId(0)));
         assert!(out.contains(&NodeId(1)));
         assert!(!out.contains(&NodeId(2)), "far corner is never a candidate");
@@ -201,8 +293,7 @@ mod tests {
         // A segment spanning several cells registers in all of them.
         g.insert(NodeId(0), Point::new(10.0, 10.0), Point::new(200.0, 10.0));
         g.insert(NodeId(1), Point::new(70.0, 10.0), Point::new(70.0, 10.0));
-        let mut out = Vec::new();
-        g.candidates_into(Point::new(100.0, 10.0), 60.0, &mut out);
+        let out = query(&g, Point::new(100.0, 10.0), 60.0);
         assert_eq!(out, vec![NodeId(0), NodeId(1)]);
     }
 
@@ -215,10 +306,9 @@ mod tests {
             Point::new(290.0, 290.0),
             Point::new(290.0, 290.0),
         );
-        let mut out = Vec::new();
-        g.candidates_into(Point::new(10.0, 10.0), 60.0, &mut out);
+        let out = query(&g, Point::new(10.0, 10.0), 60.0);
         assert!(out.is_empty(), "node left its old cell");
-        g.candidates_into(Point::new(280.0, 280.0), 60.0, &mut out);
+        let out = query(&g, Point::new(280.0, 280.0), 60.0);
         assert_eq!(out, vec![NodeId(0)]);
     }
 
@@ -226,8 +316,7 @@ mod tests {
     fn out_of_field_positions_clamp_to_edge_cells() {
         let mut g = grid();
         g.insert(NodeId(0), Point::new(-5.0, 400.0), Point::new(-5.0, 400.0));
-        let mut out = Vec::new();
-        g.candidates_into(Point::new(0.0, 299.0), 60.0, &mut out);
+        let out = query(&g, Point::new(0.0, 299.0), 60.0);
         assert_eq!(out, vec![NodeId(0)]);
     }
 
@@ -235,8 +324,7 @@ mod tests {
     fn query_near_field_edges_does_not_panic() {
         let mut g = grid();
         g.insert(NodeId(0), Point::new(0.0, 0.0), Point::new(0.0, 0.0));
-        let mut out = Vec::new();
-        g.candidates_into(Point::new(0.0, 0.0), 500.0, &mut out);
+        let out = query(&g, Point::new(0.0, 0.0), 500.0);
         assert_eq!(out, vec![NodeId(0)]);
     }
 
@@ -256,8 +344,7 @@ mod tests {
         assert!(g.rows as f64 <= SpatialGrid::MAX_CELLS_PER_AXIS);
         let mut g = g;
         g.insert(NodeId(0), Point::new(1.0, 1.0), Point::new(1.0, 1.0));
-        let mut out = Vec::new();
-        g.candidates_into(Point::new(1.0, 1.0), 1e-6, &mut out);
+        let out = query(&g, Point::new(1.0, 1.0), 1e-6);
         assert_eq!(out, vec![NodeId(0)]);
     }
 
@@ -278,10 +365,9 @@ mod tests {
             g.insert(NodeId(i), p, p);
             pts.push(p);
         }
-        let mut out = Vec::new();
         for q in 0..50 {
             let center = pts[q * 4];
-            g.candidates_into(center, 60.0, &mut out);
+            let out = query(&g, center, 60.0);
             let grid_hits: Vec<NodeId> = out
                 .iter()
                 .copied()
@@ -292,6 +378,70 @@ mod tests {
                 .filter(|n| pts[n.0 as usize].within(&center, 60.0))
                 .collect();
             assert_eq!(grid_hits, brute, "query {q} diverged");
+        }
+    }
+
+    /// What a query answered before candidates were a bitset: every id
+    /// registered in a covered cell, concatenated, sorted and deduplicated.
+    fn sorted_superset(g: &SpatialGrid, center: Point, range: f64) -> Vec<NodeId> {
+        let mut out = Vec::new();
+        for r in g.row_of(center.y - range)..=g.row_of(center.y + range) {
+            for c in g.col_of(center.x - range)..=g.col_of(center.x + range) {
+                out.extend_from_slice(&g.cells[g.cell_index(c, r)]);
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The bitset query drains exactly the old sorted, deduplicated
+        /// superset: nodes at points and on segments spanning many cells,
+        /// ids across several 64-bit words, re-registered segments, and one
+        /// reused set — drained in full, or dropped after a few ids.
+        #[test]
+        fn bitset_candidates_equal_the_sorted_deduplicated_superset(
+            nodes in proptest::collection::vec(
+                ((0.0f64..320.0, 0.0f64..320.0), (0.0f64..320.0, 0.0f64..320.0), 0u8..4),
+                1..300,
+            ),
+            moves in proptest::collection::vec(
+                (0usize..300, (0.0f64..320.0, 0.0f64..320.0), (0.0f64..320.0, 0.0f64..320.0)),
+                0..40,
+            ),
+            queries in proptest::collection::vec(
+                ((-20.0f64..340.0, -20.0f64..340.0), 1.0f64..150.0, 0usize..4),
+                1..24,
+            ),
+            cell in 20.0f64..90.0,
+        ) {
+            let mut g = SpatialGrid::new((300.0, 300.0), cell);
+            for (i, &((ax, ay), (bx, by), kind)) in nodes.iter().enumerate() {
+                let a = Point::new(ax, ay);
+                // One node in four sits still; the rest move on a segment.
+                let b = if kind == 0 { a } else { Point::new(bx, by) };
+                g.insert(NodeId(i as u32), a, b);
+            }
+            for &(i, (ax, ay), (bx, by)) in &moves {
+                let node = NodeId((i % nodes.len()) as u32);
+                g.update(node, Point::new(ax, ay), Point::new(bx, by));
+            }
+            let mut set = NodeSet::default();
+            for &((x, y), range, stop_after) in &queries {
+                let center = Point::new(x, y);
+                let want = sorted_superset(&g, center, range);
+                g.candidates_into(center, range, &mut set);
+                let got: Vec<NodeId> = set.drain().collect();
+                proptest::prop_assert_eq!(&got, &want);
+                // A drain dropped part-way still leaves the set empty.
+                g.candidates_into(center, range, &mut set);
+                let head: Vec<NodeId> = set.drain().take(stop_after).collect();
+                proptest::prop_assert_eq!(&head[..], &want[..stop_after.min(want.len())]);
+            }
+            proptest::prop_assert_eq!(set.drain().count(), 0);
         }
     }
 }

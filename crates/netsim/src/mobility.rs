@@ -21,7 +21,10 @@ pub trait Mobility: Debug + Send {
     fn position(&self, now: SimTime) -> Point;
 
     /// When the current movement segment ends and [`Mobility::on_change`]
-    /// must run, or `None` for "never" (stationary nodes).
+    /// must run, or `None` for "never" (stationary nodes). A model that
+    /// answers `None` is fixed from then on: `on_change` never runs again,
+    /// so `position` must keep returning one point. The spatial grid and
+    /// the world's fixed-position table both rely on this.
     fn next_change(&self) -> Option<SimTime>;
 
     /// Re-plans movement at a segment boundary.

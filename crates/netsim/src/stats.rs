@@ -199,11 +199,20 @@ impl Stats {
         }
     }
 
-    /// Records one successful per-receiver delivery.
-    pub(crate) fn record_delivery(&mut self, kind: FrameKind, payload_len: usize) {
-        self.delivered += 1;
-        self.delivered_payload_bytes += payload_len as u64;
-        *self.delivered_by_kind.entry(kind).or_insert(0) += 1;
+    /// Records one transmission's successful deliveries, `receivers` of
+    /// them: what one call per receiver would add, in one kind lookup.
+    pub(crate) fn record_deliveries(
+        &mut self,
+        kind: FrameKind,
+        receivers: usize,
+        payload_len: usize,
+    ) {
+        if receivers == 0 {
+            return;
+        }
+        self.delivered += receivers as u64;
+        self.delivered_payload_bytes += (receivers * payload_len) as u64;
+        *self.delivered_by_kind.entry(kind).or_insert(0) += receivers as u64;
     }
 
     /// Folds another, independent run's counters into this one: a plain
@@ -314,21 +323,25 @@ mod tests {
     #[test]
     fn record_delivery_updates_kind_breakdown() {
         let mut s = Stats::new(2);
-        s.record_delivery(FrameKind(8), 100);
-        s.record_delivery(FrameKind(8), 100);
-        s.record_delivery(FrameKind(30), 64);
+        s.record_deliveries(FrameKind(8), 2, 100);
+        s.record_deliveries(FrameKind(30), 1, 64);
+        s.record_deliveries(FrameKind(31), 0, 64);
         assert_eq!(s.delivered, 3);
         assert_eq!(s.delivered_payload_bytes, 264);
         assert_eq!(s.delivered_by_kind[&FrameKind(8)], 2);
         assert_eq!(s.delivered_for_kinds(&[FrameKind(30)]), 1);
         assert_eq!(s.delivered_for_kinds(&[FrameKind(9)]), 0);
+        assert!(
+            !s.delivered_by_kind.contains_key(&FrameKind(31)),
+            "no deliveries, no kind entry"
+        );
     }
 
     #[test]
     fn prometheus_dump_has_help_type_and_values() {
         let mut s = Stats::new(1);
         s.record_tx(0, FrameKind(5), 40);
-        s.record_delivery(FrameKind(5), 40);
+        s.record_deliveries(FrameKind(5), 1, 40);
         let text = s.to_prometheus();
         assert!(text.contains("# HELP dapes_tx_frames_total"));
         assert!(text.contains("# TYPE dapes_tx_frames_total counter"));
@@ -347,7 +360,7 @@ mod tests {
     fn merge_sums_every_counter_of_independent_runs() {
         let mut a = Stats::new(2);
         a.record_tx(0, FrameKind(5), 10);
-        a.record_delivery(FrameKind(5), 10);
+        a.record_deliveries(FrameKind(5), 1, 10);
         let mut b = Stats::new(4);
         b.record_tx(3, FrameKind(5), 20);
         b.record_tx(3, FrameKind(6), 5);

@@ -20,7 +20,7 @@
 use crate::exec::ExecProfile;
 use crate::fault::{FaultAction, FaultPlan};
 use crate::geometry::Point;
-use crate::grid::SpatialGrid;
+use crate::grid::{NodeSet, SpatialGrid};
 use crate::mobility::Mobility;
 use crate::node::{Command, FrameMemo, NetStack, NodeCtx, NodeId, TimerHandle, TxOutcome};
 use crate::payload::Payload;
@@ -89,7 +89,6 @@ struct MacState {
 
 struct NodeSlot {
     mobility: Box<dyn Mobility>,
-    stack: Option<Box<dyn NetStack>>,
     mac: MacState,
     /// Incarnation counter, bumped on crash/leave. Timer and delayed-send
     /// events carry the epoch they were armed under; a mismatch at dispatch
@@ -204,6 +203,11 @@ pub struct World {
     queue: TimerWheel<EventKind>,
     event_seq: u64,
     nodes: Vec<NodeSlot>,
+    /// Each node's running stack, `None` while it is down (crashed, left,
+    /// not yet joined) — and, for the node in a callback, while that
+    /// callback runs. Dense beside `nodes`, so delivery's liveness check
+    /// on an in-range receiver reads two words, not its whole slot.
+    stacks: Vec<Option<Box<dyn NetStack>>>,
     active_tx: Vec<ActiveTx>,
     next_tx_id: u64,
     next_frame_seq: u64,
@@ -237,7 +241,15 @@ pub struct World {
     stats: Stats,
     started: bool,
     grid: SpatialGrid,
-    candidate_buf: Vec<NodeId>,
+    /// Scratch candidate set, drained by every query.
+    candidates: NodeSet,
+    /// Each node's position while its mobility model is fixed — has no
+    /// [`Mobility::next_change`], so nothing will ever move it — and
+    /// `None` while it moves. Filled at [`World::add_node`] and whenever a
+    /// segment change leaves a model fixed, so delivery reads a stationary
+    /// receiver's position from this dense table instead of through its
+    /// boxed model.
+    fixed_at: Vec<Option<Point>>,
     /// Longest frame air time seen so far, bounding how long a finished
     /// transmission can still matter for collision checks.
     longest_air: SimDuration,
@@ -269,6 +281,7 @@ impl World {
             queue: TimerWheel::new(),
             event_seq: 0,
             nodes: Vec::new(),
+            stacks: Vec::new(),
             active_tx: Vec::new(),
             next_tx_id: 0,
             next_frame_seq: 0,
@@ -282,7 +295,8 @@ impl World {
             stats: Stats::new(0),
             started: false,
             grid,
-            candidate_buf: Vec::new(),
+            candidates: NodeSet::default(),
+            fixed_at: Vec::new(),
             longest_air: SimDuration::ZERO,
             fault_actions: Vec::new(),
             links_cut: BTreeSet::new(),
@@ -305,9 +319,11 @@ impl World {
         }
         let (a, b) = segment_bounds(mobility.as_ref(), self.now);
         self.grid.insert(id, a, b);
+        self.fixed_at
+            .push(mobility.next_change().is_none().then_some(a));
+        self.stacks.push(Some(stack));
         self.nodes.push(NodeSlot {
             mobility,
-            stack: Some(stack),
             mac: MacState {
                 queue: VecDeque::new(),
                 transmitting: false,
@@ -344,7 +360,7 @@ impl World {
     /// Whether `node`'s stack is currently live (not crashed, departed, or
     /// dormant awaiting a late join).
     pub fn node_alive(&self, node: NodeId) -> bool {
-        self.nodes[node.0 as usize].stack.is_some()
+        self.stacks[node.0 as usize].is_some()
     }
 
     /// Current simulation time.
@@ -386,31 +402,33 @@ impl World {
 
     /// Position of `node` at the current time.
     pub fn position_of(&self, node: NodeId) -> Point {
-        self.nodes[node.0 as usize].mobility.position(self.now)
+        let idx = node.0 as usize;
+        self.fixed_at[idx].unwrap_or_else(|| self.nodes[idx].mobility.position(self.now))
     }
 
     /// Nodes currently within radio range of `node` (excluding itself),
     /// ascending by id, served from the spatial grid in O(k).
     pub fn neighbors_of(&self, node: NodeId) -> Vec<NodeId> {
         let p = self.position_of(node);
-        let mut out = Vec::new();
-        self.grid.candidates_into(p, self.cfg.range, &mut out);
-        out.retain(|&other| other != node && self.position_of(other).within(&p, self.cfg.range));
-        out
+        let mut candidates = NodeSet::default();
+        self.grid
+            .candidates_into(p, self.cfg.range, &mut candidates);
+        candidates
+            .drain()
+            .filter(|&other| other != node && self.position_of(other).within(&p, self.cfg.range))
+            .collect()
     }
 
     /// Immutable downcast access to a node's stack.
     pub fn stack<T: 'static>(&self, node: NodeId) -> Option<&T> {
-        self.nodes[node.0 as usize]
-            .stack
+        self.stacks[node.0 as usize]
             .as_ref()
             .and_then(|s| s.as_any().downcast_ref::<T>())
     }
 
     /// Mutable downcast access to a node's stack.
     pub fn stack_mut<T: 'static>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.nodes[node.0 as usize]
-            .stack
+        self.stacks[node.0 as usize]
             .as_mut()
             .and_then(|s| s.as_any_mut().downcast_mut::<T>())
     }
@@ -418,17 +436,16 @@ impl World {
     /// Sum of [`NetStack::live_state_bytes`] over all nodes — the Table I
     /// memory proxy.
     pub fn live_state_bytes(&self) -> usize {
-        self.nodes
+        self.stacks
             .iter()
-            .filter_map(|n| n.stack.as_ref())
+            .flatten()
             .map(|s| s.live_state_bytes())
             .sum()
     }
 
     /// Live state bytes of a single node.
     pub fn node_state_bytes(&self, node: NodeId) -> usize {
-        self.nodes[node.0 as usize]
-            .stack
+        self.stacks[node.0 as usize]
             .as_ref()
             .map_or(0, |s| s.live_state_bytes())
     }
@@ -461,9 +478,9 @@ impl World {
                 _ => None,
             };
             if let Some(node) = join {
-                let slot = &mut self.nodes[node.0 as usize];
-                if let Some(stack) = slot.stack.take() {
-                    slot.dormant = Some(stack);
+                let idx = node.0 as usize;
+                if let Some(stack) = self.stacks[idx].take() {
+                    self.nodes[idx].dormant = Some(stack);
                 }
             }
             self.push_event(t, EventKind::Fault { idx: i as u32 });
@@ -636,9 +653,12 @@ impl World {
                 let slot = &mut self.nodes[node.0 as usize];
                 slot.mobility.on_change(self.now, &mut self.rng, field);
                 let (a, b) = segment_bounds(slot.mobility.as_ref(), self.now);
-                if let Some(t) = slot.mobility.next_change() {
-                    let t = t.max(self.now + SimDuration::from_micros(1));
-                    self.push_event(t, EventKind::MobilityChange { node });
+                match slot.mobility.next_change() {
+                    Some(t) => {
+                        let t = t.max(self.now + SimDuration::from_micros(1));
+                        self.push_event(t, EventKind::MobilityChange { node });
+                    }
+                    None => self.fixed_at[node.0 as usize] = Some(a),
                 }
                 self.grid.update(node, a, b);
             }
@@ -681,7 +701,7 @@ impl World {
     /// node is a no-op.
     fn fault_crash(&mut self, node: NodeId, restartable: bool) {
         let idx = node.0 as usize;
-        let Some(stack) = self.nodes[idx].stack.take() else {
+        let Some(stack) = self.stacks[idx].take() else {
             return;
         };
         let slot = &mut self.nodes[idx];
@@ -705,7 +725,7 @@ impl World {
     /// wreck. Restarting a live node is a no-op.
     fn fault_restart(&mut self, node: NodeId) {
         let idx = node.0 as usize;
-        if self.nodes[idx].stack.is_some() {
+        if self.stacks[idx].is_some() {
             return;
         }
         let wreck = self.nodes[idx].dormant.take();
@@ -715,7 +735,7 @@ impl World {
             .expect("FaultAction::Restart requires World::set_stack_factory");
         let fresh = factory(node, wreck.as_deref());
         self.stack_factory = Some(factory);
-        self.nodes[idx].stack = Some(fresh);
+        self.stacks[idx] = Some(fresh);
         self.stats.node_restarts += 1;
         self.with_stack(node, |stack, ctx| stack.on_start(ctx));
     }
@@ -723,13 +743,13 @@ impl World {
     /// First boot of a late joiner parked dormant since world start.
     fn fault_join(&mut self, node: NodeId) {
         let idx = node.0 as usize;
-        if self.nodes[idx].stack.is_some() {
+        if self.stacks[idx].is_some() {
             return;
         }
         let Some(stack) = self.nodes[idx].dormant.take() else {
             return;
         };
-        self.nodes[idx].stack = Some(stack);
+        self.stacks[idx] = Some(stack);
         self.stats.node_joins += 1;
         self.with_stack(node, |stack, ctx| stack.on_start(ctx));
     }
@@ -737,7 +757,7 @@ impl World {
     /// Runs one callback on `node`'s stack with a command buffer of its own.
     /// A dead node is skipped without claiming a buffer.
     fn with_stack<F: FnOnce(&mut dyn NetStack, &mut NodeCtx<'_>)>(&mut self, node: NodeId, f: F) {
-        if self.nodes[node.0 as usize].stack.is_none() {
+        if self.stacks[node.0 as usize].is_none() {
             return;
         }
         let mut commands = self.claim_commands();
@@ -771,7 +791,7 @@ impl World {
         f: F,
     ) -> Option<FrameMemo> {
         let idx = node.0 as usize;
-        let Some(mut stack) = self.nodes[idx].stack.take() else {
+        let Some(mut stack) = self.stacks[idx].take() else {
             return memo;
         };
         let mut ctx = NodeCtx {
@@ -787,7 +807,7 @@ impl World {
         f(stack.as_mut(), &mut ctx);
         *commands = ctx.commands;
         let memo = ctx.memo;
-        self.nodes[idx].stack = Some(stack);
+        self.stacks[idx] = Some(stack);
         self.apply_commands(node, commands);
         memo
     }
@@ -894,7 +914,7 @@ impl World {
         if self.nodes[idx].mac.transmitting || self.nodes[idx].mac.queue.is_empty() {
             return;
         }
-        let pos = self.nodes[idx].mobility.position(self.now);
+        let pos = self.position_of(node);
         if let Some(busy_until) = self.medium_busy_until(pos, node) {
             // Carrier sense: defer to after the busy period plus backoff.
             self.stats.mac_deferrals += 1;
@@ -955,11 +975,11 @@ impl World {
 
         // Work out per-receiver outcomes before dispatching any callbacks so
         // that reactions to this frame cannot affect its own delivery. The
-        // grid returns a sorted candidate superset, so the per-receiver
-        // checks — and therefore the loss draws from the shared RNG — run
-        // in ascending node order.
+        // grid's candidate set drains in ascending node order, so the
+        // per-receiver checks — and therefore the loss draws from the
+        // shared RNG — run in that order.
         let payload_len = self.active_tx[tx_idx].payload.len() as u64;
-        let mut candidates = std::mem::take(&mut self.candidate_buf);
+        let mut candidates = std::mem::take(&mut self.candidates);
         self.grid
             .candidates_into(sender_pos, self.cfg.range, &mut candidates);
         let mut deliveries: Vec<NodeId> = self.recv_pool.pop().unwrap_or_default();
@@ -977,13 +997,12 @@ impl World {
                 .map(|o| o.sender_pos)
                 .filter(|p| p.may_interfere(&sender_pos, self.cfg.range)),
         );
-        for &receiver in &candidates {
-            let j = receiver.0 as usize;
-            if receiver == sender || self.nodes[j].stack.is_none() {
-                continue;
-            }
-            let rpos = self.nodes[j].mobility.position(self.now);
-            if !sender_pos.within(&rpos, self.cfg.range) {
+        for receiver in candidates.drain() {
+            let rpos = self.position_of(receiver);
+            if receiver == sender
+                || !sender_pos.within(&rpos, self.cfg.range)
+                || self.stacks[receiver.0 as usize].is_none()
+            {
                 continue;
             }
             // A cut link suppresses delivery at the receiver without
@@ -1007,10 +1026,11 @@ impl World {
                 self.stats.channel_losses += 1;
                 continue;
             }
-            self.stats.record_delivery(kind, payload_len as usize);
             deliveries.push(receiver);
         }
-        self.candidate_buf = candidates;
+        self.candidates = candidates;
+        self.stats
+            .record_deliveries(kind, deliveries.len(), payload_len as usize);
 
         // Sender-side collision feedback: another overlapping transmission
         // whose sender we could hear.
@@ -1951,6 +1971,46 @@ mod tests {
                 assert_eq!(w.neighbors_of(n), brute, "node {n} at t={}s", step * 3);
             }
         }
+    }
+
+    /// A node whose model has no next change reads its position from the
+    /// dense table, and the table agrees with the model at every instant:
+    /// stationary nodes and held waypoints from the start, a scripted path
+    /// once its last waypoint is reached; a moving node has no entry.
+    #[test]
+    fn fixed_node_table_position_equals_mobility_position() {
+        use crate::mobility::{RandomDirection, ScriptedMobility};
+        let mut w = World::new(WorldConfig::default());
+        let stack = || Box::new(Chatter::new(0, 0));
+        w.add_node(Box::new(Stationary::new(Point::new(10.0, 20.0))), stack());
+        w.add_node(
+            Box::new(ScriptedMobility::hold(Point::new(150.0, 40.0))),
+            stack(),
+        );
+        let path = ScriptedMobility::new(vec![
+            (SimTime::ZERO, Point::new(0.0, 0.0)),
+            (SimTime::from_secs(2), Point::new(100.0, 0.0)),
+            (SimTime::from_secs(5), Point::new(100.0, 250.0)),
+        ]);
+        w.add_node(Box::new(path), stack());
+        w.add_node(
+            Box::new(RandomDirection::new(Point::new(200.0, 200.0))),
+            stack(),
+        );
+        let fixed = |w: &World| (0..4).map(|i| w.fixed_at[i].is_some()).collect::<Vec<_>>();
+        assert_eq!(fixed(&w), [true, true, false, false]);
+        for step in 0..=16u64 {
+            w.run_until(SimTime::from_micros(step * 500_000));
+            for i in 0..4 {
+                let model = w.nodes[i].mobility.position(w.now());
+                if let Some(p) = w.fixed_at[i] {
+                    assert_eq!(p, model, "node {i} at step {step}");
+                }
+                assert_eq!(w.position_of(NodeId(i as u32)), model);
+            }
+        }
+        assert_eq!(fixed(&w), [true, true, true, false], "path ended at 5 s");
+        assert_eq!(w.fixed_at[2], Some(Point::new(100.0, 250.0)));
     }
 
     #[test]

@@ -934,6 +934,44 @@ mod cs_properties {
             }
         }
 
+        /// The Content Store's filter never turns away a cached name:
+        /// inserts, refreshes, budget evictions and `clear` against the
+        /// FIFO model, every cached name found by its wire value after
+        /// every step, and the audit's per-bucket recount holding.
+        #[test]
+        fn content_store_filter_never_rules_out_a_cached_name(
+            ops in proptest::collection::vec((0u8..9, 0usize..32, 0usize..320), 1..96),
+            bytes in any::<bool>(),
+            n in 0usize..4096,
+        ) {
+            let budget = budget_of(bytes, n);
+            let pool = name_pool();
+            let mut cs = ContentStore::with_budget(budget);
+            let mut model = FifoModel::new(budget);
+            let now = SimTime::from_secs(1);
+            for &(op, which, size) in &ops {
+                if op == 0 {
+                    cs.clear();
+                    model.entries.clear();
+                    model.fifo.clear();
+                } else {
+                    // Names repeat often: many inserts are refreshes.
+                    let name = &pool[which % pool.len()];
+                    let d = Data::new(name.clone(), vec![op; size]);
+                    cs.insert(d.clone(), now);
+                    model.insert(d, now);
+                }
+                for probe in &pool {
+                    prop_assert_eq!(
+                        cs.lookup_wire_exact(&probe.to_wire_value(), false, now),
+                        model.lookup(probe, false, false, now),
+                        "{}", probe
+                    );
+                }
+                prop_assert_eq!(cs.audit(), Ok(()));
+            }
+        }
+
         #[test]
         fn content_store_matches_a_name_keyed_fifo_model(
             ops in proptest::collection::vec(
@@ -2021,6 +2059,11 @@ mod watermark_properties {
                 }
                 prop_assert_eq!(pit.len(), model.0.len());
                 prop_assert_eq!(pit.state_bytes(), model.state_bytes());
+                // The running total against the table's own recount: each
+                // entry's figure kept since insert and aggregation equals
+                // the formula worked out afresh, and they sum to the total
+                // (ROADMAP item 6(a)); every entry is reachable.
+                prop_assert_eq!(pit.audit(), Ok(()));
                 // The running CanBePrefix count against a recount.
                 prop_assert_eq!(
                     pit.prefix_entries(),
