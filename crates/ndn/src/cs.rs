@@ -29,13 +29,9 @@
 //! * `by_wire` — an *ordered* B-tree over the same keys, resolving
 //!   CanBePrefix Interests with one range walk;
 //! * `fifo` — the handles in arrival order, popped by eviction.
-//!
-//! In front of the exact index sits a one-cache-line counting filter over
-//! the cached names' hashes (`HotFilter`): most overheard Interests name
-//! nothing cached, and the filter turns those away without the hash probe.
 
 use crate::arena::{Arena, ArenaRef};
-use crate::hash::{hash_wire, FxBuildHasher};
+use crate::hash::FxBuildHasher;
 use crate::name::Name;
 use crate::packet::Data;
 use dapes_netsim::time::{SimDuration, SimTime};
@@ -68,40 +64,6 @@ impl CsEntry {
     fn is_fresh(&self, now: SimTime) -> bool {
         self.data.freshness_ms() > 0
             && now.since(self.inserted) <= SimDuration::from_millis(self.data.freshness_ms())
-    }
-}
-
-/// A counting filter over the cached names, one cache line wide: bucket
-/// `b` counts the cached names whose wire-value hash falls in it, so a
-/// zero count proves a name is not cached. Kept in O(1) at each insert
-/// and eviction. A count that reaches `u16::MAX` stays there until
-/// [`ContentStore::clear`]: it may then over-count, never under-count, so
-/// the filter never rules out a cached name.
-#[derive(Clone, Debug, Default)]
-struct HotFilter([u16; HotFilter::BUCKETS]);
-
-impl HotFilter {
-    const BUCKETS: usize = 32;
-
-    fn bucket(name_wire: &[u8]) -> usize {
-        // The hash's top five bits: its best-mixed ones.
-        (hash_wire(name_wire) >> 59) as usize
-    }
-
-    fn add(&mut self, name_wire: &[u8]) {
-        let count = &mut self.0[Self::bucket(name_wire)];
-        *count = count.saturating_add(1);
-    }
-
-    fn remove(&mut self, name_wire: &[u8]) {
-        let count = &mut self.0[Self::bucket(name_wire)];
-        if *count != u16::MAX {
-            *count -= 1;
-        }
-    }
-
-    fn may_hold(&self, name_wire: &[u8]) -> bool {
-        self.0[Self::bucket(name_wire)] != 0
     }
 }
 
@@ -167,9 +129,6 @@ pub struct CsStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ContentStore {
-    /// Turns away exact lookups of names not cached before they reach
-    /// `exact`.
-    filter: HotFilter,
     arena: Arena<CsEntry>,
     /// Hash index keyed by [`Name::to_wire_value`]: the one-probe exact
     /// lookup every overheard non-prefix Interest pays, from borrowed name
@@ -198,7 +157,6 @@ impl ContentStore {
     /// Creates a store bounded by `budget`.
     pub fn with_budget(budget: CsBudget) -> Self {
         ContentStore {
-            filter: HotFilter::default(),
             arena: Arena::new(),
             exact: HashMap::default(),
             by_wire: BTreeMap::new(),
@@ -318,7 +276,6 @@ impl ContentStore {
                 wire_key: wire_key.clone(),
                 size,
             });
-            self.filter.add(&wire_key);
             self.exact.insert(wire_key.clone(), handle);
             self.by_wire.insert(wire_key, handle);
             self.fifo.push_back(handle);
@@ -335,7 +292,6 @@ impl ContentStore {
         while self.over_budget() {
             let victim = self.fifo.pop_front().expect("over budget implies an entry");
             let old = self.arena.remove(victim).expect("queued handles are live");
-            self.filter.remove(&old.wire_key);
             self.exact.remove(&*old.wire_key);
             self.by_wire.remove(&*old.wire_key);
             self.bytes -= old.size;
@@ -369,17 +325,13 @@ impl ContentStore {
 
     /// Exact-name lookup against a peeked frame's borrowed name bytes, with
     /// the same freshness semantics as [`ContentStore::lookup`] for a
-    /// non-CanBePrefix Interest — the filter, then one hash probe only if
-    /// the filter cannot rule the name out; no `Name` construction.
+    /// non-CanBePrefix Interest — one hash probe, no `Name` construction.
     pub fn lookup_wire_exact(
         &self,
         name_wire: &[u8],
         must_be_fresh: bool,
         now: SimTime,
     ) -> Option<&Data> {
-        if !self.filter.may_hold(name_wire) {
-            return None;
-        }
         let &h = self.exact.get(name_wire)?;
         let entry = self.arena.get(h).expect("indexed handles are live");
         (!must_be_fresh || entry.is_fresh(now)).then_some(&entry.data)
@@ -411,7 +363,6 @@ impl ContentStore {
     /// Removes everything (used when resetting a node). Cumulative
     /// counters are kept.
     pub fn clear(&mut self) {
-        self.filter = HotFilter::default();
         self.arena = Arena::new();
         self.exact.clear();
         self.by_wire.clear();
@@ -425,9 +376,6 @@ impl ContentStore {
     ///   arena (no dangling key or handle, none missing);
     /// * each entry's recorded size is what the budget's formula charges
     ///   it now, and the tracked bytes are their sum;
-    /// * each filter bucket counts exactly the cached names that hash to
-    ///   it (at least them, once saturated), so the filter rules out no
-    ///   cached name;
     /// * the store is within budget.
     ///
     /// Test and benchmark infrastructure; not called on hot paths.
@@ -477,17 +425,6 @@ impl ContentStore {
                 "byte accounting drifted: tracked {} vs summed {}",
                 self.bytes, sum
             ));
-        }
-        let mut recount = [0usize; HotFilter::BUCKETS];
-        for key in self.by_wire.keys() {
-            recount[HotFilter::bucket(key)] += 1;
-        }
-        for (b, (&kept, &cached)) in self.filter.0.iter().zip(&recount).enumerate() {
-            if kept != u16::MAX && usize::from(kept) != cached {
-                return Err(format!(
-                    "filter bucket {b} counts {kept}, {cached} cached names hash to it"
-                ));
-            }
         }
         Ok(())
     }
@@ -900,23 +837,5 @@ mod tests {
         cs.audit().expect("original untouched");
         assert!(cs.lookup_exact(&Name::from_uri("/a")).is_some());
         assert_eq!(cs.len(), 2);
-    }
-
-    /// A saturated bucket stays saturated through removals until `clear`:
-    /// it may over-count, never under-count.
-    #[test]
-    fn hot_filter_saturates_instead_of_wrapping() {
-        let mut f = HotFilter::default();
-        let key = Name::from_uri("/a").to_wire_value();
-        for _ in 0..=u16::MAX as usize {
-            f.add(&key);
-        }
-        f.remove(&key);
-        assert!(f.may_hold(&key));
-        assert_eq!(f.0[HotFilter::bucket(&key)], u16::MAX);
-        let mut f = HotFilter::default();
-        f.add(&key);
-        f.remove(&key);
-        assert!(!f.may_hold(&key), "an emptied bucket rules the name out");
     }
 }

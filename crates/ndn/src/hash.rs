@@ -74,8 +74,8 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// [`FxHasher`] over `bytes` alone (no length prefix): the hash the PIT's
-/// own table and the Content Store's filter key a name's wire value by.
-/// Its high bits are the well-mixed ones.
+/// own table keys a name's wire value by. Its high bits are the
+/// well-mixed ones.
 #[inline]
 pub(crate) fn hash_wire(bytes: &[u8]) -> u64 {
     let mut h = FxHasher::default();

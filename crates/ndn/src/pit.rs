@@ -517,8 +517,9 @@ impl Pit {
         Some(&mut self.records[r].entry)
     }
 
-    /// Removes the entry stored under `key`, if any, with its key.
-    fn evict(&mut self, key: &[u8]) -> Option<(Box<[u8]>, PitEntry)> {
+    /// Removes the entry stored under `key`, if any; its key goes with
+    /// its record.
+    fn evict(&mut self, key: &[u8]) -> Option<PitEntry> {
         let hash = hash_wire(key);
         let r = self.find(hash, key).ok()?;
         let hole = self.slot_of(hash, r);
@@ -530,14 +531,10 @@ impl Pit {
             let at = self.slot_of(moved, last);
             self.index[at] = slot(moved, r);
         }
-        let Record { entry, key } = self.records.swap_remove(r);
+        let entry = self.records.swap_remove(r).entry;
         self.state_bytes -= entry.state_bytes as usize;
         self.prefix_entries -= usize::from(entry.can_be_prefix);
-        let key = match key {
-            WireKey::Boxed(b) => b,
-            inline => inline.as_slice().into(),
-        };
-        Some((key, entry))
+        Some(entry)
     }
 
     /// The index slot that points at record `r`, whose key has `hash`.
@@ -572,19 +569,25 @@ impl Pit {
         self.index[hole] = 0;
     }
 
-    /// Removes and returns, each with its name's wire value, all entries a
-    /// Data packet named by `name_wire` satisfies: the exact-name entry
-    /// first, then any prefix entries that were inserted with CanBePrefix —
-    /// root first, then longer prefixes, as the boundary walk ascends. The
-    /// prefix walk runs only while a CanBePrefix entry is pending.
-    pub fn take_matching(&mut self, name_wire: &[u8]) -> Vec<(Box<[u8]>, PitEntry)> {
-        let mut matched: Vec<_> = self.evict(name_wire).into_iter().collect();
+    /// Removes and returns all entries a Data packet named by `name_wire`
+    /// satisfies, each with the length of the wire value it was stored
+    /// under — a prefix of `name_wire`, so naming it costs nothing: the
+    /// exact-name entry first, then any prefix entries that were inserted
+    /// with CanBePrefix — root first, then longer prefixes, as the
+    /// boundary walk ascends. The prefix walk runs only while a
+    /// CanBePrefix entry is pending.
+    pub fn take_matching(&mut self, name_wire: &[u8]) -> Vec<(usize, PitEntry)> {
+        let mut matched: Vec<_> = self
+            .evict(name_wire)
+            .map(|e| (name_wire.len(), e))
+            .into_iter()
+            .collect();
         if self.prefix_entries == 0 {
             return matched;
         }
         for end in strict_prefix_ends(name_wire) {
             if self.is_prefix_entry(&name_wire[..end]) {
-                matched.push(self.evict(&name_wire[..end]).expect("just checked"));
+                matched.push((end, self.evict(&name_wire[..end]).expect("just checked")));
             }
         }
         matched
@@ -866,7 +869,8 @@ mod tests {
         pit.insert(&name("/col"), 1, true, FaceId::APP, t(4));
         let matched = pit.take_matching(&name("/col/f/0").to_wire_value());
         assert_eq!(matched.len(), 1);
-        assert_eq!(*matched[0].0, *name("/col").to_wire_value());
+        let data = name("/col/f/0").to_wire_value();
+        assert_eq!(data[..matched[0].0], *name("/col").to_wire_value());
     }
 
     #[test]
@@ -1104,8 +1108,8 @@ mod tests {
                     let taken = pit.take_matching(key);
                     let want = model.remove(key);
                     assert_eq!(taken.len(), usize::from(want.is_some()), "step {step}");
-                    if let (Some((k, e)), Some((nonces, _))) = (taken.first(), want) {
-                        assert_eq!(&**k, &key[..]);
+                    if let (Some((len, e)), Some((nonces, _))) = (taken.first(), want) {
+                        assert_eq!(*len, key.len());
                         assert_eq!(e.nonces().collect::<Vec<_>>(), nonces);
                     }
                 }

@@ -13,18 +13,22 @@
 # quartiles of `wall_s` and `peak_rss_mb` per side. Exits non-zero if a run
 # fails or any pair's `sim_fingerprint` differs.
 #
-# `--self-test` compares this checkout with itself (parent HEAD, one
-# relay-swarm pair at `--quick` scale, one second): it exercises every step
-# and must find equal fingerprints.
+# `--self-test` compares this checkout with itself: one binary, built
+# where `cargo run --manifest-path benchmark/Cargo.toml` builds it (so a
+# job that already ran the benchmark builds nothing), runs both sides of
+# one relay-swarm pair at `--quick` scale for one second. It exercises the
+# pairing, the quartiles and the fingerprint check, and must find the
+# fingerprints equal.
 set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 
 extra=()
+self_test=0
 if [ "${1:-}" = --self-test ]; then
   [ $# -eq 1 ] || { echo "usage: $0 --self-test" >&2; exit 2; }
-  workload=relay-swarm seed=1 pairs=1 parent=HEAD seconds=1 extra=(--quick)
+  workload=relay-swarm seed=1 pairs=1 parent=HEAD seconds=1 extra=(--quick) self_test=1
 else
   [ $# -ge 3 ] && [ $# -le 4 ] || {
     echo "usage: $0 <workload> <seed> <pairs> [<parent-rev>] | $0 --self-test" >&2
@@ -37,26 +41,35 @@ fi
 rev=$(git rev-parse --verify --quiet "$parent^{commit}") \
   || { echo "unknown parent revision $parent" >&2; exit 2; }
 
-work=$(mktemp -d)
-cleanup() {
-  git worktree remove --force "$work/parent" >/dev/null 2>&1 || true
-  rm -rf "$work"
-}
-trap cleanup EXIT
-
-git worktree add --quiet --detach "$work/parent" "$rev"
 build() { # <checkout> <target dir>
   CARGO_TARGET_DIR=$2 cargo build --release --offline --quiet \
     --manifest-path "$1/benchmark/Cargo.toml"
 }
-echo "building parent ${rev:0:12} and this checkout" >&2
-build "$work/parent" "$work/parent-target"
-build "$root" "$work/change-target"
-declare -A dir=([parent]="$work/parent" [change]="$root")
-declare -A bin=(
-  [parent]="$work/parent-target/release/dapes-benchmark"
-  [change]="$work/change-target/release/dapes-benchmark"
-)
+if ((self_test)); then
+  echo "building this checkout once for both sides" >&2
+  build "$root" "$root/benchmark/target"
+  declare -A dir=([parent]="$root" [change]="$root")
+  declare -A bin=(
+    [parent]="$root/benchmark/target/release/dapes-benchmark"
+    [change]="$root/benchmark/target/release/dapes-benchmark"
+  )
+else
+  work=$(mktemp -d)
+  cleanup() {
+    git worktree remove --force "$work/parent" >/dev/null 2>&1 || true
+    rm -rf "$work"
+  }
+  trap cleanup EXIT
+  git worktree add --quiet --detach "$work/parent" "$rev"
+  echo "building parent ${rev:0:12} and this checkout" >&2
+  build "$work/parent" "$work/parent-target"
+  build "$root" "$work/change-target"
+  declare -A dir=([parent]="$work/parent" [change]="$root")
+  declare -A bin=(
+    [parent]="$work/parent-target/release/dapes-benchmark"
+    [change]="$work/change-target/release/dapes-benchmark"
+  )
+fi
 
 # Runs one side; prints "<wall_s> <peak_rss_mb> <sim_fingerprint>".
 run() {
@@ -89,7 +102,8 @@ quartiles() {
     function q(p,  h, l) { h = (NR - 1) * p + 1; l = int(h); return v[l] + (h - l) * (v[l + (l < NR)] - v[l]) }
     END {printf "q1 %.3f  median %.3f  q3 %.3f", q(0.25), q(0.5), q(0.75)}'
 }
-echo "$workload seed $seed, $pairs pair(s), parent ${rev:0:12} -> this checkout"
+if ((self_test)); then sides="this checkout on both sides"; else sides="parent ${rev:0:12} -> this checkout"; fi
+echo "$workload seed $seed, $pairs pair(s), $sides"
 for metric in wall rss; do
   declare -n m=$metric
   label=$([ $metric = wall ] && echo wall_s || echo peak_rss_mb)
