@@ -232,7 +232,10 @@ pub(crate) struct PitSlot {
 /// outcome, reads nothing else. Removal shifts the probe run back (no
 /// tombstones) and moves the last record into the hole. Neither the
 /// index nor the vector shrinks: a table sits at its peak size, and
-/// re-growing after each sweep would cost more than it saves.
+/// re-growing after each sweep would cost more than it saves. So the
+/// vector grows by a quarter at a time (at least four records), not by
+/// doubling: past sixteen records, at most a fifth of what it keeps for
+/// the run is slack.
 ///
 /// A received Interest's view carries its name as a borrowed byte slice,
 /// which the table answers duplicate-nonce and PIT-match probes against
@@ -423,6 +426,9 @@ impl Pit {
         self.state_bytes += bytes;
         self.prefix_entries += usize::from(can_be_prefix);
         self.index[vacant] = slot(probe.hash, self.records.len());
+        if self.records.len() == self.records.capacity() {
+            self.records.reserve_exact((self.records.len() / 4).max(4));
+        }
         self.records.push(Record {
             entry,
             key: WireKey::new(name_wire),
@@ -1053,6 +1059,23 @@ mod tests {
         assert_eq!(pit.state_bytes(), 120 + 8, "a nonce and a face");
         pit.take_matching(&name("/a/b/c").to_wire_value());
         assert_eq!(pit.state_bytes(), 0);
+    }
+
+    /// Growing by a quarter (at least four records), the record vector
+    /// never holds more than a fifth of its capacity as slack once past
+    /// sixteen records.
+    #[test]
+    fn record_vector_slack_is_at_most_a_fifth() {
+        let mut pit = Pit::new();
+        for i in 0..2_000 {
+            pit.insert(&name(&format!("/n/{i}")), 1, false, FaceId::APP, t(4));
+            let cap = pit.records.capacity();
+            assert!(
+                pit.len() <= 16 || 5 * (cap - pit.len()) <= cap,
+                "{} records in a capacity of {cap}",
+                pit.len()
+            );
+        }
     }
 
     /// Churn over a few hundred names — short keys stored inline, long
