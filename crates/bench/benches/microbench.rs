@@ -131,6 +131,49 @@ fn bench_forwarder(c: &mut Criterion) {
         let prefix = Name::from_uri("/col/f/2048");
         b.iter(|| cs.lookup(black_box(&prefix), true, false, SimTime::ZERO))
     });
+    let packet = |i: u32| Data::new(Name::from_uri(&format!("/col/f/{i}")), vec![0; 32]);
+    // A store at its 4,096-packet cap: every insert is a name not cached,
+    // which evicts the oldest. Each packet's wire is encoded up front, as
+    // a received packet's already is.
+    c.bench_function("cs_insert_at_cap_4k", |b| {
+        let packets: Vec<Data> = (0..8192).map(packet).collect();
+        for d in &packets {
+            black_box(d.wire());
+        }
+        let mut cs = ContentStore::new(4096);
+        let mut k = 0usize;
+        b.iter(|| {
+            k += 1;
+            cs.insert(packets[k % packets.len()].clone(), SimTime::ZERO)
+        })
+    });
+    // A full store answers Interests through the forwarder: the pipeline's
+    // CS step and the answer it hands back, by exact name and by prefix.
+    let hits = |can_be_prefix: bool| {
+        let mut fwd = fwd();
+        for i in 0..4096 {
+            fwd.cs_mut().insert(packet(i), SimTime::ZERO);
+        }
+        let interests: Vec<Interest> = (0..4096u32)
+            .map(|i| {
+                Interest::new(Name::from_uri(&format!("/col/f/{i}")))
+                    .with_can_be_prefix(can_be_prefix)
+                    .with_nonce(i)
+            })
+            .collect();
+        (fwd, interests)
+    };
+    for (label, can_be_prefix) in [("cs_exact_hit_4k", false), ("cs_prefix_hit_4k", true)] {
+        c.bench_function(label, |b| {
+            let (mut fwd, interests) = hits(can_be_prefix);
+            let mut k = 0usize;
+            b.iter(|| {
+                k += 1;
+                let i = &interests[k % interests.len()];
+                fwd.process_interest(SimTime::ZERO, black_box(i), FaceId::WIRELESS)
+            })
+        });
+    }
 }
 
 fn bench_merkle(c: &mut Criterion) {

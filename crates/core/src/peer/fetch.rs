@@ -51,7 +51,7 @@ pub(super) struct Download {
     pub(super) metadata_segments: Vec<Data>,
     /// Per-packet content leaf hashes retained until the file verifies
     /// (Merkle format), then dropped.
-    leaf_hashes: Vec<Option<Digest>>,
+    leaf_hashes: LeafHashes,
     files_verified: Vec<bool>,
     /// Outstanding content requests: global idx -> (sent, retx count).
     outstanding: BTreeMap<usize, (SimTime, u32)>,
@@ -71,6 +71,34 @@ pub(super) struct Download {
     resumed: Option<Bitmap>,
 }
 
+/// A download's retained leaf hashes, one slot per packet, with a running
+/// count of the held ones so [`Download::state_bytes`] reads it in O(1).
+#[derive(Default)]
+struct LeafHashes {
+    slots: Vec<Option<Digest>>,
+    held: usize,
+}
+
+impl LeafHashes {
+    fn new(packets: usize) -> Self {
+        LeafHashes {
+            slots: vec![None; packets],
+            held: 0,
+        }
+    }
+
+    /// Packet `idx`'s leaf hash, if held (`None` past the end too).
+    fn get(&self, idx: usize) -> Option<Digest> {
+        self.slots.get(idx).copied().flatten()
+    }
+
+    fn set(&mut self, idx: usize, leaf: Option<Digest>) {
+        let slot = &mut self.slots[idx];
+        self.held = self.held + usize::from(leaf.is_some()) - usize::from(slot.is_some());
+        *slot = leaf;
+    }
+}
+
 impl Download {
     /// The packets held so far: zero-length until the catalog arrives.
     pub(super) fn have<'a>(&self, ms: &'a MultihopState) -> &'a Bitmap {
@@ -80,7 +108,7 @@ impl Download {
 
     pub(super) fn state_bytes(&self, ms: &MultihopState) -> usize {
         self.have(ms).state_bytes()
-            + self.leaf_hashes.iter().flatten().count() * 32
+            + self.leaf_hashes.held * 32
             + self.metadata.as_ref().map_or(0, |m| m.state_bytes())
             + self.outstanding.len() * 24
             + self.queue.len() * 8
@@ -169,7 +197,7 @@ impl DapesPeer {
                 segments: d
                     .have(ms)
                     .iter_set()
-                    .map(|i| (i, d.leaf_hashes.get(i).copied().flatten()))
+                    .map(|i| (i, d.leaf_hashes.get(i)))
                     .collect(),
                 files_verified: d.files_verified.clone(),
             })
@@ -201,7 +229,7 @@ impl DapesPeer {
             meta_outstanding: BTreeMap::new(),
             metadata: None,
             metadata_segments: Vec::new(),
-            leaf_hashes: Vec::new(),
+            leaf_hashes: LeafHashes::default(),
             files_verified: Vec::new(),
             outstanding: BTreeMap::new(),
             queue: Vec::new(),
@@ -290,7 +318,7 @@ impl DapesPeer {
         };
         d.metadata_segments = meta.to_segments(collection, &self.anchor.keypair(&meta.producer));
         d.metadata = Some(Arc::new(meta));
-        d.leaf_hashes = vec![None; total];
+        d.leaf_hashes = LeafHashes::new(total);
         d.files_verified = vec![false; files];
         // Resume after restart: fold in what the previous incarnation held.
         // The catalog was re-fetched (it binds the segment names and Merkle
@@ -302,7 +330,7 @@ impl DapesPeer {
             let mut resumed = Bitmap::new(total);
             for (idx, leaf) in s.segments {
                 if idx < total && resumed.set(idx) {
-                    d.leaf_hashes[idx] = leaf;
+                    d.leaf_hashes.set(idx, leaf);
                 }
             }
             for (pos, &v) in s.files_verified.iter().enumerate().take(files) {
@@ -433,7 +461,8 @@ impl DapesPeer {
                 self.stats.packets_verified += 1;
             }
             PacketVerification::Deferred => {
-                d.leaf_hashes[idx] = Some(proofs.leaf_hash(data.content()));
+                d.leaf_hashes
+                    .set(idx, Some(proofs.leaf_hash(data.content())));
             }
         }
         d.outstanding.remove(&idx);
@@ -447,7 +476,7 @@ impl DapesPeer {
                 MetadataFormat::MerkleRoots => {
                     let leaves: Vec<Digest> = range
                         .clone()
-                        .map(|i| d.leaf_hashes[i].expect("all present"))
+                        .map(|i| d.leaf_hashes.get(i).expect("all present"))
                         .collect();
                     let root = meta.files[file_pos].root;
                     match root {
@@ -463,14 +492,14 @@ impl DapesPeer {
                     MetadataFormat::PacketDigest => 0,
                 };
                 for i in range {
-                    d.leaf_hashes[i] = None; // content hashes no longer needed
+                    d.leaf_hashes.set(i, None); // content hashes no longer needed
                 }
             } else {
                 // Whole file failed: drop and refetch it.
                 self.stats.verify_failures += 1;
                 ms.clear_held(collection, range.clone());
                 for i in range {
-                    d.leaf_hashes[i] = None;
+                    d.leaf_hashes.set(i, None);
                 }
                 d.queue_dirty = true;
             }

@@ -22,48 +22,86 @@
 //! depends on hash iteration order, so same-seed runs stay bit-identical
 //! across processes.
 //!
-//! Entries live once in a slab [`Arena`]; the indexes hold `Copy` handles:
+//! An entry is its packet's wire image and three small fields: when it
+//! stops being fresh, what it is charged, and where the name lies in the
+//! wire. For a received packet the image is the frame itself, which every
+//! receiver of that transmission already shares, so caching it allocates
+//! no packet bytes, no decoded `Data` and no copy of the name. The entries
+//! sit in one queue in arrival order — the FIFO itself, popped at the front
+//! by eviction — and two indexes hold four-byte record ids, never keys;
+//! both read a key as the name bytes inside the record's wire:
 //!
-//! * `exact` — a hash index keyed by the name's canonical wire value (one
-//!   probe per overheard non-prefix Interest);
-//! * `by_wire` — an *ordered* B-tree over the same keys, resolving
-//!   CanBePrefix Interests with one range walk;
-//! * `fifo` — the handles in arrival order, popped by eviction.
+//! * `exact` — a `SlotIndex` over the keys' hashes (one probe per
+//!   overheard non-prefix Interest);
+//! * `ordered` — the ids sorted by key, resolving a CanBePrefix Interest
+//!   with one binary search and a forward walk.
+//!
+//! A hit hands back the cached wire; [`ContentStore::lookup`] decodes it
+//! zero-copy ([`Data::decode_payload`]), so a Content Store answer
+//! re-broadcasts the same bytes without re-encoding them.
 
-use crate::arena::{Arena, ArenaRef};
-use crate::hash::FxBuildHasher;
+use crate::hash::{hash_wire, SlotIndex, MAX_RECORDS};
 use crate::name::Name;
-use crate::packet::Data;
-use dapes_netsim::time::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::Bound;
-use std::sync::Arc;
+use crate::packet::{data_name_at, Data};
+use dapes_netsim::payload::Payload;
+use dapes_netsim::time::SimTime;
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Fixed per-entry bookkeeping overhead charged against a byte budget on
-/// top of the packet's wire size (arena slot, index nodes, shared key).
+/// top of the packet's wire size (the entry and its index slots).
 pub const ENTRY_OVERHEAD: usize = 64;
 
+/// One cached packet.
 #[derive(Clone, Debug)]
 struct CsEntry {
-    data: Data,
-    inserted: SimTime,
-    /// The name's canonical wire-value key, shared with the wire indexes so
-    /// eviction never re-encodes the name.
-    wire_key: Arc<[u8]>,
+    /// The packet's wire image ([`Data::keyed_wire`]), holding the name's
+    /// canonical wire value at `key_at..key_at + key_len`.
+    wire: Payload,
+    /// The instant, in µs, up to which the entry satisfies MustBeFresh —
+    /// its insert time plus its FreshnessPeriod — or 0 for never.
+    fresh_until: u64,
     /// What this entry is charged against the budget, kept so eviction
     /// subtracts exactly what insertion added.
-    size: usize,
+    size: u32,
+    key_len: u32,
+    key_at: u8,
 }
 
+// An entry is a wire image plus a few words: every node caches thousands.
+const _: () = assert!(std::mem::size_of::<CsEntry>() <= 56);
+
 impl CsEntry {
-    /// NDN freshness: an entry satisfies MustBeFresh only while inside its
-    /// FreshnessPeriod. A `freshness_ms` of 0 (the encoding for "no
-    /// FreshnessPeriod", which immutable collection segments use) is
-    /// *never* fresh: the segment is served to freshness-agnostic
-    /// Interests indefinitely but can never answer MustBeFresh.
+    fn new(wire: Payload, key: Range<usize>, freshness_ms: u64, size: usize, now: SimTime) -> Self {
+        // NDN freshness: an entry satisfies MustBeFresh only while inside
+        // its FreshnessPeriod. A `freshness_ms` of 0 (the encoding for "no
+        // FreshnessPeriod", which immutable collection segments use) is
+        // *never* fresh: the segment is served to freshness-agnostic
+        // Interests indefinitely but can never answer MustBeFresh.
+        let fresh_until = if freshness_ms == 0 {
+            0
+        } else {
+            now.as_micros()
+                .saturating_add(freshness_ms.saturating_mul(1_000))
+        };
+        CsEntry {
+            fresh_until,
+            size: u32::try_from(size).expect("an entry's charge fits in u32"),
+            key_len: u32::try_from(key.len()).expect("a name fits in u32 bytes"),
+            key_at: u8::try_from(key.start).expect("a Data wire's name starts within 20 bytes"),
+            wire,
+        }
+    }
+
+    /// The name's canonical wire value: the entry's key.
+    #[inline]
+    fn key(&self) -> &[u8] {
+        let at = usize::from(self.key_at);
+        &self.wire[at..at + self.key_len as usize]
+    }
+
     fn is_fresh(&self, now: SimTime) -> bool {
-        self.data.freshness_ms() > 0
-            && now.since(self.inserted) <= SimDuration::from_millis(self.data.freshness_ms())
+        now.as_micros() <= self.fresh_until && self.fresh_until != 0
     }
 }
 
@@ -105,6 +143,29 @@ pub struct CsStats {
     pub rejected_oversize: u64,
 }
 
+/// The id of the record at queue position `pos` when the front's id is
+/// `head`: ids run on modulo [`MAX_RECORDS`], so a record keeps its id
+/// while older ones leave.
+#[inline]
+fn id_at(head: usize, pos: usize) -> usize {
+    let id = head + pos;
+    if id >= MAX_RECORDS {
+        id - MAX_RECORDS
+    } else {
+        id
+    }
+}
+
+/// The queue position of record `id` when the front's id is `head`.
+#[inline]
+fn pos_of(head: usize, id: usize) -> usize {
+    if id >= head {
+        id - head
+    } else {
+        id + MAX_RECORDS - head
+    }
+}
+
 /// A budget-bounded FIFO Data cache with prefix lookup and freshness
 /// semantics.
 ///
@@ -129,21 +190,24 @@ pub struct CsStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ContentStore {
-    arena: Arena<CsEntry>,
-    /// Hash index keyed by [`Name::to_wire_value`]: the one-probe exact
-    /// lookup every overheard non-prefix Interest pays, from borrowed name
-    /// bytes or from a `Name` encoded once by the caller.
-    exact: HashMap<Arc<[u8]>, ArenaRef, FxBuildHasher>,
-    /// *Ordered* wire index over the same keys. Because byte-lexicographic
-    /// order of canonical wire values equals NDN canonical `Name` order,
-    /// and a name's wire value byte-extends all of its prefixes', one
-    /// ordered range walk resolves a CanBePrefix Interest with the first
-    /// match in canonical name order. No `Name` is built.
-    by_wire: BTreeMap<Arc<[u8]>, ArenaRef>,
-    /// Live handles in arrival order; eviction pops the front.
-    fifo: VecDeque<ArenaRef>,
+    /// Live entries in arrival order; eviction pops the front. Grows by a
+    /// quarter at a time, and never past a count cap.
+    records: VecDeque<CsEntry>,
+    /// The id of the front record ([`id_at`]).
+    head: usize,
+    /// Record ids by key hash: the one-probe exact lookup every overheard
+    /// non-prefix Interest pays, from borrowed name bytes.
+    exact: SlotIndex,
+    /// Record ids sorted by key. Because byte-lexicographic order of
+    /// canonical wire values equals NDN canonical `Name` order, and a
+    /// name's wire value byte-extends all of its prefixes', one binary
+    /// search and a forward walk resolve a CanBePrefix Interest with the
+    /// first match in canonical name order. No `Name` is built.
+    ordered: Vec<u32>,
     budget: CsBudget,
     bytes: usize,
+    /// The live keys' lengths summed, for [`ContentStore::state_bytes`].
+    key_bytes: usize,
     stats: CsStats,
 }
 
@@ -157,12 +221,13 @@ impl ContentStore {
     /// Creates a store bounded by `budget`.
     pub fn with_budget(budget: CsBudget) -> Self {
         ContentStore {
-            arena: Arena::new(),
-            exact: HashMap::default(),
-            by_wire: BTreeMap::new(),
-            fifo: VecDeque::new(),
+            records: VecDeque::new(),
+            head: 0,
+            exact: SlotIndex::default(),
+            ordered: Vec::new(),
             budget,
             bytes: 0,
+            key_bytes: 0,
             stats: CsStats::default(),
         }
     }
@@ -174,7 +239,7 @@ impl ContentStore {
 
     /// Number of cached packets.
     pub fn len(&self) -> usize {
-        self.exact.len()
+        self.records.len()
     }
 
     /// Whether the store is empty.
@@ -190,22 +255,18 @@ impl ContentStore {
         self.bytes
     }
 
-    /// Approximate bytes of cached state (Table I memory proxy), including
-    /// the ordered wire index's key bytes and per-entry overhead.
+    /// Approximate bytes of cached state (Table I memory proxy): the
+    /// charged bytes plus each entry's key length and 48 of index overhead.
+    /// A running total, so reading it costs nothing.
     pub fn state_bytes(&self) -> usize {
-        self.bytes + self.by_wire.keys().map(|k| k.len() + 48).sum::<usize>()
+        self.bytes + self.key_bytes + 48 * self.len()
     }
 
-    /// Live entries in the slab arena (mirrors [`ContentStore::len`];
-    /// exported as the `cs_arena_live` stat).
-    pub fn arena_live(&self) -> usize {
-        self.arena.live()
-    }
-
-    /// Arena slots ever allocated — bounded by peak cache occupancy, not
-    /// by insert volume.
-    pub fn arena_allocated(&self) -> usize {
-        self.arena.allocated()
+    /// Entry slots allocated — bounded by peak occupancy, not by insert
+    /// volume, and never above a count cap.
+    #[cfg(test)]
+    fn slots_allocated(&self) -> usize {
+        self.records.capacity()
     }
 
     /// What one packet is charged against this store's budget: content +
@@ -213,134 +274,203 @@ impl ContentStore {
     /// proxy), the wire size plus [`ENTRY_OVERHEAD`] under
     /// [`CsBudget::Bytes`]. The budget kind is fixed at construction, so
     /// every live entry was charged by the same formula.
-    fn entry_size(&self, data: &Data) -> usize {
+    fn charge(&self, data: &Data, wire_len: usize) -> usize {
         match self.budget {
             CsBudget::Count(_) => data.content().len() + data.name().state_bytes() + 64,
-            CsBudget::Bytes(_) => data.wire_size() + ENTRY_OVERHEAD,
+            CsBudget::Bytes(_) => wire_len + ENTRY_OVERHEAD,
         }
     }
 
-    fn over_budget(&self) -> bool {
+    /// Whether the store would be within budget holding `entries` more
+    /// entries and `bytes` more charged bytes.
+    fn fits(&self, entries: usize, bytes: usize) -> bool {
         match self.budget {
-            CsBudget::Count(n) => self.len() > n,
-            CsBudget::Bytes(b) => self.bytes > b,
+            CsBudget::Count(n) => self.len() + entries <= n,
+            CsBudget::Bytes(b) => self.bytes + bytes <= b,
         }
+    }
+
+    /// The record with id `id`.
+    #[inline]
+    fn entry(&self, id: usize) -> &CsEntry {
+        &self.records[pos_of(self.head, id)]
+    }
+
+    /// One probe of the exact index for `key`, whose hash is `hash`: the
+    /// record id, or the empty slot the key would take.
+    #[inline]
+    fn find(&self, hash: u64, key: &[u8]) -> Result<usize, usize> {
+        self.exact.find(hash, |id| self.entry(id).key() == key)
     }
 
     /// Inserts a Data packet, evicting in arrival order while over budget.
     ///
     /// Re-inserting an existing name refreshes the stored packet (and its
     /// freshness clock) in place without consuming extra capacity or
-    /// changing its eviction rank. A zero budget caches nothing — the entry
-    /// never enters the tables, so a refresh can't resurrect it either.
-    /// Under a byte budget, a packet that alone exceeds the whole budget is
-    /// rejected outright (counted in [`CsStats::rejected_oversize`])
-    /// instead of flushing every other entry on its way to an inevitable
-    /// self-eviction; an existing entry under the same name stays
-    /// untouched.
+    /// changing its eviction rank; the replaced wire is released. A zero
+    /// budget caches nothing — the entry never enters the tables, so a
+    /// refresh can't resurrect it either. Under a byte budget, a packet
+    /// that alone exceeds the whole budget is rejected outright (counted
+    /// in [`CsStats::rejected_oversize`]) instead of flushing every other
+    /// entry on its way to an inevitable self-eviction; an existing entry
+    /// under the same name stays untouched.
     pub fn insert(&mut self, data: Data, now: SimTime) {
-        let wire = data.name().to_wire_value();
-        self.insert_wired(data, &wire, now);
+        let (wire, key) = data.keyed_wire();
+        self.insert_keyed(&data, wire, key, now);
     }
 
-    /// [`ContentStore::insert`] for a packet whose name the caller already
-    /// encoded to its canonical wire value, `name_wire`. On a miss, the
-    /// entry and both wire indexes share one copy of the key.
-    pub(crate) fn insert_wired(&mut self, data: Data, name_wire: &[u8], now: SimTime) {
-        debug_assert_eq!(name_wire, data.name().to_wire_value());
+    /// [`ContentStore::insert`] for what [`Data::keyed_wire`] returned for
+    /// `data`, which the caller already needed.
+    pub(crate) fn insert_keyed(
+        &mut self,
+        data: &Data,
+        wire: Payload,
+        key: Range<usize>,
+        now: SimTime,
+    ) {
+        debug_assert!(data.name().is_wire_value(&wire[key.clone()]));
         if self.budget.is_zero() {
             return;
         }
-        let size = self.entry_size(&data);
+        let size = self.charge(data, wire.len());
         if let CsBudget::Bytes(b) = self.budget {
             if size > b {
                 self.stats.rejected_oversize += 1;
                 return;
             }
         }
-        if let Some(&handle) = self.exact.get(name_wire) {
-            let entry = self
-                .arena
-                .get_mut(handle)
-                .expect("indexed handles are live");
-            self.bytes = self.bytes - entry.size + size;
-            entry.data = data;
-            entry.inserted = now;
-            entry.size = size;
+        let entry = CsEntry::new(wire, key, data.freshness_ms(), size, now);
+        let hash = hash_wire(entry.key());
+        if let Ok(id) = self.find(hash, entry.key()) {
+            let pos = pos_of(self.head, id);
+            let old = std::mem::replace(&mut self.records[pos], entry);
+            self.bytes = self.bytes - old.size as usize + size;
             self.stats.refreshes += 1;
-        } else {
-            let wire_key: Arc<[u8]> = name_wire.into();
-            let handle = self.arena.insert(CsEntry {
-                data,
-                inserted: now,
-                wire_key: wire_key.clone(),
-                size,
-            });
-            self.exact.insert(wire_key.clone(), handle);
-            self.by_wire.insert(wire_key, handle);
-            self.fifo.push_back(handle);
-            self.bytes += size;
-            self.stats.insertions += 1;
+            // A refresh may have grown the entry under a byte budget.
+            while !self.fits(0, 0) {
+                self.evict_front();
+            }
+            return;
         }
-        self.evict_over_budget();
+        // Evict first: a store at its cap never holds, or allocates for,
+        // one entry more. The victims are the fronts insert-then-evict
+        // would take, since the new entry alone always fits.
+        while !self.fits(1, size) {
+            self.evict_front();
+        }
+        self.push(hash, entry);
     }
 
-    /// Evicts the oldest arrivals until the budget holds again. Over
-    /// budget implies at least one live entry, so the queue never runs dry
-    /// here.
-    fn evict_over_budget(&mut self) {
-        while self.over_budget() {
-            let victim = self.fifo.pop_front().expect("over budget implies an entry");
-            let old = self.arena.remove(victim).expect("queued handles are live");
-            self.exact.remove(&*old.wire_key);
-            self.by_wire.remove(&*old.wire_key);
-            self.bytes -= old.size;
-            self.stats.evictions += 1;
+    /// Appends a new entry whose key has `hash` and indexes it.
+    fn push(&mut self, hash: u64, entry: CsEntry) {
+        let len = self.len();
+        assert!(
+            len < MAX_RECORDS,
+            "a store holds at most {MAX_RECORDS} entries"
+        );
+        if len == self.records.capacity() {
+            let mut more = (len / 4).max(4);
+            if let CsBudget::Count(n) = self.budget {
+                more = more.min(n - len);
+            }
+            self.records.reserve_exact(more);
+            self.ordered.reserve_exact(more);
         }
+        let head = self.head;
+        if !self.exact.fits(len + 1) {
+            let records = &self.records;
+            self.exact.grow(
+                records
+                    .iter()
+                    .enumerate()
+                    .map(|(pos, e)| (hash_wire(e.key()), id_at(head, pos))),
+            );
+        }
+        let key = entry.key();
+        let vacant = self
+            .find(hash, key)
+            .expect_err("a new entry's key is not in the store");
+        let id = id_at(head, len);
+        self.exact.put(vacant, hash, id);
+        let at = self
+            .ordered
+            .partition_point(|&o| self.entry(o as usize).key() < key);
+        self.ordered.insert(at, id as u32);
+        self.bytes += entry.size as usize;
+        self.key_bytes += key.len();
+        self.stats.insertions += 1;
+        self.records.push_back(entry);
+    }
+
+    /// Evicts the oldest arrival. Only called over budget, which implies
+    /// at least one live entry.
+    fn evict_front(&mut self) {
+        let front = self.records.front().expect("over budget implies an entry");
+        let key = front.key();
+        let hash = hash_wire(key);
+        let at = self
+            .ordered
+            .binary_search_by(|&o| self.entry(o as usize).key().cmp(key))
+            .expect("the ordered index holds every key");
+        self.ordered.remove(at);
+        let (records, head) = (&self.records, self.head);
+        let hole = self.exact.slot_of(hash, head);
+        self.exact
+            .unslot(hole, |id| hash_wire(records[pos_of(head, id)].key()));
+        let old = self.records.pop_front().expect("just read");
+        self.head = id_at(head, 1);
+        self.bytes -= old.size as usize;
+        self.key_bytes -= old.key_len as usize;
+        self.stats.evictions += 1;
     }
 
     /// Looks up a packet for an Interest with the given semantics:
     /// `can_be_prefix` also matches names extending `name`;
     /// `must_be_fresh` only matches entries still within their
-    /// FreshnessPeriod.
+    /// FreshnessPeriod. A hit is decoded from the cached wire, which its
+    /// [`Data::wire`] then returns.
     pub fn lookup(
         &self,
         name: &Name,
         can_be_prefix: bool,
         must_be_fresh: bool,
         now: SimTime,
-    ) -> Option<&Data> {
+    ) -> Option<Data> {
         let wire = name.to_wire_value();
-        if can_be_prefix {
+        let hit = if can_be_prefix {
             self.lookup_wire_prefix(&wire, must_be_fresh, now)
         } else {
             self.lookup_wire_exact(&wire, must_be_fresh, now)
-        }
+        };
+        hit.map(decode)
     }
 
-    /// Exact-name lookup ignoring freshness.
-    pub fn lookup_exact(&self, name: &Name) -> Option<&Data> {
+    /// Exact-name lookup ignoring freshness, decoded like
+    /// [`ContentStore::lookup`]'s.
+    pub fn lookup_exact(&self, name: &Name) -> Option<Data> {
         self.lookup_wire_exact(&name.to_wire_value(), false, SimTime::ZERO)
+            .map(decode)
     }
 
     /// Exact-name lookup against a peeked frame's borrowed name bytes, with
     /// the same freshness semantics as [`ContentStore::lookup`] for a
-    /// non-CanBePrefix Interest — one hash probe, no `Name` construction.
+    /// non-CanBePrefix Interest — one hash probe, no `Name` construction,
+    /// no decode: the hit is the cached wire.
     pub fn lookup_wire_exact(
         &self,
         name_wire: &[u8],
         must_be_fresh: bool,
         now: SimTime,
-    ) -> Option<&Data> {
-        let &h = self.exact.get(name_wire)?;
-        let entry = self.arena.get(h).expect("indexed handles are live");
-        (!must_be_fresh || entry.is_fresh(now)).then_some(&entry.data)
+    ) -> Option<&Payload> {
+        let id = self.find(hash_wire(name_wire), name_wire).ok()?;
+        let entry = self.entry(id);
+        (!must_be_fresh || entry.is_fresh(now)).then_some(&entry.wire)
     }
 
     /// Prefix lookup against a peeked frame's borrowed name bytes, with the
     /// same semantics as [`ContentStore::lookup`] with `can_be_prefix`: the
-    /// first qualifying entry in canonical name order. One ordered range
-    /// walk, no `Name` construction.
+    /// first qualifying entry in canonical name order, as its cached wire.
+    /// One binary search and a forward walk, no `Name` construction.
     ///
     /// The caller must have validated that `name_wire` is a *complete* name
     /// TLV region (e.g. via [`crate::name::wire_component_boundaries`]): a
@@ -351,36 +481,41 @@ impl ContentStore {
         name_wire: &[u8],
         must_be_fresh: bool,
         now: SimTime,
-    ) -> Option<&Data> {
-        self.by_wire
-            .range::<[u8], _>((Bound::Included(name_wire), Bound::Unbounded))
-            .take_while(|(k, _)| k.starts_with(name_wire))
-            .map(|(_, &h)| self.arena.get(h).expect("indexed handles are live"))
+    ) -> Option<&Payload> {
+        let start = self
+            .ordered
+            .partition_point(|&id| self.entry(id as usize).key() < name_wire);
+        self.ordered[start..]
+            .iter()
+            .map(|&id| self.entry(id as usize))
+            .take_while(|e| e.key().starts_with(name_wire))
             .find(|e| !must_be_fresh || e.is_fresh(now))
-            .map(|e| &e.data)
+            .map(|e| &e.wire)
     }
 
-    /// Removes everything (used when resetting a node). Cumulative
-    /// counters are kept.
+    /// Removes everything (used when resetting a node), releasing the
+    /// tables' memory. Cumulative counters are kept.
     pub fn clear(&mut self) {
-        self.arena = Arena::new();
-        self.exact.clear();
-        self.by_wire.clear();
-        self.fifo.clear();
-        self.bytes = 0;
+        *self = ContentStore {
+            stats: self.stats,
+            ..ContentStore::with_budget(self.budget)
+        };
     }
 
     /// Checks every cross-index invariant, returning the first violation:
     ///
-    /// * the exact and ordered indexes and the FIFO queue agree with the
-    ///   arena (no dangling key or handle, none missing);
+    /// * every entry's wire decodes, and its key is its name's canonical
+    ///   wire value;
+    /// * the exact index reaches every entry under its own key and holds
+    ///   nothing else; the ordered index holds every entry once, in
+    ///   strictly ascending key order;
     /// * each entry's recorded size is what the budget's formula charges
-    ///   it now, and the tracked bytes are their sum;
+    ///   it now, and the tracked bytes and key bytes are their sums;
     /// * the store is within budget.
     ///
     /// Test and benchmark infrastructure; not called on hot paths.
     pub fn audit(&self) -> Result<(), String> {
-        if self.over_budget() {
+        if !self.fits(0, 0) {
             return Err(format!(
                 "over budget after quiescence: {} entries / {} bytes vs {:?}",
                 self.len(),
@@ -388,46 +523,68 @@ impl ContentStore {
                 self.budget
             ));
         }
-        let live = self.arena.live();
-        if self.exact.len() != live || self.by_wire.len() != live || self.fifo.len() != live {
+        let live = self.len();
+        if self.exact.occupied() != live || self.ordered.len() != live {
             return Err(format!(
-                "index sizes diverge: exact {} / by_wire {} / fifo {} / arena {live}",
-                self.exact.len(),
-                self.by_wire.len(),
-                self.fifo.len(),
+                "index sizes diverge: exact {} / ordered {} / entries {live}",
+                self.exact.occupied(),
+                self.ordered.len(),
             ));
         }
-        if let Some(h) = self.fifo.iter().find(|&&h| self.arena.get(h).is_none()) {
-            return Err(format!("dangling FIFO handle {h:?}"));
-        }
-        let mut sum = 0usize;
-        for (key, &h) in &self.by_wire {
-            let Some(entry) = self.arena.get(h) else {
-                return Err(format!("dangling ordered-index key {key:?}"));
+        let (mut sum, mut keys) = (0usize, 0usize);
+        for (pos, entry) in self.records.iter().enumerate() {
+            let key = entry.key();
+            let Ok(data) = Data::decode_payload(&entry.wire) else {
+                return Err(format!("entry {key:?} holds a wire that does not decode"));
             };
-            if entry.wire_key != *key {
-                return Err("ordered-index key resolves to a different entry".into());
+            if data_name_at(&entry.wire)
+                != Some(usize::from(entry.key_at)..entry.key_at as usize + key.len())
+                || !data.name().is_wire_value(key)
+            {
+                return Err(format!("entry {key:?} is not keyed by its canonical name"));
             }
-            if self.exact.get(key) != Some(&h) {
-                return Err("exact and ordered indexes disagree".into());
-            }
-            if entry.size != self.entry_size(&entry.data) {
+            if self.find(hash_wire(key), key) != Ok(id_at(self.head, pos)) {
                 return Err(format!(
-                    "entry {key:?} was charged {} bytes, the budget's formula says {}",
-                    entry.size,
-                    self.entry_size(&entry.data)
+                    "entry {key:?} is not reachable through the exact index"
                 ));
             }
-            sum += entry.size;
+            let charge = self.charge(&data, entry.wire.len());
+            if entry.size as usize != charge {
+                return Err(format!(
+                    "entry {key:?} was charged {} bytes, the budget's formula says {charge}",
+                    entry.size
+                ));
+            }
+            sum += charge;
+            keys += key.len();
         }
-        if sum != self.bytes {
+        if let Some(&id) = self
+            .ordered
+            .iter()
+            .find(|&&id| pos_of(self.head, id as usize) >= live)
+        {
+            return Err(format!("dangling ordered-index id {id}"));
+        }
+        if self
+            .ordered
+            .windows(2)
+            .any(|w| self.entry(w[0] as usize).key() >= self.entry(w[1] as usize).key())
+        {
+            return Err("the ordered index is not in strictly ascending key order".into());
+        }
+        if sum != self.bytes || keys != self.key_bytes {
             return Err(format!(
-                "byte accounting drifted: tracked {} vs summed {}",
-                self.bytes, sum
+                "accounting drifted: tracked {} bytes / {} key bytes vs summed {sum} / {keys}",
+                self.bytes, self.key_bytes
             ));
         }
         Ok(())
     }
+}
+
+/// Decodes a cached wire, zero-copy.
+fn decode(wire: &Payload) -> Data {
+    Data::decode_payload(wire).expect("a cached wire decodes")
 }
 
 #[cfg(test)]
@@ -465,10 +622,11 @@ mod tests {
         let mut cs = ContentStore::new(2);
         cs.insert(fresh_data("/col/f/0", 1_000), t(0));
         let key = Name::from_uri("/col/f/0").to_wire_value();
-        assert_eq!(
-            cs.lookup_wire_exact(&key, false, t(0)),
-            cs.lookup(&Name::from_uri("/col/f/0"), false, false, t(0)),
-        );
+        let hit = cs.lookup(&Name::from_uri("/col/f/0"), false, false, t(0));
+        assert!(Payload::ptr_eq(
+            cs.lookup_wire_exact(&key, false, t(0)).expect("wire hit"),
+            &hit.expect("name hit").wire()
+        ));
         // Freshness semantics match too.
         assert!(cs.lookup_wire_exact(&key, true, t(0)).is_some());
         assert!(cs.lookup_wire_exact(&key, true, t(5)).is_none());
@@ -501,8 +659,9 @@ mod tests {
         ] {
             let name = Name::from_uri(q);
             assert_eq!(
-                cs.lookup_wire_prefix(&name.to_wire_value(), fresh, t(0)),
-                cs.lookup(&name, true, fresh, t(0)),
+                cs.lookup_wire_prefix(&name.to_wire_value(), fresh, t(0))
+                    .cloned(),
+                cs.lookup(&name, true, fresh, t(0)).map(|d| d.wire()),
                 "query {q} fresh={fresh}"
             );
         }
@@ -512,11 +671,11 @@ mod tests {
         let got = cs
             .lookup_wire_prefix(&Name::from_uri("/col").to_wire_value(), false, t(0))
             .expect("hit");
-        assert_eq!(got.name().to_string(), "/col/f/3");
+        assert_eq!(decode(got).name().to_string(), "/col/f/3");
         let fresh_only = cs
             .lookup_wire_prefix(&Name::from_uri("/col").to_wire_value(), true, t(0))
             .expect("fresh hit further along the range");
-        assert_eq!(fresh_only.name().to_string(), "/col/f/5");
+        assert_eq!(decode(fresh_only).name().to_string(), "/col/f/5");
     }
 
     #[test]
@@ -719,8 +878,7 @@ mod tests {
         assert!(cs
             .lookup_wire_exact(&Name::from_uri("/a").to_wire_value(), false, t(2))
             .is_none());
-        assert_eq!(cs.arena_live(), 0);
-        assert_eq!(cs.arena_allocated(), 0, "nothing may enter the arena");
+        assert_eq!(cs.slots_allocated(), 0, "nothing may take a slot");
     }
 
     #[test]
@@ -728,7 +886,7 @@ mod tests {
         let mut cs = ContentStore::with_budget(CsBudget::Bytes(0));
         cs.insert(data("/a"), t(0));
         assert!(cs.is_empty());
-        assert_eq!(cs.arena_allocated(), 0);
+        assert_eq!(cs.slots_allocated(), 0);
         cs.audit().expect("clean");
     }
 
@@ -739,12 +897,12 @@ mod tests {
             cs.insert(data(&format!("/n/{round}")), t(round));
         }
         assert_eq!(cs.len(), 2);
-        assert_eq!(cs.arena_live(), 2);
         assert!(
-            cs.arena_allocated() <= 3,
+            cs.slots_allocated() <= 2,
             "allocation must track capacity, not volume: {}",
-            cs.arena_allocated()
+            cs.slots_allocated()
         );
+        cs.audit().expect("clean");
         // Only the two newest survive, in every index.
         for round in 0..48u64 {
             let name = Name::from_uri(&format!("/n/{round}"));
@@ -760,6 +918,92 @@ mod tests {
                 .lookup_wire_exact(&name.to_wire_value(), false, t(50))
                 .is_some());
         }
+    }
+
+    #[test]
+    fn count_capped_store_at_its_cap_never_allocates_past_it() {
+        // Evict-first: the insert that would take a store over its cap
+        // makes room before it appends, so the entry queue never grows to
+        // hold cap + 1, whatever the cap.
+        for cap in [1, 2, 3, 5, 100, 4096] {
+            let mut cs = ContentStore::new(cap);
+            for i in 0..2 * cap + 3 {
+                cs.insert(data(&format!("/n/{i}")), t(i as u64));
+                assert!(
+                    cs.slots_allocated() <= cap,
+                    "cap {cap}: {} slots after insert {i}",
+                    cs.slots_allocated()
+                );
+            }
+            assert_eq!(cs.len(), cap);
+            assert_eq!(cs.stats().evictions, cap as u64 + 3);
+            cs.audit().expect("clean");
+        }
+    }
+
+    #[test]
+    fn an_entry_is_the_received_frame_and_a_refresh_releases_it() {
+        let name = Name::from_uri("/col/f/0");
+        let frame = Payload::from(fresh_data("/col/f/0", 1_000).encode());
+        let mut cs = ContentStore::new(4);
+        cs.insert(Data::decode_payload(&frame).expect("decodes"), t(0));
+        // The entry keeps the frame itself, and its key is the name bytes
+        // inside it: nothing was copied or re-encoded.
+        let entry = cs.records.front().expect("cached");
+        assert!(Payload::ptr_eq(&entry.wire, &frame));
+        assert!(frame.as_ptr_range().contains(&entry.key().as_ptr()));
+        assert_eq!(entry.key(), name.to_wire_value());
+        // A hit's wire is that frame too, on every lookup path.
+        let hit = cs.lookup_exact(&name).expect("hit");
+        assert!(Payload::ptr_eq(&hit.wire(), &frame));
+        let wire = name.to_wire_value();
+        assert!(Payload::ptr_eq(
+            cs.lookup_wire_exact(&wire, true, t(0)).expect("hit"),
+            &frame
+        ));
+        assert!(Payload::ptr_eq(
+            cs.lookup_wire_prefix(&wire[..5], true, t(0)).expect("hit"),
+            &frame
+        ));
+        // A refresh from another frame with the same bytes swaps the
+        // buffer: the store keeps no view of the replaced one.
+        let again = Payload::from(fresh_data("/col/f/0", 1_000).encode());
+        cs.insert(Data::decode_payload(&again).expect("decodes"), t(1));
+        assert_eq!(cs.stats().refreshes, 1);
+        assert!(cs
+            .records
+            .iter()
+            .all(|e| !Payload::same_backing(&e.wire, &frame)));
+        assert!(Payload::ptr_eq(
+            &cs.lookup_exact(&name).expect("hit").wire(),
+            &again
+        ));
+        cs.audit().expect("clean");
+    }
+
+    #[test]
+    fn a_frame_spelling_its_name_non_canonically_is_keyed_canonically() {
+        // Component type 1 instead of the generic 8: the decoder accepts
+        // it, and the name is the same — so is its key, which the store
+        // takes from a canonical re-encoding instead of the frame.
+        let d = data("/col/x");
+        let mut bytes = d.encode();
+        let at = data_name_at(&bytes).expect("a name").start;
+        assert_eq!(bytes[at], 0x08, "the first component's type");
+        bytes[at] = 0x01;
+        let frame = Payload::from(bytes);
+        let odd = Data::decode_payload(&frame).expect("decodes");
+        assert_eq!(odd.name(), d.name());
+        let mut cs = ContentStore::with_budget(CsBudget::Bytes(4096));
+        cs.insert(odd, t(0));
+        let hit = cs
+            .lookup_exact(d.name())
+            .expect("hit by the canonical name");
+        assert_eq!(hit.wire(), d.wire());
+        assert!(cs
+            .lookup(&Name::from_uri("/col"), true, false, t(0))
+            .is_some());
+        cs.audit().expect("clean");
     }
 
     #[test]

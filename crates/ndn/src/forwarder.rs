@@ -390,8 +390,9 @@ impl<S: Strategy> Forwarder<S> {
         ingress: FaceId,
     ) -> ControlFlow<(Vec<Action>, InterestOutcome), Pending> {
         self.reclaim(now);
-        if let Some((data, outcome)) = self.cs_answer(interest, now) {
-            let data = data.clone();
+        if let Some((wire, outcome)) = self.cs_answer(interest, now) {
+            // Zero-copy: the answer re-broadcasts the cached bytes.
+            let data = Data::decode_payload(wire).expect("a cached wire decodes");
             self.stats.cs_hits += 1;
             let face = ingress;
             return ControlFlow::Break((vec![Action::SendData { face, data }], outcome));
@@ -496,27 +497,28 @@ impl<S: Strategy> Forwarder<S> {
         (actions, InterestOutcome::Aggregated)
     }
 
-    /// The Content Store's answer to `interest`, if any. The ordered prefix
+    /// The Content Store's answer to `interest`, if any, as the cached
+    /// wire: telling a hit from a miss decodes nothing. The ordered prefix
     /// walk runs only over a well-formed name region: a truncated one could
     /// byte-prefix-match a cached name.
     fn cs_answer(
         &self,
         interest: &InterestHeader<'_>,
         now: SimTime,
-    ) -> Option<(&Data, InterestOutcome)> {
+    ) -> Option<(&Payload, InterestOutcome)> {
         let (name_wire, fresh) = (interest.name_wire, interest.must_be_fresh);
         if !interest.can_be_prefix {
             return self
                 .cs
                 .lookup_wire_exact(name_wire, fresh, now)
-                .map(|d| (d, InterestOutcome::CsHit));
+                .map(|w| (w, InterestOutcome::CsHit));
         }
         if !wire_value_is_well_formed(name_wire) {
             return None;
         }
         self.cs
             .lookup_wire_prefix(name_wire, fresh, now)
-            .map(|d| (d, InterestOutcome::CsPrefixHit))
+            .map(|w| (w, InterestOutcome::CsPrefixHit))
     }
 
     /// Whether `interest` would get past the Content Store and the
@@ -603,18 +605,19 @@ impl<S: Strategy> Forwarder<S> {
         data: &Data,
         ingress: FaceId,
     ) -> (Vec<Action>, bool) {
-        // Encode the name once, for the PIT match and the cache insert.
-        let name_wire = data.name().to_wire_value();
-        let matched = self.pit.take_matching(&name_wire);
+        // The name's canonical wire value, read in place in the wire the
+        // cache keeps: the PIT matches it and the CS keys by it.
+        let (wire, key) = data.keyed_wire();
+        let matched = self.pit.take_matching(&wire[key.clone()]);
         if matched.is_empty() {
             self.stats.unsolicited_data += 1;
             if self.cfg.cache_unsolicited {
-                self.cs.insert_wired(data.clone(), &name_wire, now);
+                self.cs.insert_keyed(data, wire, key, now);
             }
             return (Vec::new(), false);
         }
         self.stats.satisfied_data += 1;
-        self.cs.insert_wired(data.clone(), &name_wire, now);
+        self.cs.insert_keyed(data, wire, key, now);
         let mut actions = Vec::new();
         for (_, entry) in matched {
             for face in entry.downstreams() {

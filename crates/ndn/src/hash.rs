@@ -1,4 +1,5 @@
-//! A fast, word-at-a-time hasher for the PIT/FIB wire indexes.
+//! A fast, word-at-a-time hasher for the PIT/CS/FIB wire indexes, and the
+//! open-addressing `SlotIndex` the PIT and the Content Store share.
 //!
 //! The wire indexes are probed once per overheard frame — millions of times
 //! per simulated second at swarm scale — with short keys (canonical name
@@ -81,6 +82,148 @@ pub(crate) fn hash_wire(bytes: &[u8]) -> u64 {
     let mut h = FxHasher::default();
     h.write(bytes);
     h.finish()
+}
+
+/// An index slot: 0 when empty, else the key hash's top eight bits (the
+/// tag) over the record number plus one in [`RECORD_BITS`] bits — four
+/// bytes, so a node's whole index stays a few cache lines.
+type Slot = u32;
+
+const RECORD_BITS: u32 = 24;
+
+/// The most records one [`SlotIndex`] addresses: what a slot can hold.
+pub(crate) const MAX_RECORDS: usize = (1 << RECORD_BITS) - 1;
+
+fn slot(hash: u64, record: usize) -> Slot {
+    debug_assert!(record < MAX_RECORDS);
+    (tag(hash) << RECORD_BITS) | (record as u32 + 1)
+}
+
+fn tag(hash: u64) -> u32 {
+    (hash >> 56) as u32
+}
+
+fn slot_tag(s: Slot) -> u32 {
+    s >> RECORD_BITS
+}
+
+fn slot_record(s: Slot) -> usize {
+    (s & MAX_RECORDS as u32).wrapping_sub(1) as usize
+}
+
+/// Where a key with this hash starts probing: hash bits below the tag's.
+fn home(hash: u64, mask: usize) -> usize {
+    (hash >> 32) as usize & mask
+}
+
+/// An open-addressing index from a key's [`hash_wire`] to a record number
+/// below [`MAX_RECORDS`]: linear probing, at most half full, no
+/// tombstones. Each four-byte slot carries the hash's top eight bits as a
+/// tag, so a probe asks its owner to compare keys only on a tag match. The
+/// owner keeps the records and their keys; every method that must look at
+/// a key takes it as a closure over record numbers. The index never
+/// shrinks.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct SlotIndex {
+    slots: Vec<Slot>,
+}
+
+impl SlotIndex {
+    /// Finds the record under `hash` that `is_key` accepts: `Ok(record)`,
+    /// or `Err(slot)` — the empty slot the key would take, `usize::MAX`
+    /// while the index is unallocated.
+    #[inline]
+    pub(crate) fn find(
+        &self,
+        hash: u64,
+        mut is_key: impl FnMut(usize) -> bool,
+    ) -> Result<usize, usize> {
+        if self.slots.is_empty() {
+            return Err(usize::MAX);
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = home(hash, mask);
+        loop {
+            let s = self.slots[i];
+            if s == 0 {
+                return Err(i);
+            }
+            if slot_tag(s) == tag(hash) && is_key(slot_record(s)) {
+                return Ok(slot_record(s));
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Whether `records` records fit without growing: at most half full.
+    pub(crate) fn fits(&self, records: usize) -> bool {
+        records * 2 <= self.slots.len()
+    }
+
+    /// Doubles the index (eight slots at first) and slots every
+    /// `(hash, record)` pair again.
+    pub(crate) fn grow(&mut self, records: impl Iterator<Item = (u64, usize)>) {
+        let len = (self.slots.len() * 2).max(8);
+        self.slots = vec![0; len];
+        self.refill(records);
+    }
+
+    /// Clears the index and slots every `(hash, record)` pair.
+    pub(crate) fn refill(&mut self, records: impl Iterator<Item = (u64, usize)>) {
+        self.slots.fill(0);
+        let mask = self.slots.len().wrapping_sub(1);
+        for (hash, r) in records {
+            let mut i = home(hash, mask);
+            while self.slots[i] != 0 {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = slot(hash, r);
+        }
+    }
+
+    /// Points slot `at` — an empty one [`SlotIndex::find`] returned, or
+    /// [`SlotIndex::slot_of`] a record that moved — at `record`.
+    pub(crate) fn put(&mut self, at: usize, hash: u64, record: usize) {
+        self.slots[at] = slot(hash, record);
+    }
+
+    /// The slot that points at `record`, whose key has `hash`.
+    pub(crate) fn slot_of(&self, hash: u64, record: usize) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = home(hash, mask);
+        while slot_record(self.slots[i]) != record {
+            i = (i + 1) & mask;
+        }
+        i
+    }
+
+    /// Empties slot `hole`, shifting later members of its probe run back
+    /// so every lookup still reaches them; `hash_of` gives a record's key
+    /// hash.
+    pub(crate) fn unslot(&mut self, mut hole: usize, mut hash_of: impl FnMut(usize) -> u64) {
+        let mask = self.slots.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let s = self.slots[i];
+            if s == 0 {
+                break;
+            }
+            // `s` may fill the hole when its home lies cyclically at or
+            // before the hole, i.e. no nearer to `i` than the hole is.
+            let at = home(hash_of(slot_record(s)), mask);
+            if (i.wrapping_sub(at) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = s;
+                hole = i;
+            }
+        }
+        self.slots[hole] = 0;
+    }
+
+    /// Number of occupied slots (audits compare it with the record count).
+    pub(crate) fn occupied(&self) -> usize {
+        self.slots.iter().filter(|&&s| s != 0).count()
+    }
 }
 
 #[cfg(test)]

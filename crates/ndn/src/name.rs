@@ -236,6 +236,22 @@ impl Name {
         out
     }
 
+    /// Whether `bytes` is exactly this name's canonical wire value
+    /// ([`Name::to_wire_value`]), compared in place without encoding it.
+    pub(crate) fn is_wire_value(&self, mut bytes: &[u8]) -> bool {
+        for c in self.components.iter() {
+            let header = crate::tlv::tl_header(crate::tlv::types::NAME_COMPONENT, c.len());
+            let Some(rest) = bytes
+                .strip_prefix(&*header)
+                .and_then(|b| b.strip_prefix(c.as_bytes()))
+            else {
+                return false;
+            };
+            bytes = rest;
+        }
+        bytes.is_empty()
+    }
+
     /// Decodes a name TLV value region — a received frame's name bytes, as
     /// [`crate::forwarder::Action::RelayInterest`] carries them — into a
     /// `Name` whose components are zero-copy views into `value`. `None`

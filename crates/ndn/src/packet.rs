@@ -836,6 +836,35 @@ impl Data {
     pub fn wire_size(&self) -> usize {
         self.wire().len()
     }
+
+    /// The wire image a Content Store keeps for this packet, with where
+    /// the name's wire value lies in it: [`Data::wire`] — for a packet
+    /// [`Data::decode_payload`] built, the received frame itself — unless
+    /// that frame spells the name other than canonically (a component
+    /// type other than the generic one, a length in more bytes than it
+    /// needs); then a canonical re-encoding. Either way the name bytes in
+    /// the image are [`Name::to_wire_value`], the key every wire index
+    /// uses.
+    pub(crate) fn keyed_wire(&self) -> (Payload, Range<usize>) {
+        let wire = self.wire();
+        if let Some(at) = data_name_at(&wire) {
+            if self.name.is_wire_value(&wire[at.clone()]) {
+                return (wire, at);
+            }
+        }
+        let wire = Payload::from(self.encode());
+        let at = data_name_at(&wire).expect("an encoded Data frames its name");
+        (wire, at)
+    }
+}
+
+/// Where the name's TLV value lies in a Data packet's wire, if the wire
+/// frames one: two header reads, no decode.
+pub(crate) fn data_name_at(wire: &[u8]) -> Option<Range<usize>> {
+    let body = TlvReader::new(wire).read_expected(types::DATA).ok()?;
+    let name = TlvReader::new(body).read_expected(types::NAME).ok()?;
+    let start = name.as_ptr() as usize - wire.as_ptr() as usize;
+    Some(start..start + name.len())
 }
 
 /// Packet kinds that can arrive from the network.

@@ -6,7 +6,7 @@
 //! downstream faces that asked for it.
 
 use crate::face::FaceId;
-use crate::hash::hash_wire;
+use crate::hash::{hash_wire, SlotIndex, MAX_RECORDS};
 use crate::name::{wire_value_is_well_formed, Name};
 use crate::tlv::TlvReader;
 use dapes_netsim::time::{SimDuration, SimTime};
@@ -175,37 +175,6 @@ struct Record {
 
 const _: () = assert!(std::mem::size_of::<Record>() <= 80);
 
-/// An index slot: 0 when empty, else the key hash's top eight bits (the
-/// tag) over the record's position plus one in [`RECORD_BITS`] bits — four
-/// bytes, so a node's whole index stays a few cache lines.
-type Slot = u32;
-
-const RECORD_BITS: u32 = 24;
-
-/// The most records one table holds: what a slot can address.
-const MAX_RECORDS: usize = (1 << RECORD_BITS) - 1;
-
-fn slot(hash: u64, record: usize) -> Slot {
-    (tag(hash) << RECORD_BITS) | (record as u32 + 1)
-}
-
-fn tag(hash: u64) -> u32 {
-    (hash >> 56) as u32
-}
-
-fn slot_tag(s: Slot) -> u32 {
-    s >> RECORD_BITS
-}
-
-fn slot_record(s: Slot) -> usize {
-    (s & MAX_RECORDS as u32).wrapping_sub(1) as usize
-}
-
-/// Where a key with this hash starts probing: hash bits below the tag's.
-fn home(hash: u64, mask: usize) -> usize {
-    (hash >> 32) as usize & mask
-}
-
 /// Where one probe found a name, or where it would go: handed from
 /// [`Pit::probe`] to [`Pit::insert_probed`] so recording an Interest the
 /// pipeline already looked up costs no second probe. Valid until the
@@ -223,9 +192,9 @@ pub(crate) struct PitSlot {
 /// Entries live in one dense vector of records, each holding its name's
 /// canonical wire value ([`Name::to_wire_value`]) beside the entry —
 /// inline for every name up to 38 bytes — so no entry holds a
-/// [`Name`] or pins the frame its Interest arrived in. An open-addressing
-/// index (linear probing, at most half full) maps a key's hash to its
-/// record; each four-byte slot carries the hash's top eight bits as a
+/// [`Name`] or pins the frame its Interest arrived in. A `SlotIndex`
+/// (linear probing, at most half full) maps a key's hash to its record's
+/// position; each four-byte slot carries the hash's top eight bits as a
 /// tag, so a probe reads a record only on a tag match, and addresses up
 /// to `2^24 − 1` records. A lookup is therefore one index line and then
 /// the record — the duplicate-nonce hit, the pipeline's commonest
@@ -267,7 +236,7 @@ pub(crate) struct PitSlot {
 /// table scans at most once per `RECLAIM_AFTER`.
 #[derive(Clone, Debug)]
 pub struct Pit {
-    index: Vec<Slot>,
+    index: SlotIndex,
     records: Vec<Record>,
     state_bytes: usize,
     /// Entries with `can_be_prefix` set.
@@ -278,7 +247,7 @@ pub struct Pit {
 impl Default for Pit {
     fn default() -> Self {
         Pit {
-            index: Vec::new(),
+            index: SlotIndex::default(),
             records: Vec::new(),
             state_bytes: 0,
             prefix_entries: 0,
@@ -325,22 +294,10 @@ impl Pit {
         }
     }
 
+    #[inline]
     fn find(&self, hash: u64, key: &[u8]) -> Result<usize, usize> {
-        if self.index.is_empty() {
-            return Err(usize::MAX);
-        }
-        let mask = self.index.len() - 1;
-        let mut i = home(hash, mask);
-        loop {
-            let s = self.index[i];
-            if s == 0 {
-                return Err(i);
-            }
-            if slot_tag(s) == tag(hash) && self.records[slot_record(s)].key.as_slice() == key {
-                return Ok(slot_record(s));
-            }
-            i = (i + 1) & mask;
-        }
+        self.index
+            .find(hash, |r| self.records[r].key.as_slice() == key)
     }
 
     /// The entry a probe found, if any.
@@ -405,8 +362,8 @@ impl Pit {
             self.records.len() < MAX_RECORDS,
             "a PIT holds at most {MAX_RECORDS} entries"
         );
-        if (self.records.len() + 1) * 2 > self.index.len() {
-            self.grow();
+        if !self.index.fits(self.records.len() + 1) {
+            self.index.grow(hashes(&self.records));
             vacant = self
                 .find(probe.hash, name_wire)
                 .expect_err("the name is not in the table");
@@ -425,7 +382,7 @@ impl Pit {
         entry.state_bytes = bytes as u32;
         self.state_bytes += bytes;
         self.prefix_entries += usize::from(can_be_prefix);
-        self.index[vacant] = slot(probe.hash, self.records.len());
+        self.index.put(vacant, probe.hash, self.records.len());
         if self.records.len() == self.records.capacity() {
             self.records.reserve_exact((self.records.len() / 4).max(4));
         }
@@ -469,27 +426,6 @@ impl Pit {
         (PitInsert::Aggregated, entry)
     }
 
-    /// Doubles the index (eight slots at first) and re-slots every record.
-    fn grow(&mut self) {
-        let len = (self.index.len() * 2).max(8);
-        self.index = vec![0; len];
-        self.reindex();
-    }
-
-    /// Clears the index and slots every record again, by position.
-    fn reindex(&mut self) {
-        self.index.fill(0);
-        let mask = self.index.len().wrapping_sub(1);
-        for (r, record) in self.records.iter().enumerate() {
-            let hash = hash_wire(record.key.as_slice());
-            let mut i = home(hash, mask);
-            while self.index[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            self.index[i] = slot(hash, r);
-        }
-    }
-
     /// Whether a pending entry exists for `name` (exact).
     pub fn contains(&self, name: &Name) -> bool {
         self.probe_wire(&name.to_wire_value()).is_some()
@@ -528,51 +464,21 @@ impl Pit {
     fn evict(&mut self, key: &[u8]) -> Option<PitEntry> {
         let hash = hash_wire(key);
         let r = self.find(hash, key).ok()?;
-        let hole = self.slot_of(hash, r);
-        self.unslot(hole);
+        let hole = self.index.slot_of(hash, r);
+        let records = &self.records;
+        self.index
+            .unslot(hole, |r| hash_wire(records[r].key.as_slice()));
         let last = self.records.len() - 1;
         if r != last {
             // The last record moves into `r`: re-point its slot.
             let moved = hash_wire(self.records[last].key.as_slice());
-            let at = self.slot_of(moved, last);
-            self.index[at] = slot(moved, r);
+            let at = self.index.slot_of(moved, last);
+            self.index.put(at, moved, r);
         }
         let entry = self.records.swap_remove(r).entry;
         self.state_bytes -= entry.state_bytes as usize;
         self.prefix_entries -= usize::from(entry.can_be_prefix);
         Some(entry)
-    }
-
-    /// The index slot that points at record `r`, whose key has `hash`.
-    fn slot_of(&self, hash: u64, r: usize) -> usize {
-        let mask = self.index.len() - 1;
-        let mut i = home(hash, mask);
-        while slot_record(self.index[i]) != r {
-            i = (i + 1) & mask;
-        }
-        i
-    }
-
-    /// Empties index slot `hole`, shifting later members of its probe run
-    /// back so every lookup still reaches them without tombstones.
-    fn unslot(&mut self, mut hole: usize) {
-        let mask = self.index.len() - 1;
-        let mut i = hole;
-        loop {
-            i = (i + 1) & mask;
-            let s = self.index[i];
-            if s == 0 {
-                break;
-            }
-            // `s` may fill the hole when its home lies cyclically at or
-            // before the hole, i.e. no nearer to `i` than the hole is.
-            let at = home(hash_wire(self.records[slot_record(s)].key.as_slice()), mask);
-            if (i.wrapping_sub(at) & mask) >= (i.wrapping_sub(hole) & mask) {
-                self.index[hole] = s;
-                hole = i;
-            }
-        }
-        self.index[hole] = 0;
     }
 
     /// Removes and returns all entries a Data packet named by `name_wire`
@@ -649,7 +555,7 @@ impl Pit {
         self.next_due = next_due;
         let removed = before - self.records.len();
         if removed > 0 {
-            self.reindex();
+            self.index.refill(hashes(&self.records));
         }
         removed
     }
@@ -665,7 +571,7 @@ impl Pit {
     ///
     /// Test infrastructure; not called on hot paths.
     pub fn audit(&self) -> Result<(), String> {
-        let slotted = self.index.iter().filter(|&&s| s != 0).count();
+        let slotted = self.index.occupied();
         if slotted != self.records.len() {
             return Err(format!(
                 "{slotted} index slots for {} records",
@@ -709,6 +615,14 @@ impl Pit {
         }
         Ok(())
     }
+}
+
+/// Every record's key hash with its position, for re-slotting.
+fn hashes(records: &[Record]) -> impl Iterator<Item = (u64, usize)> + '_ {
+    records
+        .iter()
+        .enumerate()
+        .map(|(r, record)| (hash_wire(record.key.as_slice()), r))
 }
 
 /// Where the wire value of each strict prefix of the name `wire` ends: the

@@ -779,6 +779,7 @@ mod cs_properties {
     use dapes_ndn::cs::{ContentStore, CsBudget, CsStats, ENTRY_OVERHEAD};
     use dapes_ndn::name::Name;
     use dapes_ndn::packet::Data;
+    use dapes_netsim::payload::Payload;
     use dapes_netsim::time::{SimDuration, SimTime};
     use proptest::prelude::*;
     use std::collections::{BTreeMap, VecDeque};
@@ -912,7 +913,7 @@ mod cs_properties {
                     0..=3 => {
                         let d = Data::new(name.clone(), vec![0xAB; size]);
                         cs.insert(d.clone(), t);
-                        if cs.lookup_exact(&name) == Some(&d) {
+                        if cs.lookup_exact(&name).as_ref() == Some(&d) {
                             resident.insert(name, d);
                         }
                     }
@@ -946,7 +947,9 @@ mod cs_properties {
             // Insert / refresh / exact / CanBePrefix / MustBeFresh lookups
             // and clock advances, against a model keyed by `Name`. Identical
             // answers here mean the wire-keyed ordered index returns the
-            // same first CanBePrefix match as canonical `Name` order.
+            // same first CanBePrefix match as canonical `Name` order, and a
+            // hit's wire is byte for byte the wire of the packet the model
+            // holds — also after a refresh replaced one buffer by another.
             let budget = budget_of(bytes, n);
             let pool = name_pool();
             let mut cs = ContentStore::with_budget(budget);
@@ -960,24 +963,35 @@ mod cs_properties {
                         // A third of the inserts are immutable (never fresh).
                         let fresh_ms = if op == 0 { 0 } else { 1 + ms };
                         let d = Data::new(name.clone(), vec![op; size]).with_freshness_ms(fresh_ms);
+                        // Half the inserts arrive as received frames, each
+                        // its own buffer, which the store keeps as is.
+                        let d = if ms % 2 == 0 {
+                            Data::decode_payload(&Payload::from(d.encode())).unwrap()
+                        } else {
+                            d
+                        };
                         cs.insert(d.clone(), now);
                         model.insert(d, now);
                     }
                     3 | 4 => {
                         let cbp = op == 4;
+                        let (got, want) = (cs.lookup(name, cbp, mbf, now), model.lookup(name, cbp, mbf, now));
                         prop_assert_eq!(
-                            cs.lookup(name, cbp, mbf, now),
-                            model.lookup(name, cbp, mbf, now),
+                            got.as_ref(),
+                            want,
                             "lookup {} cbp={} mbf={}", name, cbp, mbf
                         );
+                        prop_assert_eq!(got.map(|d| d.wire()), want.map(Data::wire));
                     }
                     5 => {
                         let prefix = name.prefix(size % (name.len() + 1));
+                        let (got, want) = (cs.lookup(&prefix, true, mbf, now), model.lookup(&prefix, true, mbf, now));
                         prop_assert_eq!(
-                            cs.lookup(&prefix, true, mbf, now),
-                            model.lookup(&prefix, true, mbf, now),
+                            got.as_ref(),
+                            want,
                             "prefix lookup {} mbf={}", prefix, mbf
                         );
+                        prop_assert_eq!(got.map(|d| d.wire()), want.map(Data::wire));
                     }
                     _ => now += SimDuration::from_millis(ms),
                 }
@@ -985,7 +999,9 @@ mod cs_properties {
                 prop_assert_eq!(cs.len(), model.entries.len());
                 prop_assert_eq!(cs.resident_bytes(), model.bytes());
                 for probe in &pool {
-                    prop_assert_eq!(cs.lookup_exact(probe), model.lookup(probe, false, false, now));
+                    let (got, want) = (cs.lookup_exact(probe), model.lookup(probe, false, false, now));
+                    prop_assert_eq!(got.as_ref(), want);
+                    prop_assert_eq!(got.map(|d| d.wire()), want.map(Data::wire));
                 }
                 prop_assert_eq!(cs.audit(), Ok(()));
             }
