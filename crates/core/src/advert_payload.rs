@@ -36,10 +36,10 @@ pub fn decode_bitmap_params(wire: &[u8]) -> Option<(u32, Bitmap)> {
 ///
 /// This is for forwarding-plane peeks (the multi-hop bitmap decision,
 /// opportunistic overhearing sites behind the authenticated screen) that
-/// only need the advertised bits and must work identically whichever side
-/// of the `signed_adverts` toggle produced the frame. Consumers that admit
-/// the advert into protocol state authenticate via [`crate::auth::open`]
-/// first.
+/// only need the advertised bits and must read a sealed advert from a
+/// peer and a plain one (an attacker's frame, say) alike. Consumers that
+/// admit the advert into protocol state authenticate via
+/// [`crate::auth::open`] first.
 pub fn decode_bitmap_params_maybe_sealed(wire: &[u8]) -> Option<(u32, Bitmap)> {
     decode_bitmap_params(wire).or_else(|| crate::auth::strip(wire).and_then(decode_bitmap_params))
 }

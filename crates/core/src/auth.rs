@@ -3,25 +3,23 @@
 //!
 //! The paper assumes cooperative peers, but its off-the-grid setting is
 //! exactly where spoofed adverts and replayed announcements are cheapest to
-//! mount. When the `signed_adverts` knob on
-//! [`DapesConfig`](crate::config::DapesConfig) is on, every bitmap
-//! advertisement and discovery reply is
-//! *sealed*: the base payload gains a trailer carrying a strictly monotonic
-//! per-producer timestamp and a [`Signature`] over `base || timestamp`
-//! under the sender's producer key (`"peer-{id}"`, derived from the shared
-//! trust anchor exactly like content signing). Receivers *open* the
-//! envelope before any protocol state is touched: a bad tag or a forged
-//! producer name drops the frame ([`OpenError::BadSignature`]); a timestamp
-//! below the sender's recorded high-water mark — or older than the replay
-//! window — drops it as a replay ([`ReplayVerdict::Replayed`]), while a
-//! timestamp *equal* to the mark is an honest wireless re-hearing
-//! ([`ReplayVerdict::Duplicate`]) processed like any benign frame.
+//! mount. Every bitmap advertisement and discovery reply a DAPES peer
+//! sends is *sealed*: the base payload gains a trailer carrying a
+//! strictly monotonic per-producer timestamp and a [`Signature`] over
+//! `base || timestamp` under the sender's producer key (`"peer-{id}"`,
+//! derived from the shared trust anchor exactly like content signing).
+//! Receivers *open* the envelope before any protocol state is touched: a
+//! bad tag or a forged producer name drops the frame
+//! ([`OpenError::BadSignature`]); a timestamp below the sender's recorded
+//! high-water mark — or older than the replay window — drops it as a
+//! replay ([`ReplayVerdict::Replayed`]), while a timestamp *equal* to the
+//! mark is an honest wireless re-hearing ([`ReplayVerdict::Duplicate`])
+//! processed like any benign frame.
 //!
 //! The trailer is strictly appended so the sealed wire form is
 //! `base || timestamp(8B BE) || key_id(8B BE) || tag(32B)`; stripping
-//! [`ENVELOPE_SIZE`] bytes recovers the exact base payload the unsigned
-//! code path produces, which is what keeps benign golden traces
-//! bit-identical when the axis is toggled off.
+//! [`ENVELOPE_SIZE`] bytes recovers the exact base payload, which is how
+//! forwarding-plane peeks read an announcement without verifying it.
 
 use crate::due_after;
 use dapes_crypto::signing::{KeyId, Signature, Signer, TrustAnchor, Verifier};

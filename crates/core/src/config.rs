@@ -161,14 +161,6 @@ pub struct DapesConfig {
     /// set, it replaces the forwarder's default packet-count cap; `None`
     /// keeps the count-capped store. Either way the store evicts FIFO.
     pub cs_budget_bytes: Option<usize>,
-    /// Seal bitmap advertisements and discovery replies in the signed
-    /// envelope ([`crate::auth`]): a monotonic per-producer timestamp plus
-    /// a trust-anchor signature over the payload, verified (and
-    /// replay-checked) before any announcement touches protocol state.
-    /// Default-on; toggling it off reproduces the pre-authentication wire
-    /// format byte for byte, so benign golden traces stay bit-identical
-    /// with the adversarial axis disabled.
-    pub signed_adverts: bool,
 }
 
 impl Default for DapesConfig {
@@ -182,7 +174,6 @@ impl Default for DapesConfig {
             forward_prob: 0.20,
             metadata_format: MetadataFormat::MerkleRoots,
             cs_budget_bytes: None,
-            signed_adverts: true,
         }
     }
 }
@@ -225,7 +216,6 @@ mod tests {
             forward_prob: _,
             metadata_format: _,
             cs_budget_bytes,
-            signed_adverts: _,
         } = DapesConfig::default();
         assert_eq!(cs_budget_bytes, None);
     }
@@ -260,8 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn signed_adverts_default_on_with_paper_scale_windows() {
-        assert!(DapesConfig::default().signed_adverts);
+    fn replay_windows_are_paper_scale() {
         assert_eq!(REPLAY_WINDOW, SimDuration::from_secs(5));
         assert_eq!(PEER_TTL, SimDuration::from_secs(10));
         assert_eq!(NONCE_RETENTION, SimDuration::from_secs(20));

@@ -64,7 +64,6 @@ pub mod metadata;
 pub mod multihop;
 pub mod namespace;
 pub mod peer;
-pub mod pipeline;
 pub mod rpf;
 pub mod stats;
 
@@ -80,7 +79,6 @@ pub mod prelude {
     pub use crate::metadata::{Metadata, MetadataFormat, PacketIndex};
     pub use crate::multihop::{MultihopState, NodeRole};
     pub use crate::peer::{DapesPeer, SalvagedDownload, WantPolicy};
-    pub use crate::pipeline::{Catalog, ChunkedFile};
     pub use crate::rpf::{RpfVariant, StartPacket};
     pub use crate::stats::{kinds, PeerStats};
 }

@@ -87,18 +87,6 @@ pub fn packet_name(collection: &Name, file: &str, seq: u64) -> Name {
     collection.child(file).child(seq)
 }
 
-/// The per-file catalog component (chunked-file pipeline).
-pub const CATALOG: &str = "catalog";
-
-/// Name of a file's chunk catalog: `/<collection>/<file>/catalog`.
-///
-/// The textual `catalog` component can never collide with a content
-/// packet's numeric `<seq>` tail, so the catalog lives beside the
-/// segments under the same file prefix.
-pub fn catalog_name(collection: &Name, file: &str) -> Name {
-    collection.child(file).child(CATALOG)
-}
-
 /// The metadata name for a collection: `/<collection>/metadata-file/<digest8>`.
 pub fn metadata_name(collection: &Name, digest8: &str) -> Name {
     collection.child(METADATA_FILE).child(digest8)
@@ -290,21 +278,6 @@ mod tests {
             Some(DapesName::Metadata { segment, .. }) => assert_eq!(segment, None),
             other => panic!("unexpected {other:?}"),
         }
-    }
-
-    #[test]
-    fn catalog_names_sit_beside_segments_without_classifying_as_content() {
-        let col = Name::from_uri("/damaged-bridge-1533783192");
-        let cat = catalog_name(&col, "bridge-picture");
-        assert_eq!(
-            cat.to_string(),
-            "/damaged-bridge-1533783192/bridge-picture/catalog"
-        );
-        // Same file prefix as the segments, so one CanBePrefix Interest
-        // namespace covers both.
-        assert!(col.child("bridge-picture").is_prefix_of(&cat));
-        // The textual tail never parses as a content sequence number.
-        assert_eq!(classify(&cat), None);
     }
 
     #[test]

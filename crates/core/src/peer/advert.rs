@@ -75,9 +75,7 @@ impl DapesPeer {
             .with_nonce(ctx.rng().gen())
             .with_lifetime_ms(2_000)
             .with_app_parameters(params);
-        if self.cfg.signed_adverts {
-            self.nonce_journal.record(interest.nonce(), ctx.now);
-        }
+        self.nonce_journal.record(interest.nonce(), ctx.now);
         let tx_token = self.track_bitmap_tx(collection);
         let actions = self
             .forwarder

@@ -589,9 +589,7 @@ impl DapesPeer {
                         // (downstream APP) already exists; a fresh nonce lets
                         // neighbors treat it as new.
                         let interest = Interest::new(name).with_nonce(ctx.rng().gen());
-                        if self.cfg.signed_adverts {
-                            self.nonce_journal.record(interest.nonce(), ctx.now);
-                        }
+                        self.nonce_journal.record(interest.nonce(), ctx.now);
                         let delay_us = ctx.rng().gen_range(0..TX_WINDOW.as_micros());
                         ctx.send_frame(
                             interest.wire(),

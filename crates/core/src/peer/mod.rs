@@ -253,11 +253,9 @@ impl DapesPeer {
         // lags expiry by at least a tick, nothing to take (DESIGN.md).
         self.stats.tick_scans += self.forwarder.pit().expire_due(now) as u64;
         self.forwarder.expire(now);
-        if self.cfg.signed_adverts {
-            self.stats.tick_scans += self.replay.sweep_due(now) as u64;
-            self.stats.peers_expired += self.replay.sweep(now) as u64;
-            self.nonce_journal.forget_older_than(now, NONCE_RETENTION);
-        }
+        self.stats.tick_scans += self.replay.sweep_due(now) as u64;
+        self.stats.peers_expired += self.replay.sweep(now) as u64;
+        self.nonce_journal.forget_older_than(now, NONCE_RETENTION);
 
         // Encounter transitions.
         if neighbors == 0 && self.encounter_active {
@@ -294,7 +292,7 @@ impl DapesPeer {
         interest: &InterestHeader<'_>,
         proofs: &mut Proofs,
     ) {
-        if self.cfg.signed_adverts && self.screen_interest(ctx, interest, &frame.payload, proofs) {
+        if self.screen_interest(ctx, interest, &frame.payload, proofs) {
             return;
         }
         let (actions, outcome) =
@@ -465,12 +463,10 @@ impl DapesPeer {
     fn receive(&mut self, ctx: &mut NodeCtx<'_>, frame: &Frame, rx: &mut Received) {
         let Some(header) = rx.header(&frame.payload) else {
             // The noise-flood sink: a frame that does not parse.
-            if self.cfg.signed_adverts {
-                self.stats.flood_frames_dropped += 1;
-            }
+            self.stats.flood_frames_dropped += 1;
             return;
         };
-        if self.cfg.signed_adverts && self.screen_frame(ctx, &header) {
+        if self.screen_frame(ctx, &header) {
             return;
         }
         match header {
@@ -514,7 +510,7 @@ impl DapesPeer {
         // The signature verdict is consulted once, here; the screen
         // and every handler below consume it as a value.
         let authentic = self.check_signature(data, class, proofs);
-        if self.cfg.signed_adverts && self.screen_data(ctx, data, class, authentic, proofs) {
+        if self.screen_data(ctx, data, class, authentic, proofs) {
             return;
         }
         let content_idx = self.note_data_heard(ctx, frame, data.name(), class);
@@ -527,8 +523,8 @@ impl DapesPeer {
                     replier,
                     ..
                 }) => {
-                    // Sealed or plain: authentication already ran in
-                    // the `screen_data` gate when the axis is on.
+                    // Authentication already ran in the `screen_data`
+                    // gate.
                     if let Some((peer, bm)) = decode_bitmap_params_maybe_sealed(data.content()) {
                         let peer = replier.unwrap_or(peer);
                         self.handle_bitmap_seen(ctx, collection, peer, &bm);
@@ -660,39 +656,86 @@ fn response_kind_for(data: &Data) -> FrameKind {
 mod tests {
     use super::*;
     use crate::bitmap::Bitmap;
+    use crate::collection::{generate_content, FileSpec};
     use crate::collection::{Collection, CollectionSpec};
     use crate::discovery::OfferedCollection;
-    use crate::pipeline::ChunkedFile;
+    use crate::metadata::MetadataFormat;
+    use dapes_netsim::prelude::{Point, Stationary, World, WorldConfig};
+    use std::sync::Arc;
 
     #[test]
-    fn seeding_a_chunked_file_populates_a_budgeted_store() {
-        let budget = 64 * 1024;
-        let cfg = DapesConfig {
-            cs_budget_bytes: Some(budget),
-            ..DapesConfig::default()
-        };
-        let anchor = TrustAnchor::from_seed(b"seed-test");
-        let mut peer = DapesPeer::new(0, cfg, anchor, WantPolicy::Nothing);
-        let col = Name::from_uri("/damaged-bridge-1533783192");
-        let file = ChunkedFile::synthetic(&col, "pic", 5000, 1024);
-        let inserted = peer.seed_chunked_file(&file, SimTime::ZERO);
-        assert_eq!(inserted, file.chunk_count() + 1);
-        let cs = peer.content_store();
-        assert_eq!(cs.len(), inserted);
-        assert!(
-            cs.lookup_exact(&namespace::catalog_name(&col, "pic"))
-                .is_some(),
-            "catalog resident"
+    fn a_content_store_hit_is_checked_on_its_own_not_on_the_frame_in_flight() {
+        // The downloader's own store holds *unsigned* copies of file `b`'s
+        // segments (right names, right bytes, no signature). While genuine
+        // frames are being processed, refilling the fetch window expresses
+        // Interests for `b` that the store answers on the spot. Had those
+        // packets inherited the verdict of the authentic frame in flight
+        // they would be accepted and nothing would ever fail; checked on
+        // their own they are all rejected, and `b` arrives by
+        // retransmission instead (retransmitted Interests bypass the
+        // forwarder and its store).
+        const PACKET: usize = 1024;
+        let anchor = TrustAnchor::from_seed(b"rural-area-anchor");
+        let collection = Arc::new(Collection::build(CollectionSpec {
+            name: Name::from_uri("/damaged-bridge-1533783192"),
+            files: vec![
+                FileSpec::new("a", 4 * PACKET),
+                FileSpec::new("b", 4 * PACKET),
+            ],
+            packet_size: PACKET,
+            format: MetadataFormat::MerkleRoots,
+            producer: "resident-a".into(),
+        }));
+        let mut peer = DapesPeer::new(
+            1,
+            DapesConfig::default(),
+            anchor.clone(),
+            WantPolicy::Everything,
         );
-        for seq in 0..file.chunk_count() as u64 {
-            assert!(
-                cs.lookup_exact(&namespace::packet_name(&col, "pic", seq))
-                    .is_some(),
-                "segment {seq} resident"
-            );
+        for seq in 0..4 {
+            let name = namespace::packet_name(collection.name(), "b", seq);
+            let content = generate_content(&name, PACKET);
+            peer.forwarder
+                .cs_mut()
+                .insert(Data::new(name, content), SimTime::ZERO);
         }
-        assert!(cs.resident_bytes() <= budget, "within the byte budget");
-        cs.audit().expect("exact accounting");
+        let mut producer = DapesPeer::new(0, DapesConfig::default(), anchor, WantPolicy::Nothing);
+        producer.add_production(collection);
+        let mut world = World::new(WorldConfig {
+            range: 60.0,
+            seed: 11,
+            ..WorldConfig::default()
+        });
+        world.add_node(
+            Box::new(Stationary::new(Point::new(0.0, 0.0))),
+            Box::new(producer),
+        );
+        let node = world.add_node(
+            Box::new(Stationary::new(Point::new(30.0, 0.0))),
+            Box::new(peer),
+        );
+        let done = world.run_until_cond(SimTime::from_secs(300), |w| {
+            w.stack::<DapesPeer>(node)
+                .is_some_and(DapesPeer::downloads_complete)
+        });
+        assert!(done, "download incomplete after 300 s");
+        let stats = world.stack::<DapesPeer>(node).expect("downloader").stats();
+        assert_eq!(stats.data_received, 8, "every segment came off the air");
+        assert!(
+            stats.verify_failures >= 4,
+            "each of b's store-served segments is rejected, got {}",
+            stats.verify_failures
+        );
+        // One check per decoded segment frame (all authentic) plus one per
+        // packet the store served (all rejected).
+        let segment_frames: u64 = [kinds::CONTENT_DATA, kinds::METADATA_DATA]
+            .iter()
+            .filter_map(|k| world.stats().delivered_by_kind.get(k))
+            .sum();
+        assert_eq!(
+            stats.signature_checks,
+            segment_frames + stats.verify_failures
+        );
     }
 
     /// A whole world (stacks included) may move to a worker thread, so
@@ -756,7 +799,6 @@ mod tests {
 
     #[test]
     fn a_file_that_fails_its_merkle_check_is_dropped_from_the_strategys_view_too() {
-        use dapes_netsim::prelude::{Point, Stationary, World, WorldConfig};
         let anchor = TrustAnchor::from_seed(b"merkle-failure");
         let collection = Collection::build(CollectionSpec::uniform("/col", 2, 4 * 1024));
         let peer = DapesPeer::new(

@@ -76,12 +76,10 @@ impl DapesPeer {
         interest: Interest,
         kind: FrameKind,
     ) {
-        if self.cfg.signed_adverts {
-            // Journal our own nonce: we never hear our own transmission, so
-            // without this a replayed copy of our own Interest would pass
-            // the replay screen unrecognized.
-            self.nonce_journal.record(interest.nonce(), ctx.now);
-        }
+        // Journal our own nonce: we never hear our own transmission, so
+        // without this a replayed copy of our own Interest would pass the
+        // replay screen unrecognized.
+        self.nonce_journal.record(interest.nonce(), ctx.now);
         let actions = self
             .forwarder
             .process_interest(ctx.now, &interest, FaceId::APP);

@@ -1,7 +1,7 @@
-//! Adversarial screening (`signed_adverts`): sealing our own
-//! announcements, and holding every overheard frame, Interest and Data
-//! packet to the trust anchor, the replay guard and the nonce journal
-//! before any protocol state can absorb it.
+//! Adversarial screening: sealing our own announcements, and holding
+//! every overheard frame, Interest and Data packet to the trust anchor,
+//! the replay guard and the nonce journal before any protocol state can
+//! absorb it.
 
 use super::received::Proofs;
 use super::DapesPeer;
@@ -20,13 +20,8 @@ use dapes_netsim::time::SimTime;
 pub(super) const NONCE_JOURNAL_CAP: usize = 4096;
 
 impl DapesPeer {
-    /// Seals an announcement payload under our producer key when
-    /// `signed_adverts` is on; otherwise returns it untouched, which keeps
-    /// the axis-off wire format byte-identical to the pre-auth one.
+    /// Seals an announcement payload under our producer key.
     pub(super) fn seal_announcement(&mut self, now: SimTime, base: Vec<u8>) -> Vec<u8> {
-        if !self.cfg.signed_adverts {
-            return base;
-        }
         let ts = self.stamp.next(now);
         auth::seal(
             &base,
@@ -151,8 +146,7 @@ impl DapesPeer {
         proofs: &mut Proofs,
     ) -> bool {
         let Some((key_id, ts)) = proofs.opened(sealed, &self.anchor) else {
-            // An unsigned, truncated or forged announcement in a signed
-            // deployment.
+            // An unsigned, truncated or forged announcement.
             self.stats.adverts_rejected_bad_sig += 1;
             return true;
         };

@@ -11,7 +11,6 @@ use crate::stats::kinds;
 use dapes_ndn::name::Name;
 use dapes_ndn::packet::{Data, Interest};
 use dapes_netsim::node::NodeCtx;
-use dapes_netsim::time::SimTime;
 use std::sync::Arc;
 
 /// A collection this peer produces or fully seeds.
@@ -40,21 +39,6 @@ impl DapesPeer {
                 segments,
             },
         );
-    }
-
-    /// Seeds a chunked file's catalog and segments straight into this
-    /// peer's Content Store (the repo-side bootstrap of the segment
-    /// pipeline): overheard Interests for the catalog or any segment are
-    /// answered from cache without touching the download protocol.
-    /// Registers the collection prefix so Interests route here, and
-    /// returns the number of packets inserted.
-    pub fn seed_chunked_file(
-        &mut self,
-        file: &crate::pipeline::ChunkedFile,
-        now: SimTime,
-    ) -> usize {
-        self.register_collection_prefix(file.collection());
-        file.seed_into(self.forwarder.cs_mut(), now)
     }
 
     pub(super) fn serve_interest(&mut self, ctx: &mut NodeCtx<'_>, interest: &Interest) {

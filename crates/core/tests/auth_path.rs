@@ -1,7 +1,8 @@
 //! The authentication path at peer level: a decoded content/metadata Data
 //! frame is signature-checked exactly once however many handlers consume
-//! it, and a packet a Content Store hit serves to the peer's own Interest
-//! is checked on its own, never on the verdict of the frame in flight.
+//! it. That a packet a Content Store hit serves to the peer's own Interest
+//! is checked on its own is a unit test in `peer`, which can reach the
+//! store.
 
 use dapes_core::prelude::*;
 use dapes_crypto::signing::TrustAnchor;
@@ -83,39 +84,4 @@ fn a_solicited_segment_frame_costs_exactly_one_signature_check() {
     // Each frame passed the screen, was consumed through the PIT and
     // offered to the opportunistic path — three consumers, one check.
     assert_eq!(stats.signature_checks, segment_frames_delivered(&world));
-}
-
-#[test]
-fn a_content_store_hit_is_checked_on_its_own_not_on_the_frame_in_flight() {
-    // The downloader's own store holds *unsigned* copies of file `b`'s
-    // segments (right names, right bytes, no signature). While genuine
-    // frames are being processed, refilling the fetch window expresses
-    // Interests for `b` that the store answers on the spot. Had those
-    // packets inherited the verdict of the authentic frame in flight they
-    // would be accepted and nothing would ever fail; checked on their own
-    // they are all rejected, and `b` arrives by retransmission instead
-    // (retransmitted Interests bypass the forwarder and its store).
-    let collection = collection(&["a", "b"]);
-    let mut peer = downloader();
-    let poisoned = ChunkedFile::synthetic(collection.name(), "b", 4 * PACKET, PACKET);
-    peer.seed_chunked_file(&poisoned, SimTime::ZERO);
-    let (mut world, node) = two_node_world(&collection, peer);
-    let done = world.run_until_cond(SimTime::from_secs(300), |w| {
-        w.stack::<DapesPeer>(node)
-            .is_some_and(DapesPeer::downloads_complete)
-    });
-    assert!(done, "download incomplete after 300 s");
-    let stats = world.stack::<DapesPeer>(node).expect("downloader").stats();
-    assert_eq!(stats.data_received, 8, "every segment came off the air");
-    assert!(
-        stats.verify_failures >= 4,
-        "each of b's store-served segments is rejected, got {}",
-        stats.verify_failures
-    );
-    // One check per decoded frame (all authentic) plus one per packet the
-    // store served (all rejected).
-    assert_eq!(
-        stats.signature_checks,
-        segment_frames_delivered(&world) + stats.verify_failures
-    );
 }

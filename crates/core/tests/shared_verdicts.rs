@@ -45,16 +45,14 @@ impl NetStack for Counted {
     }
 }
 
-fn signed() -> DapesConfig {
-    DapesConfig {
-        signed_adverts: true,
-        ..DapesConfig::default()
-    }
-}
-
 fn downloader(id: u32, anchor: &TrustAnchor) -> Box<Counted> {
     Box::new(Counted {
-        peer: DapesPeer::new(id, signed(), anchor.clone(), WantPolicy::Everything),
+        peer: DapesPeer::new(
+            id,
+            DapesConfig::default(),
+            anchor.clone(),
+            WantPolicy::Everything,
+        ),
         segment_frames: 0,
     })
 }
@@ -82,7 +80,12 @@ fn a_foreign_anchor_first_in_line_neither_poisons_nor_borrows_the_honest_verdict
         Box::new(Stationary::new(Point::new(0.0, 0.0))),
         downloader(0, &foreign),
     );
-    let mut producer = DapesPeer::new(1, signed(), honest.clone(), WantPolicy::Nothing);
+    let mut producer = DapesPeer::new(
+        1,
+        DapesConfig::default(),
+        honest.clone(),
+        WantPolicy::Nothing,
+    );
     producer.add_production(collection);
     world.add_node(
         Box::new(Stationary::new(Point::new(20.0, 0.0))),

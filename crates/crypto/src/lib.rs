@@ -50,5 +50,5 @@ pub mod sha256;
 pub mod signing;
 
 pub use digest::Digest;
-pub use merkle::{MerkleProof, MerkleTree};
+pub use merkle::MerkleTree;
 pub use signing::{Signature, Signer, TrustAnchor, Verifier};

@@ -1,9 +1,8 @@
 //! Merkle trees for the paper's Merkle-tree metadata format (§IV-C).
 //!
 //! The collection producer builds one tree per file (or one for the whole
-//! collection) and ships only the root hash in the metadata. Receivers can
-//! verify all packets of a file once they hold the full leaf set, or verify a
-//! single packet early if the sender attaches a [`MerkleProof`].
+//! collection) and ships only the root hash in the metadata. Receivers
+//! verify all packets of a file once they hold the full leaf set.
 //!
 //! Interior nodes hash a domain-separated concatenation of their children so
 //! that a leaf can never be confused with an interior node (second-preimage
@@ -32,22 +31,23 @@ pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
     h.finalize()
 }
 
-/// A Merkle tree over a sequence of leaf payloads.
+/// A Merkle tree over a sequence of leaf payloads, kept as its root: the
+/// metadata ships only the root, and receivers check a file by rebuilding
+/// it from the leaves they hold.
 ///
 /// # Examples
 ///
 /// ```
-/// use dapes_crypto::merkle::MerkleTree;
+/// use dapes_crypto::merkle::{leaf_hash, MerkleTree};
 ///
 /// let packets: Vec<Vec<u8>> = (0..100u32).map(|i| i.to_be_bytes().to_vec()).collect();
 /// let tree = MerkleTree::from_leaves(packets.iter().map(|p| p.as_slice()));
-/// let proof = tree.prove(42).expect("leaf 42 exists");
-/// assert!(proof.verify(&tree.root(), &packets[42]));
+/// let leaves = packets.iter().map(|p| leaf_hash(p)).collect();
+/// assert!(MerkleTree::verify_leaves(&tree.root(), leaves));
 /// ```
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MerkleTree {
-    /// `levels[0]` is the leaf level; the last level has exactly one digest.
-    levels: Vec<Vec<Digest>>,
+    root: Digest,
 }
 
 impl MerkleTree {
@@ -74,27 +74,25 @@ impl MerkleTree {
     /// Panics if `leaf_hashes` is empty.
     pub fn from_leaf_hashes(leaf_hashes: Vec<Digest>) -> Self {
         assert!(!leaf_hashes.is_empty(), "a merkle tree needs >= 1 leaf");
-        let mut levels = vec![leaf_hashes];
-        while levels.last().expect("nonempty").len() > 1 {
-            let prev = levels.last().expect("nonempty");
-            let mut next = Vec::with_capacity(prev.len().div_ceil(2));
-            let mut it = prev.chunks(2);
-            for pair in &mut it {
-                match pair {
-                    [l, r] => next.push(node_hash(l, r)),
+        // Each pass folds a level into the front of the same vector.
+        let mut level = leaf_hashes;
+        while level.len() > 1 {
+            let parents = level.len().div_ceil(2);
+            for i in 0..parents {
+                level[i] = match level.get(2 * i + 1) {
+                    Some(r) => node_hash(&level[2 * i], r),
                     // Odd node: promote unchanged (no duplication).
-                    [l] => next.push(*l),
-                    _ => unreachable!("chunks(2) yields 1..=2 items"),
-                }
+                    None => level[2 * i],
+                };
             }
-            levels.push(next);
+            level.truncate(parents);
         }
-        MerkleTree { levels }
+        MerkleTree { root: level[0] }
     }
 
     /// Builds a tree over a byte buffer split into `chunk_size`-byte
-    /// leaves (the last chunk may be short). This is the chunked-file
-    /// pipeline's shape: one leaf per segment Data packet.
+    /// leaves (the last chunk may be short): one leaf per segment Data
+    /// packet.
     ///
     /// An empty buffer produces the same single-node tree as an empty
     /// leaf iterator, so `root()` is always defined.
@@ -109,45 +107,7 @@ impl MerkleTree {
 
     /// The root digest.
     pub fn root(&self) -> Digest {
-        self.levels.last().expect("nonempty")[0]
-    }
-
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        self.levels[0].len()
-    }
-
-    /// The digest of leaf `index`, if it exists.
-    pub fn leaf(&self, index: usize) -> Option<Digest> {
-        self.levels[0].get(index).copied()
-    }
-
-    /// Produces an inclusion proof for leaf `index`.
-    ///
-    /// Returns `None` if `index` is out of range.
-    pub fn prove(&self, index: usize) -> Option<MerkleProof> {
-        if index >= self.leaf_count() {
-            return None;
-        }
-        let mut siblings = Vec::new();
-        let mut idx = index;
-        for level in &self.levels[..self.levels.len() - 1] {
-            let sib_idx = idx ^ 1;
-            if let Some(sib) = level.get(sib_idx) {
-                siblings.push(ProofStep {
-                    sibling: *sib,
-                    sibling_on_left: sib_idx < idx,
-                });
-            }
-            // When the sibling is missing (odd promotion) the node carries
-            // up unchanged, so no step is recorded.
-            idx /= 2;
-        }
-        Some(MerkleProof {
-            leaf_index: index,
-            leaf_count: self.leaf_count(),
-            siblings,
-        })
+        self.root
     }
 
     /// Verifies that `leaf_hashes` recomputes to `expected_root`.
@@ -159,52 +119,6 @@ impl MerkleTree {
             return false;
         }
         MerkleTree::from_leaf_hashes(leaf_hashes).root() == *expected_root
-    }
-}
-
-/// One sibling step of a [`MerkleProof`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProofStep {
-    /// The sibling digest combined at this level.
-    pub sibling: Digest,
-    /// Whether the sibling sits to the left of the running hash.
-    pub sibling_on_left: bool,
-}
-
-/// An inclusion proof binding one leaf payload to a tree root.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct MerkleProof {
-    /// Index of the proven leaf.
-    pub leaf_index: usize,
-    /// Total number of leaves in the tree the proof was built from.
-    pub leaf_count: usize,
-    /// Bottom-up sibling path.
-    pub siblings: Vec<ProofStep>,
-}
-
-impl MerkleProof {
-    /// Checks the proof against a root for a given leaf payload.
-    pub fn verify(&self, root: &Digest, payload: &[u8]) -> bool {
-        self.verify_leaf_hash(root, leaf_hash(payload))
-    }
-
-    /// Checks the proof given a precomputed leaf digest.
-    pub fn verify_leaf_hash(&self, root: &Digest, leaf: Digest) -> bool {
-        let mut acc = leaf;
-        for step in &self.siblings {
-            acc = if step.sibling_on_left {
-                node_hash(&step.sibling, &acc)
-            } else {
-                node_hash(&acc, &step.sibling)
-            };
-        }
-        acc == *root
-    }
-
-    /// Serialized size in bytes (for overhead accounting).
-    pub fn wire_size(&self) -> usize {
-        // index + count as u32s, then 33 bytes per step (digest + side flag).
-        8 + self.siblings.len() * 33
     }
 }
 
@@ -226,7 +140,6 @@ mod tests {
     fn single_leaf_root_is_leaf_hash() {
         let (t, p) = tree_of(1);
         assert_eq!(t.root(), leaf_hash(&p[0]));
-        assert_eq!(t.leaf_count(), 1);
     }
 
     #[test]
@@ -239,39 +152,6 @@ mod tests {
     fn two_leaves_root_is_pair_hash() {
         let (t, p) = tree_of(2);
         assert_eq!(t.root(), node_hash(&leaf_hash(&p[0]), &leaf_hash(&p[1])));
-    }
-
-    #[test]
-    fn proofs_verify_for_all_sizes_and_indices() {
-        for n in [1usize, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100] {
-            let (t, p) = tree_of(n);
-            for (i, payload) in p.iter().enumerate() {
-                let proof = t.prove(i).expect("in range");
-                assert!(proof.verify(&t.root(), payload), "n={n} i={i}");
-            }
-        }
-    }
-
-    #[test]
-    fn proof_rejects_wrong_payload() {
-        let (t, p) = tree_of(8);
-        let proof = t.prove(3).expect("in range");
-        assert!(!proof.verify(&t.root(), &p[4]));
-        assert!(!proof.verify(&t.root(), b"forged"));
-    }
-
-    #[test]
-    fn proof_rejects_wrong_root() {
-        let (t, p) = tree_of(8);
-        let (other, _) = tree_of(9);
-        let proof = t.prove(0).expect("in range");
-        assert!(!proof.verify(&other.root(), &p[0]));
-    }
-
-    #[test]
-    fn prove_out_of_range_is_none() {
-        let (t, _) = tree_of(4);
-        assert!(t.prove(4).is_none());
     }
 
     #[test]
@@ -313,16 +193,6 @@ mod tests {
     }
 
     #[test]
-    fn odd_promotion_keeps_proofs_short() {
-        // 5 leaves: depth is ceil(log2(5)) = 3; the promoted leaf's proof can
-        // be shorter than depth.
-        let (t, p) = tree_of(5);
-        let proof = t.prove(4).expect("in range");
-        assert!(proof.siblings.len() <= 3);
-        assert!(proof.verify(&t.root(), &p[4]));
-    }
-
-    #[test]
     fn roots_differ_when_any_leaf_differs() {
         let (t1, _) = tree_of(16);
         let mut p2 = payloads(16);
@@ -338,7 +208,6 @@ mod tests {
             let t = MerkleTree::from_chunks(&bytes, chunk);
             let explicit = MerkleTree::from_leaves(bytes.chunks(chunk));
             assert_eq!(t, explicit, "chunk={chunk}");
-            assert_eq!(t.leaf_count(), bytes.len().div_ceil(chunk));
         }
         // Empty buffer: same defined root as the empty iterator.
         assert_eq!(
@@ -348,9 +217,13 @@ mod tests {
     }
 
     #[test]
-    fn wire_size_tracks_depth() {
-        let (t, _) = tree_of(1024);
-        let proof = t.prove(0).expect("in range");
-        assert_eq!(proof.wire_size(), 8 + 10 * 33);
+    fn an_odd_node_is_promoted_unchanged() {
+        let (t3, p) = tree_of(3);
+        let l: Vec<Digest> = p.iter().map(|v| leaf_hash(v)).collect();
+        assert_eq!(t3.root(), node_hash(&node_hash(&l[0], &l[1]), &l[2]));
+        let (t5, p) = tree_of(5);
+        let l: Vec<Digest> = p.iter().map(|v| leaf_hash(v)).collect();
+        let left = node_hash(&node_hash(&l[0], &l[1]), &node_hash(&l[2], &l[3]));
+        assert_eq!(t5.root(), node_hash(&left, &l[4]));
     }
 }

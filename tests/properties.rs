@@ -263,20 +263,6 @@ proptest! {
     }
 
     #[test]
-    fn merkle_proofs_sound(leaf_count in 1usize..64, probe in any::<usize>()) {
-        let leaves: Vec<Vec<u8>> = (0..leaf_count).map(|i| format!("leaf-{i}").into_bytes()).collect();
-        let tree = MerkleTree::from_leaves(leaves.iter().map(|v| v.as_slice()));
-        let idx = probe % leaf_count;
-        let proof = tree.prove(idx).unwrap();
-        prop_assert!(proof.verify(&tree.root(), &leaves[idx]));
-        // The same proof must not validate any other leaf.
-        let other = (idx + 1) % leaf_count;
-        if other != idx {
-            prop_assert!(!proof.verify(&tree.root(), &leaves[other]));
-        }
-    }
-
-    #[test]
     fn fib_lpm_matches_naive_scan(
         prefixes in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..4), 1..12),
         query in proptest::collection::vec(0u8..4, 0..5),
@@ -724,32 +710,7 @@ proptest! {
         prop_assert_eq!(bm.count_missing(), len);
     }
 
-    // --- Merkle proofs (crates/crypto/src/merkle.rs) ---
-
-    #[test]
-    fn merkle_proof_rejects_wrong_root_and_tampered_payload(
-        leaf_count in 2usize..48,
-        probe in any::<usize>(),
-        flip in any::<u8>(),
-    ) {
-        let leaves: Vec<Vec<u8>> =
-            (0..leaf_count).map(|i| format!("leaf-{i}").into_bytes()).collect();
-        let tree = MerkleTree::from_leaves(leaves.iter().map(|v| v.as_slice()));
-        let idx = probe % leaf_count;
-        let proof = tree.prove(idx).unwrap();
-        prop_assert!(proof.verify(&tree.root(), &leaves[idx]));
-        // Against a different tree's root the same proof must fail.
-        let other_tree = MerkleTree::from_leaves(
-            (0..leaf_count).map(|i| format!("other-{i}")).collect::<Vec<_>>()
-                .iter().map(|v| v.as_bytes()),
-        );
-        prop_assert!(!proof.verify(&other_tree.root(), &leaves[idx]));
-        // A tampered payload must fail against the true root.
-        let mut tampered = leaves[idx].clone();
-        let pos = probe % tampered.len();
-        tampered[pos] ^= flip | 1; // guaranteed to change at least one bit
-        prop_assert!(!proof.verify(&tree.root(), &tampered));
-    }
+    // --- Merkle roots (crates/crypto/src/merkle.rs) ---
 
     #[test]
     fn merkle_verify_leaves_matches_root(leaf_count in 1usize..64) {
@@ -771,11 +732,9 @@ proptest! {
 mod cs_properties {
     //! Content Store properties: the FIFO store must keep exact byte
     //! accounting and audit-clean indexes under arbitrary churn, behave
-    //! exactly like a `Name`-keyed FIFO model, serve everything that fits,
-    //! and the chunked-file pipeline must round-trip through its catalog
-    //! for any geometry.
+    //! exactly like a `Name`-keyed FIFO model, and serve everything that
+    //! fits.
 
-    use dapes_core::pipeline::{Catalog, ChunkedFile};
     use dapes_ndn::cs::{ContentStore, CsBudget, CsStats, ENTRY_OVERHEAD};
     use dapes_ndn::name::Name;
     use dapes_ndn::packet::Data;
@@ -1031,40 +990,6 @@ mod cs_properties {
             prop_assert_eq!(s.evictions, 0);
             prop_assert_eq!(s.insertions + s.refreshes, keys.len() as u64);
             prop_assert_eq!(cs.audit(), Ok(()));
-        }
-
-        #[test]
-        fn chunk_pipeline_round_trips_for_any_geometry(
-            size in 0usize..5000,
-            chunk_size in 1usize..512,
-            probe in any::<usize>(),
-        ) {
-            let col = Name::from_uri("/prop-col-1533783192");
-            let f = ChunkedFile::synthetic(&col, "f", size, chunk_size);
-            let catalog = Catalog::decode(f.catalog_data().content()).unwrap();
-            prop_assert_eq!(catalog, f.catalog());
-            prop_assert_eq!(catalog.size_bytes as usize, size);
-            prop_assert_eq!(catalog.chunk_count as usize, f.chunk_count());
-            // A probed segment verifies against the catalog; its proof
-            // must not validate any other segment's payload.
-            let idx = probe % f.chunk_count();
-            let seg = f.segment(idx).unwrap();
-            let proof = f.prove(idx).unwrap();
-            prop_assert!(ChunkedFile::verify_segment(&catalog, &proof, idx, &seg));
-            let other = (idx + 1) % f.chunk_count();
-            if other != idx {
-                let wrong = f.segment(other).unwrap();
-                prop_assert!(!ChunkedFile::verify_segment(&catalog, &proof, idx, &wrong));
-            }
-            // Reassembling every chunk and re-chunking reproduces the
-            // exact Merkle root: the pipeline is lossless.
-            let mut rebuilt = Vec::new();
-            for i in 0..f.chunk_count() {
-                rebuilt.extend_from_slice(f.chunk(i).unwrap());
-            }
-            prop_assert_eq!(rebuilt.len(), size);
-            let g = ChunkedFile::from_bytes(&col, "f", rebuilt, chunk_size);
-            prop_assert_eq!(g.root(), f.root());
         }
     }
 }
