@@ -1501,8 +1501,9 @@ mod tests {
     /// Chatter fingerprints `(seed, plain, faulted)` recorded at `ff140d1`,
     /// where the heap queue, the brute-force receiver scan and per-receiver
     /// delivery events still existed and each was asserted to reproduce
-    /// exactly these traces; they now hold the one surviving path (the
-    /// same table is pinned in the workspace's `tests/golden.rs`).
+    /// exactly these traces. The six tests below keep the names of those
+    /// cross-mode comparisons; what they now hold fixed is the surviving
+    /// path (the same table is pinned in the workspace's `tests/golden.rs`).
     const CHATTER_PINS: [(u64, ChatterTrace, ChatterTrace); 3] = [
         (
             1,
@@ -1521,16 +1522,41 @@ mod tests {
         ),
     ];
 
-    #[test]
-    fn chatter_world_matches_its_pinned_traces_with_and_without_faults() {
+    fn assert_chatter_pinned(faulted: bool) {
         for (seed, plain, with_faults) in CHATTER_PINS {
-            assert_eq!(chatter_trace(seed, false), plain, "seed {seed}");
-            assert_eq!(
-                chatter_trace(seed, true),
-                with_faults,
-                "seed {seed} faulted"
-            );
+            let pinned = if faulted { with_faults } else { plain };
+            assert_eq!(chatter_trace(seed, faulted), pinned, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn grid_and_brute_force_delivery_traces_are_identical() {
+        assert_chatter_pinned(false);
+    }
+
+    #[test]
+    fn wheel_and_heap_queue_traces_are_identical() {
+        assert_chatter_pinned(false);
+    }
+
+    #[test]
+    fn batched_and_per_receiver_delivery_traces_are_identical() {
+        assert_chatter_pinned(false);
+    }
+
+    #[test]
+    fn fault_traces_identical_across_queue_modes() {
+        assert_chatter_pinned(true);
+    }
+
+    #[test]
+    fn fault_traces_identical_across_delivery_event_modes() {
+        assert_chatter_pinned(true);
+    }
+
+    #[test]
+    fn fault_traces_identical_across_delivery_modes() {
+        assert_chatter_pinned(true);
     }
 
     /// Frame memos alive right now / ever made (only [`Tally`] counts).

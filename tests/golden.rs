@@ -7,6 +7,9 @@
 //! cells bit-identical across every mode; the engine now has one path per
 //! layer, and these constants are what holds that path to the same traces.
 //!
+//! `tests/sched.rs` and `tests/hotpath.rs` include this file as a module and
+//! check their own matrices against the same table.
+//!
 //! A failing assertion prints the observed rows in source form, so a change
 //! that moves traces on purpose re-pins by pasting them here — and says so
 //! in its description.
@@ -17,16 +20,16 @@ use std::any::Any;
 
 /// `(tx_frames, delivered, channel_losses, collision_drops,
 /// delivered_payload_bytes)` of a finished run.
-type Counters = (u64, u64, u64, u64, u64);
+pub type Counters = (u64, u64, u64, u64, u64);
 
 /// One pinned DAPES scenario cell.
-struct Cell {
-    topology: Topology,
-    seed: u64,
-    faults: &'static [FaultProfile],
-    counters: Counters,
+pub struct Cell {
+    pub topology: Topology,
+    pub seed: u64,
+    pub faults: &'static [FaultProfile],
+    pub counters: Counters,
     /// Downloader completion times in microseconds, in insertion order.
-    completions_us: &'static [u64],
+    pub completions_us: &'static [u64],
 }
 
 const PAIR: Topology = Topology::AdjacentPair;
@@ -69,9 +72,10 @@ const fn cell(
     }
 }
 
-/// Three stationary topologies × seeds 1–3, three mobility cells (the
-/// ferry, a two-relay chain, a mobile swarm) and one fault-plan cell.
-const CELLS: &[Cell] = &[
+/// The matrices of `tests/sched.rs` (3 topologies × seeds 1, 3, plus the
+/// ferry) and `tests/hotpath.rs` (the same topologies × seeds 1, 2, 3, plus
+/// its mobility cells), and one fault-plan cell.
+pub const CELLS: &[Cell] = &[
     cell(PAIR, 1, (16, 16, 0, 0, 5826), &[228405]),
     cell(PAIR, 2, (18, 16, 0, 2, 5737), &[732833]),
     cell(PAIR, 3, (15, 15, 0, 0, 5685), &[932048]),
@@ -103,12 +107,11 @@ fn counters_of(s: &Stats) -> Counters {
     )
 }
 
-/// Runs every cell on the default profile and asserts its pinned
+/// Runs every selected cell on the default profile and asserts its pinned
 /// fingerprint (and, independently, the golden invariants).
-#[test]
-fn scenario_cells_match_their_pinned_fingerprints() {
+pub fn assert_cells(select: impl Fn(&Cell) -> bool) {
     let mut moved = Vec::new();
-    for c in CELLS {
+    for c in CELLS.iter().filter(|c| select(c)) {
         let params = MatrixParams {
             faults: c.faults.to_vec(),
             ..MatrixParams::default()
@@ -133,6 +136,11 @@ fn scenario_cells_match_their_pinned_fingerprints() {
         "default-profile traces moved; observed rows:\n{}",
         moved.join("\n")
     );
+}
+
+#[test]
+fn scenario_cells_match_their_pinned_fingerprints() {
+    assert_cells(|_| true);
 }
 
 /// The netsim `chatter` world: twelve beaconing nodes, alternately

@@ -2,12 +2,18 @@
 //!
 //! The grid must be *invisible* to protocol behaviour: it returns the same
 //! neighbors as the brute-force reference scan (`dapes-testutil`'s oracle)
-//! at every instant of every scenario. Full runs are held to the traces
+//! at every instant of every scenario, and full runs reproduce the traces
 //! that grid and brute-force receiver selection both produced at
-//! `ff140d1` by `tests/golden.rs`.
+//! `ff140d1`, pinned in `tests/golden.rs`.
+//!
+//! `golden_traces_bit_identical_across_delivery_modes` keeps a historical
+//! name: there is one delivery mode now, and it holds that mode to the pins.
 
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
+
+#[path = "golden.rs"]
+mod golden;
 
 fn matrix_axes() -> (Vec<Topology>, Vec<u64>) {
     (
@@ -20,7 +26,7 @@ fn matrix_axes() -> (Vec<Topology>, Vec<u64>) {
     )
 }
 
-/// Mobility cells: one stationary, one scripted-mobility, one mobile-swarm
+/// Cross-mode cells: one stationary, one scripted-mobility, one mobile-swarm
 /// topology, so the grid's segment registration is exercised by every
 /// mobility model.
 fn mobility_axes() -> Vec<(Topology, u64)> {
@@ -83,4 +89,12 @@ fn grid_neighbors_match_brute_force_under_mobility() {
             }
         }
     }
+}
+
+#[test]
+fn golden_traces_bit_identical_across_delivery_modes() {
+    let (topologies, seeds) = matrix_axes();
+    golden::assert_cells(|c| {
+        c.faults.is_empty() && topologies.contains(&c.topology) && seeds.contains(&c.seed)
+    });
 }
