@@ -71,6 +71,30 @@ impl ScenarioParams {
             ..CollectionParams::default()
         }
     }
+
+    /// The scenario every [`run_trial`] of these parameters runs under
+    /// `protocol`, built but not yet run.
+    pub fn scenario(&self, protocol: &Protocol) -> Scenario {
+        let format = match protocol {
+            Protocol::Dapes(cfg) => cfg.metadata_format,
+            Protocol::Bithoc | Protocol::Ekta => MetadataFormat::MerkleRoots,
+        };
+        ScenarioBuilder::new(self.seed)
+            .protocol(protocol.clone())
+            .range(self.range)
+            .anchor(paper_anchor())
+            .collection_params(CollectionParams {
+                format,
+                ..self.collection()
+            })
+            .paper_swarm(
+                self.stationary,
+                self.mobile_downloaders,
+                self.intermediates,
+                self.pure_forwarders,
+            )
+            .build()
+    }
 }
 
 /// Outcome of one simulated trial.
@@ -94,25 +118,7 @@ pub struct TrialResult {
 /// Runs one trial of the paper's scenario, stepping 5 s at a time until
 /// every downloader finished or the cap, and collects the metrics.
 pub fn run_trial(protocol: &Protocol, params: &ScenarioParams) -> TrialResult {
-    let format = match protocol {
-        Protocol::Dapes(cfg) => cfg.metadata_format,
-        Protocol::Bithoc | Protocol::Ekta => MetadataFormat::MerkleRoots,
-    };
-    let mut sc = ScenarioBuilder::new(params.seed)
-        .protocol(protocol.clone())
-        .range(params.range)
-        .anchor(paper_anchor())
-        .collection_params(CollectionParams {
-            format,
-            ..params.collection()
-        })
-        .paper_swarm(
-            params.stationary,
-            params.mobile_downloaders,
-            params.intermediates,
-            params.pure_forwarders,
-        )
-        .build();
+    let mut sc = params.scenario(protocol);
     let run = sc.run_sampled(SimDuration::from_secs(5), params.max_sim);
 
     let cap_s = params.max_sim.as_secs_f64();

@@ -52,7 +52,7 @@ fn run(profile: Profile, seed: u64, devices: [MobilityPreset; 5]) -> ScenarioOut
         .range(50.0)
         // The simulator's default 10 % frame loss, as in the figures; the
         // builder's own default is a clean channel.
-        .loss(PhyConfig::default().loss_rate)
+        .loss(WorldConfig::default().loss_rate)
         .anchor(paper_anchor())
         .collection_params(p.collection());
     for (i, mobility) in devices.into_iter().enumerate() {

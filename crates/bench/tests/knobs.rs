@@ -1,11 +1,12 @@
-//! Knob liveness: every `DapesConfig` value a figure sweeps
-//! (`crates/bench/src/figures.rs`) must change what a small contended
-//! swarm puts on the air. A value that leaves the trace where the default
-//! leaves it is read by no code on that path, so the figure row it labels
-//! measures nothing; such a value fails here unless [`DEAD`] lists it with
-//! the reason — and a listed value that comes alive fails too, so the list
-//! stays true.
+//! Knob liveness: every `DapesConfig` value and every `ScenarioParams`
+//! value a figure sweeps (`crates/bench/src/figures.rs`) must change what
+//! a small contended swarm puts on the air. A value that leaves the trace
+//! where the default leaves it is read by no code on that path, so the
+//! figure row it labels measures nothing; such a value fails here unless
+//! [`DEAD`] lists it with the reason — and a listed value that comes alive
+//! fails too, so the list stays true.
 
+use dapes_bench::{Profile, ScenarioParams};
 use dapes_core::prelude::*;
 use dapes_netsim::prelude::*;
 use dapes_testutil::prelude::*;
@@ -121,5 +122,65 @@ fn every_swept_schedule_moves_the_trace_unless_listed_dead() {
                 "{label} now moves the trace; take it off the dead list ({why})"
             ),
         }
+    }
+}
+
+/// The knob swarm as [`ScenarioParams`], built the way every figure trial
+/// is ([`ScenarioParams::scenario`]); the sweeps below start at its
+/// 2 × 16 KB collection and 50 m range.
+fn params_fingerprint(change: impl FnOnce(&mut ScenarioParams)) -> Fingerprint {
+    let mut p = ScenarioParams {
+        range: 50.0,
+        n_files: 2,
+        file_size: 16 * 1024,
+        seed: 3,
+        max_sim: SimTime::from_secs(600),
+        ..ScenarioParams::default()
+    };
+    change(&mut p);
+    let mut sc = p.scenario(&Protocol::Dapes(Box::default()));
+    sc.run_until_complete(p.max_sim);
+    let s = sc.world.stats();
+    (s.tx_frames, s.tx_payload_bytes, s.delivered)
+}
+
+/// Whether `change` moves the knob swarm's [`ScenarioParams`] trace.
+fn params_move(change: impl FnOnce(&mut ScenarioParams)) -> bool {
+    static BASE: OnceLock<Fingerprint> = OnceLock::new();
+    let base = *BASE.get_or_init(|| params_fingerprint(|_| {}));
+    params_fingerprint(change) != base
+}
+
+#[test]
+fn every_swept_file_count_moves_the_trace() {
+    // Fig. 9e; 2 files is the base.
+    for n in Profile::Quick.file_counts().into_iter().filter(|&n| n != 2) {
+        assert!(
+            params_move(|p| p.n_files = n),
+            "n_files = {n} leaves the trace unchanged"
+        );
+    }
+}
+
+#[test]
+fn every_swept_file_size_moves_the_trace() {
+    // Fig. 9f; 16 KB is the base.
+    let sizes = Profile::Quick.file_sizes();
+    for size in sizes.into_iter().filter(|&s| s != 16 * 1024) {
+        assert!(
+            params_move(|p| p.file_size = size),
+            "file_size = {size} leaves the trace unchanged"
+        );
+    }
+}
+
+#[test]
+fn every_swept_range_moves_the_trace() {
+    // Figs. 9a–9h and 10a–10b share this x-axis; the base is 50 m.
+    for range in Profile::Quick.ranges() {
+        assert!(
+            params_move(|p| p.range = range),
+            "range = {range} m leaves the trace unchanged"
+        );
     }
 }

@@ -125,6 +125,19 @@ impl AdversarySent {
 /// Timer token for the periodic behaviors (flooder, forger).
 const TOKEN_PERIODIC: u64 = u64::MAX;
 
+/// Cadence of the periodic behaviors (flood, forge).
+const PERIOD: SimDuration = SimDuration::from_millis(500);
+
+/// How fast the tamperer answers an overheard Interest — small enough to
+/// beat the honest responders' transmission window.
+const REPLY_DELAY: SimDuration = SimDuration::from_millis(1);
+
+/// How long the replayer holds a captured frame before re-injecting it.
+/// Above the victims' [`REPLAY_WINDOW`](crate::config::REPLAY_WINDOW), or
+/// the re-injection is indistinguishable from an honest wireless echo.
+const REPLAY_DELAY: SimDuration = SimDuration::from_secs(6);
+const _: () = assert!(REPLAY_DELAY.as_micros() > crate::config::REPLAY_WINDOW.as_micros());
+
 /// One hostile node. See the [module docs](self) for the behavior
 /// catalogue; all scheduling is deterministic given the node's seeded RNG.
 pub struct Adversary {
@@ -132,15 +145,6 @@ pub struct Adversary {
     kind: AdversaryKind,
     /// Producer id the forger impersonates.
     victim: u32,
-    /// Cadence of the periodic behaviors (flood, forge).
-    period: SimDuration,
-    /// How fast the tamperer answers an overheard Interest — small enough
-    /// to beat the honest responders' transmission window.
-    reply_delay: SimDuration,
-    /// How long the replayer holds a captured frame before re-injecting
-    /// it. Must exceed the victims' replay window, or the re-injection is
-    /// indistinguishable from an honest wireless echo.
-    replay_delay: SimDuration,
     /// The forger's anchor: *not* the network's, so its seals never
     /// verify.
     rogue: TrustAnchor,
@@ -163,9 +167,6 @@ impl Adversary {
             id,
             kind,
             victim,
-            period: SimDuration::from_millis(500),
-            reply_delay: SimDuration::from_millis(1),
-            replay_delay: SimDuration::from_secs(6),
             rogue,
             stamp: MonotonicStamp::default(),
             sent: AdversarySent::default(),
@@ -173,19 +174,6 @@ impl Adversary {
             next_token: 0,
             captured: BTreeSet::new(),
         }
-    }
-
-    /// Overrides the periodic cadence (flooder, forger).
-    pub fn with_period(mut self, period: SimDuration) -> Self {
-        self.period = period;
-        self
-    }
-
-    /// Overrides the replayer's hold time. Callers must keep it above the
-    /// victims' [`REPLAY_WINDOW`](crate::config::REPLAY_WINDOW).
-    pub fn with_replay_delay(mut self, delay: SimDuration) -> Self {
-        self.replay_delay = delay;
-        self
     }
 
     /// The behavior this node runs.
@@ -202,8 +190,8 @@ impl Adversary {
         self.next_token += 1;
         let token = self.next_token;
         let delay = match kind {
-            attack_kinds::TAMPER => self.reply_delay,
-            _ => self.replay_delay,
+            attack_kinds::TAMPER => REPLY_DELAY,
+            _ => REPLAY_DELAY,
         };
         self.pending.insert(token, (payload, kind));
         ctx.set_timer(delay, token);
@@ -250,7 +238,7 @@ impl NetStack for Adversary {
     fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
         match self.kind {
             AdversaryKind::NoiseFlooder | AdversaryKind::SpoofForger => {
-                ctx.set_timer(self.period, TOKEN_PERIODIC);
+                ctx.set_timer(PERIOD, TOKEN_PERIODIC);
             }
             AdversaryKind::SegmentTamperer | AdversaryKind::InterestReplayer => {}
         }
@@ -296,7 +284,7 @@ impl NetStack for Adversary {
     fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
         if token == TOKEN_PERIODIC {
             self.fire_periodic(ctx);
-            ctx.set_timer(self.period, TOKEN_PERIODIC);
+            ctx.set_timer(PERIOD, TOKEN_PERIODIC);
             return;
         }
         if let Some((payload, kind)) = self.pending.remove(&token) {

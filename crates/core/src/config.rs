@@ -157,10 +157,6 @@ pub struct DapesConfig {
     pub forward_prob: f64,
     /// Metadata encoding for produced collections.
     pub metadata_format: MetadataFormat,
-    /// Content Store memory budget in bytes (wire-size accounted). When
-    /// set, it replaces the forwarder's default packet-count cap; `None`
-    /// keeps the count-capped store. Either way the store evicts FIFO.
-    pub cs_budget_bytes: Option<usize>,
 }
 
 impl Default for DapesConfig {
@@ -173,7 +169,6 @@ impl Default for DapesConfig {
             multihop: true,
             forward_prob: 0.20,
             metadata_format: MetadataFormat::MerkleRoots,
-            cs_budget_bytes: None,
         }
     }
 }
@@ -215,9 +210,7 @@ mod tests {
             multihop: _,
             forward_prob: _,
             metadata_format: _,
-            cs_budget_bytes,
         } = DapesConfig::default();
-        assert_eq!(cs_budget_bytes, None);
     }
 
     #[test]

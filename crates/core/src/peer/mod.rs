@@ -140,7 +140,6 @@ impl DapesPeer {
     ) -> Self {
         let multihop = MultihopState::new(role, cfg.multihop, cfg.forward_prob, id as u64 + 17);
         let fwd_cfg = ForwarderConfig {
-            cs_budget_bytes: cfg.cs_budget_bytes,
             cache_unsolicited: role == NodeRole::PureForwarder,
             rebroadcast_faces: vec![FaceId::WIRELESS],
             deliver_on_aggregate: vec![FaceId::APP],

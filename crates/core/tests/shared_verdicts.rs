@@ -69,12 +69,11 @@ fn a_foreign_anchor_first_in_line_neither_poisons_nor_borrows_the_honest_verdict
         format: MetadataFormat::MerkleRoots,
         producer: "resident-a".into(),
     }));
-    let mut cfg = WorldConfig {
+    let mut world = World::new(WorldConfig {
         seed: 5,
+        loss_rate: 0.0,
         ..WorldConfig::default()
-    };
-    cfg.phy.loss_rate = 0.0;
-    let mut world = World::new(cfg);
+    });
     // Node 0, the first receiver of every frame: the foreign peer.
     let outsider = world.add_node(
         Box::new(Stationary::new(Point::new(0.0, 0.0))),

@@ -14,13 +14,11 @@
 //!
 //! # Storage architecture
 //!
-//! The store is bounded by a [`CsBudget`] fixed at construction — an entry
-//! count, or a **memory budget in bytes** accounted by each packet's wire
-//! size plus a fixed per-entry bookkeeping overhead. Eviction is FIFO:
-//! entries leave in arrival order, and re-inserting a cached name refreshes
-//! the packet and its freshness clock without changing its rank. Nothing
-//! depends on hash iteration order, so same-seed runs stay bit-identical
-//! across processes.
+//! The store holds at most an entry count fixed at construction. Eviction
+//! is FIFO: entries leave in arrival order, and re-inserting a cached name
+//! refreshes the packet and its freshness clock without changing its rank.
+//! Nothing depends on hash iteration order, so same-seed runs stay
+//! bit-identical across processes.
 //!
 //! An entry is its packet's wire image and three small fields: when it
 //! stops being fresh, what it is charged, and where the name lies in the
@@ -48,10 +46,6 @@ use dapes_netsim::time::SimTime;
 use std::collections::VecDeque;
 use std::ops::Range;
 
-/// Fixed per-entry bookkeeping overhead charged against a byte budget on
-/// top of the packet's wire size (the entry and its index slots).
-pub const ENTRY_OVERHEAD: usize = 64;
-
 /// One cached packet.
 #[derive(Clone, Debug)]
 struct CsEntry {
@@ -61,8 +55,8 @@ struct CsEntry {
     /// The instant, in µs, up to which the entry satisfies MustBeFresh —
     /// its insert time plus its FreshnessPeriod — or 0 for never.
     fresh_until: u64,
-    /// What this entry is charged against the budget, kept so eviction
-    /// subtracts exactly what insertion added.
+    /// What this entry is charged in [`ContentStore::resident_bytes`],
+    /// kept so eviction subtracts exactly what insertion added.
     size: u32,
     key_len: u32,
     key_at: u8,
@@ -105,24 +99,6 @@ impl CsEntry {
     }
 }
 
-/// How a [`ContentStore`] bounds its contents.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CsBudget {
-    /// At most this many packets (what [`ContentStore::new`] builds, and
-    /// what every simulated node runs unless a byte budget is configured).
-    Count(usize),
-    /// At most this many bytes, wire-size accounted: each entry is charged
-    /// its encoded wire length plus [`ENTRY_OVERHEAD`].
-    Bytes(usize),
-}
-
-impl CsBudget {
-    /// A budget of zero caches nothing at all.
-    pub fn is_zero(self) -> bool {
-        matches!(self, CsBudget::Count(0) | CsBudget::Bytes(0))
-    }
-}
-
 /// The type of `ForwarderConfig::cs_policy`, a source-compatibility
 /// placeholder: the store has one eviction policy, FIFO, and nothing to
 /// choose. ROADMAP item 0(a) deletes the field and this type together.
@@ -137,10 +113,8 @@ pub struct CsStats {
     pub insertions: u64,
     /// Re-inserts that refreshed an existing entry in place.
     pub refreshes: u64,
-    /// Entries evicted over budget.
+    /// Entries evicted at capacity.
     pub evictions: u64,
-    /// Packets rejected because they alone exceed a byte budget.
-    pub rejected_oversize: u64,
 }
 
 /// The id of the record at queue position `pos` when the front's id is
@@ -166,22 +140,18 @@ fn pos_of(head: usize, id: usize) -> usize {
     }
 }
 
-/// A budget-bounded FIFO Data cache with prefix lookup and freshness
+/// A count-capped FIFO Data cache with prefix lookup and freshness
 /// semantics.
-///
-/// [`ContentStore::new`] builds an entry-count cap — the store every
-/// simulated node runs by default — and [`ContentStore::with_budget`] any
-/// [`CsBudget`], including a wire-size-accounted byte budget.
 ///
 /// # Examples
 ///
 /// ```
-/// use dapes_ndn::cs::{ContentStore, CsBudget};
+/// use dapes_ndn::cs::ContentStore;
 /// use dapes_ndn::packet::Data;
 /// use dapes_ndn::name::Name;
 /// use dapes_netsim::time::SimTime;
 ///
-/// let mut cs = ContentStore::with_budget(CsBudget::Bytes(64 * 1024));
+/// let mut cs = ContentStore::new(64);
 /// let t = SimTime::ZERO;
 /// cs.insert(Data::new(Name::from_uri("/col/f/0"), vec![0]), t);
 /// assert!(cs.lookup(&Name::from_uri("/col/f/0"), false, false, t).is_some());
@@ -204,7 +174,7 @@ pub struct ContentStore {
     /// search and a forward walk resolve a CanBePrefix Interest with the
     /// first match in canonical name order. No `Name` is built.
     ordered: Vec<u32>,
-    budget: CsBudget,
+    capacity: usize,
     bytes: usize,
     /// The live keys' lengths summed, for [`ContentStore::state_bytes`].
     key_bytes: usize,
@@ -215,17 +185,12 @@ impl ContentStore {
     /// Creates a store holding at most `capacity` packets. A capacity of 0
     /// caches nothing.
     pub fn new(capacity: usize) -> Self {
-        Self::with_budget(CsBudget::Count(capacity))
-    }
-
-    /// Creates a store bounded by `budget`.
-    pub fn with_budget(budget: CsBudget) -> Self {
         ContentStore {
             records: VecDeque::new(),
             head: 0,
             exact: SlotIndex::default(),
             ordered: Vec::new(),
-            budget,
+            capacity,
             bytes: 0,
             key_bytes: 0,
             stats: CsStats::default(),
@@ -247,10 +212,8 @@ impl ContentStore {
         self.len() == 0
     }
 
-    /// Bytes currently charged against the budget: exactly the sum of the
-    /// live entries' sizes, each content + name state + 64 under
-    /// [`CsBudget::Count`] and wire size + [`ENTRY_OVERHEAD`] under
-    /// [`CsBudget::Bytes`].
+    /// Bytes currently charged: exactly the sum of the live entries'
+    /// sizes, each content + name state + 64.
     pub fn resident_bytes(&self) -> usize {
         self.bytes
     }
@@ -263,31 +226,16 @@ impl ContentStore {
     }
 
     /// Entry slots allocated — bounded by peak occupancy, not by insert
-    /// volume, and never above a count cap.
+    /// volume, and never above the cap.
     #[cfg(test)]
     fn slots_allocated(&self) -> usize {
         self.records.capacity()
     }
 
-    /// What one packet is charged against this store's budget: content +
-    /// name state + 64 under [`CsBudget::Count`] (the Table I memory
-    /// proxy), the wire size plus [`ENTRY_OVERHEAD`] under
-    /// [`CsBudget::Bytes`]. The budget kind is fixed at construction, so
-    /// every live entry was charged by the same formula.
-    fn charge(&self, data: &Data, wire_len: usize) -> usize {
-        match self.budget {
-            CsBudget::Count(_) => data.content().len() + data.name().state_bytes() + 64,
-            CsBudget::Bytes(_) => wire_len + ENTRY_OVERHEAD,
-        }
-    }
-
-    /// Whether the store would be within budget holding `entries` more
-    /// entries and `bytes` more charged bytes.
-    fn fits(&self, entries: usize, bytes: usize) -> bool {
-        match self.budget {
-            CsBudget::Count(n) => self.len() + entries <= n,
-            CsBudget::Bytes(b) => self.bytes + bytes <= b,
-        }
+    /// What one packet is charged in [`ContentStore::resident_bytes`]:
+    /// content + name state + 64 (the Table I memory proxy).
+    fn charge(data: &Data) -> usize {
+        data.content().len() + data.name().state_bytes() + 64
     }
 
     /// The record with id `id`.
@@ -303,17 +251,13 @@ impl ContentStore {
         self.exact.find(hash, |id| self.entry(id).key() == key)
     }
 
-    /// Inserts a Data packet, evicting in arrival order while over budget.
+    /// Inserts a Data packet, evicting the oldest arrival at capacity.
     ///
     /// Re-inserting an existing name refreshes the stored packet (and its
     /// freshness clock) in place without consuming extra capacity or
     /// changing its eviction rank; the replaced wire is released. A zero
-    /// budget caches nothing — the entry never enters the tables, so a
-    /// refresh can't resurrect it either. Under a byte budget, a packet
-    /// that alone exceeds the whole budget is rejected outright (counted
-    /// in [`CsStats::rejected_oversize`]) instead of flushing every other
-    /// entry on its way to an inevitable self-eviction; an existing entry
-    /// under the same name stays untouched.
+    /// capacity caches nothing — the entry never enters the tables, so a
+    /// refresh can't resurrect it either.
     pub fn insert(&mut self, data: Data, now: SimTime) {
         let (wire, key) = data.keyed_wire();
         self.insert_keyed(&data, wire, key, now);
@@ -329,16 +273,10 @@ impl ContentStore {
         now: SimTime,
     ) {
         debug_assert!(data.name().is_wire_value(&wire[key.clone()]));
-        if self.budget.is_zero() {
+        if self.capacity == 0 {
             return;
         }
-        let size = self.charge(data, wire.len());
-        if let CsBudget::Bytes(b) = self.budget {
-            if size > b {
-                self.stats.rejected_oversize += 1;
-                return;
-            }
-        }
+        let size = Self::charge(data);
         let entry = CsEntry::new(wire, key, data.freshness_ms(), size, now);
         let hash = hash_wire(entry.key());
         if let Ok(id) = self.find(hash, entry.key()) {
@@ -346,16 +284,11 @@ impl ContentStore {
             let old = std::mem::replace(&mut self.records[pos], entry);
             self.bytes = self.bytes - old.size as usize + size;
             self.stats.refreshes += 1;
-            // A refresh may have grown the entry under a byte budget.
-            while !self.fits(0, 0) {
-                self.evict_front();
-            }
             return;
         }
         // Evict first: a store at its cap never holds, or allocates for,
-        // one entry more. The victims are the fronts insert-then-evict
-        // would take, since the new entry alone always fits.
-        while !self.fits(1, size) {
+        // one entry more.
+        if self.len() == self.capacity {
             self.evict_front();
         }
         self.push(hash, entry);
@@ -369,10 +302,7 @@ impl ContentStore {
             "a store holds at most {MAX_RECORDS} entries"
         );
         if len == self.records.capacity() {
-            let mut more = (len / 4).max(4);
-            if let CsBudget::Count(n) = self.budget {
-                more = more.min(n - len);
-            }
+            let more = (len / 4).max(4).min(self.capacity - len);
             self.records.reserve_exact(more);
             self.ordered.reserve_exact(more);
         }
@@ -402,10 +332,10 @@ impl ContentStore {
         self.records.push_back(entry);
     }
 
-    /// Evicts the oldest arrival. Only called over budget, which implies
-    /// at least one live entry.
+    /// Evicts the oldest arrival. Only called at a non-zero capacity, which
+    /// implies at least one live entry.
     fn evict_front(&mut self) {
-        let front = self.records.front().expect("over budget implies an entry");
+        let front = self.records.front().expect("at capacity implies an entry");
         let key = front.key();
         let hash = hash_wire(key);
         let at = self
@@ -498,7 +428,7 @@ impl ContentStore {
     pub fn clear(&mut self) {
         *self = ContentStore {
             stats: self.stats,
-            ..ContentStore::with_budget(self.budget)
+            ..ContentStore::new(self.capacity)
         };
     }
 
@@ -509,18 +439,17 @@ impl ContentStore {
     /// * the exact index reaches every entry under its own key and holds
     ///   nothing else; the ordered index holds every entry once, in
     ///   strictly ascending key order;
-    /// * each entry's recorded size is what the budget's formula charges
-    ///   it now, and the tracked bytes and key bytes are their sums;
-    /// * the store is within budget.
+    /// * each entry's recorded size is what [`ContentStore::resident_bytes`]
+    ///   charges it now, and the tracked bytes and key bytes are their sums;
+    /// * the store is within its capacity.
     ///
     /// Test and benchmark infrastructure; not called on hot paths.
     pub fn audit(&self) -> Result<(), String> {
-        if !self.fits(0, 0) {
+        if self.len() > self.capacity {
             return Err(format!(
-                "over budget after quiescence: {} entries / {} bytes vs {:?}",
+                "over capacity after quiescence: {} entries vs {}",
                 self.len(),
-                self.bytes,
-                self.budget
+                self.capacity
             ));
         }
         let live = self.len();
@@ -548,10 +477,10 @@ impl ContentStore {
                     "entry {key:?} is not reachable through the exact index"
                 ));
             }
-            let charge = self.charge(&data, entry.wire.len());
+            let charge = Self::charge(&data);
             if entry.size as usize != charge {
                 return Err(format!(
-                    "entry {key:?} was charged {} bytes, the budget's formula says {charge}",
+                    "entry {key:?} was charged {} bytes, the formula says {charge}",
                     entry.size
                 ));
             }
@@ -593,10 +522,6 @@ mod tests {
 
     fn data(uri: &str) -> Data {
         Data::new(Name::from_uri(uri), vec![0; 16])
-    }
-
-    fn sized_data(uri: &str, bytes: usize) -> Data {
-        Data::new(Name::from_uri(uri), vec![0xAB; bytes])
     }
 
     fn fresh_data(uri: &str, freshness_ms: u64) -> Data {
@@ -882,15 +807,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_byte_budget_caches_nothing() {
-        let mut cs = ContentStore::with_budget(CsBudget::Bytes(0));
-        cs.insert(data("/a"), t(0));
-        assert!(cs.is_empty());
-        assert_eq!(cs.slots_allocated(), 0);
-        cs.audit().expect("clean");
-    }
-
-    #[test]
     fn eviction_churn_reuses_arena_slots_and_keeps_indexes_synced() {
         let mut cs = ContentStore::new(2);
         for round in 0..50u64 {
@@ -994,7 +910,7 @@ mod tests {
         let frame = Payload::from(bytes);
         let odd = Data::decode_payload(&frame).expect("decodes");
         assert_eq!(odd.name(), d.name());
-        let mut cs = ContentStore::with_budget(CsBudget::Bytes(4096));
+        let mut cs = ContentStore::new(4);
         cs.insert(odd, t(0));
         let hit = cs
             .lookup_exact(d.name())
@@ -1017,52 +933,6 @@ mod tests {
         assert!(cs.state_bytes() > 0);
         cs.clear();
         assert_eq!(cs.state_bytes(), 0);
-    }
-
-    #[test]
-    fn byte_budget_evicts_by_size_not_count() {
-        let mut cs = ContentStore::with_budget(CsBudget::Bytes(1024));
-        let per = sized_data("/a", 100).wire_size() + ENTRY_OVERHEAD;
-        let fit = 1024 / per;
-        for i in 0..20 {
-            cs.insert(sized_data(&format!("/n/{i}"), 100), t(i as u64));
-        }
-        assert!(
-            cs.len() <= fit,
-            "{} entries exceed the byte budget",
-            cs.len()
-        );
-        assert!(cs.resident_bytes() <= 1024);
-        assert!(cs.stats().evictions > 0);
-        cs.audit().expect("clean");
-    }
-
-    #[test]
-    fn oversize_packet_is_rejected_not_destructive() {
-        // A packet larger than the whole budget must not flush the cache
-        // on its way to an inevitable self-eviction.
-        let mut cs = ContentStore::with_budget(CsBudget::Bytes(2048));
-        cs.insert(sized_data("/keep/a", 64), t(0));
-        cs.insert(sized_data("/keep/b", 64), t(1));
-        let before = cs.len();
-        cs.insert(sized_data("/huge", 4096), t(2));
-        assert_eq!(cs.len(), before, "resident set untouched");
-        assert!(cs.lookup_exact(&Name::from_uri("/keep/a")).is_some());
-        assert!(cs.lookup_exact(&Name::from_uri("/huge")).is_none());
-        assert_eq!(cs.stats().rejected_oversize, 1);
-        cs.audit().expect("clean");
-    }
-
-    #[test]
-    fn budget_smaller_than_one_packet_holds_nothing_without_underflow() {
-        let mut cs = ContentStore::with_budget(CsBudget::Bytes(16));
-        for i in 0..5 {
-            cs.insert(sized_data(&format!("/n/{i}"), 200), t(i as u64));
-            assert!(cs.is_empty());
-            assert_eq!(cs.resident_bytes(), 0, "no underflow");
-            cs.audit().expect("clean");
-        }
-        assert_eq!(cs.stats().rejected_oversize, 5);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! downstreams; unsolicited Data is cached when the forwarder is configured
 //! as an overhearing "pure forwarder" (§V-A).
 
-use crate::cs::{ContentStore, CsBudget, EvictionPolicyKind};
+use crate::cs::{ContentStore, EvictionPolicyKind};
 use crate::face::FaceId;
 use crate::fib::Fib;
 use crate::name::wire_value_is_well_formed;
@@ -173,19 +173,18 @@ pub enum PeekOutcome {
 
 /// Forwarder configuration.
 ///
-/// Five fields are settings. `cs_policy`, `relay_patch` and
-/// `legacy_tables` each admit one value and are kept only because
-/// `benchmark/` (which engine changes may not edit) spells all eight
-/// fields in one literal; ROADMAP item 0(a) deletes the three with that
-/// line. [`Forwarder::with_strategy`] panics if either boolean holds its
-/// other value, so neither is ignored silently.
+/// Four fields are settings. `cs_budget_bytes`, `cs_policy`,
+/// `relay_patch` and `legacy_tables` each admit one value and are kept
+/// only because `benchmark/` (which engine changes may not edit) spells
+/// all eight fields in one literal; ROADMAP item 0(a) deletes the four
+/// with that line. [`Forwarder::with_strategy`] panics if the option or
+/// either boolean holds another value, so none is ignored silently.
 #[derive(Clone, Debug)]
 pub struct ForwarderConfig {
-    /// Content Store capacity in packets, used when no byte budget is set.
+    /// Content Store capacity in packets.
     pub cs_capacity: usize,
-    /// Content Store memory budget in bytes (wire-size accounted). When
-    /// set, it replaces the packet-count cap; `None` keeps the
-    /// count-capped store every workload runs.
+    /// Placeholder that must be `None`: the Content Store is count-capped
+    /// only.
     pub cs_budget_bytes: Option<usize>,
     /// Placeholder: the Content Store evicts FIFO, and this field's type
     /// has one value.
@@ -284,20 +283,18 @@ impl<S: Strategy> Forwarder<S> {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.relay_patch` is `false` or `cfg.legacy_tables` is
-    /// `true`: the paths those values selected are gone.
+    /// Panics if `cfg.relay_patch` is `false`, `cfg.legacy_tables` is
+    /// `true` or `cfg.cs_budget_bytes` is set: the paths those values
+    /// selected are gone.
     pub fn with_strategy(cfg: ForwarderConfig, strategy: S) -> Self {
         assert!(
-            cfg.relay_patch && !cfg.legacy_tables,
-            "ForwarderConfig::relay_patch must be true and legacy_tables false: \
-             each has one path left (the fields go with ROADMAP item 0(a))"
+            cfg.relay_patch && !cfg.legacy_tables && cfg.cs_budget_bytes.is_none(),
+            "ForwarderConfig::relay_patch must be true, legacy_tables false and \
+             cs_budget_bytes None: each has one path left (the fields go with \
+             ROADMAP item 0(a))"
         );
-        let budget = match cfg.cs_budget_bytes {
-            Some(bytes) => CsBudget::Bytes(bytes),
-            None => CsBudget::Count(cfg.cs_capacity),
-        };
         Forwarder {
-            cs: ContentStore::with_budget(budget),
+            cs: ContentStore::new(cfg.cs_capacity),
             pit: Pit::new(),
             fib: Fib::new(),
             cfg,
@@ -1219,6 +1216,15 @@ mod tests {
     fn legacy_tables_on_is_refused() {
         Forwarder::new(ForwarderConfig {
             legacy_tables: true,
+            ..ForwarderConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cs_budget_bytes None")]
+    fn a_cs_byte_budget_is_refused() {
+        Forwarder::new(ForwarderConfig {
+            cs_budget_bytes: Some(1 << 20),
             ..ForwarderConfig::default()
         });
     }

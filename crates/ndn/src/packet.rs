@@ -33,7 +33,6 @@
 use crate::name::{Component, Name};
 use crate::tlv::{self, types, Scratch, TlvError, TlvReader};
 use dapes_crypto::signing::{KeyId, Signature, Signer, Verifier};
-use dapes_crypto::{sha256::sha256, Digest};
 use dapes_netsim::payload::Payload;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -661,14 +660,6 @@ impl Data {
         self.signature.as_ref()
     }
 
-    /// Sets the content type.
-    #[must_use]
-    pub fn with_content_type(mut self, t: ContentType) -> Self {
-        self.content_type = t;
-        self.wire = OnceLock::new();
-        self
-    }
-
     /// Sets the freshness period.
     #[must_use]
     pub fn with_freshness_ms(mut self, ms: u64) -> Self {
@@ -698,18 +689,6 @@ impl Data {
                 verifier.verify_parts(&mut |mac| self.write_signed_portion(sig.key_id, mac), sig)
             }
         }
-    }
-
-    /// SHA-256 over the full encoded packet — NDN's "implicit digest",
-    /// which DAPES metadata uses as the per-packet digest.
-    pub fn implicit_digest(&self) -> Digest {
-        sha256(&self.wire())
-    }
-
-    /// SHA-256 of just the content, used by the packet-digest metadata
-    /// format to validate payloads before signature checking.
-    pub fn content_digest(&self) -> Digest {
-        sha256(&self.content)
     }
 
     /// Emits the signed portion — Name, MetaInfo, Content, SignatureInfo,
@@ -1132,13 +1111,6 @@ mod tests {
         assert!(!i.decrement_hop_limit());
         let mut unlimited = Interest::new(name());
         assert!(unlimited.decrement_hop_limit());
-    }
-
-    #[test]
-    fn implicit_digest_changes_with_content() {
-        let d1 = Data::new(name(), vec![1]);
-        let d2 = Data::new(name(), vec![2]);
-        assert_ne!(d1.implicit_digest(), d2.implicit_digest());
     }
 
     #[test]

@@ -268,18 +268,6 @@ impl<'a> TlvReader<'a> {
         }
         Ok(Some(self.read_expected(expected)?))
     }
-
-    /// Skips TLVs until one of type `expected` is found or input ends.
-    /// Unknown types are ignored (forward compatibility).
-    pub fn seek_type(&mut self, expected: u64) -> Result<Option<&'a [u8]>, TlvError> {
-        while !self.is_at_end() {
-            if self.peek_type()? == expected {
-                return Ok(Some(self.read_expected(expected)?));
-            }
-            self.read_tlv()?;
-        }
-        Ok(None)
-    }
 }
 
 /// Decodes a non-negative integer value (1/2/4/8 bytes).
@@ -373,18 +361,6 @@ mod tests {
             Some(&b"x"[..])
         );
         assert_eq!(r.read_optional(types::CONTENT).expect("ok"), None);
-    }
-
-    #[test]
-    fn seek_skips_unknown_types() {
-        let mut buf = Vec::new();
-        write_tlv(&mut buf, 0x99, b"junk");
-        write_tlv(&mut buf, types::CONTENT, b"payload");
-        let mut r = TlvReader::new(&buf);
-        assert_eq!(
-            r.seek_type(types::CONTENT).expect("ok"),
-            Some(&b"payload"[..])
-        );
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::mobility::{Mobility, RandomDirection, ScriptedMobility, Stationary};
     pub use crate::node::{NetStack, NodeCtx, NodeId, TimerHandle, TxOutcome};
     pub use crate::payload::Payload;
-    pub use crate::radio::{Frame, FrameKind, PhyConfig};
+    pub use crate::radio::{Frame, FrameKind};
     pub use crate::stats::Stats;
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::wheel::TimerWheel;

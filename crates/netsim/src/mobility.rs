@@ -56,57 +56,43 @@ impl Mobility for Stationary {
     fn on_change(&mut self, _now: SimTime, _rng: &mut SmallRng, _field: (f64, f64)) {}
 }
 
+/// Slowest walking speed a [`RandomDirection`] leg draws, in m/s (paper
+/// §VI-B1: 2–10 m/s).
+pub const MIN_SPEED: f64 = 2.0;
+
+/// Upper end of the speed range a [`RandomDirection`] leg draws from, in
+/// m/s (exclusive).
+pub const MAX_SPEED: f64 = 10.0;
+
+/// Longest leg a [`RandomDirection`] walks before re-drawing, so nodes
+/// change direction even mid-field.
+pub const MAX_LEG: SimDuration = SimDuration::from_secs(20);
+
 /// Random-direction mobility: pick a heading in `[0, 2π)` and a speed in
-/// `[min_speed, max_speed]`, walk until the field boundary (or a bounded leg
-/// time), then re-draw.
+/// `[MIN_SPEED, MAX_SPEED)`, walk until the field boundary (or
+/// [`MAX_LEG`]), then re-draw.
 #[derive(Clone, Debug)]
 pub struct RandomDirection {
     origin: Point,
     velocity: Velocity,
     seg_start: SimTime,
     seg_end: SimTime,
-    min_speed: f64,
-    max_speed: f64,
-    /// Upper bound on one leg, so nodes re-draw direction even mid-field.
-    max_leg: SimDuration,
     /// Field learned at the first `on_change`; positions are clamped into it
     /// to absorb microsecond-rounding overshoot at the walls.
     field: (f64, f64),
 }
 
 impl RandomDirection {
-    /// Creates the model with the paper's speed range of 2–10 m/s.
+    /// Creates the model at `start`; the first heading is drawn at t = 0.
     pub fn new(start: Point) -> Self {
-        Self::with_speeds(start, 2.0, 10.0)
-    }
-
-    /// Creates the model with a custom speed range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the speed range is empty or negative.
-    pub fn with_speeds(start: Point, min_speed: f64, max_speed: f64) -> Self {
-        assert!(
-            min_speed >= 0.0 && max_speed >= min_speed,
-            "speed range must be non-negative and non-empty"
-        );
         RandomDirection {
             origin: start,
             velocity: Velocity::ZERO,
             seg_start: SimTime::ZERO,
             // A change at t=0 draws the first heading.
             seg_end: SimTime::ZERO,
-            min_speed,
-            max_speed,
-            max_leg: SimDuration::from_secs(20),
             field: (f64::INFINITY, f64::INFINITY),
         }
-    }
-
-    /// Overrides the maximum leg duration between direction re-draws.
-    pub fn with_max_leg(mut self, max_leg: SimDuration) -> Self {
-        self.max_leg = max_leg;
-        self
     }
 }
 
@@ -132,23 +118,20 @@ impl Mobility for RandomDirection {
         // terminates quickly.
         for _ in 0..64 {
             let theta = rng.gen_range(0.0..std::f64::consts::TAU);
-            let speed = if self.max_speed > self.min_speed {
-                rng.gen_range(self.min_speed..self.max_speed)
-            } else {
-                self.min_speed
-            };
+            let speed = rng.gen_range(MIN_SPEED..MAX_SPEED);
             let v = Velocity::from_heading(theta, speed);
             match time_to_boundary(self.origin, v, w, h) {
                 Some(t_exit) if t_exit > 0.05 => {
                     self.velocity = v;
-                    let leg = SimDuration::from_secs_f64(t_exit.min(self.max_leg.as_secs_f64()));
+                    let leg = SimDuration::from_secs_f64(t_exit.min(MAX_LEG.as_secs_f64()));
                     self.seg_end = now + leg;
                     return;
                 }
                 None => {
-                    // Zero speed (possible when min_speed == 0): idle a leg.
+                    // No exit time (a non-finite position or field, say):
+                    // idle a leg.
                     self.velocity = Velocity::ZERO;
-                    self.seg_end = now + self.max_leg;
+                    self.seg_end = now + MAX_LEG;
                     return;
                 }
                 _ => continue,
@@ -156,7 +139,7 @@ impl Mobility for RandomDirection {
         }
         // Pathological corner: stay put for one leg and retry later.
         self.velocity = Velocity::ZERO;
-        self.seg_end = now + self.max_leg;
+        self.seg_end = now + MAX_LEG;
     }
 }
 

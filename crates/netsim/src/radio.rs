@@ -1,4 +1,4 @@
-//! Radio/PHY modelling: frames, frame kinds, and 802.11b-flavoured timing.
+//! Radio/PHY modelling: frames, frame kinds, and 802.11b timing.
 
 use crate::node::NodeId;
 use crate::payload::Payload;
@@ -42,87 +42,62 @@ pub struct Frame {
     pub seq: u64,
 }
 
-impl Frame {
-    /// Bytes on the air including the MAC overhead.
-    pub fn air_bytes(&self, phy: &PhyConfig) -> usize {
-        self.payload.len() + phy.mac_header_bytes
-    }
-}
+// IEEE 802.11b at 11 Mb/s, as in the paper (§VI-B1). No caller varies
+// these; the one PHY value a run chooses is `WorldConfig::loss_rate`.
 
-/// Physical/MAC layer parameters.
-///
-/// Defaults model IEEE 802.11b at 11 Mb/s as used in the paper (§VI-B1):
-/// 192 µs PLCP preamble+header, 20 µs slots, 50 µs DIFS, 34-byte MAC
-/// header+FCS, and a 10 % independent loss rate.
-#[derive(Clone, Debug)]
-pub struct PhyConfig {
-    /// Payload bit rate in megabits per second.
-    pub rate_mbps: f64,
-    /// PLCP preamble + header duration prepended to every frame.
-    pub preamble: SimDuration,
-    /// MAC slot time (backoff quantum).
-    pub slot: SimDuration,
-    /// DIFS idle period before transmission after busy medium.
-    pub difs: SimDuration,
-    /// How long a transmission must have been on the air before other nodes'
-    /// carrier sense detects it. Two nodes starting within this window of
-    /// each other collide — the effect PEBA's slotting is designed around.
-    pub sense_delay: SimDuration,
-    /// MAC header + FCS bytes added to every payload.
-    pub mac_header_bytes: usize,
-    /// Independent per-receiver loss probability in `[0, 1]`.
-    pub loss_rate: f64,
-    /// Initial contention window in slots (doubles on deferral).
-    pub cw_min: u32,
-    /// Maximum contention window in slots.
-    pub cw_max: u32,
-}
+/// Payload bit rate in megabits per second (== bits per µs).
+pub const RATE_MBPS: f64 = 11.0;
 
-impl Default for PhyConfig {
-    fn default() -> Self {
-        PhyConfig {
-            rate_mbps: 11.0,
-            preamble: SimDuration::from_micros(192),
-            slot: SimDuration::from_micros(20),
-            difs: SimDuration::from_micros(50),
-            sense_delay: SimDuration::from_micros(15),
-            mac_header_bytes: 34,
-            loss_rate: 0.10,
-            cw_min: 32,
-            cw_max: 1024,
-        }
-    }
-}
+/// PLCP preamble + header duration prepended to every frame.
+pub const PREAMBLE: SimDuration = SimDuration::from_micros(192);
 
-impl PhyConfig {
-    /// Air time of a frame with `payload_len` upper-layer bytes.
-    pub fn tx_duration(&self, payload_len: usize) -> SimDuration {
-        let bits = ((payload_len + self.mac_header_bytes) * 8) as f64;
-        let micros = bits / self.rate_mbps; // Mb/s == bits/µs
-        self.preamble + SimDuration::from_micros(micros.ceil() as u64)
-    }
+/// MAC slot time (backoff quantum).
+pub const SLOT: SimDuration = SimDuration::from_micros(20);
+
+/// DIFS idle period before transmission after busy medium.
+pub const DIFS: SimDuration = SimDuration::from_micros(50);
+
+/// How long a transmission must have been on the air before other nodes'
+/// carrier sense detects it. Two nodes starting within this window of each
+/// other collide — the effect PEBA's slotting is designed around.
+pub const SENSE_DELAY: SimDuration = SimDuration::from_micros(15);
+
+/// MAC header + FCS bytes added to every payload.
+pub const MAC_HEADER_BYTES: usize = 34;
+
+/// Initial contention window in slots (doubles on deferral).
+pub const CW_MIN: u32 = 32;
+
+/// Maximum contention window in slots.
+pub const CW_MAX: u32 = 1024;
+
+/// Air time of a frame with `payload_len` upper-layer bytes: the preamble
+/// plus the payload and MAC header at [`RATE_MBPS`], rounded up to a µs.
+pub fn tx_duration(payload_len: usize) -> SimDuration {
+    let bits = ((payload_len + MAC_HEADER_BYTES) * 8) as f64;
+    let micros = bits / RATE_MBPS; // Mb/s == bits/µs
+    PREAMBLE + SimDuration::from_micros(micros.ceil() as u64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::WorldConfig;
 
     #[test]
     fn default_matches_80211b() {
-        let phy = PhyConfig::default();
-        assert_eq!(phy.rate_mbps, 11.0);
-        assert_eq!(phy.loss_rate, 0.10);
+        assert_eq!(RATE_MBPS, 11.0);
+        assert_eq!(WorldConfig::default().loss_rate, 0.10);
     }
 
     #[test]
     fn tx_duration_scales_with_size() {
-        let phy = PhyConfig::default();
-        let small = phy.tx_duration(100);
-        let large = phy.tx_duration(1000);
+        let small = tx_duration(100);
+        let large = tx_duration(1000);
         assert!(large > small);
         // 1 KB + 34 B header at 11 Mb/s ≈ 753 µs + 192 µs preamble.
         let expect = 192 + ((1024 + 34) * 8) as u64 * 100 / 1100;
-        let got = phy.tx_duration(1024).as_micros();
+        let got = tx_duration(1024).as_micros();
         assert!(
             (got as i64 - expect as i64).abs() <= 2,
             "got {got}, expect ~{expect}"
@@ -131,19 +106,13 @@ mod tests {
 
     #[test]
     fn zero_payload_still_costs_preamble_and_header() {
-        let phy = PhyConfig::default();
-        assert!(phy.tx_duration(0) > phy.preamble);
+        assert!(tx_duration(0) > PREAMBLE);
     }
 
     #[test]
     fn air_bytes_includes_header() {
-        let phy = PhyConfig::default();
-        let f = Frame {
-            src: NodeId(0),
-            kind: FrameKind(1),
-            payload: vec![0; 100].into(),
-            seq: 0,
-        };
-        assert_eq!(f.air_bytes(&phy), 134);
+        // 100 payload bytes put 134 on the air: 1072 bits, 97.45 µs at
+        // 11 Mb/s, rounded up.
+        assert_eq!(tx_duration(100), PREAMBLE + SimDuration::from_micros(98));
     }
 }

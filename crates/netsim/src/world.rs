@@ -24,7 +24,7 @@ use crate::grid::{NodeSet, SpatialGrid};
 use crate::mobility::Mobility;
 use crate::node::{Command, FrameMemo, NetStack, NodeCtx, NodeId, TimerHandle, TxOutcome};
 use crate::payload::Payload;
-use crate::radio::{Frame, FrameKind, PhyConfig};
+use crate::radio::{self, Frame, FrameKind};
 use crate::stats::Stats;
 use crate::time::{SimDuration, SimTime};
 use crate::wheel::{ArenaNode, TimerWheel};
@@ -47,8 +47,9 @@ pub struct WorldConfig {
     pub field: (f64, f64),
     /// Radio range in metres (paper sweeps 20–100).
     pub range: f64,
-    /// PHY/MAC parameters.
-    pub phy: PhyConfig,
+    /// Independent per-receiver frame-loss probability in `[0, 1]` (paper:
+    /// 10 %). The rest of the PHY is fixed 802.11b ([`radio`]).
+    pub loss_rate: f64,
     /// RNG seed; equal seeds give bit-identical runs.
     pub seed: u64,
     /// Source-compatibility placeholder with no content (see
@@ -61,7 +62,7 @@ impl Default for WorldConfig {
         WorldConfig {
             field: (300.0, 300.0),
             range: 60.0,
-            phy: PhyConfig::default(),
+            loss_rate: 0.10,
             seed: 1,
             exec: ExecProfile,
         }
@@ -261,6 +262,15 @@ pub struct World {
     stack_factory: Option<StackFactory>,
 }
 
+/// Panics unless `rate` is a probability; a NaN rate would silently
+/// disable loss, since `NaN > 0.0` is false.
+fn check_loss_rate(rate: f64) {
+    assert!(
+        (0.0..=1.0).contains(&rate),
+        "loss rate out of range: {rate}"
+    );
+}
+
 /// Canonical (unordered) key for a link between two nodes, so `links_cut`
 /// stores each severed pair exactly once regardless of direction.
 fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
@@ -273,7 +283,12 @@ fn link_key(a: NodeId, b: NodeId) -> (u32, u32) {
 
 impl World {
     /// Creates an empty world.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.loss_rate` is not within `[0, 1]` (NaN included).
     pub fn new(cfg: WorldConfig) -> Self {
+        check_loss_rate(cfg.loss_rate);
         let rng = SmallRng::seed_from_u64(cfg.seed);
         let grid = SpatialGrid::new(cfg.field, cfg.range.max(1e-6));
         World {
@@ -327,7 +342,7 @@ impl World {
             mac: MacState {
                 queue: VecDeque::new(),
                 transmitting: false,
-                cw: self.cfg.phy.cw_min,
+                cw: radio::CW_MIN,
                 retry_at: None,
             },
             epoch: 0,
@@ -393,11 +408,8 @@ impl World {
     ///
     /// Panics if `rate` is not within `[0, 1]`.
     pub fn set_loss_rate(&mut self, rate: f64) {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "loss rate out of range: {rate}"
-        );
-        self.cfg.phy.loss_rate = rate;
+        check_loss_rate(rate);
+        self.cfg.loss_rate = rate;
     }
 
     /// Position of `node` at the current time.
@@ -708,7 +720,7 @@ impl World {
         slot.epoch = slot.epoch.wrapping_add(1);
         slot.mac.queue.clear();
         slot.mac.retry_at = None;
-        slot.mac.cw = self.cfg.phy.cw_min;
+        slot.mac.cw = radio::CW_MIN;
         if restartable {
             // Parked outside the dispatch path: receives no callbacks, and
             // exists only so a restart factory can salvage its state.
@@ -897,13 +909,14 @@ impl World {
 
     /// Latest end time of any transmission currently audible at `pos`
     /// (excluding transmissions by `except`). A transmission only becomes
-    /// audible to carrier sense `sense_delay` after it starts, so two nodes
-    /// deciding to transmit within that window of each other will collide.
+    /// audible to carrier sense [`radio::SENSE_DELAY`] after it starts, so
+    /// two nodes deciding to transmit within that window of each other will
+    /// collide.
     fn medium_busy_until(&self, pos: Point, except: NodeId) -> Option<SimTime> {
         self.active_tx
             .iter()
             .filter(|tx| tx.end > self.now && tx.sender != except)
-            .filter(|tx| tx.start + self.cfg.phy.sense_delay <= self.now)
+            .filter(|tx| tx.start + radio::SENSE_DELAY <= self.now)
             .filter(|tx| tx.sender_pos.within(&pos, self.cfg.range))
             .map(|tx| tx.end)
             .max()
@@ -919,9 +932,9 @@ impl World {
             // Carrier sense: defer to after the busy period plus backoff.
             self.stats.mac_deferrals += 1;
             let mac = &mut self.nodes[idx].mac;
-            mac.cw = (mac.cw * 2).min(self.cfg.phy.cw_max);
+            mac.cw = (mac.cw * 2).min(radio::CW_MAX);
             let slots = self.rng.gen_range(0..self.nodes[idx].mac.cw) as u64;
-            let retry = busy_until + self.cfg.phy.difs + self.cfg.phy.slot * slots;
+            let retry = busy_until + radio::DIFS + radio::SLOT * slots;
             // Batch onto an already-queued retry unless this one is
             // strictly earlier — one wake-up per busy burst, not one per
             // deferral.
@@ -936,10 +949,10 @@ impl World {
             .queue
             .pop_front()
             .expect("checked non-empty");
-        self.nodes[idx].mac.cw = self.cfg.phy.cw_min;
+        self.nodes[idx].mac.cw = radio::CW_MIN;
         self.nodes[idx].mac.transmitting = true;
 
-        let duration = self.cfg.phy.tx_duration(frame.payload.len());
+        let duration = radio::tx_duration(frame.payload.len());
         self.longest_air = self.longest_air.max(duration);
         self.next_tx_id += 1;
         self.next_frame_seq += 1;
@@ -1022,7 +1035,7 @@ impl World {
                 self.stats.collision_drops += 1;
                 continue;
             }
-            if self.cfg.phy.loss_rate > 0.0 && self.rng.gen::<f64>() < self.cfg.phy.loss_rate {
+            if self.cfg.loss_rate > 0.0 && self.rng.gen::<f64>() < self.cfg.loss_rate {
                 self.stats.channel_losses += 1;
                 continue;
             }
@@ -1114,15 +1127,24 @@ mod tests {
     struct Chatter {
         beacons: u32,
         interval_ms: u64,
+        /// Payload bytes per beacon.
+        size: usize,
         heard: Vec<(u64, NodeId)>,
         outcomes: Vec<TxOutcome>,
     }
 
     impl Chatter {
+        /// 100-byte beacons.
         fn new(beacons: u32, interval_ms: u64) -> Self {
+            Self::sized(beacons, interval_ms, 100)
+        }
+
+        /// Beacons of `size` payload bytes.
+        fn sized(beacons: u32, interval_ms: u64, size: usize) -> Self {
             Chatter {
                 beacons,
                 interval_ms,
+                size,
                 ..Chatter::default()
             }
         }
@@ -1139,7 +1161,7 @@ mod tests {
         }
         fn on_timer(&mut self, ctx: &mut NodeCtx<'_>, token: u64) {
             assert_eq!(token, 1);
-            ctx.send_frame(vec![0xAB; 100], FrameKind(9), 0, SimDuration::ZERO);
+            ctx.send_frame(vec![0xAB; self.size], FrameKind(9), 0, SimDuration::ZERO);
             self.beacons -= 1;
             if self.beacons > 0 {
                 ctx.set_timer(SimDuration::from_millis(self.interval_ms), 1);
@@ -1166,9 +1188,10 @@ mod tests {
     }
 
     fn lossless() -> WorldConfig {
-        let mut cfg = WorldConfig::default();
-        cfg.phy.loss_rate = 0.0;
-        cfg
+        WorldConfig {
+            loss_rate: 0.0,
+            ..WorldConfig::default()
+        }
     }
 
     #[test]
@@ -1252,12 +1275,11 @@ mod tests {
     fn carrier_sense_serializes_audible_transmitters() {
         // A and B are in range of each other; B wants to transmit while A's
         // frame is on the air, so B defers and both frames arrive at C.
-        let mut cfg = lossless();
-        cfg.phy.rate_mbps = 0.1; // stretch air time so overlap would be certain
-        let mut w = World::new(cfg);
+        let mut w = World::new(lossless());
+        // ~1.7 ms of air, so B's attempt 1 ms later overlaps for certain.
         let _a = w.add_node(
             Box::new(Stationary::new(Point::new(0.0, 0.0))),
-            Box::new(Chatter::new(1, 10)),
+            Box::new(Chatter::sized(1, 10, 2_000)),
         );
         let _b = w.add_node(
             Box::new(Stationary::new(Point::new(10.0, 0.0))),
@@ -1274,20 +1296,19 @@ mod tests {
 
     #[test]
     fn batched_mac_retries_never_strand_queued_frames() {
-        // B enqueues a burst of beacons while A's long slow frame keeps the
+        // B enqueues a burst of beacons while A's long frame keeps the
         // medium busy: every beacon's carrier-sense deferral lands in the
         // same busy period, so the retries collapse onto one wake-up event.
         // The batching must still drain B's whole queue once the air clears.
-        let mut cfg = lossless();
-        cfg.phy.rate_mbps = 0.05; // ~16 ms of air per 100-byte frame
-        let mut w = World::new(cfg);
+        let mut w = World::new(lossless());
+        // ~16 ms of air from t = 1 ms.
         let _a = w.add_node(
             Box::new(Stationary::new(Point::new(0.0, 0.0))),
-            Box::new(Chatter::new(1, 10)),
+            Box::new(Chatter::sized(1, 1, 22_000)),
         );
         let b = w.add_node(
             Box::new(Stationary::new(Point::new(10.0, 0.0))),
-            Box::new(Chatter::new(5, 1)), // all 5 fall inside A's frame
+            Box::new(Chatter::new(5, 2)), // all 5 fall inside A's frame
         );
         let c = w.add_node(
             Box::new(Stationary::new(Point::new(5.0, 5.0))),
@@ -1323,9 +1344,11 @@ mod tests {
 
     #[test]
     fn loss_rate_drops_some_frames() {
-        let mut cfg = WorldConfig::default();
-        cfg.phy.loss_rate = 0.5;
-        cfg.seed = 7;
+        let cfg = WorldConfig {
+            loss_rate: 0.5,
+            seed: 7,
+            ..WorldConfig::default()
+        };
         let mut w = World::new(cfg);
         let _a = w.add_node(
             Box::new(Stationary::new(Point::new(0.0, 0.0))),
@@ -1342,6 +1365,22 @@ mod tests {
             "heard {heard} of 200 at 50% loss"
         );
         assert!(w.stats().channel_losses > 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "loss rate out of range")]
+    fn world_new_rejects_a_nan_loss_rate() {
+        // `NaN > 0.0` is false: unchecked, a NaN rate would disable loss.
+        World::new(WorldConfig {
+            loss_rate: f64::NAN,
+            ..WorldConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "loss rate out of range")]
+    fn set_loss_rate_rejects_a_rate_above_one() {
+        World::new(WorldConfig::default()).set_loss_rate(1.5);
     }
 
     #[test]

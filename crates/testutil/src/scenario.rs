@@ -10,6 +10,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
+/// Side of the square field every scenario runs on, in metres (paper
+/// §VI-B1: 300 × 300 m).
+const FIELD: f64 = 300.0;
+
 /// The trust anchor every harness peer shares unless a test overrides it
 /// (e.g. to model a forged producer).
 pub fn shared_anchor() -> TrustAnchor {
@@ -201,13 +205,6 @@ pub enum FaultProfile {
         /// Restart instant (must be after `crash`).
         restart: SimTime,
     },
-    /// Remove the `index`-th downloader permanently at `at`.
-    LeaveDownloader {
-        /// Position in the scenario's downloader list.
-        index: usize,
-        /// Departure instant.
-        at: SimTime,
-    },
     /// Sever every link between the `index`-th downloader and the rest of
     /// the network from `cut` to `heal` — a clean partition-and-heal with
     /// no mobility involved.
@@ -226,7 +223,6 @@ impl FaultProfile {
     pub fn last_event(&self) -> SimTime {
         match *self {
             FaultProfile::CrashRestartDownloader { restart, .. } => restart,
-            FaultProfile::LeaveDownloader { at, .. } => at,
             FaultProfile::IsolateDownloader { heal, .. } => heal,
         }
     }
@@ -270,7 +266,6 @@ fn dapes_peer(
 struct PeerSpec {
     role: PeerRole,
     mobility: MobilityPreset,
-    cfg: Option<DapesConfig>,
     anchor: Option<TrustAnchor>,
 }
 
@@ -278,8 +273,6 @@ struct PeerSpec {
 struct AdversarySpec {
     kind: AdversaryKind,
     mobility: MobilityPreset,
-    replay_delay: Option<SimDuration>,
-    period: Option<SimDuration>,
 }
 
 /// Ekta's DHT membership: the ids of the producers and downloaders.
@@ -298,7 +291,6 @@ fn swarm_members(peers: &[PeerSpec]) -> Vec<u32> {
 pub struct ScenarioBuilder {
     seed: u64,
     range: f64,
-    field: (f64, f64),
     loss: f64,
     loss_schedule: Vec<(SimTime, f64)>,
     collection: CollectionParams,
@@ -318,7 +310,6 @@ impl ScenarioBuilder {
         ScenarioBuilder {
             seed,
             range: 60.0,
-            field: (300.0, 300.0),
             loss: 0.0,
             loss_schedule: Vec::new(),
             collection: CollectionParams::default(),
@@ -350,12 +341,6 @@ impl ScenarioBuilder {
     /// Radio range in metres.
     pub fn range(mut self, range: f64) -> Self {
         self.range = range;
-        self
-    }
-
-    /// Field dimensions in metres.
-    pub fn field(mut self, w: f64, h: f64) -> Self {
-        self.field = (w, h);
         self
     }
 
@@ -410,17 +395,7 @@ impl ScenarioBuilder {
 
     /// Adds a peer with an explicit role and mobility.
     pub fn peer(self, role: PeerRole, mobility: MobilityPreset) -> Self {
-        self.push_peer(role, mobility, None, None)
-    }
-
-    /// Adds a peer whose [`DapesConfig`] differs from the scenario default.
-    pub fn peer_with_config(
-        self,
-        role: PeerRole,
-        mobility: MobilityPreset,
-        cfg: DapesConfig,
-    ) -> Self {
-        self.push_peer(role, mobility, Some(cfg), None)
+        self.push_peer(role, mobility, None)
     }
 
     /// Adds a peer signing/verifying under its own trust anchor (e.g. a
@@ -431,20 +406,18 @@ impl ScenarioBuilder {
         mobility: MobilityPreset,
         anchor: TrustAnchor,
     ) -> Self {
-        self.push_peer(role, mobility, None, Some(anchor))
+        self.push_peer(role, mobility, Some(anchor))
     }
 
     fn push_peer(
         mut self,
         role: PeerRole,
         mobility: MobilityPreset,
-        cfg: Option<DapesConfig>,
         anchor: Option<TrustAnchor>,
     ) -> Self {
         self.peers.push(PeerSpec {
             role,
             mobility,
-            cfg,
             anchor,
         });
         self
@@ -474,33 +447,14 @@ impl ScenarioBuilder {
     /// the [`rogue_anchor`]. Adversaries are instantiated after every
     /// honest peer, so honest node ids are unchanged by their presence;
     /// the forger's victim is the scenario's first producer.
-    pub fn adversary(self, kind: AdversaryKind, mobility: MobilityPreset) -> Self {
-        self.adversary_with_timing(kind, mobility, None, None)
+    pub fn adversary(mut self, kind: AdversaryKind, mobility: MobilityPreset) -> Self {
+        self.adversaries.push(AdversarySpec { kind, mobility });
+        self
     }
 
     /// Stationary adversary at `(x, y)`.
     pub fn adversary_at(self, kind: AdversaryKind, x: f64, y: f64) -> Self {
         self.adversary(kind, MobilityPreset::at(x, y))
-    }
-
-    /// Adds an attacker with explicit timing: `period` for the periodic
-    /// behaviors (flood, forge), `replay_delay` for the replayer's hold
-    /// time (must exceed the honest peers'
-    /// [`REPLAY_WINDOW`](dapes_core::config::REPLAY_WINDOW)).
-    pub fn adversary_with_timing(
-        mut self,
-        kind: AdversaryKind,
-        mobility: MobilityPreset,
-        period: Option<SimDuration>,
-        replay_delay: Option<SimDuration>,
-    ) -> Self {
-        self.adversaries.push(AdversarySpec {
-            kind,
-            mobility,
-            replay_delay,
-            period,
-        });
-        self
     }
 
     /// `n` random-walking downloaders placed by the scenario's seeded RNG.
@@ -556,7 +510,7 @@ impl ScenarioBuilder {
         }
         // The paper's channel is the simulator's default 10 % frame loss;
         // the builder's own default is a clean channel.
-        self.loss(PhyConfig::default().loss_rate)
+        self.loss(WorldConfig::default().loss_rate)
             .mobile_downloaders(mobile_downloaders)
             .mobile_relays(relays)
             .mobile_pure_forwarders(forwarders)
@@ -578,11 +532,8 @@ impl ScenarioBuilder {
         let mut world = World::new(WorldConfig {
             seed: self.seed,
             range: self.range,
-            field: self.field,
-            phy: PhyConfig {
-                loss_rate: self.loss,
-                ..PhyConfig::default()
-            },
+            field: (FIELD, FIELD),
+            loss_rate: self.loss,
             ..WorldConfig::default()
         });
         let collection = self.collection.build();
@@ -590,11 +541,10 @@ impl ScenarioBuilder {
         let mut placement_rng = SmallRng::seed_from_u64(self.seed ^ 0x9e37_79b9_7f4a_7c15);
         // Random walkers get their start drawn here so placement is a pure
         // function of the scenario seed.
-        let field = self.field;
         let mut place = |mobility| match mobility {
             MobilityPreset::RandomWalk(_) => {
-                let x = placement_rng.gen_range(0.0..field.0);
-                let y = placement_rng.gen_range(0.0..field.1);
+                let x = placement_rng.gen_range(0.0..FIELD);
+                let y = placement_rng.gen_range(0.0..FIELD);
                 MobilityPreset::RandomWalk(Point::new(x, y)).into_mobility()
             }
             other => other.into_mobility(),
@@ -611,7 +561,7 @@ impl ScenarioBuilder {
         for (id, spec) in (0..).zip(self.peers) {
             let stack: Box<dyn NetStack> = match &self.protocol {
                 Protocol::Dapes(default) => {
-                    let cfg = spec.cfg.unwrap_or_else(|| (**default).clone());
+                    let cfg = (**default).clone();
                     let anchor = spec.anchor.unwrap_or_else(|| self.anchor.clone());
                     recipes.push((spec.role, cfg.clone(), anchor.clone()));
                     Box::new(dapes_peer(id, spec.role, cfg, anchor, &collection))
@@ -650,13 +600,7 @@ impl ScenarioBuilder {
         let mut adversaries = Vec::new();
         for (j, spec) in self.adversaries.into_iter().enumerate() {
             let id = (honest + j) as u32;
-            let mut adv = Adversary::new(id, spec.kind, victim, rogue_anchor());
-            if let Some(p) = spec.period {
-                adv = adv.with_period(p);
-            }
-            if let Some(d) = spec.replay_delay {
-                adv = adv.with_replay_delay(d);
-            }
+            let adv = Adversary::new(id, spec.kind, victim, rogue_anchor());
             adversaries.push(world.add_node(place(spec.mobility), Box::new(adv)));
         }
 
@@ -673,9 +617,6 @@ impl ScenarioBuilder {
                 } => {
                     let node = downloaders[index];
                     plan = plan.crash_at(crash, node).restart_at(restart, node);
-                }
-                FaultProfile::LeaveDownloader { index, at } => {
-                    plan = plan.leave_at(at, downloaders[index]);
                 }
                 FaultProfile::IsolateDownloader { index, cut, heal } => {
                     let node = downloaders[index];

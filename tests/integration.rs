@@ -21,35 +21,6 @@ fn dapes_swarm_with_mobility_loss_and_forwarders_completes() {
 }
 
 #[test]
-fn swarm_on_a_byte_budgeted_store_still_completes() {
-    // The memory-budgeted Content Store is a drop-in for the count-capped
-    // one: a swarm whose caches are byte-budgeted must still complete,
-    // stay within budget, and keep exact accounting.
-    let budget = 16 * 1024;
-    let cfg = DapesConfig {
-        cs_budget_bytes: Some(budget),
-        ..DapesConfig::default()
-    };
-    let mut sc = ScenarioBuilder::new(7)
-        .collection(2, 8 * 1024)
-        .config(cfg)
-        .producer_at(0.0, 0.0)
-        .downloader_at(20.0, 0.0)
-        .downloader_at(0.0, 20.0)
-        .build();
-    let done = sc.run_until_complete(SimTime::from_secs(600));
-    assert!(done, "budgeted swarm should complete");
-    for &node in sc.downloaders.iter().chain(sc.producers.iter()) {
-        let cs = sc.peer(node).expect("peer").content_store();
-        assert!(
-            cs.resident_bytes() <= budget,
-            "node {node:?} exceeded its byte budget"
-        );
-        cs.audit().expect("exact accounting after the run");
-    }
-}
-
-#[test]
 fn tampered_metadata_is_rejected_end_to_end() {
     // A rogue node (different trust anchor) produces a same-named
     // collection beside the honest producer. The control plane drops its

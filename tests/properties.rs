@@ -735,7 +735,7 @@ mod cs_properties {
     //! exactly like a `Name`-keyed FIFO model, and serve everything that
     //! fits.
 
-    use dapes_ndn::cs::{ContentStore, CsBudget, CsStats, ENTRY_OVERHEAD};
+    use dapes_ndn::cs::{ContentStore, CsStats};
     use dapes_ndn::name::Name;
     use dapes_ndn::packet::Data;
     use dapes_netsim::payload::Payload;
@@ -743,37 +743,24 @@ mod cs_properties {
     use proptest::prelude::*;
     use std::collections::{BTreeMap, VecDeque};
 
-    /// What `budget` charges one packet, from the formula's definition.
-    fn charge(budget: CsBudget, d: &Data) -> usize {
-        match budget {
-            CsBudget::Count(_) => d.content().len() + d.name().state_bytes() + 64,
-            CsBudget::Bytes(_) => d.wire_size() + ENTRY_OVERHEAD,
-        }
-    }
-
-    /// A budget from a proptest draw: counts 0..6 or bytes {0} ∪ 200..2000,
-    /// so zero budgets and packets larger than the whole budget both occur.
-    fn budget_of(bytes: bool, n: usize) -> CsBudget {
-        match (bytes, n % 8) {
-            (false, _) => CsBudget::Count(n % 6),
-            (true, 0) => CsBudget::Bytes(0),
-            (true, _) => CsBudget::Bytes(200 + n % 1800),
-        }
+    /// What the store charges one packet, from the formula's definition.
+    fn charge(d: &Data) -> usize {
+        d.content().len() + d.name().state_bytes() + 64
     }
 
     /// The store as it was specified before the wire indexes: entries in a
     /// `Name`-ordered map, eviction from a queue of names in arrival order.
     struct FifoModel {
-        budget: CsBudget,
+        capacity: usize,
         entries: BTreeMap<Name, (Data, SimTime)>,
         fifo: VecDeque<Name>,
         stats: CsStats,
     }
 
     impl FifoModel {
-        fn new(budget: CsBudget) -> Self {
+        fn new(capacity: usize) -> Self {
             FifoModel {
-                budget,
+                capacity,
                 entries: BTreeMap::new(),
                 fifo: VecDeque::new(),
                 stats: CsStats::default(),
@@ -781,28 +768,12 @@ mod cs_properties {
         }
 
         fn bytes(&self) -> usize {
-            self.entries
-                .values()
-                .map(|(d, _)| charge(self.budget, d))
-                .sum()
-        }
-
-        fn over_budget(&self) -> bool {
-            match self.budget {
-                CsBudget::Count(n) => self.entries.len() > n,
-                CsBudget::Bytes(b) => self.bytes() > b,
-            }
+            self.entries.values().map(|(d, _)| charge(d)).sum()
         }
 
         fn insert(&mut self, data: Data, now: SimTime) {
-            if self.budget.is_zero() {
+            if self.capacity == 0 {
                 return;
-            }
-            if let CsBudget::Bytes(b) = self.budget {
-                if charge(self.budget, &data) > b {
-                    self.stats.rejected_oversize += 1;
-                    return;
-                }
             }
             let name = data.name().clone();
             if self.entries.insert(name.clone(), (data, now)).is_some() {
@@ -811,8 +782,8 @@ mod cs_properties {
                 self.stats.insertions += 1;
                 self.fifo.push_back(name);
             }
-            while self.over_budget() {
-                let victim = self.fifo.pop_front().expect("over budget");
+            while self.entries.len() > self.capacity {
+                let victim = self.fifo.pop_front().expect("over capacity");
                 self.entries.remove(&victim);
                 self.stats.evictions += 1;
             }
@@ -855,15 +826,13 @@ mod cs_properties {
         #[test]
         fn fifo_store_keeps_exact_accounting_under_churn(
             ops in proptest::collection::vec((0u8..6, 0u64..24, 0usize..96), 1..64),
-            bytes in any::<bool>(),
-            n in 0usize..4096,
+            capacity in 0usize..6,
         ) {
-            // Random inserts and lookups under a count or a byte budget.
+            // Random inserts and lookups under a count cap, zero included.
             // After every op the audit must hold, and the tracked bytes
-            // must equal the budget's own formula summed over what is
-            // resident — not merely the sizes the store recorded.
-            let budget = budget_of(bytes, n);
-            let mut cs = ContentStore::with_budget(budget);
+            // must equal the charge formula summed over what is resident —
+            // not merely the sizes the store recorded.
+            let mut cs = ContentStore::new(capacity);
             let mut resident: BTreeMap<Name, Data> = BTreeMap::new();
             let t = SimTime::from_secs(1);
             for &(op, key, size) in &ops {
@@ -889,8 +858,8 @@ mod cs_properties {
                 }
                 resident.retain(|n, _| cs.lookup_exact(n).is_some());
                 prop_assert_eq!(cs.audit(), Ok(()));
-                let want: usize = resident.values().map(|d| charge(budget, d)).sum();
-                prop_assert_eq!(cs.resident_bytes(), want, "{:?}", budget);
+                let want: usize = resident.values().map(charge).sum();
+                prop_assert_eq!(cs.resident_bytes(), want, "capacity {}", capacity);
             }
         }
 
@@ -900,8 +869,7 @@ mod cs_properties {
                 (0u8..7, 0usize..32, 0usize..320, 0u64..3_000),
                 1..64,
             ),
-            bytes in any::<bool>(),
-            n in 0usize..4096,
+            capacity in 0usize..6,
         ) {
             // Insert / refresh / exact / CanBePrefix / MustBeFresh lookups
             // and clock advances, against a model keyed by `Name`. Identical
@@ -909,10 +877,9 @@ mod cs_properties {
             // same first CanBePrefix match as canonical `Name` order, and a
             // hit's wire is byte for byte the wire of the packet the model
             // holds — also after a refresh replaced one buffer by another.
-            let budget = budget_of(bytes, n);
             let pool = name_pool();
-            let mut cs = ContentStore::with_budget(budget);
-            let mut model = FifoModel::new(budget);
+            let mut cs = ContentStore::new(capacity);
+            let mut model = FifoModel::new(capacity);
             let mut now = SimTime::from_secs(1);
             for &(op, which, size, ms) in &ops {
                 let name = &pool[which % pool.len()];
@@ -970,9 +937,9 @@ mod cs_properties {
         fn fifo_store_serves_everything_that_fits(
             keys in proptest::collection::vec(0u64..64, 1..32),
         ) {
-            // With a budget the whole working set fits under, eviction must
-            // be unobservable: every inserted name hits.
-            let mut cs = ContentStore::with_budget(CsBudget::Bytes(1 << 20));
+            // With a capacity the whole working set fits under, eviction
+            // must be unobservable: every inserted name hits.
+            let mut cs = ContentStore::new(64);
             let t = SimTime::from_secs(1);
             for &key in &keys {
                 cs.insert(
@@ -1307,12 +1274,11 @@ mod sched_properties {
                 fn as_any_mut(&mut self) -> &mut dyn Any { self }
             }
             let run = || {
-                let mut cfg = WorldConfig {
+                let mut w = World::new(WorldConfig {
                     seed,
+                    loss_rate: loss as f64 * 0.1,
                     ..WorldConfig::default()
-                };
-                cfg.phy.loss_rate = loss as f64 * 0.1;
-                let mut w = World::new(cfg);
+                });
                 let ids: Vec<NodeId> = placements
                     .iter()
                     .map(|&(x, y, beacons, interval_ms)| {
