@@ -7,12 +7,12 @@
 //! # Content model
 //!
 //! Packet contents are *deterministically generated* from the packet name
-//! (seeded by SHA-256). This reproduces everything the evaluation measures —
-//! packet sizes, air time, digests, verification — while letting the
-//! simulator run collections of hundreds of megabytes without peers
-//! retaining payload bytes: any peer that *has* a packet (a bitmap bit) can
-//! regenerate and re-sign it on demand, because signing keys derive from the
-//! shared trust anchor (see `DESIGN.md`, substitutions).
+//! (seeded by SHA-256), so a collection of any size is described without
+//! storing its bytes up front. Only the producer generates: its peer signs
+//! each segment with [`Collection::packet_data`] the first time it answers
+//! for it and keeps that wire. Every other peer keeps the packets it
+//! verified, as a real peer keeps its files, and answers from those bytes
+//! (see `DESIGN.md`, substitutions).
 
 use crate::metadata::{FileEntry, Metadata, MetadataFormat, PacketIndex, PACKET_DIGEST_LEN};
 use dapes_crypto::merkle::MerkleTree;
@@ -194,10 +194,9 @@ impl Collection {
         ))
     }
 
-    /// Regenerates and signs the Data packet at global index `idx`.
-    ///
-    /// Any peer holding the trust anchor can produce bit-identical packets,
-    /// which is how peers serve packets without retaining payload bytes.
+    /// Generates and signs the Data packet at global index `idx`: the
+    /// producer's packet, which every copy on the air repeats byte for
+    /// byte.
     pub fn packet_data(&self, idx: usize, anchor: &TrustAnchor) -> Option<Data> {
         let name = self.index.packet_name(&self.spec.name, idx)?;
         let size = self.packet_size_of(idx)?;
@@ -205,23 +204,6 @@ impl Collection {
         let key = anchor.keypair(&self.spec.producer);
         Some(Data::new(name, content).signed(&key))
     }
-}
-
-/// Regenerates and signs the Data packet at global index `idx` of a
-/// collection known only through its `metadata` — this is how downloaders
-/// serve packets they hold without retaining payload bytes.
-pub fn regenerate_packet(
-    collection: &Name,
-    metadata: &Metadata,
-    idx: usize,
-    anchor: &TrustAnchor,
-) -> Option<Data> {
-    let (file_pos, seq) = metadata.locate(idx)?;
-    let name = crate::namespace::packet_name(collection, &metadata.files[file_pos].name, seq);
-    let size = metadata.packet_payload_size(idx)?;
-    let content = generate_content(&name, size);
-    let key = anchor.keypair(&metadata.producer);
-    Some(Data::new(name, content).signed(&key))
 }
 
 fn packet_payload_size(file_size: usize, packet_size: usize, seq: u32) -> usize {
@@ -341,18 +323,6 @@ mod tests {
         // ceil(1 MB / 1 KB) = 977 packets per file.
         assert_eq!(col.total_packets(), 9770);
         assert_eq!(col.index().file_count(), 10);
-    }
-
-    #[test]
-    fn regenerate_from_metadata_matches_producer_packets() {
-        let col = Collection::build(small_spec(MetadataFormat::PacketDigest));
-        let a = anchor();
-        for idx in 0..col.total_packets() {
-            let from_collection = col.packet_data(idx, &a).expect("producer packet");
-            let from_metadata =
-                regenerate_packet(col.name(), col.metadata(), idx, &a).expect("regenerated packet");
-            assert_eq!(from_collection, from_metadata, "packet {idx}");
-        }
     }
 
     #[test]

@@ -163,20 +163,6 @@ impl Metadata {
         }
     }
 
-    /// Payload size of global packet `idx`, derived from the file size and
-    /// the producer's packet size.
-    pub fn packet_payload_size(&self, idx: usize) -> Option<usize> {
-        let (file_pos, seq) = self.locate(idx)?;
-        let f = &self.files[file_pos];
-        let ps = self.packet_size as usize;
-        let full = f.size_bytes as usize / ps;
-        Some(if (seq as usize) < full {
-            ps
-        } else {
-            ((f.size_bytes as usize % ps).max(usize::from(f.size_bytes == 0))).max(1)
-        })
-    }
-
     /// Serializes the metadata body (before segmentation and signing).
     pub fn encode_body(&self) -> Vec<u8> {
         let mut out = Vec::new();

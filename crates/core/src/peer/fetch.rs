@@ -4,7 +4,6 @@
 //! download *holds* (packet index, possession bitmap) lives in the
 //! forwarder's [`MultihopState`]; a [`Download`] keeps everything else.
 
-use super::received::Proofs;
 use super::DapesPeer;
 use crate::advert::AdvertScheduler;
 use crate::bitmap::Bitmap;
@@ -20,11 +19,11 @@ use crate::multihop::MultihopState;
 use crate::namespace;
 use crate::rpf::{fetch_order, rarity_counts, EncounterHistory, RpfVariant};
 use crate::stats::kinds;
-use dapes_crypto::merkle::MerkleTree;
-use dapes_crypto::Digest;
+use dapes_crypto::merkle::{leaf_hash, MerkleTree};
 use dapes_ndn::name::Name;
-use dapes_ndn::packet::{Data, Interest};
+use dapes_ndn::packet::{data_content, Data, Interest};
 use dapes_netsim::node::NodeCtx;
+use dapes_netsim::payload::Payload;
 use dapes_netsim::time::{SimDuration, SimTime};
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -49,9 +48,14 @@ pub(super) struct Download {
     /// activates and served to metadata Interests from then on (like a
     /// `Seed`'s, not counted in [`Download::state_bytes`]).
     pub(super) metadata_segments: Vec<Data>,
-    /// Per-packet content leaf hashes retained until the file verifies
-    /// (Merkle format), then dropped.
-    leaf_hashes: LeafHashes,
+    /// The held packets, one slot per packet: the wire each arrived in, as
+    /// verified — the image a Content Store keeps ([`Data::keyed_wire`]),
+    /// so a segment's bytes are the producer's one buffer. A file's Merkle
+    /// check hashes their contents, and a content Interest is answered
+    /// with one.
+    wires: Vec<Option<Payload>>,
+    /// How many held packets belong to Merkle files not yet verified.
+    unverified: usize,
     files_verified: Vec<bool>,
     /// Outstanding content requests: global idx -> (sent, retx count).
     outstanding: BTreeMap<usize, (SimTime, u32)>,
@@ -71,34 +75,6 @@ pub(super) struct Download {
     resumed: Option<Bitmap>,
 }
 
-/// A download's retained leaf hashes, one slot per packet, with a running
-/// count of the held ones so [`Download::state_bytes`] reads it in O(1).
-#[derive(Default)]
-struct LeafHashes {
-    slots: Vec<Option<Digest>>,
-    held: usize,
-}
-
-impl LeafHashes {
-    fn new(packets: usize) -> Self {
-        LeafHashes {
-            slots: vec![None; packets],
-            held: 0,
-        }
-    }
-
-    /// Packet `idx`'s leaf hash, if held (`None` past the end too).
-    fn get(&self, idx: usize) -> Option<Digest> {
-        self.slots.get(idx).copied().flatten()
-    }
-
-    fn set(&mut self, idx: usize, leaf: Option<Digest>) {
-        let slot = &mut self.slots[idx];
-        self.held = self.held + usize::from(leaf.is_some()) - usize::from(slot.is_some());
-        *slot = leaf;
-    }
-}
-
 impl Download {
     /// The packets held so far: zero-length until the catalog arrives.
     pub(super) fn have<'a>(&self, ms: &'a MultihopState) -> &'a Bitmap {
@@ -108,11 +84,17 @@ impl Download {
 
     pub(super) fn state_bytes(&self, ms: &MultihopState) -> usize {
         self.have(ms).state_bytes()
-            + self.leaf_hashes.held * 32
+            // A leaf hash for each packet an unverified Merkle file holds.
+            + self.unverified * 32
             + self.metadata.as_ref().map_or(0, |m| m.state_bytes())
             + self.outstanding.len() * 24
             + self.queue.len() * 8
             + self.history.state_bytes()
+    }
+
+    /// The wire of held packet `idx`.
+    pub(super) fn wire(&self, idx: usize) -> Option<&Payload> {
+        self.wires.get(idx)?.as_ref()
     }
 
     /// The last neighbor left: the next encounter starts its bursts and fetch order afresh.
@@ -174,10 +156,9 @@ impl Download {
 pub struct SalvagedDownload {
     /// The collection the download was for.
     pub collection: Name,
-    /// Surviving segments: global packet index plus the retained content
-    /// leaf hash for files still awaiting Merkle verification (`None` once
-    /// a file verified and dropped its hashes).
-    pub segments: Vec<(usize, Option<Digest>)>,
+    /// Surviving segments: global packet index and the wire it was
+    /// verified in.
+    pub segments: Vec<(usize, Payload)>,
     /// Per-file verification flags at crash time.
     pub files_verified: Vec<bool>,
 }
@@ -188,16 +169,14 @@ impl DapesPeer {
     /// (completed downloads included, so a finished peer does not restart
     /// from zero). Call on the wreck from a restart stack factory.
     pub fn salvage(&self) -> Vec<SalvagedDownload> {
-        let ms = self.forwarder.strategy();
         self.downloads
             .values()
             .filter(|d| d.phase != Phase::FetchingMetadata)
             .map(|d| SalvagedDownload {
                 collection: d.collection.clone(),
-                segments: d
-                    .have(ms)
-                    .iter_set()
-                    .map(|i| (i, d.leaf_hashes.get(i)))
+                segments: (0..)
+                    .zip(&d.wires)
+                    .filter_map(|(i, w)| Some((i, w.clone()?)))
                     .collect(),
                 files_verified: d.files_verified.clone(),
             })
@@ -229,7 +208,8 @@ impl DapesPeer {
             meta_outstanding: BTreeMap::new(),
             metadata: None,
             metadata_segments: Vec::new(),
-            leaf_hashes: LeafHashes::default(),
+            wires: Vec::new(),
+            unverified: 0,
             files_verified: Vec::new(),
             outstanding: BTreeMap::new(),
             queue: Vec::new(),
@@ -310,6 +290,7 @@ impl DapesPeer {
     fn activate_download(&mut self, ctx: &mut NodeCtx<'_>, collection: &Name, meta: Metadata) {
         let total = meta.total_packets();
         let files = meta.files.len();
+        let merkle = meta.format == MetadataFormat::MerkleRoots;
         let ms = self.forwarder.strategy_mut();
         ms.install_holdings(collection.clone(), meta.index(), Bitmap::new(total));
         let salvaged = self.salvaged.remove(collection);
@@ -318,24 +299,27 @@ impl DapesPeer {
         };
         d.metadata_segments = meta.to_segments(collection, &self.anchor.keypair(&meta.producer));
         d.metadata = Some(Arc::new(meta));
-        d.leaf_hashes = LeafHashes::new(total);
+        d.wires = vec![None; total];
         d.files_verified = vec![false; files];
         // Resume after restart: fold in what the previous incarnation held.
         // The catalog was re-fetched (it binds the segment names and Merkle
-        // roots), but every salvaged segment — with its retained leaf hash,
-        // so later file verification still has all leaves — is marked held
-        // and never re-fetched.
+        // roots), but every salvaged segment — with its wire, so later file
+        // verification still has all contents — is marked held and never
+        // re-fetched.
         let mut resumed_complete = false;
         if let Some(s) = salvaged {
-            let mut resumed = Bitmap::new(total);
-            for (idx, leaf) in s.segments {
-                if idx < total && resumed.set(idx) {
-                    d.leaf_hashes.set(idx, leaf);
-                }
-            }
             for (pos, &v) in s.files_verified.iter().enumerate().take(files) {
                 if v {
                     d.files_verified[pos] = true;
+                }
+            }
+            let index = ms.index(collection).expect("installed above");
+            let mut resumed = Bitmap::new(total);
+            for (idx, wire) in s.segments {
+                if idx < total && resumed.set(idx) {
+                    let (file_pos, _) = index.locate(idx).expect("in range");
+                    d.unverified += usize::from(merkle && !d.files_verified[file_pos]);
+                    d.wires[idx] = Some(wire);
                 }
             }
             self.stats.resumed_segments_skipped += resumed.count_set() as u64;
@@ -419,15 +403,13 @@ impl DapesPeer {
     }
 
     /// Consumes an authenticated content Data packet for global packet
-    /// `idx` (from [`MultihopState::content_index`]) of `collection`, with
-    /// the packet's `proofs`.
+    /// `idx` (from [`MultihopState::content_index`]) of `collection`.
     pub(super) fn handle_content_data(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         collection: &Name,
         idx: usize,
         data: &Data,
-        proofs: &mut Proofs,
     ) {
         let Some(d) = self.downloads.get_mut(collection) else {
             return;
@@ -457,14 +439,10 @@ impl DapesPeer {
                 d.queue_dirty = true;
                 return;
             }
-            PacketVerification::Verified => {
-                self.stats.packets_verified += 1;
-            }
-            PacketVerification::Deferred => {
-                d.leaf_hashes
-                    .set(idx, Some(proofs.leaf_hash(data.content())));
-            }
+            PacketVerification::Verified => self.stats.packets_verified += 1,
+            PacketVerification::Deferred => d.unverified += 1,
         }
+        d.wires[idx] = Some(data.keyed_wire().0);
         d.outstanding.remove(&idx);
         ms.set_held(collection, idx);
         self.stats.data_received += 1;
@@ -474,15 +452,16 @@ impl DapesPeer {
             let ok = match meta.format {
                 MetadataFormat::PacketDigest => true,
                 MetadataFormat::MerkleRoots => {
-                    let leaves: Vec<Digest> = range
+                    d.unverified -= range.len();
+                    let leaves = range
                         .clone()
-                        .map(|i| d.leaf_hashes.get(i).expect("all present"))
+                        .map(|i| {
+                            let wire = d.wire(i).expect("a held packet keeps its wire");
+                            leaf_hash(data_content(wire).unwrap_or_default())
+                        })
                         .collect();
                     let root = meta.files[file_pos].root;
-                    match root {
-                        Some(r) => MerkleTree::verify_leaves(&r, leaves),
-                        None => false,
-                    }
+                    root.is_some_and(|r| MerkleTree::verify_leaves(&r, leaves))
                 }
             };
             if ok {
@@ -491,16 +470,11 @@ impl DapesPeer {
                     MetadataFormat::MerkleRoots => range.len() as u64,
                     MetadataFormat::PacketDigest => 0,
                 };
-                for i in range {
-                    d.leaf_hashes.set(i, None); // content hashes no longer needed
-                }
             } else {
                 // Whole file failed: drop and refetch it.
                 self.stats.verify_failures += 1;
                 ms.clear_held(collection, range.clone());
-                for i in range {
-                    d.leaf_hashes.set(i, None);
-                }
+                d.wires[range].fill(None);
                 d.queue_dirty = true;
             }
         }

@@ -335,7 +335,8 @@ impl DapesPeer {
                 } => {
                     // Content Store hit: answer from cache after a polite
                     // delay, cancelled if someone else does.
-                    self.schedule_reply(ctx, &data, response_kind_for(&data));
+                    let kind = response_kind_for(&data);
+                    self.schedule_reply(ctx, data.wire(), data.name().clone(), kind);
                 }
                 _ => {}
             }
@@ -422,15 +423,14 @@ impl DapesPeer {
     }
 
     /// Consumes Data the forwarder delivered to the application face.
-    /// `class`, `authentic` and `proofs` are `data`'s own classification,
-    /// [`DapesPeer::check_signature`] verdict and proofs.
+    /// `class` and `authentic` are `data`'s own classification and
+    /// [`DapesPeer::check_signature`] verdict.
     fn handle_app_data(
         &mut self,
         ctx: &mut NodeCtx<'_>,
         data: &Data,
         class: Option<&DapesName>,
         authentic: bool,
-        proofs: &mut Proofs,
     ) {
         match class {
             Some(DapesName::Metadata { collection, .. }) => {
@@ -445,7 +445,7 @@ impl DapesPeer {
                 if !authentic {
                     self.stats.verify_failures += 1;
                 } else if let Some(idx) = ms.content_index(collection, file, *seq) {
-                    self.handle_content_data(ctx, collection, idx, data, proofs);
+                    self.handle_content_data(ctx, collection, idx, data);
                 }
             }
             // Bitmap and discovery data were already handled during
@@ -546,9 +546,8 @@ impl DapesPeer {
                     data,
                 } => {
                     // The forwarder hands back the frame's own
-                    // packet, so its class, verdict and proofs
-                    // carry over.
-                    self.handle_app_data(ctx, &data, class, authentic, proofs);
+                    // packet, so its class and verdict carry over.
+                    self.handle_app_data(ctx, &data, class, authentic);
                 }
                 Action::SendData {
                     face: FaceId::WIRELESS,
@@ -556,7 +555,7 @@ impl DapesPeer {
                 } => {
                     // Multi-hop data return: re-broadcast for the
                     // next hop, unless someone beats us to it.
-                    self.schedule_reply(ctx, &data, frame.kind);
+                    self.schedule_reply(ctx, data.wire(), data.name().clone(), frame.kind);
                 }
                 _ => {}
             }
@@ -568,7 +567,7 @@ impl DapesPeer {
             match class {
                 Some(DapesName::Content { collection, .. }) if authentic => {
                     if let Some(idx) = content_idx {
-                        self.handle_content_data(ctx, collection, idx, data, proofs);
+                        self.handle_content_data(ctx, collection, idx, data);
                     }
                 }
                 Some(DapesName::Metadata { collection, .. }) => {
@@ -659,7 +658,8 @@ mod tests {
     use crate::collection::{Collection, CollectionSpec};
     use crate::discovery::OfferedCollection;
     use crate::metadata::MetadataFormat;
-    use dapes_netsim::prelude::{Point, Stationary, World, WorldConfig};
+    use dapes_netsim::payload::Payload;
+    use dapes_netsim::prelude::{NodeId, Point, Stationary, World, WorldConfig};
     use std::sync::Arc;
 
     #[test]
@@ -750,16 +750,49 @@ mod tests {
     }
 
     /// Runs its script from `on_start`, the one place a test can get hold
-    /// of a `NodeCtx`: a downloader whose first file arrives with bytes
-    /// that do not hash to the catalog's Merkle root, and whose second
-    /// file arrives intact.
-    struct BadFirstFile {
+    /// of a `NodeCtx`: a downloader fetches the catalog, hears a neighbour
+    /// advertise every packet, and then absorbs `packet(idx)` for each.
+    struct Scripted {
         peer: DapesPeer,
         collection: Collection,
         anchor: TrustAnchor,
+        packet: fn(&Collection, &TrustAnchor, usize) -> Data,
     }
 
-    impl NetStack for BadFirstFile {
+    impl Scripted {
+        /// Runs the script in a one-node world, which it returns.
+        fn run(
+            anchor: TrustAnchor,
+            collection: Collection,
+            packet: fn(&Collection, &TrustAnchor, usize) -> Data,
+        ) -> World {
+            let peer = DapesPeer::new(
+                1,
+                DapesConfig::default(),
+                anchor.clone(),
+                WantPolicy::Everything,
+            );
+            let mut world = World::new(WorldConfig::default());
+            world.add_node(
+                Box::new(Stationary::new(Point::new(0.0, 0.0))),
+                Box::new(Scripted {
+                    peer,
+                    collection,
+                    anchor,
+                    packet,
+                }),
+            );
+            world.run_until(SimTime::ZERO);
+            world
+        }
+
+        /// The script's stack in the world [`Scripted::run`] returned.
+        fn of(world: &mut World) -> &mut Scripted {
+            world.stack_mut(NodeId(0)).expect("the stack")
+        }
+    }
+
+    impl NetStack for Scripted {
         fn on_start(&mut self, ctx: &mut NodeCtx<'_>) {
             let (peer, col) = (&mut self.peer, &self.collection);
             let name = col.name();
@@ -776,14 +809,8 @@ mod tests {
             let ms = peer.forwarder.strategy_mut();
             ms.record_bitmap(9, name, everything, ctx.now);
             for idx in 0..col.total_packets() {
-                let genuine = col.packet_data(idx, &self.anchor).expect("in range");
-                let first_file = col.index().locate(idx).expect("in range").0 == 0;
-                let data = if first_file {
-                    Data::new(genuine.name().clone(), vec![0xEE; 16])
-                } else {
-                    genuine
-                };
-                peer.handle_content_data(ctx, name, idx, &data, &mut Proofs::default());
+                let data = (self.packet)(col, &self.anchor, idx);
+                peer.handle_content_data(ctx, name, idx, &data);
             }
         }
         fn on_frame(&mut self, _: &mut NodeCtx<'_>, _: &Frame) {}
@@ -798,25 +825,20 @@ mod tests {
 
     #[test]
     fn a_file_that_fails_its_merkle_check_is_dropped_from_the_strategys_view_too() {
-        let anchor = TrustAnchor::from_seed(b"merkle-failure");
-        let collection = Collection::build(CollectionSpec::uniform("/col", 2, 4 * 1024));
-        let peer = DapesPeer::new(
-            1,
-            DapesConfig::default(),
-            anchor.clone(),
-            WantPolicy::Everything,
+        // The first file arrives with bytes that do not hash to the
+        // catalog's Merkle root, the second intact.
+        let mut world = Scripted::run(
+            TrustAnchor::from_seed(b"merkle-failure"),
+            Collection::build(CollectionSpec::uniform("/col", 2, 4 * 1024)),
+            |col, anchor, idx| {
+                let genuine = col.packet_data(idx, anchor).expect("in range");
+                match col.index().locate(idx).expect("in range").0 {
+                    0 => Data::new(genuine.name().clone(), vec![0xEE; 16]),
+                    _ => genuine,
+                }
+            },
         );
-        let mut world = World::new(WorldConfig::default());
-        let node = world.add_node(
-            Box::new(Stationary::new(Point::new(0.0, 0.0))),
-            Box::new(BadFirstFile {
-                peer,
-                collection,
-                anchor,
-            }),
-        );
-        world.run_until(SimTime::ZERO);
-        let stack = world.stack_mut::<BadFirstFile>(node).expect("the stack");
+        let stack = Scripted::of(&mut world);
         let (peer, col) = (&mut stack.peer, &stack.collection);
         assert_eq!(peer.stats.verify_failures, 1, "file 0 failed as a whole");
         assert_eq!(peer.stats.data_received, 8, "every segment was absorbed");
@@ -828,7 +850,7 @@ mod tests {
         for idx in 0..col.total_packets() {
             let (file_pos, seq) = col.index().locate(idx).expect("in range");
             let file = col.index().file(file_pos).expect("in range").0;
-            let serves = peer.content_packet_for(col.name(), file, seq).is_some();
+            let serves = peer.content_wire_for(col.name(), file, seq).is_some();
             assert_eq!(serves, idx >= 4, "packet {idx}");
             let name = namespace::packet_name(col.name(), file, seq);
             let ms = peer.forwarder.strategy_mut();
@@ -836,6 +858,49 @@ mod tests {
                 ms.should_forward(&name, None, SimTime::ZERO),
                 !serves,
                 "packet {idx}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_segment_spelling_its_name_non_canonically_is_held_and_served_canonically() {
+        // Each segment arrives as a frame whose first name component is
+        // typed 1 instead of the generic 8: the decoder reads the same name
+        // and the signature, which covers the canonical encoding, verifies.
+        let mut world = Scripted::run(
+            TrustAnchor::from_seed(b"odd-spelling"),
+            Collection::build(CollectionSpec::uniform("/col", 2, 3 * 1024)),
+            |col, anchor, idx| {
+                let genuine = col.packet_data(idx, anchor).expect("in range");
+                let mut bytes = genuine.encode();
+                let name = genuine.name().to_wire_value();
+                let at = bytes
+                    .windows(name.len())
+                    .position(|w| w == name)
+                    .expect("the name's wire value");
+                assert_eq!(bytes[at], 0x08, "the first component's type");
+                bytes[at] = 0x01;
+                let odd = Data::decode_payload(&Payload::from(bytes)).expect("decodes");
+                assert!(odd.verify(anchor), "a verified frame");
+                assert_ne!(odd.wire(), genuine.wire(), "spelled differently");
+                odd
+            },
+        );
+        let stack = Scripted::of(&mut world);
+        let (peer, col) = (&mut stack.peer, &stack.collection);
+        assert!(peer.downloads_complete(), "both files verified");
+        assert_eq!(peer.stats.verify_failures, 0);
+        for idx in 0..col.total_packets() {
+            let genuine = col.packet_data(idx, &stack.anchor).expect("in range");
+            let held = peer.held_wire(col.name(), idx).expect("held");
+            assert_eq!(*held, genuine.wire(), "packet {idx} is held canonically");
+            let (file_pos, seq) = col.index().locate(idx).expect("in range");
+            let file = col.index().file(file_pos).expect("in range").0;
+            let served = peer.content_wire_for(col.name(), file, seq);
+            assert_eq!(
+                served,
+                Some(genuine.wire()),
+                "packet {idx} is served canonically"
             );
         }
     }

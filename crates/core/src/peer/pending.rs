@@ -105,9 +105,9 @@ impl DapesPeer {
                     // classification, a signature check and proofs of its
                     // own, never the frame's.
                     let class = namespace::classify(data.name());
-                    let mut proofs = Proofs::default();
-                    let authentic = self.check_signature(&data, class.as_ref(), &mut proofs);
-                    self.handle_app_data(ctx, &data, class.as_ref(), authentic, &mut proofs);
+                    let proofs = &mut Proofs::default();
+                    let authentic = self.check_signature(&data, class.as_ref(), proofs);
+                    self.handle_app_data(ctx, &data, class.as_ref(), authentic);
                     handled = true;
                 }
                 _ => {}
@@ -166,12 +166,19 @@ impl DapesPeer {
         self.pending.insert(id, pending);
     }
 
-    /// Schedules a Data reply after a polite random delay, cancelled if
-    /// the same Data is overheard first — someone else answered.
-    pub(super) fn schedule_reply(&mut self, ctx: &mut NodeCtx<'_>, data: &Data, kind: FrameKind) {
+    /// Schedules a Data reply, the packet `wire` named `name`, after a
+    /// polite random delay, cancelled if the same Data is overheard first
+    /// — someone else answered.
+    pub(super) fn schedule_reply(
+        &mut self,
+        ctx: &mut NodeCtx<'_>,
+        wire: Payload,
+        name: Name,
+        kind: FrameKind,
+    ) {
         let delay = self.jitter(ctx);
-        let cancel = Cancel::OnData(data.name().clone());
-        self.schedule_pending(ctx, PendingPayload::Raw(data.wire()), kind, delay, cancel);
+        let cancel = Cancel::OnData(name);
+        self.schedule_pending(ctx, PendingPayload::Raw(wire), kind, delay, cancel);
     }
 
     /// Schedules the re-broadcast of an Interest the strategy approved,

@@ -12,7 +12,6 @@
 
 use crate::auth;
 use crate::namespace::{self, DapesName};
-use dapes_crypto::merkle::leaf_hash;
 use dapes_crypto::signing::{KeyId, TrustAnchor};
 use dapes_crypto::Digest;
 use dapes_ndn::name::Name;
@@ -87,7 +86,7 @@ impl Received {
     }
 }
 
-/// Verdicts and hashes of one packet, each worked out on first use. A
+/// Verdicts of one packet, each worked out on first use. A
 /// frame's proofs live in its [`Received`]; a packet that is not the frame
 /// being received (a Content Store hit) gets fresh ones of its own.
 #[derive(Default)]
@@ -97,8 +96,6 @@ pub(super) struct Proofs {
     /// The sealed announcement's key id and timestamp (`None`: rejected),
     /// under the anchor with this fingerprint.
     opened: Option<(Digest, Option<(KeyId, u64)>)>,
-    /// The content's Merkle leaf hash.
-    leaf: Option<Digest>,
 }
 
 impl Proofs {
@@ -121,11 +118,6 @@ impl Proofs {
             let (_, ts) = auth::open(sealed, key_id, anchor).ok()?;
             Some((key_id, ts))
         })
-    }
-
-    /// The Merkle leaf hash of the packet's `content`.
-    pub(super) fn leaf_hash(&mut self, content: &[u8]) -> Digest {
-        *self.leaf.get_or_insert_with(|| leaf_hash(content))
     }
 }
 

@@ -5,18 +5,22 @@
 use super::pending::{Cancel, PendingPayload};
 use super::DapesPeer;
 use crate::bitmap::Bitmap;
-use crate::collection::{regenerate_packet, Collection};
+use crate::collection::Collection;
 use crate::namespace::{self, DapesName};
 use crate::stats::kinds;
 use dapes_ndn::name::Name;
 use dapes_ndn::packet::{Data, Interest};
 use dapes_netsim::node::NodeCtx;
+use dapes_netsim::payload::Payload;
 use std::sync::Arc;
 
 /// A collection this peer produces or fully seeds.
 pub(super) struct Seed {
     pub(super) collection: Arc<Collection>,
     segments: Arc<Vec<Data>>,
+    /// Each content packet's wire, signed on its first answer and kept:
+    /// every copy of the packet on the air is this buffer.
+    packets: Vec<Option<Payload>>,
 }
 
 impl DapesPeer {
@@ -37,6 +41,7 @@ impl DapesPeer {
             Seed {
                 collection,
                 segments,
+                packets: vec![None; total],
             },
         );
     }
@@ -86,7 +91,12 @@ impl DapesPeer {
                 }
                 let data = self.metadata_segment_for(&collection, seg as u32);
                 if let Some(data) = data {
-                    self.schedule_reply(ctx, &data, kinds::METADATA_DATA);
+                    self.schedule_reply(
+                        ctx,
+                        data.wire(),
+                        data.name().clone(),
+                        kinds::METADATA_DATA,
+                    );
                 }
             }
             Some(DapesName::Content {
@@ -97,10 +107,10 @@ impl DapesPeer {
                 if self.reply_pending_for(interest.name()) {
                     return;
                 }
-                let data = self.content_packet_for(&collection, &file, seq);
-                if let Some(data) = data {
+                if let Some(wire) = self.content_wire_for(&collection, &file, seq) {
                     self.stats.packets_served += 1;
-                    self.schedule_reply(ctx, &data, kinds::CONTENT_DATA);
+                    let name = namespace::packet_name(&collection, &file, seq);
+                    self.schedule_reply(ctx, wire, name, kinds::CONTENT_DATA);
                 }
             }
             None => {}
@@ -122,21 +132,36 @@ impl DapesPeer {
         segments.get(seg as usize).cloned()
     }
 
-    pub(super) fn content_packet_for(
-        &self,
+    /// The wire this peer answers with for packet `idx` of `collection`,
+    /// if it holds the packet: a seed's once it is signed, a download's as
+    /// verified.
+    pub fn held_wire(&self, collection: &Name, idx: usize) -> Option<&Payload> {
+        match self.seeding.get(collection) {
+            Some(seed) => seed.packets.get(idx)?.as_ref(),
+            None => self.downloads.get(collection)?.wire(idx),
+        }
+    }
+
+    /// The wire answering a content Interest for `seq` of `file`, if this
+    /// peer holds that packet. A seed signs a packet the first time it is
+    /// asked for and keeps the wire; nothing else generates or signs.
+    pub(super) fn content_wire_for(
+        &mut self,
         collection: &Name,
         file: &str,
         seq: u64,
-    ) -> Option<Data> {
-        let ms = self.forwarder.strategy();
-        let idx = ms.content_index(collection, file, seq)?;
-        if let Some(seed) = self.seeding.get(collection) {
-            return seed.collection.packet_data(idx, &self.anchor);
+    ) -> Option<Payload> {
+        let idx = self
+            .forwarder
+            .strategy()
+            .content_index(collection, file, seq)?;
+        if let Some(seed) = self.seeding.get_mut(collection) {
+            let slot = seed.packets.get_mut(idx)?;
+            if slot.is_none() {
+                *slot = Some(seed.collection.packet_data(idx, &self.anchor)?.wire());
+            }
+            return slot.clone();
         }
-        let meta = self.downloads.get(collection)?.metadata.as_ref()?;
-        if !ms.held(collection)?.get(idx) {
-            return None;
-        }
-        regenerate_packet(collection, meta, idx, &self.anchor)
+        self.held_wire(collection, idx).cloned()
     }
 }

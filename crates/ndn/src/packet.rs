@@ -823,8 +823,8 @@ impl Data {
     /// type other than the generic one, a length in more bytes than it
     /// needs); then a canonical re-encoding. Either way the name bytes in
     /// the image are [`Name::to_wire_value`], the key every wire index
-    /// uses.
-    pub(crate) fn keyed_wire(&self) -> (Payload, Range<usize>) {
+    /// uses. A peer that keeps a packet it verified keeps this image.
+    pub fn keyed_wire(&self) -> (Payload, Range<usize>) {
         let wire = self.wire();
         if let Some(at) = data_name_at(&wire) {
             if self.name.is_wire_value(&wire[at.clone()]) {
@@ -844,6 +844,21 @@ pub(crate) fn data_name_at(wire: &[u8]) -> Option<Range<usize>> {
     let name = TlvReader::new(body).read_expected(types::NAME).ok()?;
     let start = name.as_ptr() as usize - wire.as_ptr() as usize;
     Some(start..start + name.len())
+}
+
+/// The Content field's value in a Data packet's wire, if the wire frames
+/// one: one walk over the packet's top-level fields, no decode. Like
+/// [`Data::decode`], the last Content field wins.
+pub fn data_content(wire: &[u8]) -> Option<&[u8]> {
+    let mut body = TlvReader::new(TlvReader::new(wire).read_expected(types::DATA).ok()?);
+    let mut content = None;
+    while !body.is_at_end() {
+        let (typ, value) = body.read_tlv().ok()?;
+        if typ == types::CONTENT {
+            content = Some(value);
+        }
+    }
+    content
 }
 
 /// Packet kinds that can arrive from the network.
@@ -1173,6 +1188,19 @@ mod tests {
         // Plain decode from a bare slice still owns its content.
         let owned = Data::decode(&incoming).expect("decode");
         assert_eq!(owned, back);
+    }
+
+    #[test]
+    fn data_content_walks_to_the_field_decode_reads() {
+        let d = Data::new(name(), vec![7; 300]).with_freshness_ms(5);
+        let wire = d.encode();
+        assert_eq!(data_content(&wire), Some(d.content()));
+        let empty = Data::new(name(), Vec::new()).encode();
+        assert_eq!(data_content(&empty), Some(&[][..]));
+        // Not a Data packet, or a body that does not parse: no content.
+        let interest = Interest::new(name()).with_nonce(1).encode();
+        assert_eq!(data_content(&interest), None);
+        assert_eq!(data_content(&wire[..wire.len() - 1]), None);
     }
 
     #[test]

@@ -5,20 +5,24 @@
 #   scripts/ab.sh <workload> <seed> <pairs> [<parent-rev>]
 #   scripts/ab.sh --self-test
 #
-# The parent (default HEAD~1) is checked out in a temporary git worktree.
-# Each side is built once, offline, with its own CARGO_TARGET_DIR, then the
-# two benchmark binaries run the BENCHMARK.json form (`--workload <w> --seed
-# <s> --seconds <run_seconds> --trace 0`) from their own checkout roots,
-# alternating which side goes first. Every pair is printed, then the
-# quartiles of `wall_s` and `peak_rss_mb` per side. Exits non-zero if a run
-# fails or any pair's `sim_fingerprint` differs.
+# The parent (default HEAD~1) is exported with `git archive` into a
+# temporary directory. Each side is built once, offline, with its own
+# CARGO_TARGET_DIR, then the two benchmark binaries run the BENCHMARK.json
+# form (`--workload <w> --seed <s> --seconds <run_seconds> --trace 0`) from
+# their own checkout roots, alternating which side goes first. Every pair
+# is printed; then, for each end-to-end metric BENCHMARK.json declares, the
+# quartiles per side and in how many pairs the change read lower and in how
+# many higher (ties count for neither: this is the count a claimed gain
+# needs in nine pairs of ten). Exits non-zero if a run fails or any pair's
+# `sim_fingerprint` differs.
 #
 # `--self-test` compares this checkout with itself: one binary, built
 # where `cargo run --manifest-path benchmark/Cargo.toml` builds it (so a
 # job that already ran the benchmark builds nothing), runs both sides of
 # one relay-swarm pair at `--quick` scale for one second. It exercises the
-# pairing, the quartiles and the fingerprint check, and must find the
-# fingerprints equal.
+# pairing, the quartiles, the pair counts and the fingerprint check: it must
+# find the fingerprints equal, print both summary lines for every metric,
+# and count no pair lower or higher on the metrics that a trace fixes.
 set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)
@@ -55,12 +59,9 @@ if ((self_test)); then
   )
 else
   work=$(mktemp -d)
-  cleanup() {
-    git worktree remove --force "$work/parent" >/dev/null 2>&1 || true
-    rm -rf "$work"
-  }
-  trap cleanup EXIT
-  git worktree add --quiet --detach "$work/parent" "$rev"
+  trap 'rm -rf "$work"' EXIT
+  mkdir "$work/parent"
+  git archive "$rev" | tar -x -C "$work/parent"
   echo "building parent ${rev:0:12} and this checkout" >&2
   build "$work/parent" "$work/parent-target"
   build "$root" "$work/change-target"
@@ -71,27 +72,45 @@ else
   )
 fi
 
-# Runs one side; prints "<wall_s> <peak_rss_mb> <sim_fingerprint>".
+# The end-to-end metrics, in BENCHMARK.json order.
+read -r -a metrics <<<"$(sed -n '/"end_to_end"/,/\]/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json | tr '\n' ' ')"
+((${#metrics[@]})) || { echo "BENCHMARK.json declares no end-to-end metric" >&2; exit 2; }
+
+# Runs one side; prints every metric's value in `metrics` order, then the
+# sim_fingerprint.
 run() {
   local out
   out=$(cd "${dir[$1]}" && "${bin[$1]}" --workload "$workload" --seed "$seed" \
     --seconds "$seconds" --trace 0 "${extra[@]}") \
     || { echo "$1 run failed" >&2; return 1; }
-  awk '$1 == "wall_s" {w = $2} $1 == "peak_rss_mb" {r = $2}
-       $1 == "sim_fingerprint" {f = $2} END {print w, r, f}' <<<"$out"
+  awk -v names="${metrics[*]}" '
+    BEGIN {n = split(names, m, " ")}
+    {v[$1] = $2}
+    END {for (i = 1; i <= n; i++) printf "%s ", (m[i] in v ? v[m[i]] : "nan"); print v["sim_fingerprint"]}' <<<"$out"
 }
 
 moved=0
-declare -A wall rss
+declare -A vals lower higher
 for ((i = 1; i <= pairs; i++)); do
   if ((i % 2)); then order=(parent change); else order=(change parent); fi
   declare -A res=()
   for side in "${order[@]}"; do res[$side]=$(run "$side"); done
-  read -r pw pr pf <<<"${res[parent]}"
-  read -r cw cr cf <<<"${res[change]}"
-  wall[parent]+="$pw " wall[change]+="$cw " rss[parent]+="$pr " rss[change]+="$cr "
-  printf 'pair %2d (%s first): wall_s %s -> %s  peak_rss_mb %s -> %s  sim_fingerprint %s%s\n' \
-    "$i" "${order[0]}" "$pw" "$cw" "$pr" "$cr" "$pf" "$([ "$pf" = "$cf" ] || echo " -> $cf MOVED")"
+  read -r -a p <<<"${res[parent]}"
+  read -r -a c <<<"${res[change]}"
+  pf=${p[-1]} cf=${c[-1]}
+  line=""
+  for k in "${!metrics[@]}"; do
+    m=${metrics[$k]}
+    vals[parent,$m]+="${p[$k]} " vals[change,$m]+="${c[$k]} "
+    if awk -v a="${c[$k]}" -v b="${p[$k]}" 'BEGIN {exit !(a < b)}'; then
+      lower[$m]=$((${lower[$m]:-0} + 1))
+    elif awk -v a="${c[$k]}" -v b="${p[$k]}" 'BEGIN {exit !(a > b)}'; then
+      higher[$m]=$((${higher[$m]:-0} + 1))
+    fi
+    case $m in wall_s | peak_rss_mb) line+="$m ${p[$k]} -> ${c[$k]}  " ;; esac
+  done
+  printf 'pair %2d (%s first): %ssim_fingerprint %s%s\n' \
+    "$i" "${order[0]}" "$line" "$pf" "$([ "$pf" = "$cf" ] || echo " -> $cf MOVED")"
   [ "$pf" = "$cf" ] || moved=1
 done
 
@@ -100,17 +119,34 @@ quartiles() {
   tr ' ' '\n' <<<"$1" | sed '/^$/d' | sort -g | awk '
     {v[NR] = $1}
     function q(p,  h, l) { h = (NR - 1) * p + 1; l = int(h); return v[l] + (h - l) * (v[l + (l < NR)] - v[l]) }
-    END {printf "q1 %.3f  median %.3f  q3 %.3f", q(0.25), q(0.5), q(0.75)}'
+    END {printf "q1 %.6g  median %.6g  q3 %.6g", q(0.25), q(0.5), q(0.75)}'
 }
 if ((self_test)); then sides="this checkout on both sides"; else sides="parent ${rev:0:12} -> this checkout"; fi
-echo "$workload seed $seed, $pairs pair(s), $sides"
-for metric in wall rss; do
-  declare -n m=$metric
-  label=$([ $metric = wall ] && echo wall_s || echo peak_rss_mb)
-  echo "$label parent: $(quartiles "${m[parent]}")"
-  echo "$label change: $(quartiles "${m[change]}")"
-done
+summary=$(
+  echo "$workload seed $seed, $pairs pair(s), $sides"
+  for m in "${metrics[@]}"; do
+    echo "$m parent: $(quartiles "${vals[parent,$m]}")"
+    echo "$m change: $(quartiles "${vals[change,$m]}")"
+    echo "$m change lower in ${lower[$m]:-0} of $pairs pair(s), higher in ${higher[$m]:-0}"
+  done
+)
+echo "$summary"
 if ((moved)); then
   echo "sim_fingerprint differs between the sides" >&2
   exit 1
+fi
+if ((self_test)); then
+  for m in "${metrics[@]}"; do
+    for side in parent change; do
+      grep -qE "^$m $side: q1 [^ ]+  median [^ ]+  q3 [^ ]+$" <<<"$summary" \
+        || { echo "self-test: no $side quartiles for $m" >&2; exit 1; }
+    done
+    count=$(grep -E "^$m change lower in [0-9]+ of $pairs pair\(s\), higher in [0-9]+$" <<<"$summary") \
+      || { echo "self-test: no pair count for $m" >&2; exit 1; }
+    # One binary on one seed repeats its trace: the metrics a trace fixes tie.
+    case $m in wall_s | setup_s | peak_rss_mb) ;;
+      *) [ "$count" = "$m change lower in 0 of $pairs pair(s), higher in 0" ] \
+        || { echo "self-test: $m differs between identical runs: $count" >&2; exit 1; } ;;
+    esac
+  done
 fi

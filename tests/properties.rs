@@ -2241,3 +2241,243 @@ mod watermark_properties {
         }
     }
 }
+
+mod content_model_properties {
+    //! The content model: only the producer generates and signs a segment,
+    //! once, and every other peer answers from the packet it verified. So
+    //! every content frame on the air is the producer's packet byte for
+    //! byte, and every copy a peer or a cache keeps is the producer's one
+    //! buffer.
+
+    use dapes_core::collection::Collection;
+    use dapes_core::config::DapesConfig;
+    use dapes_core::namespace::{self, DapesName};
+    use dapes_crypto::signing::TrustAnchor;
+    use dapes_ndn::packet::Data;
+    use dapes_netsim::prelude::*;
+    use dapes_testutil::prelude::*;
+    use proptest::prelude::*;
+    use std::any::Any;
+
+    /// The centre of the scenario field, where the sniffer sits.
+    const CENTRE: f64 = 150.0;
+    /// The scenario's radio range; every peer is placed within it of the
+    /// centre, so the sniffer hears every transmission that anyone can.
+    const RANGE: f64 = 60.0;
+
+    /// A passive node that keeps every content Data frame it hears.
+    #[derive(Default)]
+    struct Sniffer {
+        content: Vec<Payload>,
+    }
+
+    impl NetStack for Sniffer {
+        fn on_start(&mut self, _: &mut NodeCtx<'_>) {}
+        fn on_frame(&mut self, _: &mut NodeCtx<'_>, frame: &Frame) {
+            let is_content = Data::decode_payload(&frame.payload).is_ok_and(|d| {
+                matches!(
+                    namespace::classify(d.name()),
+                    Some(DapesName::Content { .. })
+                )
+            });
+            if is_content {
+                self.content.push(frame.payload.clone());
+            }
+        }
+        fn on_timer(&mut self, _: &mut NodeCtx<'_>, _: u64) {}
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The producer's packet for the content frame `wire`, if its name is
+    /// one of the collection's segments.
+    fn producer_packet(col: &Collection, anchor: &TrustAnchor, wire: &[u8]) -> Option<Data> {
+        let data = Data::decode(wire).ok()?;
+        let Some(DapesName::Content { file, seq, .. }) = namespace::classify(data.name()) else {
+            return None;
+        };
+        col.packet_data(col.index().global_index(&file, seq)?, anchor)
+    }
+
+    /// Runs `sc` until it completes or `deadline_s` passes, with a sniffer
+    /// at the centre, then checks every content frame the sniffer heard
+    /// against the producer's packet. Returns whether the swarm completed.
+    fn check_every_content_frame(sc: &mut Scenario, deadline_s: u64) -> bool {
+        let sniffer = sc.world.add_node(
+            Box::new(Stationary::new(Point::new(CENTRE, CENTRE))),
+            Box::new(Sniffer::default()),
+        );
+        let complete = sc.run_until_complete(SimTime::from_secs(deadline_s));
+        let heard = &sc
+            .world
+            .stack::<Sniffer>(sniffer)
+            .expect("the sniffer")
+            .content;
+        assert!(!heard.is_empty(), "content went over the air");
+        for wire in heard {
+            let expected = producer_packet(&sc.collection, &sc.anchor, wire);
+            assert!(
+                expected.is_some_and(|d| d.encode() == wire.as_slice()),
+                "a content frame on the air is not the producer's packet"
+            );
+        }
+        complete
+    }
+
+    /// A point within `RANGE` of the centre: `(u, v)` in `[-1, 1]²`.
+    fn near_centre((u, v): (f64, f64)) -> (f64, f64) {
+        let half = RANGE * 0.7;
+        (CENTRE + u * half, CENTRE + v * half)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn every_content_frame_heard_is_the_producers_packet(
+            seed in 0u64..10_000,
+            files in 1usize..3,
+            kib in 2usize..17,
+            downloaders in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 1..8),
+            relays in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 0..3),
+            crash in any::<bool>(),
+            crash_ms in 50u64..1_000,
+        ) {
+            let (x, y) = near_centre((0.0, 0.0));
+            let mut b = ScenarioBuilder::new(seed)
+                .range(RANGE)
+                .collection(files, kib * 1024)
+                .producer_at(x, y);
+            for &p in &downloaders {
+                let (x, y) = near_centre(p);
+                b = b.downloader_at(x, y);
+            }
+            for &p in &relays {
+                let (x, y) = near_centre(p);
+                b = b.relay_at(x, y);
+            }
+            if crash {
+                b = b.faults([FaultProfile::CrashRestartDownloader {
+                    index: 0,
+                    crash: SimTime::from_micros(crash_ms * 1_000),
+                    restart: SimTime::from_micros((crash_ms + 1_500) * 1_000),
+                }]);
+            }
+            check_every_content_frame(&mut b.build(), 300);
+        }
+    }
+
+    #[test]
+    fn a_downloader_that_crashes_and_restores_serves_the_producers_packets() {
+        // The producer reaches the far downloader only through the near
+        // one, which crashes mid-transfer and comes back with what it
+        // salvaged: the far one then fetches restored segments from it.
+        let cfg = DapesConfig {
+            forward_prob: 1.0,
+            ..DapesConfig::default()
+        };
+        let mut sc = ScenarioBuilder::new(7)
+            .range(RANGE)
+            .config(cfg)
+            .collection(2, 8 * 1024)
+            .producer_at(CENTRE - 50.0, CENTRE)
+            .downloader_at(CENTRE, CENTRE)
+            .downloader_at(CENTRE + 50.0, CENTRE)
+            .faults([FaultProfile::CrashRestartDownloader {
+                index: 0,
+                crash: SimTime::from_secs(1),
+                restart: SimTime::from_secs(2),
+            }])
+            .build();
+        assert!(
+            check_every_content_frame(&mut sc, 300),
+            "the swarm completes"
+        );
+        let near = sc
+            .peer(sc.downloaders[0])
+            .expect("the restarted downloader");
+        assert!(
+            near.stats().resumed_segments_skipped > 0,
+            "it restored segments"
+        );
+        assert!(
+            near.stats().packets_served > 0,
+            "and served after restarting"
+        );
+    }
+
+    #[test]
+    fn a_relay_forwards_the_producers_packets() {
+        // The producer and the downloader are out of each other's range;
+        // the relay between them carries every segment.
+        let reach = RANGE * 0.9;
+        let cfg = DapesConfig {
+            forward_prob: 1.0,
+            ..DapesConfig::default()
+        };
+        let mut sc = ScenarioBuilder::new(3)
+            .range(RANGE)
+            .config(cfg)
+            .collection(1, 6 * 1024)
+            .producer_at(CENTRE - reach, CENTRE)
+            .relay_at(CENTRE, CENTRE + 1.0)
+            .downloader_at(CENTRE + reach, CENTRE)
+            .build();
+        assert!(
+            check_every_content_frame(&mut sc, 300),
+            "the swarm completes"
+        );
+    }
+
+    #[test]
+    fn every_kept_copy_of_a_segment_is_the_producers_one_buffer() {
+        let mut sc = ScenarioBuilder::new(5)
+            .range(RANGE)
+            .collection(2, 6 * 1024)
+            .producer_at(CENTRE, CENTRE)
+            .downloader_at(CENTRE + 25.0, CENTRE)
+            .downloader_at(CENTRE - 25.0, CENTRE + 10.0)
+            .downloader_at(CENTRE + 40.0, CENTRE + 30.0)
+            .relay_at(CENTRE, CENTRE - 35.0)
+            .pure_forwarder_at(CENTRE - 30.0, CENTRE - 30.0)
+            .build();
+        assert!(
+            sc.run_until_complete(SimTime::from_secs(300)),
+            "the swarm completes"
+        );
+        let col = sc.collection.clone();
+        let producer = sc.peer(sc.producers[0]).expect("the producer");
+        let (mut held, mut cached) = (0, 0);
+        for idx in 0..col.total_packets() {
+            let original = producer
+                .held_wire(col.name(), idx)
+                .expect("signed once, when first asked");
+            let name = col.index().packet_name(col.name(), idx).expect("in range");
+            for node in 0..sc.world.node_count() {
+                let peer = sc.peer(NodeId(node as u32)).expect("a DAPES peer");
+                if let Some(wire) = peer.held_wire(col.name(), idx) {
+                    assert!(
+                        Payload::same_backing(wire, original),
+                        "node {node} holds a copy of packet {idx}"
+                    );
+                    held += 1;
+                }
+                if let Some(hit) = peer.content_store().lookup_exact(&name) {
+                    assert!(
+                        Payload::same_backing(&hit.wire(), original),
+                        "node {node} caches a copy of packet {idx}"
+                    );
+                    cached += 1;
+                }
+            }
+        }
+        // The producer and three downloaders hold every segment; the
+        // relays' stores kept some.
+        assert_eq!(held, 4 * col.total_packets());
+        assert!(cached > 0, "some store kept a segment");
+    }
+}
